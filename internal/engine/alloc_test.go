@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"runtime"
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestSchedulePathZeroAllocs pins the closure-free thread scheduling path to
 // zero allocations per event once the queue has reached steady-state
@@ -36,37 +32,8 @@ func TestSchedulePathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTeardownNoGoroutineLeak checks that tearing down simulations with
-// parked threads unwinds their goroutines instead of leaking them.
-func TestTeardownNoGoroutineLeak(t *testing.T) {
-	before := runtime.NumGoroutine()
-	const sims = 20
-	for i := 0; i < sims; i++ {
-		s := New()
-		for j := 0; j < 4; j++ {
-			s.Spawn("parked", func(th *Thread) { th.Park() })
-		}
-		if err := s.Run(); err == nil {
-			t.Fatal("want DeadlockError from all-parked sim")
-		}
-	}
-	// Unwound goroutines exit asynchronously after teardown; poll briefly.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		after := runtime.NumGoroutine()
-		if after <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked after teardown: before=%d after=%d", before, after)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // BenchmarkEngineDelay measures the full Delay round-trip (schedule, yield to
-// scheduler, dispatch, resume). The allocation report is the guardrail: the
+// the scheduler loop, dispatch, resume the carrier). The allocation report is the guardrail: the
 // schedule path must stay at 0 allocs/op.
 func BenchmarkEngineDelay(b *testing.B) {
 	b.ReportAllocs()

@@ -1,22 +1,35 @@
+//go:build go1.23
+
 // Package engine provides the deterministic discrete-event simulation core
 // that the SVM cluster model is built on.
 //
-// The engine combines a timing-wheel event queue with cooperative threads:
-// each simulated processor (and each protocol handler) is a goroutine, but at
-// most one goroutine runs at any instant, and control transfers are explicit
-// (Delay, Park, condition waits). Event ties at the same cycle are broken by
-// a monotonically increasing sequence number, so a given program produces a
-// bit-identical schedule on every run.
+// The engine combines a timing-wheel event queue with cooperative threads.
+// Each simulated processor (and each protocol handler) is a Thread, and each
+// Thread runs on a carrier: a runtime coroutine made by iter.Pull. Only the
+// scheduler loop in Run resumes a carrier, and a running thread only ever
+// yields back to that loop, so at most one thread runs at any instant and
+// every event is dispatched by the loop. Event ties at the same cycle are
+// broken by a monotonically increasing sequence number, so a given program
+// produces a bit-identical schedule on every run.
 //
-// Control transfers take the cheapest path that preserves that schedule: when
-// a parking thread can see that the next event resumes another thread, it
-// hands control to it directly (one real goroutine switch per simulated one)
-// instead of round-tripping through the scheduler goroutine (two).
+// A coroutine switch does not enter the Go scheduler, which makes a
+// simulated context switch several times cheaper than a goroutine channel
+// handoff. The price is scheduler latency: a running simulation never gives
+// up its P at a switch, so other goroutines in the process wait longer for
+// one.
+//
+// Carriers are pooled per Sim: a finished thread puts its carrier back for
+// the next Spawn, and teardown stops every carrier the Sim made. Besides
+// saving a coroutine per thread, the pool bounds coroutine exits to a few
+// dozen per simulation. That matters under the race detector: Go 1.24 never
+// frees the race state of an exited coroutine (about 5 KB each), and one
+// coroutine per thread ran `go test -race ./internal/exp/` out of memory.
 package engine
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"os"
 	"runtime"
 	"sort"
@@ -75,22 +88,16 @@ type Sim struct {
 	events  eventQueue
 	current *Thread
 	live    map[*Thread]struct{}
-	zombies []*Thread     // killed threads whose goroutines await teardown
-	yield   chan struct{} // thread -> scheduler handoff
-	dead    bool
-	stopped bool  // set by Stop; Run ends after the current dispatch
-	failure error // set when a thread panics; Run stops and reports it
+	// carriers lists every carrier the Sim made, for teardown; idle holds
+	// the ones free for the next Spawn.
+	carriers []*carrier
+	idle     []*carrier
+	dead     bool
+	stopped  bool  // set by Stop; Run ends after the current dispatch
+	failure  error // set when a thread panics; Run stops and reports it
 
-	// dispatched counts events dispatched so far, through the scheduler loop
-	// and the direct-handoff fast path alike; limit is the effective
-	// MaxEvents, fixed at Run entry so the fast path can enforce it too.
+	// dispatched counts events dispatched so far.
 	dispatched uint64
-	limit      uint64
-	// handoffs counts direct thread-to-thread transfers (diagnostics).
-	handoffs uint64
-	// noHandoff forces every transfer through the scheduler goroutine; tests
-	// use it to check the fast path changes nothing but speed.
-	noHandoff bool
 
 	// MaxEvents bounds the number of dispatched events as a livelock guard.
 	// Zero means the default (see Run).
@@ -121,10 +128,7 @@ type Sim struct {
 
 // New creates an empty simulator at time zero.
 func New() *Sim {
-	s := &Sim{
-		live:  make(map[*Thread]struct{}),
-		yield: make(chan struct{}),
-	}
+	s := &Sim{live: make(map[*Thread]struct{})}
 	s.events.init()
 	return s
 }
@@ -183,7 +187,7 @@ func (s *Sim) Fail(err error) {
 func (s *Sim) Stop() { s.stopped = true }
 
 // Kill removes thread t from the simulation: it never runs again, pending
-// events targeting it are ignored at dispatch, and its goroutine unwinds at
+// events targeting it are ignored at dispatch, and its carrier unwinds it at
 // teardown. It models the threads of a crash-stopped node. Kill must not be
 // called on the currently running thread; resources the thread holds are NOT
 // released (a crashed node's local resources wedge with it, which is the
@@ -198,7 +202,6 @@ func (s *Sim) Kill(t *Thread) {
 	}
 	t.done = true
 	delete(s.live, t)
-	s.zombies = append(s.zombies, t)
 }
 
 // scheduleThread enqueues a closure-free thread event. Events are values in
@@ -236,17 +239,19 @@ func (s *Sim) dispatch(ev event) {
 }
 
 // errUnwind is panicked inside parked threads when the simulation tears down
-// so their goroutines exit instead of leaking.
+// so their carriers unwind instead of leaking.
 var errUnwind = errors.New("engine: simulation torn down")
 
 // Thread is a cooperative simulated thread of control (a simulated processor
-// context or a protocol handler context).
+// context or a protocol handler context). Every Spawn makes a fresh Thread;
+// only its carrier is reused, so a stale event for a finished or killed
+// thread still finds done set and can never wake the carrier's next thread.
 type Thread struct {
-	sim    *Sim
-	name   string
-	resume chan struct{}
-	parked bool
-	done   bool
+	sim     *Sim
+	name    string
+	carrier *carrier
+	parked  bool
+	done    bool
 }
 
 // Name returns the thread's diagnostic name.
@@ -255,127 +260,88 @@ func (t *Thread) Name() string { return t.name }
 // Sim returns the simulator this thread belongs to.
 func (t *Thread) Sim() *Sim { return t.sim }
 
+// carrier is a pooled runtime coroutine that runs thread bodies one at a
+// time. The scheduler loop resumes it with next; the running thread suspends
+// it with yield.
+type carrier struct {
+	sim   *Sim
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	th    *Thread         // the thread assigned by Spawn
+	fn    func(t *Thread) // th's body, cleared once it starts
+}
+
 // Spawn creates a thread named name that will begin executing fn at the
 // current simulated time. When fn returns the thread terminates.
 func (s *Sim) Spawn(name string, fn func(t *Thread)) *Thread {
-	t := &Thread{sim: s, name: name, resume: make(chan struct{})}
+	var c *carrier
+	if n := len(s.idle); n > 0 {
+		c = s.idle[n-1]
+		s.idle = s.idle[:n-1]
+	} else {
+		c = &carrier{sim: s}
+		c.next, c.stop = iter.Pull(c.loop)
+		s.carriers = append(s.carriers, c)
+	}
+	t := &Thread{sim: s, name: name, carrier: c}
+	c.th, c.fn = t, fn
 	s.live[t] = struct{}{}
-	go func() {
-		// Wait for the first dispatch.
-		if !t.awaitResume() {
-			return
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				if err, ok := r.(error); ok && errors.Is(err, errUnwind) {
-					return // orderly teardown
-				}
-				// Surface model/application panics as a simulation failure
-				// instead of crashing the host process: hand control back
-				// to the scheduler, which stops and reports.
-				if s.failure == nil {
-					s.failure = &ThreadPanicError{Thread: t.name, Value: r, Stack: string(stackTrace())}
-				}
-				t.done = true
-				delete(s.live, t)
-				s.yield <- struct{}{}
-				return
-			}
-		}()
-		fn(t)
-		t.done = true
-		delete(s.live, t)
-		s.yield <- struct{}{}
-	}()
 	s.scheduleThread(s.now, t, evResume)
 	return t
 }
 
-// awaitResume blocks the goroutine until the scheduler dispatches this
-// thread, returning false if the simulation was torn down instead (teardown
-// closes the resume channel).
-func (t *Thread) awaitResume() bool {
-	<-t.resume
-	return !t.sim.dead
+// loop is the carrier's coroutine body: run the assigned thread, go back to
+// the idle pool, and wait in yield for the next assignment. It returns once
+// teardown stops the carrier.
+func (c *carrier) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.run()
+		c.sim.idle = append(c.sim.idle, c)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
 }
 
-// switchTo transfers control from the scheduler to t and waits for a thread
-// (t, or a thread t handed control to directly) to yield back.
+// run executes the assigned thread's body. It recovers every panic, so none
+// crosses the coroutine boundary into the scheduler loop: errUnwind (also
+// when a deferred call parks again while unwinding) is orderly teardown, and
+// any other panic becomes the run's failure, the first one winning.
+func (c *carrier) run() {
+	s, t, fn := c.sim, c.th, c.fn
+	c.th, c.fn = nil, nil
+	defer func() {
+		if r := recover(); r != nil {
+			if err, ok := r.(error); !ok || !errors.Is(err, errUnwind) {
+				s.Fail(&ThreadPanicError{Thread: t.name, Value: r, Stack: string(stackTrace())})
+			}
+		}
+		t.done = true
+		delete(s.live, t)
+	}()
+	fn(t)
+}
+
+// switchTo resumes t on its carrier and returns once t parks or finishes.
 func (s *Sim) switchTo(t *Thread) {
 	if t.done {
 		return
 	}
-	prev := s.current
 	s.current = t
 	t.parked = false
-	t.resume <- struct{}{}
-	<-s.yield
-	s.current = prev
+	t.carrier.next()
+	s.current = nil
 }
 
-// park suspends the calling thread until something unparks it. If the next
-// event resumes another thread right now (and no watchdog stands in the way),
-// control transfers to it directly; otherwise the scheduler goroutine takes
-// over.
+// park suspends the calling thread until an event resumes it. If teardown
+// stops the carrier instead, yield reports false and the thread unwinds.
 func (t *Thread) park() {
 	t.parked = true
-	s := t.sim
-	if !s.tryHandoff(t) {
-		s.yield <- struct{}{}
-	}
-	<-t.resume
-	if s.dead {
+	if !t.carrier.yield(struct{}{}) {
 		panic(errUnwind)
 	}
-}
-
-// tryHandoff is the direct-handoff fast path: called by a parking thread, it
-// checks whether the head event is a resume of another thread that the
-// scheduler loop would dispatch next with no intervening error, and if so
-// pops it and transfers control straight to that thread — one real goroutine
-// switch per simulated context switch instead of two (park to scheduler,
-// scheduler to next). Any condition the scheduler loop must look at first —
-// a requested stop, a failure, an exhausted event budget, a watchdog
-// tripping on the clock advance, an Unpark misuse that must panic in
-// scheduler context — falls back to the slow path, so the dispatch order,
-// accounting and error semantics are bit-identical either way.
-func (s *Sim) tryHandoff(from *Thread) bool {
-	if s.noHandoff || s.stopped || s.failure != nil ||
-		s.dispatched >= s.limit || s.events.size == 0 {
-		return false
-	}
-	ev := s.events.peek()
-	if ev.kind != evResume && ev.kind != evUnpark {
-		return false
-	}
-	next := ev.th
-	if next == from || next.done {
-		return false
-	}
-	if ev.kind == evUnpark && !next.parked {
-		return false // the scheduler raises the model-bug panic
-	}
-	at := ev.at
-	if at != s.now {
-		// The per-cycle budget checks of Run, verbatim; a trip defers to the
-		// scheduler so the error is built (and torn down) in one place.
-		if s.MaxCycles > 0 && at > s.MaxCycles {
-			return false
-		}
-		if s.StallCheckCycles > 0 && len(s.live) > 0 &&
-			at > s.lastThreadAt && at-s.lastThreadAt > s.StallCheckCycles {
-			return false
-		}
-		s.now = at
-	}
-	s.events.popHead()
-	s.dispatched++
-	s.handoffs++
-	s.lastThreadAt = at
-	s.current = next
-	next.parked = false
-	next.resume <- struct{}{}
-	return true
 }
 
 // Delay advances the thread's local view of time by n cycles: the thread is
@@ -491,12 +457,12 @@ func (s *Sim) Run() error {
 	if s.dead {
 		return errors.New("engine: Run on a torn-down simulator")
 	}
-	s.limit = s.MaxEvents
-	if s.limit == 0 {
-		s.limit = 50_000_000_000
+	limit := s.MaxEvents
+	if limit == 0 {
+		limit = 50_000_000_000
 	}
 	for s.events.size > 0 {
-		if s.dispatched >= s.limit {
+		if s.dispatched >= limit {
 			s.teardown()
 			return &LivelockError{NowCycles: s.now, Events: s.dispatched}
 		}
@@ -504,10 +470,7 @@ func (s *Sim) Run() error {
 		if at := ev.at; at != s.now {
 			// The watchdog checks run once per simulated cycle, not once per
 			// event: they depend only on the event's cycle, so every
-			// same-cycle event after the first passes them by construction,
-			// and the first event of a cycle is always dispatched here or in
-			// tryHandoff (which runs the same checks and defers to this loop
-			// when one trips).
+			// same-cycle event after the first passes them by construction.
 			if s.MaxCycles > 0 && at > s.MaxCycles {
 				return s.stall(at, s.MaxCycles, s.dispatched, "simulated-cycle budget exceeded")
 			}
@@ -550,22 +513,17 @@ func (s *Sim) Run() error {
 	return nil
 }
 
-// teardown unwinds any blocked goroutines so they do not leak: closing a
-// thread's resume channel wakes it, and the dead flag (written first, read
-// after the wakeup, ordered by the close) turns the wakeup into an unwind.
-// Goroutines blocked sending on s.yield cannot exist here: a thread is only
-// mid-yield while the scheduler is inside switchTo.
+// teardown stops every carrier the Sim made. Stopping is synchronous: a
+// carrier parked in a thread unwinds it before stop returns, and an idle or
+// never-started carrier just exits. Indexing (not ranging) also reaches a
+// carrier that an unwinding thread's deferred call makes with Spawn.
 func (s *Sim) teardown() {
 	if s.dead {
 		return
 	}
 	s.dead = true
-	//svmlint:ignore detmap closes are commutative: no event dispatch or simulated effect follows teardown, each goroutine just unwinds
-	for t := range s.live {
-		close(t.resume)
+	for i := 0; i < len(s.carriers); i++ {
+		s.carriers[i].stop()
 	}
-	for _, t := range s.zombies {
-		close(t.resume)
-	}
-	s.zombies = nil
+	s.carriers, s.idle = nil, nil
 }

@@ -85,7 +85,7 @@ type Suite struct {
 
 	mu     sync.Mutex
 	logMu  sync.Mutex
-	cache  map[string]*svmsim.Result
+	cache  map[string]*svmsim.RunStats
 	errs   map[string]error
 	flight map[string]*flight
 }
@@ -158,7 +158,7 @@ func NewSuite(sizes Size) *Suite {
 // Callers must hold s.mu.
 func (s *Suite) ensure() {
 	if s.cache == nil {
-		s.cache = make(map[string]*svmsim.Result)
+		s.cache = make(map[string]*svmsim.RunStats)
 	}
 	if s.errs == nil {
 		s.errs = make(map[string]error)
@@ -215,12 +215,12 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 	s.mu.Lock()
 	s.ensure()
 	observe := s.Observe
-	if r, ok := s.cache[key]; ok {
+	if run, ok := s.cache[key]; ok {
 		s.mu.Unlock()
 		if observe != nil {
 			observe(CellEvent{Key: key, Source: SourceMemo})
 		}
-		return r.Run, nil
+		return run, nil
 	}
 	if err, ok := s.errs[key]; ok {
 		s.mu.Unlock()
@@ -243,16 +243,15 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 	retries := s.Retries
 	s.mu.Unlock()
 
-	var res *svmsim.Result
+	// run is the cell's statistics. Only they are memoized: the full
+	// Result would keep the cell's whole simulated World alive.
+	var run *svmsim.RunStats
 	var err error
 	source := SourceSim
 	hit := false
 	if s.CacheDir != "" {
-		if run, derr, ok := s.loadCell(key); ok {
-			hit, err, source = true, derr, SourceDisk
-			if derr == nil {
-				res = &svmsim.Result{Run: run}
-			}
+		if drun, derr, ok := s.loadCell(key); ok {
+			hit, run, err, source = true, drun, derr, SourceDisk
 			if verbose != nil {
 				s.logf(verbose, "disk %-12s %s\n", w.Name, cfgKey(cfg))
 			}
@@ -264,9 +263,8 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 		// worker's simulation. Predictions deliberately skip the CacheDir
 		// spill below — see the Predict field's cache-purity contract.
 		if predict := s.Predict; predict != nil {
-			if run, ok := predict(Cell{Cfg: cfg, W: w}); ok && run != nil {
-				hit, source = true, SourcePredicted
-				res = &svmsim.Result{Run: run}
+			if prun, ok := predict(Cell{Cfg: cfg, W: w}); ok && prun != nil {
+				hit, run, source = true, prun, SourcePredicted
 				if verbose != nil {
 					s.logf(verbose, "twin %-12s %s\n", w.Name, cfgKey(cfg))
 				}
@@ -288,7 +286,7 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 					}
 					err = &cachedError{kind: kind, msg: rr.Err}
 				} else {
-					res = &svmsim.Result{Run: rr.Run}
+					run = rr.Run
 				}
 				if verbose != nil {
 					s.logf(verbose, "remote %-10s %s\n", w.Name, cfgKey(cfg))
@@ -309,7 +307,7 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 			}
 		}
 		sw := walltime.Start()
-		res, err = s.simulate(cfg, w)
+		run, err = s.simulate(cfg, w)
 		simSeconds += sw.Seconds()
 		if err == nil || attempt >= retries || deterministicErr(err) {
 			break
@@ -320,18 +318,14 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 			err = fmt.Errorf("%s on %s: %w", w.Name, cfgKey(cfg), err)
 		}
 		if s.CacheDir != "" {
-			var spill *svmsim.RunStats
-			if res != nil {
-				spill = res.Run
-			}
-			s.spillCell(key, spill, err)
+			s.spillCell(key, run, err)
 		}
 	}
 
 	s.mu.Lock()
 	if err == nil {
-		s.cache[key] = res
-		f.run = res.Run
+		s.cache[key] = run
+		f.run = run
 	} else {
 		s.errs[key] = err
 	}
@@ -400,13 +394,17 @@ func deterministicErr(err error) bool {
 // simulate executes one cell, converting a panic (in the simulator, protocol,
 // or application code) into an error so a single broken cell degrades to an
 // error row instead of taking down the whole sweep.
-func (s *Suite) simulate(cfg svmsim.Config, w svmsim.Workload) (res *svmsim.Result, err error) {
+func (s *Suite) simulate(cfg svmsim.Config, w svmsim.Workload) (run *svmsim.RunStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	return svmsim.Run(cfg, s.app(w))
+	res, err := svmsim.Run(cfg, s.app(w))
+	if err != nil {
+		return nil, err
+	}
+	return res.Run, nil
 }
 
 // logf serializes verbose progress lines from concurrent workers.

@@ -12,9 +12,10 @@ import (
 // literal handed to a scheduling call re-introduces a per-event heap
 // allocation (the closure plus its captured variables) on exactly the path
 // the simulator's throughput depends on. Sim.Spawn is deliberately out of
-// scope: thread creation allocates the Thread and its goroutine regardless,
-// so the closure is noise next to the thread itself and every Spawn call
-// used to carry the same boilerplate suppression saying so. Remaining
+// scope: thread creation allocates the Thread (and a coroutine carrier when
+// the Sim's pool is empty) regardless, so the closure is one allocation per
+// thread, not per event, and every Spawn call used to carry the same
+// boilerplate suppression saying so. Remaining
 // setup-time closures (one per run, not per event) are documented with
 // //svmlint:ignore hotalloc <reason>.
 

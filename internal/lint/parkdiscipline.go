@@ -17,10 +17,10 @@ import (
 // lock) parks with the lock held; every other goroutine that touches the
 // lock then blocks for an unbounded number of simulated events, and if one
 // of *those* is the goroutine that would produce the resuming event, the
-// process deadlocks outside the engine's own watchdog's sight. PR 6's direct
-// thread handoff made this shape cheaper to hit: the parking goroutine now
-// runs the successor inline, so the window where "briefly holding" a lock
-// across a blocking call seemed harmless is gone.
+// process deadlocks outside the engine's own watchdog's sight. No such hold
+// is ever "brief": a thread parks by yielding its coroutine carrier back to
+// the scheduler loop, which runs every event due before the thread's own
+// resume while the lock stays held.
 //
 // The analyzer is whole-program: it seeds the blocking set with the engine
 // package's blocking entry points, closes it backwards over the call graph,

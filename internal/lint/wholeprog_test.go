@@ -122,8 +122,8 @@ func TestNewAnalyzerSuppressions(t *testing.T) {
 
 // TestParkDisciplineRepoShapes pins the real harness packages clean: the
 // experiment suite, the daemon and the machine layer hold their mutexes
-// strictly outside the engine. A regression here is the handoff-deadlock
-// shape PR 6 made cheap to hit.
+// strictly outside the engine. A regression here is the lock-held-across-park
+// deadlock shape that the engine's coroutine carriers make cheap to hit.
 func TestParkDisciplineRepoShapes(t *testing.T) {
 	res, err := Run(Options{
 		Dir: ".",
