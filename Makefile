@@ -1,8 +1,9 @@
 # Development checks for svmsim. `make check` is the CI gate: vet, the
 # domain-specific svmlint analyzers (determinism / unit-suffix / hot-path
-# allocation invariants, see internal/lint), build, the full test suite, and
-# the race detector over the packages with real concurrency (the parallel
-# experiment Runner and the engine).
+# allocation invariants, see internal/lint), build, the full test suite of
+# both modules, the race detector over the packages with real concurrency
+# (the parallel experiment Runner and the engine), and the crash, serving
+# and twin smokes.
 
 GO ?= go
 
@@ -35,8 +36,12 @@ lint-report:
 build:
 	$(GO) build ./...
 
+# bench/ is its own module (the benchmark harness), so the root `./...`
+# pattern does not reach its tests; they pin the FFT golden, the
+# BENCHMARK.json metric catalogue and the compare rules.
 test:
 	$(GO) test ./...
+	$(GO) -C bench test ./...
 
 # The race set covers the packages with real concurrency (the parallel
 # experiment Runner, the engine, the serving daemon's worker pool and

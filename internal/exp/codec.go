@@ -254,8 +254,8 @@ type CellResult struct {
 	// because every model-filled cell carries the marker.
 	Source string           `json:"source,omitempty"`
 	Run    *svmsim.RunStats `json:"run,omitempty"`
-	// ErrKind classifies a failed cell ("stall", "lost_page",
-	// "link_failure" or "failed"); it survives the disk cache, so a
+	// ErrKind classifies a failed cell (a taxonomy kind such as "stall"
+	// or "lost_page", or "failed"); it survives the disk cache, so a
 	// daemon restart reports the same structured kind.
 	ErrKind string `json:"err_kind,omitempty"`
 	Err     string `json:"err,omitempty"`
@@ -290,71 +290,114 @@ func NewPredictedCellResult(key string, run *svmsim.RunStats) CellResult {
 	return CellResult{Schema: SchemaVersion, Key: key, Source: SourcePredictedCell, Run: run}
 }
 
-// ErrKind classifies an error into the wire schema's structured kinds: the
-// typed simulator failures keep their identity ("stall", "lost_page",
-// "link_failure", "deadlock", "livelock", "panic"); everything else
-// (harness-side panics, validation at run time) is "failed". The svmlint
-// errkind analyzer holds this switch exhaustive over the error taxonomy.
-// Kinds survive the disk cache via cachedError.
+// taxonomy declares every typed failure once: how to recognise it, its
+// wire kind, and whether a retry can change its outcome. ErrKind,
+// RetryableKind and deterministicErr all read it, so a new error type is
+// one row, and a row that leaves out its retry disposition does not
+// compile. Nothing checks that a type has a row: an error type missing
+// from the table classifies as "failed" and retryable, like any untyped
+// error. Rows are tried in order, so for an error chain holding several
+// types the first row that matches names it.
+var taxonomy = []struct {
+	is        func(error) bool
+	kind      string
+	retryable bool
+}{
+	// Modeled simulation outcomes. The simulator is deterministic, so a
+	// stall, a lost page, an exhausted link retry budget, a drained-queue
+	// deadlock or a livelock fails identically on every attempt and on
+	// every worker; a retry only re-pays the full simulation cost.
+	{isErr[*svmsim.StallError], "stall", false},
+	{isErr[*svmsim.LostPageError], "lost_page", false},
+	{isErr[*svmsim.LinkFailureError], "link_failure", false},
+	{isErr[*svmsim.DeadlockError], "deadlock", false},
+	{isErr[*svmsim.LivelockError], "livelock", false},
+	// A panic inside a simulated thread usually reproduces, but panic
+	// causes include environmental limits (stack, memory); spend the retry
+	// budget rather than cache a possibly transient failure.
+	{isErr[*svmsim.ThreadPanicError], "panic", true},
+	// A wall-clock deadline is pure host weather (load, scheduling, disk):
+	// the same cell may finish comfortably on the next attempt.
+	{isErr[*JobTimeoutError], "job_timeout", true},
+	// The worker died, not the simulation: the identical cell succeeds on
+	// any other worker.
+	{isErr[*WorkerLostError], "worker_lost", true},
+	// Every placement attempt hit a host-level failure; the cell itself
+	// was never judged.
+	{isErr[*RedispatchExhaustedError], "redispatch_exhausted", true},
+	// The twin's model set is fixed for the life of the request and the
+	// studied parameter space is finite: no retry and no other worker
+	// answers differently.
+	{isErr[*UncalibratedError], "uncalibrated", false},
+	{isErr[*InfeasibleError], "infeasible", false},
+}
+
+// isErr reports whether err's chain holds a T. Each call declares its own
+// errors.As target, so concurrent classifications share no state.
+func isErr[T error](err error) bool {
+	var target T
+	return errors.As(err, &target)
+}
+
+// ErrKind classifies an error into the wire schema's structured kinds: a
+// typed failure gets its taxonomy kind ("stall", "lost_page",
+// "job_timeout", ...); everything else (harness-side panics, validation at
+// run time) is "failed", and nil is "". Kinds survive the disk cache and
+// the fleet's wire via cachedError.
 func ErrKind(err error) string {
-	var c *cachedError
-	switch {
-	case err == nil:
+	if err == nil {
 		return ""
-	case errors.As(err, &c):
-		return c.kind
-	case errors.As(err, new(*svmsim.StallError)):
-		return "stall"
-	case errors.As(err, new(*svmsim.LostPageError)):
-		return "lost_page"
-	case errors.As(err, new(*svmsim.LinkFailureError)):
-		return "link_failure"
-	case errors.As(err, new(*svmsim.DeadlockError)):
-		return "deadlock"
-	case errors.As(err, new(*svmsim.LivelockError)):
-		return "livelock"
-	case errors.As(err, new(*svmsim.ThreadPanicError)):
-		return "panic"
-	case errors.As(err, new(*JobTimeoutError)):
-		return "job_timeout"
-	case errors.As(err, new(*WorkerLostError)):
-		return "worker_lost"
-	case errors.As(err, new(*RedispatchExhaustedError)):
-		return "redispatch_exhausted"
-	case errors.As(err, new(*UncalibratedError)):
-		return "uncalibrated"
-	case errors.As(err, new(*InfeasibleError)):
-		return "infeasible"
-	default:
-		return "failed"
 	}
+	var c *cachedError
+	if errors.As(err, &c) {
+		return c.kind
+	}
+	for _, t := range taxonomy {
+		if t.is(err) {
+			return t.kind
+		}
+	}
+	return "failed"
 }
 
 // RetryableKind reports whether a wire error kind names a host-level
 // failure worth re-running elsewhere ("job_timeout", "worker_lost", a
-// panic, an unclassified harness error) as opposed to a deterministic
-// simulation outcome that fails identically on every worker ("stall",
-// "lost_page", ...). It is the kind-string mirror of deterministicErr: the
-// coordinator sees worker failures only as wire kinds, after the typed
-// error has been flattened, and a consistency test holds the two views in
-// agreement. The empty kind (success) is not retryable.
+// panic, an unclassified harness error or an unknown kind) as opposed to a
+// deterministic outcome that fails identically on every worker ("stall",
+// "lost_page", ...). The coordinator sees worker failures only as wire
+// kinds, after the typed error has been flattened. The empty kind
+// (success) is not retryable.
 func RetryableKind(kind string) bool {
-	switch kind {
-	case "", "stall", "lost_page", "link_failure", "deadlock", "livelock",
-		"uncalibrated", "infeasible":
-		// The twin kinds are deterministic model outcomes: the model set
-		// and the studied parameter space are fixed, so no other worker
-		// answers differently.
+	if kind == "" {
 		return false
+	}
+	for _, t := range taxonomy {
+		if t.kind == kind {
+			return t.retryable
+		}
 	}
 	return true
 }
 
-// cachedError carries a structured error kind across the disk cache, where
-// the original typed error has been flattened to text.
+// cachedError carries a structured error kind across the disk cache and the
+// fleet's wire, where the original typed error has been flattened to text.
 type cachedError struct{ kind, msg string }
 
 func (e *cachedError) Error() string { return e.msg }
+
+// resultErr rebuilds the error a failed CellResult carries, or returns nil
+// for a result without one. A document that names no kind reads back as
+// "failed", the kind of any unclassified error.
+func resultErr(r CellResult) error {
+	if r.Err == "" {
+		return nil
+	}
+	kind := r.ErrKind
+	if kind == "" {
+		kind = "failed"
+	}
+	return &cachedError{kind: kind, msg: r.Err}
+}
 
 // EncodeCellResult renders the canonical encoding of a cell result: indented
 // JSON with a trailing newline, identical bytes from the CLI, the daemon and

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -244,9 +245,11 @@ func TestResolveCellRejects(t *testing.T) {
 }
 
 // TestErrKindTaxonomy pins the wire kind and the retry disposition of every
-// typed simulator failure — the two switches the svmlint errkind analyzer
-// holds exhaustive. Deterministic modeled failures skip the retry budget; a
-// thread panic may be environmental and is allowed to retry.
+// typed failure, seen both ways: the local retry loop judges the typed error
+// (deterministicErr), the fleet coordinator judges only the wire kind
+// (RetryableKind), and the two must agree. Deterministic modeled failures
+// skip the retry budget; a thread panic may be environmental and is allowed
+// to retry. A failed document without a kind reads back as "failed".
 func TestErrKindTaxonomy(t *testing.T) {
 	cases := []struct {
 		err           error
@@ -262,15 +265,57 @@ func TestErrKindTaxonomy(t *testing.T) {
 		{&UncalibratedError{Workload: "FFT", Mode: "hlrc", Reason: "no calibration has run"}, "uncalibrated", true},
 		{&InfeasibleError{Workload: "FFT", Mode: "hlrc", MinSpeedup: 12, Best: 9.1}, "infeasible", true},
 		{&JobTimeoutError{Key: "k", Attempt: 2}, "job_timeout", false},
+		{&WorkerLostError{Worker: "w1-e1", Key: "k"}, "worker_lost", false},
+		{&RedispatchExhaustedError{Key: "k", Attempts: 3, Last: "refused"}, "redispatch_exhausted", false},
 		{errors.New("setup exploded"), "failed", false},
 	}
 	for _, c := range cases {
-		if k := ErrKind(c.err); k != c.kind {
-			t.Errorf("ErrKind(%T) = %q, want %q", c.err, k, c.kind)
+		// Wrapping (as Suite.run does with workload and key context) must
+		// not change the classification.
+		for _, err := range []error{c.err, fmt.Errorf("LU on p16: %w", c.err)} {
+			if k := ErrKind(err); k != c.kind {
+				t.Errorf("ErrKind(%v) = %q, want %q", err, k, c.kind)
+			}
+			if d := deterministicErr(err); d != c.deterministic {
+				t.Errorf("deterministicErr(%v) = %v, want %v", err, d, c.deterministic)
+			}
 		}
-		if d := deterministicErr(c.err); d != c.deterministic {
-			t.Errorf("deterministicErr(%T) = %v, want %v", c.err, d, c.deterministic)
+		if r := RetryableKind(c.kind); r != !c.deterministic {
+			t.Errorf("RetryableKind(%q) = %v, want %v", c.kind, r, !c.deterministic)
 		}
+	}
+	if ErrKind(nil) != "" {
+		t.Errorf("ErrKind(nil) = %q, want empty", ErrKind(nil))
+	}
+	if RetryableKind("") {
+		t.Error("empty kind (success) must not be retryable")
+	}
+	if !RetryableKind("some_future_kind") {
+		t.Error("unknown kinds must be retryable")
+	}
+
+	// A failed document with no err_kind, from the disk cache or from a
+	// fleet worker, reads back as "failed" with its text intact.
+	w := pick("LU")[0]
+	s := NewSuite(Small)
+	s.CacheDir = t.TempDir()
+	key := Cell{Cfg: s.Base(), W: w}.Key()
+	data, err := EncodeCellResult(CellResult{Schema: SchemaVersion, Key: key, Err: "boom"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cellPath(s.CacheDir, key), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.run(s.Base(), w); ErrKind(err) != "failed" || err.Error() != "boom" {
+		t.Errorf("disk cell without a kind: kind %q, err %v", ErrKind(err), err)
+	}
+	s = NewSuite(Small)
+	s.Remote = func(c Cell) (CellResult, bool) {
+		return CellResult{Schema: SchemaVersion, Key: c.Key(), Err: "boom"}, true
+	}
+	if _, err := s.run(s.Base(), w); ErrKind(err) != "failed" || err.Error() != "boom" {
+		t.Errorf("remote cell without a kind: kind %q, err %v", ErrKind(err), err)
 	}
 }
 
@@ -289,11 +334,11 @@ func TestErrKindSurvivesDiskCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached := &cachedError{kind: back.ErrKind, msg: back.Err}
+	cached := resultErr(back)
 	if k := ErrKind(cached); k != "stall" {
 		t.Fatalf("kind lost across cache: %q", k)
 	}
-	if !errors.As(error(cached), new(*cachedError)) {
+	if !errors.As(cached, new(*cachedError)) {
 		t.Fatal("cachedError not unwrappable")
 	}
 }

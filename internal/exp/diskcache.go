@@ -64,7 +64,7 @@ func cellPath(dir, key string) string {
 // loadCell reads a spilled cell. Any defect — missing file, torn or corrupt
 // JSON, a schema-version mismatch, a digest collision — is a plain cache
 // miss: the caller re-simulates and overwrites the entry. A cached error
-// keeps its structured kind (see ErrKind) via cachedError.
+// keeps its structured kind (see ErrKind) via resultErr.
 func (s *Suite) loadCell(key string) (*svmsim.RunStats, error, bool) {
 	data, err := os.ReadFile(cellPath(s.CacheDir, key))
 	if err != nil {
@@ -74,12 +74,8 @@ func (s *Suite) loadCell(key string) (*svmsim.RunStats, error, bool) {
 	if err != nil || e.Key != key {
 		return nil, nil, false
 	}
-	if e.Err != "" {
-		kind := e.ErrKind
-		if kind == "" {
-			kind = "failed"
-		}
-		return nil, &cachedError{kind: kind, msg: e.Err}, true
+	if cerr := resultErr(e); cerr != nil {
+		return nil, cerr, true
 	}
 	if e.Run == nil {
 		return nil, nil, false

@@ -6,7 +6,6 @@
 package exp
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -275,17 +274,11 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 		if remote := s.Remote; remote != nil {
 			if rr, ok := remote(Cell{Cfg: cfg, W: w}); ok && (rr.Run != nil || rr.Err != "") {
 				hit, source = true, SourceRemote
-				if rr.Err != "" {
-					// The worker already wrapped the error with workload and
-					// key context; preserve its structured kind and text
-					// verbatim so a remotely-failed cell renders (and caches)
-					// the same bytes a local failure would.
-					kind := rr.ErrKind
-					if kind == "" {
-						kind = "failed"
-					}
-					err = &cachedError{kind: kind, msg: rr.Err}
-				} else {
+				// The worker already wrapped any error with workload and key
+				// context; preserve its structured kind and text verbatim so
+				// a remotely-failed cell renders (and caches) the same bytes
+				// a local failure would.
+				if err = resultErr(rr); err == nil {
 					run = rr.Run
 				}
 				if verbose != nil {
@@ -345,50 +338,13 @@ func (s *Suite) RunCell(c Cell) (*svmsim.RunStats, error) {
 	return s.run(c.Cfg, c.W)
 }
 
-// deterministicErr reports whether an error is a structured, reproducible
-// simulation outcome: the simulator is deterministic, so a lost page, an
-// exhausted retry budget, a tripped watchdog, or a drained-queue deadlock
-// fails identically on every attempt and a retry only re-pays the full
+// deterministicErr reports whether a freshly simulated error is a
+// reproducible outcome (see taxonomy): the simulator is deterministic, so
+// such a failure repeats on every attempt and a retry only re-pays the full
 // simulation cost before caching the same error. Retries exist for
-// host-level flakiness, not for modeled failures. The switch dispositions
-// every type in the error taxonomy explicitly (held exhaustive by the
-// svmlint errkind analyzer).
+// host-level flakiness, not for modeled failures.
 func deterministicErr(err error) bool {
-	switch {
-	case errors.As(err, new(*svmsim.LostPageError)),
-		errors.As(err, new(*svmsim.LinkFailureError)),
-		errors.As(err, new(*svmsim.StallError)),
-		errors.As(err, new(*svmsim.DeadlockError)),
-		errors.As(err, new(*svmsim.LivelockError)):
-		return true
-	case errors.As(err, new(*svmsim.ThreadPanicError)):
-		// A panic inside a simulated thread usually reproduces, but panic
-		// causes include environmental limits (stack, memory); spend the
-		// retry budget rather than cache a possibly transient failure.
-		return false
-	case errors.As(err, new(*JobTimeoutError)):
-		// A wall-clock deadline is pure host weather (load, scheduling,
-		// disk): the same cell may finish comfortably on the next attempt,
-		// so the serving layer's bounded retry applies.
-		return false
-	case errors.As(err, new(*WorkerLostError)):
-		// The worker died, not the simulation: the identical cell succeeds
-		// on any other worker.
-		return false
-	case errors.As(err, new(*RedispatchExhaustedError)):
-		// Every placement attempt hit host-level failure; the cell itself
-		// was never judged, so the outcome is not reproducible.
-		return false
-	case errors.As(err, new(*UncalibratedError)):
-		// The twin's model set is fixed for the life of the request:
-		// consulting it again without calibrating cannot succeed.
-		return true
-	case errors.As(err, new(*InfeasibleError)):
-		// The studied parameter space is finite and the model deterministic;
-		// the same query is infeasible on every retry.
-		return true
-	}
-	return false
+	return !RetryableKind(ErrKind(err))
 }
 
 // simulate executes one cell, converting a panic (in the simulator, protocol,

@@ -9,11 +9,9 @@ import (
 // daemon's wall-clock deadline (svmsimd's worker watchdog). It is a harness
 // failure, not a simulation outcome: the simulated run itself has no notion
 // of wall time, so the error carries the job's content key and the attempt
-// count rather than any simulated state. It lives in exp — next to ErrKind
-// and deterministicErr — because the svmlint errkind analyzer holds both
-// classifier switches exhaustive over every exported *Error type in the
-// program, and internal/server (which raises it) sits above exp in the
-// import graph.
+// count rather than any simulated state. It lives in exp because its row in
+// the error taxonomy (codec.go) must name it, and internal/server (which
+// raises it) sits above exp in the import graph.
 type JobTimeoutError struct {
 	// Key is the content address of the timed-out work.
 	Key string
@@ -33,8 +31,7 @@ func (e *JobTimeoutError) Error() string {
 // JobTimeoutError it is a harness failure, not a simulation outcome: the
 // identical cell runs fine on any other worker, so the coordinator
 // re-dispatches rather than surfacing it. It lives in exp for the same
-// import-graph reason (internal/fleet sits above exp, and the svmlint
-// errkind analyzer holds the classifier switches exhaustive).
+// reason: the taxonomy names it, and internal/fleet sits above exp.
 type WorkerLostError struct {
 	// Worker is the coordinator-assigned ID of the lost worker.
 	Worker string

@@ -215,7 +215,8 @@ func TestRemoteErrorPreservedAndCached(t *testing.T) {
 // TestRetryableKindMirrorsDeterministicErr holds the two disposition views
 // in agreement: the coordinator sees only wire kinds, the local retry loop
 // sees typed errors, and a cell must never be "retry elsewhere" on one side
-// but "deterministic, cache it" on the other.
+// but "deterministic, cache it" on the other. Both views read the taxonomy
+// table, so this also checks that every typed failure has a row of its own.
 func TestRetryableKindMirrorsDeterministicErr(t *testing.T) {
 	taxonomy := []error{
 		&svmsim.StallError{},

@@ -8,10 +8,9 @@ import "fmt"
 // deviates from the calibrated baseline on a dimension outside the model
 // (interrupt policy, request handling, fault plans, a foreign topology).
 // Like the serving-layer job errors it lives in exp rather than
-// internal/twin: the svmlint errkind analyzer holds ErrKind and
-// deterministicErr exhaustive over every exported *Error type in the
-// program, and exp cannot import the twin package that raises it (twin sits
-// above exp in the import graph). Package twin re-exports it as a type alias.
+// internal/twin: its row in the error taxonomy (codec.go) must name it, and
+// exp cannot import the twin package that raises it (twin sits above exp in
+// the import graph). Package twin re-exports it as a type alias.
 type UncalibratedError struct {
 	// Workload and Mode identify the model that was consulted.
 	Workload string

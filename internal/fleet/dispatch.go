@@ -81,7 +81,7 @@ func (c *Coordinator) remote(cell exp.Cell) (exp.CellResult, bool) {
 		return exp.CellResult{}, false
 	}
 	err := &exp.RedispatchExhaustedError{Key: key, Attempts: dispatched, Last: fmt.Sprint(lastErr)}
-	return exp.CellResult{Schema: exp.SchemaVersion, Key: key, ErrKind: exp.ErrKind(err), Err: err.Error()}, true
+	return exp.NewCellResult(key, nil, err), true
 }
 
 // tryOutcome is one placement attempt's report back to the dispatch

@@ -8,9 +8,8 @@
 //
 // The driver is a whole-program analyzer: every package of a run is fully
 // type-checked (stdlib go/types + go/importer only) in dependency order, so
-// cross-package facts — the call graph, struct-field write sites, the error
-// taxonomy — resolve to one consistent types.Object per entity. Per-package
-// analyzers:
+// cross-package facts — the call graph, struct-field write sites — resolve
+// to one consistent types.Object per entity. Per-package analyzers:
 //
 //   - detmap: no order-dependent iteration over Go maps in simulation packages
 //   - wallclock: no host wall-clock or global-rand use in internal/ simulation
@@ -36,8 +35,6 @@
 //   - statwire: every exported numeric field of internal/stats carries a
 //     snake_case JSON tag (the pinned v1 wire schema) and has at least one
 //     write site somewhere in the program
-//   - errkind: every exported *Error type in the error taxonomy is
-//     classified by exp.ErrKind and dispositioned by the retry-skip switch
 //
 // Findings can be suppressed line-by-line with a mandatory written reason:
 //
@@ -165,12 +162,6 @@ func Analyzers() []*Analyzer {
 			Doc:          "requires snake_case json tags and a write site for every numeric stats field (v1 wire schema)",
 			WholeProgram: true,
 			Run:          statwireRun,
-		},
-		{
-			Name:         "errkind",
-			Doc:          "requires every typed *Error in the taxonomy to be classified by ErrKind and the retry-skip switch",
-			WholeProgram: true,
-			Run:          errkindRun,
 		},
 	}
 }

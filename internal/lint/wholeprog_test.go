@@ -2,7 +2,6 @@ package lint
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -99,7 +98,7 @@ func TestWriteBaselineFlag(t *testing.T) {
 // honors a reasoned //svmlint:ignore: the suppressed fixture must come back
 // clean with the findings parked on the suppressed list.
 func TestNewAnalyzerSuppressions(t *testing.T) {
-	for _, name := range []string{"parkdiscipline", "simtime", "statwire", "errkind"} {
+	for _, name := range []string{"parkdiscipline", "simtime", "statwire"} {
 		t.Run(name, func(t *testing.T) {
 			res := runFixture(t, filepath.Join("testdata", "src", name, "suppressed"), Options{})
 			if len(res.Findings) != 0 {
@@ -139,48 +138,5 @@ func TestParkDisciplineRepoShapes(t *testing.T) {
 	}
 	for _, f := range res.Findings {
 		t.Errorf("%s", f.String())
-	}
-}
-
-// TestErrkindCoversFleetTaxonomy pins the real fleet error types into the
-// exhaustiveness gate: internal/exp declares *WorkerLostError and
-// *RedispatchExhaustedError and must keep both in ErrKind and
-// deterministicErr. Loading exp (and the fleet package that raises the
-// errors) with only errkind enabled must come back clean; the companion
-// fixture testdata/src/errkind/fleet proves the analyzer fires when one of
-// these types is dropped from a classifier.
-func TestErrkindCoversFleetTaxonomy(t *testing.T) {
-	res, err := Run(Options{
-		Dir:      ".",
-		Patterns: []string{filepath.Join("..", "exp"), filepath.Join("..", "fleet")},
-		Enable:   []string{"errkind"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range res.Findings {
-		t.Errorf("%s", f.String())
-	}
-}
-
-// TestErrkindInertWithoutClassifier checks the partial-load guard: a program
-// that declares error types but has no ErrKind classifier must not be asked
-// to be exhaustive against nothing.
-func TestErrkindInertWithoutClassifier(t *testing.T) {
-	src := filepath.Join("testdata", "src", "inert")
-	if err := os.MkdirAll(src, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { os.RemoveAll(src) })
-	code := "package fail\n\n// LoneError has no classifier in this program.\ntype LoneError struct{}\n\nfunc (e *LoneError) Error() string { return \"lone\" }\n"
-	if err := os.WriteFile(filepath.Join(src, "inert.go"), []byte(code), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(Options{Dir: ".", Patterns: []string{src}, Enable: []string{"errkind"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Findings) != 0 {
-		t.Errorf("errkind fired without a classifier in the program: %v", res.Findings)
 	}
 }

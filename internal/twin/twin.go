@@ -50,9 +50,8 @@ import (
 	"svmsim/internal/stats"
 )
 
-// The twin's error taxonomy lives in internal/exp (the svmlint errkind
-// analyzer holds exp.ErrKind and deterministicErr exhaustive over every
-// typed failure, and exp cannot import this package); the aliases give the
+// The twin's error types live in internal/exp (exp's error taxonomy table
+// must name them, and exp cannot import this package); the aliases give the
 // types their natural names at the call sites that raise them.
 type (
 	// UncalibratedError reports a prediction or optimization request the

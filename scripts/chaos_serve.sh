@@ -63,6 +63,9 @@ fail() {
 start_node() {
     log="$workdir/$1"
     shift
+    # Create the log before the launch: the backgrounded redirect may not
+    # have run by the time the first sed below reads it.
+    : >"$log"
     "$workdir/svmsimd" -addr 127.0.0.1:0 \
         -size small -procs 4 -ppn 2 "$@" >"$log" 2>&1 &
     pid=$!
@@ -220,7 +223,18 @@ run_fleet() {
     cmp -s "$workdir/want.json" "$workdir/got.json" \
         || fail "fleet result differs from uninterrupted single-daemon run (see want.json/got.json)"
 
-    deaths=$(metric "$coordbase" fleet_worker_deaths_total)
+    # A worker killed between dispatches breaks no connection: only the
+    # heartbeat monitor notices it, one suspect timeout (4 x 100ms) after
+    # the kill, and the sweep can finish first. Give the detector up to 5 s
+    # before judging the count.
+    i=0
+    while [ $i -lt 50 ]; do
+        deaths=$(metric "$coordbase" fleet_worker_deaths_total)
+        [ "$deaths" != "0" ] && break
+        [ $i -eq 0 ] && echo "chaos-serve[fleet]: death not yet counted at sweep end; waiting for the failure detector"
+        sleep 0.1
+        i=$((i + 1))
+    done
     [ "$deaths" = "1" ] || fail "fleet_worker_deaths_total=$deaths, want exactly 1"
     redisp=$(metric "$coordbase" fleet_jobs_redispatched_total)
     [ -n "$redisp" ] || fail "fleet_jobs_redispatched_total missing"

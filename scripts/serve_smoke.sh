@@ -28,6 +28,9 @@ fail() {
 echo "serve-smoke: building svmsimd"
 go build -o "$workdir/svmsimd" ./cmd/svmsimd
 
+# Create the log before the launch: the backgrounded redirect may not have
+# run by the time the first sed below reads it.
+: >"$logfile"
 "$workdir/svmsimd" -addr 127.0.0.1:0 -workers 1 -drain-timeout 30s >"$logfile" 2>&1 &
 pid=$!
 
