@@ -136,7 +136,8 @@ func BenchmarkAllLocalAblation(b *testing.B) {
 
 // BenchmarkSingleRun measures the raw simulation throughput of one
 // achievable-configuration FFT run (events through the engine, protocol and
-// memory system).
+// memory system). Besides host time it reports the engine's
+// machine-independent work counters, which repeat exactly on any host.
 func BenchmarkSingleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := svmsim.Run(svmsim.Achievable(), svmsim.FFT(svmsim.FFTSmall()))
@@ -144,6 +145,10 @@ func BenchmarkSingleRun(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(res.Run.Cycles), "simcycles/op")
+		c := res.World.Sys.Sim.Counts()
+		b.ReportMetric(float64(c.Events), "events/op")
+		b.ReportMetric(float64(c.Threads), "threads/op")
+		b.ReportMetric(float64(c.Carriers), "carriers/op")
 	}
 }
 

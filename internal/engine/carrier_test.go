@@ -32,6 +32,11 @@ func TestSequentialSpawnsShareOneCarrier(t *testing.T) {
 	if ran != n || carriers != 1 {
 		t.Fatalf("%d threads ran on %d carriers, want %d on 1", ran, carriers, n)
 	}
+	// Each thread costs three events (first dispatch, Delay wakeup, the At
+	// that spawns the next), and the counts survive teardown.
+	if got, want := s.Counts(), (Counts{Events: 3 * n, Threads: n, Carriers: 1}); got != want {
+		t.Fatalf("Counts() = %+v, want %+v", got, want)
+	}
 }
 
 // TestTeardownNoGoroutineLeak checks that tearing a simulation down stops

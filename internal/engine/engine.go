@@ -96,8 +96,9 @@ type Sim struct {
 	stopped  bool  // set by Stop; Run ends after the current dispatch
 	failure  error // set when a thread panics; Run stops and reports it
 
-	// dispatched counts events dispatched so far.
-	dispatched uint64
+	// dispatched counts events dispatched so far; spawned and made count
+	// threads spawned and carriers made (teardown drops carriers, not made).
+	dispatched, spawned, made uint64
 
 	// MaxEvents bounds the number of dispatched events as a livelock guard.
 	// Zero means the default (see Run).
@@ -135,6 +136,21 @@ func New() *Sim {
 
 // Now returns the current simulated time in cycles.
 func (s *Sim) Now() Time { return s.now }
+
+// Counts are a simulation's machine-independent work counters. They follow
+// from the model's schedule alone, so they repeat exactly from run to run
+// and from host to host: a host-time change with unchanged counts is the
+// host's, not the model's.
+type Counts struct {
+	Events   uint64 // events dispatched
+	Threads  uint64 // threads spawned
+	Carriers uint64 // coroutine carriers made (the pool's high-water mark)
+}
+
+// Counts returns the work counters so far; they stay readable after Run.
+func (s *Sim) Counts() Counts {
+	return Counts{Events: s.dispatched, Threads: s.spawned, Carriers: s.made}
+}
 
 // Current returns the thread that is executing right now, or nil when the
 // scheduler is running a plain callback event.
@@ -283,7 +299,9 @@ func (s *Sim) Spawn(name string, fn func(t *Thread)) *Thread {
 		c = &carrier{sim: s}
 		c.next, c.stop = iter.Pull(c.loop)
 		s.carriers = append(s.carriers, c)
+		s.made++
 	}
+	s.spawned++
 	t := &Thread{sim: s, name: name, carrier: c}
 	c.th, c.fn = t, fn
 	s.live[t] = struct{}{}

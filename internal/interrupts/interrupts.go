@@ -45,11 +45,30 @@ type Controller struct {
 
 	// Raised counts interrupts raised on this node.
 	Raised uint64
+
+	// names caches handler thread names by {prefix, request kind}.
+	names map[[2]string]string
 }
 
 // New creates a controller for n with the given per-half cost.
 func New(n *node.Node, issue, deliver engine.Time, policy Policy) *Controller {
 	return &Controller{n: n, IssueCycles: issue, DeliverCycles: deliver, policy: policy, Poll: DefaultPollParams()}
+}
+
+// threadName returns the name of a handler thread for a request of kind,
+// such as "intr-page@n1", building it once per controller, prefix and kind.
+// Deadlock and stall errors list these names.
+func (c *Controller) threadName(prefix, kind string) string {
+	k := [2]string{prefix, kind}
+	if name, ok := c.names[k]; ok {
+		return name
+	}
+	if c.names == nil {
+		c.names = make(map[[2]string]string)
+	}
+	name := fmt.Sprintf("%s-%s@n%d", prefix, kind, c.n.ID)
+	c.names[k] = name
+	return name
 }
 
 func (c *Controller) pick() *node.Processor {
@@ -79,7 +98,7 @@ func (c *Controller) Raise(name string, handler func(t *engine.Thread, victim *n
 		return
 	}
 	victim := c.pick()
-	c.n.Sim.Spawn(fmt.Sprintf("intr-%s@n%d", name, c.n.ID), func(t *engine.Thread) {
+	c.n.Sim.Spawn(c.threadName("intr", name), func(t *engine.Thread) {
 		// Issue half: signal propagation; does not occupy the victim CPU.
 		if c.IssueCycles > 0 {
 			t.Delay(c.IssueCycles)

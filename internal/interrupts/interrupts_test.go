@@ -1,6 +1,8 @@
 package interrupts
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"svmsim/internal/engine"
@@ -11,7 +13,7 @@ import (
 func mkNode(s *engine.Sim, nprocs int) *node.Node {
 	prm := node.DefaultParams()
 	prm.SyncQuantumCycles = 100
-	return node.New(s, 0, nprocs, 1<<16, prm, 0)
+	return node.New(s, 0, nprocs, prm, 0)
 }
 
 func TestNullInterruptCost(t *testing.T) {
@@ -122,5 +124,33 @@ func TestHandlerStealChargedToApp(t *testing.T) {
 	}
 	if got := p.Stats.Time[stats.HandlerSteal]; got != 400 {
 		t.Fatalf("HandlerSteal=%d want 400", got)
+	}
+}
+
+// TestHandlerThreadNames pins the handler thread names that deadlock and
+// stall errors list, in every handling mode. Each handler parks forever, so
+// the deadlock reports both raises; the second one reuses the cached name.
+func TestHandlerThreadNames(t *testing.T) {
+	for _, tc := range []struct {
+		mode Handling
+		want string
+	}{
+		{Interrupts, "intr-page@n1"},
+		{Polling, "poll-page@n1"},
+		{Dedicated, "proto-page@n1"},
+	} {
+		s := engine.New()
+		c := New(node.New(s, 1, 2, node.DefaultParams(), 2), 0, 0, Static)
+		c.Mode = tc.mode
+		for i := 0; i < 2; i++ {
+			c.Raise("page", func(ht *engine.Thread, _ *node.Processor) { ht.Park() })
+		}
+		var dl *engine.DeadlockError
+		if err := s.Run(); !errors.As(err, &dl) {
+			t.Fatalf("%v: Run() = %v, want a deadlock", tc.mode, err)
+		}
+		if want := []string{tc.want, tc.want}; !reflect.DeepEqual(dl.Threads, want) {
+			t.Errorf("%v: live threads %q, want %q", tc.mode, dl.Threads, want)
+		}
 	}
 }

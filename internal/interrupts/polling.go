@@ -1,8 +1,6 @@
 package interrupts
 
 import (
-	"fmt"
-
 	"svmsim/internal/engine"
 	"svmsim/internal/node"
 )
@@ -69,7 +67,7 @@ func (c *Controller) raisePolling(name string, handler func(t *engine.Thread, vi
 		interval = 1
 	}
 	boundary := (now/interval + 1) * interval
-	c.n.Sim.Spawn(fmt.Sprintf("poll-%s@n%d", name, c.n.ID), func(t *engine.Thread) {
+	c.n.Sim.Spawn(c.threadName("poll", name), func(t *engine.Thread) {
 		t.Delay(boundary - now)
 		victim.HandlerRes.Acquire(t, 0)
 		victim.HandlerEnter()
@@ -90,7 +88,7 @@ func (c *Controller) raisePolling(name string, handler func(t *engine.Thread, vi
 // computation.
 func (c *Controller) raiseDedicated(name string, handler func(t *engine.Thread, victim *node.Processor)) {
 	victim := c.n.Procs[len(c.n.Procs)-1]
-	c.n.Sim.Spawn(fmt.Sprintf("proto-%s@n%d", name, c.n.ID), func(t *engine.Thread) {
+	c.n.Sim.Spawn(c.threadName("proto", name), func(t *engine.Thread) {
 		if c.Poll.DispatchCycles > 0 {
 			t.Delay(c.Poll.DispatchCycles)
 		}

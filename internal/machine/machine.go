@@ -21,7 +21,10 @@ import (
 type Config struct {
 	Procs        int
 	ProcsPerNode int
-	HeapBytes    uint64
+	// HeapBytes is a bound, not an allocation: Alloc panics past it, and
+	// it sizes the page tables. Each node's memory image covers only the
+	// pages the application has allocated.
+	HeapBytes uint64
 
 	Node  node.Params
 	Net   network.Params

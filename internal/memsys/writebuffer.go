@@ -9,10 +9,10 @@ import "svmsim/internal/engine"
 // bus; the processor only stalls when the buffer is full or on an explicit
 // flush at synchronization points.
 type WriteBuffer struct {
-	sim      *engine.Sim
-	name     string
-	capacity int
-	retireAt int
+	sim       *engine.Sim
+	drainName string // the drain thread's name, built once
+	capacity  int
+	retireAt  int
 
 	lines    []uint64
 	draining bool
@@ -37,13 +37,13 @@ func NewWriteBuffer(s *engine.Sim, name string, capacity, retireAt int, retire f
 		panic("memsys: invalid write buffer geometry")
 	}
 	return &WriteBuffer{
-		sim:      s,
-		name:     name,
-		capacity: capacity,
-		retireAt: retireAt,
-		space:    engine.NewCond(s),
-		empty:    engine.NewCond(s),
-		retire:   retire,
+		sim:       s,
+		drainName: name + "-drain",
+		capacity:  capacity,
+		retireAt:  retireAt,
+		space:     engine.NewCond(s),
+		empty:     engine.NewCond(s),
+		retire:    retire,
 	}
 }
 
@@ -111,7 +111,7 @@ func (w *WriteBuffer) startDrain() {
 		return
 	}
 	w.draining = true
-	w.sim.Spawn(w.name+"-drain", func(t *engine.Thread) {
+	w.sim.Spawn(w.drainName, func(t *engine.Thread) {
 		for len(w.lines) > 0 {
 			line := w.lines[0]
 			w.lines = w.lines[1:]

@@ -198,6 +198,9 @@ type NI struct {
 	nodeID int
 	params *Params
 
+	// sendName and recvName name the send and receive threads, built once.
+	sendName, recvName string
+
 	ioBus  *engine.Resource
 	memBus *memsys.Bus
 
@@ -258,6 +261,8 @@ func NewNI(s *engine.Sim, nodeID int, params *Params, ioBus *engine.Resource, me
 		sim:       s,
 		nodeID:    nodeID,
 		params:    params,
+		sendName:  fmt.Sprintf("ni%d-send", nodeID),
+		recvName:  fmt.Sprintf("ni%d-recv", nodeID),
 		ioBus:     ioBus,
 		memBus:    memBus,
 		outEngine: engine.NewResource(s, fmt.Sprintf("ni%d-out", nodeID)),
@@ -320,7 +325,7 @@ func (ni *NI) startSender() {
 		return
 	}
 	ni.sending = true
-	ni.sim.Spawn(fmt.Sprintf("ni%d-send", ni.nodeID), func(t *engine.Thread) {
+	ni.sim.Spawn(ni.sendName, func(t *engine.Thread) {
 		for len(ni.sendQ) > 0 {
 			m := ni.sendQ[0]
 			ni.sendQ = ni.sendQ[1:]
@@ -405,7 +410,7 @@ func (ni *NI) startReceiver() {
 		return
 	}
 	ni.recving = true
-	ni.sim.Spawn(fmt.Sprintf("ni%d-recv", ni.nodeID), func(t *engine.Thread) {
+	ni.sim.Spawn(ni.recvName, func(t *engine.Thread) {
 		for len(ni.recvQ) > 0 {
 			m := ni.recvQ[0]
 			ni.recvQ = ni.recvQ[1:]

@@ -3,7 +3,9 @@
 // split-transaction memory bus, an I/O bus, and the node's image of the
 // shared virtual address space. Data always lives in the node memory image;
 // caches and write buffers are timing models only, which keeps application
-// data correctness orthogonal to timing fidelity.
+// data correctness orthogonal to timing fidelity. The image covers only the
+// allocated part of the shared address space: it starts empty, and the
+// protocol layer grows it in whole pages as the application allocates.
 package node
 
 import (
@@ -71,20 +73,18 @@ type Node struct {
 	ID    int
 	Sim   *engine.Sim
 	Prm   Params
-	Mem   []byte // image of the shared address space
+	Mem   []byte // image of the allocated shared address space (see Grow)
 	Bus   *memsys.Bus
 	IOBus *engine.Resource
 	Procs []*Processor
 }
 
-// New builds a node with nprocs processors and a memSize-byte image of the
-// shared address space.
-func New(s *engine.Sim, id, nprocs int, memSize uint64, prm Params, firstGlobalID int) *Node {
+// New builds a node with nprocs processors and an empty memory image.
+func New(s *engine.Sim, id, nprocs int, prm Params, firstGlobalID int) *Node {
 	n := &Node{
 		ID:    id,
 		Sim:   s,
 		Prm:   prm,
-		Mem:   make([]byte, memSize),
 		Bus:   memsys.NewBus(s, fmt.Sprintf("node%d-bus", id), prm.BusWidthBytes, prm.BusRatio, prm.BusArbCycles, prm.BusAddrCycles, prm.DRAMCycles),
 		IOBus: engine.NewResource(s, fmt.Sprintf("node%d-iobus", id)),
 	}
@@ -92,6 +92,17 @@ func New(s *engine.Sim, id, nprocs int, memSize uint64, prm Params, firstGlobalI
 		n.Procs = append(n.Procs, newProcessor(n, firstGlobalID+i, i))
 	}
 	return n
+}
+
+// Grow extends the memory image with zeros to at least size bytes; it never
+// shrinks it and keeps its contents. Growing may reallocate Mem, which is
+// safe only because no code holds a sub-slice of Mem across a yield: every
+// access indexes n.Mem afresh, and page copies finish before the copying
+// thread can yield.
+func (n *Node) Grow(size uint64) {
+	if have := uint64(len(n.Mem)); size > have {
+		n.Mem = append(n.Mem, make([]byte, size-have)...)
+	}
 }
 
 // ReadWord reads the 8-byte word at addr from the node memory image.

@@ -10,18 +10,46 @@ import (
 func testNode(s *engine.Sim, nprocs int) *Node {
 	prm := DefaultParams()
 	prm.SyncQuantumCycles = 100 // tight quantum so tests see engine time move
-	return New(s, 0, nprocs, 1<<20, prm, 0)
+	return New(s, 0, nprocs, prm, 0)
 }
 
 func TestMemoryImageWords(t *testing.T) {
 	s := engine.New()
 	n := testNode(s, 1)
+	if len(n.Mem) != 0 {
+		t.Fatalf("new node image holds %d bytes, want 0", len(n.Mem))
+	}
+	n.Grow(4096)
+	if len(n.Mem) != 4096 {
+		t.Fatalf("Grow(4096) left %d bytes", len(n.Mem))
+	}
 	n.WriteWord(64, 0xdeadbeefcafe)
 	if got := n.ReadWord(64); got != 0xdeadbeefcafe {
 		t.Fatalf("ReadWord=%x", got)
 	}
 	if got := n.ReadWord(72); got != 0 {
 		t.Fatalf("neighbor word clobbered: %x", got)
+	}
+	// Growing keeps the contents and zero-fills the new tail; a smaller
+	// size never shrinks the image.
+	n.Grow(3 * 4096)
+	if len(n.Mem) != 3*4096 {
+		t.Fatalf("Grow(12288) left %d bytes", len(n.Mem))
+	}
+	if got := n.ReadWord(64); got != 0xdeadbeefcafe {
+		t.Fatalf("Grow lost contents: ReadWord=%x", got)
+	}
+	for a := uint64(4096); a < 3*4096; a += 8 {
+		if got := n.ReadWord(a); got != 0 {
+			t.Fatalf("grown word at %d = %x, want 0", a, got)
+		}
+	}
+	n.Grow(4096)
+	if len(n.Mem) != 3*4096 {
+		t.Fatalf("Grow(4096) shrank the image to %d bytes", len(n.Mem))
+	}
+	if got := n.ReadWord(64); got != 0xdeadbeefcafe {
+		t.Fatalf("smaller Grow lost contents: ReadWord=%x", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -14,6 +15,11 @@ import (
 // newTestSystem builds a bare System (no machine harness) for white-box
 // protocol tests.
 func newTestSystem(nodes, ppn int) (*engine.Sim, *System) {
+	return newTestSystemPrm(nodes, ppn, DefaultParams())
+}
+
+// newTestSystemPrm is newTestSystem with the given protocol parameters.
+func newTestSystemPrm(nodes, ppn int, prm Params) (*engine.Sim, *System) {
 	sim := engine.New()
 	netPrm := network.Params{
 		HostOverheadCycles: 100,
@@ -30,12 +36,53 @@ func newTestSystem(nodes, ppn int) (*engine.Sim, *System) {
 		HeapBytes:         1 << 20,
 		NodePrm:           node.DefaultParams(),
 		NetPrm:            netPrm,
-		ProtoPrm:          DefaultParams(),
+		ProtoPrm:          prm,
 		IntrIssueCycles:   100,
 		IntrDeliverCycles: 100,
 		IntrPolicy:        interrupts.Static,
 	})
 	return sim, sy
+}
+
+// TestImageCoversAllocatedPages: at every page size, each node's memory
+// image is exactly the allocated heap rounded up to whole pages, and an
+// allocation past HeapBytes panics without growing any image.
+func TestImageCoversAllocatedPages(t *testing.T) {
+	for pb := 1 << 10; pb <= 16<<10; pb <<= 1 {
+		prm := DefaultParams()
+		prm.PageBytes = pb
+		_, sy := newTestSystemPrm(2, 1, prm)
+		page := uint64(pb)
+		check := func(op string, wantPages uint64) {
+			t.Helper()
+			want := (sy.nextAlloc + page - 1) / page * page
+			if want != wantPages*page {
+				t.Fatalf("page %d, after %s: next alloc %d, want it within %d pages", pb, op, sy.nextAlloc, wantPages)
+			}
+			for _, nd := range sy.Nodes {
+				if got := uint64(len(nd.Mem)); got != want {
+					t.Fatalf("page %d, after %s: node %d image holds %d bytes, want %d", pb, op, nd.ID, got, want)
+				}
+			}
+		}
+		check("NewSystem", 0)
+		sy.Alloc(1, 8)
+		check("Alloc(1)", 1)
+		sy.Alloc(1000, 8) // [8, 1008): still inside the first page
+		check("Alloc(1000)", 1)
+		sy.AllocPages(3*page + 8) // [page, 4*page+8)
+		check("AllocPages(3 pages + 8)", 5)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "shared heap exhausted") {
+					t.Fatalf("page %d: Alloc past HeapBytes recovered %q, want a heap-exhausted panic", pb, msg)
+				}
+			}()
+			sy.Alloc(sy.Cfg.HeapBytes, 8)
+		}()
+		check("exhausted Alloc", 5)
+	}
 }
 
 // checkLogCompleteness verifies the core HLRC bookkeeping invariant: each

@@ -67,6 +67,56 @@ func TestSingleWriterVisibility(t *testing.T) {
 	}
 }
 
+// TestPageCopiesAtImageEnd: the last allocated page holds only one word
+// and ends every node's memory image. Serving, installing, twinning and
+// diffing that page all copy it whole, so the image must cover all of it.
+func TestPageCopiesAtImageEnd(t *testing.T) {
+	for _, mode := range []proto.Mode{proto.HLRC, proto.AURC} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := machine.Achievable()
+			cfg.Procs = 2
+			cfg.ProcsPerNode = 1
+			cfg.HeapBytes = 1 << 20
+			cfg.Proto.Mode = mode
+			var got, back uint64
+			app := machine.App{
+				Name: "image-end",
+				Setup: func(w *shm.World) any {
+					size := uint64(w.PageBytes()) + 8
+					base := w.AllocPages(size)
+					w.SetHome(base, size, 1)
+					return base + shm.Addr(w.PageBytes()) // the last word
+				},
+				Body: func(c *shm.Proc, state any) {
+					last := state.(shm.Addr)
+					if c.ID == 1 {
+						c.WriteU64(last, 0xfeed) // at the home
+					}
+					c.Barrier()
+					if c.ID == 0 {
+						got = c.ReadU64(last)    // fetch: serve and install
+						c.WriteU64(last, 0xbeef) // twin, then diff or update
+					}
+					c.Barrier()
+					if c.ID == 1 {
+						back = c.ReadU64(last)
+					}
+				},
+			}
+			res := run(t, cfg, app)
+			if got != 0xfeed || back != 0xbeef {
+				t.Fatalf("node 0 read %#x (want 0xfeed), home read back %#x (want 0xbeef)", got, back)
+			}
+			end := 2 * cfg.Proto.PageBytes
+			for _, nd := range res.World.Sys.Nodes {
+				if len(nd.Mem) != end {
+					t.Fatalf("node %d image holds %d bytes, want %d", nd.ID, len(nd.Mem), end)
+				}
+			}
+		})
+	}
+}
+
 // TestLockCounter: the classic coherence test — every processor increments a
 // shared counter under a lock; the final value must be exact.
 func TestLockCounter(t *testing.T) {

@@ -15,7 +15,9 @@ import (
 type SystemConfig struct {
 	Nodes        int
 	ProcsPerNode int
-	HeapBytes    uint64
+	// HeapBytes bounds the shared heap (see Alloc); node images grow only
+	// to the allocated pages.
+	HeapBytes uint64
 
 	NodePrm  node.Params
 	NetPrm   network.Params
@@ -149,7 +151,7 @@ func NewSystem(s *engine.Sim, cfg SystemConfig) *System {
 		}
 	}
 	for n := 0; n < cfg.Nodes; n++ {
-		nd := node.New(s, n, cfg.ProcsPerNode, cfg.HeapBytes, cfg.NodePrm, n*cfg.ProcsPerNode)
+		nd := node.New(s, n, cfg.ProcsPerNode, cfg.NodePrm, n*cfg.ProcsPerNode)
 		sy.Nodes = append(sy.Nodes, nd)
 		sy.Procs = append(sy.Procs, nd.Procs...)
 		intc := interrupts.New(nd, cfg.IntrIssueCycles, cfg.IntrDeliverCycles, cfg.IntrPolicy)
@@ -223,8 +225,11 @@ func (sy *System) PageAddr(pg int32) uint64 {
 func (sy *System) Home(pg int32) int32 { return sy.pageHome[pg] }
 
 // Alloc reserves size bytes of shared address space aligned to align and
-// returns the base address. It never assigns homes; those follow the home
-// policy (or SetHome).
+// returns the base address. It grows every node's memory image to cover the
+// allocation, rounded up to a whole page: page copies (twins, page serves
+// and installs) move whole pages, so a partly allocated last page must be
+// backed too. It never assigns homes; those follow the home policy (or
+// SetHome).
 func (sy *System) Alloc(size uint64, align uint64) uint64 {
 	if align == 0 {
 		align = 8
@@ -234,6 +239,11 @@ func (sy *System) Alloc(size uint64, align uint64) uint64 {
 		panic(fmt.Sprintf("proto: shared heap exhausted (want %d at %d, heap %d)", size, a, sy.Cfg.HeapBytes))
 	}
 	sy.nextAlloc = a + size
+	page := uint64(sy.Prm.PageBytes)
+	end := (sy.nextAlloc + page - 1) / page * page
+	for _, nd := range sy.Nodes {
+		nd.Grow(end)
+	}
 	return a
 }
 

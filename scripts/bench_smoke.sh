@@ -12,8 +12,11 @@
 # per-event allocation — a stray closure or interface box — still reads as
 # >= 1. That contract is what keeps GC pressure out of multi-hour sweeps.
 # BenchmarkSingleRun rides along at 1x as an end-to-end smoke (one full FFT
-# cell) without an allocation assertion — the model layer allocates by
-# design.
+# cell) with an allocation budget: it fails once B/op reaches 16 MiB, one
+# node memory image backing the whole default heap. Images cover only the
+# allocated pages (a run allocates about 6 MB), so backing any node with
+# the full heap again trips it. The model layer allocates by design, so
+# this bounds the total per run rather than asserting a per-event contract.
 #
 # Run via `make bench-smoke` (part of CI). POSIX sh + awk only.
 set -eu
@@ -36,7 +39,20 @@ END {
     exit bad
 }'
 
-echo "bench-smoke: single-run end-to-end smoke"
-go test -run '^$' -bench 'BenchmarkSingleRun$' -benchtime 1x -benchmem .
+echo "bench-smoke: single-run end-to-end smoke and allocation budget"
+out=$(go test -run '^$' -bench 'BenchmarkSingleRun$' -benchtime 1x -benchmem .)
+printf '%s\n' "$out"
+printf '%s\n' "$out" | awk -v budget=16777216 '
+/^BenchmarkSingleRun/ {
+    n++
+    bytes = -1
+    for (i = 2; i < NF; i++) if ($(i + 1) == "B/op") bytes = $i + 0
+    if (bytes < 0) { print "bench-smoke: FAIL: " $1 " reports no B/op"; bad = 1 }
+    else if (bytes >= budget) { print "bench-smoke: FAIL: " $1 " allocates " bytes " B/op, budget " budget; bad = 1 }
+}
+END {
+    if (n != 1) { print "bench-smoke: FAIL: expected 1 benchmark line, saw " n; exit 1 }
+    exit bad
+}'
 
 echo "bench-smoke: OK"
