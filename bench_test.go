@@ -147,6 +147,7 @@ func BenchmarkSingleRun(b *testing.B) {
 		b.ReportMetric(float64(res.Run.Cycles), "simcycles/op")
 		c := res.World.Sys.Sim.Counts()
 		b.ReportMetric(float64(c.Events), "events/op")
+		b.ReportMetric(float64(c.Switches), "switches/op")
 		b.ReportMetric(float64(c.Threads), "threads/op")
 		b.ReportMetric(float64(c.Carriers), "carriers/op")
 	}

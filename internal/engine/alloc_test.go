@@ -33,9 +33,33 @@ func TestSchedulePathZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkEngineDelay measures the full Delay round-trip (schedule, yield to
-// the scheduler loop, dispatch, resume the carrier). The allocation report is the guardrail: the
-// schedule path must stay at 0 allocs/op.
+// the scheduler loop, dispatch, resume the carrier). Two delayers run in lock
+// step, so each Delay finds the other's resume queued at its own cycle and
+// can never resume in place; one op is one Delay. The allocation report is
+// the guardrail: the schedule path must stay at 0 allocs/op.
 func BenchmarkEngineDelay(b *testing.B) {
+	b.ReportAllocs()
+	s := New()
+	for _, n := range []int{(b.N + 1) / 2, b.N / 2} {
+		s.Spawn("delayer", func(th *Thread) {
+			for i := 0; i < n; i++ {
+				th.Delay(1)
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if c := s.Counts(); c.Switches != uint64(b.N)+2 {
+		b.Fatalf("%d switches for %d Delays, want every Delay to switch", c.Switches, b.N)
+	}
+}
+
+// BenchmarkEngineDelayInPlace measures a Delay that resumes in place: a lone
+// delayer finds nothing queued before its resume, so it moves the clock
+// without a queue push or a coroutine switch. 0 allocs/op, as above.
+func BenchmarkEngineDelayInPlace(b *testing.B) {
 	b.ReportAllocs()
 	s := New()
 	n := b.N
@@ -47,6 +71,9 @@ func BenchmarkEngineDelay(b *testing.B) {
 	b.ResetTimer()
 	if err := s.Run(); err != nil {
 		b.Fatal(err)
+	}
+	if c := s.Counts(); c.Switches != 1 {
+		b.Fatalf("%d switches, want only the first dispatch", c.Switches)
 	}
 }
 

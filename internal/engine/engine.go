@@ -7,10 +7,17 @@
 // Each simulated processor (and each protocol handler) is a Thread, and each
 // Thread runs on a carrier: a runtime coroutine made by iter.Pull. Only the
 // scheduler loop in Run resumes a carrier, and a running thread only ever
-// yields back to that loop, so at most one thread runs at any instant and
-// every event is dispatched by the loop. Event ties at the same cycle are
-// broken by a monotonically increasing sequence number, so a given program
-// produces a bit-identical schedule on every run.
+// yields back to that loop, so at most one thread runs at any instant. Event
+// ties at the same cycle are broken by a monotonically increasing sequence
+// number, so a given program produces a bit-identical schedule on every run.
+//
+// The loop dispatches every event except one: a Delay whose resume would be
+// the loop's next dispatch anyway resumes in place. Every queued event then
+// lies strictly after the resume time, so the thread just moves the clock,
+// taking the same seq and counting the same dispatch. It falls back to parking
+// when Fail or Stop was called, the event budget is spent, MaxCycles or
+// StallCheckCycles would fire, or the resume time overflows. Counts.Switches
+// counts the coroutine switches that remain.
 //
 // A coroutine switch does not enter the Go scheduler, which makes a
 // simulated context switch several times cheaper than a goroutine channel
@@ -96,13 +103,16 @@ type Sim struct {
 	stopped  bool  // set by Stop; Run ends after the current dispatch
 	failure  error // set when a thread panics; Run stops and reports it
 
-	// dispatched counts events dispatched so far; spawned and made count
-	// threads spawned and carriers made (teardown drops carriers, not made).
-	dispatched, spawned, made uint64
+	// dispatched counts events dispatched so far, switches the coroutine
+	// switches into threads, and spawned and made the threads spawned and
+	// carriers made (teardown drops carriers, not made).
+	dispatched, switches, spawned, made uint64
 
 	// MaxEvents bounds the number of dispatched events as a livelock guard.
 	// Zero means the default (see Run).
 	MaxEvents uint64
+	// limit is the event budget Run enforces, resolved from MaxEvents.
+	limit uint64
 
 	// MaxCycles bounds simulated time (zero = unbounded). When the next
 	// event lies beyond the budget, Run stops with a *StallError instead of
@@ -142,14 +152,15 @@ func (s *Sim) Now() Time { return s.now }
 // and from host to host: a host-time change with unchanged counts is the
 // host's, not the model's.
 type Counts struct {
-	Events   uint64 // events dispatched
+	Events   uint64 // events dispatched, in-place Delay resumes included
+	Switches uint64 // coroutine switches into a thread
 	Threads  uint64 // threads spawned
 	Carriers uint64 // coroutine carriers made (the pool's high-water mark)
 }
 
 // Counts returns the work counters so far; they stay readable after Run.
 func (s *Sim) Counts() Counts {
-	return Counts{Events: s.dispatched, Threads: s.spawned, Carriers: s.made}
+	return Counts{Events: s.dispatched, Switches: s.switches, Threads: s.spawned, Carriers: s.made}
 }
 
 // Current returns the thread that is executing right now, or nil when the
@@ -231,27 +242,31 @@ func (s *Sim) scheduleThread(at Time, t *Thread, kind evKind) {
 	s.events.push(event{at: at, seq: s.seq, th: t, kind: kind})
 }
 
-// dispatch executes one popped event at the already-advanced clock.
+// dispatch executes one popped event at the already-advanced clock. A thread
+// event resumes the thread's carrier and returns once the thread parks or
+// finishes.
 func (s *Sim) dispatch(ev event) {
 	switch ev.kind {
 	case evCall:
 		ev.fn()
+		return
 	case evTarget:
 		ev.target.HandleEvent(ev.arg)
-	case evResume:
-		s.lastThreadAt = ev.at
-		s.switchTo(ev.th)
-	case evUnpark:
-		s.lastThreadAt = ev.at
-		t := ev.th
-		if t.done {
-			return
-		}
-		if !t.parked {
-			panic(fmt.Sprintf("engine: Unpark of runnable thread %q", t.name))
-		}
-		s.switchTo(t)
+		return
 	}
+	s.lastThreadAt = ev.at
+	t := ev.th
+	if t.done {
+		return
+	}
+	if ev.kind == evUnpark && !t.parked {
+		panic(fmt.Sprintf("engine: Unpark of runnable thread %q", t.name))
+	}
+	s.current = t
+	t.parked = false
+	s.switches++
+	t.carrier.next()
+	s.current = nil
 }
 
 // errUnwind is panicked inside parked threads when the simulation tears down
@@ -342,17 +357,6 @@ func (c *carrier) run() {
 	fn(t)
 }
 
-// switchTo resumes t on its carrier and returns once t parks or finishes.
-func (s *Sim) switchTo(t *Thread) {
-	if t.done {
-		return
-	}
-	s.current = t
-	t.parked = false
-	t.carrier.next()
-	s.current = nil
-}
-
 // park suspends the calling thread until an event resumes it. If teardown
 // stops the carrier instead, yield reports false and the thread unwinds.
 func (t *Thread) park() {
@@ -364,10 +368,40 @@ func (t *Thread) park() {
 
 // Delay advances the thread's local view of time by n cycles: the thread is
 // suspended and resumes once the simulation clock has moved n cycles forward.
+//
+// When the resume would be the next event Run dispatches anyway, the thread
+// resumes in place: it takes the event's seq, counts its dispatch and moves
+// the clock, but skips the queue and the two coroutine switches.
 func (t *Thread) Delay(n Time) {
 	s := t.sim
-	s.scheduleThread(s.now+n, t, evResume)
+	at := s.now + n
+	if s.resumesNext(at) {
+		s.seq++
+		s.dispatched++
+		// The wheel cursor moves with the clock: nothing is queued at or
+		// before at (queue.go, invariants 1 and 2).
+		s.now, s.lastThreadAt, s.events.cur = at, at, at
+		return
+	}
+	s.scheduleThread(at, t, evResume)
 	t.park()
+}
+
+// resumesNext reports whether a thread resume scheduled now for cycle at
+// would be the next event Run dispatches, with no check in Run stopping it
+// first. Every queued event must lie strictly after at: one at the same cycle
+// has a smaller seq and runs first. An at that wrapped below the clock takes
+// the slow path, whose scheduling check panics.
+func (s *Sim) resumesNext(at Time) bool {
+	if at < s.now || s.failure != nil || s.stopped || s.dispatched >= s.limit {
+		return false
+	}
+	if at != s.now {
+		if limit, _ := s.watchdog(at); limit > 0 {
+			return false
+		}
+	}
+	return !s.events.anyBy(at)
 }
 
 // Park suspends the thread indefinitely; a matching Unpark (from a callback
@@ -457,6 +491,19 @@ func (s *Sim) liveThreadNames() []string {
 	return names
 }
 
+// watchdog returns the limit and reason of the progress check that stops a
+// dispatch at cycle at, or a zero limit when none does.
+func (s *Sim) watchdog(at Time) (limit Time, reason string) {
+	if s.MaxCycles > 0 && at > s.MaxCycles {
+		return s.MaxCycles, "simulated-cycle budget exceeded"
+	}
+	if s.StallCheckCycles > 0 && len(s.live) > 0 &&
+		at > s.lastThreadAt && at-s.lastThreadAt > s.StallCheckCycles {
+		return s.StallCheckCycles, "no thread progress within quiescence window"
+	}
+	return 0, ""
+}
+
 // stall builds a StallError, collects diagnostics, and tears down.
 func (s *Sim) stall(at, limit Time, events uint64, reason string) *StallError {
 	e := &StallError{NowCycles: at, LimitCycles: limit, Events: events,
@@ -475,12 +522,12 @@ func (s *Sim) Run() error {
 	if s.dead {
 		return errors.New("engine: Run on a torn-down simulator")
 	}
-	limit := s.MaxEvents
-	if limit == 0 {
-		limit = 50_000_000_000
+	s.limit = s.MaxEvents
+	if s.limit == 0 {
+		s.limit = 50_000_000_000
 	}
 	for s.events.size > 0 {
-		if s.dispatched >= limit {
+		if s.dispatched >= s.limit {
 			s.teardown()
 			return &LivelockError{NowCycles: s.now, Events: s.dispatched}
 		}
@@ -489,12 +536,8 @@ func (s *Sim) Run() error {
 			// The watchdog checks run once per simulated cycle, not once per
 			// event: they depend only on the event's cycle, so every
 			// same-cycle event after the first passes them by construction.
-			if s.MaxCycles > 0 && at > s.MaxCycles {
-				return s.stall(at, s.MaxCycles, s.dispatched, "simulated-cycle budget exceeded")
-			}
-			if s.StallCheckCycles > 0 && len(s.live) > 0 &&
-				at > s.lastThreadAt && at-s.lastThreadAt > s.StallCheckCycles {
-				return s.stall(at, s.StallCheckCycles, s.dispatched, "no thread progress within quiescence window")
+			if limit, reason := s.watchdog(at); limit > 0 {
+				return s.stall(at, limit, s.dispatched, reason)
 			}
 			s.now = at
 		}

@@ -126,6 +126,22 @@ func (q *eventQueue) locateHead() {
 	q.headIdx = i
 }
 
+// anyBy reports whether an event is queued at or before t, which must not
+// precede cur. Unlike peek it moves neither cur nor the cached head.
+func (q *eventQueue) anyBy(t Time) bool {
+	if len(q.overflow) > 0 && q.overflow[0].at <= t {
+		return true
+	}
+	if q.wheelCount == 0 {
+		return false
+	}
+	if t-q.cur >= wheelSize {
+		return true // every wheel event lies before cur+wheelSize (invariant 2)
+	}
+	c := int(q.cur & wheelMask)
+	return Time((q.nextIdx(c)-c)&wheelMask) <= t-q.cur
+}
+
 // nextIdx returns the index of the first nonempty bucket at or after idx in
 // cyclic window order. The wheel must be nonempty.
 func (q *eventQueue) nextIdx(idx int) int {

@@ -31,7 +31,8 @@ func (r *refQueue) pop() event {
 // reference over randomized push/pop batches. Delta classes are chosen to
 // exercise every placement path: same-cycle fan-in past bucketCap (heap
 // spill), in-window buckets, the wheel-window boundary, and far-future
-// overflow; pops interleave so the window slides mid-stream.
+// overflow; pops interleave so the window slides mid-stream. Probes of anyBy
+// at the same deltas must agree with the reference and disturb nothing.
 func TestWheelPropertyOrdering(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -62,6 +63,12 @@ func TestWheelPropertyOrdering(t *testing.T) {
 				e := event{at: clock + randomDelta(), seq: seq, kind: evResume}
 				q.push(e)
 				ref.push(e)
+			}
+			for n := 0; n < 3; n++ {
+				probe := clock + randomDelta()
+				if got, want := q.anyBy(probe), len(ref) > 0 && ref[0].at <= probe; got != want {
+					t.Fatalf("seed %d: anyBy(%d) = %v with cursor %d, want %v", seed, probe, got, q.cur, want)
+				}
 			}
 			for n := rng.Intn(14); n > 0 && q.size > 0; n-- {
 				if got, want := q.peek(), &ref[0]; got.at != want.at || got.seq != want.seq {

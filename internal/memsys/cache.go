@@ -154,13 +154,33 @@ func (c *Cache) Invalidate(addr uint64) (present, wasDirty bool) {
 	return false, false
 }
 
-// InvalidateRange removes every line intersecting [addr, addr+size).
+// InvalidateRange removes every line intersecting [addr, addr+size). The
+// range's lines map to consecutive sets, whose ways are one contiguous run of
+// tags (two when the sets wrap past the last one), so it scans that run once
+// and clears each way holding a line of the range. That leaves the state one
+// Invalidate per line would: a line occupies at most one way, and
+// invalidation leaves LRU ticks alone.
 func (c *Cache) InvalidateRange(addr uint64, size int) {
-	line := uint64(c.LineBytes())
-	start := c.LineAddr(addr)
-	end := addr + uint64(size)
-	for a := start; a < end; a += line {
-		c.Invalidate(a)
+	first := addr >> c.lineShift
+	start := first << c.lineShift
+	lines := (addr + uint64(size) - start + uint64(c.LineBytes()) - 1) >> c.lineShift
+	from := int(first&c.setMask) * c.assoc
+	to := from + int(min(lines, uint64(c.sets)))*c.assoc
+	c.clearWays(from, min(to, len(c.tags)), first, lines)
+	if to > len(c.tags) {
+		c.clearWays(0, to-len(c.tags), first, lines)
+	}
+}
+
+// clearWays invalidates the ways in [from, to) that hold one of the lines
+// numbered [first, first+lines).
+func (c *Cache) clearWays(from, to int, first, lines uint64) {
+	tags, dirty := c.tags[from:to], c.dirty[from:to]
+	for i, tag := range tags {
+		if tag != 0 && tag-1-first < lines {
+			tags[i] = 0
+			dirty[i] = false
+		}
 	}
 }
 

@@ -1,7 +1,10 @@
 package memsys
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -418,5 +421,161 @@ func TestBusDMAChunks(t *testing.T) {
 	// 4 chunks x (req 8 + 256B transfer 128) = 544.
 	if cycles != 544 {
 		t.Fatalf("DMA cycles = %d, want 544", cycles)
+	}
+}
+
+// invalidatePerLine is the reference InvalidateRange: one Invalidate per
+// line intersecting [addr, addr+size).
+func invalidatePerLine(c *Cache, addr uint64, size int) {
+	for a := c.LineAddr(addr); a < addr+uint64(size); a += uint64(c.LineBytes()) {
+		c.Invalidate(a)
+	}
+}
+
+func cloneCache(c *Cache) *Cache {
+	d := *c
+	d.tags = append([]uint64(nil), c.tags...)
+	d.dirty = append([]bool(nil), c.dirty...)
+	d.lruTick = append([]uint64(nil), c.lruTick...)
+	return &d
+}
+
+// TestCacheInvalidateRangeMatchesPerLine: on random states of the node's L1
+// (8 KB, direct-mapped) and L2 (128 KB, 2-way), the one-pass InvalidateRange
+// leaves tags, dirty bits and LRU ticks identical to one Invalidate per line.
+// Ranges are the protocol's, unaligned 8-byte diff words and whole pages of
+// 1 to 16 KB (which cover the L1's sets twice), plus arbitrary ranges whose
+// sets wrap past the last one. The lines just outside each range are cached
+// first, so a range that reaches one line too far shows.
+func TestCacheInvalidateRangeMatchesPerLine(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		const span = 512 << 10 // addresses touched: 4x the L2
+		for _, c := range []*Cache{NewCache(8<<10, 1, 32), NewCache(128<<10, 2, 32)} {
+			for op := 0; op < 4000; op++ {
+				a := uint64(rng.Intn(span))
+				switch rng.Intn(4) {
+				case 0, 1:
+					c.Insert(a)
+				case 2:
+					c.Lookup(a)
+				case 3:
+					c.SetDirty(a)
+				}
+			}
+			for r := 0; r < 60; r++ {
+				var addr uint64
+				var size int
+				switch rng.Intn(3) {
+				case 0:
+					addr, size = uint64(rng.Intn(span/8))*8, 8
+				case 1:
+					size = 1 << (10 + rng.Intn(5))
+					addr = uint64(rng.Intn(span/size) * size)
+				case 2:
+					addr, size = uint64(rng.Intn(span)), rng.Intn(20<<10)+1
+				}
+				before, after := c.LineAddr(addr)-32, c.LineAddr(addr+uint64(size)-1)+32
+				c.Insert(before)
+				c.Insert(after)
+				c.SetDirty(after)
+				want := cloneCache(c)
+				invalidatePerLine(want, addr, size)
+				c.InvalidateRange(addr, size)
+				if !reflect.DeepEqual(c, want) {
+					t.Logf("seed %d: InvalidateRange(%d, %d) diverges from per-line Invalidate", seed, addr, size)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dropScenario fills a 4-entry write buffer whose drain is busy retiring
+// its first line, parks four writers on the full buffer and one Flush waiter
+// behind them, and at cycle 500 calls drop. It returns the log of wakeups,
+// retires and the lines left right after drop.
+func dropScenario(drop func(w *WriteBuffer)) []string {
+	s := engine.New()
+	var log []string
+	logf := func(format string, args ...any) {
+		log = append(log, fmt.Sprintf("%d ", s.Now())+fmt.Sprintf(format, args...))
+	}
+	wb := NewWriteBuffer(s, "wb", 4, 4, func(th *engine.Thread, line uint64) {
+		th.Delay(1000)
+		logf("retire %d", line)
+	})
+	s.Spawn("filler", func(th *engine.Thread) {
+		for _, l := range []uint64{0, 32, 64, 96} {
+			wb.Put(th, l)
+		}
+		th.Delay(5) // the drain takes line 0 off; refill its entry
+		wb.Put(th, 128)
+		logf("filler done")
+	})
+	for i := 1; i <= 4; i++ {
+		name, line := fmt.Sprintf("writer%d", i), uint64(1024+32*i)
+		s.Spawn(name, func(th *engine.Thread) {
+			th.Delay(engine.Time(10 * i))
+			wb.Put(th, line)
+			logf("%s put", name)
+		})
+	}
+	s.Spawn("flusher", func(th *engine.Thread) {
+		th.Delay(100)
+		for wb.Len() > 0 { // Flush, logging each wakeup
+			wb.startDrain()
+			wb.empty.Wait(th)
+			logf("flusher woke")
+		}
+		logf("flusher flushed")
+	})
+	s.At(500, func() {
+		drop(wb)
+		logf("left %v", wb.lines)
+	})
+	if err := s.Run(); err != nil {
+		log = append(log, err.Error())
+	}
+	return log
+}
+
+// TestWriteBufferDropRangeMatchesPerLineDrop: writers parked on a full
+// buffer and a Flush waiter wake in the same order, at the same cycles, as
+// with one Drop per line, and the same lines remain. Emptying the buffer
+// puts the Flush waiter's broadcast between the third and fourth writer.
+func TestWriteBufferDropRangeMatchesPerLineDrop(t *testing.T) {
+	for _, r := range []struct {
+		name   string
+		lo, hi uint64
+		want   string
+	}{
+		{"empties", 0, 4096, "flusher flushed"},
+		{"partial", 64, 127, "left [32 128]"},
+		{"none", 2048, 4096, "left [32 64 96 128]"},
+	} {
+		perLine := dropScenario(func(w *WriteBuffer) {
+			for a := r.lo; a < r.hi; a += 32 {
+				w.Drop(a)
+			}
+		})
+		oneBatch := dropScenario(func(w *WriteBuffer) { w.DropRange(r.lo, r.hi) })
+		got, want := strings.Join(oneBatch, "\n"), strings.Join(perLine, "\n")
+		if got != want {
+			t.Errorf("%s: DropRange schedule\n%s\nwant per-line Drop schedule\n%s", r.name, got, want)
+		}
+		if !strings.Contains(got, r.want) {
+			t.Errorf("%s: scenario never reached %q:\n%s", r.name, r.want, got)
+		}
+	}
+	// The emptying drop wakes writer1..3, then the flusher, then writer4.
+	log := strings.Join(dropScenario(func(w *WriteBuffer) { w.DropRange(0, 4096) }), "\n")
+	order := "500 left []\n500 writer1 put\n500 writer2 put\n500 writer3 put\n500 flusher woke\n500 writer4 put"
+	if !strings.Contains(log, order) {
+		t.Errorf("emptying drop woke writers out of order:\n%s", log)
 	}
 }

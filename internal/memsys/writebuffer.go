@@ -106,6 +106,31 @@ func (w *WriteBuffer) Drop(line uint64) bool {
 	return false
 }
 
+// DropRange discards every buffered line in [lo, hi) in one pass, with the
+// wakeups that one Drop per line would issue: a space signal per dropped
+// line, and an empty broadcast just before the last signal if the buffer
+// empties.
+func (w *WriteBuffer) DropRange(lo, hi uint64) {
+	kept := w.lines[:0]
+	for _, l := range w.lines {
+		if l < lo || l >= hi {
+			kept = append(kept, l)
+		}
+	}
+	dropped := len(w.lines) - len(kept)
+	w.lines = kept
+	if dropped == 0 {
+		return
+	}
+	for i := 1; i < dropped; i++ {
+		w.space.Signal()
+	}
+	if len(kept) == 0 {
+		w.empty.Broadcast()
+	}
+	w.space.Signal()
+}
+
 func (w *WriteBuffer) startDrain() {
 	if w.draining {
 		return

@@ -119,15 +119,12 @@ func (n *Node) WriteWord(addr uint64, v uint64) {
 // and write buffers on this node (used after NI deposits and page
 // invalidations, modeling DMA coherence).
 func (n *Node) InvalidateRange(addr uint64, size int) {
-	line := uint64(n.Prm.LineBytes)
-	start := addr &^ (line - 1)
+	start := addr &^ (uint64(n.Prm.LineBytes) - 1)
 	end := addr + uint64(size)
 	for _, p := range n.Procs {
 		p.L1.InvalidateRange(addr, size)
 		p.L2.InvalidateRange(addr, size)
-		for a := start; a < end; a += line {
-			p.WB.Drop(a)
-		}
+		p.WB.DropRange(start, end)
 	}
 }
 

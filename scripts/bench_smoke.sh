@@ -1,7 +1,9 @@
 #!/bin/sh
 # bench_smoke.sh — CI guardrail for the engine hot path, in seconds.
 #
-# Two passes over the engine scheduling benchmarks:
+# Two passes over the engine scheduling benchmarks (a Delay that round-trips
+# through the scheduler loop, a Delay that resumes in place, and a
+# Park/Unpark ping-pong):
 #
 #   1. -benchtime=1x     smoke: one iteration of each must complete.
 #   2. -benchtime=1000x  guardrail: 0 allocs/op on the schedule path.
@@ -21,13 +23,13 @@
 # Run via `make bench-smoke` (part of CI). POSIX sh + awk only.
 set -eu
 
+engine='BenchmarkEngineDelay$|BenchmarkEngineDelayInPlace$|BenchmarkEngineUnpark$'
+
 echo "bench-smoke: engine single-iteration smoke"
-go test -run '^$' -bench 'BenchmarkEngineDelay$|BenchmarkEngineUnpark$' \
-    -benchtime 1x ./internal/engine/
+go test -run '^$' -bench "$engine" -benchtime 1x ./internal/engine/
 
 echo "bench-smoke: engine 0 allocs/op guardrail"
-out=$(go test -run '^$' -bench 'BenchmarkEngineDelay$|BenchmarkEngineUnpark$' \
-    -benchtime 1000x -benchmem ./internal/engine/)
+out=$(go test -run '^$' -bench "$engine" -benchtime 1000x -benchmem ./internal/engine/)
 printf '%s\n' "$out"
 printf '%s\n' "$out" | awk '
 /^Benchmark/ {
@@ -35,7 +37,7 @@ printf '%s\n' "$out" | awk '
     if ($(NF - 1) + 0 != 0) { print "bench-smoke: FAIL: " $1 " allocates " $(NF - 1) " allocs/op, want 0"; bad = 1 }
 }
 END {
-    if (n != 2) { print "bench-smoke: FAIL: expected 2 benchmark lines, saw " n; exit 1 }
+    if (n != 3) { print "bench-smoke: FAIL: expected 3 benchmark lines, saw " n; exit 1 }
     exit bad
 }'
 
