@@ -1,9 +1,9 @@
-# Development checks for svmsim. `make check` is the CI gate: vet, the
-# domain-specific svmlint analyzers (determinism / unit-suffix / hot-path
-# allocation invariants, see internal/lint), build, the full test suite of
-# both modules, the race detector over the packages with real concurrency
-# (the parallel experiment Runner and the engine), and the crash, serving
-# and twin smokes.
+# Development checks for svmsim. `make check` is the CI gate: vet of both
+# modules, the domain-specific svmlint analyzers (determinism / unit-suffix /
+# hot-path allocation invariants, see internal/lint), build, the full test
+# suite of both modules, the race detector over the packages with real
+# concurrency (the parallel experiment pool and the engine), and the crash,
+# serving and twin smokes.
 
 GO ?= go
 
@@ -13,6 +13,7 @@ check: vet lint build test race chaos serve-smoke chaos-serve fleet-smoke twin-v
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 # svmlint gates the simulator's non-negotiable invariants; `gofmt -l` rides
 # along so formatting drift fails the same target. Findings recorded in
@@ -44,7 +45,7 @@ test:
 	$(GO) -C bench test ./...
 
 # The race set covers the packages with real concurrency (the parallel
-# experiment Runner, the engine, the serving daemon's worker pool and
+# experiment pool, the engine, the serving daemon's worker pool and
 # watchdog, the fleet coordinator's dispatch/heartbeat machinery) plus the
 # fault-recovery machinery whose livelock regressions must fail fast instead
 # of hanging.

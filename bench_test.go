@@ -155,7 +155,7 @@ func BenchmarkSingleRun(b *testing.B) {
 
 // BenchmarkSuiteParallel runs a representative sweep bundle (host overhead,
 // interrupt cost and clustering: the cells behind Figures 5, 10 and 14)
-// through the parallel Runner at full GOMAXPROCS fan-out. Compare against
+// through RunCells at full GOMAXPROCS fan-out. Compare against
 // BenchmarkSuiteSerial for the multi-core speedup.
 func BenchmarkSuiteParallel(b *testing.B) {
 	benchSuiteFigures(b, runtime.GOMAXPROCS(0))

@@ -48,7 +48,7 @@ func main() { os.Exit(run()) }
 func run() int {
 	var (
 		target      = flag.String("target", "http://127.0.0.1:7117", "base URL of the svmsimd daemon or fleet coordinator")
-		param       = flag.String("param", "interrupt", "parameter whose sweep cells synthesize the trace: overhead, occupancy, iobw, interrupt, pagesize, clustering")
+		param       = flag.String("param", "interrupt", "parameter whose sweep cells synthesize the trace: "+strings.Join(exp.AxisNames(), ", "))
 		appsFlag    = flag.String("apps", "", "comma-separated workload subset for the synthetic trace (default: all)")
 		mode        = flag.String("mode", "hlrc", "protocol for the synthetic trace: hlrc or aurc")
 		traceFile   = flag.String("trace", "", "replay cell specs from this JSONL file instead of synthesizing them")
@@ -142,54 +142,20 @@ func buildTrace(traceFile, param, appsFlag, mode string) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out [][]byte
-	emit := func(spec exp.CellSpec) error {
-		spec.Mode = mode
-		data, err := json.Marshal(spec)
-		if err != nil {
-			return err
-		}
-		out = append(out, data)
-		return nil
+	a, err := exp.AxisByName(param)
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: unknown -param %q", param)
 	}
+	var out [][]byte
 	for _, w := range wls {
-		var specs []exp.CellSpec
-		switch param {
-		case "overhead":
-			for _, p := range exp.HostOverheadPoints {
-				v := p
-				specs = append(specs, exp.CellSpec{Workload: w.Name, HostOverheadCycles: &v})
-			}
-		case "occupancy":
-			for _, p := range exp.OccupancyPoints {
-				v := p
-				specs = append(specs, exp.CellSpec{Workload: w.Name, NIOccupancyCycles: &v})
-			}
-		case "iobw":
-			for _, p := range exp.IOBandwidthPoints {
-				v := p
-				specs = append(specs, exp.CellSpec{Workload: w.Name, IOBytesPerCycle: &v})
-			}
-		case "interrupt":
-			for _, p := range exp.InterruptPoints {
-				v := p
-				specs = append(specs, exp.CellSpec{Workload: w.Name, IntrHalfCostCycles: &v})
-			}
-		case "pagesize":
-			for _, p := range exp.PageSizePoints {
-				specs = append(specs, exp.CellSpec{Workload: w.Name, PageBytes: p})
-			}
-		case "clustering":
-			for _, p := range exp.ClusteringPoints {
-				specs = append(specs, exp.CellSpec{Workload: w.Name, PPN: p})
-			}
-		default:
-			return nil, fmt.Errorf("loadgen: unknown -param %q", param)
-		}
-		for _, s := range specs {
-			if err := emit(s); err != nil {
+		for _, v := range a.Points() {
+			spec := exp.CellSpec{Workload: w.Name, Mode: mode}
+			a.SetSpec(&spec, v)
+			data, err := json.Marshal(spec)
+			if err != nil {
 				return nil, err
 			}
+			out = append(out, data)
 		}
 	}
 	return out, nil

@@ -47,7 +47,7 @@ func main() { os.Exit(run()) }
 func run() int {
 	var (
 		param = flag.String("param", "interrupt",
-			"parameter to sweep: overhead, occupancy, iobw, interrupt, pagesize, clustering")
+			"parameter to sweep: "+strings.Join(exp.AxisNames(), ", "))
 		appsFlag   = flag.String("apps", "", "comma-separated workload subset (default: all)")
 		size       = flag.String("size", "small", "problem size: small or default")
 		mode       = flag.String("mode", "hlrc", "protocol: hlrc or aurc")

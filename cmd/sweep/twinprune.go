@@ -26,10 +26,7 @@ func runTwinPruned(s *exp.Suite, spec exp.SweepSpec, eps, target float64) (exp.S
 	if err != nil {
 		return exp.SweepResult{}, err
 	}
-	axis, ok := twin.AxisForParam(spec.Param)
-	if !ok {
-		return exp.SweepResult{}, fmt.Errorf("no twin axis models parameter %q", spec.Param)
-	}
+	axis, _ := exp.AxisByName(spec.Param) // ResolveSweep has validated the name
 
 	// Count real simulations from here on, calibration anchors included —
 	// the honest denominator for the reduction claim.

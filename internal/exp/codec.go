@@ -429,8 +429,7 @@ func DecodeCellResult(data []byte) (CellResult, error) {
 type SweepSpec struct {
 	// Schema is the wire-schema version; zero means current.
 	Schema int `json:"schema,omitempty"`
-	// Param names the swept parameter: overhead, occupancy, iobw,
-	// interrupt, pagesize or clustering.
+	// Param names the swept axis (see AxisNames).
 	Param string `json:"param"`
 	// Apps selects a workload subset; empty means all.
 	Apps []string `json:"apps,omitempty"`
@@ -526,10 +525,8 @@ func (s *Suite) ResolveSweep(spec SweepSpec) ([]svmsim.Workload, bool, error) {
 	if spec.Schema != 0 && spec.Schema != SchemaVersion {
 		return nil, false, fmt.Errorf("exp: unsupported schema version %d (have %d)", spec.Schema, SchemaVersion)
 	}
-	switch spec.Param {
-	case "overhead", "occupancy", "iobw", "interrupt", "pagesize", "clustering":
-	default:
-		return nil, false, fmt.Errorf("exp: unknown parameter %q", spec.Param)
+	if _, err := AxisByName(spec.Param); err != nil {
+		return nil, false, err
 	}
 	var aurc bool
 	switch strings.ToLower(spec.Mode) {

@@ -82,7 +82,7 @@ func (s *Suite) NodeCrash() (*Table, error) {
 				cells = append(cells, Cell{Cfg: crashCfg(plain, hb, fr), W: w})
 			}
 		}
-		_ = s.prefetch(cells)
+		_ = s.RunCells(cells)
 
 		vals := []float64{float64(uni) / float64(plain)}
 		for _, hb := range HeartbeatPoints {

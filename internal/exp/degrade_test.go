@@ -51,7 +51,7 @@ func TestPanicCellDegradesToErrorRow(t *testing.T) {
 	good := tinyWorkload("tiny")
 	bad := panicWorkload("bomb")
 	cells := []Cell{{Cfg: s.Base(), W: good}, {Cfg: s.Base(), W: bad}}
-	err := s.Runner().Run(cells)
+	err := s.RunCells(cells)
 	if err == nil || !strings.Contains(err.Error(), "panic: boom: bomb") {
 		t.Fatalf("panic not converted to cell error: %v", err)
 	}
@@ -120,8 +120,8 @@ func TestSerialMatchesParallelWithErrorCells(t *testing.T) {
 		}
 	}
 	serial, parallel := smallSuite(1), smallSuite(4)
-	errS := serial.Runner().Run(cellsFor(serial))
-	errP := parallel.Runner().Run(cellsFor(parallel))
+	errS := serial.RunCells(cellsFor(serial))
+	errP := parallel.RunCells(cellsFor(parallel))
 	if errS == nil || errP == nil {
 		t.Fatalf("errors lost: serial=%v parallel=%v", errS, errP)
 	}

@@ -166,7 +166,7 @@ func TestConcurrentRunnersNeverDoubleSimulate(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = s.Runner().Run(cells)
+			errs[i] = s.RunCells(cells)
 		}()
 	}
 	wg.Wait()

@@ -27,9 +27,9 @@ const (
 
 // Suite runs and memoizes experiments. The memo caches are mutex-guarded and
 // deduplicate in-flight runs (singleflight), so a Suite is safe for
-// concurrent use: experiments executed through the Runner share every cell
-// they have in common — two figures built on the achievable baseline pay for
-// it once.
+// concurrent use: experiments running their cells through RunCells share
+// every cell they have in common — two figures built on the achievable
+// baseline pay for it once.
 type Suite struct {
 	// Procs and PPN set the baseline topology (the paper: 16 processors,
 	// 4 per node).
@@ -37,7 +37,7 @@ type Suite struct {
 	PPN   int
 	// Sizes selects problem sizes.
 	Sizes Size
-	// Parallelism bounds the Runner's worker pool. Zero or negative means
+	// Parallelism bounds RunCells' worker pool. Zero or negative means
 	// GOMAXPROCS; 1 forces serial execution.
 	Parallelism int
 	// Retries is the number of extra attempts a failing cell gets before its

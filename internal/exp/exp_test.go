@@ -10,7 +10,7 @@ import (
 
 // sharedSuite memoizes runs across all shape tests in this package. It runs
 // with Parallelism > 1 so the package's tests (and `go test -race`) exercise
-// the concurrent Runner paths.
+// the concurrent RunCells paths.
 var sharedSuite = func() *Suite {
 	s := NewSuite(Small)
 	s.Parallelism = 4

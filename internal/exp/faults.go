@@ -57,7 +57,7 @@ func (s *Suite) DropRate() (*Table, error) {
 	}
 	// A failing cell lands in the suite's error cache and surfaces as an
 	// error row below; the prefetch itself must not abort the sweep.
-	_ = s.prefetch(cells)
+	_ = s.RunCells(cells)
 	for _, w := range subset {
 		var vals []float64
 		var rowErr error

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"svmsim"
 	"svmsim/internal/stats"
 )
@@ -16,7 +14,7 @@ func (s *Suite) Figure1() (*Table, error) {
 	for _, w := range apps() {
 		cells = append(cells, s.uniCell(w), Cell{Cfg: s.Base(), W: w})
 	}
-	if err := s.prefetch(cells); err != nil {
+	if err := s.RunCells(cells); err != nil {
 		return nil, err
 	}
 	for _, w := range apps() {
@@ -38,79 +36,56 @@ func (s *Suite) Figure1() (*Table, error) {
 // fetches, local and remote lock acquires, and barriers per processor per
 // million compute cycles, for 1, 4 and 8 processors per node.
 func (s *Suite) Table2() (*Table, error) {
-	t := &Table{ID: "Table 2", Title: "Protocol events per processor per 1M compute cycles (ppn=1/4/8)",
-		Cols: []string{
+	return s.commSweep("Table 2", "Protocol events per processor per 1M compute cycles (ppn=1/4/8)",
+		[]string{
 			"flt(1)", "flt(4)", "flt(8)",
 			"fetch(1)", "fetch(4)", "fetch(8)",
 			"lockL(1)", "lockL(4)", "lockL(8)",
 			"lockR(1)", "lockR(4)", "lockR(8)",
 			"barr(1)", "barr(4)", "barr(8)",
-		}}
-	ppns := []int{1, 4, 8}
-	var cells []Cell
-	for _, w := range apps() {
-		for _, ppn := range ppns {
-			cfg := s.Base()
-			cfg.ProcsPerNode = ppn
-			cells = append(cells, Cell{Cfg: cfg, W: w})
-		}
-	}
-	if err := s.prefetch(cells); err != nil {
-		return nil, err
-	}
-	for _, w := range apps() {
-		vals := make([]float64, 0, 15)
-		grids := make([]*svmsim.RunStats, len(ppns))
-		for i, ppn := range ppns {
-			cfg := s.Base()
-			cfg.ProcsPerNode = ppn
-			run, err := s.run(cfg, w)
-			if err != nil {
-				return nil, err
-			}
-			grids[i] = run
-		}
-		for _, f := range []func(*stats.Proc) uint64{
-			func(p *stats.Proc) uint64 { return p.PageFaults },
-			func(p *stats.Proc) uint64 { return p.PageFetches },
-			func(p *stats.Proc) uint64 { return p.LocalLocks },
-			func(p *stats.Proc) uint64 { return p.RemoteLocks },
-			func(p *stats.Proc) uint64 { return p.Barriers },
-		} {
-			for _, run := range grids {
-				vals = append(vals, run.PerMComputeCycles(run.Sum(f))/float64(len(run.Procs)))
-			}
-		}
-		t.Rows = append(t.Rows, Row{Name: w.Name, Values: vals})
-	}
-	return t, nil
+		}, 1,
+		func(p *stats.Proc) uint64 { return p.PageFaults },
+		func(p *stats.Proc) uint64 { return p.PageFetches },
+		func(p *stats.Proc) uint64 { return p.LocalLocks },
+		func(p *stats.Proc) uint64 { return p.RemoteLocks },
+		func(p *stats.Proc) uint64 { return p.Barriers })
 }
 
-// commSweep renders a per-ppn communication metric (Figures 3 and 4).
-func (s *Suite) commSweep(id, title string, metric func(*stats.Proc) uint64, scale float64) (*Table, error) {
-	t := &Table{ID: id, Title: title, Cols: []string{"ppn=1", "ppn=4", "ppn=8"}}
+// commSweep renders per-processor counts per 1M compute cycles, scaled by
+// scale, at 1, 4 and 8 processors per node: one column per (metric, ppn)
+// pair, metric-major (Table 2, Figures 3 and 4).
+func (s *Suite) commSweep(id, title string, cols []string, scale float64, metrics ...func(*stats.Proc) uint64) (*Table, error) {
+	t := &Table{ID: id, Title: title, Cols: cols}
+	ppns := []int{1, 4, 8}
+	cfgs := make([]svmsim.Config, len(ppns))
+	for i, ppn := range ppns {
+		cfgs[i] = s.Base()
+		cfgs[i].ProcsPerNode = ppn
+	}
 	var cells []Cell
 	for _, w := range apps() {
-		for _, ppn := range []int{1, 4, 8} {
-			cfg := s.Base()
-			cfg.ProcsPerNode = ppn
+		for _, cfg := range cfgs {
 			cells = append(cells, Cell{Cfg: cfg, W: w})
 		}
 	}
-	if err := s.prefetch(cells); err != nil {
+	if err := s.RunCells(cells); err != nil {
 		return nil, err
 	}
 	for _, w := range apps() {
-		var vals []float64
-		for _, ppn := range []int{1, 4, 8} {
-			cfg := s.Base()
-			cfg.ProcsPerNode = ppn
+		runs := make([]*svmsim.RunStats, len(cfgs))
+		for i, cfg := range cfgs {
 			run, err := s.run(cfg, w)
 			if err != nil {
 				return nil, err
 			}
-			v := run.PerMComputeCycles(run.Sum(metric)) / float64(len(run.Procs))
-			vals = append(vals, v*scale)
+			runs[i] = run
+		}
+		var vals []float64
+		for _, metric := range metrics {
+			for _, run := range runs {
+				v := run.PerMComputeCycles(run.Sum(metric)) / float64(len(run.Procs))
+				vals = append(vals, v*scale)
+			}
 		}
 		t.Rows = append(t.Rows, Row{Name: w.Name, Values: vals})
 	}
@@ -120,32 +95,35 @@ func (s *Suite) commSweep(id, title string, metric func(*stats.Proc) uint64, sca
 // Figure3 reproduces messages sent per processor per 1M compute cycles.
 func (s *Suite) Figure3() (*Table, error) {
 	return s.commSweep("Figure 3", "Messages sent per processor per 1M compute cycles",
-		func(p *stats.Proc) uint64 { return p.MsgsSent }, 1)
+		[]string{"ppn=1", "ppn=4", "ppn=8"}, 1,
+		func(p *stats.Proc) uint64 { return p.MsgsSent })
 }
 
 // Figure4 reproduces MBytes sent per processor per 1M compute cycles.
 func (s *Suite) Figure4() (*Table, error) {
 	return s.commSweep("Figure 4", "MBytes sent per processor per 1M compute cycles",
-		func(p *stats.Proc) uint64 { return p.BytesSent }, 1.0/(1<<20))
+		[]string{"ppn=1", "ppn=4", "ppn=8"}, 1.0/(1<<20),
+		func(p *stats.Proc) uint64 { return p.BytesSent })
 }
 
-// paramSweep runs a speedup sweep over configurations derived from the base.
-func (s *Suite) paramSweep(id, title string, labels []string, mk []func(svmsim.Config) svmsim.Config, wls []svmsim.Workload) (*Table, error) {
-	t := &Table{ID: id, Title: title, Cols: labels}
+// paramSweep renders the speedup of each workload under each configuration,
+// one column per configuration.
+func (s *Suite) paramSweep(id, title string, cols []string, cfgs []svmsim.Config, wls []svmsim.Workload) (*Table, error) {
+	t := &Table{ID: id, Title: title, Cols: cols}
 	var cells []Cell
 	for _, w := range wls {
 		cells = append(cells, s.uniCell(w))
-		for _, f := range mk {
-			cells = append(cells, Cell{Cfg: f(s.Base()), W: w})
+		for _, cfg := range cfgs {
+			cells = append(cells, Cell{Cfg: cfg, W: w})
 		}
 	}
-	if err := s.prefetch(cells); err != nil {
+	if err := s.RunCells(cells); err != nil {
 		return nil, err
 	}
 	for _, w := range wls {
 		var vals []float64
-		for _, f := range mk {
-			sp, err := s.speedup(f(s.Base()), w)
+		for _, cfg := range cfgs {
+			sp, err := s.speedup(cfg, w)
 			if err != nil {
 				return nil, err
 			}
@@ -158,91 +136,41 @@ func (s *Suite) paramSweep(id, title string, labels []string, mk []func(svmsim.C
 
 // Figure5 reproduces the host-overhead sweep.
 func (s *Suite) Figure5() (*Table, error) {
-	labels := make([]string, len(HostOverheadPoints))
-	mk := make([]func(svmsim.Config) svmsim.Config, len(HostOverheadPoints))
-	for i, v := range HostOverheadPoints {
-		v := v
-		labels[i] = cyclesLabel(v)
-		mk[i] = func(c svmsim.Config) svmsim.Config { c.Net.HostOverheadCycles = v; return c }
-	}
-	return s.paramSweep("Figure 5", "Speedup vs host overhead (cycles/message)", labels, mk, apps())
+	return s.axisSweep("Figure 5", "Speedup vs host overhead (cycles/message)", AxisHostOverhead, false, apps())
 }
 
 // Figure7 reproduces the NI-occupancy sweep under HLRC.
 func (s *Suite) Figure7() (*Table, error) {
-	labels := make([]string, len(OccupancyPoints))
-	mk := make([]func(svmsim.Config) svmsim.Config, len(OccupancyPoints))
-	for i, v := range OccupancyPoints {
-		v := v
-		labels[i] = cyclesLabel(v)
-		mk[i] = func(c svmsim.Config) svmsim.Config { c.Net.NIOccupancyCycles = v; return c }
-	}
-	return s.paramSweep("Figure 7", "Speedup vs NI occupancy (cycles/packet), HLRC", labels, mk, apps())
+	return s.axisSweep("Figure 7", "Speedup vs NI occupancy (cycles/packet), HLRC", AxisOccupancy, false, apps())
 }
 
 // Figure8 reproduces the I/O-bus bandwidth sweep.
 func (s *Suite) Figure8() (*Table, error) {
-	labels := []string{"0.2", "0.5", "1.0", "2.0"}
-	mk := make([]func(svmsim.Config) svmsim.Config, len(IOBandwidthPoints))
-	for i, v := range IOBandwidthPoints {
-		v := v
-		mk[i] = func(c svmsim.Config) svmsim.Config { c.Net.IOBytesPerCycle = v; return c }
-	}
-	return s.paramSweep("Figure 8", "Speedup vs I/O bus bandwidth (MB/s per MHz)", labels, mk, apps())
+	return s.axisSweep("Figure 8", "Speedup vs I/O bus bandwidth (MB/s per MHz)", AxisIOBw, false, apps())
 }
 
 // Figure10 reproduces the interrupt-cost sweep.
 func (s *Suite) Figure10() (*Table, error) {
-	labels := make([]string, len(InterruptPoints))
-	mk := make([]func(svmsim.Config) svmsim.Config, len(InterruptPoints))
-	for i, v := range InterruptPoints {
-		v := v
-		labels[i] = cyclesLabel(v)
-		mk[i] = func(c svmsim.Config) svmsim.Config { c.IntrHalfCostCycles = v; return c }
-	}
-	return s.paramSweep("Figure 10", "Speedup vs interrupt cost (cycles per half)", labels, mk, apps())
+	return s.axisSweep("Figure 10", "Speedup vs interrupt cost (cycles per half)", AxisInterrupt, false, apps())
 }
 
 // Figure12 reproduces the NI-occupancy sweep under AURC, where occupancy
-// matters much more (fine-grain update packets).
+// matters much more (fine-grain update packets). The paper shows a
+// representative regular + irregular subset.
 func (s *Suite) Figure12() (*Table, error) {
-	labels := make([]string, len(OccupancyPoints))
-	mk := make([]func(svmsim.Config) svmsim.Config, len(OccupancyPoints))
-	for i, v := range OccupancyPoints {
-		v := v
-		labels[i] = cyclesLabel(v)
-		mk[i] = func(c svmsim.Config) svmsim.Config {
-			c.Net.NIOccupancyCycles = v
-			c.Proto.Mode = svmsim.AURC
-			return c
-		}
-	}
-	// The paper shows a representative regular + irregular subset.
-	subset := pick("FFT", "LU", "Ocean", "Water-sp", "Barnes-reb")
-	return s.paramSweep("Figure 12", "Speedup vs NI occupancy (cycles/packet), AURC", labels, mk, subset)
+	return s.axisSweep("Figure 12", "Speedup vs NI occupancy (cycles/packet), AURC", AxisOccupancy, true,
+		pick("FFT", "LU", "Ocean", "Water-sp", "Barnes-reb"))
 }
 
 // Figure13 reproduces the page-size sweep.
 func (s *Suite) Figure13() (*Table, error) {
-	labels := []string{"1K", "2K", "4K", "8K", "16K"}
-	mk := make([]func(svmsim.Config) svmsim.Config, len(PageSizePoints))
-	for i, v := range PageSizePoints {
-		v := v
-		mk[i] = func(c svmsim.Config) svmsim.Config { c.Proto.PageBytes = v; return c }
-	}
-	return s.paramSweep("Figure 13", "Speedup vs page size", labels, mk, apps())
+	return s.axisSweep("Figure 13", "Speedup vs page size", AxisPageSize, false, apps())
 }
 
 // Figure14 reproduces the clustering sweep (processors per node; total
 // fixed).
 func (s *Suite) Figure14() (*Table, error) {
-	labels := []string{"1", "2", "4", "8"}
-	mk := make([]func(svmsim.Config) svmsim.Config, len(ClusteringPoints))
-	for i, v := range ClusteringPoints {
-		v := v
-		mk[i] = func(c svmsim.Config) svmsim.Config { c.ProcsPerNode = v; return c }
-	}
-	return s.paramSweep("Figure 14", "Speedup vs degree of clustering (procs/node)", labels, mk, apps())
+	return s.axisSweep("Figure 14", "Speedup vs degree of clustering (procs/node)", AxisClustering, false, apps())
 }
 
 // pick selects workloads by name.
@@ -258,86 +186,16 @@ func pick(names ...string) []svmsim.Workload {
 	return out
 }
 
-func cyclesLabel(v uint64) string {
-	switch {
-	case v >= 1000 && v%1000 == 0:
-		return itoa(int(v/1000)) + "k"
-	default:
-		return itoa(int(v))
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
-
 // SweepParam runs a named single-parameter sweep over the given workloads,
 // optionally under AURC (the cmd/sweep entry point).
 func (s *Suite) SweepParam(param string, wls []svmsim.Workload, aurc bool) (*Table, error) {
-	withMode := func(f func(svmsim.Config) svmsim.Config) func(svmsim.Config) svmsim.Config {
-		return func(c svmsim.Config) svmsim.Config {
-			c = f(c)
-			if aurc {
-				c.Proto.Mode = svmsim.AURC
-			}
-			return c
-		}
-	}
-	var labels []string
-	var mk []func(svmsim.Config) svmsim.Config
-	switch param {
-	case "overhead":
-		for _, v := range HostOverheadPoints {
-			v := v
-			labels = append(labels, cyclesLabel(v))
-			mk = append(mk, withMode(func(c svmsim.Config) svmsim.Config { c.Net.HostOverheadCycles = v; return c }))
-		}
-	case "occupancy":
-		for _, v := range OccupancyPoints {
-			v := v
-			labels = append(labels, cyclesLabel(v))
-			mk = append(mk, withMode(func(c svmsim.Config) svmsim.Config { c.Net.NIOccupancyCycles = v; return c }))
-		}
-	case "iobw":
-		for _, v := range IOBandwidthPoints {
-			v := v
-			labels = append(labels, fmt.Sprintf("%.2g", v))
-			mk = append(mk, withMode(func(c svmsim.Config) svmsim.Config { c.Net.IOBytesPerCycle = v; return c }))
-		}
-	case "interrupt":
-		for _, v := range InterruptPoints {
-			v := v
-			labels = append(labels, cyclesLabel(v))
-			mk = append(mk, withMode(func(c svmsim.Config) svmsim.Config { c.IntrHalfCostCycles = v; return c }))
-		}
-	case "pagesize":
-		for _, v := range PageSizePoints {
-			v := v
-			labels = append(labels, fmt.Sprintf("%dK", v/1024))
-			mk = append(mk, withMode(func(c svmsim.Config) svmsim.Config { c.Proto.PageBytes = v; return c }))
-		}
-	case "clustering":
-		for _, v := range ClusteringPoints {
-			v := v
-			labels = append(labels, itoa(v))
-			mk = append(mk, withMode(func(c svmsim.Config) svmsim.Config { c.ProcsPerNode = v; return c }))
-		}
-	default:
-		return nil, fmt.Errorf("exp: unknown parameter %q", param)
+	a, err := AxisByName(param)
+	if err != nil {
+		return nil, err
 	}
 	title := "Speedup vs " + param
 	if aurc {
 		title += " (AURC)"
 	}
-	return s.paramSweep("Sweep", title, labels, mk, wls)
+	return s.axisSweep("Sweep", title, a, aurc, wls)
 }

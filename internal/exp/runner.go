@@ -9,8 +9,8 @@ import (
 
 // Cell is one (configuration, workload) simulation unit — the atom of every
 // table and figure. Experiments enumerate their cells up front and hand them
-// to a Runner, then assemble rows from the memoized results in their own
-// deterministic order.
+// to Suite.RunCells, then assemble rows from the memoized results in their
+// own deterministic order.
 type Cell struct {
 	Cfg svmsim.Config
 	W   svmsim.Workload
@@ -21,38 +21,14 @@ type Cell struct {
 // result store. Two cells with equal keys are the same simulation.
 func (c Cell) Key() string { return c.W.Name + "|" + cfgKey(c.Cfg) }
 
-// Runner executes a batch of cells on a bounded worker pool, deduplicating
-// cells that share a key (within the batch, and — through the suite's
-// singleflight cache — across concurrently running batches).
-type Runner struct {
-	// Suite provides the memo cache the results land in.
-	Suite *Suite
-	// Parallelism bounds the worker pool; zero or negative falls back to
-	// Suite.Parallelism, then to GOMAXPROCS.
-	Parallelism int
-}
-
-// Runner returns a runner bound to the suite's configured parallelism.
-func (s *Suite) Runner() *Runner { return &Runner{Suite: s} }
-
-// workers resolves the effective worker-pool size.
-func (r *Runner) workers() int {
-	n := r.Parallelism
-	if n <= 0 {
-		n = r.Suite.Parallelism
-	}
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
-// Run executes every cell, spreading unique cells over the worker pool and
-// blocking until all are done. The result of each run lands in the suite's
-// cache, so callers re-read them in any order they like afterwards. When
-// several cells fail, the error reported is the earliest failing cell's in
-// enumeration order, independent of completion order.
-func (r *Runner) Run(cells []Cell) error {
+// RunCells executes a batch of cells on a pool of Suite.Parallelism
+// workers (GOMAXPROCS when zero or negative), deduplicating cells that
+// share a key — within the batch, and through the suite's singleflight memo
+// across concurrently running batches. Every cell runs, and each result or
+// error lands in the memo, so callers re-read them in any order they like
+// afterwards. When several cells fail, the error reported is the earliest
+// failing cell's in batch order, independent of completion order.
+func (s *Suite) RunCells(cells []Cell) error {
 	seen := make(map[string]bool, len(cells))
 	unique := make([]Cell, 0, len(cells))
 	for _, c := range cells {
@@ -64,32 +40,20 @@ func (r *Runner) Run(cells []Cell) error {
 		unique = append(unique, c)
 	}
 
-	n := r.workers()
-	if n > len(unique) {
-		n = len(unique)
+	n := s.Parallelism
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
-	if n <= 1 {
-		// Same degraded-sweep semantics as the parallel path: every cell
-		// runs (failures become cached error rows), and the error reported
-		// is the first failing cell's in enumeration order.
-		var first error
-		for _, c := range unique {
-			if _, err := r.Suite.run(c.Cfg, c.W); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-
+	n = min(n, len(unique))
 	errs := make([]error, len(unique))
 	work := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(n)
-	for i := 0; i < n; i++ {
+	for range n {
 		go func() {
 			defer wg.Done()
 			for idx := range work {
-				_, errs[idx] = r.Suite.run(unique[idx].Cfg, unique[idx].W)
+				_, errs[idx] = s.run(unique[idx].Cfg, unique[idx].W)
 			}
 		}()
 	}
@@ -109,10 +73,4 @@ func (r *Runner) Run(cells []Cell) error {
 // uniCell is the uniprocessor-baseline cell for a workload (uniTime's unit).
 func (s *Suite) uniCell(w svmsim.Workload) Cell {
 	return Cell{Cfg: svmsim.Uniprocessor(s.Base()), W: w}
-}
-
-// prefetch runs a batch of cells through the suite's runner, populating the
-// cache so the caller's serial table assembly is pure cache hits.
-func (s *Suite) prefetch(cells []Cell) error {
-	return s.Runner().Run(cells)
 }

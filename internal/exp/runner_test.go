@@ -11,7 +11,7 @@ import (
 
 // TestParallelMatchesSerialDeterminism is the determinism regression test:
 // the same (configuration, workload) cells executed serially and under the
-// parallel Runner must produce identical cycle counts and per-processor
+// parallel worker pool must produce identical cycle counts and per-processor
 // statistics byte-for-byte, and identical rendered tables.
 func TestParallelMatchesSerialDeterminism(t *testing.T) {
 	wls := pick("FFT", "LU")
@@ -66,14 +66,14 @@ func TestRunnerDedupesCells(t *testing.T) {
 	base := Cell{Cfg: s.Base(), W: w}
 	uni := s.uniCell(w)
 	cells := []Cell{base, uni, base, base, uni}
-	if err := s.Runner().Run(cells); err != nil {
+	if err := s.RunCells(cells); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(log.String(), "run "); got != 2 {
 		t.Fatalf("ran %d cells, want 2 unique:\n%s", got, log.String())
 	}
 	// A second batch containing the same cells is pure cache hits.
-	if err := s.Runner().Run(cells); err != nil {
+	if err := s.RunCells(cells); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(log.String(), "run "); got != 2 {
@@ -103,7 +103,7 @@ func TestRunnerErrorIsEarliestCell(t *testing.T) {
 		bad("first"),
 		bad("second!"),
 	}
-	err := s.Runner().Run(cells)
+	err := s.RunCells(cells)
 	if err == nil {
 		t.Fatal("want error from invalid cells")
 	}

@@ -10,78 +10,53 @@ import (
 )
 
 // Table3 reproduces the maximum-slowdown summary: for each application and
-// each parameter, the slowdown between the smallest and largest value in the
-// studied range (other parameters held at their achievable values). Negative
-// numbers indicate speedups, as in the paper.
+// each parameter, the slowdown between the best and the degraded end of the
+// studied range (other parameters held at their achievable values).
+// Negative numbers indicate speedups, as in the paper.
 func (s *Suite) Table3() (*Table, error) {
 	t := &Table{ID: "Table 3",
 		Title: "Maximum slowdowns (%) across each parameter's range (negative = speedup)",
-		Cols:  []string{"HostOvh", "NIOcc", "IOBw", "Intr", "PageSz", "PPN"}}
-	type extreme struct {
-		best func(svmsim.Config) svmsim.Config
-		wrst func(svmsim.Config) svmsim.Config
-	}
-	params := []extreme{
-		{func(c svmsim.Config) svmsim.Config { c.Net.HostOverheadCycles = HostOverheadPoints[0]; return c },
-			func(c svmsim.Config) svmsim.Config {
-				c.Net.HostOverheadCycles = HostOverheadPoints[len(HostOverheadPoints)-1]
-				return c
-			}},
-		{func(c svmsim.Config) svmsim.Config { c.Net.NIOccupancyCycles = OccupancyPoints[0]; return c },
-			func(c svmsim.Config) svmsim.Config {
-				c.Net.NIOccupancyCycles = OccupancyPoints[len(OccupancyPoints)-1]
-				return c
-			}},
-		// Bandwidth: the "small value" is the HIGH bandwidth (best), the
-		// "big value" direction of degradation is the LOW bandwidth.
-		{func(c svmsim.Config) svmsim.Config {
-			c.Net.IOBytesPerCycle = IOBandwidthPoints[len(IOBandwidthPoints)-1]
-			return c
-		},
-			func(c svmsim.Config) svmsim.Config { c.Net.IOBytesPerCycle = IOBandwidthPoints[0]; return c }},
-		{func(c svmsim.Config) svmsim.Config { c.IntrHalfCostCycles = InterruptPoints[0]; return c },
-			func(c svmsim.Config) svmsim.Config {
-				c.IntrHalfCostCycles = InterruptPoints[len(InterruptPoints)-1]
-				return c
-			}},
-		{func(c svmsim.Config) svmsim.Config { c.Proto.PageBytes = PageSizePoints[0]; return c },
-			func(c svmsim.Config) svmsim.Config {
-				c.Proto.PageBytes = PageSizePoints[len(PageSizePoints)-1]
-				return c
-			}},
-		{func(c svmsim.Config) svmsim.Config { c.ProcsPerNode = ClusteringPoints[0]; return c },
-			func(c svmsim.Config) svmsim.Config {
-				c.ProcsPerNode = ClusteringPoints[len(ClusteringPoints)-1]
-				return c
-			}},
+		Cols:  make([]string, NumAxes)}
+	for a := range axes {
+		t.Cols[a] = axes[a].column
 	}
 	var cells []Cell
 	for _, w := range apps() {
-		for _, pm := range params {
-			cells = append(cells,
-				Cell{Cfg: pm.best(s.Base()), W: w},
-				Cell{Cfg: pm.wrst(s.Base()), W: w})
+		for a := Axis(0); a < NumAxes; a++ {
+			best, worst := a.extremes(s.Base())
+			cells = append(cells, Cell{Cfg: best, W: w}, Cell{Cfg: worst, W: w})
 		}
 	}
-	if err := s.prefetch(cells); err != nil {
+	if err := s.RunCells(cells); err != nil {
 		return nil, err
 	}
 	for _, w := range apps() {
 		var vals []float64
-		for _, pm := range params {
-			a, err := s.run(pm.best(s.Base()), w)
+		for a := Axis(0); a < NumAxes; a++ {
+			slow, err := s.slowdown(a, w)
 			if err != nil {
 				return nil, err
 			}
-			b, err := s.run(pm.wrst(s.Base()), w)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, stats.Slowdown(a.Cycles, b.Cycles))
+			vals = append(vals, slow)
 		}
 		t.Rows = append(t.Rows, Row{Name: w.Name, Values: vals})
 	}
 	return t, nil
+}
+
+// slowdown is the slowdown of workload w from the best end of axis a's
+// studied range to its degraded end.
+func (s *Suite) slowdown(a Axis, w svmsim.Workload) (float64, error) {
+	best, worst := a.extremes(s.Base())
+	rb, err := s.run(best, w)
+	if err != nil {
+		return 0, err
+	}
+	rw, err := s.run(worst, w)
+	if err != nil {
+		return 0, err
+	}
+	return stats.Slowdown(rb.Cycles, rw.Cycles), nil
 }
 
 // Table4 reproduces the best / achievable / ideal speedups per application.
@@ -96,7 +71,7 @@ func (s *Suite) Table4() (*Table, error) {
 		cells = append(cells, s.uniCell(w),
 			Cell{Cfg: best, W: w}, Cell{Cfg: s.Base(), W: w})
 	}
-	if err := s.prefetch(cells); err != nil {
+	if err := s.RunCells(cells); err != nil {
 		return nil, err
 	}
 	for _, w := range apps() {
@@ -120,29 +95,22 @@ func (s *Suite) Table4() (*Table, error) {
 }
 
 // correlate builds the normalized slowdown-vs-characteristic comparison of
-// Figures 6, 9 and 11: both the slowdown across a parameter's range and the
-// predicting application characteristic, each normalized to its maximum.
-func (s *Suite) correlate(id, title, predictorName string,
-	low, high func(svmsim.Config) svmsim.Config,
-	predictor func(run *svmsim.RunStats) float64) (*Table, error) {
+// Figures 6, 9 and 11: both the slowdown across axis a's range and the
+// predicting application characteristic at the baseline, each normalized to
+// its maximum.
+func (s *Suite) correlate(id, title, predictorName string, a Axis, predictor func(*stats.Proc) uint64) (*Table, error) {
 	t := &Table{ID: id, Title: title, Cols: []string{"NormSlowdown", "Norm" + predictorName}}
+	best, worst := a.extremes(s.Base())
 	var cells []Cell
 	for _, w := range apps() {
-		cells = append(cells,
-			Cell{Cfg: low(s.Base()), W: w},
-			Cell{Cfg: high(s.Base()), W: w},
-			Cell{Cfg: s.Base(), W: w})
+		cells = append(cells, Cell{Cfg: best, W: w}, Cell{Cfg: worst, W: w}, Cell{Cfg: s.Base(), W: w})
 	}
-	if err := s.prefetch(cells); err != nil {
+	if err := s.RunCells(cells); err != nil {
 		return nil, err
 	}
 	var slows, preds []float64
 	for _, w := range apps() {
-		a, err := s.run(low(s.Base()), w)
-		if err != nil {
-			return nil, err
-		}
-		b, err := s.run(high(s.Base()), w)
+		slow, err := s.slowdown(a, w)
 		if err != nil {
 			return nil, err
 		}
@@ -150,8 +118,8 @@ func (s *Suite) correlate(id, title, predictorName string,
 		if err != nil {
 			return nil, err
 		}
-		slows = append(slows, stats.Slowdown(a.Cycles, b.Cycles))
-		preds = append(preds, predictor(base))
+		slows = append(slows, slow)
+		preds = append(preds, base.PerMComputeCycles(base.Sum(predictor)))
 	}
 	maxS, maxP := 0.0, 0.0
 	for i := range slows {
@@ -180,30 +148,16 @@ func (s *Suite) correlate(id, title, predictorName string,
 func (s *Suite) Figure6() (*Table, error) {
 	return s.correlate("Figure 6",
 		"Host-overhead slowdown vs messages sent (both normalized to their maxima)",
-		"Msgs",
-		func(c svmsim.Config) svmsim.Config { c.Net.HostOverheadCycles = HostOverheadPoints[0]; return c },
-		func(c svmsim.Config) svmsim.Config {
-			c.Net.HostOverheadCycles = HostOverheadPoints[len(HostOverheadPoints)-1]
-			return c
-		},
-		func(run *svmsim.RunStats) float64 {
-			return run.PerMComputeCycles(run.Sum(func(p *stats.Proc) uint64 { return p.MsgsSent }))
-		})
+		"Msgs", AxisHostOverhead,
+		func(p *stats.Proc) uint64 { return p.MsgsSent })
 }
 
 // Figure9 relates I/O-bandwidth slowdown to the number of bytes sent.
 func (s *Suite) Figure9() (*Table, error) {
 	return s.correlate("Figure 9",
 		"I/O-bandwidth slowdown vs bytes sent (both normalized to their maxima)",
-		"Bytes",
-		func(c svmsim.Config) svmsim.Config {
-			c.Net.IOBytesPerCycle = IOBandwidthPoints[len(IOBandwidthPoints)-1]
-			return c
-		},
-		func(c svmsim.Config) svmsim.Config { c.Net.IOBytesPerCycle = IOBandwidthPoints[0]; return c },
-		func(run *svmsim.RunStats) float64 {
-			return run.PerMComputeCycles(run.Sum(func(p *stats.Proc) uint64 { return p.BytesSent }))
-		})
+		"Bytes", AxisIOBw,
+		func(p *stats.Proc) uint64 { return p.BytesSent })
 }
 
 // Figure11 relates interrupt-cost slowdown to page fetches plus remote lock
@@ -211,97 +165,40 @@ func (s *Suite) Figure9() (*Table, error) {
 func (s *Suite) Figure11() (*Table, error) {
 	return s.correlate("Figure 11",
 		"Interrupt-cost slowdown vs page fetches + remote lock acquires (normalized)",
-		"Fetch+RLock",
-		func(c svmsim.Config) svmsim.Config { c.IntrHalfCostCycles = InterruptPoints[0]; return c },
-		func(c svmsim.Config) svmsim.Config {
-			c.IntrHalfCostCycles = InterruptPoints[len(InterruptPoints)-1]
-			return c
-		},
-		func(run *svmsim.RunStats) float64 {
-			return run.PerMComputeCycles(run.Sum(func(p *stats.Proc) uint64 {
-				return p.PageFetches + p.RemoteLocks
-			}))
-		})
+		"Fetch+RLock", AxisInterrupt,
+		func(p *stats.Proc) uint64 { return p.PageFetches + p.RemoteLocks })
 }
 
 // InterruptVariants reproduces the Section-6 variants: interrupt sensitivity
 // with uniprocessor nodes, and with round-robin interrupt delivery.
 func (s *Suite) InterruptVariants() (*Table, error) {
-	t := &Table{ID: "Variants", Title: "Interrupt-cost sensitivity: uniprocessor nodes and round-robin delivery (speedups at interrupt cost 0 / 1k / 10k per half)",
-		Cols: []string{"uni:0", "uni:1k", "uni:10k", "rr:0", "rr:1k", "rr:10k"}}
-	subset := pick("FFT", "Barnes-reb", "Water-nsq")
 	points := []uint64{0, 1000, 10000}
-	variants := make([]func(svmsim.Config) svmsim.Config, 0, 2*len(points))
+	var cfgs []svmsim.Config
 	for _, v := range points {
-		v := v
-		variants = append(variants, func(c svmsim.Config) svmsim.Config {
-			c.ProcsPerNode = 1
-			c.IntrHalfCostCycles = v
-			return c
-		})
+		c := s.Base()
+		c.ProcsPerNode = 1
+		c.IntrHalfCostCycles = v
+		cfgs = append(cfgs, c)
 	}
 	for _, v := range points {
-		v := v
-		variants = append(variants, func(c svmsim.Config) svmsim.Config {
-			c.IntrPolicy = svmsim.IntrRoundRobin
-			c.IntrHalfCostCycles = v
-			return c
-		})
+		c := s.Base()
+		c.IntrPolicy = svmsim.IntrRoundRobin
+		c.IntrHalfCostCycles = v
+		cfgs = append(cfgs, c)
 	}
-	var cells []Cell
-	for _, w := range subset {
-		cells = append(cells, s.uniCell(w))
-		for _, mod := range variants {
-			cells = append(cells, Cell{Cfg: mod(s.Base()), W: w})
-		}
-	}
-	if err := s.prefetch(cells); err != nil {
-		return nil, err
-	}
-	for _, w := range subset {
-		var vals []float64
-		for _, mod := range variants {
-			sp, err := s.speedup(mod(s.Base()), w)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, sp)
-		}
-		t.Rows = append(t.Rows, Row{Name: w.Name, Values: vals})
-	}
-	return t, nil
+	return s.paramSweep("Variants", "Interrupt-cost sensitivity: uniprocessor nodes and round-robin delivery (speedups at interrupt cost 0 / 1k / 10k per half)",
+		[]string{"uni:0", "uni:1k", "uni:10k", "rr:0", "rr:1k", "rr:10k"}, cfgs,
+		pick("FFT", "Barnes-reb", "Water-nsq"))
 }
 
 // AllLocalAblation reproduces the per-application analysis trick of Section
 // 7: artificially satisfying all page faults locally, isolating the cost of
 // remote fetches.
 func (s *Suite) AllLocalAblation() (*Table, error) {
-	t := &Table{ID: "Ablation", Title: "Speedup with remote page fetches artificially disabled (Section 7 analysis)",
-		Cols: []string{"Normal", "AllLocal"}}
 	allLocal := s.Base()
 	allLocal.Proto.AllLocal = true
-	var cells []Cell
-	for _, w := range apps() {
-		cells = append(cells, s.uniCell(w),
-			Cell{Cfg: s.Base(), W: w}, Cell{Cfg: allLocal, W: w})
-	}
-	if err := s.prefetch(cells); err != nil {
-		return nil, err
-	}
-	for _, w := range apps() {
-		spN, err := s.speedup(s.Base(), w)
-		if err != nil {
-			return nil, err
-		}
-		cfg := s.Base()
-		cfg.Proto.AllLocal = true
-		spA, err := s.speedup(cfg, w)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, Row{Name: w.Name, Values: []float64{spN, spA}})
-	}
-	return t, nil
+	return s.paramSweep("Ablation", "Speedup with remote page fetches artificially disabled (Section 7 analysis)",
+		[]string{"Normal", "AllLocal"}, []svmsim.Config{s.Base(), allLocal}, apps())
 }
 
 // Experiments returns every experiment in paper order.
@@ -345,51 +242,19 @@ func (s *Suite) Experiments() []struct {
 // protocol processor, and NI-served page fetches recover — and what does an
 // extra network interface per node buy?
 func (s *Suite) Extensions() (*Table, error) {
-	t := &Table{ID: "Extensions",
-		Title: "Interrupt-avoidance and bandwidth extensions (speedups; Intr10k = commercial interrupts baseline)",
-		Cols:  []string{"Intr500", "Intr10k", "Poll@10k", "Dedic@10k", "NIserve@10k", "2xNI"}}
-	mods := []func(svmsim.Config) svmsim.Config{
-		func(c svmsim.Config) svmsim.Config { return c },
-		func(c svmsim.Config) svmsim.Config { c.IntrHalfCostCycles = 10000; return c },
-		func(c svmsim.Config) svmsim.Config {
-			c.IntrHalfCostCycles = 10000
-			c.Requests = svmsim.RequestPolling
-			return c
-		},
-		func(c svmsim.Config) svmsim.Config {
-			c.IntrHalfCostCycles = 10000
-			c.Requests = svmsim.RequestDedicated
-			return c
-		},
-		func(c svmsim.Config) svmsim.Config {
-			c.IntrHalfCostCycles = 10000
-			c.NIServePages = true
-			return c
-		},
-		func(c svmsim.Config) svmsim.Config { c.NIsPerNode = 2; return c },
-	}
-	var cells []Cell
-	for _, w := range apps() {
-		cells = append(cells, s.uniCell(w))
-		for _, mod := range mods {
-			cells = append(cells, Cell{Cfg: mod(s.Base()), W: w})
-		}
-	}
-	if err := s.prefetch(cells); err != nil {
-		return nil, err
-	}
-	for _, w := range apps() {
-		var vals []float64
-		for _, mod := range mods {
-			sp, err := s.speedup(mod(s.Base()), w)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, sp)
-		}
-		t.Rows = append(t.Rows, Row{Name: w.Name, Values: vals})
-	}
-	return t, nil
+	base := s.Base()
+	intr := base
+	intr.IntrHalfCostCycles = 10000
+	poll, dedic, niServe := intr, intr, intr
+	poll.Requests = svmsim.RequestPolling
+	dedic.Requests = svmsim.RequestDedicated
+	niServe.NIServePages = true
+	twoNIs := base
+	twoNIs.NIsPerNode = 2
+	return s.paramSweep("Extensions",
+		"Interrupt-avoidance and bandwidth extensions (speedups; Intr10k = commercial interrupts baseline)",
+		[]string{"Intr500", "Intr10k", "Poll@10k", "Dedic@10k", "NIserve@10k", "2xNI"},
+		[]svmsim.Config{base, intr, poll, dedic, niServe, twoNIs}, apps())
 }
 
 // Microbench characterizes the protocol on the synthetic sharing patterns
@@ -415,7 +280,7 @@ func (s *Suite) Microbench() (*Table, error) {
 			cells = append(cells, Cell{Cfg: cfg, W: synthWorkload(pat)})
 		}
 	}
-	if err := s.prefetch(cells); err != nil {
+	if err := s.RunCells(cells); err != nil {
 		return nil, err
 	}
 	for _, pat := range synth.Patterns() {
@@ -459,7 +324,7 @@ func (s *Suite) Breakdown() (*Table, error) {
 	for _, w := range apps() {
 		cells = append(cells, Cell{Cfg: s.Base(), W: w})
 	}
-	if err := s.prefetch(cells); err != nil {
+	if err := s.RunCells(cells); err != nil {
 		return nil, err
 	}
 	for _, w := range apps() {

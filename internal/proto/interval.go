@@ -211,14 +211,8 @@ func (sy *System) handleDiff(t *engine.Thread, m *network.Message) {
 	base := sy.PageAddr(d.page)
 	for i, off := range d.offs {
 		addr := base + uint64(off)*8
-		if WatchLog != nil && addr == WatchAddr {
-			watch("[%d] diff-apply addr=%d val=%d at home n%d from n%d (old=%d)", sy.Sim.Now(), addr, int64(d.vals[i]), m.Dst, m.Src, int64(nd.ReadWord(addr)))
-		}
 		nd.WriteWord(addr, d.vals[i])
 		nd.InvalidateRange(addr, 8)
-	}
-	if WatchLog != nil && d.page == sy.PageOf(WatchAddr) {
-		watch("[%d] diff pg=%d words=%d home n%d from n%d watched-now=%d", sy.Sim.Now(), d.page, len(d.offs), m.Dst, m.Src, int64(nd.ReadWord(WatchAddr)))
 	}
 	sy.send(t, &network.Message{
 		Kind:    network.DiffAck,

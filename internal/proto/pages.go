@@ -12,21 +12,6 @@ import (
 	"svmsim/internal/trace"
 )
 
-// WatchAddr and WatchLog form a debugging watchpoint: when WatchLog is
-// non-nil, every event affecting the word at WatchAddr (application writes,
-// diff/update application, page installs, invalidations of its page) is
-// reported. Used by tests to localize coherence anomalies.
-var (
-	WatchAddr uint64
-	WatchLog  func(format string, args ...any)
-)
-
-func watch(format string, args ...any) {
-	if WatchLog != nil {
-		WatchLog(format, args...)
-	}
-}
-
 // pageReq and pageReply are the page-fetch payloads.
 type pageReq struct {
 	page  int32
@@ -63,9 +48,6 @@ func (sy *System) WriteWord(t *engine.Thread, p *node.Processor, addr uint64, v 
 		if ns.state[pg] == pgWritable {
 			break
 		}
-	}
-	if WatchLog != nil && addr == WatchAddr {
-		watch("[%d] write addr=%d val=%d node=%d proc=%d (old=%d)", sy.Sim.Now(), addr, int64(v), p.Node.ID, p.GlobalID, int64(p.Node.ReadWord(addr)))
 	}
 	p.Node.WriteWord(addr, v)
 	if sy.Prm.Mode == AURC {
@@ -217,9 +199,6 @@ func (ns *nodeState) fetch(t *engine.Thread, p *node.Processor, pg int32) {
 			ns.fetching[pg] = true
 			p.Stats.PageFetches++
 			epoch := ns.fetchEpoch[pg]
-			if WatchLog != nil && pg == sy.PageOf(WatchAddr) {
-				watch("[%d] fetch-issue pg=%d epoch=%d node=%d proc=%d", sy.Sim.Now(), pg, epoch, ns.id, p.GlobalID)
-			}
 			sy.send(t, &network.Message{
 				Kind:    network.PageRequest,
 				Src:     ns.id,
@@ -255,9 +234,6 @@ func (sy *System) servePageRequest(t *engine.Thread, victim *node.Processor, m *
 	base := sy.PageAddr(req.page)
 	data := make([]byte, sy.Prm.PageBytes)
 	copy(data, sy.Nodes[m.Dst].Mem[base:base+uint64(sy.Prm.PageBytes)])
-	if WatchLog != nil && req.page == sy.PageOf(WatchAddr) {
-		watch("[%d] page-req-served pg=%d epoch=%d home n%d for n%d watched=%d", sy.Sim.Now(), req.page, req.epoch, m.Dst, m.Src, int64(sy.Nodes[m.Dst].ReadWord(WatchAddr)))
-	}
 	sy.send(t, &network.Message{
 		Kind:    network.PageReply,
 		Src:     m.Dst,
@@ -274,9 +250,6 @@ func (sy *System) handlePageReply(m *network.Message) {
 	rep := m.Payload.(pageReply)
 	ns := sy.ns[m.Dst]
 	pg := rep.page
-	if WatchLog != nil && pg == sy.PageOf(WatchAddr) {
-		watch("[%d] reply pg=%d epoch=%d cur-epoch=%d state=%d fetching=%v at n%d", sy.Sim.Now(), pg, rep.epoch, ns.fetchEpoch[pg], ns.state[pg], ns.fetching[pg], ns.id)
-	}
 	if rep.epoch != ns.fetchEpoch[pg] {
 		// The page was invalidated while the fetch was in flight; the copy
 		// is stale. Re-request with the current epoch (NI-generated).
@@ -298,12 +271,6 @@ func (sy *System) handlePageReply(m *network.Message) {
 	}
 	base := sy.PageAddr(pg)
 	nd := sy.Nodes[m.Dst]
-	if WatchLog != nil && WatchAddr >= base && WatchAddr < base+uint64(sy.Prm.PageBytes) {
-		off := WatchAddr - base
-		watch("[%d] page-install pg=%d at node=%d watched-word=%d (was %d)", sy.Sim.Now(), pg, m.Dst,
-			int64(uint64(rep.data[off])|uint64(rep.data[off+1])<<8|uint64(rep.data[off+2])<<16|uint64(rep.data[off+3])<<24|uint64(rep.data[off+4])<<32|uint64(rep.data[off+5])<<40|uint64(rep.data[off+6])<<48|uint64(rep.data[off+7])<<56),
-			int64(nd.ReadWord(WatchAddr)))
-	}
 	copy(nd.Mem[base:base+uint64(sy.Prm.PageBytes)], rep.data)
 	nd.InvalidateRange(base, sy.Prm.PageBytes)
 	ns.fetching[pg] = false
@@ -336,9 +303,6 @@ func (ns *nodeState) invalidatePage(t *engine.Thread, p *node.Processor, handler
 	if ns.state[pg] == pgInvalid {
 		ns.fetchEpoch[pg]++
 		return false
-	}
-	if WatchLog != nil && pg == sy.PageOf(WatchAddr) {
-		watch("[%d] invalidate pg=%d at node=%d watched-word=%d", sy.Sim.Now(), pg, ns.id, int64(sy.Nodes[ns.id].ReadWord(WatchAddr)))
 	}
 	// State is pgReadOnly here and nothing has yielded since the check:
 	// the transition below is atomic. The fetch epoch advances on EVERY

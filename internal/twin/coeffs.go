@@ -3,6 +3,7 @@ package twin
 import (
 	"encoding/json"
 
+	"svmsim/internal/exp"
 	"svmsim/internal/stats"
 )
 
@@ -49,13 +50,13 @@ func (m *Model) Coefficients() Coefficients {
 		UniCycles:  m.uniTime,
 		Profile:    m.profile,
 	}
-	for a := Axis(0); a < NumAxes; a++ {
+	for a := exp.Axis(0); a < exp.NumAxes; a++ {
 		ax := m.axes[a]
 		if ax == nil {
 			continue
 		}
 		ac := AxisCoefficients{
-			Param:        a.Param(),
+			Param:        a.String(),
 			Residual:     ax.residual,
 			CostPerEvent: ax.costPerEvent,
 			Events:       ax.events,

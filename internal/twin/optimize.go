@@ -62,17 +62,17 @@ type Choice struct {
 // axis a: 0 for the cheapest studied value (highest overhead, lowest
 // bandwidth), 1 for the most aggressive. Faster hardware costs more — the
 // optimizer's "cheapest config achieving speedup ≥ S" minimizes the sum.
-func axisCost(a Axis, v float64, points []float64) float64 {
+func axisCost(a exp.Axis, v float64) float64 {
+	points := a.Points()
 	lo, hi := points[0], points[len(points)-1]
 	if hi == lo {
 		return 0
 	}
 	frac := (v - lo) / (hi - lo)
-	if a == AxisIOBw {
-		// More bandwidth is the expensive end.
+	if a.DegradesLow() {
+		// The degraded low end is the cheap one.
 		return frac
 	}
-	// Lower overhead/occupancy/interrupt cost is the expensive end.
 	return 1 - frac
 }
 
@@ -95,31 +95,26 @@ func (t *Twin) Optimize(spec OptimizeSpec) (Choice, error) {
 	}
 	for _, a := range CommAxes {
 		if m.axes[a] == nil {
-			return Choice{}, &UncalibratedError{Workload: m.workload, Mode: m.Mode(), Reason: "axis " + a.Param() + " is not calibrated"}
+			return Choice{}, &UncalibratedError{Workload: m.workload, Mode: m.Mode(), Reason: "axis " + a.String() + " is not calibrated"}
 		}
 	}
 
 	// Precompute each axis's time delta and cost at every grid point; the
 	// scan is then pure additions over small stack arrays.
-	grids := [4][]float64{
-		gridFloats(exp.HostOverheadPoints),
-		gridFloats(exp.OccupancyPoints),
-		append([]float64(nil), exp.IOBandwidthPoints...),
-		gridFloats(exp.InterruptPoints),
-	}
-	var deltas, costs [4][]float64
+	var grids, deltas, costs [4][]float64
 	baseT := float64(m.baseTime)
 	for i, a := range CommAxes {
+		grids[i] = a.Points()
 		deltas[i] = make([]float64, len(grids[i]))
 		costs[i] = make([]float64, len(grids[i]))
 		for j, v := range grids[i] {
 			ta, _, _, ok := m.axes[a].at(axisPos(a, v))
 			if !ok {
 				return Choice{}, &UncalibratedError{Workload: m.workload, Mode: m.Mode(),
-					Reason: fmt.Sprintf("%s grid point %g outside the calibrated range", a.Param(), v)}
+					Reason: fmt.Sprintf("%s grid point %g outside the calibrated range", a, v)}
 			}
 			deltas[i][j] = ta - baseT
-			costs[i][j] = axisCost(a, v, grids[i])
+			costs[i][j] = axisCost(a, v)
 		}
 	}
 
@@ -160,7 +155,7 @@ func (t *Twin) Optimize(spec OptimizeSpec) (Choice, error) {
 
 	cfg := m.base
 	for i, a := range CommAxes {
-		axisApply(&cfg, a, grids[i][best[i]])
+		a.Set(&cfg, grids[i][best[i]])
 	}
 	pred, _, err := m.predict(cfg)
 	if err != nil {
@@ -201,20 +196,17 @@ func (t *Twin) OptimizeCalibrating(s *exp.Suite, spec OptimizeSpec) (Choice, err
 // Sensitivities ranks the calibrated axes by their worst-vs-best predicted
 // slowdown, strongest first (stable on ties, axis order breaking them). The
 // metric is exactly Table 3's: slowdown from the best end of the studied
-// range to the worst end (high bandwidth is the best end of the I/O axis;
-// zero cost the best end of the others) — and since range endpoints are
-// calibration anchors, these numbers equal the simulator's Table 3 bit for
-// bit.
+// range to the degraded end — and since range endpoints are calibration
+// anchors, these numbers equal the simulator's Table 3 bit for bit.
 func (m *Model) Sensitivities() []Sensitivity {
 	var out []Sensitivity
-	for a := Axis(0); a < NumAxes; a++ {
+	for a := exp.Axis(0); a < exp.NumAxes; a++ {
 		ax := m.axes[a]
 		if ax == nil || len(ax.points) < 2 {
 			continue
 		}
 		bestT, worstT := ax.points[0].time, ax.points[len(ax.points)-1].time
-		if a == AxisIOBw {
-			// Low bandwidth (the first point) is the degraded end.
+		if a.DegradesLow() {
 			bestT, worstT = worstT, bestT
 		}
 		var pct float64
@@ -222,7 +214,7 @@ func (m *Model) Sensitivities() []Sensitivity {
 			pct = (float64(worstT) - float64(bestT)) / float64(bestT) * 100
 		}
 		out = append(out, Sensitivity{
-			Param:        a.Param(),
+			Param:        a.String(),
 			SlowdownPct:  pct,
 			CostPerEvent: ax.costPerEvent,
 			Events:       ax.events,
@@ -233,15 +225,6 @@ func (m *Model) Sensitivities() []Sensitivity {
 		for j := i; j > 0 && out[j].SlowdownPct > out[j-1].SlowdownPct; j-- {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
-	}
-	return out
-}
-
-// gridFloats widens a uint64 sweep grid to the axis coordinate space.
-func gridFloats(points []uint64) []float64 {
-	out := make([]float64, len(points))
-	for i, v := range points {
-		out[i] = float64(v)
 	}
 	return out
 }

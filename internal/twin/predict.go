@@ -42,7 +42,7 @@ type Prediction struct {
 type detail struct {
 	uni        bool
 	nActive    int
-	activeAxis Axis // meaningful only when nActive == 1
+	activeAxis exp.Axis // meaningful only when nActive == 1
 	activePos  float64
 }
 
@@ -77,8 +77,8 @@ func (m *Model) predict(cfg svmsim.Config) (Prediction, detail, error) {
 	// coordinates: anything else differing (interrupt policy, request
 	// handling, topology, fault plans, ...) is outside the model.
 	composed := m.base
-	for a := Axis(0); a < NumAxes; a++ {
-		axisApply(&composed, a, axisValue(&cfg, a))
+	for a := exp.Axis(0); a < exp.NumAxes; a++ {
+		a.Set(&composed, a.Value(&cfg))
 	}
 	if composed != cfg {
 		return Prediction{}, detail{}, &UncalibratedError{
@@ -93,16 +93,16 @@ func (m *Model) predict(cfg svmsim.Config) (Prediction, detail, error) {
 	baseT := float64(m.baseTime)
 	total := baseT
 	var sumSq, sumAbs, maxAbs float64
-	for a := Axis(0); a < NumAxes; a++ {
-		v := axisValue(&cfg, a)
-		if v == axisValue(&m.base, a) {
+	for a := exp.Axis(0); a < exp.NumAxes; a++ {
+		v := a.Value(&cfg)
+		if v == a.Value(&m.base) {
 			continue
 		}
 		ax := m.axes[a]
 		if ax == nil {
 			return Prediction{}, detail{}, &UncalibratedError{
 				Workload: m.workload, Mode: m.Mode(),
-				Reason: "axis " + a.Param() + " is not calibrated",
+				Reason: "axis " + a.String() + " is not calibrated",
 			}
 		}
 		pos := axisPos(a, v)
@@ -110,7 +110,7 @@ func (m *Model) predict(cfg svmsim.Config) (Prediction, detail, error) {
 		if !ok {
 			return Prediction{}, detail{}, &UncalibratedError{
 				Workload: m.workload, Mode: m.Mode(),
-				Reason: a.Param() + " value outside the studied range",
+				Reason: a.String() + " value outside the studied range",
 			}
 		}
 		d.nActive++
@@ -276,20 +276,20 @@ func (t *Twin) PredictCalibrating(s *exp.Suite, c exp.Cell) (Prediction, error) 
 // activeAxes lists the axes on which cfg deviates from the calibrated
 // baseline; ok is false when cfg deviates outside the modeled axes
 // entirely (no amount of calibration will cover it).
-func (m *Model) activeAxes(cfg svmsim.Config) ([]Axis, bool) {
+func (m *Model) activeAxes(cfg svmsim.Config) ([]exp.Axis, bool) {
 	if cfg == m.uni {
 		return nil, true
 	}
 	composed := m.base
-	for a := Axis(0); a < NumAxes; a++ {
-		axisApply(&composed, a, axisValue(&cfg, a))
+	for a := exp.Axis(0); a < exp.NumAxes; a++ {
+		a.Set(&composed, a.Value(&cfg))
 	}
 	if composed != cfg {
 		return nil, false
 	}
-	var out []Axis
-	for a := Axis(0); a < NumAxes; a++ {
-		if axisValue(&cfg, a) != axisValue(&m.base, a) {
+	var out []exp.Axis
+	for a := exp.Axis(0); a < exp.NumAxes; a++ {
+		if a.Value(&cfg) != a.Value(&m.base) {
 			out = append(out, a)
 		}
 	}

@@ -43,7 +43,7 @@ func TestTwinValidationGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tw.Calibrate(s, w, true, AxisOccupancy); err != nil {
+		if _, err := tw.Calibrate(s, w, true, exp.AxisOccupancy); err != nil {
 			t.Fatalf("calibrating %s/aurc: %v", name, err)
 		}
 	}
@@ -76,11 +76,6 @@ func TestTwinValidationGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Column order pinned by Table3: HostOvh, NIOcc, IOBw, Intr, PageSz, PPN.
-	colForParam := map[string]int{
-		"overhead": 0, "occupancy": 1, "iobw": 2, "interrupt": 3,
-		"pagesize": 4, "clustering": 5,
-	}
 	for _, row := range sim3.Rows {
 		if row.Err != "" {
 			t.Fatalf("Table 3 row %s degraded: %s", row.Name, row.Err)
@@ -96,15 +91,16 @@ func TestTwinValidationGate(t *testing.T) {
 		commTop := ""
 		var commMax float64
 		for _, sn := range sens {
-			col, ok := colForParam[sn.Param]
-			if !ok {
+			// Table 3's columns run in axis order.
+			axis, err := exp.AxisByName(sn.Param)
+			if err != nil {
 				t.Fatalf("%s: unknown sensitivity param %q", row.Name, sn.Param)
 			}
-			if sim := row.Values[col]; sn.SlowdownPct != sim {
+			if sim := row.Values[axis]; sn.SlowdownPct != sim {
 				t.Errorf("%s %s: twin slowdown %.6f != simulator Table 3 %.6f",
 					row.Name, sn.Param, sn.SlowdownPct, sim)
 			}
-			if col <= 3 && (commTop == "" || sn.SlowdownPct > commMax) {
+			if axis <= exp.AxisInterrupt && (commTop == "" || sn.SlowdownPct > commMax) {
 				commTop, commMax = sn.Param, sn.SlowdownPct
 			}
 			if sn.Param == "interrupt" && sn.SlowdownPct <= 0 {

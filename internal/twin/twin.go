@@ -62,121 +62,32 @@ type (
 	InfeasibleError = exp.InfeasibleError
 )
 
-// Axis names one modeled parameter dimension.
-type Axis int
-
-// The six modeled axes: the paper's four communication parameters plus page
-// size and degree of clustering.
-const (
-	AxisHostOverhead Axis = iota
-	AxisOccupancy
-	AxisIOBw
-	AxisInterrupt
-	AxisPageSize
-	AxisClustering
-	NumAxes
-)
-
 // CommAxes lists the four communication-parameter axes (the optimizer's
 // search space; page size and clustering are architectural choices, not
 // per-message costs).
-var CommAxes = []Axis{AxisHostOverhead, AxisOccupancy, AxisIOBw, AxisInterrupt}
+var CommAxes = []exp.Axis{exp.AxisHostOverhead, exp.AxisOccupancy, exp.AxisIOBw, exp.AxisInterrupt}
 
-// Param returns the axis's cmd/sweep parameter name.
-func (a Axis) Param() string {
-	switch a {
-	case AxisHostOverhead:
-		return "overhead"
-	case AxisOccupancy:
-		return "occupancy"
-	case AxisIOBw:
-		return "iobw"
-	case AxisInterrupt:
-		return "interrupt"
-	case AxisPageSize:
-		return "pagesize"
-	case AxisClustering:
-		return "clustering"
-	}
-	return fmt.Sprintf("Axis(%d)", int(a))
-}
-
-// String names the axis for diagnostics.
-func (a Axis) String() string { return a.Param() }
-
-// Value reads the axis's coordinate from a configuration — the exported
-// read side of the axis mapping, for callers labeling cells by the swept
-// parameter (cmd/sweep's prune log).
-func (a Axis) Value(cfg *svmsim.Config) float64 { return axisValue(cfg, a) }
-
-// AxisForParam resolves a cmd/sweep parameter name to its axis.
-func AxisForParam(param string) (Axis, bool) {
-	for a := Axis(0); a < NumAxes; a++ {
-		if a.Param() == param {
-			return a, true
-		}
-	}
-	return 0, false
-}
-
-// anchorSeeds are the calibration anchor values per axis: the extremes of
-// each studied range (so Table 3's worst-vs-best sensitivities are
-// anchor-exact) plus at most one interior point to expose curvature to the
-// leave-one-out residual. The baseline value joins the set automatically
-// (it is free — the base cell is simulated anyway), so every remaining
-// sweep point is bracketed by anchors and interpolated, never extrapolated.
-var anchorSeeds = [NumAxes][]float64{
-	AxisHostOverhead: {0, 500, 5000},
-	AxisOccupancy:    {0, 500, 2000},
-	AxisIOBw:         {0.2, 0.5, 2.0},
-	AxisInterrupt:    {0, 1000, 10000},
-	AxisPageSize:     {1 << 10, 4 << 10, 16 << 10},
-	AxisClustering:   {1, 4, 8},
-}
-
-// axisValue reads the axis coordinate from a configuration.
-func axisValue(cfg *svmsim.Config, a Axis) float64 {
-	switch a {
-	case AxisHostOverhead:
-		return float64(cfg.Net.HostOverheadCycles)
-	case AxisOccupancy:
-		return float64(cfg.Net.NIOccupancyCycles)
-	case AxisIOBw:
-		return cfg.Net.IOBytesPerCycle
-	case AxisInterrupt:
-		return float64(cfg.IntrHalfCostCycles)
-	case AxisPageSize:
-		return float64(cfg.Proto.PageBytes)
-	case AxisClustering:
-		return float64(cfg.ProcsPerNode)
-	}
-	return 0
-}
-
-// axisApply writes the axis coordinate into a configuration.
-func axisApply(cfg *svmsim.Config, a Axis, v float64) {
-	switch a {
-	case AxisHostOverhead:
-		cfg.Net.HostOverheadCycles = uint64(v)
-	case AxisOccupancy:
-		cfg.Net.NIOccupancyCycles = uint64(v)
-	case AxisIOBw:
-		cfg.Net.IOBytesPerCycle = v
-	case AxisInterrupt:
-		cfg.IntrHalfCostCycles = uint64(v)
-	case AxisPageSize:
-		cfg.Proto.PageBytes = int(v)
-	case AxisClustering:
-		cfg.ProcsPerNode = int(v)
-	}
+// anchorSeeds are the interior calibration anchors, one per axis, exposing
+// curvature to the leave-one-out residual. anchorValues adds the two ends
+// of each studied range (so Table 3's best-vs-degraded sensitivities are
+// anchor-exact) and the baseline value (free — the base cell is simulated
+// anyway), so every remaining sweep point is bracketed by anchors and
+// interpolated, never extrapolated.
+var anchorSeeds = [exp.NumAxes]float64{
+	exp.AxisHostOverhead: 500,
+	exp.AxisOccupancy:    500,
+	exp.AxisIOBw:         0.5,
+	exp.AxisInterrupt:    1000,
+	exp.AxisPageSize:     4 << 10,
+	exp.AxisClustering:   4,
 }
 
 // axisPos maps an axis coordinate to its interpolation position: identity
 // for the communication parameters (the paper's response curves are
 // near-linear in the parameter itself), log2 for page size and clustering
 // (whose studied ranges are geometric).
-func axisPos(a Axis, v float64) float64 {
-	if a == AxisPageSize || a == AxisClustering {
+func axisPos(a exp.Axis, v float64) float64 {
+	if a == exp.AxisPageSize || a == exp.AxisClustering {
 		return math.Log2(v)
 	}
 	return v
@@ -273,7 +184,7 @@ type Model struct {
 	baseRun  *svmsim.RunStats
 	uniRun   *svmsim.RunStats
 	profile  stats.EventProfile
-	axes     [NumAxes]*axisModel
+	axes     [exp.NumAxes]*axisModel
 }
 
 // Workload returns the model's workload name.
@@ -283,9 +194,9 @@ func (m *Model) Workload() string { return m.workload }
 func (m *Model) Mode() string { return modeName(m.aurc) }
 
 // CalibratedAxes returns the axes this model can interpolate, in axis order.
-func (m *Model) CalibratedAxes() []Axis {
-	var out []Axis
-	for a := Axis(0); a < NumAxes; a++ {
+func (m *Model) CalibratedAxes() []exp.Axis {
+	var out []exp.Axis
+	for a := exp.Axis(0); a < exp.NumAxes; a++ {
 		if m.axes[a] != nil {
 			out = append(out, a)
 		}
@@ -295,41 +206,41 @@ func (m *Model) CalibratedAxes() []Axis {
 
 // axisEvents maps an axis to the event count its cost scales with (finding
 // 4's correlations; finding 3 for AURC occupancy). Reporting only.
-func (m *Model) axisEvents(a Axis) uint64 {
+func (m *Model) axisEvents(a exp.Axis) uint64 {
 	p := m.profile
 	switch a {
-	case AxisHostOverhead:
+	case exp.AxisHostOverhead:
 		return p.Msgs
-	case AxisOccupancy:
+	case exp.AxisOccupancy:
 		if m.aurc {
 			return p.Msgs + p.UpdateWords
 		}
 		return p.Msgs
-	case AxisIOBw:
+	case exp.AxisIOBw:
 		return p.Bytes
-	case AxisInterrupt:
+	case exp.AxisInterrupt:
 		return p.PageFetches + p.RemoteLocks
-	case AxisPageSize:
+	case exp.AxisPageSize:
 		return p.PageFetches
-	case AxisClustering:
+	case exp.AxisClustering:
 		return p.Msgs
 	}
 	return 0
 }
 
-// anchorValues assembles the axis's calibration values: the seeds filtered
-// for validity on this model's topology, plus the baseline value, sorted
-// and deduplicated.
-func (m *Model) anchorValues(a Axis) []float64 {
-	vals := append([]float64(nil), anchorSeeds[a]...)
-	vals = append(vals, axisValue(&m.base, a))
+// anchorValues assembles the axis's calibration values: the ends of its
+// studied range, its interior seed and the baseline value, sorted,
+// deduplicated and filtered for validity on this model's topology.
+func (m *Model) anchorValues(a exp.Axis) []float64 {
+	pts := a.Points()
+	vals := []float64{pts[0], anchorSeeds[a], pts[len(pts)-1], a.Value(&m.base)}
 	sort.Float64s(vals)
 	out := vals[:0]
 	for i, v := range vals {
 		if i > 0 && v == vals[i-1] {
 			continue
 		}
-		if a == AxisClustering {
+		if a == exp.AxisClustering {
 			// Clustering anchors must divide the processor count.
 			n := int(v)
 			if n <= 0 || n > m.base.Procs || m.base.Procs%n != 0 {
@@ -347,11 +258,11 @@ func (m *Model) anchorValues(a Axis) []float64 {
 // dimensions to calibrate; none means all six. The returned model is the
 // published snapshot. Anchor failures abort calibration with the cell's
 // error.
-func (t *Twin) Calibrate(s *exp.Suite, w svmsim.Workload, aurc bool, axes ...Axis) (*Model, error) {
+func (t *Twin) Calibrate(s *exp.Suite, w svmsim.Workload, aurc bool, axes ...exp.Axis) (*Model, error) {
 	if len(axes) == 0 {
-		axes = make([]Axis, NumAxes)
-		for a := Axis(0); a < NumAxes; a++ {
-			axes[a] = a
+		axes = make([]exp.Axis, exp.NumAxes)
+		for a := range axes {
+			axes[a] = exp.Axis(a)
 		}
 	}
 	return t.calibrate(s, w, aurc, axes)
@@ -369,7 +280,7 @@ func (t *Twin) ensureBase(s *exp.Suite, w svmsim.Workload, aurc bool) (*Model, e
 
 // calibrate is the shared calibration path; axes is the explicit (possibly
 // empty) set of dimensions to add.
-func (t *Twin) calibrate(s *exp.Suite, w svmsim.Workload, aurc bool, axes []Axis) (*Model, error) {
+func (t *Twin) calibrate(s *exp.Suite, w svmsim.Workload, aurc bool, axes []exp.Axis) (*Model, error) {
 	base := s.Base()
 	if aurc {
 		base.Proto.Mode = svmsim.AURC
@@ -381,7 +292,7 @@ func (t *Twin) calibrate(s *exp.Suite, w svmsim.Workload, aurc bool, axes []Axis
 	t.mu.RUnlock()
 
 	m := &Model{workload: w.Name, aurc: aurc, base: base, uni: uni}
-	var missing []Axis
+	var missing []exp.Axis
 	if prev != nil && prev.base == base {
 		*m = *prev
 		for _, a := range axes {
@@ -401,11 +312,11 @@ func (t *Twin) calibrate(s *exp.Suite, w svmsim.Workload, aurc bool, axes []Axis
 	for _, a := range missing {
 		for _, v := range m.anchorValues(a) {
 			cfg := base
-			axisApply(&cfg, a, v)
+			a.Set(&cfg, v)
 			cells = append(cells, exp.Cell{Cfg: cfg, W: w})
 		}
 	}
-	if err := s.Runner().Run(cells); err != nil {
+	if err := s.RunCells(cells); err != nil {
 		return nil, fmt.Errorf("twin: calibrating %s/%s: %w", w.Name, modeName(aurc), err)
 	}
 
@@ -425,7 +336,7 @@ func (t *Twin) calibrate(s *exp.Suite, w svmsim.Workload, aurc bool, axes []Axis
 		ax := &axisModel{events: m.axisEvents(a)}
 		for _, v := range m.anchorValues(a) {
 			cfg := base
-			axisApply(&cfg, a, v)
+			a.Set(&cfg, v)
 			run, err := s.RunCell(exp.Cell{Cfg: cfg, W: w})
 			if err != nil {
 				return nil, fmt.Errorf("twin: calibrating %s/%s %s=%g: %w", w.Name, modeName(aurc), a, v, err)

@@ -38,7 +38,7 @@ func TestPredictAnchorsExact(t *testing.T) {
 	s := smallSuite(t)
 	w := workload(t, "FFT")
 	tw := New()
-	m, err := tw.Calibrate(s, w, false, AxisInterrupt)
+	m, err := tw.Calibrate(s, w, false, exp.AxisInterrupt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +97,8 @@ func TestPredictAnchorsExact(t *testing.T) {
 	if p.Anchor || p.RelCI < ciFloor {
 		t.Fatalf("interior point claimed anchor certainty: %+v", p)
 	}
-	lo, _, _, _ := m.axes[AxisInterrupt].at(axisPos(AxisInterrupt, 1000))
-	hi, _, _, _ := m.axes[AxisInterrupt].at(axisPos(AxisInterrupt, 10000))
+	lo, _, _, _ := m.axes[exp.AxisInterrupt].at(axisPos(exp.AxisInterrupt, 1000))
+	hi, _, _, _ := m.axes[exp.AxisInterrupt].at(axisPos(exp.AxisInterrupt, 10000))
 	if float64(p.Cycles) < lo || float64(p.Cycles) > hi {
 		t.Fatalf("interpolation %d outside bracket [%g, %g]", p.Cycles, lo, hi)
 	}
@@ -114,7 +114,7 @@ func TestPredictRejectsOutsideModel(t *testing.T) {
 	s := smallSuite(t)
 	w := workload(t, "FFT")
 	tw := New()
-	if _, err := tw.Calibrate(s, w, false, AxisInterrupt); err != nil {
+	if _, err := tw.Calibrate(s, w, false, exp.AxisInterrupt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -183,7 +183,7 @@ func TestPredictCalibratingIsLazy(t *testing.T) {
 		t.Fatalf("axis request ran %d calibrations, want 2", got)
 	}
 	m, _ = tw.Model(w.Name, false)
-	if got := m.CalibratedAxes(); len(got) != 1 || got[0] != AxisInterrupt {
+	if got := m.CalibratedAxes(); len(got) != 1 || got[0] != exp.AxisInterrupt {
 		t.Fatalf("calibrated axes %v, want [interrupt]", got)
 	}
 
@@ -209,7 +209,7 @@ func TestCalibrationDeterminism(t *testing.T) {
 		s.CacheDir = dir
 		s.Observe = observe
 		tw := New()
-		m, err := tw.Calibrate(s, w, false, AxisInterrupt, AxisIOBw)
+		m, err := tw.Calibrate(s, w, false, exp.AxisInterrupt, exp.AxisIOBw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +333,7 @@ func TestPredictRunNeverAliasesAnchors(t *testing.T) {
 	s := smallSuite(t)
 	w := workload(t, "FFT")
 	tw := New()
-	if _, err := tw.Calibrate(s, w, false, AxisInterrupt); err != nil {
+	if _, err := tw.Calibrate(s, w, false, exp.AxisInterrupt); err != nil {
 		t.Fatal(err)
 	}
 	cfg := s.Base()
