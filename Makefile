@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-baseline lint-report build test race chaos serve-smoke chaos-serve fleet-smoke twin-validate bench bench-engine bench-smoke bench-snapshot experiments faults
+.PHONY: check vet lint lint-report build test race chaos serve-smoke chaos-serve fleet-smoke twin-validate bench-engine bench-smoke experiments faults
 
 check: vet lint build test race chaos serve-smoke chaos-serve fleet-smoke twin-validate
 
@@ -16,23 +16,18 @@ vet:
 	$(GO) -C bench vet ./...
 
 # svmlint gates the simulator's non-negotiable invariants; `gofmt -l` rides
-# along so formatting drift fails the same target. Findings recorded in
-# lint.baseline.json are accepted debt and do not fail the run — only new
-# findings do. Run `go run ./cmd/svmlint -analyzers` for the catalogue.
+# along so formatting drift fails the same target. Every finding fails the
+# run unless a reasoned `//svmlint:ignore <analyzer> <reason>` comment
+# accepts it. Run `go run ./cmd/svmlint -analyzers` for the catalogue.
 lint:
-	$(GO) run ./cmd/svmlint -baseline lint.baseline.json ./...
+	$(GO) run ./cmd/svmlint ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# lint-baseline recaptures the accepted-findings baseline. Use after
-# deliberately accepting a finding; shrink the file whenever possible.
-lint-baseline:
-	$(GO) run ./cmd/svmlint -baseline lint.baseline.json -write-baseline ./...
-
 # lint-report writes the full machine-readable finding list (including
-# suppressed and baselined entries) for CI artifact upload; it never fails.
+# suppressed entries) for CI artifact upload; it never fails.
 lint-report:
-	-$(GO) run ./cmd/svmlint -json -v -baseline lint.baseline.json ./... > svmlint-report.json
+	-$(GO) run ./cmd/svmlint -json -v ./... > svmlint-report.json
 
 build:
 	$(GO) build ./...
@@ -86,10 +81,9 @@ fleet-smoke:
 twin-validate:
 	sh scripts/twin_validate.sh
 
-# Single-run and suite-level throughput benchmarks (before/after numbers for
-# EXPERIMENTS.md).
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSingleRun|BenchmarkSuite' -benchmem .
+# End-to-end performance (one simulation, a paper regeneration, the served
+# path) is measured by bench/ (`bash bench/run.sh`, see bench/README.md);
+# the root keeps only the micro-benchmarks CI gates on.
 
 # Engine hot-path allocation guardrails.
 bench-engine:
@@ -99,12 +93,6 @@ bench-engine:
 # 0 allocs/op contract plus one end-to-end single-run. Seconds.
 bench-smoke:
 	sh scripts/bench_smoke.sh
-
-# Record the perf trajectory: best-of-N engine, table and twin benchmark
-# numbers written to BENCH_PR10.json (checked in; see
-# scripts/bench_snapshot.sh).
-bench-snapshot:
-	sh scripts/bench_snapshot.sh BENCH_PR10.json
 
 # Regenerate every table and figure of the paper (small sizes, parallel).
 experiments:

@@ -8,6 +8,9 @@
 //	experiments                  # all experiments, small problem sizes
 //	experiments -size default    # benchmark-sized problems (slower)
 //	experiments -only fig10,table3
+//
+// An -only ID the suite does not define exits 2, listing the valid IDs,
+// before anything runs.
 package main
 
 import (
@@ -49,11 +52,15 @@ func main() {
 		s.Verbose = os.Stderr
 	}
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
+	exps := s.Experiments()
+	ids := make([]string, len(exps))
+	for i, e := range exps {
+		ids[i] = e.ID
+	}
+	want, err := selectIDs(*only, ids)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
 	}
 
 	var w io.Writer = os.Stdout
@@ -68,8 +75,8 @@ func main() {
 	}
 
 	failed := 0
-	for _, e := range s.Experiments() {
-		if len(want) > 0 && !want[e.ID] {
+	for _, e := range exps {
+		if want != nil && !want[e.ID] {
 			continue
 		}
 		sw := walltime.Start()
@@ -84,4 +91,26 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
+}
+
+// selectIDs parses the -only list against the suite's experiment IDs. It
+// returns the set to run, nil for an empty list (run everything), or an
+// error naming the first ID that valid does not contain.
+func selectIDs(only string, valid []string) (map[string]bool, error) {
+	if only == "" {
+		return nil, nil
+	}
+	known := make(map[string]bool, len(valid))
+	for _, id := range valid {
+		known[id] = true
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		id = strings.TrimSpace(id)
+		if !known[id] {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", id, strings.Join(valid, ", "))
+		}
+		want[id] = true
+	}
+	return want, nil
 }

@@ -1,8 +1,9 @@
 // Command svmlint runs the simulator's domain-specific static analyzers
-// (determinism, unit, hot-path-allocation, lock-discipline, stats-wiring and
-// error-exhaustiveness invariants) over the repository, type-checking the
-// requested packages as one whole program. See internal/lint for the
-// analyzer catalogue and DESIGN.md for the invariants each one encodes.
+// (determinism, unit, hot-path-allocation, float-comparison, lock-discipline,
+// simulated-time and stats-wiring invariants) over the repository,
+// type-checking the requested packages as one whole program. See
+// internal/lint for the analyzer catalogue and DESIGN.md for the invariants
+// each one encodes.
 //
 // Usage:
 //
@@ -10,8 +11,9 @@
 //	svmlint -json ./internal/proto    # one package, machine-readable
 //	svmlint -disable units ./...      # skip an analyzer
 //	svmlint -analyzers                # list analyzers
-//	svmlint -baseline lint.baseline.json ./...        # gate on new findings only
-//	svmlint -baseline lint.baseline.json -write-baseline ./...  # accept current
+//
+// A finding is accepted only by an //svmlint:ignore <analyzer> <reason>
+// comment on or above its line.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load error.
 package main

@@ -18,14 +18,14 @@ import (
 
 // Client is the fleet's shared HTTP client: every hop that crosses a
 // process boundary — worker→coordinator registration and heartbeats,
-// coordinator→worker dispatch, cmd/sweep -remote, cmd/loadgen — goes
-// through Do. It exists because the daemon's admission control speaks 429 +
-// Retry-After, and a client that ignores the header turns polite pushback
-// into a retry storm: Do honors Retry-After, falls back to capped
-// exponential backoff, and adds jitter so a fleet of clients released by
-// the same 429 does not stampede back in lockstep. Transport-level errors
-// (connection refused, reset) retry on the same schedule. Every retried
-// verb here is safe to repeat: submissions are idempotent by content key.
+// coordinator→worker dispatch, cmd/sweep -remote — goes through Do. It
+// exists because the daemon's admission control speaks 429 + Retry-After,
+// and a client that ignores the header turns polite pushback into a retry
+// storm: Do honors Retry-After, falls back to capped exponential backoff,
+// and adds jitter so a fleet of clients released by the same 429 does not
+// stampede back in lockstep. Transport-level errors (connection refused,
+// reset) retry on the same schedule. Every retried verb here is safe to
+// repeat: submissions are idempotent by content key.
 //
 // The zero value is usable; all fields are optional.
 type Client struct {
@@ -41,10 +41,6 @@ type Client struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps any single delay, Retry-After included (default 5s).
 	MaxBackoff time.Duration
-	// OnRetry, when non-nil, observes every retry decision before the
-	// sleep: the HTTP status that caused it (0 for transport errors) and
-	// the chosen delay. cmd/loadgen counts admission pushback through it.
-	OnRetry func(status int, delay time.Duration)
 
 	once sync.Once
 	mu   sync.Mutex
@@ -78,7 +74,7 @@ func (c *Client) Do(ctx context.Context, method, url string, body []byte) (int, 
 				return 0, nil, ctx.Err()
 			}
 			lastErr = err
-			if !c.sleep(ctx, c.delay(attempt, ""), 0) {
+			if !c.sleep(ctx, c.delay(attempt, "")) {
 				return 0, nil, ctx.Err()
 			}
 			continue
@@ -87,13 +83,13 @@ func (c *Client) Do(ctx context.Context, method, url string, body []byte) (int, 
 		resp.Body.Close()
 		if rerr != nil {
 			lastErr = rerr
-			if !c.sleep(ctx, c.delay(attempt, ""), 0) {
+			if !c.sleep(ctx, c.delay(attempt, "")) {
 				return 0, nil, ctx.Err()
 			}
 			continue
 		}
 		if resp.StatusCode == http.StatusTooManyRequests && attempt < attempts-1 {
-			if !c.sleep(ctx, c.delay(attempt, resp.Header.Get("Retry-After")), resp.StatusCode) {
+			if !c.sleep(ctx, c.delay(attempt, resp.Header.Get("Retry-After"))) {
 				return 0, nil, ctx.Err()
 			}
 			continue
@@ -144,10 +140,7 @@ func (c *Client) jitter(n int64) int64 {
 }
 
 // sleep waits out one retry delay, abandoning the wait if ctx ends.
-func (c *Client) sleep(ctx context.Context, d time.Duration, status int) bool {
-	if c.OnRetry != nil {
-		c.OnRetry(status, d)
-	}
+func (c *Client) sleep(ctx context.Context, d time.Duration) bool {
 	t := walltime.NewTimer(d)
 	defer t.Stop()
 	select {

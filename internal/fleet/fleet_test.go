@@ -184,19 +184,18 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	var retries []int
-	c := &Client{BaseBackoff: time.Millisecond, OnRetry: func(status int, d time.Duration) {
-		retries = append(retries, status)
-		if d > 10*time.Millisecond {
-			t.Errorf("Retry-After: 0 produced delay %v (header not honored)", d)
-		}
-	}}
+	// A 1 s BaseBackoff makes an ignored header obvious: the zero
+	// Retry-After must override the computed delay.
+	c := &Client{BaseBackoff: time.Second}
+	if d := c.delay(0, "0"); d > 10*time.Millisecond {
+		t.Errorf("Retry-After: 0 produced delay %v (header not honored)", d)
+	}
 	status, body, err := c.Do(context.Background(), http.MethodGet, ts.URL, nil)
 	if err != nil || status != http.StatusOK || string(body) != "ok" {
 		t.Fatalf("Do = %d %q %v", status, body, err)
 	}
-	if len(retries) != 2 || retries[0] != http.StatusTooManyRequests {
-		t.Fatalf("OnRetry saw %v, want two 429s", retries)
+	if n := hits.Load(); n != 3 {
+		t.Fatalf("server saw %d requests, want two 429s then the answer", n)
 	}
 }
 

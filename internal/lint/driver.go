@@ -25,26 +25,17 @@ type Options struct {
 	JSON bool
 	// Tests includes in-package _test.go files.
 	Tests bool
-	// Verbose prints suppressed and baselined findings as well.
+	// Verbose prints suppressed findings as well.
 	Verbose bool
-	// Baseline names a baseline file of accepted findings: findings matching
-	// an entry move to Result.Baselined instead of Result.Findings, so only
-	// new findings fail the run.
-	Baseline string
 }
 
 // Result is the outcome of a Run.
 type Result struct {
-	// Findings holds every active (unsuppressed, non-baselined) finding,
-	// sorted by position.
+	// Findings holds every active (unsuppressed) finding, sorted by
+	// position.
 	Findings []Finding
 	// Suppressed holds findings that an //svmlint:ignore directive covered.
 	Suppressed []Finding
-	// Baselined holds findings matched by the baseline file.
-	Baselined []Finding
-	// ModuleRoot is the module directory findings are normalized against in
-	// baseline files.
-	ModuleRoot string
 }
 
 // Run loads the requested packages as one whole program and applies the
@@ -62,13 +53,6 @@ func Run(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var baseline map[string]bool
-	if opts.Baseline != "" {
-		baseline, err = readBaseline(opts.Baseline)
-		if err != nil {
-			return nil, err
-		}
-	}
 	loader, err := NewLoader(dir)
 	if err != nil {
 		return nil, err
@@ -78,21 +62,14 @@ func Run(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog := &Program{Fset: loader.Fset, ModuleRoot: loader.ModuleRoot, Pkgs: pkgs}
+	prog := &Program{Fset: loader.Fset, Pkgs: pkgs}
 
 	known := map[string]bool{}
 	for _, name := range AnalyzerNames() {
 		known[name] = true
 	}
-	res := &Result{ModuleRoot: loader.ModuleRoot}
-	admit := func(f Finding) {
-		if baseline != nil && baseline[baselineKey(loader.ModuleRoot, f)] {
-			f.Baselined = true
-			res.Baselined = append(res.Baselined, f)
-			return
-		}
-		res.Findings = append(res.Findings, f)
-	}
+	res := &Result{}
+	admit := func(f Finding) { res.Findings = append(res.Findings, f) }
 	// The suppression set spans the whole program: whole-program analyzers
 	// report findings in any loaded package.
 	sups := collectSuppressions(pkgs, known, admit)
@@ -131,7 +108,6 @@ func Run(opts Options) (*Result, error) {
 	sups.unused(enabled, admit)
 	sortFindings(res.Findings)
 	sortFindings(res.Suppressed)
-	sortFindings(res.Baselined)
 	return res, nil
 }
 
@@ -197,14 +173,12 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("svmlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut   = fs.Bool("json", false, "emit findings as JSON")
-		tests     = fs.Bool("tests", false, "also analyze _test.go files")
-		enable    = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
-		disable   = fs.String("disable", "", "comma-separated analyzers to skip")
-		verbose   = fs.Bool("v", false, "also print suppressed and baselined findings")
-		list      = fs.Bool("analyzers", false, "list analyzers and exit")
-		baseline  = fs.String("baseline", "", "baseline file of accepted findings; matched findings do not fail the run")
-		writeBase = fs.Bool("write-baseline", false, "write current findings to the -baseline file and exit 0")
+		jsonOut = fs.Bool("json", false, "emit findings as JSON")
+		tests   = fs.Bool("tests", false, "also analyze _test.go files")
+		enable  = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
+		disable = fs.String("disable", "", "comma-separated analyzers to skip")
+		verbose = fs.Bool("v", false, "also print suppressed findings")
+		list    = fs.Bool("analyzers", false, "list analyzers and exit")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: svmlint [flags] [packages]\n\n"+
@@ -221,10 +195,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *writeBase && *baseline == "" {
-		fmt.Fprintln(stderr, "svmlint: -write-baseline requires -baseline <file>")
-		return 2
-	}
 	opts := Options{
 		Patterns: fs.Args(),
 		Enable:   splitList(*enable),
@@ -232,31 +202,16 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		JSON:     *jsonOut,
 		Tests:    *tests,
 		Verbose:  *verbose,
-		Baseline: *baseline,
-	}
-	if *writeBase {
-		// A baseline capture records everything currently firing, so the
-		// existing baseline must not filter the run it is rebuilt from.
-		opts.Baseline = ""
 	}
 	res, err := Run(opts)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	if *writeBase {
-		if err := writeBaseline(*baseline, res); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "svmlint: wrote %d finding(s) to %s\n", len(res.Findings), *baseline)
-		return 0
-	}
 	if opts.JSON {
 		out := res.Findings
 		if opts.Verbose {
 			out = append(append([]Finding{}, out...), res.Suppressed...)
-			out = append(out, res.Baselined...)
 			sortFindings(out)
 		}
 		if out == nil {
@@ -275,9 +230,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		if opts.Verbose {
 			for _, f := range res.Suppressed {
 				fmt.Fprintf(stdout, "%s [suppressed: %s]\n", f.String(), f.Reason)
-			}
-			for _, f := range res.Baselined {
-				fmt.Fprintf(stdout, "%s [baselined]\n", f.String())
 			}
 		}
 	}

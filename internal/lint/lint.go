@@ -41,10 +41,9 @@
 //	//svmlint:ignore <analyzer> <reason>
 //
 // placed on the offending line or the line directly above it. A suppression
-// without a reason is itself a finding. Pre-existing findings can be parked
-// in a baseline file (-baseline, -write-baseline) so CI fails only on new
-// ones. See DESIGN.md ("Statically enforced invariants") for the contract
-// each analyzer encodes.
+// without a reason is itself a finding, and a suppression is the only way to
+// accept one. See DESIGN.md ("Statically enforced invariants") for the
+// contract each analyzer encodes.
 package lint
 
 import (
@@ -71,9 +70,6 @@ type Finding struct {
 	// Reason carries the comment's justification.
 	Suppressed bool   `json:"suppressed,omitempty"`
 	Reason     string `json:"reason,omitempty"`
-	// Baselined marks findings matched by the baseline file: accepted debt,
-	// visible with -v, not failing the run.
-	Baselined bool `json:"baselined,omitempty"`
 }
 
 // String renders the finding in the conventional file:line:col form.

@@ -15,9 +15,6 @@ import (
 // internal/stats can be matched against write sites in internal/node.
 type Program struct {
 	Fset *token.FileSet
-	// ModuleRoot is the directory containing go.mod; finding paths are
-	// normalized against it for baseline matching.
-	ModuleRoot string
 	// Pkgs is every loaded package in deterministic (directory) order.
 	Pkgs []*Package
 

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"bytes"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -30,67 +29,6 @@ func TestCrossPackageFacts(t *testing.T) {
 	}
 	if len(alone.Findings) != 1 || !strings.Contains(alone.Findings[0].Message, "never written") {
 		t.Errorf("stats alone = %v, want one never-written finding", alone.Findings)
-	}
-}
-
-// TestBaselineWorkflow exercises the accepted-findings mechanism end to end:
-// capture a baseline from a dirty fixture, then check that a rerun moves
-// every finding to Result.Baselined and that the CLI exits 0.
-func TestBaselineWorkflow(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "units", "bad")
-	res := runFixture(t, dir, Options{})
-	if len(res.Findings) == 0 {
-		t.Fatal("fixture reports nothing; baseline test needs findings")
-	}
-
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := writeBaseline(path, res); err != nil {
-		t.Fatal(err)
-	}
-
-	again := runFixture(t, dir, Options{Baseline: path})
-	if len(again.Findings) != 0 {
-		t.Errorf("baselined run still has active findings: %v", again.Findings)
-	}
-	if len(again.Baselined) != len(res.Findings) {
-		t.Errorf("baselined %d findings, want %d", len(again.Baselined), len(res.Findings))
-	}
-	for _, f := range again.Baselined {
-		if !f.Baselined {
-			t.Errorf("finding in Baselined without the flag: %+v", f)
-		}
-	}
-
-	var out, errb bytes.Buffer
-	if code := Main([]string{"-baseline", path, dir}, &out, &errb); code != 0 {
-		t.Errorf("exit with baseline = %d, want 0 (out: %s)", code, out.String())
-	}
-}
-
-// TestWriteBaselineFlag checks the -write-baseline capture path: it must
-// exit 0, produce a file that parses, and make the next gated run clean.
-func TestWriteBaselineFlag(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "units", "bad")
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	var out, errb bytes.Buffer
-	if code := Main([]string{"-baseline", path, "-write-baseline", dir}, &out, &errb); code != 0 {
-		t.Fatalf("write-baseline exit = %d, want 0 (stderr: %s)", code, errb.String())
-	}
-	keys, err := readBaseline(path)
-	if err != nil {
-		t.Fatalf("written baseline does not parse: %v", err)
-	}
-	if len(keys) == 0 {
-		t.Fatal("written baseline is empty")
-	}
-	out.Reset()
-	errb.Reset()
-	if code := Main([]string{"-baseline", path, dir}, &out, &errb); code != 0 {
-		t.Errorf("gated run after capture = %d, want 0 (out: %s)", code, out.String())
-	}
-
-	if code := Main([]string{"-write-baseline", dir}, &out, &errb); code != 2 {
-		t.Errorf("-write-baseline without -baseline = %d, want usage exit 2", code)
 	}
 }
 

@@ -1,22 +1,21 @@
 package proto_test
 
 import (
-	"fmt"
 	"testing"
 
 	"svmsim/internal/machine"
 	"svmsim/internal/shm"
 )
 
-// TestDebugDeadlock reproduces the determinism-test workload with per-proc
-// tracing to localize hangs. It stays in the suite as a regression canary.
+// TestDebugDeadlock runs the determinism-test workload (random reads and
+// lock-protected writes between barriers) and dumps the lock state if it
+// fails. It stays in the suite as a regression canary for protocol hangs.
 func TestDebugDeadlock(t *testing.T) {
 	cfg := cfg4x4()
 	type st struct {
 		base  shm.Addr
 		locks []int
 	}
-	where := make([]string, 8)
 	app := machine.App{
 		Name: "det-debug",
 		Setup: func(w *shm.World) any {
@@ -28,30 +27,20 @@ func TestDebugDeadlock(t *testing.T) {
 				a := s.base + shm.Addr(c.RandN(8192))*8
 				if c.Rand()%3 == 0 {
 					l := s.locks[c.RandN(4)]
-					where[c.ID] = fmt.Sprintf("i=%d lock(%d)", i, l)
 					c.Lock(l)
-					where[c.ID] = fmt.Sprintf("i=%d write", i)
 					c.WriteU64(a, c.Rand())
-					where[c.ID] = fmt.Sprintf("i=%d unlock(%d)", i, l)
 					c.Unlock(l)
 				} else {
-					where[c.ID] = fmt.Sprintf("i=%d read", i)
 					_ = c.ReadU64(a)
 				}
 				if i%50 == 0 {
-					where[c.ID] = fmt.Sprintf("i=%d barrier", i)
 					c.Barrier()
 				}
 			}
-			where[c.ID] = "final barrier"
 			c.Barrier()
-			where[c.ID] = "done"
 		},
 	}
 	if res, err := machine.Run(cfg, app); err != nil {
-		for i, w := range where {
-			t.Logf("proc%d: %s", i, w)
-		}
 		if res != nil && res.World != nil {
 			t.Logf("lock state:\n%s", res.World.Sys.DumpLocks())
 		}
