@@ -77,6 +77,31 @@ func BenchmarkEngineDelayInPlace(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineDo measures a ReadLine-shaped transaction run by
+// Thread.Do: hold a shared resource, wait, hold it again. Two threads contend
+// for the resource, so phases wait in its queue and run in scheduler
+// context; one op is one Do, which must park its thread at most once. 0
+// allocs/op, as above: the program lives in the thread's carrier.
+func BenchmarkEngineDo(b *testing.B) {
+	b.ReportAllocs()
+	s := New()
+	r := NewResource(s, "bus")
+	for _, n := range []int{(b.N + 1) / 2, b.N / 2} {
+		s.Spawn("reader", func(th *Thread) {
+			for i := 0; i < n; i++ {
+				th.Do(Op{Res: r, Cycles: 8}, Op{Cycles: 28}, Op{Res: r, Cycles: 16})
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if c := s.Counts(); c.Switches > uint64(b.N)+2 {
+		b.Fatalf("%d switches for %d Dos, want at most one per Do", c.Switches, b.N)
+	}
+}
+
 // BenchmarkEngineUnpark measures a Park/Unpark ping-pong between two threads.
 func BenchmarkEngineUnpark(b *testing.B) {
 	b.ReportAllocs()

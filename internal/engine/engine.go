@@ -11,13 +11,22 @@
 // ties at the same cycle are broken by a monotonically increasing sequence
 // number, so a given program produces a bit-identical schedule on every run.
 //
-// The loop dispatches every event except one: a Delay whose resume would be
-// the loop's next dispatch anyway resumes in place. Every queued event then
-// lies strictly after the resume time, so the thread just moves the clock,
-// taking the same seq and counting the same dispatch. It falls back to parking
-// when Fail or Stop was called, the event budget is spent, MaxCycles or
-// StallCheckCycles would fire, or the resume time overflows. Counts.Switches
-// counts the coroutine switches that remain.
+// The loop dispatches every event except one: a thread resume (a Delay, or
+// the end of a Do phase) that would be the loop's next dispatch anyway
+// happens in place. Every queued event then lies strictly after the resume
+// time, so the clock just moves, and the resume takes the same seq and counts
+// the same dispatch. It falls back to the queue when Fail or Stop was called,
+// the event budget is spent, MaxCycles or StallCheckCycles would fire, or the
+// resume time overflows. Counts.Switches counts the coroutine switches that
+// remain.
+//
+// A hardware transaction (a bus read, an NI pipeline, a write-buffer drain)
+// is a program of phases that Thread.Do runs: acquire a resource, hold it and
+// release it, or just wait. Do parks the thread at most once. Phases run on
+// the thread while each resume may happen in place; from the first phase that
+// must wait, the rest run as the thread's own events in scheduler context,
+// taking the seqs and dispatches the equivalent Acquire, Delay and Release
+// calls would, and the last one switches back into the thread.
 //
 // A coroutine switch does not enter the Go scheduler, which makes a
 // simulated context switch several times cheaper than a goroutine channel
@@ -61,8 +70,13 @@ const (
 	evCall evKind = iota
 	// evResume transfers control to th (Delay wakeup, first Spawn dispatch).
 	evResume
-	// evUnpark transfers control to th, asserting it is actually parked.
+	// evUnpark transfers control to th, asserting it is actually parked. When
+	// th is queued for a resource inside a Do program, it is the grant: the
+	// program goes on in scheduler context.
 	evUnpark
+	// evPhase ends the current phase of th's Do program; the program goes on
+	// in scheduler context.
+	evPhase
 	// evTarget calls target.HandleEvent(arg) in scheduler context. Like the
 	// thread kinds it is closure-free: the target is a long-lived model
 	// object (e.g. a network interface) and arg is a pointer it already
@@ -244,7 +258,8 @@ func (s *Sim) scheduleThread(at Time, t *Thread, kind evKind) {
 
 // dispatch executes one popped event at the already-advanced clock. A thread
 // event resumes the thread's carrier and returns once the thread parks or
-// finishes.
+// finishes; for a thread inside a Do program it first runs the program on,
+// and resumes the carrier only if the program ends.
 func (s *Sim) dispatch(ev event) {
 	switch ev.kind {
 	case evCall:
@@ -259,8 +274,21 @@ func (s *Sim) dispatch(ev event) {
 	if t.done {
 		return
 	}
-	if ev.kind == evUnpark && !t.parked {
-		panic(fmt.Sprintf("engine: Unpark of runnable thread %q", t.name))
+	switch p := &t.carrier.prog; ev.kind {
+	case evUnpark:
+		if !t.parked {
+			panic(fmt.Sprintf("engine: Unpark of runnable thread %q", t.name))
+		}
+		if p.at == atEnd {
+			panic(fmt.Sprintf("engine: Unpark of thread %q inside a Do phase", t.name))
+		}
+		if p.at == atGrant && !s.step(t, p) {
+			return
+		}
+	case evPhase:
+		if !s.step(t, p) {
+			return
+		}
 	}
 	s.current = t
 	t.parked = false
@@ -301,6 +329,7 @@ type carrier struct {
 	yield func(struct{}) bool
 	th    *Thread         // the thread assigned by Spawn
 	fn    func(t *Thread) // th's body, cleared once it starts
+	prog  program         // the running thread's Do program
 }
 
 // Spawn creates a thread named name that will begin executing fn at the
@@ -376,15 +405,21 @@ func (t *Thread) Delay(n Time) {
 	s := t.sim
 	at := s.now + n
 	if s.resumesNext(at) {
-		s.seq++
-		s.dispatched++
-		// The wheel cursor moves with the clock: nothing is queued at or
-		// before at (queue.go, invariants 1 and 2).
-		s.now, s.lastThreadAt, s.events.cur = at, at, at
+		s.resumeInPlace(at)
 		return
 	}
 	s.scheduleThread(at, t, evResume)
 	t.park()
+}
+
+// resumeInPlace performs a thread resume at cycle at that resumesNext
+// approved, without the queue: it takes the event's seq, counts its dispatch
+// and moves the clock. The wheel cursor moves with the clock: nothing is
+// queued at or before at (queue.go, invariants 1 and 2).
+func (s *Sim) resumeInPlace(at Time) {
+	s.seq++
+	s.dispatched++
+	s.now, s.lastThreadAt, s.events.cur = at, at, at
 }
 
 // resumesNext reports whether a thread resume scheduled now for cycle at

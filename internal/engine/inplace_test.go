@@ -314,9 +314,10 @@ func TestRandomScheduleDigestPinned(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); steps != 15986 || got != want {
 		t.Fatalf("schedules moved: %d steps, sha256 %s; want 15986, %s", steps, got, want)
 	}
-	// The always-parking engine switched into a thread 12,599 times here;
-	// the other 2,748 resumes now happen in place.
-	if switches != 9851 {
-		t.Fatalf("%d coroutine switches, want 9851", switches)
+	// The always-parking engine switched into a thread 12,599 times here.
+	// In-place resumes saved 2,748 of those, and running each Resource.Use
+	// as a one-phase Do program, which parks at most once, 226 more.
+	if switches != 9625 {
+		t.Fatalf("%d coroutine switches, want 9625", switches)
 	}
 }

@@ -79,15 +79,23 @@ func (r *Resource) QueueLen() int { return len(r.queue) }
 // Acquire blocks t until it holds the resource. prio orders contending
 // waiters (smaller wins).
 func (r *Resource) Acquire(t *Thread, prio int) {
+	if !r.take(t, prio) {
+		t.park()
+		// The releaser marked us as the holder before unparking.
+	}
+}
+
+// take makes t the holder if the resource is free and reports whether it
+// did; otherwise it queues t at prio for Release to hand the resource over.
+func (r *Resource) take(t *Thread, prio int) bool {
 	if !r.busy {
 		r.busy = true
 		r.busyFrom = r.sim.Now()
-		return
+		return true
 	}
 	r.seq++
 	r.queue = append(r.queue, resWaiter{prio: prio, seq: r.seq, t: t})
-	t.park()
-	// The releaser marked us as the holder before unparking.
+	return false
 }
 
 // Release frees the resource, handing it to the best-priority waiter if any.
@@ -116,9 +124,7 @@ func (r *Resource) Release() {
 
 // Use acquires the resource at prio, holds it for d cycles of simulated
 // time, and releases it. This is the common "occupy the bus for a transfer"
-// pattern.
+// pattern, run as a one-phase Do.
 func (r *Resource) Use(t *Thread, prio int, d Time) {
-	r.Acquire(t, prio)
-	t.Delay(d)
-	r.Release()
+	t.Do(Op{Res: r, Prio: prio, Cycles: d})
 }

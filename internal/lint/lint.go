@@ -29,9 +29,9 @@
 // Whole-program analyzers (these are the reason the driver type-checks the
 // full load set):
 //
-//   - parkdiscipline: no engine blocking call (Park, Delay, Cond.Wait,
-//     Resource.Acquire/Use, Sim.Run) is reachable through the call graph
-//     while a sync.Mutex/RWMutex is held
+//   - parkdiscipline: no engine blocking call (Park, Delay, Thread.Do,
+//     Cond.Wait, Resource.Acquire/Use, Sim.Run) is reachable through the
+//     call graph while a sync.Mutex/RWMutex is held
 //   - statwire: every exported numeric field of internal/stats carries a
 //     snake_case JSON tag (the pinned v1 wire schema) and has at least one
 //     write site somewhere in the program

@@ -10,17 +10,17 @@ import (
 // parkdiscipline enforces the one concurrency rule the harness-side code
 // must never break: no engine blocking call may be reachable while a
 // sync.Mutex or sync.RWMutex is held. The engine's threads are cooperative —
-// Park, Delay, Cond.Wait, Resource.Acquire/Use and Sim.Run all surrender the
-// real OS thread to the scheduler and only return when another simulated
-// event resumes them. A goroutine that enters that machinery while holding a
-// harness mutex (the experiment Suite's memo lock, the daemon's job-table
-// lock) parks with the lock held; every other goroutine that touches the
-// lock then blocks for an unbounded number of simulated events, and if one
-// of *those* is the goroutine that would produce the resuming event, the
-// process deadlocks outside the engine's own watchdog's sight. No such hold
-// is ever "brief": a thread parks by yielding its coroutine carrier back to
-// the scheduler loop, which runs every event due before the thread's own
-// resume while the lock stays held.
+// Park, Delay, Thread.Do, Cond.Wait, Resource.Acquire/Use and Sim.Run all
+// surrender the real OS thread to the scheduler and only return when another
+// simulated event resumes them. A goroutine that enters that machinery while
+// holding a harness mutex (the experiment Suite's memo lock, the daemon's
+// job-table lock) parks with the lock held; every other goroutine that
+// touches the lock then blocks for an unbounded number of simulated events,
+// and if one of *those* is the goroutine that would produce the resuming
+// event, the process deadlocks outside the engine's own watchdog's sight. No
+// such hold is ever "brief": a thread parks by yielding its coroutine carrier
+// back to the scheduler loop, which runs every event due before the thread's
+// own resume while the lock stays held.
 //
 // The analyzer is whole-program: it seeds the blocking set with the engine
 // package's blocking entry points, closes it backwards over the call graph,
@@ -35,7 +35,7 @@ import (
 // named "engine" (the real simulator and the fixture mini-engine): the
 // public parking surface plus the internal park it all funnels through.
 var parkBlockingNames = map[string]bool{
-	"Park": true, "Delay": true, "Wait": true,
+	"Park": true, "Delay": true, "Do": true, "Wait": true,
 	"Acquire": true, "Use": true, "Run": true, "park": true,
 }
 

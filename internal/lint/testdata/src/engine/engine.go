@@ -31,6 +31,12 @@ func (t *Thread) Delay(n Time, fn func()) {}
 // Unpark wakes the thread, then runs fn (fixture-only callback form).
 func (t *Thread) Unpark(fn func()) {}
 
+// Op is one phase of a fake hardware transaction.
+type Op struct{ Cycles Time }
+
+// Do runs a transaction's phases, parking at most once.
+func (t *Thread) Do(ops ...Op) {}
+
 // Cond is a fake condition variable.
 type Cond struct{}
 

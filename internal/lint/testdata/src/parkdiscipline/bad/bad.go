@@ -33,3 +33,10 @@ func (s *Suite) readLocked(t *engine.Thread) {
 func parkThread(t *engine.Thread) {
 	t.Park()
 }
+
+// transferLocked runs a bus transaction under the lock.
+func (s *Suite) transferLocked(t *engine.Thread) {
+	s.mu.Lock()
+	t.Do(engine.Op{Cycles: 8})
+	s.mu.Unlock()
+}

@@ -64,18 +64,31 @@ func (b *Bus) reqCycles() engine.Time {
 // calling thread for the whole latency and returns the cycles spent.
 func (b *Bus) ReadLine(t *engine.Thread, prio int, lineBytes int) engine.Time {
 	start := t.Sim().Now()
-	b.Res.Use(t, prio, b.reqCycles())
-	t.Delay(b.DRAMCycles)
-	b.Res.Use(t, prio, b.TransferCycles(lineBytes))
+	var ops [3]engine.Op
+	t.Do(b.ReadLineOps(ops[:0], prio, lineBytes)...)
 	return t.Sim().Now() - start
+}
+
+// ReadLineOps appends ReadLine's three phases to dst.
+func (b *Bus) ReadLineOps(dst []engine.Op, prio int, lineBytes int) []engine.Op {
+	return append(dst,
+		engine.Op{Res: b.Res, Prio: prio, Cycles: b.reqCycles()},
+		engine.Op{Cycles: b.DRAMCycles},
+		engine.Op{Res: b.Res, Prio: prio, Cycles: b.TransferCycles(lineBytes)})
 }
 
 // WriteLine performs a posted line write: one bus tenure covering
 // arbitration, address and data (memory is pipelined, no wait for DRAM).
 func (b *Bus) WriteLine(t *engine.Thread, prio int, lineBytes int) engine.Time {
 	start := t.Sim().Now()
-	b.Res.Use(t, prio, b.reqCycles()+b.TransferCycles(lineBytes))
+	var ops [1]engine.Op
+	t.Do(b.WriteLineOps(ops[:0], prio, lineBytes)...)
 	return t.Sim().Now() - start
+}
+
+// WriteLineOps appends WriteLine's one phase to dst.
+func (b *Bus) WriteLineOps(dst []engine.Op, prio int, lineBytes int) []engine.Op {
+	return append(dst, engine.Op{Res: b.Res, Prio: prio, Cycles: b.reqCycles() + b.TransferCycles(lineBytes)})
 }
 
 // DMA moves n bytes in burst chunks of chunkBytes per bus tenure, as the NI
@@ -83,16 +96,25 @@ func (b *Bus) WriteLine(t *engine.Thread, prio int, lineBytes int) engine.Time {
 // total cycles the caller was blocked.
 func (b *Bus) DMA(t *engine.Thread, prio int, n, chunkBytes int) engine.Time {
 	start := t.Sim().Now()
+	var ops [2]engine.Op
+	t.Do(b.DMAOps(ops[:0], prio, n, chunkBytes)...)
+	return t.Sim().Now() - start
+}
+
+// DMAOps appends DMA's phases to dst: one tenure per whole chunk, as one
+// repeated phase, then one for the remainder.
+func (b *Bus) DMAOps(dst []engine.Op, prio int, n, chunkBytes int) []engine.Op {
+	if n <= 0 {
+		return dst
+	}
 	if chunkBytes <= 0 {
 		chunkBytes = 256
 	}
-	for n > 0 {
-		c := n
-		if c > chunkBytes {
-			c = chunkBytes
-		}
-		b.Res.Use(t, prio, b.reqCycles()+b.TransferCycles(c))
-		n -= c
+	if chunks := n / chunkBytes; chunks > 0 {
+		dst = append(dst, engine.Op{Res: b.Res, Prio: prio, Cycles: b.reqCycles() + b.TransferCycles(chunkBytes), Times: chunks})
 	}
-	return t.Sim().Now() - start
+	if rest := n % chunkBytes; rest > 0 {
+		dst = append(dst, engine.Op{Res: b.Res, Prio: prio, Cycles: b.reqCycles() + b.TransferCycles(rest)})
+	}
+	return dst
 }

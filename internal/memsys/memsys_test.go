@@ -270,12 +270,32 @@ func TestBusPriorityNIOutBeatsNIIn(t *testing.T) {
 	}
 }
 
+// waitRetirer retires a line by waiting the cycles wait returns for it (no
+// phase at all when wait is nil), then calling retired.
+type waitRetirer struct {
+	wait    func(line uint64) engine.Time
+	retired func(line uint64)
+}
+
+func (r waitRetirer) RetireOps(dst []engine.Op, line uint64) []engine.Op {
+	if r.wait == nil {
+		return dst
+	}
+	return append(dst, engine.Op{Cycles: r.wait(line)})
+}
+
+func (r waitRetirer) Retired(line uint64) {
+	if r.retired != nil {
+		r.retired(line)
+	}
+}
+
 func TestWriteBufferMergeAndDrain(t *testing.T) {
 	s := engine.New()
 	var retired []uint64
-	wb := NewWriteBuffer(s, "wb", 8, 4, func(th *engine.Thread, line uint64) {
-		th.Delay(10)
-		retired = append(retired, line)
+	wb := NewWriteBuffer(s, "wb", 8, 4, waitRetirer{
+		wait:    func(uint64) engine.Time { return 10 },
+		retired: func(line uint64) { retired = append(retired, line) },
 	})
 	s.Spawn("writer", func(th *engine.Thread) {
 		if merged := wb.Put(th, 0); merged {
@@ -313,9 +333,7 @@ func TestWriteBufferMergeAndDrain(t *testing.T) {
 
 func TestWriteBufferFullStalls(t *testing.T) {
 	s := engine.New()
-	wb := NewWriteBuffer(s, "wb", 2, 2, func(th *engine.Thread, line uint64) {
-		th.Delay(100)
-	})
+	wb := NewWriteBuffer(s, "wb", 2, 2, waitRetirer{wait: func(uint64) engine.Time { return 100 }})
 	var t3 engine.Time
 	s.Spawn("writer", func(th *engine.Thread) {
 		wb.Put(th, 0)
@@ -338,9 +356,7 @@ func TestWriteBufferFullStalls(t *testing.T) {
 func TestWriteBufferDrop(t *testing.T) {
 	s := engine.New()
 	var retired []uint64
-	wb := NewWriteBuffer(s, "wb", 8, 8, func(th *engine.Thread, line uint64) {
-		retired = append(retired, line)
-	})
+	wb := NewWriteBuffer(s, "wb", 8, 8, waitRetirer{retired: func(line uint64) { retired = append(retired, line) }})
 	s.Spawn("writer", func(th *engine.Thread) {
 		wb.Put(th, 0)
 		wb.Put(th, 32)
@@ -367,9 +383,9 @@ func TestWriteBufferPropertyAllRetiredOrDropped(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := engine.New()
 		retired := map[uint64]int{}
-		wb := NewWriteBuffer(s, "wb", 4, 2, func(th *engine.Thread, line uint64) {
-			th.Delay(engine.Time(rng.Intn(20) + 1))
-			retired[line]++
+		wb := NewWriteBuffer(s, "wb", 4, 2, waitRetirer{
+			wait:    func(uint64) engine.Time { return engine.Time(rng.Intn(20) + 1) },
+			retired: func(line uint64) { retired[line]++ },
 		})
 		put := map[uint64]int{}
 		dropped := map[uint64]int{}
@@ -505,9 +521,9 @@ func dropScenario(drop func(w *WriteBuffer)) []string {
 	logf := func(format string, args ...any) {
 		log = append(log, fmt.Sprintf("%d ", s.Now())+fmt.Sprintf(format, args...))
 	}
-	wb := NewWriteBuffer(s, "wb", 4, 4, func(th *engine.Thread, line uint64) {
-		th.Delay(1000)
-		logf("retire %d", line)
+	wb := NewWriteBuffer(s, "wb", 4, 4, waitRetirer{
+		wait:    func(uint64) engine.Time { return 1000 },
+		retired: func(line uint64) { logf("retire %d", line) },
 	})
 	s.Spawn("filler", func(th *engine.Thread) {
 		for _, l := range []uint64{0, 32, 64, 96} {

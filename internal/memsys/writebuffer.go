@@ -20,9 +20,13 @@ type WriteBuffer struct {
 	space *engine.Cond // waiters blocked on a full buffer
 	empty *engine.Cond // waiters blocked on Flush
 
-	// retire writes one line back (L2 insert and any bus work), running on
-	// the drain thread.
-	retire func(t *engine.Thread, line uint64)
+	// retirer writes lines back for the drain thread. While retiring is
+	// set, the drain's program is running line's phases; ops holds the
+	// program's first phases.
+	retirer  Retirer
+	line     uint64
+	retiring bool
+	ops      []engine.Op
 
 	// Stalls counts how often a writer had to wait for space.
 	Stalls uint64
@@ -30,9 +34,19 @@ type WriteBuffer struct {
 	Retired uint64
 }
 
+// Retirer writes a WriteBuffer's lines back, one drained line at a time.
+type Retirer interface {
+	// RetireOps does the bookkeeping due as the drain takes line (an L2
+	// lookup or insert) and appends the phases that write it back. The
+	// phases carry no Then.
+	RetireOps(dst []engine.Op, line uint64) []engine.Op
+	// Retired finishes line once its phases have run.
+	Retired(line uint64)
+}
+
 // NewWriteBuffer creates a write buffer with the given capacity and
-// retire-at threshold. retire is invoked once per drained line.
-func NewWriteBuffer(s *engine.Sim, name string, capacity, retireAt int, retire func(t *engine.Thread, line uint64)) *WriteBuffer {
+// retire-at threshold. retirer writes back each drained line.
+func NewWriteBuffer(s *engine.Sim, name string, capacity, retireAt int, retirer Retirer) *WriteBuffer {
 	if capacity <= 0 || retireAt <= 0 || retireAt > capacity {
 		panic("memsys: invalid write buffer geometry")
 	}
@@ -43,7 +57,7 @@ func NewWriteBuffer(s *engine.Sim, name string, capacity, retireAt int, retire f
 		retireAt:  retireAt,
 		space:     engine.NewCond(s),
 		empty:     engine.NewCond(s),
-		retire:    retire,
+		retirer:   retirer,
 	}
 }
 
@@ -137,14 +151,35 @@ func (w *WriteBuffer) startDrain() {
 	}
 	w.draining = true
 	w.sim.Spawn(w.drainName, func(t *engine.Thread) {
-		for len(w.lines) > 0 {
-			line := w.lines[0]
-			w.lines = w.lines[1:]
-			w.retire(t, line)
-			w.Retired++
-			w.space.Signal()
-		}
+		// One program retires every line, in FIFO order, until the buffer
+		// is empty; it parks the drain thread at most once.
+		w.ops = w.Continue(w.ops[:0])
+		t.Do(w.ops...)
 		w.draining = false
 		w.empty.Broadcast()
 	})
+}
+
+// Continue implements engine.Continuation for the drain's program. It
+// finishes the line whose phases just ran (Retired, the count, a space
+// signal), then takes the next buffered line and appends its phases, with
+// the buffer as the last phase's continuation. It appends nothing once the
+// buffer is empty, which ends the program.
+func (w *WriteBuffer) Continue(dst []engine.Op) []engine.Op {
+	for {
+		if w.retiring {
+			w.retirer.Retired(w.line)
+			w.Retired++
+			w.space.Signal()
+		}
+		if w.retiring = len(w.lines) > 0; !w.retiring {
+			return dst
+		}
+		w.line, w.lines = w.lines[0], w.lines[1:]
+		n := len(dst)
+		if dst = w.retirer.RetireOps(dst, w.line); len(dst) > n {
+			dst[len(dst)-1].Then = w
+			return dst
+		}
+	}
 }

@@ -337,12 +337,12 @@ func (ni *NI) startSender() {
 	})
 }
 
-// transmit runs the send-side pipeline for one message: per-packet NI
-// occupancy, DMA of the data from host memory over the memory bus (highest
-// priority, per the paper's arbitration order), and the I/O bus crossing.
-// Then the message flies over the contention-free link — through the fault
-// plan, which may drop, duplicate or delay it. Retransmissions re-enter here
-// and pay the full pipeline again.
+// transmit runs the send-side pipeline for one message as one transaction:
+// per-packet NI occupancy, DMA of the data from host memory over the memory
+// bus (highest priority, per the paper's arbitration order), and the I/O bus
+// crossing. Then the message flies over the contention-free link — through
+// the fault plan, which may drop, duplicate or delay it. Retransmissions
+// re-enter here and pay the full pipeline again.
 func (ni *NI) transmit(t *engine.Thread, m *Message) {
 	if ni.crashed {
 		// A crashed node's NI sends nothing: whatever its zombie threads
@@ -356,19 +356,20 @@ func (ni *NI) transmit(t *engine.Thread, m *Message) {
 	ni.MsgsSent++
 	ni.BytesSent += uint64(wire)
 
+	var buf [4]engine.Op
+	ops := buf[:0]
 	// NI engine prepares all packets of this message.
 	if occ := p.NIOccupancyCycles * engine.Time(npkts); occ > 0 {
-		ni.outEngine.Use(t, 0, occ)
+		ops = append(ops, engine.Op{Res: ni.outEngine, Cycles: occ})
 	}
 	// Fetch the data from host memory (only the payload lives in memory;
 	// headers are NI-generated).
-	if m.Size > 0 {
-		ni.memBus.DMA(t, memsys.PrioNIOut, m.Size, p.MaxPacketBytes)
-	}
+	ops = ni.memBus.DMAOps(ops, memsys.PrioNIOut, m.Size, p.MaxPacketBytes)
 	// Cross the I/O bus.
 	if c := p.ioCycles(wire); c > 0 {
-		ni.ioBus.Use(t, 0, c)
+		ops = append(ops, engine.Op{Res: ni.ioBus, Cycles: c})
 	}
+	t.Do(ops...)
 	// Reliable delivery: sequence the message and arm its retransmit timer
 	// (counted from the moment it reaches the wire).
 	if p.Reliable.Enabled && !isTransport(m.Kind) &&
@@ -424,6 +425,7 @@ func (ni *NI) startReceiver() {
 // bus crossing are paid for every arrival (the packet crossed the wire, real
 // or duplicate). With reliable delivery on, the transport filter then
 // dedups, resequences and acks; only in-order messages are deposited.
+// Without it, the deposit's DMA joins the same transaction.
 func (ni *NI) receive(t *engine.Thread, m *Message) {
 	p := ni.params
 	wire := p.WireBytes(m.Size)
@@ -431,27 +433,29 @@ func (ni *NI) receive(t *engine.Thread, m *Message) {
 	ni.MsgsRecv++
 	ni.BytesRecv += uint64(wire)
 
+	var buf [4]engine.Op
+	ops := buf[:0]
 	if occ := p.NIOccupancyCycles * engine.Time(npkts); occ > 0 {
-		ni.inEngine.Use(t, 0, occ)
+		ops = append(ops, engine.Op{Res: ni.inEngine, Cycles: occ})
 	}
 	if c := p.ioCycles(wire); c > 0 {
-		ni.ioBus.Use(t, 0, c)
+		ops = append(ops, engine.Op{Res: ni.ioBus, Cycles: c})
 	}
-	if p.Reliable.Enabled {
-		for _, rm := range ni.intake(m) {
-			ni.deposit(t, rm)
-		}
+	if !p.Reliable.Enabled {
+		ni.deposit(t, ops, m)
 		return
 	}
-	ni.deposit(t, m)
+	t.Do(ops...)
+	for _, rm := range ni.intake(m) {
+		ni.deposit(t, buf[:0], rm)
+	}
 }
 
-// deposit writes a message into host memory over the memory bus (lowest
-// arbitration priority) and runs the protocol upcall and completion fence.
-func (ni *NI) deposit(t *engine.Thread, m *Message) {
-	if m.Size > 0 {
-		ni.memBus.DMA(t, memsys.PrioNIIn, m.Size, ni.params.MaxPacketBytes)
-	}
+// deposit runs the phases ops and then writes a message into host memory
+// over the memory bus (lowest arbitration priority), as one transaction,
+// and runs the protocol upcall and completion fence.
+func (ni *NI) deposit(t *engine.Thread, ops []engine.Op, m *Message) {
+	t.Do(ni.memBus.DMAOps(ops, memsys.PrioNIIn, m.Size, ni.params.MaxPacketBytes)...)
 	if ni.deliver != nil {
 		ni.deliver(t, m)
 	}

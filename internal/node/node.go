@@ -167,7 +167,7 @@ func newProcessor(n *Node, globalID, localID int) *Processor {
 		handlerIdle: engine.NewCond(n.Sim),
 		Stats:       &stats.Proc{},
 	}
-	p.WB = memsys.NewWriteBuffer(n.Sim, fmt.Sprintf("cpu%d-wb", globalID), n.Prm.WBEntries, n.Prm.WBRetireAt, p.retireLine)
+	p.WB = memsys.NewWriteBuffer(n.Sim, fmt.Sprintf("cpu%d-wb", globalID), n.Prm.WBEntries, n.Prm.WBRetireAt, p)
 	return p
 }
 
@@ -179,21 +179,26 @@ func (p *Processor) Bind(t *engine.Thread, st *stats.Proc) {
 	}
 }
 
-// retireLine is the write-buffer drain callback: write one line into L2
-// (write-allocate; a miss fetches the line over the bus first).
-func (p *Processor) retireLine(t *engine.Thread, line uint64) {
+// RetireOps implements memsys.Retirer for the write buffer's drain: a line
+// is written into L2 (write-allocate; a miss fetches the line over the bus
+// first).
+func (p *Processor) RetireOps(dst []engine.Op, line uint64) []engine.Op {
 	if p.L2.Lookup(line) {
-		t.Delay(p.Node.Prm.L2HitCycles)
-		p.L2.SetDirty(line)
-		return
+		return append(dst, engine.Op{Cycles: p.Node.Prm.L2HitCycles})
 	}
-	ev, valid, dirty := p.L2.Insert(line)
-	if valid && dirty {
-		p.Node.Bus.WriteLine(t, memsys.PrioWB, p.Node.Prm.LineBytes)
-		_ = ev
+	return p.fillOps(dst, line, memsys.PrioWB)
+}
+
+// Retired implements memsys.Retirer: the written line is dirty in L2.
+func (p *Processor) Retired(line uint64) { p.L2.SetDirty(line) }
+
+// fillOps allocates line in L2 and appends the bus transactions that fill
+// it at prio: the write-back of a dirty victim, then the line read.
+func (p *Processor) fillOps(dst []engine.Op, line uint64, prio int) []engine.Op {
+	if _, valid, dirty := p.L2.Insert(line); valid && dirty {
+		dst = p.Node.Bus.WriteLineOps(dst, prio, p.Node.Prm.LineBytes)
 	}
-	p.Node.Bus.ReadLine(t, memsys.PrioWB, p.Node.Prm.LineBytes)
-	p.L2.SetDirty(line)
+	return p.Node.Bus.ReadLineOps(dst, prio, p.Node.Prm.LineBytes)
 }
 
 // Charge accounts n cycles of kind to the processor without interacting with
@@ -277,7 +282,6 @@ func (p *Processor) Access(t *engine.Thread, addr uint64, write bool) {
 		p.accessWrite(t, line)
 		return
 	}
-	_ = line
 	if p.WB.Contains(line) {
 		p.Stats.WBHits++
 		return // satisfied in the write buffer within the issue cycle
@@ -296,12 +300,8 @@ func (p *Processor) Access(t *engine.Thread, addr uint64, write bool) {
 	p.Stats.Misses++
 	p.Sync(t)
 	start := p.Node.Sim.Now()
-	ev, valid, dirty := p.L2.Insert(line)
-	if valid && dirty {
-		p.Node.Bus.WriteLine(t, memsys.PrioL2, prm.LineBytes)
-		_ = ev
-	}
-	p.Node.Bus.ReadLine(t, memsys.PrioL2, prm.LineBytes)
+	var ops [4]engine.Op
+	t.Do(p.fillOps(ops[:0], line, memsys.PrioL2)...)
 	p.L1.Insert(line)
 	p.Stats.Time[stats.LocalStall] += p.Node.Sim.Now() - start
 }
