@@ -1,34 +1,50 @@
 package engine
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestSchedulePathZeroAllocs pins the closure-free thread scheduling path to
 // zero allocations per event once the queue has reached steady-state
-// capacity: Delay/Unpark/Spawn dispatches are pure value pushes into recycled
-// wheel buckets (or, past the wheel's window, the recycled overflow heap).
+// capacity: Delay/Unpark/Spawn dispatches are pure value pushes into the
+// event heap's reused backing array.
 func TestSchedulePathZeroAllocs(t *testing.T) {
 	s := New()
 	th := &Thread{sim: s, name: "probe"}
-	// Warm the overflow heap's backing storage; wheel buckets are slab-backed
-	// from construction.
+	// Grow the heap's backing array past what the loop below needs.
 	for i := 0; i < 256; i++ {
-		s.scheduleThread(Time(i)+2*wheelSize, th, evResume)
+		s.scheduleThread(Time(i)+2*longCycles, th, evResume)
 	}
-	for s.events.size > 0 {
+	for len(s.events) > 0 {
 		s.events.pop()
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		// One in-window push (bucket append) and one far-future push
-		// (overflow heap), drained in order; the cursor marches forward so
-		// every push respects the queue's monotonic-time contract.
-		at := s.events.cur + 10
+		// One near and one far push, drained in order.
+		at := s.now + 10
 		s.scheduleThread(at, th, evResume)
-		s.scheduleThread(at+wheelSize, th, evUnpark)
+		s.scheduleThread(at+longCycles, th, evUnpark)
 		s.events.pop()
 		s.events.pop()
 	})
 	if allocs != 0 {
 		t.Errorf("schedule path allocates %.1f objects per push/pop pair, want 0", allocs)
+	}
+}
+
+// TestNewAllocatesLittle bounds what one Sim costs before it runs: the event
+// heap grows with the events queued, so New allocates no per-Sim slab.
+func TestNewAllocatesLittle(t *testing.T) {
+	const n, budget = 100, 16 << 10
+	sims := make([]*Sim, n)
+	var pre, post runtime.MemStats
+	runtime.ReadMemStats(&pre)
+	for i := range sims {
+		sims[i] = New()
+	}
+	runtime.ReadMemStats(&post)
+	if per := (post.TotalAlloc - pre.TotalAlloc) / n; per >= budget {
+		t.Fatalf("New allocates %d bytes per Sim, want under %d", per, budget)
 	}
 }
 
@@ -77,9 +93,9 @@ func BenchmarkEngineDelayInPlace(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineDo measures a ReadLine-shaped transaction run by
-// Thread.Do: hold a shared resource, wait, hold it again. Two threads contend
-// for the resource, so phases wait in its queue and run in scheduler
+// BenchmarkEngineDo measures a transaction shaped like a bus line read, run
+// by Thread.Do: hold a shared resource, wait, hold it again. Two threads
+// contend for the resource, so phases wait in its queue and run in scheduler
 // context; one op is one Do, which must park its thread at most once. 0
 // allocs/op, as above: the program lives in the thread's carrier.
 func BenchmarkEngineDo(b *testing.B) {

@@ -3,13 +3,14 @@
 // Package engine provides the deterministic discrete-event simulation core
 // that the SVM cluster model is built on.
 //
-// The engine combines a timing-wheel event queue with cooperative threads.
-// Each simulated processor (and each protocol handler) is a Thread, and each
-// Thread runs on a carrier: a runtime coroutine made by iter.Pull. Only the
-// scheduler loop in Run resumes a carrier, and a running thread only ever
-// yields back to that loop, so at most one thread runs at any instant. Event
-// ties at the same cycle are broken by a monotonically increasing sequence
-// number, so a given program produces a bit-identical schedule on every run.
+// The engine combines an event heap ordered by (time, seq) with cooperative
+// threads. Each simulated processor (and each protocol handler) is a Thread,
+// and each Thread runs on a carrier: a runtime coroutine made by iter.Pull.
+// Only the scheduler loop in Run resumes a carrier, and a running thread only
+// ever yields back to that loop, so at most one thread runs at any instant.
+// Event ties at the same cycle are broken by a monotonically increasing
+// sequence number, so a given program produces a bit-identical schedule on
+// every run.
 //
 // The loop dispatches every event except one: a thread resume (a Delay, or
 // the end of a Do phase) that would be the loop's next dispatch anyway
@@ -106,7 +107,7 @@ type event struct {
 type Sim struct {
 	now     Time
 	seq     uint64
-	events  eventQueue
+	events  eventHeap
 	current *Thread
 	live    map[*Thread]struct{}
 	// carriers lists every carrier the Sim made, for teardown; idle holds
@@ -153,9 +154,7 @@ type Sim struct {
 
 // New creates an empty simulator at time zero.
 func New() *Sim {
-	s := &Sim{live: make(map[*Thread]struct{})}
-	s.events.init()
-	return s
+	return &Sim{live: make(map[*Thread]struct{})}
 }
 
 // Now returns the current simulated time in cycles.
@@ -414,12 +413,11 @@ func (t *Thread) Delay(n Time) {
 
 // resumeInPlace performs a thread resume at cycle at that resumesNext
 // approved, without the queue: it takes the event's seq, counts its dispatch
-// and moves the clock. The wheel cursor moves with the clock: nothing is
-// queued at or before at (queue.go, invariants 1 and 2).
+// and moves the clock.
 func (s *Sim) resumeInPlace(at Time) {
 	s.seq++
 	s.dispatched++
-	s.now, s.lastThreadAt, s.events.cur = at, at, at
+	s.now, s.lastThreadAt = at, at
 }
 
 // resumesNext reports whether a thread resume scheduled now for cycle at
@@ -561,7 +559,7 @@ func (s *Sim) Run() error {
 	if s.limit == 0 {
 		s.limit = 50_000_000_000
 	}
-	for s.events.size > 0 {
+	for len(s.events) > 0 {
 		if s.dispatched >= s.limit {
 			s.teardown()
 			return &LivelockError{NowCycles: s.now, Events: s.dispatched}

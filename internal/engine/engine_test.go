@@ -257,9 +257,10 @@ func TestSchedulingIntoPastPanics(t *testing.T) {
 	_ = s.Run()
 }
 
-// TestHeapPropertyOrdering drives the event queue end to end (through Sim)
+// TestHeapPropertyOrdering drives the event heap end to end (through Sim)
 // with random batches and checks events always fire in nondecreasing
-// (time, seq) order; TestWheelPropertyOrdering covers the queue directly.
+// (time, seq) order; TestWheelPropertyOrdering checks the heap directly
+// against a sorted reference queue.
 func TestHeapPropertyOrdering(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {

@@ -152,33 +152,10 @@ func TestInPlaceResumeFallbacks(t *testing.T) {
 	})
 }
 
-// TestInPlaceResumeKeepsCursorAtClock: an in-place resume moves the wheel
-// cursor with the clock. A lagging cursor would leave the wheel's window
-// behind a thread that keeps resuming in place, and every event it schedules
-// would spill to the overflow heap.
-func TestInPlaceResumeKeepsCursorAtClock(t *testing.T) {
-	s := New()
-	s.Spawn("t", func(th *Thread) {
-		th.Delay(3000)
-		th.Delay(3000)
-		s.At(3000, func() {})
-		if s.events.cur != s.Now() || len(s.events.overflow) != 0 {
-			t.Errorf("after in-place resumes to cycle %d: cursor at %d, %d overflow events",
-				s.Now(), s.events.cur, len(s.events.overflow))
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if c := s.Counts(); c.Events != 4 || c.Switches != 1 {
-		t.Fatalf("Counts() = %+v, want 4 events and 1 switch", c)
-	}
-}
-
 // randomProgram runs one seeded random simulation and returns its step log,
 // ending with the run's error, final clock and event count, and the
 // simulation's work counters. Threads mix
-// Delay(0), short delays and delays past the wheel's window, Park/Unpark,
+// Delay(0), short delays and long delays (longCycles), Park/Unpark,
 // Spawn from threads and from callbacks, At and AtTarget events, Resource
 // use and Cond waits. A sweeper callback wakes every parked thread and Cond
 // waiter until all workers have finished, so a program never deadlocks.
@@ -199,7 +176,7 @@ func randomProgram(seed int64) ([]string, Counts) {
 		case 0:
 			return 0
 		case 1:
-			return wheelSize + Time(rng.Intn(3*wheelSize))
+			return longCycles + Time(rng.Intn(3*longCycles))
 		default:
 			return Time(rng.Intn(20) + 1)
 		}

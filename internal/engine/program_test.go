@@ -126,7 +126,7 @@ func drawCycles(rng *rand.Rand) Time {
 	case 0:
 		return 0
 	case 1:
-		return wheelSize + Time(rng.Intn(3*wheelSize))
+		return longCycles + Time(rng.Intn(3*longCycles))
 	default:
 		return Time(rng.Intn(20) + 1)
 	}
@@ -196,11 +196,11 @@ func drawTxProgram(seed int64) *txProgram {
 	}
 	switch rng.Intn(4) {
 	case 0:
-		p.maxCycles = uint64(rng.Intn(3 * wheelSize))
+		p.maxCycles = uint64(rng.Intn(3 * longCycles))
 	case 1:
 		p.maxEvents = uint64(rng.Intn(400) + 1)
 	case 2:
-		p.stallCheck = uint64(rng.Intn(2*wheelSize) + 1)
+		p.stallCheck = uint64(rng.Intn(2*longCycles) + 1)
 	}
 	return p
 }
@@ -307,7 +307,7 @@ func runTxProgram(prog *txProgram, do doFunc) ([]string, Counts) {
 // expansion on the thread, and requires the same step log, final clock,
 // event count and error text, with no more coroutine switches. Transactions
 // mix three shared resources and plain waits, priorities 0-2, cycles of 0,
-// 1-20 or past the wheel's window, repeat counts 0-3 and continuations; the
+// 1-20 or long (longCycles), repeat counts 0-3 and continuations; the
 // noise around them is randomProgram's. A quarter of the programs each run
 // under a MaxCycles budget, a MaxEvents budget and the quiescence watchdog.
 func TestDoMatchesExpandedPhases(t *testing.T) {

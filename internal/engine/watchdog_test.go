@@ -176,11 +176,11 @@ func TestAtTargetZeroAllocs(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		s.AtTarget(Time(i), tk, arg)
 	}
-	for s.events.size > 0 {
+	for len(s.events) > 0 {
 		s.events.pop()
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.AtTarget(300, tk, arg) // past the pre-grow times: the queue's cursor never moves backward
+		s.AtTarget(300, tk, arg)
 		ev := s.events.pop()
 		ev.target.HandleEvent(ev.arg)
 	})

@@ -59,17 +59,9 @@ func (b *Bus) reqCycles() engine.Time {
 	return (b.ArbBusCycles + b.AddrBusCycles) * b.CyclesPerBusCycle
 }
 
-// ReadLine performs a split-transaction line read: request phase on the bus,
-// DRAM access off the bus, data return phase on the bus. It blocks the
-// calling thread for the whole latency and returns the cycles spent.
-func (b *Bus) ReadLine(t *engine.Thread, prio int, lineBytes int) engine.Time {
-	start := t.Sim().Now()
-	var ops [3]engine.Op
-	t.Do(b.ReadLineOps(ops[:0], prio, lineBytes)...)
-	return t.Sim().Now() - start
-}
-
-// ReadLineOps appends ReadLine's three phases to dst.
+// ReadLineOps appends a split-transaction line read to dst: the request
+// phase on the bus, the DRAM access off the bus, and the data return phase
+// on the bus.
 func (b *Bus) ReadLineOps(dst []engine.Op, prio int, lineBytes int) []engine.Op {
 	return append(dst,
 		engine.Op{Res: b.Res, Prio: prio, Cycles: b.reqCycles()},
@@ -77,32 +69,15 @@ func (b *Bus) ReadLineOps(dst []engine.Op, prio int, lineBytes int) []engine.Op 
 		engine.Op{Res: b.Res, Prio: prio, Cycles: b.TransferCycles(lineBytes)})
 }
 
-// WriteLine performs a posted line write: one bus tenure covering
+// WriteLineOps appends a posted line write to dst: one bus tenure covering
 // arbitration, address and data (memory is pipelined, no wait for DRAM).
-func (b *Bus) WriteLine(t *engine.Thread, prio int, lineBytes int) engine.Time {
-	start := t.Sim().Now()
-	var ops [1]engine.Op
-	t.Do(b.WriteLineOps(ops[:0], prio, lineBytes)...)
-	return t.Sim().Now() - start
-}
-
-// WriteLineOps appends WriteLine's one phase to dst.
 func (b *Bus) WriteLineOps(dst []engine.Op, prio int, lineBytes int) []engine.Op {
 	return append(dst, engine.Op{Res: b.Res, Prio: prio, Cycles: b.reqCycles() + b.TransferCycles(lineBytes)})
 }
 
-// DMA moves n bytes in burst chunks of chunkBytes per bus tenure, as the NI
-// does when depositing into or reading from host memory. It returns the
-// total cycles the caller was blocked.
-func (b *Bus) DMA(t *engine.Thread, prio int, n, chunkBytes int) engine.Time {
-	start := t.Sim().Now()
-	var ops [2]engine.Op
-	t.Do(b.DMAOps(ops[:0], prio, n, chunkBytes)...)
-	return t.Sim().Now() - start
-}
-
-// DMAOps appends DMA's phases to dst: one tenure per whole chunk, as one
-// repeated phase, then one for the remainder.
+// DMAOps appends a DMA of n bytes to dst, in burst chunks of chunkBytes per
+// bus tenure, as the NI moves data into or out of host memory: one tenure
+// per whole chunk, as one repeated phase, then one for the remainder.
 func (b *Bus) DMAOps(dst []engine.Op, prio int, n, chunkBytes int) []engine.Op {
 	if n <= 0 {
 		return dst

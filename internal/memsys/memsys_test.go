@@ -206,14 +206,15 @@ func TestBusReadLineSplitTransaction(t *testing.T) {
 	b := NewBus(s, "bus", 8, 4, 1, 1, 28)
 	var lat engine.Time
 	s.Spawn("reader", func(th *engine.Thread) {
-		lat = b.ReadLine(th, PrioL2, 32)
+		th.Do(b.ReadLineOps(nil, PrioL2, 32)...)
+		lat = s.Now()
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// req (2 bus cycles = 8) + DRAM 28 + data (16) = 52.
 	if lat != 52 {
-		t.Fatalf("uncontended ReadLine latency = %d, want 52", lat)
+		t.Fatalf("uncontended line read latency = %d, want 52", lat)
 	}
 }
 
@@ -225,7 +226,7 @@ func TestBusSplitTransactionOverlap(t *testing.T) {
 	var done []engine.Time
 	for i := 0; i < 2; i++ {
 		s.Spawn("reader", func(th *engine.Thread) {
-			b.ReadLine(th, PrioL2, 32)
+			th.Do(b.ReadLineOps(nil, PrioL2, 32)...)
 			done = append(done, s.Now())
 		})
 	}
@@ -429,7 +430,8 @@ func TestBusDMAChunks(t *testing.T) {
 	b := NewBus(s, "bus", 8, 4, 1, 1, 28)
 	var cycles engine.Time
 	s.Spawn("ni", func(th *engine.Thread) {
-		cycles = b.DMA(th, PrioNIIn, 1024, 256)
+		th.Do(b.DMAOps(nil, PrioNIIn, 1024, 256)...)
+		cycles = s.Now()
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

@@ -10,8 +10,8 @@
 #   2. -benchtime=1000x  guardrail: 0 allocs/op on the schedule path.
 #
 # The alloc assertion runs at 1000 iterations because a single-iteration run
-# reports ~2 fixed allocs/op of runtime/testing bookkeeping (measured on the
-# pre-wheel engine too); at 1000x those divide to zero and any real
+# reports ~2 fixed allocs/op of runtime/testing bookkeeping, whatever the
+# engine's event queue; at 1000x those divide to zero and any real
 # per-event allocation — a stray closure or interface box — still reads as
 # >= 1. That contract is what keeps GC pressure out of multi-hour sweeps.
 # BenchmarkSingleRun rides along at 1x as an end-to-end smoke (one full FFT
