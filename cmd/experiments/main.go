@@ -25,8 +25,9 @@ import (
 )
 
 func main() {
+	size := exp.Small
+	flag.Var(&size, "size", "problem size: small or default")
 	var (
-		size     = flag.String("size", "small", "problem size: small or default")
 		only     = flag.String("only", "", "comma-separated experiment IDs (default: all)")
 		out      = flag.String("out", "", "also write rendered tables to this file")
 		procs    = flag.Int("procs", 16, "total processors")
@@ -38,11 +39,7 @@ func main() {
 	)
 	flag.Parse()
 
-	sizes := exp.Small
-	if strings.EqualFold(*size, "default") {
-		sizes = exp.Default
-	}
-	s := exp.NewSuite(sizes)
+	s := exp.NewSuite(size)
 	s.Procs = *procs
 	s.PPN = *ppn
 	s.Parallelism = *parallel

@@ -16,16 +16,18 @@ import (
 	"strings"
 
 	"svmsim"
+	"svmsim/internal/exp"
 	"svmsim/internal/stats"
 )
 
 func main() {
+	size := exp.Small
+	flag.Var(&size, "size", "problem size: small or default")
 	var (
 		appName   = flag.String("app", "FFT", "workload name (see -list)")
 		list      = flag.Bool("list", false, "list workloads and exit")
 		procs     = flag.Int("procs", 16, "total processors")
 		ppn       = flag.Int("ppn", 4, "processors per node")
-		size      = flag.String("size", "small", "problem size: small or default")
 		mode      = flag.String("mode", "hlrc", "protocol: hlrc or aurc")
 		overhead  = flag.Uint64("overhead", 500, "host overhead (cycles/message)")
 		occupancy = flag.Uint64("occupancy", 200, "NI occupancy (cycles/packet)")
@@ -62,7 +64,7 @@ func main() {
 		os.Exit(2)
 	}
 	mk := wl.Small
-	if strings.EqualFold(*size, "default") {
+	if size == exp.Default {
 		mk = wl.Default
 	}
 

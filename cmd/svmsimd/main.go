@@ -60,7 +60,7 @@ import (
 // integration tests.
 type options struct {
 	addr       string
-	size       string
+	size       exp.Size
 	procs      int
 	ppn        int
 	parallel   int
@@ -92,7 +92,7 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:7117", "listen address")
-	flag.StringVar(&o.size, "size", "small", "problem size: small or default")
+	flag.Var(&o.size, "size", "problem size: small or default")
 	flag.IntVar(&o.procs, "procs", 0, "baseline processor count (0 = suite default, 16)")
 	flag.IntVar(&o.ppn, "ppn", 0, "baseline processors per node (0 = suite default, 4)")
 	flag.IntVar(&o.parallel, "parallel", 0, "concurrent cell simulations per sweep (0 = GOMAXPROCS)")
@@ -103,7 +103,7 @@ func main() {
 	flag.IntVar(&o.retry, "retry-after", 2, "Retry-After seconds advertised on 429")
 	flag.DurationVar(&o.deadline, "job-deadline", 0, "wall-clock bound per job execution attempt; 0 disables the watchdog")
 	flag.IntVar(&o.maxAtt, "max-attempts", 3, "attempts before a timed-out job is quarantined")
-	flag.DurationVar(&o.backoff, "retry-backoff", 500*time.Millisecond, "base delay before retrying a timed-out job (doubles per attempt)")
+	flag.DurationVar(&o.backoff, "retry-backoff", 500*time.Millisecond, "base delay before retrying a timed-out job (doubles per attempt, up to 1m)")
 	flag.DurationVar(&o.reqTO, "request-timeout", 10*time.Minute, "per-request handler timeout (bounds ?wait=1 long polls)")
 	flag.DurationVar(&o.drainTO, "drain-timeout", 10*time.Minute, "how long shutdown waits for accepted jobs before giving up")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); off when empty")
@@ -164,11 +164,7 @@ func run(o options) error {
 			return err
 		}
 	}
-	sizes := exp.Small
-	if strings.EqualFold(o.size, "default") {
-		sizes = exp.Default
-	}
-	suite := exp.NewSuite(sizes)
+	suite := exp.NewSuite(o.size)
 	if o.procs > 0 {
 		suite.Procs = o.procs
 	}
@@ -225,7 +221,7 @@ func run(o options) error {
 		return err
 	}
 	httpSrv := &http.Server{
-		Handler:           http.TimeoutHandler(handler, o.reqTO, `{"error":{"kind":"timeout","message":"request timed out"}}`+"\n"),
+		Handler:           http.TimeoutHandler(handler, o.reqTO, server.ErrorJSON("timeout", "request timed out")),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 

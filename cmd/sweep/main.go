@@ -45,11 +45,12 @@ func main() { os.Exit(run()) }
 // the CPU profile is stopped and the heap profile written before the process
 // exits, so every exit path must return through here instead of os.Exit.
 func run() int {
+	size := exp.Small
+	flag.Var(&size, "size", "problem size: small or default")
 	var (
 		param = flag.String("param", "interrupt",
 			"parameter to sweep: "+strings.Join(exp.AxisNames(), ", "))
 		appsFlag   = flag.String("apps", "", "comma-separated workload subset (default: all)")
-		size       = flag.String("size", "small", "problem size: small or default")
 		mode       = flag.String("mode", "hlrc", "protocol: hlrc or aurc")
 		parallel   = flag.Int("parallel", 0, "concurrent simulation runs (0 = GOMAXPROCS, 1 = serial)")
 		cacheDir   = flag.String("cache-dir", "", "persist finished cells to this directory and reuse them across runs")
@@ -107,11 +108,7 @@ func run() int {
 		return code
 	}
 
-	sizes := exp.Small
-	if strings.EqualFold(*size, "default") {
-		sizes = exp.Default
-	}
-	s := exp.NewSuite(sizes)
+	s := exp.NewSuite(size)
 	s.Parallelism = *parallel
 	s.CacheDir = *cacheDir
 	if *verbose {

@@ -25,6 +25,33 @@ const (
 	Default
 )
 
+// ParseSize reads a -size flag value: "small" or "default", in any letter
+// case. Any other value is an error that names the valid ones.
+func ParseSize(v string) (Size, error) {
+	switch strings.ToLower(v) {
+	case "small":
+		return Small, nil
+	case "default":
+		return Default, nil
+	}
+	return Small, fmt.Errorf("unknown problem size %q (valid: small, default)", v)
+}
+
+// String spells the size as ParseSize reads it.
+func (s Size) String() string {
+	if s == Default {
+		return "default"
+	}
+	return "small"
+}
+
+// Set parses a -size flag value with ParseSize, so a *Size is a
+// flag.Value.
+func (s *Size) Set(v string) (err error) {
+	*s, err = ParseSize(v)
+	return err
+}
+
 // Suite runs and memoizes experiments. The memo caches are mutex-guarded and
 // deduplicate in-flight runs (singleflight), so a Suite is safe for
 // concurrent use: experiments running their cells through RunCells share

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -123,48 +122,31 @@ func (d *chaosDaemon) get(t *testing.T, path string) (int, []byte) {
 // metric scrapes one un-labeled sample from /metrics.
 func (d *chaosDaemon) metric(t *testing.T, name string) int {
 	t.Helper()
-	code, body := d.get(t, "/metrics")
-	if code != 200 {
-		t.Fatalf("/metrics: %d", code)
-	}
-	for _, line := range strings.Split(string(body), "\n") {
-		if rest, ok := strings.CutPrefix(line, name+" "); ok {
-			v, err := strconv.Atoi(strings.TrimSpace(rest))
-			if err != nil {
-				t.Fatalf("metric %s: parsing %q: %v", name, rest, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("metric %s absent:\n%s", name, body)
-	return 0
+	return int(sampleOf(t, d.scrape(t), name))
 }
 
 // labeledMetric scrapes the per-worker samples of one labeled counter, e.g.
 // fleet_cells_dispatched_total{worker="w1"} 3 -> {"w1": 3}.
 func (d *chaosDaemon) labeledMetric(t *testing.T, name string) map[string]int {
 	t.Helper()
+	out := map[string]int{}
+	for series, v := range d.scrape(t) {
+		rest, ok := strings.CutPrefix(series, name+`{worker="`)
+		if id, ok2 := strings.CutSuffix(rest, `"}`); ok && ok2 {
+			out[id] = int(v)
+		}
+	}
+	return out
+}
+
+// scrape fetches and parses /metrics.
+func (d *chaosDaemon) scrape(t *testing.T) map[string]float64 {
+	t.Helper()
 	code, body := d.get(t, "/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics: %d", code)
 	}
-	out := map[string]int{}
-	for _, line := range strings.Split(string(body), "\n") {
-		rest, ok := strings.CutPrefix(line, name+`{worker="`)
-		if !ok {
-			continue
-		}
-		id, val, ok := strings.Cut(rest, `"} `)
-		if !ok {
-			continue
-		}
-		v, err := strconv.Atoi(strings.TrimSpace(val))
-		if err != nil {
-			t.Fatalf("metric %s{%s}: parsing %q: %v", name, id, val, err)
-		}
-		out[id] = v
-	}
-	return out
+	return parseScrape(t, body)
 }
 
 // fleetWorkers decodes GET /v1/workers from the coordinator.

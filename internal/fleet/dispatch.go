@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"svmsim/internal/exp"
+	"svmsim/internal/server"
 	"svmsim/internal/walltime"
 )
 
@@ -53,7 +56,7 @@ func (c *Coordinator) remote(cell exp.Cell) (exp.CellResult, bool) {
 			continue
 		}
 		if dispatched > 0 {
-			c.metrics.redispatch()
+			c.metrics.redispatched.Inc()
 			c.logf("fleet: redispatching %s (attempt %d, last error: %v)", key, dispatched+1, lastErr)
 		}
 		dispatched++
@@ -69,14 +72,14 @@ func (c *Coordinator) remote(cell exp.Cell) (exp.CellResult, bool) {
 			// re-placing the cell elsewhere may still succeed, and caching
 			// a non-deterministic verdict would poison the memo.
 			lastErr = fmt.Errorf("worker %s returned retryable %s: %s", w.id, res.ErrKind, res.Err)
-			c.metrics.dispatchFailed(w.id)
+			c.metrics.dispatchErrs.Inc(w.id)
 			exclude[w.id] = true
 			continue
 		}
 		return res, true
 	}
 	if !c.disableFallback {
-		c.metrics.fellBack()
+		c.metrics.fallbacks.Inc()
 		c.logf("fleet: falling back to local simulation for %s: %v", key, lastErr)
 		return exp.CellResult{}, false
 	}
@@ -101,7 +104,7 @@ func (c *Coordinator) dispatch(primary *worker, key string, spec exp.CellSpec) (
 	var resolved atomic.Bool
 	launch := func(w *worker) {
 		c.reg.acquire(w)
-		c.metrics.dispatchedTo(w.id)
+		c.metrics.dispatched.Inc(w.id)
 		go c.try(w, key, spec, agg, &resolved)
 	}
 	launch(primary)
@@ -125,7 +128,7 @@ func (c *Coordinator) dispatch(primary *worker, key string, spec exp.CellSpec) (
 		case <-hedgeC:
 			hedgeC = nil // at most one hedge per dispatch
 			if w := c.reg.pick(key, map[string]bool{primary.id: true}); w != nil {
-				c.metrics.hedged()
+				c.metrics.hedges.Inc()
 				c.logf("fleet: hedging straggler %s onto %s", key, w.id)
 				launch(w)
 				outstanding++
@@ -133,6 +136,44 @@ func (c *Coordinator) dispatch(primary *worker, key string, spec exp.CellSpec) (
 		}
 	}
 	return exp.CellResult{}, lastErr
+}
+
+// latencyRing holds the last 256 successful dispatch latencies, in
+// seconds, for the hedging policy's p99. It is policy state, not a metric:
+// the scrape's view is fleet_dispatch_latency_seconds.
+type latencyRing struct {
+	mu      sync.Mutex
+	samples [256]float64
+	next    int
+	full    bool
+}
+
+func (r *latencyRing) add(seconds float64) {
+	r.mu.Lock()
+	r.samples[r.next] = seconds
+	r.next++
+	if r.next == len(r.samples) {
+		r.next, r.full = 0, true
+	}
+	r.mu.Unlock()
+}
+
+// p99 estimates the 99th-percentile dispatch latency from the ring; zero
+// means "no samples yet" (the hedging policy reads that as "don't hedge").
+func (r *latencyRing) p99() float64 {
+	r.mu.Lock()
+	n := r.next
+	if r.full {
+		n = len(r.samples)
+	}
+	samples := make([]float64, n)
+	copy(samples, r.samples[:n])
+	r.mu.Unlock()
+	if n == 0 {
+		return 0
+	}
+	sort.Float64s(samples)
+	return samples[n*99/100]
 }
 
 // hedgeDelay derives the straggler threshold from observed latency:
@@ -143,7 +184,7 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 	if c.hedgeFactor <= 0 {
 		return 0
 	}
-	p99 := c.metrics.p99()
+	p99 := c.ring.p99()
 	if p99 <= 0 {
 		return 0
 	}
@@ -164,14 +205,17 @@ func (c *Coordinator) try(w *worker, key string, spec exp.CellSpec, agg chan<- t
 	sw := walltime.Start()
 	res, err := c.callWorker(w, key, spec)
 	if err != nil {
-		c.metrics.dispatchFailed(w.id)
+		c.metrics.dispatchErrs.Inc(w.id)
 		agg <- tryOutcome{err: err}
 		return
 	}
 	c.reg.markWarm(w.cacheID, key)
-	c.metrics.completedOn(w.id, sw.Seconds())
+	seconds := sw.Seconds()
+	c.metrics.completed.Inc(w.id)
+	c.metrics.latency.Observe(seconds)
+	c.ring.add(seconds)
 	if !resolved.CompareAndSwap(false, true) {
-		c.metrics.lateResult()
+		c.metrics.late.Inc()
 	}
 	agg <- tryOutcome{res: res}
 }
@@ -251,16 +295,11 @@ func (c *Coordinator) callWorker(w *worker, key string, spec exp.CellSpec) (exp.
 			// A finished-but-failed cell: the worker's structured error
 			// envelope becomes the cell's wire result, preserving the kind
 			// so RetryableKind can disposition it upstream.
-			var eb struct {
-				Error struct {
-					Kind    string `json:"kind"`
-					Message string `json:"message"`
-				} `json:"error"`
-			}
-			if err := json.Unmarshal(data, &eb); err != nil || eb.Error.Kind == "" {
+			kind, msg, ok := server.ParseError(data)
+			if !ok {
 				return exp.CellResult{}, fmt.Errorf("worker %s: unparseable error envelope %q", w.id, firstLine(data))
 			}
-			return exp.CellResult{Schema: exp.SchemaVersion, Key: key, ErrKind: eb.Error.Kind, Err: eb.Error.Message}, nil
+			return exp.CellResult{Schema: exp.SchemaVersion, Key: key, ErrKind: kind, Err: msg}, nil
 		default:
 			return exp.CellResult{}, fmt.Errorf("worker %s: unexpected result status %d %s", w.id, status, firstLine(data))
 		}

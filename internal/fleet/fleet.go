@@ -26,7 +26,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -47,7 +46,7 @@ type Config struct {
 	// required. The coordinator installs its Remote hook on it.
 	Suite *exp.Suite
 	// Server configures the front door (admission, journal, store). Its
-	// Suite and ExtraMetrics fields are overwritten by the coordinator.
+	// Suite field is overwritten by the coordinator.
 	Server server.Config
 	// HeartbeatInterval is how often workers are told to beat and how
 	// often the monitor scans for silence (default 1s).
@@ -91,7 +90,8 @@ type Config struct {
 type Coordinator struct {
 	srv     *server.Server
 	reg     *registry
-	metrics *metrics
+	metrics metrics
+	ring    latencyRing
 	client  *Client
 	mux     *http.ServeMux
 
@@ -151,23 +151,24 @@ func New(cfg Config) (*Coordinator, error) {
 		monDone:         make(chan struct{}),
 		settled:         make(chan struct{}),
 	}
-	c.metrics = newFleetMetrics(c.reg)
 	cfg.Suite.Remote = c.remote
 
 	scfg := cfg.Server
 	scfg.Suite = cfg.Suite
-	scfg.ExtraMetrics = c.metrics.render
 	// The front door replays the journal inside server.New, and replayed
 	// jobs start executing immediately — everything they need (registry,
 	// hook, monitor state) is wired above. Replayed cells block on the
 	// settle gate below until the worker fleet has had a beat to
 	// re-register, so affinity routing sees full membership and warm cells
-	// land back on the workers whose disk caches already hold them.
+	// land back on the workers whose disk caches already hold them. The
+	// gate also orders the fleet's series, declared next, before any
+	// dispatch touches them.
 	srv, err := server.New(scfg)
 	if err != nil {
 		return nil, err
 	}
 	c.srv = srv
+	c.metrics = newMetrics(srv.Metrics(), c.reg)
 
 	if n := srv.Replayed(); n > 0 {
 		settle := cfg.SettleDelay
@@ -198,6 +199,38 @@ func New(cfg Config) (*Coordinator, error) {
 
 	go c.monitor()
 	return c, nil
+}
+
+// metrics are the fleet's series. Per-worker series are labelled with the
+// coordinator-assigned worker ID.
+type metrics struct {
+	redispatched, hedges, late, fallbacks server.Counter
+	dispatched, completed, dispatchErrs   server.LabeledCounter
+	latency                               server.Histogram
+}
+
+// newMetrics declares the fleet's series on the front door's registry,
+// after the daemon's own, so one scrape shows both. Declaration order is
+// scrape order, and the struct literal's calls run in the order written.
+func newMetrics(r *server.Registry, reg *registry) metrics {
+	r.Func("gauge", "fleet_workers", "Alive registered workers.", func() int64 { alive, _, _ := reg.counts(); return int64(alive) })
+	r.Func("counter", "fleet_worker_deaths_total", "Workers retired by the failure detector or a broken connection.", func() int64 { _, deaths, _ := reg.counts(); return int64(deaths) })
+	r.Func("counter", "fleet_worker_leaves_total", "Workers that deregistered gracefully (or re-registered).", func() int64 { _, _, leaves := reg.counts(); return int64(leaves) })
+	m := metrics{
+		redispatched: r.Counter("fleet_jobs_redispatched_total", "Cells re-placed on another worker after a failed dispatch."),
+		hedges:       r.Counter("fleet_hedges_total", "Straggler cells speculatively duplicated on a second worker."),
+		late:         r.Counter("fleet_late_results_total", "Worker results that arrived after the cell was already resolved (deduped, warmth recorded)."),
+		fallbacks:    r.Counter("fleet_local_fallbacks_total", "Cells simulated locally because the fleet could not place them."),
+		dispatched:   r.LabeledCounter("fleet_cells_dispatched_total", "Cells sent to each worker.", "worker"),
+		completed:    r.LabeledCounter("fleet_cells_completed_total", "Cells each worker answered successfully.", "worker"),
+		dispatchErrs: r.LabeledCounter("fleet_dispatch_errors_total", "Dispatch attempts that failed per worker (transport errors, retryable kinds, lost workers).", "worker"),
+	}
+	r.LabeledFunc("gauge", "fleet_worker_inflight", "Outstanding dispatches per worker.", "worker", reg.inflight)
+	// Coarser than the daemon's cell-latency buckets: a dispatch adds
+	// queueing and network time to the simulation.
+	m.latency = r.Histogram("fleet_dispatch_latency_seconds", "Wall-clock time per successful dispatch (queueing + network + simulation).",
+		[]float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60})
+	return m
 }
 
 // Handler exposes the coordinator's routes: the worker-membership API plus
@@ -269,17 +302,17 @@ type regResponse struct {
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if c.draining.Load() {
-		writeErrorJSON(w, http.StatusServiceUnavailable, "draining", "coordinator is draining; not accepting workers")
+		server.WriteError(w, http.StatusServiceUnavailable, "draining", "coordinator is draining; not accepting workers")
 		return
 	}
 	var req regRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErrorJSON(w, http.StatusBadRequest, "bad_request", err.Error())
+	if err := server.DecodeJSON(r.Body, &req); err != nil {
+		server.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	u, err := url.Parse(req.URL)
 	if err != nil || u.Scheme == "" || u.Host == "" {
-		writeErrorJSON(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("worker url %q is not an absolute URL", req.URL))
+		server.WriteError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("worker url %q is not an absolute URL", req.URL))
 		return
 	}
 	wk := c.reg.register(req.URL, req.Capacity, req.CacheID)
@@ -288,7 +321,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	c.logf("fleet: worker %s joined from %s (capacity %d, cache %q, %d warm cells)",
 		wk.id, wk.url, wk.capacity, wk.cacheID, len(req.WarmKeys))
-	writeJSON(w, http.StatusCreated, regResponse{
+	server.WriteJSON(w, http.StatusCreated, regResponse{
 		ID:                  wk.id,
 		HeartbeatIntervalMs: c.heartbeat.Milliseconds(),
 		SuspectTimeoutMs:    c.reg.timeout.Milliseconds(),
@@ -302,18 +335,18 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	case hbUnknown:
 		// This coordinator has no memory of the ID — it restarted. 404
 		// tells the worker to re-register.
-		writeErrorJSON(w, http.StatusNotFound, "unknown_worker", "unknown worker id; re-register")
+		server.WriteError(w, http.StatusNotFound, "unknown_worker", "unknown worker id; re-register")
 	default:
 		// Declared dead (or replaced by a re-registration). The worker is
 		// evidently alive after all; 410 tells it to rejoin under a new ID.
-		writeErrorJSON(w, http.StatusGone, "retired_worker", "worker was retired; re-register")
+		server.WriteError(w, http.StatusGone, "retired_worker", "worker was retired; re-register")
 	}
 }
 
 func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !c.reg.leave(id) {
-		writeErrorJSON(w, http.StatusNotFound, "unknown_worker", "no such live worker")
+		server.WriteError(w, http.StatusNotFound, "unknown_worker", "no such live worker")
 		return
 	}
 	c.logf("fleet: worker %s left gracefully", id)
@@ -321,7 +354,7 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"workers": c.reg.views()})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"workers": c.reg.views()})
 }
 
 func (c *Coordinator) logf(format string, args ...any) {
@@ -331,38 +364,4 @@ func (c *Coordinator) logf(format string, args ...any) {
 	c.logMu.Lock()
 	defer c.logMu.Unlock()
 	fmt.Fprintf(c.log, format+"\n", args...)
-}
-
-// decodeJSON strictly parses a small JSON request body.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
-// writeJSON writes one compact JSON object plus newline.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		writeErrorJSON(w, http.StatusInternalServerError, "failed", err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(data, '\n'))
-}
-
-// writeErrorJSON mirrors internal/server's structured error envelope.
-func writeErrorJSON(w http.ResponseWriter, code int, kind, msg string) {
-	var body struct {
-		Error struct {
-			Kind    string `json:"kind"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
-	body.Error.Kind, body.Error.Message = kind, msg
-	data, _ := json.Marshal(body)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(data, '\n'))
 }

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -320,24 +322,51 @@ func submitAndWait(t *testing.T, base, path string, body []byte) (int, []byte) {
 	}
 }
 
-// metricValue scrapes one sample from the coordinator's /metrics.
-func metricValue(t *testing.T, base, name string) float64 {
+// parseScrape reads a Prometheus text scrape into its samples, keyed by the
+// series as printed: the name plus any label set, e.g.
+// fleet_cells_dispatched_total{worker="w1-…"}. A sample line without a
+// parseable value fails the test.
+func parseScrape(t *testing.T, body []byte) map[string]float64 {
+	t.Helper()
+	samples := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if i < 0 || err != nil {
+			t.Fatalf("unparseable sample line %q", line)
+		}
+		samples[line[:i]] = v
+	}
+	return samples
+}
+
+// sampleOf returns one series of a parsed scrape, failing the test when the
+// scrape lacks it.
+func sampleOf(t *testing.T, samples map[string]float64, series string) float64 {
+	t.Helper()
+	v, ok := samples[series]
+	if !ok {
+		t.Fatalf("series %s absent from the scrape", series)
+	}
+	return v
+}
+
+// metricValue scrapes one series from the coordinator's /metrics.
+func metricValue(t *testing.T, base, series string) float64 {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if strings.HasPrefix(line, name+" ") {
-			var v float64
-			fmt.Sscanf(strings.TrimPrefix(line, name+" "), "%g", &v)
-			return v
-		}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return 0
+	return sampleOf(t, parseScrape(t, body), series)
 }
 
 // TestFleetSweepByteIdentical is the end-to-end contract: a sweep served by
@@ -503,7 +532,7 @@ func TestLateResultDedup(t *testing.T) {
 
 	// Seed the latency ring so hedgeDelay has a p99 to work from.
 	for i := 0; i < 10; i++ {
-		coord.metrics.completedOn("seed", 0.005)
+		coord.ring.add(0.005)
 	}
 
 	suite := exp.NewSuite(exp.Small)
@@ -526,9 +555,7 @@ func TestLateResultDedup(t *testing.T) {
 	close(slowGate) // let the straggler finish; its result is late
 
 	waitUntil(t, 30*time.Second, "late-result dedup", func() bool {
-		coord.metrics.mu.Lock()
-		defer coord.metrics.mu.Unlock()
-		return coord.metrics.late == 1 && coord.metrics.hedges == 1
+		return coord.metrics.late.Value() == 1 && coord.metrics.hedges.Value() == 1
 	})
 	// Both cache identities are now warm for the cell: the straggler's disk
 	// has the bytes too, and routing should know.

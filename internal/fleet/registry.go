@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"svmsim/internal/server"
 	"svmsim/internal/walltime"
 )
 
@@ -327,6 +328,20 @@ func (r *registry) counts() (alive int, deaths, leaves uint64) {
 		}
 	}
 	return alive, r.deaths, r.leaves
+}
+
+// inflight reads each alive worker's outstanding dispatches, in
+// registration order (the fleet_worker_inflight gauge).
+func (r *registry) inflight() []server.Sample {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []server.Sample
+	for _, id := range r.order {
+		if w := r.workers[id]; w != nil && !w.gone {
+			out = append(out, server.Sample{Label: w.id, Value: int64(w.inflight)})
+		}
+	}
+	return out
 }
 
 // workerView is the wire form of one registry entry (GET /v1/workers).

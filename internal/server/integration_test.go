@@ -110,17 +110,17 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 	// The suite deduplicated across clients: one simulation per unique cell
 	// (7 interrupt points + the uniprocessor baseline), not per client.
-	if sims := s.metrics.cellsSimulated(); sims != 8 {
+	if sims := s.metrics.simulated.Value(); sims != 8 {
 		t.Fatalf("concurrent clients re-simulated shared cells: %d sims", sims)
 	}
 
 	// A warm resubmission is a pure store hit: zero new simulations.
-	before := s.metrics.cellsSimulated()
+	before := s.metrics.simulated.Value()
 	code, v := postJSON(t, ts.Client(), ts.URL+"/v1/sweeps", spec)
 	if code != 200 || !v.Cached {
 		t.Fatalf("warm resubmission not cached: %d %+v", code, v)
 	}
-	if s.metrics.cellsSimulated() != before {
+	if s.metrics.simulated.Value() != before {
 		t.Fatal("warm resubmission simulated")
 	}
 	if err := s.Drain(context.Background()); err != nil {

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"svmsim/internal/exp"
 	"svmsim/internal/walltime"
@@ -100,19 +101,32 @@ func (s *Server) runJob(j *job) {
 			s.finishJob(j, out)
 			return
 		case <-deadline.C():
-			s.metrics.timedOut()
+			s.metrics.timeouts.Inc()
 			terr := &exp.JobTimeoutError{Key: j.key, Attempt: attempt, Deadline: s.jobDeadline}
 			if attempt >= s.maxAttempts {
 				s.quarantineJob(j, terr)
 				return
 			}
-			s.metrics.retried()
+			s.metrics.retries.Inc()
 			s.appendJournal(journalRecord{Op: opRetry, ID: j.id, Attempt: attempt})
-			// Exponential backoff between attempts: base, 2x, 4x, ... The
-			// shift is bounded by maxAttempts, itself a small flag value.
-			walltime.Sleep(s.retryBack << (attempt - 1))
+			walltime.Sleep(retryDelay(s.retryBack, attempt))
 		}
 	}
+}
+
+// maxRetryBackoff caps the watchdog's backoff. Nothing bounds the attempt
+// budget: uncapped, the 500ms default would sleep 72 h after attempt 20,
+// and from attempt 36 on the doubling wraps negative (no wait at all).
+const maxRetryBackoff = time.Minute
+
+// retryDelay is the backoff after a timed-out attempt: base, 2x, 4x, ...,
+// saturating at maxRetryBackoff.
+func retryDelay(base time.Duration, attempt int) time.Duration {
+	d := base
+	for i := 1; i < attempt && d < maxRetryBackoff; i++ {
+		d *= 2
+	}
+	return min(d, maxRetryBackoff)
 }
 
 // startAttempt transitions a job to running, burns one attempt, and
@@ -180,7 +194,11 @@ func (s *Server) finishJob(j *job, out outcome) {
 	// accepts, so the error is deliberately not propagated.
 	s.appendJournalLocked(journalRecord{Op: opFinish, ID: j.id, Attempt: j.attempts, ErrKind: out.errKind, Err: out.errMsg})
 	s.mu.Unlock()
-	s.metrics.finished(out.errMsg != "")
+	if out.errMsg != "" {
+		s.metrics.failed.Inc()
+	} else {
+		s.metrics.done.Inc()
+	}
 	close(j.done)
 }
 
@@ -194,7 +212,7 @@ func (s *Server) quarantineJob(j *job, err error) {
 	s.releaseKeyLocked(j)
 	s.appendJournalLocked(journalRecord{Op: opQuarantine, ID: j.id, Attempt: j.attempts, ErrKind: j.errKind, Err: j.errMsg})
 	s.mu.Unlock()
-	s.metrics.quarantined()
+	s.metrics.quarantined.Inc()
 	close(j.done)
 }
 

@@ -242,10 +242,7 @@ func TestJournalReplayRunsToCompletion(t *testing.T) {
 	if id := jobID(t, rec); jobNum(id) <= 1 {
 		t.Fatalf("job IDs did not continue past the journal: %s", id)
 	}
-	s.metrics.mu.Lock()
-	replayed := s.metrics.jobsReplayed
-	s.metrics.mu.Unlock()
-	if replayed != 1 {
+	if replayed := s.metrics.replayed.Value(); replayed != 1 {
 		t.Fatalf("jobsReplayed = %d, want 1", replayed)
 	}
 	if err := s.Drain(context.Background()); err != nil {

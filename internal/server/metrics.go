@@ -1,230 +1,187 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
-	"io"
+	"net/http"
 	"sort"
 	"strconv"
 	"sync"
-
-	"svmsim/internal/exp"
 )
 
-// metrics is the daemon's Prometheus registry, stdlib only: a handful of
-// counters and gauges plus one latency histogram, rendered in the Prometheus
-// text exposition format by render. Everything is guarded by one mutex —
-// the daemon's request rates are nowhere near the point where a sharded
-// registry would matter, and one lock keeps scrapes consistent.
-type metrics struct {
-	mu sync.Mutex
-
-	jobsAccepted map[string]uint64 // by kind: cell, sweep
-	jobsDone     uint64
-	jobsFailed   uint64
-	jobsRejected uint64 // 429s: queue full
-	jobsRefused  uint64 // 503s: draining
-
-	jobsDeduped     uint64 // resubmissions coalesced onto an active job
-	jobsReplayed    uint64 // jobs re-enqueued from the journal at startup
-	jobTimeouts     uint64 // attempts cut short by the watchdog deadline
-	jobRetries      uint64 // timed-out attempts given another try
-	jobsQuarantined uint64 // jobs parked after exhausting their attempts
-
-	cacheHits   map[string]uint64 // by layer: store, memo, flight, disk
-	cacheMisses uint64
-	cellsSim    uint64
-
-	latency histogram
-
-	// twinPredictions counts /v1/twin/* answers served from the analytical
-	// model; twinCalibrations, when non-nil (twin endpoints enabled), reads
-	// the twin's calibration-pass counter live at scrape time.
-	twinPredictions  uint64
-	twinCalibrations func() uint64
-
-	// Gauges are read live at scrape time.
-	queueDepth func() int
-	inflight   func() int
+// Registry is the Prometheus registry of the daemon and of a fleet
+// coordinator fronting it, stdlib only. Series are declared once and
+// rendered in declaration order in the text exposition format; a labelled
+// counter's samples render sorted by label value, so scrapes are
+// deterministic. One mutex guards every stored value, so the stored series
+// of one scrape agree with each other; request rates are nowhere near the
+// point where a sharded registry would matter.
+type Registry struct {
+	mu   sync.Mutex
+	fams []*family
 }
 
-func newMetrics(queueDepth, inflight func() int) *metrics {
-	return &metrics{
-		jobsAccepted: make(map[string]uint64),
-		cacheHits:    make(map[string]uint64),
-		latency:      newHistogram(),
-		queueDepth:   queueDepth,
-		inflight:     inflight,
-	}
+// family is one metric family: its exposition header plus exactly one
+// source of samples.
+type family struct {
+	mu                     *sync.Mutex
+	name, help, typ, label string
+
+	vals map[string]uint64 // counter values by label value ("" when unlabelled)
+	read func() []Sample   // scrape-time reader
+	hist *histogram
 }
 
-func (m *metrics) accepted(kind string) {
-	m.mu.Lock()
-	m.jobsAccepted[kind]++
-	m.mu.Unlock()
+// Sample is one value a scrape-time reader reports. Label is the label
+// value, empty in an unlabelled family.
+type Sample struct {
+	Label string
+	Value int64
 }
 
-func (m *metrics) finished(failed bool) {
-	m.mu.Lock()
-	if failed {
-		m.jobsFailed++
-	} else {
-		m.jobsDone++
-	}
-	m.mu.Unlock()
+func (r *Registry) declare(f *family) *family {
+	f.mu = &r.mu
+	r.mu.Lock()
+	r.fams = append(r.fams, f)
+	r.mu.Unlock()
+	return f
 }
 
-func (m *metrics) rejected() {
-	m.mu.Lock()
-	m.jobsRejected++
-	m.mu.Unlock()
+// Counter declares an unlabelled counter.
+func (r *Registry) Counter(name, help string) Counter {
+	return Counter{r.declare(&family{name: name, help: help, typ: "counter", vals: map[string]uint64{"": 0}})}
 }
 
-func (m *metrics) refused() {
-	m.mu.Lock()
-	m.jobsRefused++
-	m.mu.Unlock()
+// LabeledCounter declares a counter split by one label. Only label values
+// seen so far render, so a fresh one prints its HELP and TYPE lines alone.
+func (r *Registry) LabeledCounter(name, help, label string) LabeledCounter {
+	return LabeledCounter{r.declare(&family{name: name, help: help, typ: "counter", label: label, vals: map[string]uint64{}})}
 }
 
-func (m *metrics) twinPredicted() {
-	m.mu.Lock()
-	m.twinPredictions++
-	m.mu.Unlock()
+// Func declares an unlabelled gauge or counter (typ) read at scrape time.
+func (r *Registry) Func(typ, name, help string, read func() int64) {
+	r.LabeledFunc(typ, name, help, "", func() []Sample { return []Sample{{Value: read()}} })
 }
 
-func (m *metrics) storeHit() {
-	m.mu.Lock()
-	m.cacheHits["store"]++
-	m.mu.Unlock()
+// LabeledFunc declares a gauge or counter (typ) split by one label and read
+// at scrape time; its samples render in the order read returns them. read
+// runs outside the registry lock, so it may take locks of its own.
+func (r *Registry) LabeledFunc(typ, name, help, label string, read func() []Sample) {
+	r.declare(&family{name: name, help: help, typ: typ, label: label, read: read})
 }
 
-func (m *metrics) deduped() {
-	m.mu.Lock()
-	m.jobsDeduped++
-	m.mu.Unlock()
+// Histogram declares a histogram over fixed bucket upper bounds (ascending).
+func (r *Registry) Histogram(name, help string, bounds []float64) Histogram {
+	h := &histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+	return Histogram{r.declare(&family{name: name, help: help, typ: "histogram", label: "le", hist: h})}
 }
 
-func (m *metrics) replayed(n int) {
-	m.mu.Lock()
-	m.jobsReplayed += uint64(n)
-	m.mu.Unlock()
+// Counter is a handle on an unlabelled counter.
+type Counter struct{ f *family }
+
+// Inc adds one.
+func (c Counter) Inc() { c.Add(1) }
+
+// Add adds n.
+func (c Counter) Add(n uint64) { c.f.add("", n) }
+
+// Value reads the count.
+func (c Counter) Value() uint64 {
+	c.f.mu.Lock()
+	defer c.f.mu.Unlock()
+	return c.f.vals[""]
 }
 
-func (m *metrics) timedOut() {
-	m.mu.Lock()
-	m.jobTimeouts++
-	m.mu.Unlock()
+// LabeledCounter is a handle on a counter split by one label.
+type LabeledCounter struct{ f *family }
+
+// Inc adds one to the sample with label value v.
+func (c LabeledCounter) Inc(v string) { c.f.add(v, 1) }
+
+func (f *family) add(label string, n uint64) {
+	f.mu.Lock()
+	f.vals[label] += n
+	f.mu.Unlock()
 }
 
-func (m *metrics) retried() {
-	m.mu.Lock()
-	m.jobRetries++
-	m.mu.Unlock()
+// Histogram is a handle on a fixed-bucket histogram.
+type Histogram struct{ f *family }
+
+// Observe records one value.
+func (h Histogram) Observe(v float64) {
+	h.f.mu.Lock()
+	h.f.hist.observe(v)
+	h.f.mu.Unlock()
 }
 
-func (m *metrics) quarantined() {
-	m.mu.Lock()
-	m.jobsQuarantined++
-	m.mu.Unlock()
-}
-
-// observe is the exp.Suite observability hook: every cell served by the
-// suite lands here, classifying cache layers and feeding the latency
-// histogram for fresh simulations.
-func (m *metrics) observe(ev exp.CellEvent) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch ev.Source {
-	case exp.SourceSim:
-		m.cacheMisses++
-		m.cellsSim++
-		m.latency.observe(ev.Seconds)
-	default:
-		m.cacheHits[ev.Source.String()]++
-	}
-}
-
-// snapshotCounter reads one named counter (test and smoke-script helper).
-func (m *metrics) cellsSimulated() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cellsSim
-}
-
-// render writes the registry in the Prometheus text exposition format.
-// Label sets are emitted in sorted order so scrapes are deterministic.
-func (m *metrics) render(w io.Writer) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	gauge := func(name, help string, v int) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	labeled := func(name, help, label string, vals map[string]uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		keys := make([]string, 0, len(vals))
-		for k := range vals {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(w, "%s{%s=%q} %d\n", name, label, k, vals[k])
-		}
-	}
-
-	gauge("svmsimd_queue_depth", "Jobs waiting in the admission queue.", m.queueDepth())
-	gauge("svmsimd_jobs_inflight", "Jobs currently executing on the worker pool.", m.inflight())
-	labeled("svmsimd_jobs_accepted_total", "Jobs admitted to the queue or served from the result store, by kind.", "kind", m.jobsAccepted)
-	counter("svmsimd_jobs_done_total", "Jobs finished successfully.", m.jobsDone)
-	counter("svmsimd_jobs_failed_total", "Jobs finished with a simulation error.", m.jobsFailed)
-	counter("svmsimd_jobs_rejected_total", "Submissions rejected with 429 because the queue was full.", m.jobsRejected)
-	counter("svmsimd_jobs_refused_total", "Submissions refused with 503 during drain.", m.jobsRefused)
-	counter("svmsimd_jobs_deduped_total", "Resubmissions coalesced onto an already-active job with the same content key.", m.jobsDeduped)
-	counter("svmsimd_jobs_replayed_total", "Incomplete jobs re-enqueued from the journal at startup.", m.jobsReplayed)
-	counter("svmsimd_job_timeouts_total", "Execution attempts cut short by the watchdog deadline.", m.jobTimeouts)
-	counter("svmsimd_job_retries_total", "Timed-out attempts retried with backoff.", m.jobRetries)
-	counter("svmsimd_jobs_quarantined_total", "Jobs quarantined after exhausting their attempt budget.", m.jobsQuarantined)
-	labeled("svmsimd_cache_hits_total", "Cells served without a fresh simulation, by cache layer.", "layer", m.cacheHits)
-	counter("svmsimd_cache_misses_total", "Cells that required a fresh simulation.", m.cacheMisses)
-	counter("svmsimd_cells_simulated_total", "Fresh simulations executed.", m.cellsSim)
-	if m.twinCalibrations != nil {
-		counter("svmsimd_twin_predictions_total", "Twin predict/optimize responses answered from the analytical model, bypassing the job queue.", m.twinPredictions)
-		counter("svmsimd_twin_calibrations_total", "Calibration passes that built or extended a twin model.", m.twinCalibrations())
-	}
-	m.latency.writeTo(w, "svmsimd_cell_latency_seconds", "Wall-clock simulation time per freshly simulated cell.")
-}
-
-// histogram is a fixed-bucket Prometheus histogram (cumulative on render).
+// histogram holds non-cumulative bucket counts; the renderer accumulates.
 type histogram struct {
-	bounds []float64 // upper bounds of each bucket, seconds
-	counts []uint64  // non-cumulative per-bucket counts; len(bounds)+1 with +Inf last
+	bounds []float64
+	counts []uint64 // len(bounds)+1, +Inf last
 	sum    float64
 	count  uint64
 }
 
-func newHistogram() histogram {
-	bounds := []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
-	return histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
 func (h *histogram) observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
+	h.counts[sort.SearchFloat64s(h.bounds, v)]++
 	h.sum += v
 	h.count++
 }
 
-func (h *histogram) writeTo(w io.Writer, name, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	var cum uint64
-	for i, b := range h.bounds {
-		cum += h.counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, strconv.FormatFloat(b, 'g', -1, 64), cum)
+// ServeHTTP renders the registry: GET /metrics. Scrape-time readers run
+// first, outside the lock; the text is then built under the lock and
+// written after it is released.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	r.mu.Lock()
+	fams := r.fams
+	r.mu.Unlock()
+	read := make([][]Sample, len(fams))
+	for i, f := range fams {
+		if f.read != nil {
+			read[i] = f.read()
+		}
 	}
-	cum += h.counts[len(h.bounds)]
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %s\n", name, strconv.FormatFloat(h.sum, 'g', -1, 64))
-	fmt.Fprintf(w, "%s_count %d\n", name, h.count)
+
+	var b bytes.Buffer
+	r.mu.Lock()
+	for i, f := range fams {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		switch {
+		case f.hist != nil:
+			var cum uint64
+			for j, bound := range f.hist.bounds {
+				cum += f.hist.counts[j]
+				writeSample(&b, f.name+"_bucket", f.label, strconv.FormatFloat(bound, 'g', -1, 64), cum)
+			}
+			writeSample(&b, f.name+"_bucket", f.label, "+Inf", cum+f.hist.counts[len(f.hist.bounds)])
+			fmt.Fprintf(&b, "%s_sum %s\n%s_count %d\n", f.name, strconv.FormatFloat(f.hist.sum, 'g', -1, 64), f.name, f.hist.count)
+		case f.read != nil:
+			for _, s := range read[i] {
+				writeSample(&b, f.name, f.label, s.Label, s.Value)
+			}
+		default:
+			keys := make([]string, 0, len(f.vals))
+			for k := range f.vals {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				writeSample(&b, f.name, f.label, k, f.vals[k])
+			}
+		}
+	}
+	r.mu.Unlock()
+
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Write(b.Bytes())
+}
+
+// writeSample prints one sample line: label="lv" when the family has a
+// label name, the bare series name when it does not.
+func writeSample[V int64 | uint64](b *bytes.Buffer, name, label, lv string, v V) {
+	if label == "" {
+		fmt.Fprintf(b, "%s %d\n", name, v)
+	} else {
+		fmt.Fprintf(b, "%s{%s=%q} %d\n", name, label, lv, v)
+	}
 }

@@ -70,7 +70,8 @@ type Config struct {
 	// a job that times out that many times is quarantined, not re-run.
 	MaxAttempts int
 	// RetryBackoff is the base delay before a timed-out job's second
-	// attempt (default 500ms), doubling per further attempt.
+	// attempt (default 500ms), doubling per further attempt up to a
+	// minute.
 	RetryBackoff time.Duration
 	// Twin, when non-nil, enables the analytical-twin endpoints
 	// (POST /v1/twin/predict, POST /v1/twin/optimize): synchronous
@@ -78,12 +79,6 @@ type Config struct {
 	// job queue and result store entirely. First contact with a
 	// workload/axis calibrates lazily through the Suite.
 	Twin *twin.Twin
-	// ExtraMetrics, when non-nil, is invoked at the end of every /metrics
-	// render to append additional exposition lines to the same scrape. It
-	// is the seam a wrapping layer (the fleet coordinator) uses to serve
-	// its own registry on the daemon's endpoint; the callback must be safe
-	// for concurrent use.
-	ExtraMetrics func(io.Writer)
 }
 
 // Server is the svmsimd daemon core: routing, job queue, worker pool,
@@ -92,11 +87,10 @@ type Config struct {
 type Server struct {
 	suite   *exp.Suite
 	queue   chan *job
-	metrics *metrics
+	metrics metrics
 	mux     *http.ServeMux
 	journal *journal
 	twin    *twin.Twin
-	extra   func(io.Writer)
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -121,6 +115,56 @@ type Server struct {
 // A fronting layer (internal/fleet) uses a nonzero count to hold dispatch
 // briefly while downstream capacity re-registers after a crash restart.
 func (s *Server) Replayed() int { return s.replayedN }
+
+// Metrics is the registry GET /metrics renders. A fronting layer
+// (internal/fleet) declares its own series on it, after the daemon's, so
+// one scrape shows both.
+func (s *Server) Metrics() *Registry { return s.metrics.reg }
+
+// metrics are the daemon's series on its registry.
+type metrics struct {
+	reg                 *Registry
+	accepted, cacheHits LabeledCounter
+	done, failed        Counter
+	rejected, refused   Counter
+	deduped, replayed   Counter
+	timeouts, retries   Counter
+	quarantined         Counter
+	misses, simulated   Counter
+	twinPredictions     Counter // declared only with the twin endpoints
+	latency             Histogram
+}
+
+// newMetrics declares the daemon's series. Declaration order is scrape
+// order, and the struct literal's calls run in the order written.
+func newMetrics(s *Server) metrics {
+	r := &Registry{}
+	r.Func("gauge", "svmsimd_queue_depth", "Jobs waiting in the admission queue.", func() int64 { return int64(len(s.queue)) })
+	r.Func("gauge", "svmsimd_jobs_inflight", "Jobs currently executing on the worker pool.", s.inflight.Load)
+	m := metrics{
+		reg:         r,
+		accepted:    r.LabeledCounter("svmsimd_jobs_accepted_total", "Jobs admitted to the queue or served from the result store, by kind.", "kind"),
+		done:        r.Counter("svmsimd_jobs_done_total", "Jobs finished successfully."),
+		failed:      r.Counter("svmsimd_jobs_failed_total", "Jobs finished with a simulation error."),
+		rejected:    r.Counter("svmsimd_jobs_rejected_total", "Submissions rejected with 429 because the queue was full."),
+		refused:     r.Counter("svmsimd_jobs_refused_total", "Submissions refused with 503 during drain."),
+		deduped:     r.Counter("svmsimd_jobs_deduped_total", "Resubmissions coalesced onto an already-active job with the same content key."),
+		replayed:    r.Counter("svmsimd_jobs_replayed_total", "Incomplete jobs re-enqueued from the journal at startup."),
+		timeouts:    r.Counter("svmsimd_job_timeouts_total", "Execution attempts cut short by the watchdog deadline."),
+		retries:     r.Counter("svmsimd_job_retries_total", "Timed-out attempts retried with backoff."),
+		quarantined: r.Counter("svmsimd_jobs_quarantined_total", "Jobs quarantined after exhausting their attempt budget."),
+		cacheHits:   r.LabeledCounter("svmsimd_cache_hits_total", "Cells served without a fresh simulation, by cache layer.", "layer"),
+		misses:      r.Counter("svmsimd_cache_misses_total", "Cells that required a fresh simulation."),
+		simulated:   r.Counter("svmsimd_cells_simulated_total", "Fresh simulations executed."),
+	}
+	if s.twin != nil {
+		m.twinPredictions = r.Counter("svmsimd_twin_predictions_total", "Twin predict/optimize responses answered from the analytical model, bypassing the job queue.")
+		r.Func("counter", "svmsimd_twin_calibrations_total", "Calibration passes that built or extended a twin model.", func() int64 { return int64(s.twin.Calibrations()) })
+	}
+	m.latency = r.Histogram("svmsimd_cell_latency_seconds", "Wall-clock simulation time per freshly simulated cell.",
+		[]float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60})
+	return m
+}
 
 // New builds a Server over cfg.Suite, replays the journal if one is
 // configured, and starts the worker pool. The suite's Observe hook is
@@ -158,9 +202,8 @@ func New(cfg Config) (*Server, error) {
 		retryBack:   cfg.RetryBackoff,
 		retry:       strconv.Itoa(cfg.RetryAfterSeconds),
 		twin:        cfg.Twin,
-		extra:       cfg.ExtraMetrics,
 	}
-	s.metrics = newMetrics(func() int { return len(s.queue) }, s.inflightCount)
+	s.metrics = newMetrics(s)
 
 	var pending []*job
 	if cfg.JournalDir != "" {
@@ -177,15 +220,23 @@ func New(cfg Config) (*Server, error) {
 	for _, j := range pending {
 		s.queue <- j
 	}
-	s.metrics.replayed(len(pending))
+	s.metrics.replayed.Add(uint64(len(pending)))
 	s.replayedN = len(pending)
 
+	// Every cell the suite serves lands here: cache hits by layer, and
+	// the latency of each fresh simulation.
 	prev := cfg.Suite.Observe
 	cfg.Suite.Observe = func(ev exp.CellEvent) {
 		if prev != nil {
 			prev(ev)
 		}
-		s.metrics.observe(ev)
+		if ev.Source != exp.SourceSim {
+			s.metrics.cacheHits.Inc(ev.Source.String())
+			return
+		}
+		s.metrics.misses.Inc()
+		s.metrics.simulated.Inc()
+		s.metrics.latency.Observe(ev.Seconds)
 	}
 
 	mux := http.NewServeMux()
@@ -196,9 +247,8 @@ func New(cfg Config) (*Server, error) {
 	if s.twin != nil {
 		mux.HandleFunc("POST /v1/twin/predict", s.handleTwinPredict)
 		mux.HandleFunc("POST /v1/twin/optimize", s.handleTwinOptimize)
-		s.metrics.twinCalibrations = s.twin.Calibrations
 	}
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.Handle("GET /metrics", s.metrics.reg)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux = mux
@@ -296,9 +346,7 @@ func strictUnmarshal(data []byte, v any) error {
 	if len(data) == 0 {
 		return fmt.Errorf("no spec journaled")
 	}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	return DecodeJSON(strings.NewReader(string(data)), v)
 }
 
 // Handler exposes the daemon's routes.
@@ -358,12 +406,12 @@ func (s *Server) handleSubmitCell(w http.ResponseWriter, r *http.Request) {
 	}
 	cell, err := s.suite.ResolveCell(spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	raw, err := json.Marshal(spec)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "failed", err.Error())
+		WriteError(w, http.StatusInternalServerError, "failed", err.Error())
 		return
 	}
 	s.submit(w, &job{kind: "cell", key: cell.Key(), cell: cell, spec: raw})
@@ -377,12 +425,12 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	wls, aurc, err := s.suite.ResolveSweep(spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	raw, err := json.Marshal(spec)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "failed", err.Error())
+		WriteError(w, http.StatusInternalServerError, "failed", err.Error())
 		return
 	}
 	s.submit(w, &job{kind: "sweep", key: sweepKey(spec.Param, aurc, wls), sweep: spec, spec: raw})
@@ -414,15 +462,15 @@ func (s *Server) submit(w http.ResponseWriter, proto *job) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		s.metrics.refused()
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining; not accepting new work")
+		s.metrics.refused.Inc()
+		WriteError(w, http.StatusServiceUnavailable, "draining", "server is draining; not accepting new work")
 		return
 	}
 	if active, ok := s.byKey[proto.key]; ok {
 		view := viewLocked(active)
 		s.mu.Unlock()
-		s.metrics.deduped()
-		writeJSONLine(w, http.StatusOK, view)
+		s.metrics.deduped.Inc()
+		WriteJSON(w, http.StatusOK, view)
 		return
 	}
 	if hit, ok := s.store[proto.key]; ok {
@@ -438,9 +486,9 @@ func (s *Server) submit(w http.ResponseWriter, proto *job) {
 		close(j.done)
 		view := viewLocked(j)
 		s.mu.Unlock()
-		s.metrics.accepted(proto.kind)
-		s.metrics.storeHit()
-		writeJSONLine(w, http.StatusOK, view)
+		s.metrics.accepted.Inc(proto.kind)
+		s.metrics.cacheHits.Inc("store")
+		WriteJSON(w, http.StatusOK, view)
 		return
 	}
 	// Every queue send happens under s.mu (and workers only drain), so the
@@ -448,9 +496,9 @@ func (s *Server) submit(w http.ResponseWriter, proto *job) {
 	// the send below never blocks.
 	if len(s.queue) == cap(s.queue) {
 		s.mu.Unlock()
-		s.metrics.rejected()
+		s.metrics.rejected.Inc()
 		w.Header().Set("Retry-After", s.retry)
-		writeError(w, http.StatusTooManyRequests, "queue_full", "admission queue is full; retry later")
+		WriteError(w, http.StatusTooManyRequests, "queue_full", "admission queue is full; retry later")
 		return
 	}
 	j := s.newJobLocked(proto.kind, proto.key)
@@ -461,15 +509,15 @@ func (s *Server) submit(w http.ResponseWriter, proto *job) {
 		delete(s.jobs, j.id)
 		s.order = s.order[:len(s.order)-1]
 		s.mu.Unlock()
-		writeError(w, http.StatusInternalServerError, "journal_error", err.Error())
+		WriteError(w, http.StatusInternalServerError, "journal_error", err.Error())
 		return
 	}
 	s.byKey[j.key] = j
 	s.queue <- j
 	view := viewLocked(j)
 	s.mu.Unlock()
-	s.metrics.accepted(proto.kind)
-	writeJSONLine(w, http.StatusAccepted, view)
+	s.metrics.accepted.Inc(proto.kind)
+	WriteJSON(w, http.StatusAccepted, view)
 }
 
 // handleJobStatus reports one job: GET /v1/jobs/{id}.
@@ -482,10 +530,10 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "no such job")
+		WriteError(w, http.StatusNotFound, "not_found", "no such job")
 		return
 	}
-	writeJSONLine(w, http.StatusOK, view)
+	WriteJSON(w, http.StatusOK, view)
 }
 
 // handleJobResult serves a finished job's canonical result document:
@@ -498,14 +546,14 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "no such job")
+		WriteError(w, http.StatusNotFound, "not_found", "no such job")
 		return
 	}
 	if r.URL.Query().Get("wait") != "" {
 		select {
 		case <-j.done:
 		case <-r.Context().Done():
-			writeError(w, http.StatusServiceUnavailable, "timeout", "job still running when the request deadline passed")
+			WriteError(w, http.StatusServiceUnavailable, "timeout", "job still running when the request deadline passed")
 			return
 		}
 	}
@@ -514,9 +562,9 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	switch status {
 	case statusQueued, statusRunning:
-		writeError(w, http.StatusConflict, "pending", "job has not finished; poll again or use ?wait=1")
+		WriteError(w, http.StatusConflict, "pending", "job has not finished; poll again or use ?wait=1")
 	case statusFailed, statusQuarantined:
-		writeError(w, http.StatusInternalServerError, kind, msg)
+		WriteError(w, http.StatusInternalServerError, kind, msg)
 	default:
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
@@ -524,20 +572,11 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleMetrics renders the Prometheus registry: GET /metrics.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.render(w)
-	if s.extra != nil {
-		s.extra(w)
-	}
-}
-
 // handleHealthz is pure liveness: the process is up and serving HTTP. It
 // stays 200 through replay and drain — restarting a draining daemon would
 // only lose work. Readiness (should traffic be routed here?) is /readyz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSONLine(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz is readiness: 200 only when the daemon is accepting work.
@@ -550,31 +589,42 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	switch {
 	case draining:
-		writeJSONLine(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 	case !ready:
-		writeJSONLine(w, http.StatusServiceUnavailable, map[string]string{"status": "replaying"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "replaying"})
 	default:
-		writeJSONLine(w, http.StatusOK, map[string]string{"status": "ready"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	}
 }
 
-// decodeSpec strictly parses a JSON request body (unknown fields are 400s —
-// a misspelled parameter must not silently run the baseline).
+// decodeSpec parses a request body with DecodeJSON, answering 400 when it
+// fails.
 func decodeSpec(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "parsing request body: "+err.Error())
+	if err := DecodeJSON(r.Body, v); err != nil {
+		WriteError(w, http.StatusBadRequest, "bad_request", "parsing request body: "+err.Error())
 		return false
 	}
 	return true
 }
 
-// writeJSONLine writes one compact JSON object plus newline.
-func writeJSONLine(w http.ResponseWriter, code int, v any) {
+// The JSON wire format of svmsimd and the fleet coordinator lives here:
+// strict request decoding, one compact object per response line, and the
+// structured error envelope of every non-2xx response.
+
+// DecodeJSON strictly parses a JSON body of at most 1 MiB: unknown fields
+// are errors, because a misspelled parameter must not silently run the
+// baseline.
+func DecodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(io.LimitReader(r, 1<<20))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// WriteJSON writes one compact JSON object plus newline.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "failed", err.Error())
+		WriteError(w, http.StatusInternalServerError, "failed", err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -590,11 +640,27 @@ type errorBody struct {
 	} `json:"error"`
 }
 
-func writeError(w http.ResponseWriter, code int, kind, msg string) {
+// WriteError answers code with the error envelope.
+func WriteError(w http.ResponseWriter, code int, kind, msg string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	io.WriteString(w, ErrorJSON(kind, msg))
+}
+
+// ErrorJSON is the error envelope's wire form, newline-terminated, for a
+// writer that takes a fixed body (http.TimeoutHandler).
+func ErrorJSON(kind, msg string) string {
 	var body errorBody
 	body.Error.Kind, body.Error.Message = kind, msg
 	data, _ := json.Marshal(body)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(data, '\n'))
+	return string(data) + "\n"
+}
+
+// ParseError reads an error envelope; ok is false when data is not one.
+func ParseError(data []byte) (kind, msg string, ok bool) {
+	var body errorBody
+	if json.Unmarshal(data, &body) != nil || body.Error.Kind == "" {
+		return "", "", false
+	}
+	return body.Error.Kind, body.Error.Message, true
 }

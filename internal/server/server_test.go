@@ -159,7 +159,7 @@ func TestStoreHitBypassesQueue(t *testing.T) {
 	if v := waitTerminal(t, s, jobID(t, first)); v.Status != statusDone {
 		t.Fatalf("warming job: %+v", v)
 	}
-	simsBefore := s.metrics.cellsSimulated()
+	simsBefore := s.metrics.simulated.Value()
 
 	gate := make(chan struct{})
 	submitCell(s, gateWorkload("gate", gate))
@@ -177,7 +177,7 @@ func TestStoreHitBypassesQueue(t *testing.T) {
 	if !v.Cached || v.Status != statusDone {
 		t.Fatalf("store hit not marked cached: %+v", v)
 	}
-	if got := s.metrics.cellsSimulated(); got != simsBefore {
+	if got := s.metrics.simulated.Value(); got != simsBefore {
 		t.Fatalf("warm resubmission simulated: %d -> %d", simsBefore, got)
 	}
 	close(gate)
@@ -284,6 +284,29 @@ func TestJobEviction(t *testing.T) {
 	}
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestErrorEnvelope pins the error envelope's wire bytes, which svmsimd's
+// request-timeout body reuses, and ParseError's reading of them, which the
+// fleet's dispatch relies on.
+func TestErrorEnvelope(t *testing.T) {
+	const want = `{"error":{"kind":"timeout","message":"request timed out"}}` + "\n"
+	if got := ErrorJSON("timeout", "request timed out"); got != want {
+		t.Fatalf("ErrorJSON = %q, want %q", got, want)
+	}
+	rec := httptest.NewRecorder()
+	WriteError(rec, 504, "timeout", "request timed out")
+	if rec.Code != 504 || rec.Body.String() != want || rec.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("WriteError: %d %q %q", rec.Code, rec.Header().Get("Content-Type"), rec.Body)
+	}
+	if kind, msg, ok := ParseError([]byte(want)); !ok || kind != "timeout" || msg != "request timed out" {
+		t.Fatalf("ParseError = %q, %q, %v", kind, msg, ok)
+	}
+	for _, bad := range []string{"", "not json", "{}", `{"error":{"message":"no kind"}}`} {
+		if _, _, ok := ParseError([]byte(bad)); ok {
+			t.Errorf("ParseError(%q) accepted a non-envelope", bad)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ func (s *Server) handleTwinPredict(w http.ResponseWriter, r *http.Request) {
 	}
 	cell, err := s.suite.ResolveCell(spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	p, err := s.twin.PredictCalibrating(s.suite, cell)
@@ -31,8 +31,8 @@ func (s *Server) handleTwinPredict(w http.ResponseWriter, r *http.Request) {
 		writeTwinError(w, err)
 		return
 	}
-	s.metrics.twinPredicted()
-	writeJSONLine(w, http.StatusOK, p)
+	s.metrics.twinPredictions.Inc()
+	WriteJSON(w, http.StatusOK, p)
 }
 
 // handleTwinOptimize serves POST /v1/twin/optimize: an OptimizeSpec body, a
@@ -43,7 +43,7 @@ func (s *Server) handleTwinOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if spec.Schema != 0 && spec.Schema != exp.SchemaVersion {
-		writeError(w, http.StatusBadRequest, "bad_request", "unsupported schema version")
+		WriteError(w, http.StatusBadRequest, "bad_request", "unsupported schema version")
 		return
 	}
 	choice, err := s.twin.OptimizeCalibrating(s.suite, spec)
@@ -51,8 +51,8 @@ func (s *Server) handleTwinOptimize(w http.ResponseWriter, r *http.Request) {
 		writeTwinError(w, err)
 		return
 	}
-	s.metrics.twinPredicted()
-	writeJSONLine(w, http.StatusOK, choice)
+	s.metrics.twinPredictions.Inc()
+	WriteJSON(w, http.StatusOK, choice)
 }
 
 // writeTwinError maps a twin failure onto the structured error envelope:
@@ -64,10 +64,10 @@ func writeTwinError(w http.ResponseWriter, err error) {
 	kind := exp.ErrKind(err)
 	switch kind {
 	case "uncalibrated", "infeasible":
-		writeError(w, http.StatusUnprocessableEntity, kind, err.Error())
+		WriteError(w, http.StatusUnprocessableEntity, kind, err.Error())
 	case "failed":
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 	default:
-		writeError(w, http.StatusInternalServerError, kind, err.Error())
+		WriteError(w, http.StatusInternalServerError, kind, err.Error())
 	}
 }

@@ -12,9 +12,28 @@ import (
 
 // counters snapshots the supervision counters for assertions.
 func counters(s *Server) (timeouts, retries, quarantined, deduped uint64) {
-	s.metrics.mu.Lock()
-	defer s.metrics.mu.Unlock()
-	return s.metrics.jobTimeouts, s.metrics.jobRetries, s.metrics.jobsQuarantined, s.metrics.jobsDeduped
+	m := &s.metrics
+	return m.timeouts.Value(), m.retries.Value(), m.quarantined.Value(), m.deduped.Value()
+}
+
+// TestRetryDelaySaturates: the watchdog's backoff doubles from its base and
+// saturates at maxRetryBackoff, so no attempt count overflows it into a
+// multi-hour or a negative (no-wait) sleep.
+func TestRetryDelaySaturates(t *testing.T) {
+	base := 500 * time.Millisecond
+	for attempt, want := range map[int]time.Duration{1: base, 2: 2 * base, 3: 4 * base} {
+		if got := retryDelay(base, attempt); got != want {
+			t.Errorf("attempt %d: delay %v, want %v", attempt, got, want)
+		}
+	}
+	var prev time.Duration
+	for attempt := 1; attempt <= 64; attempt++ {
+		d := retryDelay(base, attempt)
+		if d <= 0 || d < prev || d > maxRetryBackoff {
+			t.Fatalf("attempt %d: delay %v after %v; want positive, non-decreasing, at most %v", attempt, d, prev, maxRetryBackoff)
+		}
+		prev = d
+	}
 }
 
 // TestWatchdogRetriesThenSucceeds: a job whose first attempt exceeds the

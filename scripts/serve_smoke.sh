@@ -60,7 +60,7 @@ printf '%s' "$result" | grep -q '"run"' || fail "result carries no run: $result"
 metrics=$(curl -sS "$base/metrics")
 printf '%s\n' "$metrics" | grep -q '^svmsimd_cells_simulated_total 1$' \
     || fail "cells_simulated_total != 1 after first submission"
-printf '%s\n' "$metrics" | grep -q 'svmsimd_jobs_done_total 1' \
+printf '%s\n' "$metrics" | grep -q '^svmsimd_jobs_done_total 1$' \
     || fail "jobs_done_total != 1 after first submission"
 
 # A warm resubmission is a store hit: cached job, zero new simulations.
@@ -69,7 +69,7 @@ printf '%s' "$again" | grep -q '"cached":true' || fail "resubmission not cached:
 metrics=$(curl -sS "$base/metrics")
 printf '%s\n' "$metrics" | grep -q '^svmsimd_cells_simulated_total 1$' \
     || fail "warm resubmission simulated again"
-printf '%s\n' "$metrics" | grep -q 'svmsimd_cache_hits_total{layer="store"} 1' \
+printf '%s\n' "$metrics" | grep -q '^svmsimd_cache_hits_total{layer="store"} 1$' \
     || fail "store hit not counted"
 
 # Graceful drain: SIGTERM, clean exit. The daemon's own -drain-timeout
