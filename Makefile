@@ -1,15 +1,16 @@
 # Development checks for svmsim. `make check` is the CI gate: vet of both
 # modules, the domain-specific svmlint analyzers (determinism / unit-suffix /
 # hot-path allocation invariants, see internal/lint), build, the full test
-# suite of both modules, the race detector over the packages with real
-# concurrency (the parallel experiment pool and the engine), and the crash,
-# serving and twin smokes.
+# suite of both modules (which drives the real svmsimd binary through its
+# crash, drain and fleet drills), the race detector over the packages with
+# real concurrency (the parallel experiment pool and the engine), and the
+# node-crash and twin smokes.
 
 GO ?= go
 
-.PHONY: check vet lint lint-report build test race chaos serve-smoke chaos-serve fleet-smoke twin-validate bench-engine bench-smoke experiments faults
+.PHONY: check vet lint lint-report build test race chaos twin-validate bench-engine bench-smoke experiments faults
 
-check: vet lint build test race chaos serve-smoke chaos-serve fleet-smoke twin-validate
+check: vet lint build test race chaos twin-validate
 
 vet:
 	$(GO) vet ./...
@@ -52,26 +53,6 @@ race:
 # to end, in well under a minute.
 chaos:
 	$(GO) run -race ./cmd/experiments -only nodecrash -procs 4 -ppn 2
-
-# Daemon smoke: build svmsimd, serve one cell over HTTP, verify the metrics
-# counters move and a warm resubmission is a zero-simulation store hit, then
-# SIGTERM and require a clean drain. Seconds end to end.
-serve-smoke:
-	sh scripts/serve_smoke.sh
-
-# Daemon crash safety: SIGKILL svmsimd mid-sweep, restart it on the same
-# journal and cache, and require the replayed job to finish byte-identical to
-# an uninterrupted run with no cached cell simulated twice. Seconds end to
-# end; set CHAOS_ARTIFACT_DIR to preserve the journal and logs on failure.
-chaos-serve:
-	sh scripts/chaos_serve.sh
-
-# Fleet crash safety: coordinator + two joined workers, SIGKILL one worker
-# mid-sweep, require a byte-identical sweep with exactly one counted death,
-# the dead worker's cells re-dispatched and zero local fallbacks. Seconds end
-# to end; CHAOS_ARTIFACT_DIR preserves logs on failure, as for chaos-serve.
-fleet-smoke:
-	sh scripts/chaos_serve.sh fleet
 
 # Analytical-twin smoke: run the interrupt sweep with and without
 # -twin-prune, require a strictly smaller simulation count with the

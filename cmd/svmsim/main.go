@@ -1,7 +1,9 @@
 // Command svmsim runs one workload on one configuration of the simulated SVM
 // cluster and prints the execution statistics: cycles, speedup (optionally,
 // against a uniprocessor baseline), time breakdown, and protocol event
-// counts.
+// counts. The flags build a cell spec that resolves like any other
+// (exp.Suite.ResolveCell), so an unknown workload, protocol or request
+// scheme exits 2 with the same message `sweep -cell` prints.
 //
 // Usage:
 //
@@ -13,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"svmsim"
 	"svmsim/internal/exp"
@@ -21,21 +22,22 @@ import (
 )
 
 func main() {
-	size := exp.Small
-	flag.Var(&size, "size", "problem size: small or default")
+	ach := svmsim.Achievable()
+	suite := exp.NewSuite(exp.Small)
+	flag.Var(&suite.Sizes, "size", "problem size: small or default")
+	flag.IntVar(&suite.Procs, "procs", suite.Procs, "total processors")
+	flag.IntVar(&suite.PPN, "ppn", suite.PPN, "processors per node")
 	var (
 		appName   = flag.String("app", "FFT", "workload name (see -list)")
 		list      = flag.Bool("list", false, "list workloads and exit")
-		procs     = flag.Int("procs", 16, "total processors")
-		ppn       = flag.Int("ppn", 4, "processors per node")
-		mode      = flag.String("mode", "hlrc", "protocol: hlrc or aurc")
-		overhead  = flag.Uint64("overhead", 500, "host overhead (cycles/message)")
-		occupancy = flag.Uint64("occupancy", 200, "NI occupancy (cycles/packet)")
-		iobw      = flag.Float64("iobw", 0.5, "I/O bus bandwidth (MB/s per MHz)")
-		intr      = flag.Uint64("intr", 500, "interrupt cost per half (cycles)")
-		page      = flag.Int("page", 4096, "page size (bytes)")
+		mode      = flag.String("mode", exp.Modes.Name(svmsim.HLRC), "protocol: "+exp.Modes.Want())
+		overhead  = flag.Uint64("overhead", ach.Net.HostOverheadCycles, "host overhead (cycles/message)")
+		occupancy = flag.Uint64("occupancy", ach.Net.NIOccupancyCycles, "NI occupancy (cycles/packet)")
+		iobw      = flag.Float64("iobw", ach.Net.IOBytesPerCycle, "I/O bus bandwidth (MB/s per MHz)")
+		intr      = flag.Uint64("intr", ach.IntrHalfCostCycles, "interrupt cost per half (cycles)")
+		page      = flag.Int("page", ach.Proto.PageBytes, "page size (bytes)")
 		rr        = flag.Bool("rr-interrupts", false, "round-robin interrupt delivery")
-		requests  = flag.String("requests", "interrupts", "request handling: interrupts, polling, dedicated")
+		requests  = flag.String("requests", exp.RequestSchemes.Name(svmsim.RequestInterrupts), "request handling: "+exp.RequestSchemes.Want())
 		niServe   = flag.Bool("ni-serve", false, "serve page requests on the NI (no host interrupt)")
 		nis       = flag.Int("nis", 1, "network interfaces per node")
 		speedup   = flag.Bool("speedup", false, "also run the uniprocessor baseline and report speedups")
@@ -51,74 +53,82 @@ func main() {
 		}
 		return
 	}
+	if *page <= 0 {
+		usage(fmt.Errorf("svmsim: page size %d is not positive", *page))
+	}
 
-	var wl *svmsim.Workload
-	for _, w := range svmsim.Workloads() {
-		if strings.EqualFold(w.Name, *appName) {
-			w := w
-			wl = &w
+	// A communication parameter the user does not give keeps its base
+	// value: Achievable()'s, or Best()'s under -best.
+	base := ach
+	if *best {
+		base = svmsim.Best()
+	}
+	spec := exp.CellSpec{
+		Workload:           *appName,
+		Mode:               *mode,
+		HostOverheadCycles: &base.Net.HostOverheadCycles,
+		NIOccupancyCycles:  &base.Net.NIOccupancyCycles,
+		IOBytesPerCycle:    &base.Net.IOBytesPerCycle,
+		IntrHalfCostCycles: &base.IntrHalfCostCycles,
+		PageBytes:          *page,
+		Requests:           *requests,
+		NIServePages:       *niServe,
+		NIsPerNode:         *nis,
+	}
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "overhead":
+			spec.HostOverheadCycles = overhead
+		case "occupancy":
+			spec.NIOccupancyCycles = occupancy
+		case "iobw":
+			spec.IOBytesPerCycle = iobw
+		case "intr":
+			spec.IntrHalfCostCycles = intr
+		}
+	})
+	if *rr {
+		spec.IntrPolicy = exp.IntrPolicies.Name(svmsim.IntrRoundRobin)
+	}
+	cell, err := suite.ResolveCell(spec)
+	if err != nil {
+		usage(err)
+	}
+	// The uniprocessor baseline is a cell of its own, run without the
+	// trace recorder so the trace shows only the parallel run.
+	var uniCell exp.Cell
+	if *speedup {
+		spec.Uniprocessor = true
+		if uniCell, err = suite.ResolveCell(spec); err != nil {
+			usage(err)
 		}
 	}
-	if wl == nil {
-		fmt.Fprintf(os.Stderr, "unknown workload %q; use -list\n", *appName)
-		os.Exit(2)
-	}
-	mk := wl.Small
-	if size == exp.Default {
-		mk = wl.Default
-	}
-
-	cfg := svmsim.Achievable()
-	if *best {
-		cfg = svmsim.Best()
-	}
-	cfg.Procs = *procs
-	cfg.ProcsPerNode = *ppn
-	cfg.Net.HostOverheadCycles = *overhead
-	cfg.Net.NIOccupancyCycles = *occupancy
-	cfg.Net.IOBytesPerCycle = *iobw
-	cfg.IntrHalfCostCycles = *intr
-	cfg.Proto.PageBytes = *page
-	if strings.EqualFold(*mode, "aurc") {
-		cfg.Proto.Mode = svmsim.AURC
-	}
-	if *rr {
-		cfg.IntrPolicy = svmsim.IntrRoundRobin
-	}
-	switch strings.ToLower(*requests) {
-	case "polling":
-		cfg.Requests = svmsim.RequestPolling
-	case "dedicated":
-		cfg.Requests = svmsim.RequestDedicated
-	}
-	cfg.NIServePages = *niServe
-	cfg.NIsPerNode = *nis
 
 	var rec *svmsim.TraceRecorder
 	if *traceSum || *traceTail > 0 {
 		rec = svmsim.NewTraceRecorder(1 << 21)
-		cfg.Trace = rec
+		cell.Cfg.Trace = rec
 	}
 
-	res, err := svmsim.Run(cfg, mk())
+	run, err := suite.RunCell(cell)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	run := res.Run
+	cfg := cell.Cfg
 
 	fmt.Printf("%s on %d procs (%d/node), %s, page %dB\n",
-		wl.Name, cfg.Procs, cfg.ProcsPerNode, cfg.Proto.Mode, cfg.Proto.PageBytes)
+		cell.W.Name, cfg.Procs, cfg.ProcsPerNode, cfg.Proto.Mode, cfg.Proto.PageBytes)
 	fmt.Printf("execution time: %d cycles (%.2f ms at 200 MHz)\n",
 		run.Cycles, float64(run.Cycles)/200e3)
 
 	if *speedup {
-		uniRes, err := svmsim.Run(svmsim.Uniprocessor(cfg), mk())
+		uni, err := suite.RunCell(uniCell)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		sp := svmsim.ComputeSpeedups(uniRes.Run.Cycles, run)
+		sp := svmsim.ComputeSpeedups(uni.Cycles, run)
 		fmt.Printf("speedup: %.2f (ideal %.2f, uniprocessor %d cycles)\n",
 			sp.Achievable, sp.Ideal, sp.Uniproc)
 	}
@@ -163,4 +173,11 @@ func main() {
 		v := float64(sum(func(p *stats.Proc) uint64 { return p.Time[k] }))
 		fmt.Printf("  %-14s %6.1f%%\n", k, v/tot*100)
 	}
+}
+
+// usage reports a flag value that does not resolve to a runnable cell and
+// exits 2, the flag package's code for bad usage.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(2)
 }

@@ -35,6 +35,7 @@ import (
 	"runtime/pprof"
 	"strings"
 
+	"svmsim"
 	"svmsim/internal/exp"
 	"svmsim/internal/fleet"
 )
@@ -51,7 +52,7 @@ func run() int {
 		param = flag.String("param", "interrupt",
 			"parameter to sweep: "+strings.Join(exp.AxisNames(), ", "))
 		appsFlag   = flag.String("apps", "", "comma-separated workload subset (default: all)")
-		mode       = flag.String("mode", "hlrc", "protocol: hlrc or aurc")
+		mode       = flag.String("mode", exp.Modes.Name(svmsim.HLRC), "protocol: "+exp.Modes.Want())
 		parallel   = flag.Int("parallel", 0, "concurrent simulation runs (0 = GOMAXPROCS, 1 = serial)")
 		cacheDir   = flag.String("cache-dir", "", "persist finished cells to this directory and reuse them across runs")
 		jsonOut    = flag.Bool("json", false, "emit the sweep as a schema-v1 JSON document instead of a rendered table")

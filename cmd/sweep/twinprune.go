@@ -22,7 +22,7 @@ import (
 // the result document (twin.predicted_cells), never written to the
 // persistent cache.
 func runTwinPruned(s *exp.Suite, spec exp.SweepSpec, eps, target float64) (exp.SweepResult, error) {
-	wls, aurc, err := s.ResolveSweep(spec)
+	wls, mode, err := s.ResolveSweep(spec)
 	if err != nil {
 		return exp.SweepResult{}, err
 	}
@@ -39,7 +39,7 @@ func runTwinPruned(s *exp.Suite, spec exp.SweepSpec, eps, target float64) (exp.S
 
 	tw := twin.New()
 	for _, w := range wls {
-		if _, err := tw.Calibrate(s, w, aurc, axis); err != nil {
+		if _, err := tw.Calibrate(s, w, mode, axis); err != nil {
 			return exp.SweepResult{}, fmt.Errorf("calibrating twin for %s: %w", w.Name, err)
 		}
 	}

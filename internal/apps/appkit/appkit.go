@@ -31,9 +31,6 @@ func (v Vec) GetI(c *shm.Proc, i int) int64 { return c.ReadI64(v.At(i)) }
 // SetI writes element i as int64.
 func (v Vec) SetI(c *shm.Proc, i int, x int64) { c.WriteI64(v.At(i), x) }
 
-// AllocVec reserves n words.
-func AllocVec(w *shm.World, n int) Vec { return Vec{Base: w.Alloc(uint64(n) * 8)} }
-
 // AllocVecPages reserves n words page-aligned (so it can be distributed).
 func AllocVecPages(w *shm.World, n int) Vec { return Vec{Base: w.AllocPages(uint64(n) * 8)} }
 

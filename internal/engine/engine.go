@@ -176,10 +176,6 @@ func (s *Sim) Counts() Counts {
 	return Counts{Events: s.dispatched, Switches: s.switches, Threads: s.spawned, Carriers: s.made}
 }
 
-// Current returns the thread that is executing right now, or nil when the
-// scheduler is running a plain callback event.
-func (s *Sim) Current() *Thread { return s.current }
-
 // At schedules fn to run after delay cycles. fn runs in scheduler context
 // (no current thread); it must not block.
 func (s *Sim) At(delay Time, fn func()) {

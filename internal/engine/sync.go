@@ -38,9 +38,6 @@ func (c *Cond) Broadcast() {
 	}
 }
 
-// Waiters reports how many threads are blocked on the condition.
-func (c *Cond) Waiters() int { return len(c.waiters) }
-
 type resWaiter struct {
 	prio int
 	seq  uint64
@@ -72,9 +69,6 @@ func (r *Resource) Name() string { return r.name }
 
 // Busy reports whether the resource is currently held.
 func (r *Resource) Busy() bool { return r.busy }
-
-// QueueLen reports the number of threads waiting for the resource.
-func (r *Resource) QueueLen() int { return len(r.queue) }
 
 // Acquire blocks t until it holds the resource. prio orders contending
 // waiters (smaller wins).

@@ -32,28 +32,21 @@ type axisDef struct {
 	// degradesLow marks an axis whose performance degrades as its value
 	// falls. Every other axis degrades toward its last point.
 	degradesLow bool
-	spec        func(*CellSpec, float64)
 }
 
 // axes is the axis table. How each axis reads and writes a Config is
 // Value and Set below: a pointer passed through a func field escapes to
 // the heap, and the twin's prediction path must not allocate.
 var axes = [NumAxes]axisDef{
-	AxisHostOverhead: {name: "overhead", column: "HostOvh", points: floats(HostOverheadPoints), label: cyclesLabel,
-		spec: func(s *CellSpec, v float64) { u := uint64(v); s.HostOverheadCycles = &u }},
-	AxisOccupancy: {name: "occupancy", column: "NIOcc", points: floats(OccupancyPoints), label: cyclesLabel,
-		spec: func(s *CellSpec, v float64) { u := uint64(v); s.NIOccupancyCycles = &u }},
+	AxisHostOverhead: {name: "overhead", column: "HostOvh", points: floats(HostOverheadPoints), label: cyclesLabel},
+	AxisOccupancy:    {name: "occupancy", column: "NIOcc", points: floats(OccupancyPoints), label: cyclesLabel},
 	AxisIOBw: {name: "iobw", column: "IOBw", points: floats(IOBandwidthPoints), degradesLow: true,
-		label: func(v float64) string { return strconv.FormatFloat(v, 'f', 1, 64) },
-		spec:  func(s *CellSpec, v float64) { s.IOBytesPerCycle = &v }},
-	AxisInterrupt: {name: "interrupt", column: "Intr", points: floats(InterruptPoints), label: cyclesLabel,
-		spec: func(s *CellSpec, v float64) { u := uint64(v); s.IntrHalfCostCycles = &u }},
+		label: func(v float64) string { return strconv.FormatFloat(v, 'f', 1, 64) }},
+	AxisInterrupt: {name: "interrupt", column: "Intr", points: floats(InterruptPoints), label: cyclesLabel},
 	AxisPageSize: {name: "pagesize", column: "PageSz", points: floats(PageSizePoints),
-		label: func(v float64) string { return strconv.Itoa(int(v)/1024) + "K" },
-		spec:  func(s *CellSpec, v float64) { s.PageBytes = int(v) }},
+		label: func(v float64) string { return strconv.Itoa(int(v)/1024) + "K" }},
 	AxisClustering: {name: "clustering", column: "PPN", points: floats(ClusteringPoints),
-		label: func(v float64) string { return strconv.Itoa(int(v)) },
-		spec:  func(s *CellSpec, v float64) { s.PPN = int(v) }},
+		label: func(v float64) string { return strconv.Itoa(int(v)) }},
 }
 
 // Value reads the axis's coordinate from a configuration.
@@ -92,10 +85,6 @@ func (a Axis) Set(c *svmsim.Config, v float64) {
 		c.ProcsPerNode = int(v)
 	}
 }
-
-// SetSpec writes the axis's coordinate into the wire spec field that
-// carries it.
-func (a Axis) SetSpec(s *CellSpec, v float64) { axes[a].spec(s, v) }
 
 // String returns the axis's sweep name.
 func (a Axis) String() string { return axes[a].name }
@@ -151,12 +140,10 @@ func AxisNames() []string {
 }
 
 // axisSweep renders the speedup of each workload at every point of axis a,
-// the other parameters at baseline, under AURC when aurc is set.
-func (s *Suite) axisSweep(id, title string, a Axis, aurc bool, wls []svmsim.Workload) (*Table, error) {
+// the other parameters at baseline, under protocol mode.
+func (s *Suite) axisSweep(id, title string, a Axis, mode svmsim.Mode, wls []svmsim.Workload) (*Table, error) {
 	base := s.Base()
-	if aurc {
-		base.Proto.Mode = svmsim.AURC
-	}
+	base.Proto.Mode = mode
 	cfgs := make([]svmsim.Config, len(axes[a].points))
 	for i, v := range axes[a].points {
 		cfgs[i] = base

@@ -10,7 +10,7 @@ import (
 // TestSweepParamIOBwColumnsMatchFigure8: a named iobw sweep labels its
 // columns as Figure 8 does.
 func TestSweepParamIOBwColumnsMatchFigure8(t *testing.T) {
-	tbl, err := NewSuite(Small).SweepParam("iobw", []svmsim.Workload{tinyWorkload("tiny")}, false)
+	tbl, err := NewSuite(Small).SweepParam("iobw", []svmsim.Workload{tinyWorkload("tiny")}, svmsim.HLRC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSweepNamesAreTheSixAxes(t *testing.T) {
 		if _, _, err := s.ResolveSweep(SweepSpec{Param: name}); err != nil {
 			t.Errorf("ResolveSweep(%q): %v", name, err)
 		}
-		if _, err := s.SweepParam(name, wls, false); err != nil {
+		if _, err := s.SweepParam(name, wls, svmsim.HLRC); err != nil {
 			t.Errorf("SweepParam(%q): %v", name, err)
 		}
 	}
@@ -53,7 +53,7 @@ func TestSweepNamesAreTheSixAxes(t *testing.T) {
 		if _, _, err := s.ResolveSweep(SweepSpec{Param: name}); err == nil || err.Error() != want {
 			t.Errorf("ResolveSweep(%q) error %v, want %s", name, err, want)
 		}
-		if _, err := s.SweepParam(name, wls, false); err == nil || err.Error() != want {
+		if _, err := s.SweepParam(name, wls, svmsim.HLRC); err == nil || err.Error() != want {
 			t.Errorf("SweepParam(%q) error %v, want %s", name, err, want)
 		}
 	}

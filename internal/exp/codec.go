@@ -38,7 +38,7 @@ type CellSpec struct {
 	// Procs and PPN override the suite topology when positive.
 	Procs int `json:"procs,omitempty"`
 	PPN   int `json:"ppn,omitempty"`
-	// Mode selects the protocol: "hlrc" (default) or "aurc".
+	// Mode selects the protocol, spelled as in Modes.
 	Mode string `json:"mode,omitempty"`
 	// The four communication parameters of the paper; nil keeps the
 	// baseline value.
@@ -48,11 +48,9 @@ type CellSpec struct {
 	IntrHalfCostCycles *uint64  `json:"intr_half_cost_cycles,omitempty"`
 	// PageBytes overrides the page size when positive.
 	PageBytes int `json:"page_bytes,omitempty"`
-	// IntrPolicy selects interrupt delivery: "static" (default) or
-	// "round-robin".
+	// IntrPolicy selects interrupt delivery, spelled as in IntrPolicies.
 	IntrPolicy string `json:"intr_policy,omitempty"`
-	// Requests selects request handling: "interrupts" (default), "polling"
-	// or "dedicated".
+	// Requests selects request handling, spelled as in RequestSchemes.
 	Requests string `json:"requests,omitempty"`
 	// NIServePages serves page requests on the programmable NI.
 	NIServePages bool `json:"ni_serve_pages,omitempty"`
@@ -61,6 +59,84 @@ type CellSpec struct {
 	// AllLocal artificially satisfies all page faults locally (the Section 7
 	// ablation).
 	AllLocal bool `json:"all_local,omitempty"`
+}
+
+// Vocab is the wire vocabulary of one of a cell's named choices: the
+// protocol (Modes), interrupt delivery (IntrPolicies) or request handling
+// (RequestSchemes). Every parser and writer of a choice reads its table
+// below, so each spelling is declared once.
+type Vocab[T comparable] struct {
+	noun  string // names the choice in parse errors
+	words []word[T]
+}
+
+// word is one spelling. The first word for a value is the one written;
+// a later word for the same value is an alias, read but never written.
+type word[T comparable] struct {
+	name  string
+	value T
+}
+
+// The vocabularies. The first word of each is the default, which the empty
+// string also selects.
+var (
+	Modes = Vocab[svmsim.Mode]{"protocol mode", []word[svmsim.Mode]{
+		{"hlrc", svmsim.HLRC},
+		{"aurc", svmsim.AURC},
+	}}
+	IntrPolicies = Vocab[svmsim.IntrPolicy]{"interrupt policy", []word[svmsim.IntrPolicy]{
+		{"static", svmsim.IntrStatic},
+		{"round-robin", svmsim.IntrRoundRobin},
+		{"roundrobin", svmsim.IntrRoundRobin},
+	}}
+	RequestSchemes = Vocab[svmsim.RequestHandling]{"request handling", []word[svmsim.RequestHandling]{
+		{"interrupts", svmsim.RequestInterrupts},
+		{"polling", svmsim.RequestPolling},
+		{"dedicated", svmsim.RequestDedicated},
+	}}
+)
+
+// Parse reads a spelling in any letter case; the empty string selects the
+// default. The error for an unknown spelling lists the valid ones and
+// carries no package prefix: callers add their own.
+func (v Vocab[T]) Parse(s string) (T, error) {
+	if s == "" {
+		return v.words[0].value, nil
+	}
+	lower := strings.ToLower(s)
+	for _, w := range v.words {
+		if w.name == lower {
+			return w.value, nil
+		}
+	}
+	var zero T
+	return zero, fmt.Errorf("unknown %s %q (want %s)", v.noun, s, v.Want())
+}
+
+// Name spells a value, or returns "" for a value the vocabulary lacks.
+func (v Vocab[T]) Name(x T) string {
+	for _, w := range v.words {
+		if w.value == x {
+			return w.name
+		}
+	}
+	return ""
+}
+
+// Want lists the written spellings for help texts and errors, such as
+// "interrupts, polling or dedicated".
+func (v Vocab[T]) Want() string {
+	var names []string
+	for _, w := range v.words {
+		if v.Name(w.value) == w.name {
+			names = append(names, w.name)
+		}
+	}
+	last := len(names) - 1
+	if last == 0 {
+		return names[0]
+	}
+	return strings.Join(names[:last], ", ") + " or " + names[last]
 }
 
 // ResolveCell turns a wire spec into a runnable cell on this suite's
@@ -81,13 +157,8 @@ func (s *Suite) ResolveCell(spec CellSpec) (Cell, error) {
 	if spec.PPN > 0 {
 		cfg.ProcsPerNode = spec.PPN
 	}
-	switch strings.ToLower(spec.Mode) {
-	case "", "hlrc":
-		cfg.Proto.Mode = svmsim.HLRC
-	case "aurc":
-		cfg.Proto.Mode = svmsim.AURC
-	default:
-		return Cell{}, fmt.Errorf("exp: unknown protocol mode %q (want hlrc or aurc)", spec.Mode)
+	if cfg.Proto.Mode, err = Modes.Parse(spec.Mode); err != nil {
+		return Cell{}, fmt.Errorf("exp: %w", err)
 	}
 	if spec.HostOverheadCycles != nil {
 		cfg.Net.HostOverheadCycles = *spec.HostOverheadCycles
@@ -104,23 +175,11 @@ func (s *Suite) ResolveCell(spec CellSpec) (Cell, error) {
 	if spec.PageBytes > 0 {
 		cfg.Proto.PageBytes = spec.PageBytes
 	}
-	switch strings.ToLower(spec.IntrPolicy) {
-	case "", "static":
-		cfg.IntrPolicy = svmsim.IntrStatic
-	case "round-robin", "roundrobin":
-		cfg.IntrPolicy = svmsim.IntrRoundRobin
-	default:
-		return Cell{}, fmt.Errorf("exp: unknown interrupt policy %q (want static or round-robin)", spec.IntrPolicy)
+	if cfg.IntrPolicy, err = IntrPolicies.Parse(spec.IntrPolicy); err != nil {
+		return Cell{}, fmt.Errorf("exp: %w", err)
 	}
-	switch strings.ToLower(spec.Requests) {
-	case "", "interrupts":
-		cfg.Requests = svmsim.RequestInterrupts
-	case "polling":
-		cfg.Requests = svmsim.RequestPolling
-	case "dedicated":
-		cfg.Requests = svmsim.RequestDedicated
-	default:
-		return Cell{}, fmt.Errorf("exp: unknown request handling %q (want interrupts, polling or dedicated)", spec.Requests)
+	if cfg.Requests, err = RequestSchemes.Parse(spec.Requests); err != nil {
+		return Cell{}, fmt.Errorf("exp: %w", err)
 	}
 	if spec.NIServePages {
 		cfg.NIServePages = true
@@ -155,50 +214,27 @@ func SpecFromCell(c Cell) (CellSpec, bool) {
 		cfg.Net.Crash != nil || cfg.Proto.HeartbeatIntervalCycles != 0 || cfg.Proto.SuspectTimeoutCycles != 0 {
 		return CellSpec{}, false
 	}
+	ho, occ, iobw, intr := cfg.Net.HostOverheadCycles, cfg.Net.NIOccupancyCycles, cfg.Net.IOBytesPerCycle, cfg.IntrHalfCostCycles
 	spec := CellSpec{
-		Schema:   SchemaVersion,
-		Workload: c.W.Name,
-		Procs:    cfg.Procs,
-		PPN:      cfg.ProcsPerNode,
+		Schema:             SchemaVersion,
+		Workload:           c.W.Name,
+		Procs:              cfg.Procs,
+		PPN:                cfg.ProcsPerNode,
+		Mode:               Modes.Name(cfg.Proto.Mode),
+		HostOverheadCycles: &ho,
+		NIOccupancyCycles:  &occ,
+		IOBytesPerCycle:    &iobw,
+		IntrHalfCostCycles: &intr,
+		PageBytes:          cfg.Proto.PageBytes,
+		IntrPolicy:         IntrPolicies.Name(cfg.IntrPolicy),
+		Requests:           RequestSchemes.Name(cfg.Requests),
+		NIServePages:       cfg.NIServePages,
+		NIsPerNode:         cfg.NIsPerNode,
+		AllLocal:           cfg.Proto.AllLocal,
 	}
-	switch cfg.Proto.Mode {
-	case svmsim.HLRC:
-		spec.Mode = "hlrc"
-	case svmsim.AURC:
-		spec.Mode = "aurc"
-	default:
+	if spec.Mode == "" || spec.IntrPolicy == "" || spec.Requests == "" {
 		return CellSpec{}, false
 	}
-	ho := cfg.Net.HostOverheadCycles
-	occ := cfg.Net.NIOccupancyCycles
-	iobw := cfg.Net.IOBytesPerCycle
-	intr := cfg.IntrHalfCostCycles
-	spec.HostOverheadCycles = &ho
-	spec.NIOccupancyCycles = &occ
-	spec.IOBytesPerCycle = &iobw
-	spec.IntrHalfCostCycles = &intr
-	spec.PageBytes = cfg.Proto.PageBytes
-	switch cfg.IntrPolicy {
-	case svmsim.IntrStatic:
-		spec.IntrPolicy = "static"
-	case svmsim.IntrRoundRobin:
-		spec.IntrPolicy = "round-robin"
-	default:
-		return CellSpec{}, false
-	}
-	switch cfg.Requests {
-	case svmsim.RequestInterrupts:
-		spec.Requests = "interrupts"
-	case svmsim.RequestPolling:
-		spec.Requests = "polling"
-	case svmsim.RequestDedicated:
-		spec.Requests = "dedicated"
-	default:
-		return CellSpec{}, false
-	}
-	spec.NIServePages = cfg.NIServePages
-	spec.NIsPerNode = cfg.NIsPerNode
-	spec.AllLocal = cfg.Proto.AllLocal
 	return spec, true
 }
 
@@ -281,13 +317,6 @@ func NewCellResult(key string, run *svmsim.RunStats, err error) CellResult {
 		r.Source = SourceSimulated
 	}
 	return r
-}
-
-// NewPredictedCellResult builds the wire form of a twin-predicted cell: the
-// same document shape as a simulated result, marked so downstream consumers
-// can audit which cells carry model output instead of measurements.
-func NewPredictedCellResult(key string, run *svmsim.RunStats) CellResult {
-	return CellResult{Schema: SchemaVersion, Key: key, Source: SourcePredictedCell, Run: run}
 }
 
 // taxonomy declares every typed failure once: how to recognise it, its
@@ -433,7 +462,7 @@ type SweepSpec struct {
 	Param string `json:"param"`
 	// Apps selects a workload subset; empty means all.
 	Apps []string `json:"apps,omitempty"`
-	// Mode selects the protocol: "hlrc" (default) or "aurc".
+	// Mode selects the protocol, spelled as in Modes.
 	Mode string `json:"mode,omitempty"`
 }
 
@@ -519,28 +548,23 @@ func TableToResult(t *Table) TableResult {
 	return tr
 }
 
-// ResolveSweep validates a sweep spec, returning its workloads and protocol
-// selection.
-func (s *Suite) ResolveSweep(spec SweepSpec) ([]svmsim.Workload, bool, error) {
+// ResolveSweep validates a sweep spec, returning its workloads and protocol.
+func (s *Suite) ResolveSweep(spec SweepSpec) ([]svmsim.Workload, svmsim.Mode, error) {
 	if spec.Schema != 0 && spec.Schema != SchemaVersion {
-		return nil, false, fmt.Errorf("exp: unsupported schema version %d (have %d)", spec.Schema, SchemaVersion)
+		return nil, 0, fmt.Errorf("exp: unsupported schema version %d (have %d)", spec.Schema, SchemaVersion)
 	}
 	if _, err := AxisByName(spec.Param); err != nil {
-		return nil, false, err
+		return nil, 0, err
 	}
-	var aurc bool
-	switch strings.ToLower(spec.Mode) {
-	case "", "hlrc":
-	case "aurc":
-		aurc = true
-	default:
-		return nil, false, fmt.Errorf("exp: unknown protocol mode %q (want hlrc or aurc)", spec.Mode)
+	mode, err := Modes.Parse(spec.Mode)
+	if err != nil {
+		return nil, 0, fmt.Errorf("exp: %w", err)
 	}
 	wls, err := SelectWorkloads(spec.Apps)
 	if err != nil {
-		return nil, false, err
+		return nil, 0, err
 	}
-	return wls, aurc, nil
+	return wls, mode, nil
 }
 
 // RunSweep executes a sweep spec end to end and returns its wire-form
@@ -548,19 +572,15 @@ func (s *Suite) ResolveSweep(spec SweepSpec) ([]svmsim.Workload, bool, error) {
 // CLI's -json mode and the daemon's sweep jobs call, so their outputs are
 // byte-identical).
 func (s *Suite) RunSweep(spec SweepSpec) (SweepResult, error) {
-	wls, aurc, err := s.ResolveSweep(spec)
+	wls, mode, err := s.ResolveSweep(spec)
 	if err != nil {
 		return SweepResult{}, err
 	}
-	tbl, err := s.SweepParam(spec.Param, wls, aurc)
+	tbl, err := s.SweepParam(spec.Param, wls, mode)
 	if err != nil {
 		return SweepResult{}, err
 	}
-	mode := "hlrc"
-	if aurc {
-		mode = "aurc"
-	}
-	return SweepResult{Schema: SchemaVersion, Param: spec.Param, Mode: mode, Table: TableToResult(tbl)}, nil
+	return SweepResult{Schema: SchemaVersion, Param: spec.Param, Mode: Modes.Name(mode), Table: TableToResult(tbl)}, nil
 }
 
 // EncodeSweepResult renders the canonical encoding of a sweep result.

@@ -244,6 +244,96 @@ func TestResolveCellRejects(t *testing.T) {
 	}
 }
 
+// TestCellVocabulary covers every accepted and rejected spelling of the
+// three named choices, through each resolver that reads them: any letter
+// case is accepted, the empty string selects the default, the alias
+// roundrobin reads as round-robin, and a rejection's text names the valid
+// spellings. Every value writes back a spelling that parses to itself.
+func TestCellVocabulary(t *testing.T) {
+	s := smallSuite(1)
+	type spelling struct {
+		in   string
+		want any    // the parsed value when err is empty
+		err  string // the exact rejection text
+	}
+	modeErr := func(in string) string {
+		return fmt.Sprintf("exp: unknown protocol mode %q (want hlrc or aurc)", in)
+	}
+	modes := []spelling{
+		{"", svmsim.HLRC, ""}, {"hlrc", svmsim.HLRC, ""}, {"HLRC", svmsim.HLRC, ""},
+		{"aurc", svmsim.AURC, ""}, {"AuRc", svmsim.AURC, ""},
+		{"foo", nil, modeErr("foo")}, {"tso", nil, modeErr("tso")}, {" hlrc", nil, modeErr(" hlrc")},
+	}
+	policyErr := func(in string) string {
+		return fmt.Sprintf("exp: unknown interrupt policy %q (want static or round-robin)", in)
+	}
+	requestErr := func(in string) string {
+		return fmt.Sprintf("exp: unknown request handling %q (want interrupts, polling or dedicated)", in)
+	}
+	for _, field := range []struct {
+		name      string
+		spellings []spelling
+		resolve   func(string) (any, error)
+	}{
+		{"mode", modes, func(in string) (any, error) {
+			c, err := s.ResolveCell(CellSpec{Workload: "FFT", Mode: in})
+			return c.Cfg.Proto.Mode, err
+		}},
+		{"sweep mode", modes, func(in string) (any, error) {
+			_, mode, err := s.ResolveSweep(SweepSpec{Param: "interrupt", Mode: in})
+			return mode, err
+		}},
+		{"intr_policy", []spelling{
+			{"", svmsim.IntrStatic, ""}, {"static", svmsim.IntrStatic, ""}, {"Static", svmsim.IntrStatic, ""},
+			{"round-robin", svmsim.IntrRoundRobin, ""}, {"ROUND-ROBIN", svmsim.IntrRoundRobin, ""},
+			{"roundrobin", svmsim.IntrRoundRobin, ""}, {"RoundRobin", svmsim.IntrRoundRobin, ""},
+			{"chaotic", nil, policyErr("chaotic")}, {"round robin", nil, policyErr("round robin")},
+		}, func(in string) (any, error) {
+			c, err := s.ResolveCell(CellSpec{Workload: "FFT", IntrPolicy: in})
+			return c.Cfg.IntrPolicy, err
+		}},
+		{"requests", []spelling{
+			{"", svmsim.RequestInterrupts, ""}, {"interrupts", svmsim.RequestInterrupts, ""},
+			{"Interrupts", svmsim.RequestInterrupts, ""}, {"polling", svmsim.RequestPolling, ""},
+			{"POLLING", svmsim.RequestPolling, ""}, {"dedicated", svmsim.RequestDedicated, ""},
+			{"Dedicated", svmsim.RequestDedicated, ""},
+			{"smoke-signals", nil, requestErr("smoke-signals")}, {"interrupt", nil, requestErr("interrupt")},
+		}, func(in string) (any, error) {
+			c, err := s.ResolveCell(CellSpec{Workload: "FFT", Requests: in})
+			return c.Cfg.Requests, err
+		}},
+	} {
+		for _, sp := range field.spellings {
+			got, err := field.resolve(sp.in)
+			switch {
+			case sp.err != "" && (err == nil || err.Error() != sp.err):
+				t.Errorf("%s %q: error %v, want %s", field.name, sp.in, err, sp.err)
+			case sp.err == "" && (err != nil || got != sp.want):
+				t.Errorf("%s %q: %v, %v; want %v", field.name, sp.in, got, err, sp.want)
+			}
+		}
+	}
+
+	for _, m := range []svmsim.Mode{svmsim.HLRC, svmsim.AURC} {
+		if got, err := Modes.Parse(Modes.Name(m)); got != m || err != nil {
+			t.Errorf("mode %v writes %q, which parses to %v, %v", m, Modes.Name(m), got, err)
+		}
+	}
+	for _, p := range []svmsim.IntrPolicy{svmsim.IntrStatic, svmsim.IntrRoundRobin} {
+		if got, err := IntrPolicies.Parse(IntrPolicies.Name(p)); got != p || err != nil {
+			t.Errorf("policy %v writes %q, which parses to %v, %v", p, IntrPolicies.Name(p), got, err)
+		}
+	}
+	for _, h := range []svmsim.RequestHandling{svmsim.RequestInterrupts, svmsim.RequestPolling, svmsim.RequestDedicated} {
+		if got, err := RequestSchemes.Parse(RequestSchemes.Name(h)); got != h || err != nil {
+			t.Errorf("handling %v writes %q, which parses to %v, %v", h, RequestSchemes.Name(h), got, err)
+		}
+	}
+	if got := IntrPolicies.Name(svmsim.IntrRoundRobin); got != "round-robin" {
+		t.Errorf("round-robin delivery writes %q, want the canonical round-robin", got)
+	}
+}
+
 // TestErrKindTaxonomy pins the wire kind and the retry disposition of every
 // typed failure, seen both ways: the local retry loop judges the typed error
 // (deterministicErr), the fleet coordinator judges only the wire kind

@@ -136,41 +136,41 @@ func (s *Suite) paramSweep(id, title string, cols []string, cfgs []svmsim.Config
 
 // Figure5 reproduces the host-overhead sweep.
 func (s *Suite) Figure5() (*Table, error) {
-	return s.axisSweep("Figure 5", "Speedup vs host overhead (cycles/message)", AxisHostOverhead, false, apps())
+	return s.axisSweep("Figure 5", "Speedup vs host overhead (cycles/message)", AxisHostOverhead, svmsim.HLRC, apps())
 }
 
 // Figure7 reproduces the NI-occupancy sweep under HLRC.
 func (s *Suite) Figure7() (*Table, error) {
-	return s.axisSweep("Figure 7", "Speedup vs NI occupancy (cycles/packet), HLRC", AxisOccupancy, false, apps())
+	return s.axisSweep("Figure 7", "Speedup vs NI occupancy (cycles/packet), HLRC", AxisOccupancy, svmsim.HLRC, apps())
 }
 
 // Figure8 reproduces the I/O-bus bandwidth sweep.
 func (s *Suite) Figure8() (*Table, error) {
-	return s.axisSweep("Figure 8", "Speedup vs I/O bus bandwidth (MB/s per MHz)", AxisIOBw, false, apps())
+	return s.axisSweep("Figure 8", "Speedup vs I/O bus bandwidth (MB/s per MHz)", AxisIOBw, svmsim.HLRC, apps())
 }
 
 // Figure10 reproduces the interrupt-cost sweep.
 func (s *Suite) Figure10() (*Table, error) {
-	return s.axisSweep("Figure 10", "Speedup vs interrupt cost (cycles per half)", AxisInterrupt, false, apps())
+	return s.axisSweep("Figure 10", "Speedup vs interrupt cost (cycles per half)", AxisInterrupt, svmsim.HLRC, apps())
 }
 
 // Figure12 reproduces the NI-occupancy sweep under AURC, where occupancy
 // matters much more (fine-grain update packets). The paper shows a
 // representative regular + irregular subset.
 func (s *Suite) Figure12() (*Table, error) {
-	return s.axisSweep("Figure 12", "Speedup vs NI occupancy (cycles/packet), AURC", AxisOccupancy, true,
+	return s.axisSweep("Figure 12", "Speedup vs NI occupancy (cycles/packet), AURC", AxisOccupancy, svmsim.AURC,
 		pick("FFT", "LU", "Ocean", "Water-sp", "Barnes-reb"))
 }
 
 // Figure13 reproduces the page-size sweep.
 func (s *Suite) Figure13() (*Table, error) {
-	return s.axisSweep("Figure 13", "Speedup vs page size", AxisPageSize, false, apps())
+	return s.axisSweep("Figure 13", "Speedup vs page size", AxisPageSize, svmsim.HLRC, apps())
 }
 
 // Figure14 reproduces the clustering sweep (processors per node; total
 // fixed).
 func (s *Suite) Figure14() (*Table, error) {
-	return s.axisSweep("Figure 14", "Speedup vs degree of clustering (procs/node)", AxisClustering, false, apps())
+	return s.axisSweep("Figure 14", "Speedup vs degree of clustering (procs/node)", AxisClustering, svmsim.HLRC, apps())
 }
 
 // pick selects workloads by name.
@@ -186,16 +186,16 @@ func pick(names ...string) []svmsim.Workload {
 	return out
 }
 
-// SweepParam runs a named single-parameter sweep over the given workloads,
-// optionally under AURC (the cmd/sweep entry point).
-func (s *Suite) SweepParam(param string, wls []svmsim.Workload, aurc bool) (*Table, error) {
+// SweepParam runs a named single-parameter sweep over the given workloads
+// under protocol mode (the cmd/sweep entry point).
+func (s *Suite) SweepParam(param string, wls []svmsim.Workload, mode svmsim.Mode) (*Table, error) {
 	a, err := AxisByName(param)
 	if err != nil {
 		return nil, err
 	}
 	title := "Speedup vs " + param
-	if aurc {
+	if mode == svmsim.AURC {
 		title += " (AURC)"
 	}
-	return s.axisSweep("Sweep", title, a, aurc, wls)
+	return s.axisSweep("Sweep", title, a, mode, wls)
 }

@@ -20,11 +20,11 @@ func TestParallelMatchesSerialDeterminism(t *testing.T) {
 	parallel := NewSuite(Small)
 	parallel.Parallelism = 4
 
-	ts, err := serial.SweepParam("clustering", wls, false)
+	ts, err := serial.SweepParam("clustering", wls, svmsim.HLRC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp, err := parallel.SweepParam("clustering", wls, false)
+	tp, err := parallel.SweepParam("clustering", wls, svmsim.HLRC)
 	if err != nil {
 		t.Fatal(err)
 	}

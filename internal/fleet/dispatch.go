@@ -26,7 +26,8 @@ import (
 // non-wire-expressible cell, or an exhausted redispatch budget with
 // fallback enabled). Deterministic simulation failures from a worker
 // (stall, lost_page, ...) are results, not dispatch failures: they return
-// ok=true and cache like any error row.
+// ok=true and cache like any error row. A retryable answer is a failed
+// attempt (see try).
 func (c *Coordinator) remote(cell exp.Cell) (exp.CellResult, bool) {
 	spec, ok := exp.SpecFromCell(cell)
 	if !ok {
@@ -63,16 +64,6 @@ func (c *Coordinator) remote(cell exp.Cell) (exp.CellResult, bool) {
 		res, err := c.dispatch(w, key, spec)
 		if err != nil {
 			lastErr = err
-			exclude[w.id] = true
-			continue
-		}
-		if exp.RetryableKind(res.ErrKind) {
-			// The worker answered, but with a host-level failure (its own
-			// watchdog timeout, a panic, an unclassified harness error):
-			// re-placing the cell elsewhere may still succeed, and caching
-			// a non-deterministic verdict would poison the memo.
-			lastErr = fmt.Errorf("worker %s returned retryable %s: %s", w.id, res.ErrKind, res.Err)
-			c.metrics.dispatchErrs.Inc(w.id)
 			exclude[w.id] = true
 			continue
 		}
@@ -199,11 +190,17 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 // first successful attempt for the cell flips resolved; any later success
 // is a deduplicated late result — warmth is still recorded (the bytes are
 // on that worker's disk, future routing should know), the result is
-// otherwise dropped.
+// otherwise dropped. An answer carrying a retryable kind (the worker's own
+// watchdog timeout, a panic, an unclassified harness error) is a failed
+// attempt: the cell may still succeed elsewhere, and caching a
+// non-deterministic verdict would poison the memo.
 func (c *Coordinator) try(w *worker, key string, spec exp.CellSpec, agg chan<- tryOutcome, resolved *atomic.Bool) {
 	defer c.reg.release(w)
 	sw := walltime.Start()
 	res, err := c.callWorker(w, key, spec)
+	if err == nil && exp.RetryableKind(res.ErrKind) {
+		err = fmt.Errorf("worker %s returned retryable %s: %s", w.id, res.ErrKind, res.Err)
+	}
 	if err != nil {
 		c.metrics.dispatchErrs.Inc(w.id)
 		agg <- tryOutcome{err: err}

@@ -657,3 +657,52 @@ func TestCoordinatorDrainRefusesWorkers(t *testing.T) {
 		t.Fatalf("registration during drain = %d, want 503", rec.Code)
 	}
 }
+
+// TestRetryableAnswerIsAFailedAttempt: a worker that answers a cell with a
+// retryable error envelope (its own watchdog's job_timeout) has not
+// completed the cell. The attempt fails, so the worker is not marked warm
+// for the cell and fleet_cells_completed_total does not count it, and the
+// coordinator places the cell on a healthy worker instead.
+func TestRetryableAnswerIsAFailedAttempt(t *testing.T) {
+	suite := exp.NewSuite(exp.Small)
+	coord, ts := newTestCoordinator(t, Config{Suite: suite, SuspectTimeout: time.Minute, HedgeFactor: -1, MaxDispatches: 2})
+	badID := registerHTTP(t, ts.URL, failingWorker(t).URL, "bad:/cache")
+	cell, err := suite.ResolveCell(exp.CellSpec{Workload: "FFT"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := exp.SpecFromCell(cell)
+	coord.reg.mu.Lock()
+	bad := coord.reg.workers[badID]
+	coord.reg.mu.Unlock()
+	if res, err := coord.dispatch(bad, cell.Key(), spec); err == nil {
+		t.Fatalf("a job_timeout answer completed the dispatch: %+v", res)
+	}
+
+	goodID := registerHTTP(t, ts.URL, stubWorker(t).URL, "good:/cache")
+	if res, ok := coord.remote(cell); !ok || res.Run == nil {
+		t.Fatalf("remote(FFT) = %+v, %v; want the healthy worker's run", res, ok)
+	}
+	coord.reg.mu.Lock()
+	warm := coord.reg.warm["bad:/cache"][cell.Key()]
+	coord.reg.mu.Unlock()
+	if warm {
+		t.Error("the failing worker is warm for a cell it never completed")
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := parseScrape(t, body)
+	if n := samples[`fleet_cells_completed_total{worker="`+badID+`"}`]; n != 0 {
+		t.Errorf("fleet_cells_completed_total counts %v job_timeout answers from the failing worker", n)
+	}
+	if n := samples[`fleet_cells_completed_total{worker="`+goodID+`"}`]; n != 1 {
+		t.Errorf("fleet_cells_completed_total{good} = %v, want 1", n)
+	}
+}

@@ -92,26 +92,33 @@ func (c *Controller) Raise(name string, handler func(t *engine.Thread, victim *n
 	switch c.Mode {
 	case Polling:
 		c.raisePolling(name, handler)
-		return
 	case Dedicated:
 		c.raiseDedicated(name, handler)
-		return
+	default:
+		// The issue half is signal propagation and does not occupy the
+		// victim CPU; the delivery half does.
+		c.spawnHandler("intr", name, c.pick(), c.IssueCycles, c.DeliverCycles, handler)
 	}
-	victim := c.pick()
-	c.n.Sim.Spawn(c.threadName("intr", name), func(t *engine.Thread) {
-		// Issue half: signal propagation; does not occupy the victim CPU.
-		if c.IssueCycles > 0 {
-			t.Delay(c.IssueCycles)
+}
+
+// spawnHandler runs handler on victim in its own thread, the one body every
+// handling mode shares: wait out before, then serialize with the victim's
+// other handlers, and charge after plus the handler's own time as stolen
+// from the application on that CPU. The thread is named for prefix and
+// the request kind.
+func (c *Controller) spawnHandler(prefix, name string, victim *node.Processor, before, after engine.Time, handler func(t *engine.Thread, victim *node.Processor)) {
+	c.n.Sim.Spawn(c.threadName(prefix, name), func(t *engine.Thread) {
+		if before > 0 {
+			t.Delay(before)
 		}
-		// Serialize handlers on the victim CPU.
 		victim.HandlerRes.Acquire(t, 0)
 		victim.HandlerEnter()
 		start := c.n.Sim.Now()
-		if c.DeliverCycles > 0 {
-			t.Delay(c.DeliverCycles)
+		if after > 0 {
+			t.Delay(after)
 		}
 		handler(t, victim)
-		victim.Stats.Interrupts++
+		victim.Stats.Interrupts++ // under polling and dedicated: serviced requests
 		victim.HandlerExit(c.n.Sim.Now() - start)
 		victim.HandlerRes.Release()
 	})

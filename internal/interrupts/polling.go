@@ -25,18 +25,6 @@ const (
 	Dedicated
 )
 
-// String returns the handling mode's name.
-func (h Handling) String() string {
-	switch h {
-	case Polling:
-		return "polling"
-	case Dedicated:
-		return "dedicated"
-	default:
-		return "interrupts"
-	}
-}
-
 // PollParams configure the Polling and Dedicated modes.
 type PollParams struct {
 	// IntervalCycles is the polling period in cycles (Polling mode).
@@ -60,26 +48,13 @@ func DefaultPollParams() PollParams {
 // raisePolling schedules handler at the node's next poll boundary on the
 // static victim (the polling processor).
 func (c *Controller) raisePolling(name string, handler func(t *engine.Thread, victim *node.Processor)) {
-	victim := c.n.Procs[0]
 	now := c.n.Sim.Now()
 	interval := c.Poll.IntervalCycles
 	if interval == 0 {
 		interval = 1
 	}
 	boundary := (now/interval + 1) * interval
-	c.n.Sim.Spawn(c.threadName("poll", name), func(t *engine.Thread) {
-		t.Delay(boundary - now)
-		victim.HandlerRes.Acquire(t, 0)
-		victim.HandlerEnter()
-		start := c.n.Sim.Now()
-		if c.Poll.DispatchCycles > 0 {
-			t.Delay(c.Poll.DispatchCycles)
-		}
-		handler(t, victim)
-		victim.Stats.Interrupts++ // counted as serviced requests
-		victim.HandlerExit(c.n.Sim.Now() - start)
-		victim.HandlerRes.Release()
-	})
+	c.spawnHandler("poll", name, c.n.Procs[0], boundary-now, c.Poll.DispatchCycles, handler)
 }
 
 // raiseDedicated dispatches handler to the node's reserved protocol
@@ -87,17 +62,5 @@ func (c *Controller) raisePolling(name string, handler func(t *engine.Thread, vi
 // reserved processor runs no application work, so nothing is stolen from the
 // computation.
 func (c *Controller) raiseDedicated(name string, handler func(t *engine.Thread, victim *node.Processor)) {
-	victim := c.n.Procs[len(c.n.Procs)-1]
-	c.n.Sim.Spawn(c.threadName("proto", name), func(t *engine.Thread) {
-		if c.Poll.DispatchCycles > 0 {
-			t.Delay(c.Poll.DispatchCycles)
-		}
-		victim.HandlerRes.Acquire(t, 0)
-		victim.HandlerEnter()
-		start := c.n.Sim.Now()
-		handler(t, victim)
-		victim.Stats.Interrupts++
-		victim.HandlerExit(c.n.Sim.Now() - start)
-		victim.HandlerRes.Release()
-	})
+	c.spawnHandler("proto", name, c.n.Procs[len(c.n.Procs)-1], c.Poll.DispatchCycles, 0, handler)
 }

@@ -207,24 +207,6 @@ func hasGoFiles(dir string) bool {
 	return false
 }
 
-// LoadDir parses and type-checks the package in dir. Type errors are
-// collected on the package, not returned: deliberately ill-typed fixtures and
-// partially resolvable code still yield an analyzable package.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	files, err := l.parseDir(dir, l.IncludeTests)
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, nil
-	}
-	path, err := l.importPathFor(dir)
-	if err != nil {
-		return nil, err
-	}
-	return l.check(dir, path, files), nil
-}
-
 // check type-checks one parsed package with full function bodies.
 func (l *Loader) check(dir, path string, files []*ast.File) *Package {
 	pkg := &Package{

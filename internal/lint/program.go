@@ -32,7 +32,6 @@ type Program struct {
 type CallGraph struct {
 	funcs   []*types.Func                 // deterministic declaration order
 	callees map[*types.Func][]*types.Func // deduped, in source order
-	decls   map[*types.Func]*ast.FuncDecl
 }
 
 // CallGraph builds (once) and returns the program's call graph.
@@ -42,7 +41,6 @@ func (p *Program) CallGraph() *CallGraph {
 	}
 	cg := &CallGraph{
 		callees: map[*types.Func][]*types.Func{},
-		decls:   map[*types.Func]*ast.FuncDecl{},
 	}
 	for _, pkg := range p.Pkgs {
 		for _, file := range pkg.Files {
@@ -56,7 +54,6 @@ func (p *Program) CallGraph() *CallGraph {
 					continue
 				}
 				cg.funcs = append(cg.funcs, fn)
-				cg.decls[fn] = fd
 				seen := map[*types.Func]bool{}
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					call, ok := n.(*ast.CallExpr)
@@ -75,10 +72,6 @@ func (p *Program) CallGraph() *CallGraph {
 	p.graph = cg
 	return cg
 }
-
-// DeclOf returns the AST declaration of fn, when fn is declared (with a
-// body) inside the program.
-func (cg *CallGraph) DeclOf(fn *types.Func) *ast.FuncDecl { return cg.decls[fn] }
 
 // ReachAny computes, for every declared function that can transitively reach
 // a function matching seed, the first callee on one witness path. Seed

@@ -279,9 +279,6 @@ func NewNI(s *engine.Sim, nodeID int, params *Params, ioBus *engine.Resource, me
 // SetPeers wires the cluster's NIs together (index = node ID).
 func (ni *NI) SetPeers(peers []*NI) { ni.peers = peers }
 
-// NodeID returns the node this NI belongs to.
-func (ni *NI) NodeID() int { return ni.nodeID }
-
 // Params returns the NI's communication parameters.
 func (ni *NI) Params() *Params { return ni.params }
 

@@ -102,9 +102,6 @@ func (sy *System) NewLock() int {
 	return int(id)
 }
 
-// Locks returns the number of locks created.
-func (sy *System) Locks() int { return len(sy.locks) }
-
 // Acquire obtains lock id for processor p, blocking as needed. Acquires
 // satisfied by a token already at the node are local (hardware
 // synchronization); otherwise the request travels to the manager/owner.

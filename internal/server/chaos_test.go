@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -21,6 +22,10 @@ import (
 type daemon struct {
 	cmd *exec.Cmd
 	url string
+	// log collects the daemon's stderr lines; logDone closes once the
+	// daemon has closed stderr and every line is in.
+	log     []string
+	logDone chan struct{}
 }
 
 // startDaemon launches the real svmsimd binary on an ephemeral port and
@@ -35,7 +40,7 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	d := &daemon{cmd: cmd}
+	d := &daemon{cmd: cmd, logDone: make(chan struct{})}
 	t.Cleanup(func() {
 		if d.cmd.ProcessState == nil {
 			d.cmd.Process.Kill()
@@ -45,9 +50,11 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 
 	lines := make(chan string, 1)
 	go func() {
+		defer close(d.logDone)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
+			d.log = append(d.log, line)
 			if rest, ok := strings.CutPrefix(line, "svmsimd: listening on "); ok {
 				select {
 				case lines <- rest:
@@ -73,6 +80,26 @@ func (d *daemon) kill9(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.cmd.Wait()
+}
+
+// term SIGTERMs the daemon and requires a graceful drain: exit status 0
+// and the clean-drain line as the last thing it logs.
+func (d *daemon) term(t *testing.T) {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-d.logDone:
+	case <-time.After(60 * time.Second):
+		t.Fatal("daemon still running 60s after SIGTERM")
+	}
+	if err := d.cmd.Wait(); err != nil {
+		t.Fatalf("daemon exited with %v after SIGTERM; log:\n%s", err, strings.Join(d.log, "\n"))
+	}
+	if n := len(d.log); n == 0 || d.log[n-1] != "svmsimd: drained cleanly" {
+		t.Fatalf("no clean-drain line at the end of the log:\n%s", strings.Join(d.log, "\n"))
+	}
 }
 
 // get fetches a URL path from the daemon, returning status and body.
@@ -135,7 +162,9 @@ func countCacheEntries(t *testing.T, dir string) int {
 // against the same journal and cache directories. The restarted daemon must
 // come ready, still know the job under its original ID, run it to
 // completion warm (no cell simulated twice across the crash), and serve a
-// result byte-identical to an uninterrupted in-process run.
+// result byte-identical to an uninterrupted in-process run. A third
+// generation finds nothing to replay, serves the sweep from its caches,
+// and drains cleanly on SIGTERM.
 func TestChaosKill9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills a real daemon")
@@ -260,4 +289,5 @@ func TestChaosKill9(t *testing.T) {
 	if after := d3.metricValue(t, "svmsimd_cells_simulated_total"); after != simsBefore3 {
 		t.Fatalf("fully cached sweep re-simulated %d cells", after-simsBefore3)
 	}
+	d3.term(t)
 }

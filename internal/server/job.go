@@ -33,6 +33,8 @@ type job struct {
 	sweep exp.SweepSpec   // kind == "sweep"
 	spec  json.RawMessage // wire spec as submitted, journaled for replay
 
+	replayed bool // revived from the journal: exempt from Config.QueueDepth
+
 	// Guarded by the server mutex.
 	status   string
 	attempts int    // watchdog attempts consumed (journal-restored on replay)
@@ -64,6 +66,11 @@ type outcome struct {
 func (s *Server) worker() {
 	defer s.workers.Done()
 	for j := range s.queue {
+		if !j.replayed {
+			s.mu.Lock()
+			s.queued--
+			s.mu.Unlock()
+		}
 		s.runJob(j)
 	}
 }

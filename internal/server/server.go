@@ -45,8 +45,8 @@ type Config struct {
 	Suite *exp.Suite
 	// QueueDepth bounds the admission queue (default 64). Submissions
 	// beyond it are rejected with 429 + Retry-After. Journal replay is
-	// exempt: re-enqueued jobs ride above the bound, because they were
-	// already accepted in a previous life.
+	// exempt: re-enqueued jobs ride above the bound while they wait,
+	// because they were already accepted in a previous life.
 	QueueDepth int
 	// Workers sizes the job worker pool (default 2). Each worker runs one
 	// job at a time; cell parallelism inside a sweep is the Suite's.
@@ -98,12 +98,14 @@ type Server struct {
 	byKey    map[string]*job // active (queued/running) jobs by content key
 	store    map[string]stored
 	seq      uint64
+	queued   int  // submitted jobs waiting in the queue; queueDepth bounds it
 	ready    bool // false during journal replay, true once serving
 	draining bool
 
 	workers     sync.WaitGroup
 	inflight    atomic.Int64
 	replayedN   int // jobs revived from the journal at startup
+	queueDepth  int
 	maxJobs     int
 	maxAttempts int
 	jobDeadline time.Duration
@@ -196,6 +198,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:        make(map[string]*job),
 		byKey:       make(map[string]*job),
 		store:       make(map[string]stored),
+		queueDepth:  cfg.QueueDepth,
 		maxJobs:     cfg.MaxJobs,
 		maxAttempts: cfg.MaxAttempts,
 		jobDeadline: cfg.JobDeadline,
@@ -214,8 +217,8 @@ func New(cfg Config) (*Server, error) {
 		s.journal = jn
 		pending = s.registerReplayed(replayed)
 	}
-	// The queue admits QueueDepth new jobs on top of everything replayed:
-	// a restart must never 429 work it already accepted.
+	// The queue holds QueueDepth submitted jobs on top of everything
+	// replayed: a restart must never 429 work it already accepted.
 	s.queue = make(chan *job, cfg.QueueDepth+len(pending))
 	for _, j := range pending {
 		s.queue <- j
@@ -302,6 +305,7 @@ func (s *Server) registerReplayed(replayed []replayedJob) []*job {
 			close(j.done)
 			continue
 		}
+		j.replayed = true
 		s.byKey[j.key] = j
 		pending = append(pending, j)
 	}
@@ -329,11 +333,11 @@ func (s *Server) resolveReplayed(j *job) error {
 		if err := strictUnmarshal(j.spec, &spec); err != nil {
 			return err
 		}
-		wls, aurc, err := s.suite.ResolveSweep(spec)
+		wls, mode, err := s.suite.ResolveSweep(spec)
 		if err != nil {
 			return err
 		}
-		j.sweep, j.key = spec, sweepKey(spec.Param, aurc, wls)
+		j.sweep, j.key = spec, sweepKey(spec.Param, mode, wls)
 	default:
 		return fmt.Errorf("unknown job kind %q", j.kind)
 	}
@@ -423,7 +427,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	if !decodeSpec(w, r, &spec) {
 		return
 	}
-	wls, aurc, err := s.suite.ResolveSweep(spec)
+	wls, mode, err := s.suite.ResolveSweep(spec)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
@@ -433,22 +437,18 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusInternalServerError, "failed", err.Error())
 		return
 	}
-	s.submit(w, &job{kind: "sweep", key: sweepKey(spec.Param, aurc, wls), sweep: spec, spec: raw})
+	s.submit(w, &job{kind: "sweep", key: sweepKey(spec.Param, mode, wls), sweep: spec, spec: raw})
 }
 
 // sweepKey content-addresses a sweep by its resolved (not as-written)
 // parameters, so "fft" and "FFT" and the spelled-out default workload list
 // all land on one store entry.
-func sweepKey(param string, aurc bool, wls []svmsim.Workload) string {
-	mode := "hlrc"
-	if aurc {
-		mode = "aurc"
-	}
+func sweepKey(param string, mode svmsim.Mode, wls []svmsim.Workload) string {
 	names := make([]string, 0, len(wls))
 	for _, w := range wls {
 		names = append(names, w.Name)
 	}
-	return "sweep|param=" + param + "|mode=" + mode + "|apps=" + strings.Join(names, ",")
+	return "sweep|param=" + param + "|mode=" + exp.Modes.Name(mode) + "|apps=" + strings.Join(names, ",")
 }
 
 // submit runs admission control for a prepared job. In order: a draining
@@ -492,9 +492,10 @@ func (s *Server) submit(w http.ResponseWriter, proto *job) {
 		return
 	}
 	// Every queue send happens under s.mu (and workers only drain), so the
-	// explicit capacity check cannot race: reserving the slot here means
-	// the send below never blocks.
-	if len(s.queue) == cap(s.queue) {
+	// explicit bound check cannot race: reserving the slot here means the
+	// send below never blocks. Replayed jobs still waiting hold the slots
+	// above queueDepth, so they never count against it.
+	if s.queued >= s.queueDepth {
 		s.mu.Unlock()
 		s.metrics.rejected.Inc()
 		w.Header().Set("Retry-After", s.retry)
@@ -514,6 +515,7 @@ func (s *Server) submit(w http.ResponseWriter, proto *job) {
 	}
 	s.byKey[j.key] = j
 	s.queue <- j
+	s.queued++
 	view := viewLocked(j)
 	s.mu.Unlock()
 	s.metrics.accepted.Inc(proto.kind)

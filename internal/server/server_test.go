@@ -147,6 +147,65 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestReplayWidensAdmissionOnlyWhileWaiting: journal replay never 429s and
+// its jobs never count against QueueDepth, but they widen the queue only
+// while they wait in it. With a one-slot queue, one new cell queues behind
+// the waiting replayed jobs and the next is 429; once they have run, one
+// new cell queues behind a running one and the next is 429 again.
+func TestReplayWidensAdmissionOnlyWhileWaiting(t *testing.T) {
+	dir := t.TempDir()
+	jn, _, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, wl := range []string{"Water-nsq", "FFT", "LU"} {
+		raw, _ := json.Marshal(exp.CellSpec{Workload: wl})
+		if err := jn.append(journalRecord{Op: opAccept, ID: "j" + string(rune('1'+i)), Kind: "cell", Key: "stale", Spec: raw}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jn.close()
+
+	hold, hold2 := make(chan struct{}), make(chan struct{})
+	suite := testSuite()
+	suite.Remote = stubRemote(map[string]chan struct{}{"Water-nsq": hold, "Water-sp": hold2})
+	s, err := New(Config{Suite: suite, Workers: 1, QueueDepth: 1, JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(wl string, want int) string {
+		t.Helper()
+		rec := serve(s, "POST", "/v1/cells", `{"workload":"`+wl+`"}`)
+		if rec.Code != want {
+			t.Fatalf("submitting %s: %d %s, want %d", wl, rec.Code, rec.Body, want)
+		}
+		if want != 202 {
+			return ""
+		}
+		return jobID(t, rec)
+	}
+
+	// j1 runs held; j2 and j3 wait above the bound.
+	waitInflight(t, s, 1)
+	first := submit("Barnes-reb", 202)
+	submit("Volrend", 429)
+	close(hold)
+	for _, id := range []string{"j1", "j2", "j3", first} {
+		waitTerminal(t, s, id)
+	}
+
+	held := submit("Water-sp", 202)
+	waitInflight(t, s, 1)
+	second := submit("Raytrace", 202)
+	submit("Volrend", 429)
+	close(hold2)
+	waitTerminal(t, s, held)
+	waitTerminal(t, s, second)
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestStoreHitBypassesQueue: a result already in the content store is served
 // immediately — even while the queue is full — with zero new simulations.
 func TestStoreHitBypassesQueue(t *testing.T) {

@@ -3,6 +3,7 @@ package twin
 import (
 	"testing"
 
+	"svmsim"
 	"svmsim/internal/exp"
 )
 
@@ -20,7 +21,7 @@ func benchTwin(tb testing.TB) (*Twin, *exp.Suite) {
 		tb.Fatal(err)
 	}
 	tw := New()
-	if _, err := tw.Calibrate(s, w, false, CommAxes...); err != nil {
+	if _, err := tw.Calibrate(s, w, svmsim.HLRC, CommAxes...); err != nil {
 		tb.Fatal(err)
 	}
 	return tw, s

@@ -15,7 +15,7 @@ type OptimizeSpec struct {
 	Schema int `json:"schema,omitempty"`
 	// Workload names one of the paper's applications.
 	Workload string `json:"workload"`
-	// Mode selects the protocol: "hlrc" (default) or "aurc".
+	// Mode selects the protocol, spelled as in exp.Modes.
 	Mode string `json:"mode,omitempty"`
 	// MinSpeedup is the constraint: predicted speedup must be ≥ this.
 	MinSpeedup float64 `json:"min_speedup"`
@@ -85,13 +85,13 @@ func axisCost(a exp.Axis, v float64) float64 {
 // predicted speedup, then toward the earlier grid point — determinism a
 // test enforces.
 func (t *Twin) Optimize(spec OptimizeSpec) (Choice, error) {
-	aurc, err := parseMode(spec.Mode)
+	mode, err := exp.Modes.Parse(spec.Mode)
 	if err != nil {
-		return Choice{}, err
+		return Choice{}, fmt.Errorf("twin: %w", err)
 	}
-	m, ok := t.Model(spec.Workload, aurc)
+	m, ok := t.Model(spec.Workload, mode)
 	if !ok {
-		return Choice{}, &UncalibratedError{Workload: spec.Workload, Mode: modeName(aurc), Reason: "no calibration has run"}
+		return Choice{}, &UncalibratedError{Workload: spec.Workload, Mode: exp.Modes.Name(mode), Reason: "no calibration has run"}
 	}
 	for _, a := range CommAxes {
 		if m.axes[a] == nil {
@@ -178,15 +178,15 @@ func (t *Twin) Optimize(spec OptimizeSpec) (Choice, error) {
 // axes from anchor simulations run through the suite if they are missing —
 // the serving layer's entry point (see PredictCalibrating).
 func (t *Twin) OptimizeCalibrating(s *exp.Suite, spec OptimizeSpec) (Choice, error) {
-	aurc, err := parseMode(spec.Mode)
+	mode, err := exp.Modes.Parse(spec.Mode)
 	if err != nil {
-		return Choice{}, err
+		return Choice{}, fmt.Errorf("twin: %w", err)
 	}
 	w, err := exp.WorkloadByName(spec.Workload)
 	if err != nil {
 		return Choice{}, err
 	}
-	if _, err := t.Calibrate(s, w, aurc, CommAxes...); err != nil {
+	if _, err := t.Calibrate(s, w, mode, CommAxes...); err != nil {
 		return Choice{}, err
 	}
 	spec.Workload = w.Name

@@ -20,7 +20,7 @@ const ciFloor = 0.01
 // /v1/twin/predict response body.
 type Prediction struct {
 	Workload string `json:"workload"`
-	// Mode is "hlrc" or "aurc".
+	// Mode is the protocol, spelled as in exp.Modes.
 	Mode string `json:"mode"`
 	// Cycles is the predicted parallel execution time.
 	Cycles uint64 `json:"predicted_cycles"`
@@ -53,12 +53,11 @@ type detail struct {
 // nothing (benchmark-enforced): one RLock'd map read, stack arithmetic, a
 // by-value result.
 func (t *Twin) Predict(c exp.Cell) (Prediction, error) {
-	aurc := c.Cfg.Proto.Mode == svmsim.AURC
 	t.mu.RLock()
-	m := t.models[modelKey{c.W.Name, aurc}]
+	m := t.models[modelKey{c.W.Name, c.Cfg.Proto.Mode}]
 	t.mu.RUnlock()
 	if m == nil {
-		return Prediction{}, &UncalibratedError{Workload: c.W.Name, Mode: modeName(aurc), Reason: "no calibration has run"}
+		return Prediction{}, &UncalibratedError{Workload: c.W.Name, Mode: exp.Modes.Name(c.Cfg.Proto.Mode), Reason: "no calibration has run"}
 	}
 	p, _, err := m.predict(c.Cfg)
 	return p, err
@@ -218,12 +217,11 @@ func (ax *axisModel) nearest(pos float64) *svmsim.RunStats {
 // never simulates; the exp.Suite.Predict seam and the report harness are
 // its callers.
 func (t *Twin) PredictRun(c exp.Cell) (*svmsim.RunStats, error) {
-	aurc := c.Cfg.Proto.Mode == svmsim.AURC
 	t.mu.RLock()
-	m := t.models[modelKey{c.W.Name, aurc}]
+	m := t.models[modelKey{c.W.Name, c.Cfg.Proto.Mode}]
 	t.mu.RUnlock()
 	if m == nil {
-		return nil, &UncalibratedError{Workload: c.W.Name, Mode: modeName(aurc), Reason: "no calibration has run"}
+		return nil, &UncalibratedError{Workload: c.W.Name, Mode: exp.Modes.Name(c.Cfg.Proto.Mode), Reason: "no calibration has run"}
 	}
 	p, d, err := m.predict(c.Cfg)
 	if err != nil {
@@ -259,14 +257,13 @@ func cloneRun(src *svmsim.RunStats) *svmsim.RunStats {
 // lazy calibration amortizes across requests; installed sweeps calibrate
 // explicitly up front instead.
 func (t *Twin) PredictCalibrating(s *exp.Suite, c exp.Cell) (Prediction, error) {
-	aurc := c.Cfg.Proto.Mode == svmsim.AURC
 	// Base + uni anchors first; axes follow once we know which are active.
-	m, err := t.ensureBase(s, c.W, aurc)
+	m, err := t.ensureBase(s, c.W, c.Cfg.Proto.Mode)
 	if err != nil {
 		return Prediction{}, err
 	}
 	if axes, ok := m.activeAxes(c.Cfg); ok && len(axes) > 0 {
-		if _, err := t.Calibrate(s, c.W, aurc, axes...); err != nil {
+		if _, err := t.Calibrate(s, c.W, c.Cfg.Proto.Mode, axes...); err != nil {
 			return Prediction{}, err
 		}
 	}

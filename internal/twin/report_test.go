@@ -33,7 +33,7 @@ func TestTwinValidationGate(t *testing.T) {
 	tw := New()
 
 	for _, w := range svmsim.Workloads() {
-		if _, err := tw.Calibrate(s, w, false); err != nil {
+		if _, err := tw.Calibrate(s, w, svmsim.HLRC); err != nil {
 			t.Fatalf("calibrating %s/hlrc: %v", w.Name, err)
 		}
 	}
@@ -43,7 +43,7 @@ func TestTwinValidationGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tw.Calibrate(s, w, true, exp.AxisOccupancy); err != nil {
+		if _, err := tw.Calibrate(s, w, svmsim.AURC, exp.AxisOccupancy); err != nil {
 			t.Fatalf("calibrating %s/aurc: %v", name, err)
 		}
 	}
@@ -80,7 +80,7 @@ func TestTwinValidationGate(t *testing.T) {
 		if row.Err != "" {
 			t.Fatalf("Table 3 row %s degraded: %s", row.Name, row.Err)
 		}
-		m, ok := tw.Model(row.Name, false)
+		m, ok := tw.Model(row.Name, svmsim.HLRC)
 		if !ok {
 			t.Fatalf("no HLRC model for %s", row.Name)
 		}
@@ -118,7 +118,7 @@ func TestTwinValidationGate(t *testing.T) {
 
 	// Finding 3: AURC makes NI occupancy a first-order parameter.
 	for _, name := range fig12Apps {
-		m, ok := tw.Model(name, true)
+		m, ok := tw.Model(name, svmsim.AURC)
 		if !ok {
 			t.Fatalf("no AURC model for %s", name)
 		}

@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 
 	"svmsim"
@@ -93,29 +92,10 @@ func axisPos(a exp.Axis, v float64) float64 {
 	return v
 }
 
-// modeName renders the protocol for wire documents and error messages.
-func modeName(aurc bool) string {
-	if aurc {
-		return "aurc"
-	}
-	return "hlrc"
-}
-
-// parseMode parses a wire-spec protocol selection (empty means HLRC).
-func parseMode(mode string) (bool, error) {
-	switch strings.ToLower(mode) {
-	case "", "hlrc":
-		return false, nil
-	case "aurc":
-		return true, nil
-	}
-	return false, fmt.Errorf("twin: unknown protocol mode %q (want hlrc or aurc)", mode)
-}
-
 // modelKey identifies one calibrated model.
 type modelKey struct {
 	workload string
-	aurc     bool
+	mode     svmsim.Mode
 }
 
 // Twin holds the calibrated models, one per (workload, protocol). Models
@@ -143,10 +123,10 @@ func (t *Twin) Calibrations() uint64 {
 }
 
 // Model returns the calibrated model for a workload/protocol, if any.
-func (t *Twin) Model(workload string, aurc bool) (*Model, bool) {
+func (t *Twin) Model(workload string, mode svmsim.Mode) (*Model, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	m, ok := t.models[modelKey{workload, aurc}]
+	m, ok := t.models[modelKey{workload, mode}]
 	return m, ok
 }
 
@@ -172,7 +152,7 @@ type axisModel struct {
 // after calibration; the Twin republishes a fresh value to add axes.
 type Model struct {
 	workload string
-	aurc     bool
+	mode     svmsim.Mode
 	// base is the calibrated baseline configuration (the suite's Base with
 	// the protocol applied); uni its uniprocessor derivation (protocol
 	// reset to the suite default, matching exp's speedup denominator).
@@ -190,8 +170,8 @@ type Model struct {
 // Workload returns the model's workload name.
 func (m *Model) Workload() string { return m.workload }
 
-// Mode returns "hlrc" or "aurc".
-func (m *Model) Mode() string { return modeName(m.aurc) }
+// Mode returns the protocol's wire spelling (see exp.Modes).
+func (m *Model) Mode() string { return exp.Modes.Name(m.mode) }
 
 // CalibratedAxes returns the axes this model can interpolate, in axis order.
 func (m *Model) CalibratedAxes() []exp.Axis {
@@ -212,7 +192,7 @@ func (m *Model) axisEvents(a exp.Axis) uint64 {
 	case exp.AxisHostOverhead:
 		return p.Msgs
 	case exp.AxisOccupancy:
-		if m.aurc {
+		if m.mode == svmsim.AURC {
 			return p.Msgs + p.UpdateWords
 		}
 		return p.Msgs
@@ -258,40 +238,38 @@ func (m *Model) anchorValues(a exp.Axis) []float64 {
 // dimensions to calibrate; none means all six. The returned model is the
 // published snapshot. Anchor failures abort calibration with the cell's
 // error.
-func (t *Twin) Calibrate(s *exp.Suite, w svmsim.Workload, aurc bool, axes ...exp.Axis) (*Model, error) {
+func (t *Twin) Calibrate(s *exp.Suite, w svmsim.Workload, mode svmsim.Mode, axes ...exp.Axis) (*Model, error) {
 	if len(axes) == 0 {
 		axes = make([]exp.Axis, exp.NumAxes)
 		for a := range axes {
 			axes[a] = exp.Axis(a)
 		}
 	}
-	return t.calibrate(s, w, aurc, axes)
+	return t.calibrate(s, w, mode, axes)
 }
 
 // ensureBase publishes a model holding only the base and uniprocessor
 // anchors — enough for activeAxes to decide what a request actually needs —
 // without paying for any axis sweep.
-func (t *Twin) ensureBase(s *exp.Suite, w svmsim.Workload, aurc bool) (*Model, error) {
-	if m, ok := t.Model(w.Name, aurc); ok {
+func (t *Twin) ensureBase(s *exp.Suite, w svmsim.Workload, mode svmsim.Mode) (*Model, error) {
+	if m, ok := t.Model(w.Name, mode); ok {
 		return m, nil
 	}
-	return t.calibrate(s, w, aurc, nil)
+	return t.calibrate(s, w, mode, nil)
 }
 
 // calibrate is the shared calibration path; axes is the explicit (possibly
 // empty) set of dimensions to add.
-func (t *Twin) calibrate(s *exp.Suite, w svmsim.Workload, aurc bool, axes []exp.Axis) (*Model, error) {
+func (t *Twin) calibrate(s *exp.Suite, w svmsim.Workload, mode svmsim.Mode, axes []exp.Axis) (*Model, error) {
 	base := s.Base()
-	if aurc {
-		base.Proto.Mode = svmsim.AURC
-	}
+	base.Proto.Mode = mode
 	uni := svmsim.Uniprocessor(s.Base())
 
 	t.mu.RLock()
-	prev := t.models[modelKey{w.Name, aurc}]
+	prev := t.models[modelKey{w.Name, mode}]
 	t.mu.RUnlock()
 
-	m := &Model{workload: w.Name, aurc: aurc, base: base, uni: uni}
+	m := &Model{workload: w.Name, mode: mode, base: base, uni: uni}
 	var missing []exp.Axis
 	if prev != nil && prev.base == base {
 		*m = *prev
@@ -317,16 +295,16 @@ func (t *Twin) calibrate(s *exp.Suite, w svmsim.Workload, aurc bool, axes []exp.
 		}
 	}
 	if err := s.RunCells(cells); err != nil {
-		return nil, fmt.Errorf("twin: calibrating %s/%s: %w", w.Name, modeName(aurc), err)
+		return nil, fmt.Errorf("twin: calibrating %s/%s: %w", w.Name, m.Mode(), err)
 	}
 
 	baseRun, err := s.RunCell(exp.Cell{Cfg: base, W: w})
 	if err != nil {
-		return nil, fmt.Errorf("twin: calibrating %s/%s: %w", w.Name, modeName(aurc), err)
+		return nil, fmt.Errorf("twin: calibrating %s/%s: %w", w.Name, m.Mode(), err)
 	}
 	uniRun, err := s.RunCell(exp.Cell{Cfg: uni, W: w})
 	if err != nil {
-		return nil, fmt.Errorf("twin: calibrating %s/%s: %w", w.Name, modeName(aurc), err)
+		return nil, fmt.Errorf("twin: calibrating %s/%s: %w", w.Name, m.Mode(), err)
 	}
 	m.baseRun, m.baseTime = baseRun, baseRun.Cycles
 	m.uniRun, m.uniTime = uniRun, uniRun.Cycles
@@ -339,7 +317,7 @@ func (t *Twin) calibrate(s *exp.Suite, w svmsim.Workload, aurc bool, axes []exp.
 			a.Set(&cfg, v)
 			run, err := s.RunCell(exp.Cell{Cfg: cfg, W: w})
 			if err != nil {
-				return nil, fmt.Errorf("twin: calibrating %s/%s %s=%g: %w", w.Name, modeName(aurc), a, v, err)
+				return nil, fmt.Errorf("twin: calibrating %s/%s %s=%g: %w", w.Name, m.Mode(), a, v, err)
 			}
 			ax.points = append(ax.points, anchorPoint{value: v, pos: axisPos(a, v), time: run.Cycles, run: run})
 		}
@@ -349,7 +327,7 @@ func (t *Twin) calibrate(s *exp.Suite, w svmsim.Workload, aurc bool, axes []exp.
 	}
 
 	t.mu.Lock()
-	t.models[modelKey{w.Name, aurc}] = m
+	t.models[modelKey{w.Name, mode}] = m
 	t.calibrations++
 	t.mu.Unlock()
 	return m, nil

@@ -38,7 +38,7 @@ func TestPredictAnchorsExact(t *testing.T) {
 	s := smallSuite(t)
 	w := workload(t, "FFT")
 	tw := New()
-	m, err := tw.Calibrate(s, w, false, exp.AxisInterrupt)
+	m, err := tw.Calibrate(s, w, svmsim.HLRC, exp.AxisInterrupt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestPredictRejectsOutsideModel(t *testing.T) {
 	s := smallSuite(t)
 	w := workload(t, "FFT")
 	tw := New()
-	if _, err := tw.Calibrate(s, w, false, exp.AxisInterrupt); err != nil {
+	if _, err := tw.Calibrate(s, w, svmsim.HLRC, exp.AxisInterrupt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -169,7 +169,7 @@ func TestPredictCalibratingIsLazy(t *testing.T) {
 	if got := tw.Calibrations(); got != 1 {
 		t.Fatalf("baseline request ran %d calibrations, want 1", got)
 	}
-	m, ok := tw.Model(w.Name, false)
+	m, ok := tw.Model(w.Name, svmsim.HLRC)
 	if !ok || len(m.CalibratedAxes()) != 0 {
 		t.Fatalf("baseline request calibrated axes %v, want none", m.CalibratedAxes())
 	}
@@ -182,7 +182,7 @@ func TestPredictCalibratingIsLazy(t *testing.T) {
 	if got := tw.Calibrations(); got != 2 {
 		t.Fatalf("axis request ran %d calibrations, want 2", got)
 	}
-	m, _ = tw.Model(w.Name, false)
+	m, _ = tw.Model(w.Name, svmsim.HLRC)
 	if got := m.CalibratedAxes(); len(got) != 1 || got[0] != exp.AxisInterrupt {
 		t.Fatalf("calibrated axes %v, want [interrupt]", got)
 	}
@@ -209,7 +209,7 @@ func TestCalibrationDeterminism(t *testing.T) {
 		s.CacheDir = dir
 		s.Observe = observe
 		tw := New()
-		m, err := tw.Calibrate(s, w, false, exp.AxisInterrupt, exp.AxisIOBw)
+		m, err := tw.Calibrate(s, w, svmsim.HLRC, exp.AxisInterrupt, exp.AxisIOBw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestOptimize(t *testing.T) {
 	s := smallSuite(t)
 	w := workload(t, "FFT")
 	tw := New()
-	if _, err := tw.Calibrate(s, w, false, CommAxes...); err != nil {
+	if _, err := tw.Calibrate(s, w, svmsim.HLRC, CommAxes...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -301,6 +301,25 @@ func TestOptimize(t *testing.T) {
 	if !reflect.DeepEqual(tight, again) {
 		t.Fatalf("optimizer nondeterministic:\n%+v\nvs\n%+v", tight, again)
 	}
+
+	// The protocol reads the cell vocabulary: any case, empty for HLRC, and
+	// an unknown spelling is an error in the twin's own words.
+	for _, mode := range []string{"", "hlrc", "HLRC"} {
+		if _, err := tw.Optimize(OptimizeSpec{Workload: "FFT", Mode: mode}); err != nil {
+			t.Errorf("mode %q: %v", mode, err)
+		}
+	}
+	var ue *UncalibratedError
+	if _, err := tw.Optimize(OptimizeSpec{Workload: "FFT", Mode: "AURC"}); !errors.As(err, &ue) || ue.Mode != "aurc" {
+		t.Errorf("uncalibrated AURC: %v, want *UncalibratedError naming aurc", err)
+	}
+	want := `twin: unknown protocol mode "foo" (want hlrc or aurc)`
+	if _, err := tw.Optimize(OptimizeSpec{Workload: "FFT", Mode: "foo"}); err == nil || err.Error() != want {
+		t.Errorf("mode foo: %v, want %s", err, want)
+	}
+	if _, err := tw.OptimizeCalibrating(s, OptimizeSpec{Workload: "FFT", Mode: "foo"}); err == nil || err.Error() != want {
+		t.Errorf("calibrating, mode foo: %v, want %s", err, want)
+	}
 }
 
 // TestShouldSimulate pins the twin-guided pruning decision rule.
@@ -333,7 +352,7 @@ func TestPredictRunNeverAliasesAnchors(t *testing.T) {
 	s := smallSuite(t)
 	w := workload(t, "FFT")
 	tw := New()
-	if _, err := tw.Calibrate(s, w, false, exp.AxisInterrupt); err != nil {
+	if _, err := tw.Calibrate(s, w, svmsim.HLRC, exp.AxisInterrupt); err != nil {
 		t.Fatal(err)
 	}
 	cfg := s.Base()

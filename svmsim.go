@@ -70,11 +70,17 @@ func Best() Config { return machine.Best() }
 // speedups.
 func Uniprocessor(cfg Config) Config { return machine.Uniprocessor(cfg) }
 
+// Mode selects the protocol (Config.Proto.Mode).
+type Mode = proto.Mode
+
 // Protocol modes.
 const (
 	HLRC = proto.HLRC
 	AURC = proto.AURC
 )
+
+// IntrPolicy selects interrupt delivery within a node (Config.IntrPolicy).
+type IntrPolicy = interrupts.Policy
 
 // Interrupt delivery policies.
 const (
@@ -82,8 +88,12 @@ const (
 	IntrRoundRobin = interrupts.RoundRobin
 )
 
-// Request handling schemes (Config.Requests): the paper's interrupt
-// baseline plus its proposed avoidance schemes.
+// RequestHandling selects how protocol requests reach a processor
+// (Config.Requests).
+type RequestHandling = interrupts.Handling
+
+// Request handling schemes: the paper's interrupt baseline plus its
+// proposed avoidance schemes.
 const (
 	RequestInterrupts = interrupts.Interrupts
 	RequestPolling    = interrupts.Polling
