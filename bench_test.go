@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"svmsim"
+	"svmsim/internal/engine"
+	"svmsim/internal/exp"
 )
 
 // BenchmarkSingleRun measures the raw simulation throughput of one
@@ -24,5 +26,75 @@ func BenchmarkSingleRun(b *testing.B) {
 		b.ReportMetric(float64(c.Switches), "switches/op")
 		b.ReportMetric(float64(c.Threads), "threads/op")
 		b.ReportMetric(float64(c.Carriers), "carriers/op")
+	}
+}
+
+// TestBenchAppCounts pins the work counters of the ten apps bench/ runs, each
+// under its bench protocol at the suite baseline (achievable parameters,
+// small sizes): the five sim-sync apps under HLRC and the five sim-bulk apps
+// under AURC. Cycles and events are the schedule; switches, threads and
+// carriers are what the engine paid for it. All five repeat exactly on any
+// host, so a change to thread handling shows here as a count.
+func TestBenchAppCounts(t *testing.T) {
+	suite := exp.NewSuite(exp.Small)
+	for _, tc := range []struct {
+		app, mode string
+		cycles    uint64
+		want      engine.Counts
+	}{
+		{"Barnes-reb", "hlrc", 14916672, engine.Counts{Events: 234034, Switches: 62489, Threads: 4081, Carriers: 28}},
+		{"Water-sp", "hlrc", 7199494, engine.Counts{Events: 91878, Switches: 21062, Threads: 1669, Carriers: 29}},
+		{"Water-nsq", "hlrc", 2042927, engine.Counts{Events: 38325, Switches: 10644, Threads: 536, Carriers: 31}},
+		{"Raytrace", "hlrc", 818738, engine.Counts{Events: 15521, Switches: 3370, Threads: 222, Carriers: 28}},
+		{"Volrend", "hlrc", 1134986, engine.Counts{Events: 27543, Switches: 7524, Threads: 222, Carriers: 28}},
+		{"FFT", "aurc", 3641567, engine.Counts{Events: 148089, Switches: 44596, Threads: 328, Carriers: 20}},
+		{"LU", "aurc", 3477530, engine.Counts{Events: 88681, Switches: 26136, Threads: 135, Carriers: 22}},
+		{"Ocean", "aurc", 5546824, engine.Counts{Events: 232754, Switches: 60128, Threads: 313, Carriers: 20}},
+		{"Radix", "aurc", 5080853, engine.Counts{Events: 598418, Switches: 210342, Threads: 636, Carriers: 22}},
+		{"Barnes-sp", "aurc", 3408079, engine.Counts{Events: 177314, Switches: 61206, Threads: 216, Carriers: 21}},
+	} {
+		c, err := suite.ResolveCell(exp.CellSpec{Workload: tc.app, Mode: tc.mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := svmsim.Run(c.Cfg, c.W.Small())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.app, err)
+		}
+		if got := res.World.Sys.Sim.Counts(); res.Run.Cycles != tc.cycles || got != tc.want {
+			t.Errorf("%s (%s): %d cycles, %+v; want %d cycles, %+v", tc.app, tc.mode, res.Run.Cycles, got, tc.cycles, tc.want)
+		}
+	}
+}
+
+// TestBlockingDeliveriesPinned pins runs whose NI deliveries block, so they
+// run on the receive side's coroutine: AURC Radix with a 300-byte send
+// queue, where update acks wait for queue space, and Water-nsq with NI page
+// serves and a 200-byte queue. Cycles, events and queue stalls read the
+// same as when every NI burst ran on a spawned thread.
+func TestBlockingDeliveriesPinned(t *testing.T) {
+	suite := exp.NewSuite(exp.Small)
+	for _, tc := range []struct {
+		spec           exp.CellSpec
+		queueBytes     int
+		cycles, events uint64
+		stalls         uint64
+	}{
+		{exp.CellSpec{Workload: "Radix", Mode: "aurc"}, 300, 5177383, 561437, 975},
+		{exp.CellSpec{Workload: "Water-nsq", NIServePages: true}, 200, 1978277, 37940, 53},
+	} {
+		c, err := suite.ResolveCell(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Cfg.Net.QueueBytes = tc.queueBytes
+		res, err := svmsim.Run(c.Cfg, c.W.Small())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec.Workload, err)
+		}
+		if ev := res.World.Sys.Sim.Counts().Events; res.Run.Cycles != tc.cycles || ev != tc.events || res.Run.Net.QueueStalls != tc.stalls {
+			t.Errorf("%s: %d cycles, %d events, %d queue stalls; want %d, %d, %d",
+				tc.spec.Workload, res.Run.Cycles, ev, res.Run.Net.QueueStalls, tc.cycles, tc.events, tc.stalls)
+		}
 	}
 }

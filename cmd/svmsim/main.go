@@ -94,12 +94,13 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
-	// The uniprocessor baseline is a cell of its own, run without the
-	// trace recorder so the trace shows only the parallel run.
+	// The uniprocessor baseline is the tables': the suite's baseline on one
+	// processor, whatever the flags set for the parallel run. It is a cell
+	// of its own, run without the trace recorder so the trace shows only
+	// the parallel run.
 	var uniCell exp.Cell
 	if *speedup {
-		spec.Uniprocessor = true
-		if uniCell, err = suite.ResolveCell(spec); err != nil {
+		if uniCell, err = suite.ResolveCell(exp.CellSpec{Workload: spec.Workload, Uniprocessor: true}); err != nil {
 			usage(err)
 		}
 	}

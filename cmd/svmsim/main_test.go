@@ -30,7 +30,8 @@ func runSvmsim(t *testing.T, bin string, args ...string) (stdout, stderr string,
 // TestFlagsResolveAsACell pins the flag handling that goes through
 // exp.Suite.ResolveCell: -best keeps the best parameter set except for the
 // flags given, bad protocol and request-handling spellings are usage
-// errors with the resolver's messages, and -speedup adds nothing to the
+// errors with the resolver's messages, -speedup divides by the tables'
+// uniprocessor whatever the other flags, and -speedup adds nothing to the
 // trace of the parallel run.
 func TestFlagsResolveAsACell(t *testing.T) {
 	if testing.Short() {
@@ -68,6 +69,22 @@ func TestFlagsResolveAsACell(t *testing.T) {
 		out, stderr, code := runSvmsim(t, bin, tc.args...)
 		if code != 2 || stderr != tc.wantStderr || out != "" {
 			t.Errorf("svmsim %v: exit %d, stdout %q, stderr %q; want exit 2 and stderr %q", tc.args, code, out, stderr, tc.wantStderr)
+		}
+	}
+
+	// Polling's instrumentation tax, the page size and a dedicated protocol
+	// processor belong to the parallel run; the uniprocessor stays the
+	// suite baseline's 9,343,279 cycles, as in every table.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-speedup", "-requests", "polling"}, "speedup: 2.58 (ideal 13.51, uniprocessor 9343279 cycles)"},
+		{[]string{"-speedup", "-page", "8192"}, "speedup: 2.59 (ideal 14.17, uniprocessor 9343279 cycles)"},
+		{[]string{"-speedup", "-requests", "dedicated"}, "speedup: 2.12 (ideal 9.40, uniprocessor 9343279 cycles)"},
+	} {
+		if out, stderr, code := runSvmsim(t, bin, tc.args...); code != 0 || !strings.Contains(out, tc.want+"\n") {
+			t.Errorf("svmsim %v (exit %d, stderr %q):\n%s\nwant %q", tc.args, code, stderr, out, tc.want)
 		}
 	}
 

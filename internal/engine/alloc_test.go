@@ -118,6 +118,56 @@ func BenchmarkEngineDo(b *testing.B) {
 	}
 }
 
+// drainService is a write-buffer-drain-shaped service for
+// BenchmarkEngineService: each burst retires lines lines, each a bus write
+// and an L2 hit, then schedules the service's next burst one cycle later.
+type drainService struct {
+	t           *Thread
+	bus         *Resource
+	lines, left int
+	bursts      int
+	start       func()
+}
+
+func (d *drainService) Continue(dst []Op) []Op {
+	if d.left == 0 {
+		if d.bursts--; d.bursts > 0 {
+			d.t.sim.At(1, d.start)
+		}
+		return dst
+	}
+	d.left--
+	return append(dst, Op{Res: d.bus, Prio: 2, Cycles: 24}, Op{Cycles: 8, Then: d})
+}
+
+// BenchmarkEngineService measures a burst of a reusable service thread, run
+// to its end: two drains contend for one bus, each burst retiring four
+// lines as one program in scheduler context; one op is one burst. It never
+// enters a coroutine, so it asserts 0 switches, and the thread and its
+// program are made once, so 0 allocs/op, as above.
+func BenchmarkEngineService(b *testing.B) {
+	b.ReportAllocs()
+	s := New()
+	bus := NewResource(s, "bus")
+	for _, n := range []int{(b.N + 1) / 2, b.N / 2} {
+		d := &drainService{t: s.NewThread("drain"), bus: bus, lines: 4, bursts: n}
+		d.start = func() {
+			d.left = d.lines
+			d.t.Start(d, nil)
+		}
+		if n > 0 {
+			d.start()
+		}
+	}
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if c := s.Counts(); c.Switches != 0 {
+		b.Fatalf("%d switches for %d bursts, want none", c.Switches, b.N)
+	}
+}
+
 // BenchmarkEngineUnpark measures a Park/Unpark ping-pong between two threads.
 func BenchmarkEngineUnpark(b *testing.B) {
 	b.ReportAllocs()

@@ -23,11 +23,19 @@
 //
 // A hardware transaction (a bus read, an NI pipeline, a write-buffer drain)
 // is a program of phases that Thread.Do runs: acquire a resource, hold it and
-// release it, or just wait. Do parks the thread at most once. Phases run on
-// the thread while each resume may happen in place; from the first phase that
-// must wait, the rest run as the thread's own events in scheduler context,
-// taking the seqs and dispatches the equivalent Acquire, Delay and Release
-// calls would, and the last one switches back into the thread.
+// release it, acquire it and keep it, or just wait. Do parks the thread at
+// most once. Phases run on the thread while each resume may happen in place;
+// from the first phase that must wait, the rest run as the thread's own
+// events in scheduler context, taking the seqs and dispatches the equivalent
+// Acquire, Delay and Release calls would, and the last one switches back into
+// the thread.
+//
+// A thread can also start with a program (Thread.Start): its first dispatch
+// runs the program in scheduler context, and it enters a coroutine only for a
+// body that follows the program. A long-lived model object (an NI side, a
+// write buffer) owns one such thread, made once with NewThread and started
+// once per burst of work; a burst that never blocks runs without a carrier
+// or a switch.
 //
 // A coroutine switch does not enter the Go scheduler, which makes a
 // simulated context switch several times cheaper than a goroutine channel
@@ -36,11 +44,12 @@
 // one.
 //
 // Carriers are pooled per Sim: a finished thread puts its carrier back for
-// the next Spawn, and teardown stops every carrier the Sim made. Besides
-// saving a coroutine per thread, the pool bounds coroutine exits to a few
-// dozen per simulation. That matters under the race detector: Go 1.24 never
-// frees the race state of an exited coroutine (about 5 KB each), and one
-// coroutine per thread ran `go test -race ./internal/exp/` out of memory.
+// the next thread that needs one, and teardown stops every carrier the Sim
+// made. Besides saving a coroutine per thread, the pool bounds coroutine
+// exits to a few dozen per simulation. That matters under the race
+// detector: Go 1.24 never frees the race state of an exited coroutine (about
+// 5 KB each), and one coroutine per thread ran `go test -race
+// ./internal/exp/` out of memory.
 package engine
 
 import (
@@ -69,7 +78,9 @@ type evKind uint8
 const (
 	// evCall runs fn in scheduler context.
 	evCall evKind = iota
-	// evResume transfers control to th (Delay wakeup, first Spawn dispatch).
+	// evResume transfers control to th (Delay wakeup, first dispatch). At the
+	// first dispatch of a thread started with a program, it runs the
+	// program in scheduler context first.
 	evResume
 	// evUnpark transfers control to th, asserting it is actually parked. When
 	// th is queued for a resource inside a Do program, it is the grant: the
@@ -119,9 +130,9 @@ type Sim struct {
 	failure  error // set when a thread panics; Run stops and reports it
 
 	// dispatched counts events dispatched so far, switches the coroutine
-	// switches into threads, and spawned and made the threads spawned and
+	// switches into threads, and created and made the threads created and
 	// carriers made (teardown drops carriers, not made).
-	dispatched, switches, spawned, made uint64
+	dispatched, switches, created, made uint64
 
 	// MaxEvents bounds the number of dispatched events as a livelock guard.
 	// Zero means the default (see Run).
@@ -167,13 +178,13 @@ func (s *Sim) Now() Time { return s.now }
 type Counts struct {
 	Events   uint64 // events dispatched, in-place Delay resumes included
 	Switches uint64 // coroutine switches into a thread
-	Threads  uint64 // threads spawned
+	Threads  uint64 // threads created; a reusable thread counts once
 	Carriers uint64 // coroutine carriers made (the pool's high-water mark)
 }
 
 // Counts returns the work counters so far; they stay readable after Run.
 func (s *Sim) Counts() Counts {
-	return Counts{Events: s.dispatched, Switches: s.switches, Threads: s.spawned, Carriers: s.made}
+	return Counts{Events: s.dispatched, Switches: s.switches, Threads: s.created, Carriers: s.made}
 }
 
 // At schedules fn to run after delay cycles. fn runs in scheduler context
@@ -228,7 +239,8 @@ func (s *Sim) Stop() { s.stopped = true }
 // called on the currently running thread; resources the thread holds are NOT
 // released (a crashed node's local resources wedge with it, which is the
 // intended crash-stop semantics — killed threads must not hold resources
-// shared with surviving nodes).
+// shared with surviving nodes). A killed thread must not be started again:
+// events of its last burst may still be queued.
 func (s *Sim) Kill(t *Thread) {
 	if t == nil || t.done {
 		return
@@ -253,8 +265,9 @@ func (s *Sim) scheduleThread(at Time, t *Thread, kind evKind) {
 
 // dispatch executes one popped event at the already-advanced clock. A thread
 // event resumes the thread's carrier and returns once the thread parks or
-// finishes; for a thread inside a Do program it first runs the program on,
-// and resumes the carrier only if the program ends.
+// finishes. For a thread inside a program it first runs the program on; once
+// the program ends, the thread resumes its carrier, enters one to run its
+// body, or, with no body, ends.
 func (s *Sim) dispatch(ev event) {
 	switch ev.kind {
 	case evCall:
@@ -269,7 +282,15 @@ func (s *Sim) dispatch(ev event) {
 	if t.done {
 		return
 	}
-	switch p := &t.carrier.prog; ev.kind {
+	switch p := t.prog; ev.kind {
+	case evResume:
+		if p.at == atFirst {
+			p.at = atEnd
+			if !s.step(t, p) {
+				t.parked = true
+				return
+			}
+		}
 	case evUnpark:
 		if !t.parked {
 			panic(fmt.Sprintf("engine: Unpark of runnable thread %q", t.name))
@@ -285,6 +306,13 @@ func (s *Sim) dispatch(ev event) {
 			return
 		}
 	}
+	if t.carrier == nil {
+		if t.fn == nil {
+			s.finish(t)
+			return
+		}
+		s.assign(t)
+	}
 	s.current = t
 	t.parked = false
 	s.switches++
@@ -297,15 +325,21 @@ func (s *Sim) dispatch(ev event) {
 var errUnwind = errors.New("engine: simulation torn down")
 
 // Thread is a cooperative simulated thread of control (a simulated processor
-// context or a protocol handler context). Every Spawn makes a fresh Thread;
-// only its carrier is reused, so a stale event for a finished or killed
-// thread still finds done set and can never wake the carrier's next thread.
+// context, a protocol handler context, or the service thread of an NI side or
+// a write buffer). Every Spawn makes a fresh Thread; only its carrier is
+// reused, so a stale event for a finished or killed thread still finds done
+// set and can never wake the carrier's next thread. A thread made with
+// NewThread may be started again once a burst ends: every event of a burst
+// is dispatched before the burst ends, so none is left to reach the next.
 type Thread struct {
 	sim     *Sim
 	name    string
-	carrier *carrier
+	carrier *carrier        // the coroutine running fn, or nil
+	prog    *program        // the thread's program: its carrier's, or own
+	own     *program        // a program of its own, for starts without a carrier
+	fn      func(t *Thread) // the body, run on a carrier once the program ends
 	parked  bool
-	done    bool
+	done    bool // not running: never started, ended or killed
 }
 
 // Name returns the thread's diagnostic name.
@@ -322,14 +356,72 @@ type carrier struct {
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
-	th    *Thread         // the thread assigned by Spawn
-	fn    func(t *Thread) // th's body, cleared once it starts
-	prog  program         // the running thread's Do program
+	th    *Thread // the assigned thread, cleared once its body starts
+	prog  program // the program of a thread that starts on this carrier
 }
 
 // Spawn creates a thread named name that will begin executing fn at the
 // current simulated time. When fn returns the thread terminates.
 func (s *Sim) Spawn(name string, fn func(t *Thread)) *Thread {
+	t := s.NewThread(name)
+	t.Start(nil, fn)
+	return t
+}
+
+// NewThread creates a thread named name that runs nothing until Start. A
+// long-lived model object makes one and starts it for each burst of work,
+// so the thread is counted once in Counts.Threads, however many bursts it
+// runs, and is live only while a burst runs.
+func (s *Sim) NewThread(name string) *Thread {
+	s.created++
+	return &Thread{sim: s, name: name, done: true}
+}
+
+// Start begins a burst of t at the current simulated time: its first
+// dispatch is the evResume Spawn schedules. With prog set, that dispatch
+// runs the program prog appends, in scheduler context, as Do runs the rest
+// of a program that has waited; then t runs fn on a carrier, or ends if fn
+// is nil and no continuation called Enter. Starting a thread that is still
+// running panics.
+func (t *Thread) Start(prog Continuation, fn func(t *Thread)) {
+	s := t.sim
+	if !t.done {
+		panic(fmt.Sprintf("engine: Start of running thread %q", t.name))
+	}
+	t.done, t.parked, t.fn = false, false, fn
+	if fn != nil {
+		s.assign(t)
+		t.prog = &t.carrier.prog
+	} else {
+		if t.own == nil {
+			t.own = new(program)
+		}
+		t.prog = t.own
+	}
+	p := t.prog
+	p.at = atNone
+	if prog != nil {
+		// A phase whose continuation is prog, ended at the first dispatch:
+		// the first step loads the program from it.
+		p.ops[0] = Op{Then: prog}
+		p.n, p.pc, p.rep, p.at = 1, 0, 0, atFirst
+	}
+	s.live[t] = struct{}{}
+	s.scheduleThread(s.now, t, evResume)
+}
+
+// Enter makes fn the body t runs once its program ends. A continuation of a
+// thread that started without a body calls it to hand the rest of a burst
+// to a coroutine, before a step that may block. A thread that already has a
+// carrier runs its own body on, and Enter leaves it unchanged.
+func (t *Thread) Enter(fn func(t *Thread)) {
+	if t.carrier == nil {
+		t.fn = fn
+	}
+}
+
+// assign gives t a carrier for its body, from the idle pool or made anew.
+func (s *Sim) assign(t *Thread) {
 	var c *carrier
 	if n := len(s.idle); n > 0 {
 		c = s.idle[n-1]
@@ -340,12 +432,14 @@ func (s *Sim) Spawn(name string, fn func(t *Thread)) *Thread {
 		s.carriers = append(s.carriers, c)
 		s.made++
 	}
-	s.spawned++
-	t := &Thread{sim: s, name: name, carrier: c}
-	c.th, c.fn = t, fn
-	s.live[t] = struct{}{}
-	s.scheduleThread(s.now, t, evResume)
-	return t
+	c.th, t.carrier = t, c
+}
+
+// finish ends t's burst; its carrier, if it had one, is going back to the
+// pool.
+func (s *Sim) finish(t *Thread) {
+	t.done, t.parked, t.carrier = true, false, nil
+	delete(s.live, t)
 }
 
 // loop is the carrier's coroutine body: run the assigned thread, go back to
@@ -367,16 +461,16 @@ func (c *carrier) loop(yield func(struct{}) bool) {
 // when a deferred call parks again while unwinding) is orderly teardown, and
 // any other panic becomes the run's failure, the first one winning.
 func (c *carrier) run() {
-	s, t, fn := c.sim, c.th, c.fn
-	c.th, c.fn = nil, nil
+	s, t := c.sim, c.th
+	fn := t.fn
+	c.th, t.fn = nil, nil
 	defer func() {
 		if r := recover(); r != nil {
 			if err, ok := r.(error); !ok || !errors.Is(err, errUnwind) {
 				s.Fail(&ThreadPanicError{Thread: t.name, Value: r, Stack: string(stackTrace())})
 			}
 		}
-		t.done = true
-		delete(s.live, t)
+		s.finish(t)
 	}()
 	fn(t)
 }

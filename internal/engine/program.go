@@ -5,7 +5,9 @@ import "fmt"
 // Op is one phase of a hardware transaction that Thread.Do runs. With Res
 // set, the phase acquires Res at priority Prio, holds it for Cycles and
 // releases it, as Resource.Use does; with Res nil it waits Cycles, as Delay
-// does. Times repeats the phase, with 0 meaning once, so a DMA's equal-sized
+// does. Keep, with Res set, ends the phase at the grant, as Acquire does:
+// the thread keeps Res and releases it itself, and Cycles and Times must be
+// zero. Times repeats the phase, with 0 meaning once, so a DMA's equal-sized
 // bus tenures are one Op. Then, when set, ends the program after this phase:
 // Do runs the phases Then.Continue appends instead.
 type Op struct {
@@ -13,6 +15,7 @@ type Op struct {
 	Prio   int
 	Cycles Time
 	Times  int
+	Keep   bool
 	Then   Continuation
 }
 
@@ -35,10 +38,12 @@ const (
 	atStart              // the phase at pc is about to start
 	atGrant              // queued for the phase's resource; Release's evUnpark grants it
 	atEnd                // the phase's cycles run; an evPhase, or an in-place resume, ends them
+	atFirst              // Start's program: the first dispatch ends ops[0] and loads its Then
 )
 
-// program is the transaction a thread runs with Do. It lives in the thread's
-// carrier, so a spawn allocates nothing for it.
+// program is the transaction a thread runs with Do or starts with. It lives
+// in the thread's carrier, so a spawn allocates nothing for it; a thread
+// that starts without a carrier has one of its own, made at its first start.
 type program struct {
 	ops   [maxOps]Op
 	n, pc int
@@ -53,7 +58,7 @@ type program struct {
 // rest run as t's events in scheduler context, and the last one resumes t in
 // its own dispatch; t stays parked in between.
 func (t *Thread) Do(ops ...Op) {
-	p := &t.carrier.prog
+	p := t.prog
 	p.load(t, ops)
 	p.at = atStart
 	if !t.sim.step(t, p) {
@@ -72,7 +77,8 @@ func (p *program) load(t *Thread, ops []Op) {
 // step advances t's program from where it stands until a phase must wait,
 // and reports whether the program ended. A free resource is taken with no
 // event and a busy one queues t; each hold or wait is one resume, in place
-// when resumesNext allows and an evPhase event otherwise.
+// when resumesNext allows and an evPhase event otherwise. A Keep phase ends
+// at the grant.
 func (s *Sim) step(t *Thread, p *program) bool {
 	for {
 		switch p.at {
@@ -81,9 +87,20 @@ func (s *Sim) step(t *Thread, p *program) bool {
 				p.at = atNone
 				return true
 			}
-			if op := &p.ops[p.pc]; op.Res != nil && !op.Res.take(t, op.Prio) {
+			op := &p.ops[p.pc]
+			if op.Res != nil && !op.Res.take(t, op.Prio) {
 				p.at = atGrant
 				return false
+			}
+			if op.Keep {
+				p.next(t, op)
+				continue
+			}
+		case atGrant:
+			if op := &p.ops[p.pc]; op.Keep {
+				p.at = atStart
+				p.next(t, op)
+				continue
 			}
 		case atEnd:
 			op := &p.ops[p.pc]
@@ -91,15 +108,7 @@ func (s *Sim) step(t *Thread, p *program) bool {
 			if op.Res != nil {
 				op.Res.Release()
 			}
-			if p.rep++; p.rep < op.Times {
-				continue
-			}
-			p.rep = 0
-			if op.Then == nil {
-				p.pc++
-				continue
-			}
-			p.load(t, op.Then.Continue(p.ops[:0]))
+			p.next(t, op)
 			continue
 		}
 		// atStart with the resource held, or atGrant: the releaser already
@@ -114,4 +123,19 @@ func (s *Sim) step(t *Thread, p *program) bool {
 		s.resumeInPlace(at)
 		p.at = atEnd
 	}
+}
+
+// next moves p, standing at atStart, past a finished repetition of op, its
+// phase at pc: to op's next repetition, the next phase, or the phases op's
+// continuation appends.
+func (p *program) next(t *Thread, op *Op) {
+	if p.rep++; p.rep < op.Times {
+		return
+	}
+	p.rep = 0
+	if op.Then == nil {
+		p.pc++
+		return
+	}
+	p.load(t, op.Then.Continue(p.ops[:0]))
 }

@@ -58,8 +58,9 @@ func (c *txCont) appendSeg(dst []Op) []Op {
 }
 
 // runExpanded is Do's reference: it runs ops on the thread with one
-// Acquire, Delay and Release per repetition of a resource phase, one Delay
-// per repetition of a wait, and calls a continuation inline.
+// Acquire, Delay and Release per repetition of a resource phase, one
+// Acquire for a Keep phase, one Delay per repetition of a wait, and calls a
+// continuation inline.
 func runExpanded(th *Thread, ops []Op) {
 	for len(ops) > 0 {
 		op := ops[0]
@@ -67,6 +68,10 @@ func runExpanded(th *Thread, ops []Op) {
 		for r := 0; r < max(op.Times, 1); r++ {
 			if op.Res == nil {
 				th.Delay(op.Cycles)
+				continue
+			}
+			if op.Keep {
+				op.Res.Acquire(th, op.Prio)
 				continue
 			}
 			op.Res.Acquire(th, op.Prio)
@@ -205,11 +210,58 @@ func drawTxProgram(seed int64) *txProgram {
 	return p
 }
 
-// runTxProgram runs prog with each transaction through do and returns the
-// step log, ending with the run's error, final clock and event count, and
-// the work counters. A sweeper wakes parked threads and Cond waiters until
-// every worker has finished, so only a budget ends a program early.
-func runTxProgram(prog *txProgram, do doFunc) ([]string, Counts) {
+// ownFunc runs one transaction on a thread of its own while the worker goes
+// on. With body set the thread is fresh and logs "tx" once the transaction
+// ends; without, it is a thread of the worker's pool that is not running,
+// named for its place in the pool, and logs nothing.
+type ownFunc func(s *Sim, pool *[]*Thread, name string, c *txCont, body bool, step func(what string))
+
+// viaProgram starts the thread with the transaction as its program: a fresh
+// thread whose body logs, or a reusable one made once with NewThread.
+func viaProgram(s *Sim, pool *[]*Thread, name string, c *txCont, body bool, step func(what string)) {
+	if body {
+		s.NewThread(name).Start(c, func(*Thread) { step("tx") })
+		return
+	}
+	for _, t := range *pool {
+		if t.done {
+			t.Start(c, nil)
+			return
+		}
+	}
+	t := s.NewThread(fmt.Sprintf("%s.svc%d", name, len(*pool)))
+	*pool = append(*pool, t)
+	t.Start(c, nil)
+}
+
+// viaSpawn is viaProgram's reference: a Spawned thread runs the expansion,
+// under the name viaProgram's thread would have.
+func viaSpawn(s *Sim, pool *[]*Thread, name string, c *txCont, body bool, step func(what string)) {
+	run := func(th *Thread) {
+		runExpanded(th, c.Continue(nil))
+		if body {
+			step("tx")
+		}
+	}
+	if body {
+		s.Spawn(name, run)
+		return
+	}
+	for i, t := range *pool {
+		if t.done {
+			(*pool)[i] = s.Spawn(t.name, run)
+			return
+		}
+	}
+	*pool = append(*pool, s.Spawn(fmt.Sprintf("%s.svc%d", name, len(*pool)), run))
+}
+
+// runTxProgram runs prog with each transaction through do, or, with own
+// set, on threads of their own through own, and returns the step log,
+// ending with the run's error, final clock and event count, and the work
+// counters. A sweeper wakes parked threads and Cond waiters until every
+// worker has finished, so only a budget ends a program early.
+func runTxProgram(prog *txProgram, do doFunc, own ownFunc) ([]string, Counts) {
 	s := New()
 	s.MaxCycles, s.MaxEvents, s.StallCheckCycles = prog.maxCycles, prog.maxEvents, prog.stallCheck
 	var log []string
@@ -222,6 +274,7 @@ func runTxProgram(prog *txProgram, do doFunc) ([]string, Counts) {
 
 	var worker func(name string, plan []planStep) func(th *Thread)
 	worker = func(name string, plan []planStep) func(th *Thread) {
+		var pool []*Thread
 		return func(th *Thread) {
 			defer func() { active-- }()
 			for i, st := range plan {
@@ -259,6 +312,13 @@ func runTxProgram(prog *txProgram, do doFunc) ([]string, Counts) {
 				case kTarget:
 					s.AtTarget(st.n, tk, name)
 				case kTx:
+					if own != nil {
+						child := fmt.Sprintf("%s.%d", name, i)
+						c := &txCont{tx: st.tx, res: res, step: func(what string) { step(child, what) }}
+						own(s, &pool, child, c, i%2 == 0, c.step)
+						step(name, "start")
+						continue
+					}
 					c := &txCont{tx: st.tx, res: res, step: func(what string) { step(name, what) }}
 					do(th, c.appendSeg(nil)...)
 					step(name, "tx")
@@ -310,28 +370,44 @@ func runTxProgram(prog *txProgram, do doFunc) ([]string, Counts) {
 // 1-20 or long (longCycles), repeat counts 0-3 and continuations; the
 // noise around them is randomProgram's. A quarter of the programs each run
 // under a MaxCycles budget, a MaxEvents budget and the quiescence watchdog.
+//
+// The same programs then run every transaction on a thread of its own:
+// started with the transaction as its program, alternately a fresh thread
+// with a body and a reusable thread without one, against a Spawned thread
+// that runs the expansion. The logs, clocks, event counts and error texts,
+// thread lists and (parked) markers included, must again match, with no
+// more switches.
 func TestDoMatchesExpandedPhases(t *testing.T) {
-	var doSwitches, refSwitches uint64
-	errs := 0
-	for seed := int64(1); seed <= 300; seed++ {
-		prog := drawTxProgram(seed)
-		got, gc := runTxProgram(prog, viaDo)
-		want, wc := runTxProgram(prog, viaExpanded)
-		if g, w := strings.Join(got, "\n"), strings.Join(want, "\n"); g != w {
-			t.Fatalf("seed %d: Do schedule\n%s\nwant the expanded schedule\n%s", seed, g, w)
+	for _, tc := range []struct {
+		name        string
+		do, ref     doFunc
+		own, ownRef ownFunc
+	}{
+		{"Do", viaDo, viaExpanded, nil, nil},
+		{"program-first", nil, nil, viaProgram, viaSpawn},
+	} {
+		var doSwitches, refSwitches uint64
+		errs := 0
+		for seed := int64(1); seed <= 300; seed++ {
+			prog := drawTxProgram(seed)
+			got, gc := runTxProgram(prog, tc.do, tc.own)
+			want, wc := runTxProgram(prog, tc.ref, tc.ownRef)
+			if g, w := strings.Join(got, "\n"), strings.Join(want, "\n"); g != w {
+				t.Fatalf("%s, seed %d: schedule\n%s\nwant the expanded schedule\n%s", tc.name, seed, g, w)
+			}
+			if gc.Events != wc.Events || gc.Switches > wc.Switches {
+				t.Fatalf("%s, seed %d: counts %+v, expanded %+v", tc.name, seed, gc, wc)
+			}
+			if !strings.HasSuffix(got[len(got)-1], "err=<nil>") {
+				errs++
+			}
+			doSwitches += gc.Switches
+			refSwitches += wc.Switches
 		}
-		if gc.Events != wc.Events || gc.Switches > wc.Switches {
-			t.Fatalf("seed %d: Do counts %+v, expanded %+v", seed, gc, wc)
+		if doSwitches >= refSwitches || errs == 0 {
+			t.Fatalf("%s made %d switches to the expansion's %d, with %d runs ended by a budget; want fewer switches and some budget stops",
+				tc.name, doSwitches, refSwitches, errs)
 		}
-		if !strings.HasSuffix(got[len(got)-1], "err=<nil>") {
-			errs++
-		}
-		doSwitches += gc.Switches
-		refSwitches += wc.Switches
-	}
-	if doSwitches >= refSwitches || errs == 0 {
-		t.Fatalf("Do made %d switches to the expansion's %d, with %d runs ended by a budget; want fewer switches and some budget stops",
-			doSwitches, refSwitches, errs)
 	}
 }
 
@@ -509,3 +585,106 @@ func TestDoProgramCapacity(t *testing.T) {
 type appendAll []Op
 
 func (a appendAll) Continue(dst []Op) []Op { return append(dst, a...) }
+
+// grantCont is a handler-preamble-shaped continuation: on its first call it
+// appends a wait and a Keep phase on res that continues with it; at the
+// grant it logs and appends a second wait.
+type grantCont struct {
+	res     *Resource
+	step    func(string)
+	granted bool
+}
+
+func (g *grantCont) Continue(dst []Op) []Op {
+	if !g.granted {
+		g.granted = true
+		return append(dst, Op{Cycles: 5}, Op{Res: g.res, Keep: true, Then: g})
+	}
+	g.step("granted")
+	return append(dst, Op{Cycles: 10})
+}
+
+// TestKeepPhaseEndsAtGrant: a Keep phase ends when its resource is granted,
+// free or contended, as Acquire does: its continuation runs at the grant,
+// and the thread then holds the resource until it releases it. On the
+// thread through Do, and as the program a thread starts with, it matches
+// the Acquire expansion.
+func TestKeepPhaseEndsAtGrant(t *testing.T) {
+	for _, hold := range []Time{0, 30} {
+		build := func(s *Sim, step func(string)) *Resource {
+			r := NewResource(s, "cpu")
+			if hold > 0 {
+				s.Spawn("holder", func(th *Thread) {
+					r.Use(th, 0, hold)
+					step("holder")
+				})
+			}
+			return r
+		}
+		body := func(r *Resource, step func(string)) func(*Thread) {
+			return func(th *Thread) {
+				step("body")
+				th.Delay(1)
+				r.Release()
+			}
+		}
+		log, _ := runBoth(t, func(s *Sim, do doFunc, step func(string)) {
+			r := build(s, step)
+			s.Spawn("handler", func(th *Thread) {
+				g := &grantCont{res: r, step: step}
+				do(th, g.Continue(nil)...)
+				body(r, step)(th)
+			})
+		})
+		want := map[Time]string{
+			0:  "granted@5 body@15 end@16 events=4",
+			30: "holder@30 granted@30 body@40 end@41 events=7",
+		}[hold]
+		// The holder switches in and back after its hold; the handler
+		// switches once, into its body.
+		wantSwitches := map[Time]uint64{0: 1, 30: 3}[hold]
+		if log != want {
+			t.Errorf("hold %d: ran %q, want %q", hold, log, want)
+		}
+		s := New()
+		var got []string
+		step := func(what string) { got = append(got, fmt.Sprintf("%s@%d", what, s.Now())) }
+		r := build(s, step)
+		s.NewThread("handler").Start(&grantCont{res: r, step: step}, body(r, step))
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, fmt.Sprintf("end@%d events=%d", s.Now(), s.Counts().Events))
+		if g := strings.Join(got, " "); g != want || s.Counts().Switches != wantSwitches {
+			t.Errorf("hold %d: the program-first thread ran %q with %+v, want %q and %d switches", hold, g, s.Counts(), want, wantSwitches)
+		}
+	}
+}
+
+// TestServiceThreadBursts: a thread made with NewThread runs one burst per
+// Start without a switch, is counted once however many bursts it runs, is
+// live only while a burst runs, and panics when started while running.
+func TestServiceThreadBursts(t *testing.T) {
+	s := New()
+	svc := s.NewThread("svc")
+	start := func() { svc.Start(appendAll{{Cycles: 10}}, nil) }
+	var restart any
+	s.At(0, start)
+	s.At(5, func() {
+		defer func() { restart = recover() }()
+		start()
+	})
+	s.At(20, start)
+	s.Spawn("stuck", func(th *Thread) { th.Park() })
+	err := s.Run()
+	var dl *DeadlockError
+	if !errors.As(err, &dl) || strings.Join(dl.Threads, ",") != "stuck" || s.Now() != 30 {
+		t.Fatalf("Run() = %v at cycle %d, want a deadlock of stuck alone at 30", err, s.Now())
+	}
+	if fmt.Sprint(restart) != `engine: Start of running thread "svc"` {
+		t.Fatalf("Start while running: recovered %v", restart)
+	}
+	if c := s.Counts(); c.Threads != 2 || c.Switches != 1 {
+		t.Fatalf("Counts() = %+v, want 2 threads and only stuck's switch", c)
+	}
+}

@@ -19,23 +19,28 @@ func (c *Cond) Wait(t *Thread) {
 	t.park()
 }
 
-// Signal wakes the oldest waiter, if any.
+// Signal wakes the oldest waiter, if any. The waiter list keeps its
+// capacity, so a steady Wait/Signal rhythm allocates nothing.
 func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
+	n := len(c.waiters)
+	if n == 0 {
 		return
 	}
 	t := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	copy(c.waiters, c.waiters[1:])
+	c.waiters[n-1] = nil
+	c.waiters = c.waiters[:n-1]
 	t.Unpark()
 }
 
-// Broadcast wakes every waiter.
+// Broadcast wakes every waiter. Unpark only schedules, so no waiter joins
+// the list while it is walked.
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, t := range ws {
+	for i, t := range c.waiters {
 		t.Unpark()
+		c.waiters[i] = nil
 	}
+	c.waiters = c.waiters[:0]
 }
 
 type resWaiter struct {

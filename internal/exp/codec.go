@@ -35,7 +35,8 @@ type CellSpec struct {
 	// Uniprocessor derives the 1-processor baseline from the configuration
 	// (the numerator of every speedup).
 	Uniprocessor bool `json:"uniprocessor,omitempty"`
-	// Procs and PPN override the suite topology when positive.
+	// Procs and PPN override the suite topology when positive; negative
+	// values are rejected.
 	Procs int `json:"procs,omitempty"`
 	PPN   int `json:"ppn,omitempty"`
 	// Mode selects the protocol, spelled as in Modes.
@@ -46,7 +47,8 @@ type CellSpec struct {
 	NIOccupancyCycles  *uint64  `json:"ni_occupancy_cycles,omitempty"`
 	IOBytesPerCycle    *float64 `json:"io_bytes_per_cycle,omitempty"`
 	IntrHalfCostCycles *uint64  `json:"intr_half_cost_cycles,omitempty"`
-	// PageBytes overrides the page size when positive.
+	// PageBytes overrides the page size when positive; negative values are
+	// rejected.
 	PageBytes int `json:"page_bytes,omitempty"`
 	// IntrPolicy selects interrupt delivery, spelled as in IntrPolicies.
 	IntrPolicy string `json:"intr_policy,omitempty"`
@@ -54,7 +56,8 @@ type CellSpec struct {
 	Requests string `json:"requests,omitempty"`
 	// NIServePages serves page requests on the programmable NI.
 	NIServePages bool `json:"ni_serve_pages,omitempty"`
-	// NIsPerNode replicates the network interface when positive.
+	// NIsPerNode replicates the network interface when positive; negative
+	// values are rejected.
 	NIsPerNode int `json:"nis_per_node,omitempty"`
 	// AllLocal artificially satisfies all page faults locally (the Section 7
 	// ablation).
@@ -149,6 +152,14 @@ func (s *Suite) ResolveCell(spec CellSpec) (Cell, error) {
 	w, err := WorkloadByName(spec.Workload)
 	if err != nil {
 		return Cell{}, err
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"procs", spec.Procs}, {"ppn", spec.PPN}, {"page_bytes", spec.PageBytes}, {"nis_per_node", spec.NIsPerNode}} {
+		if f.v < 0 {
+			return Cell{}, fmt.Errorf("exp: negative %s %d (zero keeps the baseline)", f.name, f.v)
+		}
 	}
 	cfg := s.Base()
 	if spec.Procs > 0 {

@@ -244,6 +244,25 @@ func TestResolveCellRejects(t *testing.T) {
 	}
 }
 
+// TestResolveCellRejectsNegativeSizes: a negative topology or size field is
+// an error naming the field, not a silent "keep the baseline".
+func TestResolveCellRejectsNegativeSizes(t *testing.T) {
+	s := smallSuite(1)
+	for _, tc := range []struct {
+		spec CellSpec
+		want string
+	}{
+		{CellSpec{Workload: "FFT", Procs: -4}, "exp: negative procs -4 (zero keeps the baseline)"},
+		{CellSpec{Workload: "FFT", PPN: -1}, "exp: negative ppn -1 (zero keeps the baseline)"},
+		{CellSpec{Workload: "FFT", PageBytes: -4096}, "exp: negative page_bytes -4096 (zero keeps the baseline)"},
+		{CellSpec{Workload: "FFT", NIsPerNode: -1}, "exp: negative nis_per_node -1 (zero keeps the baseline)"},
+	} {
+		if _, err := s.ResolveCell(tc.spec); err == nil || err.Error() != tc.want {
+			t.Errorf("spec %+v: error %v, want %q", tc.spec, err, tc.want)
+		}
+	}
+}
+
 // TestCellVocabulary covers every accepted and rejected spelling of the
 // three named choices, through each resolver that reads them: any letter
 // case is accepted, the empty string selects the default, the alias

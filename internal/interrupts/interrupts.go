@@ -48,6 +48,8 @@ type Controller struct {
 
 	// names caches handler thread names by {prefix, request kind}.
 	names map[[2]string]string
+	// free holds handlerRuns whose handlers have finished, for reuse.
+	free []*handlerRun
 }
 
 // New creates a controller for n with the given per-half cost.
@@ -105,21 +107,57 @@ func (c *Controller) Raise(name string, handler func(t *engine.Thread, victim *n
 // handling mode shares: wait out before, then serialize with the victim's
 // other handlers, and charge after plus the handler's own time as stolen
 // from the application on that CPU. The thread is named for prefix and
-// the request kind.
+// the request kind. It starts with that preamble as one program and enters
+// its coroutine only for the handler.
 func (c *Controller) spawnHandler(prefix, name string, victim *node.Processor, before, after engine.Time, handler func(t *engine.Thread, victim *node.Processor)) {
-	c.n.Sim.Spawn(c.threadName(prefix, name), func(t *engine.Thread) {
-		if before > 0 {
-			t.Delay(before)
+	var h *handlerRun
+	if n := len(c.free); n > 0 {
+		h, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		h = &handlerRun{c: c}
+		h.body = h.run
+	}
+	h.victim, h.before, h.after, h.handler, h.queued = victim, before, after, handler, false
+	c.n.Sim.NewThread(c.threadName(prefix, name)).Start(h, h.body)
+}
+
+// handlerRun is one raised request on its way through a handler thread.
+// The controller reuses it once the handler has finished.
+type handlerRun struct {
+	c             *Controller
+	victim        *node.Processor
+	before, after engine.Time
+	handler       func(t *engine.Thread, victim *node.Processor)
+	start         engine.Time // when the handler took the victim's CPU
+	queued        bool        // the preamble has reached HandlerRes
+	body          func(t *engine.Thread)
+}
+
+// Continue implements engine.Continuation for the preamble: wait out before
+// and take the victim's HandlerRes, keeping it; at the grant, enter the
+// handler bracket and wait out after.
+func (h *handlerRun) Continue(dst []engine.Op) []engine.Op {
+	if !h.queued {
+		h.queued = true
+		if h.before > 0 {
+			dst = append(dst, engine.Op{Cycles: h.before})
 		}
-		victim.HandlerRes.Acquire(t, 0)
-		victim.HandlerEnter()
-		start := c.n.Sim.Now()
-		if after > 0 {
-			t.Delay(after)
-		}
-		handler(t, victim)
-		victim.Stats.Interrupts++ // under polling and dedicated: serviced requests
-		victim.HandlerExit(c.n.Sim.Now() - start)
-		victim.HandlerRes.Release()
-	})
+		return append(dst, engine.Op{Res: h.victim.HandlerRes, Keep: true, Then: h})
+	}
+	h.victim.HandlerEnter()
+	h.start = h.c.n.Sim.Now()
+	if h.after > 0 {
+		dst = append(dst, engine.Op{Cycles: h.after})
+	}
+	return dst
+}
+
+// run is the handler thread's body, after the preamble.
+func (h *handlerRun) run(t *engine.Thread) {
+	h.handler(t, h.victim)
+	h.victim.Stats.Interrupts++ // under polling and dedicated: serviced requests
+	h.victim.HandlerExit(h.c.n.Sim.Now() - h.start)
+	h.victim.HandlerRes.Release()
+	h.handler = nil
+	h.c.free = append(h.c.free, h)
 }

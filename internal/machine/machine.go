@@ -261,7 +261,7 @@ func Run(cfg Config, app App) (*Result, error) {
 	sim.OnStall = func() []string {
 		var diag []string
 		for gid, p := range sys.Procs {
-			where := p.Where
+			where := p.Where.String()
 			if where == "" {
 				where = "running"
 			}

@@ -4,29 +4,27 @@ import "svmsim/internal/engine"
 
 // WriteBuffer models the per-processor write buffer sitting between the
 // write-through L1 and the L2/memory bus: a small FIFO of cache-line-wide
-// entries with a retire-at-N policy. Retiring proceeds in the background (a
-// short-lived drain thread) so it overlaps computation but contends for the
+// entries with a retire-at-N policy. Retiring proceeds in the background (the
+// buffer's drain thread) so it overlaps computation but contends for the
 // bus; the processor only stalls when the buffer is full or on an explicit
 // flush at synchronization points.
 type WriteBuffer struct {
-	sim       *engine.Sim
-	drainName string // the drain thread's name, built once
-	capacity  int
-	retireAt  int
+	capacity int
+	retireAt int
 
-	lines    []uint64
+	lines    []uint64 // FIFO, oldest first; its capacity is the buffer's
 	draining bool
 
 	space *engine.Cond // waiters blocked on a full buffer
 	empty *engine.Cond // waiters blocked on Flush
 
-	// retirer writes lines back for the drain thread. While retiring is
-	// set, the drain's program is running line's phases; ops holds the
-	// program's first phases.
+	// drain runs the drain program, one burst per Start, until the buffer
+	// is empty. retirer writes lines back for it; while retiring is set,
+	// the program is running line's phases.
+	drain    *engine.Thread
 	retirer  Retirer
 	line     uint64
 	retiring bool
-	ops      []engine.Op
 
 	// Stalls counts how often a writer had to wait for space.
 	Stalls uint64
@@ -51,13 +49,13 @@ func NewWriteBuffer(s *engine.Sim, name string, capacity, retireAt int, retirer 
 		panic("memsys: invalid write buffer geometry")
 	}
 	return &WriteBuffer{
-		sim:       s,
-		drainName: name + "-drain",
-		capacity:  capacity,
-		retireAt:  retireAt,
-		space:     engine.NewCond(s),
-		empty:     engine.NewCond(s),
-		retirer:   retirer,
+		capacity: capacity,
+		retireAt: retireAt,
+		lines:    make([]uint64, 0, capacity),
+		space:    engine.NewCond(s),
+		empty:    engine.NewCond(s),
+		drain:    s.NewThread(name + "-drain"),
+		retirer:  retirer,
 	}
 }
 
@@ -145,26 +143,22 @@ func (w *WriteBuffer) DropRange(lo, hi uint64) {
 	w.space.Signal()
 }
 
+// startDrain starts the drain thread unless it is running: one program
+// retires every line, in FIFO order, until the buffer is empty.
 func (w *WriteBuffer) startDrain() {
 	if w.draining {
 		return
 	}
 	w.draining = true
-	w.sim.Spawn(w.drainName, func(t *engine.Thread) {
-		// One program retires every line, in FIFO order, until the buffer
-		// is empty; it parks the drain thread at most once.
-		w.ops = w.Continue(w.ops[:0])
-		t.Do(w.ops...)
-		w.draining = false
-		w.empty.Broadcast()
-	})
+	w.drain.Start(w, nil)
 }
 
 // Continue implements engine.Continuation for the drain's program. It
 // finishes the line whose phases just ran (Retired, the count, a space
 // signal), then takes the next buffered line and appends its phases, with
-// the buffer as the last phase's continuation. It appends nothing once the
-// buffer is empty, which ends the program.
+// the buffer as the last phase's continuation. Once the buffer is empty it
+// ends the drain, wakes the flushers and appends nothing, which ends the
+// program.
 func (w *WriteBuffer) Continue(dst []engine.Op) []engine.Op {
 	for {
 		if w.retiring {
@@ -173,9 +167,12 @@ func (w *WriteBuffer) Continue(dst []engine.Op) []engine.Op {
 			w.space.Signal()
 		}
 		if w.retiring = len(w.lines) > 0; !w.retiring {
+			w.draining = false
+			w.empty.Broadcast()
 			return dst
 		}
-		w.line, w.lines = w.lines[0], w.lines[1:]
+		w.line = w.lines[0]
+		w.lines = w.lines[:copy(w.lines, w.lines[1:])]
 		n := len(dst)
 		if dst = w.retirer.RetireOps(dst, w.line); len(dst) > n {
 			dst[len(dst)-1].Then = w

@@ -191,6 +191,13 @@ func (p *Params) linkCycles(n int) engine.Time {
 	return t
 }
 
+// Deliver is the protocol upcall, run once a message is deposited in host
+// memory. The NI calls it first in scheduler context, with t nil: it must
+// not block there, and for a delivery that may block it returns false
+// having done nothing. The NI then calls it again on its receive thread's
+// coroutine, with t set, where it may block and must return true.
+type Deliver func(t *engine.Thread, m *Message) bool
+
 // NI is one node's network interface. Its send and receive sides each have a
 // processing engine (occupancy) and share the node's I/O bus and memory bus.
 type NI struct {
@@ -198,35 +205,24 @@ type NI struct {
 	nodeID int
 	params *Params
 
-	// sendName and recvName name the send and receive threads, built once.
-	sendName, recvName string
-
 	ioBus  *engine.Resource
 	memBus *memsys.Bus
 
 	outEngine *engine.Resource
 	inEngine  *engine.Resource
 
-	sendQ      []*Message
-	sendQBytes int
-	sendSpace  *engine.Cond
-	sending    bool
-	recvQ      []*Message
-	recving    bool
+	tx sendSide
+	rx recvSide
 
 	peers []*NI // indexed by node ID
 
-	// deliver is the protocol upcall, run on the receiving NI thread after
-	// the message is deposited in host memory.
-	deliver func(t *engine.Thread, m *Message)
+	deliver Deliver
 
 	// rng drives this NI's deterministic fault-injection schedule (nil
 	// without a FaultPlan).
 	rng *rand.Rand
 	// relPeers is the per-peer reliable-delivery state (lazily built).
 	relPeers []*relPeer
-	// seqBuf is the scratch buffer intake hands in-order batches back in.
-	seqBuf []*Message
 
 	// MsgsSent, BytesSent, MsgsRecv, BytesRecv count wire traffic
 	// (including retransmissions and transport control packets);
@@ -256,20 +252,20 @@ type NI struct {
 // NewNI creates the NI for node nodeID. Wire the full peer set with SetPeers
 // before posting.
 func NewNI(s *engine.Sim, nodeID int, params *Params, ioBus *engine.Resource, memBus *memsys.Bus,
-	deliver func(t *engine.Thread, m *Message)) *NI {
+	deliver Deliver) *NI {
 	ni := &NI{
 		sim:       s,
 		nodeID:    nodeID,
 		params:    params,
-		sendName:  fmt.Sprintf("ni%d-send", nodeID),
-		recvName:  fmt.Sprintf("ni%d-recv", nodeID),
 		ioBus:     ioBus,
 		memBus:    memBus,
 		outEngine: engine.NewResource(s, fmt.Sprintf("ni%d-out", nodeID)),
 		inEngine:  engine.NewResource(s, fmt.Sprintf("ni%d-in", nodeID)),
-		sendSpace: engine.NewCond(s),
 		deliver:   deliver,
 	}
+	ni.tx = sendSide{ni: ni, t: s.NewThread(fmt.Sprintf("ni%d-send", nodeID)), space: engine.NewCond(s)}
+	ni.rx = recvSide{ni: ni, t: s.NewThread(fmt.Sprintf("ni%d-recv", nodeID))}
+	ni.rx.body = ni.rx.run
 	if params.Fault != nil {
 		ni.rng = params.Fault.faultRNG(nodeID)
 	}
@@ -287,7 +283,8 @@ func (ni *NI) Params() *Params { return ni.params }
 // internal posts, e.g. acks, incur none). Post takes zero time unless the
 // outgoing queue is full, in which case the posting thread t is delayed
 // until the queue drains (pass t == nil to skip backpressure — used only by
-// NI-internal reposts that cannot block).
+// NI-internal reposts that cannot block, and by deliveries that Full has
+// cleared).
 func (ni *NI) Post(t *engine.Thread, m *Message) {
 	if m.Src != ni.nodeID {
 		panic(fmt.Sprintf("network: message src %d posted at node %d", m.Src, ni.nodeID))
@@ -301,7 +298,7 @@ func (ni *NI) Post(t *engine.Thread, m *Message) {
 	wire := ni.params.WireBytes(m.Size)
 	if t != nil {
 		stalled := false
-		for ni.sendQBytes+wire > ni.params.queueBytes() && len(ni.sendQ) > 0 {
+		for ni.full(wire) {
 			if !stalled {
 				// Count the stalled post once, not once per Wait wakeup:
 				// a single post can be woken and re-blocked many times
@@ -309,64 +306,143 @@ func (ni *NI) Post(t *engine.Thread, m *Message) {
 				stalled = true
 				ni.QueueStalls++
 			}
-			ni.sendSpace.Wait(t)
+			ni.tx.space.Wait(t)
 		}
 	}
-	ni.sendQBytes += wire
-	ni.sendQ = append(ni.sendQ, m)
-	ni.startSender()
+	ni.tx.enqueue(m, wire)
 }
 
-func (ni *NI) startSender() {
-	if ni.sending {
-		return
+// Full reports whether a Post of a size-byte payload would wait for space in
+// the outgoing queue.
+func (ni *NI) Full(size int) bool { return ni.full(ni.params.WireBytes(size)) }
+
+// full reports whether wire more bytes overflow the outgoing queue. A lone
+// message always fits, however large.
+func (ni *NI) full(wire int) bool {
+	return ni.tx.bytes+wire > ni.params.queueBytes() && ni.tx.q.len() > 0
+}
+
+// msgQueue is a FIFO of messages that keeps its storage: it pops from the
+// front by index and compacts within its array when the array fills.
+type msgQueue struct {
+	buf  []*Message
+	head int
+}
+
+func (q *msgQueue) len() int { return len(q.buf) - q.head }
+
+func (q *msgQueue) push(m *Message) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
 	}
-	ni.sending = true
-	ni.sim.Spawn(ni.sendName, func(t *engine.Thread) {
-		for len(ni.sendQ) > 0 {
-			m := ni.sendQ[0]
-			ni.sendQ = ni.sendQ[1:]
-			ni.transmit(t, m)
-			ni.sendQBytes -= ni.params.WireBytes(m.Size)
-			ni.sendSpace.Broadcast()
+	q.buf = append(q.buf, m)
+}
+
+func (q *msgQueue) pop() *Message {
+	m := q.buf[q.head]
+	q.buf[q.head] = nil
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return m
+}
+
+// sendSide is an NI's send side: the outgoing queue and the service thread
+// that transmits it. A burst starts when a post finds the side idle and runs
+// one program, message after message, until the queue is empty.
+type sendSide struct {
+	ni    *NI
+	t     *engine.Thread
+	q     msgQueue
+	bytes int          // wire bytes queued, the message in transmission included
+	space *engine.Cond // posts waiting for queue space
+	busy  bool
+	cur   *Message // the message whose phases are running
+}
+
+// enqueue queues m, of wire bytes on the wire, and starts a burst unless one
+// runs.
+func (tx *sendSide) enqueue(m *Message, wire int) {
+	tx.bytes += wire
+	tx.q.push(m)
+	if !tx.busy {
+		tx.busy = true
+		tx.t.Start(tx, nil)
+	}
+}
+
+// Continue implements engine.Continuation for the send program. It finishes
+// the message whose phases just ran (its launch onto the wire, then its
+// bytes leave the queue), then takes the next message and appends its
+// phases. It appends nothing once the queue is empty, which ends the burst.
+func (tx *sendSide) Continue(dst []engine.Op) []engine.Op {
+	ni := tx.ni
+	for {
+		if m := tx.cur; m != nil {
+			tx.cur = nil
+			ni.launch(m)
+			tx.dequeued(m)
 		}
-		ni.sending = false
-	})
+		if tx.q.len() == 0 {
+			tx.busy = false
+			return dst
+		}
+		m := tx.q.pop()
+		if ni.crashed {
+			// A crashed node's NI sends nothing: whatever its zombie threads
+			// still try to emit dies silently at the (dead) send engine.
+			ni.CrashDrops++
+			tx.dequeued(m)
+			continue
+		}
+		tx.cur = m
+		n := len(dst)
+		if dst = ni.transmitOps(dst, m); len(dst) > n {
+			dst[len(dst)-1].Then = tx
+			return dst
+		}
+	}
 }
 
-// transmit runs the send-side pipeline for one message as one transaction:
-// per-packet NI occupancy, DMA of the data from host memory over the memory
-// bus (highest priority, per the paper's arbitration order), and the I/O bus
-// crossing. Then the message flies over the contention-free link — through
-// the fault plan, which may drop, duplicate or delay it. Retransmissions
-// re-enter here and pay the full pipeline again.
-func (ni *NI) transmit(t *engine.Thread, m *Message) {
-	if ni.crashed {
-		// A crashed node's NI sends nothing: whatever its zombie threads
-		// still try to emit dies silently at the (dead) send engine.
-		ni.CrashDrops++
-		return
-	}
+// dequeued takes m's bytes off the queue and wakes the posts waiting for
+// space.
+func (tx *sendSide) dequeued(m *Message) {
+	tx.bytes -= tx.ni.params.WireBytes(m.Size)
+	tx.space.Broadcast()
+}
+
+// transmitOps counts m onto the wire and appends its send-side pipeline, one
+// transaction: per-packet NI occupancy, DMA of the data from host memory
+// over the memory bus (highest priority, per the paper's arbitration order),
+// and the I/O bus crossing. Retransmissions re-enter here and pay the full
+// pipeline again.
+func (ni *NI) transmitOps(dst []engine.Op, m *Message) []engine.Op {
 	p := ni.params
 	wire := p.WireBytes(m.Size)
 	npkts := p.Packets(m.Size)
 	ni.MsgsSent++
 	ni.BytesSent += uint64(wire)
-
-	var buf [4]engine.Op
-	ops := buf[:0]
 	// NI engine prepares all packets of this message.
 	if occ := p.NIOccupancyCycles * engine.Time(npkts); occ > 0 {
-		ops = append(ops, engine.Op{Res: ni.outEngine, Cycles: occ})
+		dst = append(dst, engine.Op{Res: ni.outEngine, Cycles: occ})
 	}
 	// Fetch the data from host memory (only the payload lives in memory;
 	// headers are NI-generated).
-	ops = ni.memBus.DMAOps(ops, memsys.PrioNIOut, m.Size, p.MaxPacketBytes)
+	dst = ni.memBus.DMAOps(dst, memsys.PrioNIOut, m.Size, p.MaxPacketBytes)
 	// Cross the I/O bus.
 	if c := p.ioCycles(wire); c > 0 {
-		ops = append(ops, engine.Op{Res: ni.ioBus, Cycles: c})
+		dst = append(dst, engine.Op{Res: ni.ioBus, Cycles: c})
 	}
-	t.Do(ops...)
+	return dst
+}
+
+// launch puts m on the wire once its send-side phases ran. Then the message
+// flies over the contention-free link — through the fault plan, which may
+// drop, duplicate or delay it.
+func (ni *NI) launch(m *Message) {
+	p := ni.params
 	// Reliable delivery: sequence the message and arm its retransmit timer
 	// (counted from the moment it reaches the wire).
 	if p.Reliable.Enabled && !isTransport(m.Kind) &&
@@ -378,7 +454,7 @@ func (ni *NI) transmit(t *engine.Thread, m *Message) {
 	// Link flight: contention-free, latency + serialization, subject to
 	// fault injection. Delivery is a typed event (the destination NI is
 	// its own event target), so wire flight allocates nothing per packet.
-	flight := p.LinkLatencyCycles + p.linkCycles(wire)
+	flight := p.LinkLatencyCycles + p.linkCycles(p.WireBytes(m.Size))
 	dst := ni.peers[m.Dst]
 	copies, extra := ni.inject(m)
 	for i := 0; i < copies; i++ {
@@ -399,64 +475,120 @@ func (ni *NI) arrive(m *Message) {
 		ni.CrashDrops++
 		return
 	}
-	ni.recvQ = append(ni.recvQ, m)
-	ni.startReceiver()
-}
-
-func (ni *NI) startReceiver() {
-	if ni.recving {
-		return
+	ni.rx.q.push(m)
+	if !ni.rx.busy {
+		ni.rx.busy = true
+		ni.rx.t.Start(&ni.rx, nil)
 	}
-	ni.recving = true
-	ni.sim.Spawn(ni.recvName, func(t *engine.Thread) {
-		for len(ni.recvQ) > 0 {
-			m := ni.recvQ[0]
-			ni.recvQ = ni.recvQ[1:]
-			ni.receive(t, m)
-		}
-		ni.recving = false
-	})
 }
 
-// receive runs the receive-side pipeline: per-packet occupancy and the I/O
-// bus crossing are paid for every arrival (the packet crossed the wire, real
-// or duplicate). With reliable delivery on, the transport filter then
-// dedups, resequences and acks; only in-order messages are deposited.
-// Without it, the deposit's DMA joins the same transaction.
-func (ni *NI) receive(t *engine.Thread, m *Message) {
+// recvSide is an NI's receive side: the incoming queue and the service
+// thread that drains it. A burst starts when an arrival finds the side idle
+// and runs one program until the queue is empty. A delivery that may block
+// ends the program; the thread then runs the rest of the burst on a
+// coroutine (run), through the same continuation.
+type recvSide struct {
+	ni   *NI
+	t    *engine.Thread
+	q    msgQueue
+	busy bool
+
+	arrived   *Message   // its receive pipeline ran; the transport filter's turn
+	ready     []*Message // in-order messages to deposit, from ready[next] on
+	next      int
+	deposited *Message // its deposit ran; the protocol's turn
+	held      *Message // a delivery that may block, left to run
+	body      func(t *engine.Thread)
+	ops       [4]engine.Op // run's first phases
+}
+
+// Continue implements engine.Continuation for the receive program. Each
+// arrival pays per-packet occupancy and the I/O bus crossing (the packet
+// crossed the wire, real or duplicate). With reliable delivery on, the
+// transport filter then dedups, resequences and acks; every in-order
+// message is written into host memory over the memory bus (lowest
+// arbitration priority) and handed to the protocol upcall and its
+// completion fence. It appends nothing once the queue is empty, which ends
+// the burst, or at a delivery that may block.
+func (rx *recvSide) Continue(dst []engine.Op) []engine.Op {
+	ni := rx.ni
+	for {
+		if m := rx.arrived; m != nil {
+			rx.arrived = nil
+			rx.ready, rx.next = rx.ready[:0], 0
+			if ni.params.Reliable.Enabled {
+				rx.ready = ni.intake(rx.ready, m)
+			} else {
+				rx.ready = append(rx.ready, m)
+			}
+		}
+		if m := rx.deposited; m != nil {
+			rx.deposited = nil
+			if !rx.deliver(nil, m) {
+				rx.held = m
+				rx.t.Enter(rx.body)
+				return dst
+			}
+		}
+		n := len(dst)
+		switch {
+		case rx.next < len(rx.ready):
+			m := rx.ready[rx.next]
+			rx.next++
+			rx.deposited = m
+			dst = ni.memBus.DMAOps(dst, memsys.PrioNIIn, m.Size, ni.params.MaxPacketBytes)
+		case rx.q.len() > 0:
+			m := rx.q.pop()
+			rx.arrived = m
+			dst = ni.receiveOps(dst, m)
+		default:
+			rx.busy = false
+			return dst
+		}
+		if len(dst) > n {
+			dst[len(dst)-1].Then = rx
+			return dst
+		}
+	}
+}
+
+// run is the receive thread's body once a delivery may block: it makes the
+// held delivery on the coroutine, then goes on with the burst through the
+// same continuation until the queue is empty.
+func (rx *recvSide) run(t *engine.Thread) {
+	for rx.held != nil {
+		m := rx.held
+		rx.held = nil
+		rx.deliver(t, m)
+		t.Do(rx.Continue(rx.ops[:0])...)
+	}
+}
+
+// deliver hands m to the protocol upcall, then runs its completion fence. It
+// reports false if the upcall declined to run m without a thread.
+func (rx *recvSide) deliver(t *engine.Thread, m *Message) bool {
+	if rx.ni.deliver != nil && !rx.ni.deliver(t, m) {
+		return false
+	}
+	if m.OnDelivered != nil {
+		m.OnDelivered()
+	}
+	return true
+}
+
+// receiveOps counts m off the wire and appends its receive-side pipeline:
+// per-packet occupancy and the I/O bus crossing.
+func (ni *NI) receiveOps(dst []engine.Op, m *Message) []engine.Op {
 	p := ni.params
 	wire := p.WireBytes(m.Size)
 	npkts := p.Packets(m.Size)
 	ni.MsgsRecv++
 	ni.BytesRecv += uint64(wire)
-
-	var buf [4]engine.Op
-	ops := buf[:0]
 	if occ := p.NIOccupancyCycles * engine.Time(npkts); occ > 0 {
-		ops = append(ops, engine.Op{Res: ni.inEngine, Cycles: occ})
+		dst = append(dst, engine.Op{Res: ni.inEngine, Cycles: occ})
 	}
 	if c := p.ioCycles(wire); c > 0 {
-		ops = append(ops, engine.Op{Res: ni.ioBus, Cycles: c})
+		dst = append(dst, engine.Op{Res: ni.ioBus, Cycles: c})
 	}
-	if !p.Reliable.Enabled {
-		ni.deposit(t, ops, m)
-		return
-	}
-	t.Do(ops...)
-	for _, rm := range ni.intake(m) {
-		ni.deposit(t, buf[:0], rm)
-	}
-}
-
-// deposit runs the phases ops and then writes a message into host memory
-// over the memory bus (lowest arbitration priority), as one transaction,
-// and runs the protocol upcall and completion fence.
-func (ni *NI) deposit(t *engine.Thread, ops []engine.Op, m *Message) {
-	t.Do(ni.memBus.DMAOps(ops, memsys.PrioNIIn, m.Size, ni.params.MaxPacketBytes)...)
-	if ni.deliver != nil {
-		ni.deliver(t, m)
-	}
-	if m.OnDelivered != nil {
-		m.OnDelivered()
-	}
+	return dst
 }

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -21,12 +23,16 @@ func testParams() *Params {
 }
 
 // pair builds a two-node network, returning both NIs and the sim. deliver is
-// installed on both sides.
+// installed on both sides; it never blocks, so it runs in scheduler context.
 func pair(s *engine.Sim, p *Params, deliver func(t *engine.Thread, m *Message)) (*NI, *NI) {
+	var up Deliver
+	if deliver != nil {
+		up = func(t *engine.Thread, m *Message) bool { deliver(t, m); return true }
+	}
 	mk := func(id int) *NI {
 		io := engine.NewResource(s, "io")
 		bus := memsys.NewBus(s, "bus", 8, 4, 1, 1, 28)
-		return NewNI(s, id, p, io, bus, deliver)
+		return NewNI(s, id, p, io, bus, up)
 	}
 	a, b := mk(0), mk(1)
 	peers := []*NI{a, b}
@@ -104,6 +110,89 @@ func TestZeroCostParametersStillDeliver(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("delivered %d messages, want 1", n)
+	}
+}
+
+// TestDeclinedDeliveryRunsOnTheReceiveThread: a delivery the upcall
+// declines in scheduler context runs again on the receive thread's
+// coroutine, and the burst goes on there through the same continuation.
+// Declining every delivery, on the plain and the reliable path, delivers the
+// same messages at the same cycles with the same events as declining none,
+// at the price of switches. A delivery that blocks there holds up the
+// deliveries behind it.
+func TestDeclinedDeliveryRunsOnTheReceiveThread(t *testing.T) {
+	type outcome struct {
+		log    string
+		counts engine.Counts
+	}
+	run := func(reliable bool, decline func(m *Message) bool, block engine.Time) outcome {
+		s := engine.New()
+		p := testParams()
+		if reliable {
+			p.Reliable = ReliableParams{Enabled: true, RetryTimeoutCycles: 20_000}
+			p.Fault = &FaultPlan{Seed: 7, Default: LinkFaults{DropPerMille: 200}}
+		}
+		var log []string
+		up := func(th *engine.Thread, m *Message) bool {
+			if th == nil && decline(m) {
+				return false
+			}
+			if th != nil && block > 0 {
+				th.Delay(block)
+			}
+			log = append(log, fmt.Sprintf("%v@%d", m.Payload, s.Now()))
+			return true
+		}
+		mk := func(id int) *NI {
+			return NewNI(s, id, p, engine.NewResource(s, "io"), memsys.NewBus(s, "bus", 8, 4, 1, 1, 28), up)
+		}
+		a, b := mk(0), mk(1)
+		a.SetPeers([]*NI{a, b})
+		b.SetPeers([]*NI{a, b})
+		// Posts from callbacks, in bursts and gaps, so no sender thread
+		// switches.
+		var at engine.Time
+		for i := 0; i < 12; i++ {
+			m := &Message{Kind: Diff, Src: 0, Dst: 1, Size: 64 * (i % 5), Payload: i}
+			s.At(at, func() { a.Post(nil, m) })
+			at += engine.Time(3000 * (i % 3))
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return outcome{strings.Join(log, " "), s.Counts()}
+	}
+	none := func(*Message) bool { return false }
+	all := func(*Message) bool { return true }
+	for _, reliable := range []bool{false, true} {
+		plain, declined := run(reliable, none, 0), run(reliable, all, 0)
+		if declined.log != plain.log || declined.counts.Events != plain.counts.Events ||
+			declined.counts.Switches <= plain.counts.Switches {
+			t.Errorf("reliable=%v: declining every delivery ran\n%s %+v\nwant\n%s %+v with more switches",
+				reliable, declined.log, declined.counts, plain.log, plain.counts)
+		}
+		if plain.counts.Switches != 0 {
+			t.Errorf("reliable=%v: %d switches declining nothing, want none", reliable, plain.counts.Switches)
+		}
+	}
+	odd := func(m *Message) bool { return m.Payload.(int)%2 == 1 }
+	blocked := run(false, odd, 5000)
+	var at []engine.Time
+	for i, f := range strings.Fields(blocked.log) {
+		var id int
+		var when engine.Time
+		if _, err := fmt.Sscanf(f, "%d@%d", &id, &when); err != nil || id != i {
+			t.Fatalf("delivery %d reads %q in %s", i, f, blocked.log)
+		}
+		at = append(at, when)
+	}
+	for i := 2; i < len(at); i += 2 {
+		if at[i] < at[i-1] {
+			t.Errorf("delivery %d at %d overtook the blocked delivery %d at %d", i, at[i], i-1, at[i-1])
+		}
+	}
+	if len(at) != 12 || at[11]-at[0] < 6*5000 {
+		t.Errorf("deliveries %v: want 12, six blocked for 5000 cycles each", at)
 	}
 }
 

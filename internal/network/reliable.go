@@ -225,9 +225,7 @@ func (ni *NI) onRetryTimer(pt *pendingTx) {
 // (retransmissions and control packets): no backpressure, the NI cannot
 // block itself.
 func (ni *NI) repost(m *Message) {
-	ni.sendQBytes += ni.params.WireBytes(m.Size)
-	ni.sendQ = append(ni.sendQ, m)
-	ni.startSender()
+	ni.tx.enqueue(m, ni.params.WireBytes(m.Size))
 }
 
 // sendCtl emits a transport control packet (header-only on the wire). The
@@ -268,17 +266,17 @@ func (ni *NI) onNack(src int, seq uint64) {
 }
 
 // intake is the receive-side transport filter, run after the packet has paid
-// occupancy and I/O-bus cycles. It returns the messages to deposit and
-// deliver in order (nil for control packets, duplicates and out-of-order
-// holds), and sends acks/nacks as needed.
-func (ni *NI) intake(m *Message) []*Message {
+// occupancy and I/O-bus cycles. It appends to ready the messages to deposit
+// and deliver in order (none for control packets, duplicates and
+// out-of-order holds), and sends acks/nacks as needed. It never blocks.
+func (ni *NI) intake(ready []*Message, m *Message) []*Message {
 	switch m.Kind {
 	case TransportAck:
 		ni.onAck(m.Src, m.seq)
-		return nil
+		return ready
 	case TransportNack:
 		ni.onNack(m.Src, m.seq)
-		return nil
+		return ready
 	}
 	rp := ni.rel(m.Src)
 	if m.seq < rp.expected {
@@ -287,12 +285,12 @@ func (ni *NI) intake(m *Message) []*Message {
 		// sender stops retransmitting.
 		ni.Dups++
 		ni.sendCtl(TransportAck, m.Src, rp.expected-1)
-		return nil
+		return ready
 	}
 	if m.seq > rp.expected {
 		if _, have := rp.held[m.seq]; have {
 			ni.Dups++
-			return nil
+			return ready
 		}
 		rp.held[m.seq] = m
 		if rp.nackedAt != rp.expected {
@@ -300,12 +298,10 @@ func (ni *NI) intake(m *Message) []*Message {
 			rp.nackedAt = rp.expected
 			ni.sendCtl(TransportNack, m.Src, rp.expected)
 		}
-		return nil
+		return ready
 	}
 	// In order: deliver it plus any consecutive held messages behind it.
-	// The scratch buffer is safe to reuse: receive() finishes depositing
-	// the previous batch (single receiver thread) before the next intake.
-	ready := append(ni.seqBuf[:0], m)
+	ready = append(ready, m)
 	rp.expected++
 	for {
 		next, ok := rp.held[rp.expected]
@@ -318,6 +314,5 @@ func (ni *NI) intake(m *Message) []*Message {
 	}
 	rp.nackedAt = 0
 	ni.sendCtl(TransportAck, m.Src, rp.expected-1)
-	ni.seqBuf = ready
 	return ready
 }

@@ -11,6 +11,7 @@ package node
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"svmsim/internal/engine"
 	"svmsim/internal/memsys"
@@ -142,8 +143,8 @@ type Processor struct {
 	Stats  *stats.Proc
 
 	// Where is a diagnostic breadcrumb of the last blocking protocol
-	// operation, reported on deadlock.
-	Where string
+	// operation, reported on a stall.
+	Where Where
 
 	// HandlerRes serializes interrupt handlers on this CPU.
 	HandlerRes *engine.Resource
@@ -154,6 +155,42 @@ type Processor struct {
 	intrSteal engine.Time // handler-busy cycles, monotonic
 	intrSeen  engine.Time // portion already absorbed by the app thread
 	lag       engine.Time // fast-path cycles not yet advanced in the engine
+}
+
+// Where is a processor's breadcrumb: the blocking operation it last entered
+// and the numbers that operation names. Blocking sets it often and a stall
+// report reads it rarely, so it keeps the values and formats them only when
+// read.
+type Where struct {
+	Op  string // the operation, such as "fetch-wait"; empty while running
+	Arg string // the operand's name, "pg" or "lock"; empty for none
+	N   int64  // the operand
+
+	// Fetch marks a page fetch, which also reports the page's fetch epoch
+	// and in-flight flag as they stood at the wait.
+	Fetch    bool
+	Epoch    uint32
+	Fetching bool
+
+	// Drains counts the waits for this CPU's interrupt handlers since Op
+	// was set (BlockedWake).
+	Drains int
+}
+
+// String formats the breadcrumb, such as "fetch-wait pg=3 epoch=1
+// fetching=true" or "lock-grant-wake lock=0 [handler-drain]".
+func (w Where) String() string {
+	s := w.Op
+	if w.Arg != "" {
+		s += " " + w.Arg + "=" + strconv.FormatInt(w.N, 10)
+	}
+	if w.Fetch {
+		s += fmt.Sprintf(" epoch=%d fetching=%v", w.Epoch, w.Fetching)
+	}
+	for i := 0; i < w.Drains; i++ {
+		s += " [handler-drain]"
+	}
+	return s
 }
 
 func newProcessor(n *Node, globalID, localID int) *Processor {
@@ -241,7 +278,7 @@ func (p *Processor) Sync(t *engine.Thread) {
 // delay the application).
 func (p *Processor) BlockedWake(t *engine.Thread) {
 	for p.handlerActive > 0 {
-		p.Where += " [handler-drain]"
+		p.Where.Drains++
 		start := p.Node.Sim.Now()
 		p.handlerIdle.Wait(t)
 		p.Stats.Time[stats.HandlerSteal] += p.Node.Sim.Now() - start
@@ -315,9 +352,9 @@ func (p *Processor) accessWrite(t *engine.Thread, line uint64) {
 		// Will stall: synchronize with the engine first.
 		p.Sync(t)
 		start := p.Node.Sim.Now()
-		p.Where = "wb-full-stall"
+		p.Where = Where{Op: "wb-full-stall"}
 		p.WB.Put(t, line)
-		p.Where = ""
+		p.Where = Where{}
 		p.Stats.Time[stats.LocalStall] += p.Node.Sim.Now() - start
 	} else {
 		p.WB.Put(t, line)
@@ -348,8 +385,8 @@ func (p *Processor) FlushWB(t *engine.Thread) {
 	}
 	p.Sync(t)
 	start := p.Node.Sim.Now()
-	p.Where = "wb-flush"
+	p.Where = Where{Op: "wb-flush"}
 	p.WB.Flush(t)
-	p.Where = ""
+	p.Where = Where{}
 	p.Stats.Time[stats.LocalStall] += p.Node.Sim.Now() - start
 }

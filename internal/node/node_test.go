@@ -291,3 +291,23 @@ func TestBusContentionBetweenProcessors(t *testing.T) {
 		t.Fatalf("no bus contention visible: duo=%v solo=%d", ends, solo)
 	}
 }
+
+// TestWhereString: a breadcrumb formats as the text the protocol once built
+// at every wait, handler-drain suffixes included.
+func TestWhereString(t *testing.T) {
+	for _, tc := range []struct {
+		w    Where
+		want string
+	}{
+		{Where{}, ""},
+		{Where{Op: "wb-flush"}, "wb-flush"},
+		{Where{Op: "lock-grant-wait", Arg: "lock", N: 3}, "lock-grant-wait lock=3"},
+		{Where{Op: "fetch-wait", Arg: "pg", N: 17, Fetch: true, Epoch: 2}, "fetch-wait pg=17 epoch=2 fetching=false"},
+		{Where{Op: "lock-grant-wake", Arg: "lock", N: 0, Drains: 2}, "lock-grant-wake lock=0 [handler-drain] [handler-drain]"},
+		{Where{Drains: 1}, " [handler-drain]"},
+	} {
+		if got := tc.w.String(); got != tc.want {
+			t.Errorf("%+v.String() = %q, want %q", tc.w, got, tc.want)
+		}
+	}
+}

@@ -102,11 +102,11 @@ func (sy *System) Barrier(t *engine.Thread, p *node.Processor) {
 	if b.arrived[nid] < b.participants {
 		// Not last in the node: wait for the node-level release.
 		for b.gen[nid] == myGen {
-			p.Where = "barrier-local-wait"
+			p.Where = node.Where{Op: "barrier-local-wait"}
 			b.cond[nid].Wait(t)
 			p.BlockedWake(t)
 		}
-		p.Where = ""
+		p.Where = node.Where{}
 		p.Stats.Time[stats.BarrierWait] += sy.Sim.Now() - start
 		sy.Trace.Emit(sy.Sim.Now(), int32(p.GlobalID), trace.BarrierExit, 0, 0)
 		return
@@ -165,11 +165,11 @@ func (sy *System) barrierLeaf(t *engine.Thread, p *node.Processor, ns *nodeState
 		if len(b.releases[ns.id]) > 0 {
 			break
 		}
-		p.Where = "barrier-release-wait"
+		p.Where = node.Where{Op: "barrier-release-wait"}
 		b.relCond[ns.id].Wait(t)
 		p.BlockedWake(t)
 	}
-	p.Where = ""
+	p.Where = node.Where{}
 	rel := b.releases[ns.id][0]
 	b.releases[ns.id] = b.releases[ns.id][1:]
 	if rel.conservative {
@@ -219,7 +219,7 @@ func (sy *System) barrierMaster(t *engine.Thread, p *node.Processor, ns *nodeSta
 		if ready {
 			break
 		}
-		p.Where = "barrier-master-wait"
+		p.Where = node.Where{Op: "barrier-master-wait"}
 		b.masterCond.Wait(t)
 		p.BlockedWake(t)
 	}

@@ -32,7 +32,7 @@ func (sy *System) DumpLocks() string {
 			n, ns.protoBusy, ns.pendingAcks, ns.interval, ns.vc)
 	}
 	for _, p := range sy.Procs {
-		fmt.Fprintf(&b, "proc%d: where=%q handlerActive=%d\n", p.GlobalID, p.Where, p.HandlerActive())
+		fmt.Fprintf(&b, "proc%d: where=%q handlerActive=%d\n", p.GlobalID, p.Where.String(), p.HandlerActive())
 	}
 	return b.String()
 }

@@ -46,12 +46,12 @@ func chargeWork(t *engine.Thread, p *node.Processor, handler bool, n engine.Time
 func (ns *nodeState) protoAcquire(t *engine.Thread, p *node.Processor, handler bool) {
 	for ns.protoBusy {
 		if p != nil {
-			p.Where = "proto-mutex-wait"
+			p.Where = node.Where{Op: "proto-mutex-wait"}
 		}
 		ns.protoCond.Wait(t)
 	}
 	if p != nil {
-		p.Where = ""
+		p.Where = node.Where{}
 	}
 	ns.protoBusy = true
 }
@@ -189,22 +189,26 @@ func (ns *nodeState) waitAcks(t *engine.Thread, p *node.Processor, handler bool)
 	start := ns.sys.Sim.Now()
 	for ns.pendingAcks > 0 {
 		if p != nil {
-			p.Where = "ack-wait"
+			p.Where = node.Where{Op: "ack-wait"}
 		}
 		ns.ackCond.Wait(t)
 	}
 	if p != nil {
-		p.Where = ""
+		p.Where = node.Where{}
 	}
 	if p != nil && !handler {
 		p.Stats.Time[stats.DiffTime] += ns.sys.Sim.Now() - start
 	}
 }
 
-// handleDiff applies a diff at the home. It runs on the receiving NI thread:
+// ackBytes is the payload of a diff or update ack.
+const ackBytes = 8
+
+// handleDiff applies a diff at the home. It runs on the receiving NI side:
 // the NI deposits the words directly into home memory (remote writes), so no
 // interrupt and no processor time is consumed; the bus DMA cost was already
-// charged by the receive path. An NI-generated ack flows back.
+// charged by the receive path. An NI-generated ack flows back; t is nil
+// unless the ack's post may wait for queue space (mayBlock).
 func (sy *System) handleDiff(t *engine.Thread, m *network.Message) {
 	d := m.Payload.(diffMsg)
 	nd := sy.Nodes[m.Dst]
@@ -219,7 +223,7 @@ func (sy *System) handleDiff(t *engine.Thread, m *network.Message) {
 		Src:     m.Dst,
 		Dst:     m.Src,
 		SrcProc: sy.Nodes[m.Dst].Procs[0].GlobalID,
-		Size:    8,
+		Size:    ackBytes,
 		Payload: d.page,
 	}, nil, false, false)
 }
@@ -289,7 +293,7 @@ func (ns *nodeState) aurcFlushDst(t *engine.Thread, p *node.Processor, dst int) 
 }
 
 // handleUpdate applies automatic updates at the home (NI deposit; no
-// interrupt) and acks them.
+// interrupt) and acks them, as handleDiff does.
 func (sy *System) handleUpdate(t *engine.Thread, m *network.Message) {
 	u := m.Payload.(updateMsg)
 	nd := sy.Nodes[m.Dst]
@@ -302,7 +306,7 @@ func (sy *System) handleUpdate(t *engine.Thread, m *network.Message) {
 		Src:     m.Dst,
 		Dst:     m.Src,
 		SrcProc: sy.Nodes[m.Dst].Procs[0].GlobalID,
-		Size:    8,
+		Size:    ackBytes,
 	}, nil, false, false)
 }
 

@@ -124,11 +124,11 @@ func (sy *System) Acquire(t *engine.Thread, p *node.Processor, id int) {
 		// Token is here (busy/queued) or already on its way: queue locally.
 		w := lockWaiter{cond: engine.NewCond(sy.Sim), remote: -1}
 		ln.queue = append(ln.queue, w)
-		p.Where = fmt.Sprintf("lock-local-wait lock=%d", id)
+		p.Where = node.Where{Op: "lock-local-wait", Arg: "lock", N: int64(id)}
 		w.cond.Wait(t)
-		p.Where = fmt.Sprintf("lock-local-wake lock=%d", id)
+		p.Where = node.Where{Op: "lock-local-wake", Arg: "lock", N: int64(id)}
 		p.BlockedWake(t)
-		p.Where = ""
+		p.Where = node.Where{}
 		// The releaser handed us the lock (busy stays true).
 		p.Stats.LocalLocks++
 		p.Stats.Time[stats.LockWait] += sy.Sim.Now() - start
@@ -142,12 +142,12 @@ func (sy *System) Acquire(t *engine.Thread, p *node.Processor, id int) {
 	sy.lockTrace("acquire-remote lock=%d at n%d", id, ns.id)
 	sy.sendLockRequest(t, p, true, ns, id)
 	for ln.granted == nil {
-		p.Where = fmt.Sprintf("lock-grant-wait lock=%d", id)
+		p.Where = node.Where{Op: "lock-grant-wait", Arg: "lock", N: int64(id)}
 		ln.grantCond.Wait(t)
-		p.Where = fmt.Sprintf("lock-grant-wake lock=%d", id)
+		p.Where = node.Where{Op: "lock-grant-wake", Arg: "lock", N: int64(id)}
 		p.BlockedWake(t)
 	}
-	p.Where = ""
+	p.Where = node.Where{}
 	g := ln.granted
 	ln.granted = nil
 	ln.requested = false
@@ -332,7 +332,7 @@ func (sy *System) handleLockRequest(ht *engine.Thread, victim *node.Processor, m
 	}
 }
 
-// handleLockGrant runs on the receiving NI thread when a grant is deposited:
+// handleLockGrant runs on the receiving NI side when a grant is deposited:
 // it installs the token immediately (reserved) so forwarded requests racing
 // with the grant queue correctly, then either wakes the waiting Acquire or —
 // for node-initiated re-requests — dispatches the queue itself.
@@ -351,8 +351,8 @@ func (sy *System) handleLockGrant(m *network.Message) {
 		return
 	}
 	// Re-requested by the protocol: consume the grant on a fresh thread
-	// (the NI receive thread must not block on the release fence, since it
-	// is the thread that delivers the acks).
+	// (the NI receive side must not block on the release fence, since it
+	// delivers the acks).
 	ln.requested = false
 	sy.Sim.Spawn(fmt.Sprintf("lock%d-regrant@n%d", g.lock, ns.id), func(t *engine.Thread) {
 		ns.applyNotices(t, nil, false, g.notices, g.vc)

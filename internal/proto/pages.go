@@ -2,7 +2,6 @@ package proto
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sort"
 
 	"svmsim/internal/engine"
@@ -184,13 +183,13 @@ func (ns *nodeState) fetch(t *engine.Thread, p *node.Processor, pg int32) {
 				// the failure is recorded.
 				sy.Sim.Fail(&LostPageError{Page: pg, Node: ns.id, DeadHome: int(dead), NowCycles: sy.Sim.Now()})
 				for {
-					p.Where = fmt.Sprintf("lost-page pg=%d", pg)
+					p.Where = node.Where{Op: "lost-page", Arg: "pg", N: int64(pg)}
 					sy.fd.limbo.Wait(t)
 				}
 			}
 		}
 		if ns.diffFlight[pg] > 0 {
-			p.Where = fmt.Sprintf("diff-flight-wait pg=%d", pg)
+			p.Where = node.Where{Op: "diff-flight-wait", Arg: "pg", N: int64(pg)}
 			ns.ackCond.Wait(t)
 			p.BlockedWake(t)
 			continue
@@ -211,11 +210,12 @@ func (ns *nodeState) fetch(t *engine.Thread, p *node.Processor, pg int32) {
 				break
 			}
 		}
-		p.Where = fmt.Sprintf("fetch-wait pg=%d epoch=%d fetching=%v", pg, ns.fetchEpoch[pg], ns.fetching[pg])
+		p.Where = node.Where{Op: "fetch-wait", Arg: "pg", N: int64(pg),
+			Fetch: true, Epoch: ns.fetchEpoch[pg], Fetching: ns.fetching[pg]}
 		ns.fetchCond.Wait(t)
 		p.BlockedWake(t)
 	}
-	p.Where = ""
+	p.Where = node.Where{}
 	sy.Trace.Emit(sy.Sim.Now(), int32(p.GlobalID), trace.FetchEnd, int64(pg), 0)
 	p.Stats.Time[stats.DataWait] += sy.Sim.Now() - start
 }
@@ -245,7 +245,7 @@ func (sy *System) servePageRequest(t *engine.Thread, victim *node.Processor, m *
 }
 
 // handlePageReply installs a fetched page; it runs on the receiving NI
-// thread (direct deposit, no interrupt).
+// side (direct deposit, no interrupt).
 func (sy *System) handlePageReply(m *network.Message) {
 	rep := m.Payload.(pageReply)
 	ns := sy.ns[m.Dst]

@@ -302,9 +302,13 @@ func (sy *System) send(t *engine.Thread, m *network.Message, p *node.Processor, 
 	sy.niFor(m.Src, m.Dst).Post(t, m)
 }
 
-// deliver is the NI upcall for every arriving message; it runs on the
-// receiving NI thread.
-func (sy *System) deliver(t *engine.Thread, m *network.Message) {
+// deliver is the NI upcall for every arriving message (network.Deliver). It
+// runs in scheduler context, with t nil, unless the delivery may block: then
+// it declines, and runs again on the receiving NI thread.
+func (sy *System) deliver(t *engine.Thread, m *network.Message) bool {
+	if t == nil && sy.mayBlock(m) {
+		return false
+	}
 	switch m.Kind {
 	case network.PageRequest:
 		sy.Trace.Emit(sy.Sim.Now(), -1, trace.Interrupt, int64(m.Dst), int64(m.Kind))
@@ -314,7 +318,7 @@ func (sy *System) deliver(t *engine.Thread, m *network.Message) {
 			// occupied and later arrivals on this interface wait.
 			t.Delay(sy.Cfg.NIPageServeCycles)
 			sy.servePageRequest(t, nil, m)
-			return
+			return true
 		}
 		sy.Intc[m.Dst].Raise("page", func(ht *engine.Thread, victim *node.Processor) {
 			sy.handlePageRequest(ht, victim, m)
@@ -348,4 +352,19 @@ func (sy *System) deliver(t *engine.Thread, m *network.Message) {
 	default:
 		panic("proto: unknown message kind " + m.Kind.String())
 	}
+	return true
+}
+
+// mayBlock reports whether delivering m may block its thread: an NI page
+// serve occupies the NI core, and a diff or update posts its ack, which
+// waits while the outgoing queue is full. Every other delivery, interrupts
+// included, only records state and schedules events.
+func (sy *System) mayBlock(m *network.Message) bool {
+	switch m.Kind {
+	case network.PageRequest:
+		return sy.Cfg.NIServePages
+	case network.Diff, network.Update:
+		return sy.niFor(m.Dst, m.Src).Full(ackBytes)
+	}
+	return false
 }

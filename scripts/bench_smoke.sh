@@ -3,8 +3,9 @@
 #
 # Two passes over the engine scheduling benchmarks (a Delay that round-trips
 # through the scheduler loop, a Delay that resumes in place, a contended
-# bus-read-shaped Do program that must park at most once per Do, and a
-# Park/Unpark ping-pong):
+# bus-read-shaped Do program that must park at most once per Do, a
+# contended drain-shaped burst on a reusable service thread that must never
+# switch, and a Park/Unpark ping-pong):
 #
 #   1. -benchtime=1x     smoke: one iteration of each must complete.
 #   2. -benchtime=1000x  guardrail: 0 allocs/op on the schedule path.
@@ -24,7 +25,7 @@
 # Run via `make bench-smoke` (part of CI). POSIX sh + awk only.
 set -eu
 
-engine='BenchmarkEngineDelay$|BenchmarkEngineDelayInPlace$|BenchmarkEngineDo$|BenchmarkEngineUnpark$'
+engine='BenchmarkEngineDelay$|BenchmarkEngineDelayInPlace$|BenchmarkEngineDo$|BenchmarkEngineService$|BenchmarkEngineUnpark$'
 
 echo "bench-smoke: engine single-iteration smoke"
 go test -run '^$' -bench "$engine" -benchtime 1x ./internal/engine/
@@ -38,7 +39,7 @@ printf '%s\n' "$out" | awk '
     if ($(NF - 1) + 0 != 0) { print "bench-smoke: FAIL: " $1 " allocates " $(NF - 1) " allocs/op, want 0"; bad = 1 }
 }
 END {
-    if (n != 4) { print "bench-smoke: FAIL: expected 4 benchmark lines, saw " n; exit 1 }
+    if (n != 5) { print "bench-smoke: FAIL: expected 5 benchmark lines, saw " n; exit 1 }
     exit bad
 }'
 
