@@ -1,16 +1,16 @@
 # Development checks for svmsim. `make check` is the CI gate: vet of both
-# modules, the domain-specific svmlint analyzers (determinism / unit-suffix /
-# hot-path allocation invariants, see internal/lint), build, the full test
-# suite of both modules (which drives the real svmsimd binary through its
-# crash, drain and fleet drills), the race detector over the packages with
-# real concurrency (the parallel experiment pool and the engine), and the
-# node-crash and twin smokes.
+# modules, the domain-specific svmlint analyzers (determinism / wall-clock /
+# unit invariants, see internal/lint), build, the full test suite of both
+# modules (which drives the real svmsimd binary through its crash, drain and
+# fleet drills, and the real sweep command through a twin-pruned sweep), the
+# race detector over the packages with real concurrency (the parallel
+# experiment pool and the engine), and the node-crash smoke.
 
 GO ?= go
 
-.PHONY: check vet lint lint-report build test race chaos twin-validate bench-engine bench-smoke experiments faults
+.PHONY: check vet lint lint-report build test race chaos bench-engine bench-smoke experiments faults
 
-check: vet lint build test race chaos twin-validate
+check: vet lint build test race chaos
 
 vet:
 	$(GO) vet ./...
@@ -53,14 +53,6 @@ race:
 # to end, in well under a minute.
 chaos:
 	$(GO) run -race ./cmd/experiments -only nodecrash -procs 4 -ppn 2
-
-# Analytical-twin smoke: run the interrupt sweep with and without
-# -twin-prune, require a strictly smaller simulation count with the
-# reduction logged, the predicted cells marked in the document, and every
-# pruned-table value within 15% of the fully simulated one. A couple of
-# minutes end to end.
-twin-validate:
-	sh scripts/twin_validate.sh
 
 # End-to-end performance (one simulation, a paper regeneration, the served
 # path) is measured by bench/ (`bash bench/run.sh`, see bench/README.md);

@@ -1,5 +1,5 @@
 // Command svmlint runs the simulator's domain-specific static analyzers
-// (determinism, unit, hot-path-allocation, float-comparison, lock-discipline,
+// (determinism, wall-clock, unit, float-comparison, lock-discipline,
 // simulated-time and stats-wiring invariants) over the repository,
 // type-checking the requested packages as one whole program. See
 // internal/lint for the analyzer catalogue and DESIGN.md for the invariants

@@ -99,7 +99,7 @@ func TestFlagsResolveAsACell(t *testing.T) {
 	if got := strings.Join(lines, ""); code != 0 || got != traced {
 		t.Errorf("-speedup changed the trace of the parallel run (exit %d):\n%s\nwant:\n%s", code, withUni, traced)
 	}
-	if !strings.Contains(traced, "trace: 15457 events") {
-		t.Errorf("svmsim -app Barnes-reb -trace:\n%s\nwant 15457 trace events", traced)
+	if !strings.Contains(traced, "trace: 23389 events") {
+		t.Errorf("svmsim -app Barnes-reb -trace:\n%s\nwant 23389 trace events", traced)
 	}
 }

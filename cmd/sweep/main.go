@@ -38,6 +38,7 @@ import (
 	"svmsim"
 	"svmsim/internal/exp"
 	"svmsim/internal/fleet"
+	"svmsim/internal/server"
 )
 
 func main() { os.Exit(run()) }
@@ -100,8 +101,26 @@ func run() int {
 		return 1
 	}
 
+	// Parse -cell here, once, so a typo is a parse error whether the cell
+	// runs locally or on a daemon.
+	var cell exp.CellSpec
+	if *cellSpec != "" {
+		if err := server.DecodeJSON(strings.NewReader(*cellSpec), &cell); err != nil {
+			fmt.Fprintln(os.Stderr, "parsing -cell spec:", err)
+			return 1
+		}
+	}
+	spec := exp.SweepSpec{Param: *param, Mode: *mode}
+	if *appsFlag != "" {
+		for _, n := range strings.Split(*appsFlag, ",") {
+			if n = strings.TrimSpace(n); n != "" {
+				spec.Apps = append(spec.Apps, n)
+			}
+		}
+	}
+
 	if *remote != "" {
-		code, err := runRemote(strings.TrimRight(*remote, "/"), *cellSpec, *param, *appsFlag, *mode, *jsonOut)
+		code, err := runRemote(strings.TrimRight(*remote, "/"), *cellSpec, spec, *jsonOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -117,7 +136,7 @@ func run() int {
 	}
 
 	if *cellSpec != "" {
-		code, err := runCell(s, *cellSpec)
+		code, err := runCell(s, cell)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -125,14 +144,6 @@ func run() int {
 		return code
 	}
 
-	spec := exp.SweepSpec{Param: *param, Mode: *mode}
-	if *appsFlag != "" {
-		for _, n := range strings.Split(*appsFlag, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				spec.Apps = append(spec.Apps, n)
-			}
-		}
-	}
 	var res exp.SweepResult
 	var err error
 	if *twinPrune {
@@ -175,22 +186,15 @@ func renderTable(res exp.SweepResult) string {
 	return tbl.String()
 }
 
-// runRemote submits the sweep (or single cell) to a running daemon or fleet
+// runRemote submits the sweep spec, or the single cell spec when cellSpec is
+// set (already parsed, and sent as given), to a running daemon or fleet
 // coordinator and waits for the result, mirroring the local exit codes: 0 on
 // success, 1 with the structured document printed when the run failed.
-func runRemote(base, cellSpec, param, appsFlag, mode string, jsonOut bool) (int, error) {
+func runRemote(base, cellSpec string, spec exp.SweepSpec, jsonOut bool) (int, error) {
 	client := &fleet.Client{}
 	ctx := context.Background()
 
 	if cellSpec != "" {
-		// Validate locally first so a typo is a parse error here, not a 400
-		// from the daemon.
-		dec := json.NewDecoder(strings.NewReader(cellSpec))
-		dec.DisallowUnknownFields()
-		var spec exp.CellSpec
-		if err := dec.Decode(&spec); err != nil {
-			return 1, fmt.Errorf("parsing -cell spec: %w", err)
-		}
 		status, data, err := submitAndWait(ctx, client, base+"/v1/cells", []byte(cellSpec))
 		if err != nil {
 			return 1, err
@@ -202,16 +206,6 @@ func runRemote(base, cellSpec, param, appsFlag, mode string, jsonOut bool) (int,
 		return 0, nil
 	}
 
-	spec := struct {
-		Param string   `json:"param"`
-		Apps  []string `json:"apps,omitempty"`
-		Mode  string   `json:"mode,omitempty"`
-	}{Param: param, Mode: mode}
-	for _, n := range strings.Split(appsFlag, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			spec.Apps = append(spec.Apps, n)
-		}
-	}
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return 1, err
@@ -277,16 +271,10 @@ func urlJoinJobs(submitURL, id string) string {
 	return base + "/v1/jobs/" + id + "/result?wait=1"
 }
 
-// runCell executes one cell from an inline JSON spec and prints the
-// canonical result document. A failed cell still prints its structured
-// result (err_kind/err) and reports exit code 1.
-func runCell(s *exp.Suite, raw string) (int, error) {
-	dec := json.NewDecoder(strings.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var spec exp.CellSpec
-	if err := dec.Decode(&spec); err != nil {
-		return 1, fmt.Errorf("parsing -cell spec: %w", err)
-	}
+// runCell executes one cell spec and prints the canonical result document.
+// A failed cell still prints its structured result (err_kind/err) and
+// reports exit code 1.
+func runCell(s *exp.Suite, spec exp.CellSpec) (int, error) {
 	cell, err := s.ResolveCell(spec)
 	if err != nil {
 		return 1, err

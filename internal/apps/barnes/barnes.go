@@ -296,25 +296,8 @@ func (s *state) insert(c *shm.Proc, i int, x, y, z, rootHalf float64) {
 		ch := s.cells.GetI(c, s.cAddr(cur, cChild+o))
 		path = append(path, cur, o, int(ch))
 		if depth == maxDepth-1 {
-			var dump string
-			sys := c.W.Sys
-			for ci := cur - 2; ci <= cur; ci++ {
-				if ci < 0 {
-					continue
-				}
-				addr0 := s.cells.At(s.cAddr(ci, 0))
-				pg := sys.PageOf(addr0)
-				dump += fmt.Sprintf("\ncell %d (page %d home n%d):", ci, pg, sys.Home(pg))
-				for n := range sys.Nodes {
-					dump += fmt.Sprintf("\n  n%d: [", n)
-					for f := 0; f < 8; f++ {
-						dump += fmt.Sprintf("%d ", int64(sys.Nodes[n].ReadWord(s.cells.At(s.cAddr(ci, cChild+f)))))
-					}
-					dump += "]"
-				}
-			}
-			panic(fmt.Sprintf("barnes: insert depth blowup: proc=%d i=%d cur=%d ch=%d half=%g path(cell,slot,ch)=%v%s",
-				c.ID, i, cur, ch, half, path, dump))
+			panic(fmt.Sprintf("barnes: insert depth blowup: proc=%d i=%d cur=%d ch=%d half=%g path(cell,slot,ch)=%v",
+				c.ID, i, cur, ch, half, path))
 		}
 		switch {
 		case ch == 0:

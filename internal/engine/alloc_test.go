@@ -120,19 +120,25 @@ func BenchmarkEngineDo(b *testing.B) {
 
 // drainService is a write-buffer-drain-shaped service for
 // BenchmarkEngineService: each burst retires lines lines, each a bus write
-// and an L2 hit, then schedules the service's next burst one cycle later.
+// and an L2 hit, then schedules the service's next burst one cycle later,
+// with the service itself as the event's target.
 type drainService struct {
 	t           *Thread
 	bus         *Resource
 	lines, left int
 	bursts      int
-	start       func()
+}
+
+// HandleEvent starts a burst.
+func (d *drainService) HandleEvent(any) {
+	d.left = d.lines
+	d.t.Start(d, nil)
 }
 
 func (d *drainService) Continue(dst []Op) []Op {
 	if d.left == 0 {
 		if d.bursts--; d.bursts > 0 {
-			d.t.sim.At(1, d.start)
+			d.t.sim.AtTarget(1, d, nil)
 		}
 		return dst
 	}
@@ -151,12 +157,8 @@ func BenchmarkEngineService(b *testing.B) {
 	bus := NewResource(s, "bus")
 	for _, n := range []int{(b.N + 1) / 2, b.N / 2} {
 		d := &drainService{t: s.NewThread("drain"), bus: bus, lines: 4, bursts: n}
-		d.start = func() {
-			d.left = d.lines
-			d.t.Start(d, nil)
-		}
 		if n > 0 {
-			d.start()
+			d.HandleEvent(nil)
 		}
 	}
 	b.ResetTimer()

@@ -22,7 +22,7 @@ func TestSequentialSpawnsShareOneCarrier(t *testing.T) {
 		s.Spawn("short", func(th *Thread) {
 			th.Delay(1)
 			ran++
-			s.At(0, next)
+			s.AtTarget(0, call(next), nil)
 		})
 	}
 	next()
@@ -32,8 +32,8 @@ func TestSequentialSpawnsShareOneCarrier(t *testing.T) {
 	if ran != n || carriers != 1 {
 		t.Fatalf("%d threads ran on %d carriers, want %d on 1", ran, carriers, n)
 	}
-	// Each thread costs three events (first dispatch, Delay wakeup, the At
-	// that spawns the next) but one switch: nothing else is queued, so its
+	// Each thread costs three events (first dispatch, Delay wakeup, the
+	// callback that spawns the next) but one switch: nothing else is queued, so its
 	// Delay resumes in place. The counts survive teardown.
 	if got, want := s.Counts(), (Counts{Events: 3 * n, Switches: n, Threads: n, Carriers: 1}); got != want {
 		t.Fatalf("Counts() = %+v, want %+v", got, want)
@@ -58,16 +58,16 @@ func TestTeardownNoGoroutineLeak(t *testing.T) {
 		}},
 		{"killed", func(s *Sim) {
 			victim := s.Spawn("victim", func(th *Thread) { th.Delay(100) })
-			s.At(10, func() { s.Kill(victim) })
+			s.AtTarget(10, call(func() { s.Kill(victim) }), nil)
 			s.Spawn("survivor", func(th *Thread) { th.Delay(500) })
 		}},
 		{"never dispatched", func(s *Sim) {
 			s.Spawn("early", func(th *Thread) {})
-			s.At(5, func() {
+			s.AtTarget(5, call(func() {
 				s.Spawn("reused", func(*Thread) { t.Error("reused carrier ran its thread") })
 				s.Spawn("fresh", func(*Thread) { t.Error("fresh carrier ran its thread") })
 				s.Stop()
-			})
+			}), nil)
 		}},
 		{"deferred park", func(s *Sim) {
 			s.Spawn("unlocker", func(th *Thread) {

@@ -70,18 +70,16 @@ type Time = uint64
 //svmlint:ignore units Forever is a sentinel, not a quantity in any unit
 const Forever Time = ^Time(0)
 
-// evKind discriminates what an event does at dispatch. Thread events carry a
-// typed resume target instead of a closure so the hot scheduling paths
-// (Delay, Unpark, Spawn) allocate nothing per event.
+// evKind discriminates what an event does at dispatch. No event carries a
+// closure: thread events name the thread to resume and callback events a
+// typed target, so every scheduling path allocates nothing per event.
 type evKind uint8
 
 const (
-	// evCall runs fn in scheduler context.
-	evCall evKind = iota
 	// evResume transfers control to th (Delay wakeup, first dispatch). At the
 	// first dispatch of a thread started with a program, it runs the
 	// program in scheduler context first.
-	evResume
+	evResume evKind = iota
 	// evUnpark transfers control to th, asserting it is actually parked. When
 	// th is queued for a resource inside a Do program, it is the grant: the
 	// program goes on in scheduler context.
@@ -89,10 +87,10 @@ const (
 	// evPhase ends the current phase of th's Do program; the program goes on
 	// in scheduler context.
 	evPhase
-	// evTarget calls target.HandleEvent(arg) in scheduler context. Like the
-	// thread kinds it is closure-free: the target is a long-lived model
-	// object (e.g. a network interface) and arg is a pointer it already
-	// owns, so scheduling allocates nothing per event.
+	// evTarget calls target.HandleEvent(arg) in scheduler context. The
+	// target is a long-lived model object (e.g. a network interface) and arg
+	// is a pointer it already owns, so scheduling allocates nothing per
+	// event.
 	evTarget
 )
 
@@ -106,7 +104,6 @@ type event struct {
 	at     Time
 	seq    uint64
 	th     *Thread
-	fn     func()
 	target EventTarget
 	arg    any
 	kind   evKind
@@ -187,25 +184,12 @@ func (s *Sim) Counts() Counts {
 	return Counts{Events: s.dispatched, Switches: s.switches, Threads: s.created, Carriers: s.made}
 }
 
-// At schedules fn to run after delay cycles. fn runs in scheduler context
-// (no current thread); it must not block.
-func (s *Sim) At(delay Time, fn func()) {
-	s.schedule(s.now+delay, fn)
-}
-
-func (s *Sim) schedule(at Time, fn func()) {
-	if at < s.now {
-		panic(fmt.Sprintf("engine: scheduling into the past (at=%d now=%d)", at, s.now))
-	}
-	s.seq++
-	s.events.push(event{at: at, seq: s.seq, fn: fn, kind: evCall})
-}
-
 // AtTarget schedules target.HandleEvent(arg) to run after delay cycles, in
-// scheduler context. It is the closure-free counterpart of At for per-event
-// hot paths: the event is a value in the queue's recycled backing storage, so
-// once the queue has reached steady-state capacity the call allocates
-// nothing.
+// scheduler context (no current thread). It is the one way to run model code
+// at a later cycle: wire flights, retransmit timers, heartbeat ticks and
+// crash events all use it. The event is a value in the queue's recycled
+// backing storage, so once the queue has reached steady-state capacity the
+// call allocates nothing.
 func (s *Sim) AtTarget(delay Time, target EventTarget, arg any) {
 	at := s.now + delay
 	if at < s.now {
@@ -252,8 +236,8 @@ func (s *Sim) Kill(t *Thread) {
 	delete(s.live, t)
 }
 
-// scheduleThread enqueues a closure-free thread event. Events are values in
-// the queue's recycled backing storage, so this path performs zero
+// scheduleThread enqueues a thread event at absolute cycle at. Events are
+// values in the queue's recycled backing storage, so this path performs zero
 // allocations once the queue has reached its steady-state capacity.
 func (s *Sim) scheduleThread(at Time, t *Thread, kind evKind) {
 	if at < s.now {
@@ -269,11 +253,7 @@ func (s *Sim) scheduleThread(at Time, t *Thread, kind evKind) {
 // the program ends, the thread resumes its carrier, enters one to run its
 // body, or, with no body, ends.
 func (s *Sim) dispatch(ev event) {
-	switch ev.kind {
-	case evCall:
-		ev.fn()
-		return
-	case evTarget:
+	if ev.kind == evTarget {
 		ev.target.HandleEvent(ev.arg)
 		return
 	}

@@ -8,13 +8,19 @@ import (
 	"testing/quick"
 )
 
+// call adapts a closure to an EventTarget, so a test can schedule it with
+// AtTarget.
+type call func()
+
+func (c call) HandleEvent(any) { c() }
+
 func TestCallbackOrdering(t *testing.T) {
 	s := New()
 	var got []int
-	s.At(30, func() { got = append(got, 3) })
-	s.At(10, func() { got = append(got, 1) })
-	s.At(20, func() { got = append(got, 2) })
-	s.At(10, func() { got = append(got, 11) }) // same time: FIFO by seq
+	s.AtTarget(30, call(func() { got = append(got, 3) }), nil)
+	s.AtTarget(10, call(func() { got = append(got, 1) }), nil)
+	s.AtTarget(20, call(func() { got = append(got, 2) }), nil)
+	s.AtTarget(10, call(func() { got = append(got, 11) }), nil) // same time: FIFO by seq
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +103,7 @@ func TestParkUnpark(t *testing.T) {
 		tt.Park()
 		woke = s.Now()
 	})
-	s.At(500, func() { th.Unpark() })
+	s.AtTarget(500, call(func() { th.Unpark() }), nil)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +129,8 @@ func TestLivelockGuard(t *testing.T) {
 	s := New()
 	s.MaxEvents = 100
 	var spin func()
-	spin = func() { s.At(0, spin) }
-	s.At(0, spin)
+	spin = func() { s.AtTarget(0, call(spin), nil) }
+	s.AtTarget(0, call(spin), nil)
 	err := s.Run()
 	var ll *LivelockError
 	if !errors.As(err, &ll) {
@@ -145,8 +151,8 @@ func TestCondFIFOAndBroadcast(t *testing.T) {
 	mk("first")
 	mk("second")
 	mk("third")
-	s.At(10, func() { c.Signal() })
-	s.At(20, func() { c.Broadcast() })
+	s.AtTarget(10, call(func() { c.Signal() }), nil)
+	s.AtTarget(20, call(func() { c.Broadcast() }), nil)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +170,7 @@ func TestResourceSerializes(t *testing.T) {
 	var ends []Time
 	for i := 0; i < 3; i++ {
 		s.Spawn("user", func(th *Thread) {
-			r.Use(th, 0, 100)
+			th.Do(Op{Res: r, Cycles: 100})
 			ends = append(ends, s.Now())
 		})
 	}
@@ -246,14 +252,14 @@ func TestResourceTieBreaksFIFO(t *testing.T) {
 
 func TestSchedulingIntoPastPanics(t *testing.T) {
 	s := New()
-	s.At(100, func() {
+	s.AtTarget(100, call(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic scheduling into past")
 			}
 		}()
-		s.schedule(50, func() {})
-	})
+		s.scheduleThread(50, &Thread{sim: s, name: "probe"}, evResume)
+	}), nil)
 	_ = s.Run()
 }
 
@@ -273,7 +279,7 @@ func TestHeapPropertyOrdering(t *testing.T) {
 		var fired []Time
 		for _, d := range raw {
 			at := Time(d)
-			s.At(at, func() { fired = append(fired, at) })
+			s.AtTarget(at, call(func() { fired = append(fired, at) }), nil)
 		}
 		if err := s.Run(); err != nil {
 			return false
@@ -362,7 +368,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 			d := Time(i * 7 % 5)
 			s.Spawn("w", func(th *Thread) {
 				th.Delay(d)
-				r.Use(th, int(d)%2, 13)
+				th.Do(Op{Res: r, Prio: int(d) % 2, Cycles: 13})
 				c.Signal()
 			})
 		}
@@ -420,10 +426,10 @@ func TestRunAfterTeardownFails(t *testing.T) {
 func TestResourceUtilizationAccounting(t *testing.T) {
 	s := New()
 	r := NewResource(s, "bus")
-	s.Spawn("u1", func(th *Thread) { r.Use(th, 0, 40) })
+	s.Spawn("u1", func(th *Thread) { th.Do(Op{Res: r, Cycles: 40}) })
 	s.Spawn("u2", func(th *Thread) {
 		th.Delay(100)
-		r.Use(th, 0, 60)
+		th.Do(Op{Res: r, Cycles: 60})
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

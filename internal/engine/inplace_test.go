@@ -58,7 +58,7 @@ func TestInPlaceResumeFallbacks(t *testing.T) {
 				th.Delay(0)
 				step("a")
 			})
-			s.At(10, func() { step("cb") })
+			s.AtTarget(10, call(func() { step("cb") }), nil)
 		})
 		check(t, got, "a@0 cb@10 b@10 a@10 b@10 a@10", "<nil>", 10, 7)
 	})
@@ -156,7 +156,7 @@ func TestInPlaceResumeFallbacks(t *testing.T) {
 // ending with the run's error, final clock and event count, and the
 // simulation's work counters. Threads mix
 // Delay(0), short delays and long delays (longCycles), Park/Unpark,
-// Spawn from threads and from callbacks, At and AtTarget events, Resource
+// Spawn from threads and from callbacks, AtTarget events, Resource
 // use and Cond waits. A sweeper callback wakes every parked thread and Cond
 // waiter until all workers have finished, so a program never deadlocks.
 func randomProgram(seed int64) ([]string, Counts) {
@@ -206,7 +206,7 @@ func randomProgram(seed int64) ([]string, Counts) {
 						step(name, "unpark")
 					}
 				case 6:
-					res.Use(th, rng.Intn(3), Time(rng.Intn(15)))
+					th.Do(Op{Res: res, Prio: rng.Intn(3), Cycles: Time(rng.Intn(15))})
 					step(name, "use")
 				case 7:
 					cond.Wait(th)
@@ -243,10 +243,10 @@ func randomProgram(seed int64) ([]string, Counts) {
 	for i := 0; i < callbacks; i++ {
 		name := fmt.Sprintf("cb%d", i)
 		active++ // counted now, so the sweeper cannot retire before it spawns
-		s.At(Time(rng.Intn(40)), func() {
+		s.AtTarget(Time(rng.Intn(40)), call(func() {
 			step(name, "spawn")
 			s.Spawn(name+"t", worker(name+"t", 1))
-		})
+		}), nil)
 	}
 
 	var sweep func()
@@ -259,9 +259,9 @@ func randomProgram(seed int64) ([]string, Counts) {
 		}
 		parked = parked[:0]
 		cond.Broadcast()
-		s.At(Time(rng.Intn(50)+25), sweep)
+		s.AtTarget(Time(rng.Intn(50)+25), call(sweep), nil)
 	}
-	s.At(Time(rng.Intn(50)+25), sweep)
+	s.AtTarget(Time(rng.Intn(50)+25), call(sweep), nil)
 
 	err := s.Run()
 	log = append(log, fmt.Sprintf("end@%d events=%d err=%v", s.Now(), s.Counts().Events, err))
@@ -292,7 +292,7 @@ func TestRandomScheduleDigestPinned(t *testing.T) {
 		t.Fatalf("schedules moved: %d steps, sha256 %s; want 15986, %s", steps, got, want)
 	}
 	// The always-parking engine switched into a thread 12,599 times here.
-	// In-place resumes saved 2,748 of those, and running each Resource.Use
+	// In-place resumes saved 2,748 of those, and running each resource use
 	// as a one-phase Do program, which parks at most once, 226 more.
 	if switches != 9625 {
 		t.Fatalf("%d coroutine switches, want 9625", switches)

@@ -4,8 +4,8 @@ import "fmt"
 
 // Op is one phase of a hardware transaction that Thread.Do runs. With Res
 // set, the phase acquires Res at priority Prio, holds it for Cycles and
-// releases it, as Resource.Use does; with Res nil it waits Cycles, as Delay
-// does. Keep, with Res set, ends the phase at the grant, as Acquire does:
+// releases it, as Acquire, Delay and Release do; with Res nil it waits
+// Cycles, as Delay does. Keep, with Res set, ends the phase at the grant, as Acquire does:
 // the thread keeps Res and releases it itself, and Cycles and Times must be
 // zero. Times repeats the phase, with 0 meaning once, so a DMA's equal-sized
 // bus tenures are one Op. Then, when set, ends the program after this phase:

@@ -336,10 +336,10 @@ func runTxProgram(prog *txProgram, do doFunc, own ownFunc) ([]string, Counts) {
 	for i, cb := range prog.callbacks {
 		name, plan := fmt.Sprintf("cb%d", i), cb.plan
 		active++
-		s.At(cb.at, func() {
+		s.AtTarget(cb.at, call(func() {
 			step(name, "spawn")
 			s.Spawn(name+"t", worker(name+"t", plan))
-		})
+		}), nil)
 	}
 	sweeps := 0
 	var sweep func()
@@ -353,9 +353,9 @@ func runTxProgram(prog *txProgram, do doFunc, own ownFunc) ([]string, Counts) {
 		parked = parked[:0]
 		cond.Broadcast()
 		sweeps++
-		s.At(prog.sweepGaps[sweeps%len(prog.sweepGaps)], sweep)
+		s.AtTarget(prog.sweepGaps[sweeps%len(prog.sweepGaps)], call(sweep), nil)
 	}
-	s.At(prog.sweepGaps[0], sweep)
+	s.AtTarget(prog.sweepGaps[0], call(sweep), nil)
 
 	err := s.Run()
 	log = append(log, fmt.Sprintf("end@%d events=%d err=%v", s.Now(), s.Counts().Events, err))
@@ -464,10 +464,10 @@ func TestDoKillLeavesResourceHeld(t *testing.T) {
 						step("holder")
 					})
 				}
-				s.At(50, func() { s.Kill(victim) })
+				s.AtTarget(50, call(func() { s.Kill(victim) }), nil)
 				s.Spawn("late", func(th *Thread) {
 					th.Delay(60)
-					r.Use(th, 0, 1)
+					th.Do(Op{Res: r, Cycles: 1})
 					step("late")
 				})
 			})
@@ -506,13 +506,13 @@ func TestDoStopsBetweenPhases(t *testing.T) {
 		},
 		{
 			name:    "stop",
-			setup:   func(s *Sim) { s.At(45, s.Stop) },
+			setup:   func(s *Sim) { s.AtTarget(45, call(s.Stop), nil) },
 			wantLog: "end@45 events=5",
 			wantErr: "<nil>",
 		},
 		{
 			name:    "fail",
-			setup:   func(s *Sim) { s.At(45, func() { s.Fail(boom) }) },
+			setup:   func(s *Sim) { s.AtTarget(45, call(func() { s.Fail(boom) }), nil) },
 			wantLog: "end@45 events=5",
 			wantErr: "boom",
 		},
@@ -550,7 +550,7 @@ func TestDoStopsBetweenPhases(t *testing.T) {
 func TestDoParksOnce(t *testing.T) {
 	s := New()
 	r := NewResource(s, "bus")
-	s.Spawn("holder", func(th *Thread) { r.Use(th, 0, 10) })
+	s.Spawn("holder", func(th *Thread) { th.Do(Op{Res: r, Cycles: 10}) })
 	s.Spawn("reader", func(th *Thread) {
 		th.Do(Op{Res: r, Cycles: 8}, Op{Cycles: 28}, Op{Res: r, Cycles: 16, Times: 3})
 		th.Do(Op{Cycles: 5}, Op{Res: r, Cycles: 5})
@@ -615,7 +615,7 @@ func TestKeepPhaseEndsAtGrant(t *testing.T) {
 			r := NewResource(s, "cpu")
 			if hold > 0 {
 				s.Spawn("holder", func(th *Thread) {
-					r.Use(th, 0, hold)
+					th.Do(Op{Res: r, Cycles: hold})
 					step("holder")
 				})
 			}
@@ -669,12 +669,12 @@ func TestServiceThreadBursts(t *testing.T) {
 	svc := s.NewThread("svc")
 	start := func() { svc.Start(appendAll{{Cycles: 10}}, nil) }
 	var restart any
-	s.At(0, start)
-	s.At(5, func() {
+	s.AtTarget(0, call(start), nil)
+	s.AtTarget(5, call(func() {
 		defer func() { restart = recover() }()
 		start()
-	})
-	s.At(20, start)
+	}), nil)
+	s.AtTarget(20, call(start), nil)
 	s.Spawn("stuck", func(th *Thread) { th.Park() })
 	err := s.Run()
 	var dl *DeadlockError

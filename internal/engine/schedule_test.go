@@ -55,7 +55,7 @@ func scheduleWorkload(t *testing.T) ([]string, *Sim) {
 		prio := i % 2
 		s.Spawn(name, func(th *Thread) {
 			for j := 0; j < 10; j++ {
-				r.Use(th, prio, 7)
+				th.Do(Op{Res: r, Prio: prio, Cycles: 7})
 				step(name)
 			}
 		})

@@ -26,8 +26,8 @@ func TestStopReturnsNilWithLiveThreads(t *testing.T) {
 func TestStopDiscardsRemainingEvents(t *testing.T) {
 	s := New()
 	fired := false
-	s.At(5, func() { s.Stop() })
-	s.At(50, func() { fired = true })
+	s.AtTarget(5, call(func() { s.Stop() }), nil)
+	s.AtTarget(50, call(func() { fired = true }), nil)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestKilledThreadNeverResumes(t *testing.T) {
 		th.Delay(100)
 		resumed = true
 	})
-	s.At(10, func() { s.Kill(victim) })
+	s.AtTarget(10, call(func() { s.Kill(victim) }), nil)
 	// A survivor keeps the run alive well past the victim's resume time.
 	s.Spawn("survivor", func(th *Thread) { th.Delay(500) })
 	if err := s.Run(); err != nil {
@@ -66,10 +66,10 @@ func TestKilledParkedThreadIgnoresUnpark(t *testing.T) {
 		th.Park()
 		woke = true
 	})
-	s.At(10, func() {
+	s.AtTarget(10, call(func() {
 		s.Kill(victim)
 		victim.Unpark() // already scheduled wakeups must be ignored too
-	})
+	}), nil)
 	s.Spawn("survivor", func(th *Thread) { th.Delay(100) })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -96,11 +96,11 @@ func TestKillCurrentThreadPanics(t *testing.T) {
 func TestKillIsIdempotentAndNilSafe(t *testing.T) {
 	s := New()
 	v := s.Spawn("v", func(th *Thread) { th.Delay(100) })
-	s.At(1, func() {
+	s.AtTarget(1, call(func() {
 		s.Kill(nil)
 		s.Kill(v)
 		s.Kill(v)
-	})
+	}), nil)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

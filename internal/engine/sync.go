@@ -120,10 +120,3 @@ func (r *Resource) Release() {
 	r.busyFrom = r.sim.Now()
 	next.t.Unpark()
 }
-
-// Use acquires the resource at prio, holds it for d cycles of simulated
-// time, and releases it. This is the common "occupy the bus for a transfer"
-// pattern, run as a one-phase Do.
-func (r *Resource) Use(t *Thread, prio int, d Time) {
-	t.Do(Op{Res: r, Prio: prio, Cycles: d})
-}

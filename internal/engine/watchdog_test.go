@@ -190,19 +190,19 @@ func TestAtTargetZeroAllocs(t *testing.T) {
 }
 
 // TestAtTargetOverflowPanics: a delay large enough to wrap the cycle counter
-// must panic like schedule and scheduleThread do, not silently enqueue an
+// must panic like scheduleThread does, not silently enqueue an
 // event in the past. Regression test: AtTarget originally lacked the guard.
 func TestAtTargetOverflowPanics(t *testing.T) {
 	s := New()
 	tk := &sink{}
-	s.At(100, func() {
+	s.AtTarget(100, call(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic from overflowing AtTarget delay")
 			}
 		}()
 		s.AtTarget(^Time(0), tk, nil) // now+delay wraps below now
-	})
+	}), nil)
 	_ = s.Run()
 }
 

@@ -236,6 +236,7 @@ func TestResolveCellRejects(t *testing.T) {
 		{Workload: "FFT", Requests: "smoke-signals"},
 		{Workload: "FFT", Procs: 5, PPN: 2}, // 5 % 2 != 0
 		{Workload: "FFT", Requests: "dedicated", PPN: 1, Procs: 4},
+		{Workload: "FFT", PageBytes: 32 << 20}, // a page larger than the 16 MiB heap
 	}
 	for _, spec := range cases {
 		if _, err := s.ResolveCell(spec); err == nil {

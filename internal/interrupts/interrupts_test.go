@@ -10,6 +10,12 @@ import (
 	"svmsim/internal/stats"
 )
 
+// call adapts a closure to an engine.EventTarget, so a test can schedule it
+// with AtTarget.
+type call func()
+
+func (c call) HandleEvent(any) { c() }
+
 func mkNode(s *engine.Sim, nprocs int) *node.Node {
 	prm := node.DefaultParams()
 	prm.SyncQuantumCycles = 100
@@ -21,11 +27,11 @@ func TestNullInterruptCost(t *testing.T) {
 	n := mkNode(s, 1)
 	c := New(n, 500, 500, Static)
 	var handled engine.Time
-	s.At(0, func() {
+	s.AtTarget(0, call(func() {
 		c.Raise("null", func(ht *engine.Thread, v *node.Processor) {
 			handled = s.Now()
 		})
-	})
+	}), nil)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +109,11 @@ func TestHandlerStealChargedToApp(t *testing.T) {
 	n := mkNode(s, 1)
 	c := New(n, 200, 300, Static)
 	p := n.Procs[0]
-	s.At(50, func() {
+	s.AtTarget(50, call(func() {
 		c.Raise("steal", func(ht *engine.Thread, v *node.Processor) {
 			ht.Delay(100)
 		})
-	})
+	}), nil)
 	var end engine.Time
 	s.Spawn("app", func(th *engine.Thread) {
 		p.Bind(th, nil)

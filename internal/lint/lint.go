@@ -1,10 +1,12 @@
 // Package lint implements svmlint, the simulator's domain-specific static
 // analysis. The simulator's results are only trustworthy because runs are
-// bit-deterministic and the engine's scheduling hot path is allocation-free;
-// both properties are easy to break silently (an unsorted map iteration, a
-// wall-clock read, a closure creeping onto the schedule path). svmlint turns
-// those invariants into compiler-adjacent checks that run as part of
-// `make check`.
+// bit-deterministic and simulated time is kept in consistent units; both
+// properties are easy to break silently (an unsorted map iteration, a
+// wall-clock read, cycles added to bytes). svmlint turns those invariants
+// into compiler-adjacent checks that run as part of `make check`. The
+// engine's allocation-free schedule path needs no analyzer: AtTarget, the
+// one way to schedule a callback, takes a typed target rather than a
+// closure.
 //
 // The driver is a whole-program analyzer: every package of a run is fully
 // type-checked (stdlib go/types + go/importer only) in dependency order, so
@@ -14,8 +16,6 @@
 //   - detmap: no order-dependent iteration over Go maps in simulation packages
 //   - wallclock: no host wall-clock or global-rand use in internal/ simulation
 //     code (the walltime package and cmd/ harnesses are exempt)
-//   - hotalloc: no function literals passed to the engine's per-event
-//     scheduling APIs (Delay, Unpark, Park, At, Schedule)
 //   - units: engine.Time-typed exported fields and constants carry an explicit
 //     unit suffix, and numeric declarations named like quantities (timeouts,
 //     delays, backoff factors) do too
@@ -30,7 +30,7 @@
 // full load set):
 //
 //   - parkdiscipline: no engine blocking call (Park, Delay, Thread.Do,
-//     Cond.Wait, Resource.Acquire/Use, Sim.Run) is reachable through the
+//     Cond.Wait, Resource.Acquire, Sim.Run) is reachable through the
 //     call graph while a sync.Mutex/RWMutex is held
 //   - statwire: every exported numeric field of internal/stats carries a
 //     snake_case JSON tag (the pinned v1 wire schema) and has at least one
@@ -126,11 +126,6 @@ func Analyzers() []*Analyzer {
 			Name: "wallclock",
 			Doc:  "forbids host wall-clock and global math/rand use in internal/ simulation code",
 			Run:  wallclockRun,
-		},
-		{
-			Name: "hotalloc",
-			Doc:  "flags function literals passed to the engine's per-event scheduling APIs",
-			Run:  hotallocRun,
 		},
 		{
 			Name: "units",

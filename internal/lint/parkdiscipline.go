@@ -10,7 +10,7 @@ import (
 // parkdiscipline enforces the one concurrency rule the harness-side code
 // must never break: no engine blocking call may be reachable while a
 // sync.Mutex or sync.RWMutex is held. The engine's threads are cooperative —
-// Park, Delay, Thread.Do, Cond.Wait, Resource.Acquire/Use and Sim.Run all
+// Park, Delay, Thread.Do, Cond.Wait, Resource.Acquire and Sim.Run all
 // surrender the real OS thread to the scheduler and only return when another
 // simulated event resumes them. A goroutine that enters that machinery while
 // holding a harness mutex (the experiment Suite's memo lock, the daemon's
@@ -36,7 +36,7 @@ import (
 // public parking surface plus the internal park it all funnels through.
 var parkBlockingNames = map[string]bool{
 	"Park": true, "Delay": true, "Do": true, "Wait": true,
-	"Acquire": true, "Use": true, "Run": true, "park": true,
+	"Acquire": true, "Run": true, "park": true,
 }
 
 // parkBlocking reports whether fn is an engine blocking seed.

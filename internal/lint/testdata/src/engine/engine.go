@@ -1,7 +1,6 @@
 // Package engine is a miniature stand-in for svmsim/internal/engine used by
-// the analyzer fixtures. It mirrors the real scheduling API shapes (plus a
-// callback-taking Delay) so hotalloc fixtures type-check without importing
-// the real simulator.
+// the analyzer fixtures. It mirrors the real API shapes the fixtures call, so
+// they type-check without importing the real simulator.
 package engine
 
 // Time mirrors the real engine's cycle-count alias.
@@ -9,9 +8,6 @@ type Time = uint64
 
 // Sim is a fake simulator.
 type Sim struct{}
-
-// At schedules fn after delay cycles.
-func (s *Sim) At(delay Time, fn func()) {}
 
 // Spawn starts a fake thread.
 func (s *Sim) Spawn(name string, fn func(t *Thread)) *Thread { return &Thread{} }
@@ -24,12 +20,6 @@ type Thread struct{}
 
 // Park suspends the thread until another thread unparks it.
 func (t *Thread) Park() {}
-
-// Delay suspends for n cycles, then runs fn (fixture-only callback form).
-func (t *Thread) Delay(n Time, fn func()) {}
-
-// Unpark wakes the thread, then runs fn (fixture-only callback form).
-func (t *Thread) Unpark(fn func()) {}
 
 // Op is one phase of a fake hardware transaction.
 type Op struct{ Cycles Time }

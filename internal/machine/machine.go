@@ -23,7 +23,8 @@ type Config struct {
 	ProcsPerNode int
 	// HeapBytes is a bound, not an allocation: Alloc panics past it, and
 	// it sizes the page tables. Each node's memory image covers only the
-	// pages the application has allocated.
+	// pages the application has allocated. Validate rejects a page larger
+	// than the heap.
 	HeapBytes uint64
 
 	Node  node.Params
@@ -111,6 +112,9 @@ func (c *Config) Validate() error {
 	}
 	if c.Proto.PageBytes <= 0 || c.Proto.PageBytes%c.Node.LineBytes != 0 {
 		return fmt.Errorf("machine: page size %d not a multiple of line size", c.Proto.PageBytes)
+	}
+	if uint64(c.Proto.PageBytes) > c.HeapBytes {
+		return fmt.Errorf("machine: page size %d exceeds the shared heap of %d bytes", c.Proto.PageBytes, c.HeapBytes)
 	}
 	if c.Requests == interrupts.Dedicated && c.ProcsPerNode < 2 {
 		return fmt.Errorf("machine: dedicated protocol processor needs >= 2 processors per node")

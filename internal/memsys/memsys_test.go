@@ -11,6 +11,12 @@ import (
 	"svmsim/internal/engine"
 )
 
+// call adapts a closure to an engine.EventTarget, so a test can schedule it
+// with AtTarget.
+type call func()
+
+func (c call) HandleEvent(any) { c() }
+
 func TestCacheDirectMappedBasics(t *testing.T) {
 	c := NewCache(8192, 1, 32) // 8 KB direct-mapped, 32 B lines: 256 sets
 	if c.Lookup(0) {
@@ -249,7 +255,7 @@ func TestBusPriorityNIOutBeatsNIIn(t *testing.T) {
 	b := NewBus(s, "bus", 8, 4, 1, 1, 28)
 	var order []string
 	s.Spawn("holder", func(th *engine.Thread) {
-		b.Res.Use(th, PrioL2, 100)
+		th.Do(engine.Op{Res: b.Res, Prio: PrioL2, Cycles: 100})
 	})
 	s.Spawn("ni-in", func(th *engine.Thread) {
 		th.Delay(10)
@@ -552,10 +558,10 @@ func dropScenario(drop func(w *WriteBuffer)) []string {
 		}
 		logf("flusher flushed")
 	})
-	s.At(500, func() {
+	s.AtTarget(500, call(func() {
 		drop(wb)
 		logf("left %v", wb.lines)
-	})
+	}), nil)
 	if err := s.Run(); err != nil {
 		log = append(log, err.Error())
 	}

@@ -10,6 +10,12 @@ import (
 	"svmsim/internal/memsys"
 )
 
+// call adapts a closure to an engine.EventTarget, so a test can schedule it
+// with AtTarget.
+type call func()
+
+func (c call) HandleEvent(any) { c() }
+
 func testParams() *Params {
 	return &Params{
 		HostOverheadCycles: 500,
@@ -154,7 +160,7 @@ func TestDeclinedDeliveryRunsOnTheReceiveThread(t *testing.T) {
 		var at engine.Time
 		for i := 0; i < 12; i++ {
 			m := &Message{Kind: Diff, Src: 0, Dst: 1, Size: 64 * (i % 5), Payload: i}
-			s.At(at, func() { a.Post(nil, m) })
+			s.AtTarget(at, call(func() { a.Post(nil, m) }), nil)
 			at += engine.Time(3000 * (i % 3))
 		}
 		if err := s.Run(); err != nil {
@@ -291,7 +297,7 @@ func TestBidirectionalShareIOBus(t *testing.T) {
 	s.Spawn("b-sender", func(th *engine.Thread) {
 		b.Post(th, &Message{Kind: PageReply, Src: 1, Dst: 0, Size: 65536})
 	})
-	s.At(1, func() {})
+	s.AtTarget(1, call(func() {}), nil)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

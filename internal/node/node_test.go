@@ -7,6 +7,12 @@ import (
 	"svmsim/internal/stats"
 )
 
+// call adapts a closure to an engine.EventTarget, so a test can schedule it
+// with AtTarget.
+type call func()
+
+func (c call) HandleEvent(any) { c() }
+
 func testNode(s *engine.Sim, nprocs int) *Node {
 	prm := DefaultParams()
 	prm.SyncQuantumCycles = 100 // tight quantum so tests see engine time move
@@ -165,7 +171,7 @@ func TestHandlerStealExtendsCompute(t *testing.T) {
 	n := testNode(s, 1)
 	p := n.Procs[0]
 	// A "handler" steals 200 cycles at t=50.
-	s.At(50, func() {
+	s.AtTarget(50, call(func() {
 		s.Spawn("handler", func(ht *engine.Thread) {
 			p.HandlerRes.Acquire(ht, 0)
 			p.HandlerEnter()
@@ -174,7 +180,7 @@ func TestHandlerStealExtendsCompute(t *testing.T) {
 			p.HandlerExit(s.Now() - start)
 			p.HandlerRes.Release()
 		})
-	})
+	}), nil)
 	var end engine.Time
 	s.Spawn("app", func(th *engine.Thread) {
 		p.Bind(th, nil)
@@ -201,7 +207,7 @@ func TestBlockedWakeWaitsOutHandler(t *testing.T) {
 	cond := engine.NewCond(s)
 	// App blocks at t=0; reply arrives at t=100 while a handler runs
 	// t=80..380; app must not resume protocol work until 380.
-	s.At(80, func() {
+	s.AtTarget(80, call(func() {
 		s.Spawn("handler", func(ht *engine.Thread) {
 			p.HandlerRes.Acquire(ht, 0)
 			p.HandlerEnter()
@@ -210,8 +216,8 @@ func TestBlockedWakeWaitsOutHandler(t *testing.T) {
 			p.HandlerExit(s.Now() - start)
 			p.HandlerRes.Release()
 		})
-	})
-	s.At(100, func() { cond.Signal() })
+	}), nil)
+	s.AtTarget(100, call(func() { cond.Signal() }), nil)
 	var resumed engine.Time
 	s.Spawn("app", func(th *engine.Thread) {
 		p.Bind(th, nil)

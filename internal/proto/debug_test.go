@@ -1,17 +1,22 @@
 package proto_test
 
 import (
+	"strings"
 	"testing"
 
 	"svmsim/internal/machine"
 	"svmsim/internal/shm"
+	"svmsim/internal/trace"
 )
 
 // TestDebugDeadlock runs the determinism-test workload (random reads and
-// lock-protected writes between barriers) and dumps the lock state if it
-// fails. It stays in the suite as a regression canary for protocol hangs.
+// lock-protected writes between barriers) under a protocol trace, and logs
+// the last recorded events if it fails. It stays in the suite as a
+// regression canary for protocol hangs.
 func TestDebugDeadlock(t *testing.T) {
 	cfg := cfg4x4()
+	rec := trace.NewRecorder(1 << 20)
+	cfg.Trace = rec
 	type st struct {
 		base  shm.Addr
 		locks []int
@@ -40,10 +45,10 @@ func TestDebugDeadlock(t *testing.T) {
 			c.Barrier()
 		},
 	}
-	if res, err := machine.Run(cfg, app); err != nil {
-		if res != nil && res.World != nil {
-			t.Logf("lock state:\n%s", res.World.Sys.DumpLocks())
-		}
+	if _, err := machine.Run(cfg, app); err != nil {
+		var b strings.Builder
+		rec.Dump(&b, 64)
+		t.Logf("last protocol events:\n%s", b.String())
 		t.Fatal(err)
 	}
 }

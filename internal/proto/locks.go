@@ -2,7 +2,6 @@ package proto
 
 import (
 	"fmt"
-	"os"
 
 	"svmsim/internal/engine"
 	"svmsim/internal/network"
@@ -17,15 +16,8 @@ import (
 // grants are deposited directly and polled for, so replies never interrupt.
 // A node that holds the token serves its own processors locally (the SMP
 // optimization: local lock acquires involve no protocol messages at all).
-
-// lockTrace prints lock protocol events when SVMSIM_LOCKTRACE is set.
-var lockTraceOn = os.Getenv("SVMSIM_LOCKTRACE") != ""
-
-func (sy *System) lockTrace(format string, args ...any) {
-	if lockTraceOn {
-		fmt.Printf("[%d] "+format+"\n", append([]any{sy.Sim.Now()}, args...)...)
-	}
-}
+// Each protocol step is a trace event (see trace.LockRequest), so a test
+// can assert the order of a remote acquire.
 
 // lockGlobal is the cluster-wide description of one lock.
 type lockGlobal struct {
@@ -139,7 +131,6 @@ func (sy *System) Acquire(t *engine.Thread, p *node.Processor, id int) {
 	ln.requested = true
 	ln.waiting = true
 	p.Stats.RemoteLocks++
-	sy.lockTrace("acquire-remote lock=%d at n%d", id, ns.id)
 	sy.sendLockRequest(t, p, true, ns, id)
 	for ln.granted == nil {
 		p.Where = node.Where{Op: "lock-grant-wait", Arg: "lock", N: int64(id)}
@@ -252,7 +243,11 @@ func (sy *System) grantTo(t *engine.Thread, p *node.Processor, handler bool, ns 
 	}
 	notices := ns.noticesSince(reqVC)
 	vc := append([]uint32(nil), ns.vc...)
-	sy.lockTrace("grantTo lock=%d n%d->n%d seq=%d", id, ns.id, remote, newSeq)
+	proc := int32(-1)
+	if p != nil {
+		proc = int32(p.GlobalID)
+	}
+	sy.Trace.Emit(sy.Sim.Now(), proc, trace.LockGrant, int64(id), int64(remote))
 	sy.send(t, &network.Message{
 		Kind:    network.LockGrant,
 		Src:     ns.id,
@@ -282,7 +277,7 @@ func (sy *System) handleLockRequest(ht *engine.Thread, victim *node.Processor, m
 	ln := ns.locks[req.lock]
 	lg := sy.locks[req.lock]
 	ht.Delay(sy.Prm.LockHandlerCycles)
-	sy.lockTrace("request lock=%d from=n%d at=n%d token=%v busy=%v q=%d", req.lock, req.reqNode, ns.id, ln.haveToken, ln.busy, len(ln.queue))
+	sy.Trace.Emit(sy.Sim.Now(), int32(victim.GlobalID), trace.LockRequest, int64(req.lock), int64(req.reqNode))
 
 	if sy.fd != nil {
 		if sy.fd.dead[int(req.reqNode)] {
@@ -343,7 +338,7 @@ func (sy *System) handleLockGrant(m *network.Message) {
 	ln.haveToken = true
 	ln.busy = true
 	ln.tokenSeq = g.seq
-	sy.lockTrace("grant-deposit lock=%d at n%d seq=%d waiting=%v", g.lock, ns.id, g.seq, ln.waiting)
+	sy.Trace.Emit(sy.Sim.Now(), -1, trace.GrantDeposit, int64(g.lock), int64(ns.id))
 	if ln.waiting {
 		gg := g
 		ln.granted = &gg
@@ -364,7 +359,7 @@ func (sy *System) handleLockGrant(m *network.Message) {
 func (sy *System) handleLockOwner(m *network.Message) {
 	o := m.Payload.(lockOwnerMsg)
 	lg := sy.locks[o.lock]
-	sy.lockTrace("lockOwner lock=%d owner=n%d seq=%d (cur view=n%d seq=%d)", o.lock, o.owner, o.seq, lg.ownerView, lg.ownerSeq)
+	sy.Trace.Emit(sy.Sim.Now(), -1, trace.OwnerNotice, int64(o.lock), int64(o.owner))
 	if o.seq > lg.ownerSeq {
 		lg.ownerView, lg.ownerSeq = o.owner, o.seq
 	}

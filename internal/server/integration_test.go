@@ -181,7 +181,8 @@ func TestDaemonValidation(t *testing.T) {
 	}{
 		{"/v1/cells", `{"workload":"NoSuchApp"}`},
 		{"/v1/cells", `{"workload":"FFT","mode":"tso"}`},
-		{"/v1/cells", `{"workload":"FFT","procz":4}`}, // unknown field
+		{"/v1/cells", `{"workload":"FFT","procz":4}`},             // unknown field
+		{"/v1/cells", `{"workload":"FFT","page_bytes":33554432}`}, // page > heap
 		{"/v1/cells", `{not json`},
 		{"/v1/sweeps", `{"param":"voltage"}`},
 		{"/v1/sweeps", `{"param":"interrupt","apps":["Quake"]}`},

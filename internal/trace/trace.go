@@ -1,6 +1,8 @@
 // Package trace records time-stamped protocol events from a simulation run:
-// page faults and fetches, lock and barrier activity, diffs, updates and
-// interrupts. Recording is optional (nil recorder = zero cost) and bounded;
+// page faults and fetches, lock and barrier activity, the lock protocol's
+// requests, grants and owner notices, diffs, updates and interrupts. It is
+// the one protocol trace: a regression test of the protocol asserts on the
+// events it records. Recording is optional (nil recorder = zero cost) and bounded;
 // the package also provides the analysis helpers used by cmd/svmsim -trace
 // (latency extraction, percentiles, per-kind counts).
 package trace
@@ -36,15 +38,30 @@ const (
 	// Update marks an AURC update flush (Arg1 = destination node, Arg2 =
 	// words).
 	Update
-	// Interrupt marks a request handler dispatch (Arg1 = victim global
-	// processor).
+	// Interrupt marks a page or lock request arriving at its node (Arg1 =
+	// node, Arg2 = the network message kind).
 	Interrupt
+	// The lock protocol's steps. In each, Arg1 is the lock and Arg2 the
+	// peer node.
+	//
+	// LockRequest marks a lock request handler running (Proc = the
+	// handler's victim processor, Arg2 = the requesting node).
+	LockRequest
+	// LockGrant marks a node sending the token (Proc = the granting
+	// processor, or -1 for the protocol itself; Arg2 = the grantee).
+	LockGrant
+	// GrantDeposit marks a grant landing at its node (Arg2 = that node).
+	GrantDeposit
+	// OwnerNotice marks the manager learning the token's new owner (Arg2 =
+	// the owner).
+	OwnerNotice
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"fetch-start", "fetch-end", "acquire-start", "acquire-end", "release",
 	"barrier-enter", "barrier-exit", "diff", "update", "interrupt",
+	"lock-request", "lock-grant", "grant-deposit", "owner-notice",
 }
 
 // String returns the kind's name.

@@ -15,10 +15,11 @@
 //
 // The four communication parameters of the paper — host overhead, network
 // interface occupancy, I/O bus bandwidth and interrupt cost — plus page size
-// and degree of clustering are all first-class configuration, and the
-// bench_test.go harness regenerates every table and figure of the paper's
-// evaluation. Start with Achievable() or Best(), pick a workload from
-// Workloads(), and Run it:
+// and degree of clustering are all first-class configuration.
+// cmd/experiments regenerates every table and figure of the paper's
+// evaluation, and internal/exp's TestReproducedTables holds them to the
+// bytes recorded in EXPERIMENTS.md. Start with Achievable() or Best(), pick
+// a workload from Workloads(), and Run it:
 //
 //	cfg := svmsim.Achievable()
 //	res, err := svmsim.Run(cfg, svmsim.FFT(svmsim.FFTSmall()))
