@@ -1,15 +1,14 @@
 // Command svmlint runs the simulator's domain-specific static analyzers
-// (determinism, wall-clock, unit, float-comparison, lock-discipline,
-// simulated-time and stats-wiring invariants) over the repository,
-// type-checking the requested packages as one whole program. See
-// internal/lint for the analyzer catalogue and DESIGN.md for the invariants
-// each one encodes.
+// (determinism, wall-clock, float-comparison, lock-discipline and
+// stats-wiring invariants) over the repository, type-checking the requested
+// packages as one whole program. See internal/lint for the analyzer
+// catalogue and DESIGN.md for the invariants each one encodes.
 //
 // Usage:
 //
 //	svmlint ./...                     # everything, text output
 //	svmlint -json ./internal/proto    # one package, machine-readable
-//	svmlint -disable units ./...      # skip an analyzer
+//	svmlint -disable floatcmp ./...   # skip an analyzer
 //	svmlint -analyzers                # list analyzers
 //
 // A finding is accepted only by an //svmlint:ignore <analyzer> <reason>

@@ -31,10 +31,10 @@ func main() {
 		appName   = flag.String("app", "FFT", "workload name (see -list)")
 		list      = flag.Bool("list", false, "list workloads and exit")
 		mode      = flag.String("mode", exp.Modes.Name(svmsim.HLRC), "protocol: "+exp.Modes.Want())
-		overhead  = flag.Uint64("overhead", ach.Net.HostOverheadCycles, "host overhead (cycles/message)")
-		occupancy = flag.Uint64("occupancy", ach.Net.NIOccupancyCycles, "NI occupancy (cycles/packet)")
+		overhead  = flag.Uint64("overhead", uint64(ach.Net.HostOverheadCycles), "host overhead (cycles/message)")
+		occupancy = flag.Uint64("occupancy", uint64(ach.Net.NIOccupancyCycles), "NI occupancy (cycles/packet)")
 		iobw      = flag.Float64("iobw", ach.Net.IOBytesPerCycle, "I/O bus bandwidth (MB/s per MHz)")
-		intr      = flag.Uint64("intr", ach.IntrHalfCostCycles, "interrupt cost per half (cycles)")
+		intr      = flag.Uint64("intr", uint64(ach.IntrHalfCostCycles), "interrupt cost per half (cycles)")
 		page      = flag.Int("page", ach.Proto.PageBytes, "page size (bytes)")
 		rr        = flag.Bool("rr-interrupts", false, "round-robin interrupt delivery")
 		requests  = flag.String("requests", exp.RequestSchemes.Name(svmsim.RequestInterrupts), "request handling: "+exp.RequestSchemes.Want())
@@ -63,13 +63,14 @@ func main() {
 	if *best {
 		base = svmsim.Best()
 	}
+	baseOverhead, baseOccupancy, baseIntr := uint64(base.Net.HostOverheadCycles), uint64(base.Net.NIOccupancyCycles), uint64(base.IntrHalfCostCycles)
 	spec := exp.CellSpec{
 		Workload:           *appName,
 		Mode:               *mode,
-		HostOverheadCycles: &base.Net.HostOverheadCycles,
-		NIOccupancyCycles:  &base.Net.NIOccupancyCycles,
+		HostOverheadCycles: &baseOverhead,
+		NIOccupancyCycles:  &baseOccupancy,
 		IOBytesPerCycle:    &base.Net.IOBytesPerCycle,
-		IntrHalfCostCycles: &base.IntrHalfCostCycles,
+		IntrHalfCostCycles: &baseIntr,
 		PageBytes:          *page,
 		Requests:           *requests,
 		NIServePages:       *niServe,

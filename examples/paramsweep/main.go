@@ -30,7 +30,7 @@ func main() {
 		uniCycles := uni.Run.Cycles
 
 		fmt.Printf("%s:\n  interrupt cost (cycles/half):", a.name)
-		for _, c := range []uint64{0, 500, 2000, 10000} {
+		for _, c := range []svmsim.Time{0, 500, 2000, 10000} {
 			cfg := base
 			cfg.IntrHalfCostCycles = c
 			res, err := svmsim.Run(cfg, a.mk())

@@ -63,11 +63,9 @@ import (
 )
 
 // Time is simulated time in processor clock cycles.
-type Time = uint64
+type Time uint64
 
 // Forever is a sentinel "infinitely far in the future" time.
-//
-//svmlint:ignore units Forever is a sentinel, not a quantity in any unit
 const Forever Time = ^Time(0)
 
 // evKind discriminates what an event does at dispatch. No event carries a

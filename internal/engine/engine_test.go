@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -13,6 +14,16 @@ import (
 type call func()
 
 func (c call) HandleEvent(any) { c() }
+
+// TestTimeIsDefinedType guards the unit of simulated time. Time is a defined
+// type, not an alias of uint64, so the compiler rejects cycles mixed with
+// bytes or plain integers unless the code converts them. No analyzer checks
+// the unit, so making Time an alias must fail here.
+func TestTimeIsDefinedType(t *testing.T) {
+	if reflect.TypeOf(Time(0)) == reflect.TypeOf(uint64(0)) {
+		t.Fatal("engine.Time is an alias of uint64; it must be a defined type (type Time uint64)")
+	}
+}
 
 func TestCallbackOrdering(t *testing.T) {
 	s := New()

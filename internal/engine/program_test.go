@@ -122,8 +122,9 @@ type txProgram struct {
 		at   Time
 		plan []planStep
 	}
-	sweepGaps                        []Time
-	maxCycles, maxEvents, stallCheck uint64
+	sweepGaps             []Time
+	maxCycles, stallCheck Time
+	maxEvents             uint64
 }
 
 func drawCycles(rng *rand.Rand) Time {
@@ -201,11 +202,11 @@ func drawTxProgram(seed int64) *txProgram {
 	}
 	switch rng.Intn(4) {
 	case 0:
-		p.maxCycles = uint64(rng.Intn(3 * longCycles))
+		p.maxCycles = Time(rng.Intn(3 * longCycles))
 	case 1:
 		p.maxEvents = uint64(rng.Intn(400) + 1)
 	case 2:
-		p.stallCheck = uint64(rng.Intn(2*longCycles) + 1)
+		p.stallCheck = Time(rng.Intn(2*longCycles) + 1)
 	}
 	return p
 }

@@ -72,13 +72,13 @@ func (a Axis) Value(c *svmsim.Config) float64 {
 func (a Axis) Set(c *svmsim.Config, v float64) {
 	switch a {
 	case AxisHostOverhead:
-		c.Net.HostOverheadCycles = uint64(v)
+		c.Net.HostOverheadCycles = svmsim.Time(v)
 	case AxisOccupancy:
-		c.Net.NIOccupancyCycles = uint64(v)
+		c.Net.NIOccupancyCycles = svmsim.Time(v)
 	case AxisIOBw:
 		c.Net.IOBytesPerCycle = v
 	case AxisInterrupt:
-		c.IntrHalfCostCycles = uint64(v)
+		c.IntrHalfCostCycles = svmsim.Time(v)
 	case AxisPageSize:
 		c.Proto.PageBytes = int(v)
 	case AxisClustering:

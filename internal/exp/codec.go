@@ -172,16 +172,16 @@ func (s *Suite) ResolveCell(spec CellSpec) (Cell, error) {
 		return Cell{}, fmt.Errorf("exp: %w", err)
 	}
 	if spec.HostOverheadCycles != nil {
-		cfg.Net.HostOverheadCycles = *spec.HostOverheadCycles
+		cfg.Net.HostOverheadCycles = svmsim.Time(*spec.HostOverheadCycles)
 	}
 	if spec.NIOccupancyCycles != nil {
-		cfg.Net.NIOccupancyCycles = *spec.NIOccupancyCycles
+		cfg.Net.NIOccupancyCycles = svmsim.Time(*spec.NIOccupancyCycles)
 	}
 	if spec.IOBytesPerCycle != nil {
 		cfg.Net.IOBytesPerCycle = *spec.IOBytesPerCycle
 	}
 	if spec.IntrHalfCostCycles != nil {
-		cfg.IntrHalfCostCycles = *spec.IntrHalfCostCycles
+		cfg.IntrHalfCostCycles = svmsim.Time(*spec.IntrHalfCostCycles)
 	}
 	if spec.PageBytes > 0 {
 		cfg.Proto.PageBytes = spec.PageBytes
@@ -225,7 +225,7 @@ func SpecFromCell(c Cell) (CellSpec, bool) {
 		cfg.Net.Crash != nil || cfg.Proto.HeartbeatIntervalCycles != 0 || cfg.Proto.SuspectTimeoutCycles != 0 {
 		return CellSpec{}, false
 	}
-	ho, occ, iobw, intr := cfg.Net.HostOverheadCycles, cfg.Net.NIOccupancyCycles, cfg.Net.IOBytesPerCycle, cfg.IntrHalfCostCycles
+	ho, occ, iobw, intr := uint64(cfg.Net.HostOverheadCycles), uint64(cfg.Net.NIOccupancyCycles), cfg.Net.IOBytesPerCycle, uint64(cfg.IntrHalfCostCycles)
 	spec := CellSpec{
 		Schema:             SchemaVersion,
 		Workload:           c.W.Name,

@@ -50,11 +50,11 @@ func (s *Suite) NodeCrash() (*Table, error) {
 
 	crashCfg := func(plain, hb uint64, fr struct{ Num, Den uint64 }) svmsim.Config {
 		cfg := s.Base()
-		cfg.Proto.HeartbeatIntervalCycles = hb
-		cfg.MaxCycles = plain * 10
+		cfg.Proto.HeartbeatIntervalCycles = svmsim.Time(hb)
+		cfg.MaxCycles = svmsim.Time(plain * 10)
 		if fr.Den != 0 {
 			cfg.Net.Crash = &svmsim.CrashPlan{
-				AtCycles: map[int]uint64{crashNode: plain * fr.Num / fr.Den},
+				AtCycles: map[int]svmsim.Time{crashNode: svmsim.Time(plain * fr.Num / fr.Den)},
 			}
 		}
 		return cfg

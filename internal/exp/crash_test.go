@@ -82,7 +82,7 @@ func TestCleanConfigKeyUnchangedByCrashSupport(t *testing.T) {
 		t.Fatalf("clean key mentions crash machinery: %s", clean)
 	}
 	crashed := s.Base()
-	crashed.Net.Crash = &svmsim.CrashPlan{AtCycles: map[int]uint64{1: 1000}}
+	crashed.Net.Crash = &svmsim.CrashPlan{AtCycles: map[int]svmsim.Time{1: 1000}}
 	detector := s.Base()
 	detector.Proto.HeartbeatIntervalCycles = 50_000
 	ck, dk := cfgKey(crashed), cfgKey(detector)

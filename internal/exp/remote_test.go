@@ -93,7 +93,7 @@ func TestSpecFromCellRejectsNonWire(t *testing.T) {
 		"reliable":      func(c *svmsim.Config) { c.Net.Reliable.Enabled = true },
 		"watchdog":      func(c *svmsim.Config) { c.MaxCycles = 1000 },
 		"stall check":   func(c *svmsim.Config) { c.StallCheckCycles = 1000 },
-		"crash plan":    func(c *svmsim.Config) { c.Net.Crash = &svmsim.CrashPlan{AtCycles: map[int]uint64{1: 100}} },
+		"crash plan":    func(c *svmsim.Config) { c.Net.Crash = &svmsim.CrashPlan{AtCycles: map[int]svmsim.Time{1: 100}} },
 		"heartbeat":     func(c *svmsim.Config) { c.Proto.HeartbeatIntervalCycles = 50_000 },
 		"suspect bound": func(c *svmsim.Config) { c.Proto.SuspectTimeoutCycles = 200_000 },
 	}

@@ -95,7 +95,7 @@ func TestRunnerErrorIsEarliestCell(t *testing.T) {
 		// fails config validation before simulating.
 		cfg.ProcsPerNode = 1
 		cfg.Requests = svmsim.RequestDedicated
-		cfg.IntrHalfCostCycles = uint64(len(name)) // distinct keys per bad cell
+		cfg.IntrHalfCostCycles = svmsim.Time(len(name)) // distinct keys per bad cell
 		return Cell{Cfg: cfg, W: w}
 	}
 	cells := []Cell{

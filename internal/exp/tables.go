@@ -172,7 +172,7 @@ func (s *Suite) Figure11() (*Table, error) {
 // InterruptVariants reproduces the Section-6 variants: interrupt sensitivity
 // with uniprocessor nodes, and with round-robin interrupt delivery.
 func (s *Suite) InterruptVariants() (*Table, error) {
-	points := []uint64{0, 1000, 10000}
+	points := []svmsim.Time{0, 1000, 10000}
 	var cfgs []svmsim.Config
 	for _, v := range points {
 		c := s.Base()

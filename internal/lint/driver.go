@@ -62,7 +62,7 @@ func Run(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog := &Program{Fset: loader.Fset, Pkgs: pkgs}
+	prog := &Program{Fset: loader.Fset, Module: loader.ModulePath, Pkgs: pkgs}
 
 	known := map[string]bool{}
 	for _, name := range AnalyzerNames() {
@@ -182,7 +182,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: svmlint [flags] [packages]\n\n"+
-			"svmlint checks the simulator's determinism, unit and hot-path invariants.\n"+
+			"svmlint checks the simulator's determinism, wall-clock, float, lock and stats-wiring invariants.\n"+
 			"Packages are directories, optionally ending in /... (default ./...).\n\n")
 		fs.PrintDefaults()
 	}

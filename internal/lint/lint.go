@@ -1,12 +1,13 @@
 // Package lint implements svmlint, the simulator's domain-specific static
 // analysis. The simulator's results are only trustworthy because runs are
-// bit-deterministic and simulated time is kept in consistent units; both
-// properties are easy to break silently (an unsorted map iteration, a
-// wall-clock read, cycles added to bytes). svmlint turns those invariants
-// into compiler-adjacent checks that run as part of `make check`. The
-// engine's allocation-free schedule path needs no analyzer: AtTarget, the
-// one way to schedule a callback, takes a typed target rather than a
-// closure.
+// bit-deterministic, and that is easy to break silently (an unsorted map
+// iteration, a wall-clock read). svmlint turns those invariants into
+// compiler-adjacent checks that run as part of `make check`. Two invariants
+// need no analyzer. Simulated time's unit is carried by the compiler:
+// engine.Time is a defined type, so cycles mixed with bytes or plain
+// integers do not compile without a conversion. And the engine's
+// allocation-free schedule path is carried by its API: AtTarget, the one way
+// to schedule a callback, takes a typed target rather than a closure.
 //
 // The driver is a whole-program analyzer: every package of a run is fully
 // type-checked (stdlib go/types + go/importer only) in dependency order, so
@@ -15,16 +16,10 @@
 //
 //   - detmap: no order-dependent iteration over Go maps in simulation packages
 //   - wallclock: no host wall-clock or global-rand use in internal/ simulation
-//     code (the walltime package and cmd/ harnesses are exempt)
-//   - units: engine.Time-typed exported fields and constants carry an explicit
-//     unit suffix, and numeric declarations named like quantities (timeouts,
-//     delays, backoff factors) do too
+//     code (the walltime package and cmd/ harnesses are exempt), and no
+//     package the root svmsim package depends on imports walltime
 //   - floatcmp: no floating-point ==/!= and no naive float accumulation in
 //     the statistics pipeline
-//   - simtime: taint-style unit consistency — additive/comparison arithmetic
-//     never mixes expressions carrying different units (Cycles vs Ns vs
-//     Bytes), and wall-clock-derived values never flow into simulated-time
-//     sinks outside internal/walltime
 //
 // Whole-program analyzers (these are the reason the driver type-checks the
 // full load set):
@@ -124,13 +119,8 @@ func Analyzers() []*Analyzer {
 		},
 		{
 			Name: "wallclock",
-			Doc:  "forbids host wall-clock and global math/rand use in internal/ simulation code",
+			Doc:  "forbids host wall-clock and global math/rand use in internal/ simulation code, and walltime imports in the simulator",
 			Run:  wallclockRun,
-		},
-		{
-			Name: "units",
-			Doc:  "enforces unit suffixes on engine.Time and quantity-named declarations",
-			Run:  unitsRun,
 		},
 		{
 			Name: "floatcmp",
@@ -142,11 +132,6 @@ func Analyzers() []*Analyzer {
 			Doc:          "forbids engine blocking calls reachable while a sync mutex is held (call-graph reachability)",
 			WholeProgram: true,
 			Run:          parkdisciplineRun,
-		},
-		{
-			Name: "simtime",
-			Doc:  "flags arithmetic mixing unit-tainted expressions and wall-clock flow into simulated-time sinks",
-			Run:  simtimeRun,
 		},
 		{
 			Name:         "statwire",
@@ -186,20 +171,6 @@ func (p *Package) objectOf(id *ast.Ident) types.Object {
 		return obj
 	}
 	return p.Info.Defs[id]
-}
-
-// terminalName returns the rightmost identifier name of an Ident or
-// SelectorExpr chain ("sy.Prm.CtlBytes" -> "CtlBytes"), or "".
-func terminalName(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return x.Sel.Name
-	case *ast.ParenExpr:
-		return terminalName(x.X)
-	}
-	return ""
 }
 
 // importName returns the local name under which file imports path patterns

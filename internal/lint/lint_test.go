@@ -82,7 +82,7 @@ func TestGoodFixturesAreCovered(t *testing.T) {
 // TestSuppression checks that a reasoned //svmlint:ignore moves the finding
 // to the suppressed list, reason attached, without surfacing it as active.
 func TestSuppression(t *testing.T) {
-	res := runFixture(t, filepath.Join("testdata", "src", "simtime", "suppressed"), Options{})
+	res := runFixture(t, filepath.Join("testdata", "src", "wallclock", "suppressed"), Options{})
 	if len(res.Findings) != 0 {
 		t.Fatalf("active findings on suppressed fixture: %v", res.Findings)
 	}
@@ -90,10 +90,10 @@ func TestSuppression(t *testing.T) {
 		t.Fatalf("suppressed = %v, want exactly 1", res.Suppressed)
 	}
 	s := res.Suppressed[0]
-	if s.Analyzer != "simtime" || !s.Suppressed {
+	if s.Analyzer != "wallclock" || !s.Suppressed {
 		t.Errorf("suppressed finding = %+v", s)
 	}
-	if want := "fixture encodes one cycle per byte; the mix is the conversion"; s.Reason != want {
+	if want := "fixture progress meter; its reading is printed, never simulated"; s.Reason != want {
 		t.Errorf("reason = %q, want %q", s.Reason, want)
 	}
 }
@@ -103,11 +103,11 @@ func TestSuppression(t *testing.T) {
 // the library API reports.
 func TestJSONRoundTrip(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := Main([]string{"-json", filepath.Join("testdata", "src", "units", "good")}, &out, &errb); code != 0 {
+	if code := Main([]string{"-json", filepath.Join("testdata", "src", "wallclock", "good")}, &out, &errb); code != 0 {
 		t.Fatalf("exit on clean fixture = %d, want 0 (out: %s, stderr: %s)", code, out.String(), errb.String())
 	}
 	out.Reset()
-	dir := filepath.Join("testdata", "src", "units", "bad")
+	dir := filepath.Join("testdata", "src", "wallclock", "bad")
 	if code := Main([]string{"-json", dir}, &out, &errb); code != 1 {
 		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, errb.String())
 	}
@@ -126,19 +126,19 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEnableDisable checks the analyzer selection flags. The units fixture
-// trips both the naming check (units) and the arithmetic check (simtime), so
-// both must be disabled for a clean run.
+// TestEnableDisable checks the analyzer selection flags. The mixed fixture
+// trips both the map-order check (detmap) and the host-clock check
+// (wallclock), so both must be disabled for a clean run.
 func TestEnableDisable(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "units", "bad")
-	if res := runFixture(t, dir, Options{Disable: []string{"units", "simtime"}}); len(res.Findings) != 0 {
-		t.Errorf("-disable units,simtime still reports: %v", res.Findings)
+	dir := filepath.Join("testdata", "src", "detmap", "mixed")
+	if res := runFixture(t, dir, Options{Disable: []string{"detmap", "wallclock"}}); len(res.Findings) != 0 {
+		t.Errorf("-disable detmap,wallclock still reports: %v", res.Findings)
 	}
-	if res := runFixture(t, dir, Options{Enable: []string{"wallclock"}}); len(res.Findings) != 0 {
-		t.Errorf("-enable wallclock reports units findings: %v", res.Findings)
+	if res := runFixture(t, dir, Options{Enable: []string{"floatcmp"}}); len(res.Findings) != 0 {
+		t.Errorf("-enable floatcmp reports detmap or wallclock findings: %v", res.Findings)
 	}
-	if res := runFixture(t, dir, Options{Enable: []string{"units"}}); len(res.Findings) == 0 {
-		t.Error("-enable units reports nothing on the units fixture")
+	if res := runFixture(t, dir, Options{Enable: []string{"detmap"}}); len(res.Findings) == 0 {
+		t.Error("-enable detmap reports nothing on the mixed fixture")
 	}
 }
 

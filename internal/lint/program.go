@@ -15,6 +15,9 @@ import (
 // internal/stats can be matched against write sites in internal/node.
 type Program struct {
 	Fset *token.FileSet
+	// Module is the module path, which is also the import path of the root
+	// package.
+	Module string
 	// Pkgs is every loaded package in deterministic (directory) order.
 	Pkgs []*Package
 

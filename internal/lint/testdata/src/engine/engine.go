@@ -3,8 +3,8 @@
 // they type-check without importing the real simulator.
 package engine
 
-// Time mirrors the real engine's cycle-count alias.
-type Time = uint64
+// Time mirrors the real engine's cycle-count type.
+type Time uint64
 
 // Sim is a fake simulator.
 type Sim struct{}

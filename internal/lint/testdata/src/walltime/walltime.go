@@ -1,6 +1,6 @@
 // Package walltime is a miniature stand-in for svmsim/internal/walltime used
-// by the simtime fixtures: the one sanctioned wall-clock wrapper. Any value
-// flowing out of it is wall-clock tainted.
+// by the wallclock fixtures: the one sanctioned wall-clock wrapper, which no
+// package of the simulator may import.
 package walltime
 
 // Stopwatch measures host time.

@@ -13,6 +13,16 @@ import (
 // reproducibility. The walltime package is the single sanctioned wrapper for
 // harness-side elapsed-time measurement, and cmd/ binaries are outside the
 // determinism boundary entirely.
+//
+// walltime itself stays out of the simulator: no package the root svmsim
+// package depends on may import it, so no simulated cycle can be computed
+// from a host-clock reading. The rule is checked from the importing side.
+// Imports are acyclic, so a package the root depends on never depends on the
+// root; a package that imports walltime must therefore depend on the root
+// package, as the harness packages (exp, server, fleet) do. That needs only
+// the importer's own imports, so the simulator's package set is derived from
+// the loaded program rather than listed, and it holds when only part of the
+// tree is linted.
 
 // wallclockTimeFuncs are the time package functions that read the host clock
 // or create host-timer machinery.
@@ -40,6 +50,11 @@ func wallclockRun(pass *Pass) {
 		return
 	}
 	for _, file := range pkg.Files {
+		for _, imp := range file.Imports {
+			if pathBase(importPath(imp)) == "walltime" && !dependsOn(pkg.Types, pass.Prog.Module) {
+				report(imp.Pos(), "walltime imported outside the harness: only a package that depends on %s may read the host clock, so that simulated time never derives from it", pass.Prog.Module)
+			}
+		}
 		// Fallback import-name tables for when type info is unavailable.
 		timeNames := importNames(file, func(p string) bool { return p == "time" })
 		randNames := importNames(file, func(p string) bool {
@@ -96,4 +111,26 @@ func wallclockImportOf(pkg *Package, id *ast.Ident, timeNames, randNames map[str
 		return "rand"
 	}
 	return ""
+}
+
+// dependsOn reports whether p imports the package at path, directly or
+// through the packages below it (path/...).
+func dependsOn(p *types.Package, path string) bool {
+	seen := map[*types.Package]bool{}
+	var walk func(q *types.Package) bool
+	walk = func(q *types.Package) bool {
+		for _, imp := range q.Imports() {
+			if imp.Path() == path {
+				return true
+			}
+			if !seen[imp] && strings.HasPrefix(imp.Path(), path+"/") {
+				seen[imp] = true
+				if walk(imp) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	return p != nil && walk(p)
 }

@@ -32,11 +32,11 @@ func TestCrossPackageFacts(t *testing.T) {
 	}
 }
 
-// TestNewAnalyzerSuppressions checks that each whole-program-era analyzer
-// honors a reasoned //svmlint:ignore: the suppressed fixture must come back
+// TestNewAnalyzerSuppressions checks that each analyzer with a suppressed
+// fixture honors a reasoned //svmlint:ignore: the fixture must come back
 // clean with the findings parked on the suppressed list.
 func TestNewAnalyzerSuppressions(t *testing.T) {
-	for _, name := range []string{"parkdiscipline", "simtime", "statwire"} {
+	for _, name := range []string{"parkdiscipline", "wallclock", "statwire"} {
 		t.Run(name, func(t *testing.T) {
 			res := runFixture(t, filepath.Join("testdata", "src", name, "suppressed"), Options{})
 			if len(res.Findings) != 0 {

@@ -174,7 +174,7 @@ func Run(cfg Config, app App) (*Result, error) {
 	}
 	if cfg.Requests == interrupts.Polling {
 		// Every processor pays the poll-check instrumentation tax.
-		nodePrm.PollTaxPerMille = poll.CheckCycles * 1000 / poll.IntervalCycles
+		nodePrm.PollTaxPerMille = uint64(poll.CheckCycles * 1000 / poll.IntervalCycles)
 	}
 	sys := proto.NewSystem(sim, proto.SystemConfig{
 		Nodes:             nodes,
@@ -240,7 +240,7 @@ func Run(cfg Config, app App) (*Result, error) {
 			c.P.Bind(t, &run.Procs[g])
 			app.Body(c, state)
 			c.P.Sync(t)
-			c.P.Stats.Busy = sim.Now()
+			c.P.Stats.Busy = uint64(sim.Now())
 			if sim.Now() > maxEnd {
 				maxEnd = sim.Now()
 			}
@@ -300,7 +300,7 @@ func Run(cfg Config, app App) (*Result, error) {
 	}
 	// Under a crash plan, Cycles is the degraded-mode completion time: the
 	// end of the last surviving processor.
-	run.Cycles = maxEnd
+	run.Cycles = uint64(maxEnd)
 	if app.Check != nil && crash == nil {
 		// A crashed node's share of the computation is lost by design, so
 		// full-result checks only apply to fault-free runs; degraded runs

@@ -45,7 +45,7 @@ type Params struct {
 	// PollTaxPerMille inflates every charged cycle by this many parts per
 	// thousand, modeling the continuous instrumentation overhead of a
 	// polling-based protocol (zero when interrupts are used).
-	PollTaxPerMille engine.Time
+	PollTaxPerMille uint64
 }
 
 // DefaultParams returns the baseline node architecture.
@@ -243,13 +243,21 @@ func (p *Processor) fillOps(dst []engine.Op, line uint64, prio int) []engine.Op 
 // Sync (or when the lag quantum is exceeded).
 func (p *Processor) Charge(t *engine.Thread, n engine.Time, kind stats.TimeKind) {
 	if tax := p.Node.Prm.PollTaxPerMille; tax > 0 {
-		n += n * tax / 1000
+		n += n * engine.Time(tax) / 1000
 	}
-	p.Stats.Time[kind] += n
+	p.Book(kind, n)
 	p.lag += n
 	if p.lag >= p.Node.Prm.SyncQuantumCycles {
 		p.Sync(t)
 	}
+}
+
+// Book adds n cycles of kind to the processor's time breakdown without
+// delaying it: the cycles have already passed (a wait that just ended) or
+// the caller delays for them itself. Every write to the breakdown goes
+// through it.
+func (p *Processor) Book(kind stats.TimeKind, n engine.Time) {
+	p.Stats.Time[kind] += uint64(n)
 }
 
 // Sync folds accumulated fast-path cycles into simulated time, absorbing any
@@ -267,7 +275,7 @@ func (p *Processor) Sync(t *engine.Thread) {
 		if extra == 0 {
 			return
 		}
-		p.Stats.Time[stats.HandlerSteal] += extra
+		p.Book(stats.HandlerSteal, extra)
 		n = extra
 	}
 }
@@ -281,7 +289,7 @@ func (p *Processor) BlockedWake(t *engine.Thread) {
 		p.Where.Drains++
 		start := p.Node.Sim.Now()
 		p.handlerIdle.Wait(t)
-		p.Stats.Time[stats.HandlerSteal] += p.Node.Sim.Now() - start
+		p.Book(stats.HandlerSteal, p.Node.Sim.Now()-start)
 	}
 	p.intrSeen = p.intrSteal
 }
@@ -340,7 +348,7 @@ func (p *Processor) Access(t *engine.Thread, addr uint64, write bool) {
 	var ops [4]engine.Op
 	t.Do(p.fillOps(ops[:0], line, memsys.PrioL2)...)
 	p.L1.Insert(line)
-	p.Stats.Time[stats.LocalStall] += p.Node.Sim.Now() - start
+	p.Book(stats.LocalStall, p.Node.Sim.Now()-start)
 }
 
 func (p *Processor) accessWrite(t *engine.Thread, line uint64) {
@@ -355,7 +363,7 @@ func (p *Processor) accessWrite(t *engine.Thread, line uint64) {
 		p.Where = Where{Op: "wb-full-stall"}
 		p.WB.Put(t, line)
 		p.Where = Where{}
-		p.Stats.Time[stats.LocalStall] += p.Node.Sim.Now() - start
+		p.Book(stats.LocalStall, p.Node.Sim.Now()-start)
 	} else {
 		p.WB.Put(t, line)
 	}
@@ -388,5 +396,5 @@ func (p *Processor) FlushWB(t *engine.Thread) {
 	p.Where = Where{Op: "wb-flush"}
 	p.WB.Flush(t)
 	p.Where = Where{}
-	p.Stats.Time[stats.LocalStall] += p.Node.Sim.Now() - start
+	p.Book(stats.LocalStall, p.Node.Sim.Now()-start)
 }

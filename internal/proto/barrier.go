@@ -107,7 +107,7 @@ func (sy *System) Barrier(t *engine.Thread, p *node.Processor) {
 			p.BlockedWake(t)
 		}
 		p.Where = node.Where{}
-		p.Stats.Time[stats.BarrierWait] += sy.Sim.Now() - start
+		p.Book(stats.BarrierWait, sy.Sim.Now()-start)
 		sy.Trace.Emit(sy.Sim.Now(), int32(p.GlobalID), trace.BarrierExit, 0, 0)
 		return
 	}
@@ -125,7 +125,7 @@ func (sy *System) Barrier(t *engine.Thread, p *node.Processor) {
 	b.arrived[nid] = 0
 	b.gen[nid]++
 	b.cond[nid].Broadcast()
-	p.Stats.Time[stats.BarrierWait] += sy.Sim.Now() - start
+	p.Book(stats.BarrierWait, sy.Sim.Now()-start)
 	sy.Trace.Emit(sy.Sim.Now(), int32(p.GlobalID), trace.BarrierExit, 0, 0)
 }
 

@@ -197,7 +197,7 @@ func (ns *nodeState) waitAcks(t *engine.Thread, p *node.Processor, handler bool)
 		p.Where = node.Where{}
 	}
 	if p != nil && !handler {
-		p.Stats.Time[stats.DiffTime] += ns.sys.Sim.Now() - start
+		p.Book(stats.DiffTime, ns.sys.Sim.Now()-start)
 	}
 }
 

@@ -123,7 +123,7 @@ func (sy *System) Acquire(t *engine.Thread, p *node.Processor, id int) {
 		p.Where = node.Where{}
 		// The releaser handed us the lock (busy stays true).
 		p.Stats.LocalLocks++
-		p.Stats.Time[stats.LockWait] += sy.Sim.Now() - start
+		p.Book(stats.LockWait, sy.Sim.Now()-start)
 		sy.Trace.Emit(sy.Sim.Now(), int32(p.GlobalID), trace.AcquireEnd, int64(id), 0)
 		return
 	}
@@ -147,7 +147,7 @@ func (sy *System) Acquire(t *engine.Thread, p *node.Processor, id int) {
 	// on the acquiring processor.
 	ns.applyNotices(t, p, false, g.notices, g.vc)
 	p.Sync(t)
-	p.Stats.Time[stats.LockWait] += sy.Sim.Now() - start
+	p.Book(stats.LockWait, sy.Sim.Now()-start)
 	sy.Trace.Emit(sy.Sim.Now(), int32(p.GlobalID), trace.AcquireEnd, int64(id), 1)
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"svmsim/internal/engine"
 	"svmsim/internal/machine"
 	"svmsim/internal/network"
 	"svmsim/internal/shm"
@@ -84,7 +85,7 @@ func TestLockProtocolTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got []string
-			var last uint64
+			var last engine.Time
 			for _, e := range rec.Events {
 				switch e.Kind {
 				case trace.AcquireStart, trace.AcquireEnd, trace.Interrupt, trace.LockRequest,

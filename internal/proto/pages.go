@@ -159,14 +159,14 @@ func (ns *nodeState) fetch(t *engine.Thread, p *node.Processor, pg int32) {
 			ns.ackCond.Wait(t)
 			p.BlockedWake(t)
 		}
-		if ns.state[pg] != pgInvalid {
-			return // installed while waiting for the flush
+		if ns.state[pg] == pgInvalid { // not installed while waiting for the flush
+			home := int(sy.pageHome[pg])
+			base := sy.PageAddr(pg)
+			copy(p.Node.Mem[base:base+uint64(sy.Prm.PageBytes)], sy.Nodes[home].Mem[base:base+uint64(sy.Prm.PageBytes)])
+			p.Node.InvalidateRange(base, sy.Prm.PageBytes)
+			ns.state[pg] = pgReadOnly
 		}
-		home := int(sy.pageHome[pg])
-		base := sy.PageAddr(pg)
-		copy(p.Node.Mem[base:base+uint64(sy.Prm.PageBytes)], sy.Nodes[home].Mem[base:base+uint64(sy.Prm.PageBytes)])
-		p.Node.InvalidateRange(base, sy.Prm.PageBytes)
-		ns.state[pg] = pgReadOnly
+		sy.Trace.Emit(sy.Sim.Now(), int32(p.GlobalID), trace.FetchEnd, int64(pg), 0)
 		return
 	}
 
@@ -217,7 +217,7 @@ func (ns *nodeState) fetch(t *engine.Thread, p *node.Processor, pg int32) {
 	}
 	p.Where = node.Where{}
 	sy.Trace.Emit(sy.Sim.Now(), int32(p.GlobalID), trace.FetchEnd, int64(pg), 0)
-	p.Stats.Time[stats.DataWait] += sy.Sim.Now() - start
+	p.Book(stats.DataWait, sy.Sim.Now()-start)
 }
 
 // handlePageRequest runs in an interrupt handler on the home node.

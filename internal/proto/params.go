@@ -139,8 +139,7 @@ const (
 
 // Notice is a write notice: pages written by Origin during Interval.
 type Notice struct {
-	Origin int32
-	//svmlint:ignore units LRC interval number: an epoch ordinal, not a duration
+	Origin   int32
 	Interval uint32
 	Pages    []int32
 }

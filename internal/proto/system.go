@@ -296,7 +296,7 @@ func (sy *System) send(t *engine.Thread, m *network.Message, p *node.Processor, 
 	if overhead && p != nil && prm.HostOverheadCycles > 0 {
 		t.Delay(prm.HostOverheadCycles)
 		if app {
-			st.Time[stats.SendOverhead] += prm.HostOverheadCycles
+			p.Book(stats.SendOverhead, prm.HostOverheadCycles)
 		}
 	}
 	sy.niFor(m.Src, m.Dst).Post(t, m)
@@ -311,7 +311,6 @@ func (sy *System) deliver(t *engine.Thread, m *network.Message) bool {
 	}
 	switch m.Kind {
 	case network.PageRequest:
-		sy.Trace.Emit(sy.Sim.Now(), -1, trace.Interrupt, int64(m.Dst), int64(m.Kind))
 		if sy.Cfg.NIServePages {
 			// The programmable NI serves the fetch itself: no interrupt,
 			// no host processor involvement, but the (slow) NI core is
@@ -320,6 +319,7 @@ func (sy *System) deliver(t *engine.Thread, m *network.Message) bool {
 			sy.servePageRequest(t, nil, m)
 			return true
 		}
+		sy.Trace.Emit(sy.Sim.Now(), -1, trace.Interrupt, int64(m.Dst), int64(m.Kind))
 		sy.Intc[m.Dst].Raise("page", func(ht *engine.Thread, victim *node.Processor) {
 			sy.handlePageRequest(ht, victim, m)
 		})

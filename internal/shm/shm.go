@@ -92,7 +92,7 @@ func (c *Proc) ReadF64(a Addr) float64 { return math.Float64frombits(c.ReadU64(a
 func (c *Proc) WriteF64(a Addr, v float64) { c.WriteU64(a, math.Float64bits(v)) }
 
 // Compute charges n cycles of local computation.
-func (c *Proc) Compute(n uint64) { c.P.ComputeCycles(c.T, n) }
+func (c *Proc) Compute(n uint64) { c.P.ComputeCycles(c.T, engine.Time(n)) }
 
 // Lock acquires cluster lock id.
 func (c *Proc) Lock(id int) { c.W.Sys.Acquire(c.T, c.P, id) }

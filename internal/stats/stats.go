@@ -1,6 +1,8 @@
 // Package stats holds the counters and time-breakdown accounting that the
 // paper's tables and figures are computed from. All times are processor
-// cycles (uint64), matching engine.Time.
+// cycles as plain uint64, the v1 wire schema's type: the simulator keeps
+// cycles as engine.Time and converts them where it records them here
+// (node.Processor.Book for the time breakdown).
 package stats
 
 import "fmt"

@@ -11,16 +11,21 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"svmsim/internal/engine"
 )
 
 // Kind classifies a protocol event.
 type Kind uint8
 
 const (
-	// FetchStart marks a processor beginning a remote page fetch (Arg1 =
-	// page).
+	// FetchStart marks a processor faulting on an invalid page (Arg1 =
+	// page). Every faulting processor records one, including a processor
+	// that joins a fetch already in flight from its node, so there are more
+	// of them than PageFetches.
 	FetchStart Kind = iota
-	// FetchEnd marks the fetch completing (Arg1 = page).
+	// FetchEnd marks the page being valid again for the faulting processor
+	// (Arg1 = page).
 	FetchEnd
 	// AcquireStart marks a lock acquire beginning (Arg1 = lock).
 	AcquireStart
@@ -38,8 +43,9 @@ const (
 	// Update marks an AURC update flush (Arg1 = destination node, Arg2 =
 	// words).
 	Update
-	// Interrupt marks a page or lock request arriving at its node (Arg1 =
-	// node, Arg2 = the network message kind).
+	// Interrupt marks a page or lock request interrupting its node's host
+	// (Arg1 = node, Arg2 = the network message kind). A page request the NI
+	// serves itself (NIServePages) interrupts nothing and is not recorded.
 	Interrupt
 	// The lock protocol's steps. In each, Arg1 is the lock and Arg2 the
 	// peer node.
@@ -74,8 +80,8 @@ func (k Kind) String() string {
 
 // Event is one recorded protocol event.
 type Event struct {
-	At   uint64 // simulated cycle
-	Proc int32  // global processor ID (-1 for node-level events)
+	At   engine.Time // simulated cycle
+	Proc int32       // global processor ID (-1 for node-level events)
 	Kind Kind
 	Arg1 int64
 	Arg2 int64
@@ -98,7 +104,7 @@ func NewRecorder(capacity int) *Recorder {
 }
 
 // Emit records one event; nil recorders are safe to call.
-func (r *Recorder) Emit(at uint64, proc int32, k Kind, a1, a2 int64) {
+func (r *Recorder) Emit(at engine.Time, proc int32, k Kind, a1, a2 int64) {
 	if r == nil {
 		return
 	}
@@ -140,7 +146,7 @@ func (r *Recorder) Latencies(start, end Kind) []uint64 {
 		proc int32
 		arg  int64
 	}
-	open := make(map[key][]uint64)
+	open := make(map[key][]engine.Time)
 	var out []uint64
 	for _, e := range r.Events {
 		k := key{e.Proc, e.Arg1}
@@ -149,7 +155,7 @@ func (r *Recorder) Latencies(start, end Kind) []uint64 {
 			open[k] = append(open[k], e.At)
 		case end:
 			if stack := open[k]; len(stack) > 0 {
-				out = append(out, e.At-stack[len(stack)-1])
+				out = append(out, uint64(e.At-stack[len(stack)-1]))
 				open[k] = stack[:len(stack)-1]
 			}
 		}

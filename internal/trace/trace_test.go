@@ -6,15 +6,17 @@ import (
 	"testing"
 	"testing/quick"
 
+	"svmsim/internal/engine"
 	"svmsim/internal/machine"
 	"svmsim/internal/shm"
+	"svmsim/internal/stats"
 	"svmsim/internal/trace"
 )
 
 func TestRecorderCapacityAndDump(t *testing.T) {
 	r := trace.NewRecorder(3)
 	for i := 0; i < 5; i++ {
-		r.Emit(uint64(i*10), int32(i), trace.FetchStart, int64(i), 0)
+		r.Emit(engine.Time(i*10), int32(i), trace.FetchStart, int64(i), 0)
 	}
 	if len(r.Events) != 3 || r.Dropped != 2 {
 		t.Fatalf("events=%d dropped=%d", len(r.Events), r.Dropped)
@@ -92,15 +94,12 @@ func TestPercentileProperty(t *testing.T) {
 }
 
 // TestEndToEndTraceBalance runs a real workload with tracing and checks the
-// recorded event stream is internally consistent: fetches and lock acquires
-// pair up, and barrier enters equal exits.
+// recorded event stream is internally consistent and agrees with the run's
+// counters: fetches and lock acquires pair up, barrier enters equal exits,
+// and there is one interrupt event per counted interrupt. Besides the
+// baseline it runs the AllLocal ablation, whose faults are served without a
+// fetch, and NI-served page requests, which interrupt no host.
 func TestEndToEndTraceBalance(t *testing.T) {
-	rec := trace.NewRecorder(1 << 20)
-	cfg := machine.Achievable()
-	cfg.Procs = 8
-	cfg.ProcsPerNode = 2
-	cfg.HeapBytes = 1 << 20
-	cfg.Trace = rec
 	type st struct {
 		addr shm.Addr
 		lock int
@@ -121,32 +120,55 @@ func TestEndToEndTraceBalance(t *testing.T) {
 			c.Barrier()
 		},
 	}
-	if _, err := machine.Run(cfg, app); err != nil {
-		t.Fatal(err)
-	}
-	counts := rec.Counts()
-	if counts[trace.AcquireStart] != counts[trace.AcquireEnd] {
-		t.Errorf("acquire start/end mismatch: %d vs %d", counts[trace.AcquireStart], counts[trace.AcquireEnd])
-	}
-	if counts[trace.AcquireStart] != counts[trace.Release] {
-		t.Errorf("acquire/release mismatch: %d vs %d", counts[trace.AcquireStart], counts[trace.Release])
-	}
-	if counts[trace.FetchStart] != counts[trace.FetchEnd] {
-		t.Errorf("fetch start/end mismatch: %d vs %d", counts[trace.FetchStart], counts[trace.FetchEnd])
-	}
-	if counts[trace.BarrierEnter] != counts[trace.BarrierExit] {
-		t.Errorf("barrier enter/exit mismatch: %d vs %d", counts[trace.BarrierEnter], counts[trace.BarrierExit])
-	}
-	if counts[trace.AcquireStart] != 8*30 {
-		t.Errorf("acquires=%d want 240", counts[trace.AcquireStart])
-	}
-	// Latency extraction works on the real stream.
-	if lats := rec.Latencies(trace.AcquireStart, trace.AcquireEnd); len(lats) != 240 {
-		t.Errorf("paired %d acquire latencies", len(lats))
-	}
-	var b bytes.Buffer
-	rec.Summary(&b)
-	if !strings.Contains(b.String(), "lock acquire cycles") {
-		t.Errorf("summary:\n%s", b.String())
+	for _, tc := range []struct {
+		name string
+		set  func(*machine.Config)
+	}{
+		{"baseline", func(*machine.Config) {}},
+		{"all-local", func(c *machine.Config) { c.Proto.AllLocal = true }},
+		{"ni-serve", func(c *machine.Config) { c.NIServePages = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := trace.NewRecorder(1 << 20)
+			cfg := machine.Achievable()
+			cfg.Procs = 8
+			cfg.ProcsPerNode = 2
+			cfg.HeapBytes = 1 << 20
+			cfg.Trace = rec
+			tc.set(&cfg)
+			res, err := machine.Run(cfg, app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts := rec.Counts()
+			if counts[trace.AcquireStart] != counts[trace.AcquireEnd] {
+				t.Errorf("acquire start/end mismatch: %d vs %d", counts[trace.AcquireStart], counts[trace.AcquireEnd])
+			}
+			if counts[trace.AcquireStart] != counts[trace.Release] {
+				t.Errorf("acquire/release mismatch: %d vs %d", counts[trace.AcquireStart], counts[trace.Release])
+			}
+			if counts[trace.FetchStart] == 0 || counts[trace.FetchStart] != counts[trace.FetchEnd] {
+				t.Errorf("fetch start/end mismatch: %d vs %d", counts[trace.FetchStart], counts[trace.FetchEnd])
+			}
+			if counts[trace.BarrierEnter] != counts[trace.BarrierExit] {
+				t.Errorf("barrier enter/exit mismatch: %d vs %d", counts[trace.BarrierEnter], counts[trace.BarrierExit])
+			}
+			interrupts := res.Run.Sum(func(p *stats.Proc) uint64 { return p.Interrupts })
+			if uint64(counts[trace.Interrupt]) != interrupts {
+				t.Errorf("interrupt events = %d, counted interrupts = %d", counts[trace.Interrupt], interrupts)
+			}
+			if counts[trace.AcquireStart] != 8*30 {
+				t.Errorf("acquires=%d want 240", counts[trace.AcquireStart])
+			}
+			// Latency extraction works on the real stream.
+			if lats := rec.Latencies(trace.AcquireStart, trace.AcquireEnd); len(lats) != 240 {
+				t.Errorf("paired %d acquire latencies", len(lats))
+			}
+			var b bytes.Buffer
+			rec.Summary(&b)
+			if !strings.Contains(b.String(), "lock acquire cycles") {
+				t.Errorf("summary:\n%s", b.String())
+			}
+		})
 	}
 }

@@ -3,11 +3,12 @@
 // in simulated processor cycles (engine.Time); a wall-clock read leaking into
 // a simulation package would make runs timing-dependent and break the
 // bit-determinism contract that the experiment tables rely on. The svmlint
-// wallclock analyzer enforces this boundary: it forbids time.Now, time.Since
-// and friends in every internal/ package except this one, so any legitimate
-// harness-side measurement (progress reporting, elapsed-time footers) must go
-// through walltime, where it is auditable as a package import rather than a
-// call-site regex.
+// wallclock analyzer enforces this boundary twice: it forbids time.Now,
+// time.Since and friends in every internal/ package except this one, so any
+// legitimate harness-side measurement (progress reporting, elapsed-time
+// footers, job watchdogs) must go through walltime; and it forbids importing
+// walltime from any package the root svmsim package depends on, so the
+// simulator cannot reach the host clock even through this package.
 package walltime
 
 import "time"

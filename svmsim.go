@@ -49,6 +49,10 @@ import (
 // communication-parameter space plus the fixed architecture.
 type Config = machine.Config
 
+// Time is simulated time in processor cycles: the type of every
+// cycle-valued Config field. The run statistics report cycles as uint64.
+type Time = engine.Time
+
 // App is a simulated SPMD application.
 type App = machine.App
 
@@ -141,7 +145,7 @@ type (
 // network.PlanFromSeed): victim in [1, nodes), crash time in the given
 // window.
 func PlanFromSeed(seed uint64, nodes int, minCycles, maxCycles uint64) *CrashPlan {
-	return network.PlanFromSeed(seed, nodes, minCycles, maxCycles)
+	return network.PlanFromSeed(seed, nodes, engine.Time(minCycles), engine.Time(maxCycles))
 }
 
 // UnboundedRetries disables the reliable layer's retry budget (see
