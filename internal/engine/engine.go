@@ -65,9 +65,6 @@ import (
 // Time is simulated time in processor clock cycles.
 type Time uint64
 
-// Forever is a sentinel "infinitely far in the future" time.
-const Forever Time = ^Time(0)
-
 // evKind discriminates what an event does at dispatch. No event carries a
 // closure: thread events name the thread to resume and callback events a
 // typed target, so every scheduling path allocates nothing per event.
@@ -319,12 +316,6 @@ type Thread struct {
 	parked  bool
 	done    bool // not running: never started, ended or killed
 }
-
-// Name returns the thread's diagnostic name.
-func (t *Thread) Name() string { return t.name }
-
-// Sim returns the simulator this thread belongs to.
-func (t *Thread) Sim() *Sim { return t.sim }
 
 // carrier is a pooled runtime coroutine that runs thread bodies one at a
 // time. The scheduler loop resumes it with next; the running thread suspends

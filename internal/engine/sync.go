@@ -69,9 +69,6 @@ func NewResource(s *Sim, name string) *Resource {
 	return &Resource{sim: s, name: name}
 }
 
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
 // Busy reports whether the resource is currently held.
 func (r *Resource) Busy() bool { return r.busy }
 

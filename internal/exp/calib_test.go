@@ -14,15 +14,15 @@ import (
 func TestCalibrationDump(t *testing.T) {
 	s := NewSuite(Small)
 	for _, w := range svmsim.Workloads() {
-		uni, err := s.uniTime(w)
-		if err != nil {
-			t.Fatal(err)
+		runs, errs := s.RunCells([]Cell{{Cfg: svmsim.Uniprocessor(s.Base()), W: w}, {Cfg: s.Base(), W: w}})
+		if errs[0] != nil {
+			t.Fatal(errs[0])
 		}
-		run, err := s.run(s.Base(), w)
-		if err != nil {
-			t.Errorf("%s: %v", w.Name, err)
+		if errs[1] != nil {
+			t.Errorf("%s: %v", w.Name, errs[1])
 			continue
 		}
+		uni, run := runs[0].Cycles, runs[1]
 		sp := stats.ComputeSpeedups(uni, run)
 		tot := float64(run.Sum(func(p *stats.Proc) uint64 { return p.Total() }))
 		frac := func(k stats.TimeKind) float64 {

@@ -71,8 +71,19 @@ func checkGolden(t *testing.T, name string, got []byte) {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("%s: encoding drifted from pinned schema v%d.\ngot:\n%s\nwant:\n%s",
-			name, SchemaVersion, got, want)
+		g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		i := 0
+		for i < len(g) && i < len(w) && g[i] == w[i] {
+			i++
+		}
+		line := func(ls []string) string {
+			if i < len(ls) {
+				return ls[i]
+			}
+			return "<none>"
+		}
+		t.Fatalf("%s: encoding drifted from pinned schema v%d at line %d:\ngot   %s\nwant  %s",
+			name, SchemaVersion, i+1, line(g), line(w))
 	}
 }
 

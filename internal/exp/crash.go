@@ -24,10 +24,12 @@ var HeartbeatPoints = []uint64{50_000, 200_000}
 // computation. Columns report the fault-free baseline, the detector's pure
 // overhead (heartbeats with nobody dying), the degraded-mode speedup for
 // each crash time x detector interval, and the recovery-cost breakdown of
-// the half-time crash under the aggressive detector. Cells whose only valid
-// copy of a page died with the node (or that otherwise fail) render as NaN
-// instead of erasing the row: partial data loss is an expected outcome of a
-// crash, not a sweep failure. The subset pairs two bandwidth-bound
+// the half-time crash under the aggressive detector (HeartbeatPoints[0]).
+// Crash cells whose only valid copy of a page died with the node (or that
+// otherwise fail) render as NaN instead of erasing the row: partial data
+// loss is an expected outcome of a crash, not a sweep failure. A failing
+// uniprocessor or plain cell, which the rest of its row derives from, turns
+// the row into an error row. The subset pairs two bandwidth-bound
 // applications with two interrupt-bound ones, as in the DropRate experiment.
 func (s *Suite) NodeCrash() (*Table, error) {
 	t := &Table{ID: "NodeCrash",
@@ -60,54 +62,51 @@ func (s *Suite) NodeCrash() (*Table, error) {
 		return cfg
 	}
 
-	// The plain baseline gates the rest of the row (crash times derive from
-	// it), so it runs first; the crash grid then prefetches in parallel.
+	// The uniprocessor and plain pair gates the rest of the row (crash times
+	// derive from the plain run), so it runs first; the crash grid then runs
+	// as one batch in column order.
+	half := struct{ Num, Den uint64 }{1, 2}
 	for _, w := range subset {
-		uni, err := s.uniTime(w)
-		if err != nil {
-			t.Rows = append(t.Rows, Row{Name: w.Name, Err: err.Error()})
+		pair, errs := s.RunCells(grid([]svmsim.Workload{w}, []svmsim.Config{svmsim.Uniprocessor(s.Base()), s.Base()}))
+		if errs[0] != nil {
+			t.Rows = append(t.Rows, Row{Name: w.Name, Err: fmt.Sprintf("uniprocessor %s: %v", w.Name, errs[0])})
 			continue
 		}
-		plainRun, err := s.run(s.Base(), w)
-		if err != nil {
-			t.Rows = append(t.Rows, Row{Name: w.Name, Err: err.Error()})
+		if errs[1] != nil {
+			t.Rows = append(t.Rows, Row{Name: w.Name, Err: errs[1].Error()})
 			continue
 		}
-		plain := plainRun.Cycles
+		uni, plain := pair[0].Cycles, pair[1].Cycles
 
-		var cells []Cell
+		var cfgs []svmsim.Config
 		for _, hb := range HeartbeatPoints {
-			cells = append(cells, Cell{Cfg: crashCfg(plain, hb, struct{ Num, Den uint64 }{}), W: w})
+			cfgs = append(cfgs, crashCfg(plain, hb, struct{ Num, Den uint64 }{}))
+		}
+		recovery := -1 // the cell the recovery breakdown reads
+		for _, hb := range HeartbeatPoints {
 			for _, fr := range CrashFractions {
-				cells = append(cells, Cell{Cfg: crashCfg(plain, hb, fr), W: w})
+				if hb == HeartbeatPoints[0] && fr == half {
+					recovery = len(cfgs)
+				}
+				cfgs = append(cfgs, crashCfg(plain, hb, fr))
 			}
 		}
-		_ = s.RunCells(cells)
+		runs, errs := s.RunCells(grid([]svmsim.Workload{w}, cfgs))
 
 		vals := []float64{float64(uni) / float64(plain)}
-		for _, hb := range HeartbeatPoints {
-			run, err := s.run(crashCfg(plain, hb, struct{ Num, Den uint64 }{}), w)
-			if err != nil {
+		for i, run := range runs {
+			if errs[i] != nil {
 				vals = append(vals, nan())
 				continue
 			}
 			vals = append(vals, float64(uni)/float64(run.Cycles))
 		}
 		rehomed, suspKc, recKc := nan(), nan(), nan()
-		for _, hb := range HeartbeatPoints {
-			for _, fr := range CrashFractions {
-				run, err := s.run(crashCfg(plain, hb, fr), w)
-				if err != nil {
-					vals = append(vals, nan())
-					continue
-				}
-				vals = append(vals, float64(uni)/float64(run.Cycles))
-				if hb == HeartbeatPoints[0] && fr.Den == 2 {
-					rehomed = float64(run.Recovery.PagesRehomed)
-					suspKc = float64(run.Recovery.SuspectCycles) / 1000
-					recKc = float64(run.Recovery.RecoveryCycles) / 1000
-				}
-			}
+		if recovery >= 0 && errs[recovery] == nil {
+			rec := runs[recovery].Recovery
+			rehomed = float64(rec.PagesRehomed)
+			suspKc = float64(rec.SuspectCycles) / 1000
+			recKc = float64(rec.RecoveryCycles) / 1000
 		}
 		vals = append(vals, rehomed, suspKc, recKc)
 		t.Rows = append(t.Rows, Row{Name: w.Name, Values: vals})

@@ -51,13 +51,13 @@ func TestPanicCellDegradesToErrorRow(t *testing.T) {
 	good := tinyWorkload("tiny")
 	bad := panicWorkload("bomb")
 	cells := []Cell{{Cfg: s.Base(), W: good}, {Cfg: s.Base(), W: bad}}
-	err := s.RunCells(cells)
-	if err == nil || !strings.Contains(err.Error(), "panic: boom: bomb") {
+	runs, errs := s.RunCells(cells)
+	if err := FirstErr(errs); err == nil || !strings.Contains(err.Error(), "panic: boom: bomb") {
 		t.Fatalf("panic not converted to cell error: %v", err)
 	}
 	// The healthy cell completed despite its neighbor's panic.
-	if _, err := s.run(s.Base(), good); err != nil {
-		t.Fatalf("healthy cell poisoned by panicking neighbor: %v", err)
+	if errs[0] != nil || runs[0] == nil {
+		t.Fatalf("healthy cell poisoned by panicking neighbor: %v", errs[0])
 	}
 	// The error is cached: asking again returns it without re-simulating.
 	before := strings.Count(log.String(), "run ")
@@ -120,8 +120,9 @@ func TestSerialMatchesParallelWithErrorCells(t *testing.T) {
 		}
 	}
 	serial, parallel := smallSuite(1), smallSuite(4)
-	errS := serial.RunCells(cellsFor(serial))
-	errP := parallel.RunCells(cellsFor(parallel))
+	_, errsS := serial.RunCells(cellsFor(serial))
+	_, errsP := parallel.RunCells(cellsFor(parallel))
+	errS, errP := FirstErr(errsS), FirstErr(errsP)
 	if errS == nil || errP == nil {
 		t.Fatalf("errors lost: serial=%v parallel=%v", errS, errP)
 	}

@@ -166,7 +166,8 @@ func TestConcurrentRunnersNeverDoubleSimulate(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = s.RunCells(cells)
+			_, cellErrs := s.RunCells(cells)
+			errs[i] = FirstErr(cellErrs)
 		}()
 	}
 	wg.Wait()

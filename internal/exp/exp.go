@@ -79,8 +79,9 @@ type Suite struct {
 	// Verbose, when non-nil, receives progress lines.
 	Verbose io.Writer
 	// Observe, when non-nil, receives one CellEvent per cell request served
-	// (memo hit, in-flight join, disk hit, or fresh simulation). It is the
-	// suite's observability seam — the svmsimd daemon's cache-hit/miss and
+	// (memo hit, in-flight join, disk hit, or fresh simulation); a RunCells
+	// batch requests each of its unique cells once. It is the suite's
+	// observability seam — the svmsimd daemon's cache-hit/miss and
 	// latency metrics hang off it. Set it before the suite serves traffic;
 	// the callback must be safe for concurrent use and cheap (it runs on
 	// the worker's path).
@@ -375,8 +376,8 @@ func deterministicErr(err error) bool {
 }
 
 // simulate executes one cell, converting a panic (in the simulator, protocol,
-// or application code) into an error so a single broken cell degrades to an
-// error row instead of taking down the whole sweep.
+// or application code) into that cell's error instead of taking down the
+// whole process.
 func (s *Suite) simulate(cfg svmsim.Config, w svmsim.Workload) (run *svmsim.RunStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -397,29 +398,6 @@ func (s *Suite) logf(w io.Writer, format string, args ...any) {
 	fmt.Fprintf(w, format, args...)
 }
 
-// uniTime returns the memoized uniprocessor execution time for a workload.
-// It shares run's cache: the uniprocessor configuration is just another cell.
-func (s *Suite) uniTime(w svmsim.Workload) (uint64, error) {
-	run, err := s.run(svmsim.Uniprocessor(s.Base()), w)
-	if err != nil {
-		return 0, fmt.Errorf("uniprocessor %s: %w", w.Name, err)
-	}
-	return run.Cycles, nil
-}
-
-// speedup returns uniproc/parallel for a workload under cfg.
-func (s *Suite) speedup(cfg svmsim.Config, w svmsim.Workload) (float64, error) {
-	uni, err := s.uniTime(w)
-	if err != nil {
-		return 0, err
-	}
-	run, err := s.run(cfg, w)
-	if err != nil {
-		return 0, err
-	}
-	return float64(uni) / float64(run.Cycles), nil
-}
-
 // Table is one rendered experiment.
 type Table struct {
 	ID    string
@@ -429,8 +407,8 @@ type Table struct {
 }
 
 // Row is one application's results. A row with Err set renders the error
-// text in place of values: one failing cell degrades to an error row while
-// the rest of the table stands.
+// text in place of values while the rest of the table stands (DropRate and
+// NodeCrash; every other table fails on its earliest failing cell).
 type Row struct {
 	Name   string
 	Values []float64

@@ -17,6 +17,16 @@ var sharedSuite = func() *Suite {
 	return s
 }()
 
+// speedup is uniprocessor/parallel time for w under cfg, the two cells run
+// as one batch.
+func speedup(s *Suite, cfg svmsim.Config, w svmsim.Workload) (float64, error) {
+	runs, errs := s.RunCells([]Cell{{Cfg: svmsim.Uniprocessor(s.Base()), W: w}, {Cfg: cfg, W: w}})
+	if err := FirstErr(errs); err != nil {
+		return 0, err
+	}
+	return float64(runs[0].Cycles) / float64(runs[1].Cycles), nil
+}
+
 func TestFigure1ShapesAndRendering(t *testing.T) {
 	s := sharedSuite
 	tbl, err := s.Figure1()
@@ -93,7 +103,7 @@ func TestPaperHeadlines(t *testing.T) {
 	s := sharedSuite
 
 	speed := func(mod func(svmsim.Config) svmsim.Config, w svmsim.Workload) float64 {
-		sp, err := s.speedup(mod(s.Base()), w)
+		sp, err := speedup(s, mod(s.Base()), w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,11 +186,11 @@ func TestClusteringHelps(t *testing.T) {
 		cfg1.ProcsPerNode = 1
 		cfg8 := s.Base()
 		cfg8.ProcsPerNode = 8
-		s1, err := s.speedup(cfg1, w)
+		s1, err := speedup(s, cfg1, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s8, err := s.speedup(cfg8, w)
+		s8, err := speedup(s, cfg8, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +211,7 @@ func TestBarnesSpaceBeatsRebuild(t *testing.T) {
 	s := sharedSuite
 	var reb, sp float64
 	for _, w := range apps() {
-		v, err := s.speedup(s.Base(), w)
+		v, err := speedup(s, s.Base(), w)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,8 +22,10 @@ const FaultSeed = 1997
 // and NI occupancy like any other traffic, while each recovered loss stretches
 // a request/response round trip the way interrupt cost does. The Rel:0 column
 // runs the reliable layer on a fault-free network, isolating its ack and
-// timer overhead from actual recovery cost. A failing cell degrades to an
-// error row; the remaining rows still render.
+// timer overhead from actual recovery cost. A failing cell degrades its row
+// to an error row carrying the row's earliest failing cell's error (a
+// failing uniprocessor baseline reads "uniprocessor <workload>: <error>");
+// the remaining rows still render.
 func (s *Suite) DropRate() (*Table, error) {
 	t := &Table{ID: "DropRate",
 		Title: "Speedup vs packet-drop rate (per mille) under reliable delivery (Rel:0 = ack overhead only)"}
@@ -32,46 +34,33 @@ func (s *Suite) DropRate() (*Table, error) {
 		t.Cols = append(t.Cols, fmt.Sprintf("Rel:%d", d))
 	}
 	subset := pick("FFT", "Radix", "Water-nsq", "Barnes-reb")
-	mods := []func(svmsim.Config) svmsim.Config{
-		func(c svmsim.Config) svmsim.Config { return c },
-	}
+	// Each row's cells are the uniprocessor baseline, then one per column.
+	row := []svmsim.Config{svmsim.Uniprocessor(s.Base()), s.Base()}
 	for _, d := range DropPoints {
-		d := d
-		mods = append(mods, func(c svmsim.Config) svmsim.Config {
-			c.Net.Reliable.Enabled = true
-			if d > 0 {
-				c.Net.Fault = &svmsim.FaultPlan{
-					Seed:    FaultSeed,
-					Default: svmsim.LinkFaults{DropPerMille: d},
-				}
+		c := s.Base()
+		c.Net.Reliable.Enabled = true
+		if d > 0 {
+			c.Net.Fault = &svmsim.FaultPlan{
+				Seed:    FaultSeed,
+				Default: svmsim.LinkFaults{DropPerMille: d},
 			}
-			return c
-		})
-	}
-	var cells []Cell
-	for _, w := range subset {
-		cells = append(cells, s.uniCell(w))
-		for _, mod := range mods {
-			cells = append(cells, Cell{Cfg: mod(s.Base()), W: w})
 		}
+		row = append(row, c)
 	}
-	// A failing cell lands in the suite's error cache and surfaces as an
-	// error row below; the prefetch itself must not abort the sweep.
-	_ = s.RunCells(cells)
-	for _, w := range subset {
-		var vals []float64
-		var rowErr error
-		for _, mod := range mods {
-			sp, err := s.speedup(mod(s.Base()), w)
-			if err != nil {
-				rowErr = err
-				break
-			}
-			vals = append(vals, sp)
-		}
-		if rowErr != nil {
-			t.Rows = append(t.Rows, Row{Name: w.Name, Err: rowErr.Error()})
+	runs, errs := s.RunCells(grid(subset, row))
+	for i, w := range subset {
+		r, e := runs[i*len(row):][:len(row)], errs[i*len(row):][:len(row)]
+		if e[0] != nil {
+			t.Rows = append(t.Rows, Row{Name: w.Name, Err: fmt.Sprintf("uniprocessor %s: %v", w.Name, e[0])})
 			continue
+		}
+		if err := FirstErr(e); err != nil {
+			t.Rows = append(t.Rows, Row{Name: w.Name, Err: err.Error()})
+			continue
+		}
+		vals := make([]float64, len(row)-1)
+		for j, run := range r[1:] {
+			vals[j] = float64(r[0].Cycles) / float64(run.Cycles)
 		}
 		t.Rows = append(t.Rows, Row{Name: w.Name, Values: vals})
 	}

@@ -10,23 +10,12 @@ import (
 func (s *Suite) Figure1() (*Table, error) {
 	t := &Table{ID: "Figure 1", Title: "Ideal and achievable speedups (16 procs, 4/node, achievable parameters)",
 		Cols: []string{"Ideal", "Achievable"}}
-	var cells []Cell
-	for _, w := range apps() {
-		cells = append(cells, s.uniCell(w), Cell{Cfg: s.Base(), W: w})
-	}
-	if err := s.RunCells(cells); err != nil {
+	runs, errs := s.RunCells(grid(apps(), []svmsim.Config{svmsim.Uniprocessor(s.Base()), s.Base()}))
+	if err := FirstErr(errs); err != nil {
 		return nil, err
 	}
-	for _, w := range apps() {
-		uni, err := s.uniTime(w)
-		if err != nil {
-			return nil, err
-		}
-		run, err := s.run(s.Base(), w)
-		if err != nil {
-			return nil, err
-		}
-		sp := stats.ComputeSpeedups(uni, run)
+	for i, w := range apps() {
+		sp := stats.ComputeSpeedups(runs[2*i].Cycles, runs[2*i+1])
 		t.Rows = append(t.Rows, Row{Name: w.Name, Values: []float64{sp.Ideal, sp.Achievable}})
 	}
 	return t, nil
@@ -62,27 +51,14 @@ func (s *Suite) commSweep(id, title string, cols []string, scale float64, metric
 		cfgs[i] = s.Base()
 		cfgs[i].ProcsPerNode = ppn
 	}
-	var cells []Cell
-	for _, w := range apps() {
-		for _, cfg := range cfgs {
-			cells = append(cells, Cell{Cfg: cfg, W: w})
-		}
-	}
-	if err := s.RunCells(cells); err != nil {
+	runs, errs := s.RunCells(grid(apps(), cfgs))
+	if err := FirstErr(errs); err != nil {
 		return nil, err
 	}
-	for _, w := range apps() {
-		runs := make([]*svmsim.RunStats, len(cfgs))
-		for i, cfg := range cfgs {
-			run, err := s.run(cfg, w)
-			if err != nil {
-				return nil, err
-			}
-			runs[i] = run
-		}
+	for i, w := range apps() {
 		var vals []float64
 		for _, metric := range metrics {
-			for _, run := range runs {
+			for _, run := range runs[i*len(cfgs):][:len(cfgs)] {
 				v := run.PerMComputeCycles(run.Sum(metric)) / float64(len(run.Procs))
 				vals = append(vals, v*scale)
 			}
@@ -110,24 +86,17 @@ func (s *Suite) Figure4() (*Table, error) {
 // one column per configuration.
 func (s *Suite) paramSweep(id, title string, cols []string, cfgs []svmsim.Config, wls []svmsim.Workload) (*Table, error) {
 	t := &Table{ID: id, Title: title, Cols: cols}
-	var cells []Cell
-	for _, w := range wls {
-		cells = append(cells, s.uniCell(w))
-		for _, cfg := range cfgs {
-			cells = append(cells, Cell{Cfg: cfg, W: w})
-		}
-	}
-	if err := s.RunCells(cells); err != nil {
+	// Each row's cells are the uniprocessor baseline, then one per column.
+	row := append([]svmsim.Config{svmsim.Uniprocessor(s.Base())}, cfgs...)
+	runs, errs := s.RunCells(grid(wls, row))
+	if err := FirstErr(errs); err != nil {
 		return nil, err
 	}
-	for _, w := range wls {
-		var vals []float64
-		for _, cfg := range cfgs {
-			sp, err := s.speedup(cfg, w)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, sp)
+	for i, w := range wls {
+		r := runs[i*len(row):][:len(row)]
+		vals := make([]float64, len(cfgs))
+		for j, run := range r[1:] {
+			vals[j] = float64(r[0].Cycles) / float64(run.Cycles)
 		}
 		t.Rows = append(t.Rows, Row{Name: w.Name, Values: vals})
 	}

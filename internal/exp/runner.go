@@ -8,9 +8,9 @@ import (
 )
 
 // Cell is one (configuration, workload) simulation unit — the atom of every
-// table and figure. Experiments enumerate their cells up front and hand them
-// to Suite.RunCells, then assemble rows from the memoized results in their
-// own deterministic order.
+// table and figure. An experiment names its cells once, as the batch it
+// hands to Suite.RunCells, and builds its rows from the results that batch
+// returns.
 type Cell struct {
 	Cfg svmsim.Config
 	W   svmsim.Workload
@@ -22,22 +22,26 @@ type Cell struct {
 func (c Cell) Key() string { return c.W.Name + "|" + cfgKey(c.Cfg) }
 
 // RunCells executes a batch of cells on a pool of Suite.Parallelism
-// workers (GOMAXPROCS when zero or negative), deduplicating cells that
-// share a key — within the batch, and through the suite's singleflight memo
-// across concurrently running batches. Every cell runs, and each result or
-// error lands in the memo, so callers re-read them in any order they like
-// afterwards. When several cells fail, the error reported is the earliest
-// failing cell's in batch order, independent of completion order.
-func (s *Suite) RunCells(cells []Cell) error {
-	seen := make(map[string]bool, len(cells))
-	unique := make([]Cell, 0, len(cells))
-	for _, c := range cells {
+// workers (GOMAXPROCS when zero or negative) and returns each cell's
+// statistics and error, aligned with cells. Cells that share a key run
+// once and share one result — within the batch, and through the suite's
+// singleflight memo across concurrently running batches. Every cell runs,
+// whatever its neighbours' outcomes; FirstErr picks the earliest failing
+// cell in batch order, independent of completion order.
+func (s *Suite) RunCells(cells []Cell) ([]*svmsim.RunStats, []error) {
+	// src[i] is the first cell in the batch with cell i's key.
+	first := make(map[string]int, len(cells))
+	src := make([]int, len(cells))
+	var unique []int
+	for i, c := range cells {
 		k := c.Key()
-		if seen[k] {
-			continue
+		j, ok := first[k]
+		if !ok {
+			j = i
+			first[k] = i
+			unique = append(unique, i)
 		}
-		seen[k] = true
-		unique = append(unique, c)
+		src[i] = j
 	}
 
 	n := s.Parallelism
@@ -45,23 +49,33 @@ func (s *Suite) RunCells(cells []Cell) error {
 		n = runtime.GOMAXPROCS(0)
 	}
 	n = min(n, len(unique))
-	errs := make([]error, len(unique))
+	runs := make([]*svmsim.RunStats, len(cells))
+	errs := make([]error, len(cells))
 	work := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for range n {
 		go func() {
 			defer wg.Done()
-			for idx := range work {
-				_, errs[idx] = s.run(unique[idx].Cfg, unique[idx].W)
+			for i := range work {
+				runs[i], errs[i] = s.run(cells[i].Cfg, cells[i].W)
 			}
 		}()
 	}
-	for idx := range unique {
-		work <- idx
+	for _, i := range unique {
+		work <- i
 	}
 	close(work)
 	wg.Wait()
+	for i, j := range src {
+		runs[i], errs[i] = runs[j], errs[j]
+	}
+	return runs, errs
+}
+
+// FirstErr returns the first non-nil error in errs: for a RunCells batch,
+// the earliest failing cell's.
+func FirstErr(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -70,7 +84,15 @@ func (s *Suite) RunCells(cells []Cell) error {
 	return nil
 }
 
-// uniCell is the uniprocessor-baseline cell for a workload (uniTime's unit).
-func (s *Suite) uniCell(w svmsim.Workload) Cell {
-	return Cell{Cfg: svmsim.Uniprocessor(s.Base()), W: w}
+// grid lists the cells of a workload × configuration table row-major: each
+// workload's cells in configuration order, so row i of the batch's results
+// is runs[i*len(cfgs):][:len(cfgs)].
+func grid(wls []svmsim.Workload, cfgs []svmsim.Config) []Cell {
+	cells := make([]Cell, 0, len(wls)*len(cfgs))
+	for _, w := range wls {
+		for _, cfg := range cfgs {
+			cells = append(cells, Cell{Cfg: cfg, W: w})
+		}
+	}
+	return cells
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"svmsim"
@@ -55,7 +56,8 @@ func TestParallelMatchesSerialDeterminism(t *testing.T) {
 
 // TestRunnerDedupesCells checks singleflight semantics: a batch with
 // duplicated cells (and cells another experiment already ran) simulates each
-// unique key exactly once.
+// unique key exactly once, and returns results aligned with the batch, the
+// duplicates sharing one *RunStats.
 func TestRunnerDedupesCells(t *testing.T) {
 	s := NewSuite(Small)
 	s.Parallelism = 4
@@ -64,20 +66,65 @@ func TestRunnerDedupesCells(t *testing.T) {
 
 	w := pick("LU")[0]
 	base := Cell{Cfg: s.Base(), W: w}
-	uni := s.uniCell(w)
+	uni := Cell{Cfg: svmsim.Uniprocessor(s.Base()), W: w}
 	cells := []Cell{base, uni, base, base, uni}
-	if err := s.RunCells(cells); err != nil {
+	runs, errs := s.RunCells(cells)
+	if err := FirstErr(errs); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(log.String(), "run "); got != 2 {
 		t.Fatalf("ran %d cells, want 2 unique:\n%s", got, log.String())
 	}
+	if len(runs) != len(cells) || len(errs) != len(cells) {
+		t.Fatalf("%d runs and %d errors for a %d-cell batch", len(runs), len(errs), len(cells))
+	}
+	if runs[0] == nil || runs[0] != runs[2] || runs[0] != runs[3] || runs[1] != runs[4] {
+		t.Fatalf("duplicate cells do not share one result: %p %p %p %p %p", runs[0], runs[1], runs[2], runs[3], runs[4])
+	}
+	if len(runs[0].Procs) != s.Procs || len(runs[1].Procs) != 1 {
+		t.Fatalf("results are not aligned with their cells: %d and %d processors", len(runs[0].Procs), len(runs[1].Procs))
+	}
 	// A second batch containing the same cells is pure cache hits.
-	if err := s.RunCells(cells); err != nil {
+	again, errs := s.RunCells(cells)
+	if err := FirstErr(errs); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(log.String(), "run "); got != 2 {
 		t.Fatalf("re-running cached cells simulated again (%d lines):\n%s", got, log.String())
+	}
+	for i := range cells {
+		if again[i] != runs[i] {
+			t.Fatalf("cell %d: the memo served a different result", i)
+		}
+	}
+}
+
+// TestSweepObservesEachCellOnce: a sweep requests each unique cell of its
+// batch once, and builds its rows from the batch's results rather than
+// asking the memo again. On a fresh suite every request is a simulation.
+func TestSweepObservesEachCellOnce(t *testing.T) {
+	s := smallSuite(4)
+	var mu sync.Mutex
+	var events []CellEvent
+	s.Observe = func(ev CellEvent) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	}
+	if _, err := s.SweepParam("interrupt", []svmsim.Workload{tinyWorkload("tiny")}, svmsim.HLRC); err != nil {
+		t.Fatal(err)
+	}
+	// The uniprocessor baseline plus one cell per interrupt-cost point.
+	want := 1 + len(InterruptPoints)
+	keys := map[string]bool{}
+	for _, ev := range events {
+		if ev.Source != SourceSim {
+			t.Errorf("cell %s served from %s, want sim", ev.Key, ev.Source)
+		}
+		keys[ev.Key] = true
+	}
+	if len(events) != want || len(keys) != want {
+		t.Fatalf("%d events for %d unique cells, want one for each of %d", len(events), len(keys), want)
 	}
 }
 
@@ -103,7 +150,8 @@ func TestRunnerErrorIsEarliestCell(t *testing.T) {
 		bad("first"),
 		bad("second!"),
 	}
-	err := s.RunCells(cells)
+	_, errs := s.RunCells(cells)
+	err := FirstErr(errs)
 	if err == nil {
 		t.Fatal("want error from invalid cells")
 	}

@@ -1,11 +1,8 @@
 package exp
 
 import (
-	"fmt"
-
 	"svmsim"
 	"svmsim/internal/apps/synth"
-	"svmsim/internal/proto"
 	"svmsim/internal/stats"
 )
 
@@ -20,43 +17,25 @@ func (s *Suite) Table3() (*Table, error) {
 	for a := range axes {
 		t.Cols[a] = axes[a].column
 	}
-	var cells []Cell
-	for _, w := range apps() {
-		for a := Axis(0); a < NumAxes; a++ {
-			best, worst := a.extremes(s.Base())
-			cells = append(cells, Cell{Cfg: best, W: w}, Cell{Cfg: worst, W: w})
-		}
+	// Each row's cells are every axis's best and degraded ends, in turn.
+	var cfgs []svmsim.Config
+	for a := Axis(0); a < NumAxes; a++ {
+		best, worst := a.extremes(s.Base())
+		cfgs = append(cfgs, best, worst)
 	}
-	if err := s.RunCells(cells); err != nil {
+	runs, errs := s.RunCells(grid(apps(), cfgs))
+	if err := FirstErr(errs); err != nil {
 		return nil, err
 	}
-	for _, w := range apps() {
-		var vals []float64
-		for a := Axis(0); a < NumAxes; a++ {
-			slow, err := s.slowdown(a, w)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, slow)
+	for i, w := range apps() {
+		r := runs[i*len(cfgs):][:len(cfgs)]
+		vals := make([]float64, NumAxes)
+		for a := range vals {
+			vals[a] = stats.Slowdown(r[2*a].Cycles, r[2*a+1].Cycles)
 		}
 		t.Rows = append(t.Rows, Row{Name: w.Name, Values: vals})
 	}
 	return t, nil
-}
-
-// slowdown is the slowdown of workload w from the best end of axis a's
-// studied range to its degraded end.
-func (s *Suite) slowdown(a Axis, w svmsim.Workload) (float64, error) {
-	best, worst := a.extremes(s.Base())
-	rb, err := s.run(best, w)
-	if err != nil {
-		return 0, err
-	}
-	rw, err := s.run(worst, w)
-	if err != nil {
-		return 0, err
-	}
-	return stats.Slowdown(rb.Cycles, rw.Cycles), nil
 }
 
 // Table4 reproduces the best / achievable / ideal speedups per application.
@@ -66,27 +45,12 @@ func (s *Suite) Table4() (*Table, error) {
 	best := svmsim.Best()
 	best.Procs = s.Procs
 	best.ProcsPerNode = s.PPN
-	var cells []Cell
-	for _, w := range apps() {
-		cells = append(cells, s.uniCell(w),
-			Cell{Cfg: best, W: w}, Cell{Cfg: s.Base(), W: w})
-	}
-	if err := s.RunCells(cells); err != nil {
+	runs, errs := s.RunCells(grid(apps(), []svmsim.Config{svmsim.Uniprocessor(s.Base()), best, s.Base()}))
+	if err := FirstErr(errs); err != nil {
 		return nil, err
 	}
-	for _, w := range apps() {
-		uni, err := s.uniTime(w)
-		if err != nil {
-			return nil, err
-		}
-		bRun, err := s.run(best, w)
-		if err != nil {
-			return nil, err
-		}
-		aRun, err := s.run(s.Base(), w)
-		if err != nil {
-			return nil, err
-		}
+	for i, w := range apps() {
+		uni, bRun, aRun := runs[3*i].Cycles, runs[3*i+1], runs[3*i+2]
 		sp := stats.ComputeSpeedups(uni, aRun)
 		t.Rows = append(t.Rows, Row{Name: w.Name, Values: []float64{
 			float64(uni) / float64(bRun.Cycles), sp.Achievable, sp.Ideal}})
@@ -101,24 +65,14 @@ func (s *Suite) Table4() (*Table, error) {
 func (s *Suite) correlate(id, title, predictorName string, a Axis, predictor func(*stats.Proc) uint64) (*Table, error) {
 	t := &Table{ID: id, Title: title, Cols: []string{"NormSlowdown", "Norm" + predictorName}}
 	best, worst := a.extremes(s.Base())
-	var cells []Cell
-	for _, w := range apps() {
-		cells = append(cells, Cell{Cfg: best, W: w}, Cell{Cfg: worst, W: w}, Cell{Cfg: s.Base(), W: w})
-	}
-	if err := s.RunCells(cells); err != nil {
+	runs, errs := s.RunCells(grid(apps(), []svmsim.Config{best, worst, s.Base()}))
+	if err := FirstErr(errs); err != nil {
 		return nil, err
 	}
 	var slows, preds []float64
-	for _, w := range apps() {
-		slow, err := s.slowdown(a, w)
-		if err != nil {
-			return nil, err
-		}
-		base, err := s.run(s.Base(), w)
-		if err != nil {
-			return nil, err
-		}
-		slows = append(slows, slow)
+	for i := range apps() {
+		rb, rw, base := runs[3*i], runs[3*i+1], runs[3*i+2]
+		slows = append(slows, stats.Slowdown(rb.Cycles, rw.Cycles))
 		preds = append(preds, base.PerMComputeCycles(base.Sum(predictor)))
 	}
 	maxS, maxP := 0.0, 0.0
@@ -267,44 +221,29 @@ func (s *Suite) Microbench() (*Table, error) {
 		Cols:  []string{"HLRC Mcyc", "AURC Mcyc", "HLRC msgs", "AURC msgs", "HLRC diffs", "AURC upd"}}
 	// Wrap each synthetic pattern as a workload so the runs flow through the
 	// suite's memoized, parallel cell machinery like the real applications.
-	synthWorkload := func(pat synth.Pattern) svmsim.Workload {
+	pats := synth.Patterns()
+	wls := make([]svmsim.Workload, len(pats))
+	for i, pat := range pats {
 		mk := func() svmsim.App { return synth.New(synth.Default(pat)) }
-		return svmsim.Workload{Name: "synth:" + pat.String(), Small: mk, Default: mk}
+		wls[i] = svmsim.Workload{Name: "synth:" + pat.String(), Small: mk, Default: mk}
 	}
-	modes := []proto.Mode{proto.HLRC, proto.AURC}
-	var cells []Cell
-	for _, pat := range synth.Patterns() {
-		for _, mode := range modes {
-			cfg := s.Base()
-			cfg.Proto.Mode = mode
-			cells = append(cells, Cell{Cfg: cfg, W: synthWorkload(pat)})
-		}
-	}
-	if err := s.RunCells(cells); err != nil {
+	hlrc, aurc := s.Base(), s.Base()
+	hlrc.Proto.Mode = svmsim.HLRC
+	aurc.Proto.Mode = svmsim.AURC
+	runs, errs := s.RunCells(grid(wls, []svmsim.Config{hlrc, aurc}))
+	if err := FirstErr(errs); err != nil {
 		return nil, err
 	}
-	for _, pat := range synth.Patterns() {
-		var vals []float64
-		var cyc [2]float64
-		var msgs [2]float64
-		var extra [2]float64
-		for i, mode := range modes {
-			cfg := s.Base()
-			cfg.Proto.Mode = mode
-			run, err := s.run(cfg, synthWorkload(pat))
-			if err != nil {
-				return nil, fmt.Errorf("microbench %s/%s: %w", pat, mode, err)
-			}
-			cyc[i] = float64(run.Cycles) / 1e6
-			msgs[i] = float64(run.Sum(func(p *stats.Proc) uint64 { return p.MsgsSent }))
-			if mode == proto.HLRC {
-				extra[i] = float64(run.Sum(func(p *stats.Proc) uint64 { return p.DiffsCreated }))
-			} else {
-				extra[i] = float64(run.Sum(func(p *stats.Proc) uint64 { return p.UpdatesSent }))
-			}
-		}
-		vals = append(vals, cyc[0], cyc[1], msgs[0], msgs[1], extra[0], extra[1])
-		t.Rows = append(t.Rows, Row{Name: pat.String(), Values: vals})
+	msgs := func(p *stats.Proc) uint64 { return p.MsgsSent }
+	diffs := func(p *stats.Proc) uint64 { return p.DiffsCreated }
+	updates := func(p *stats.Proc) uint64 { return p.UpdatesSent }
+	for i, pat := range pats {
+		h, a := runs[2*i], runs[2*i+1]
+		t.Rows = append(t.Rows, Row{Name: pat.String(), Values: []float64{
+			float64(h.Cycles) / 1e6, float64(a.Cycles) / 1e6,
+			float64(h.Sum(msgs)), float64(a.Sum(msgs)),
+			float64(h.Sum(diffs)), float64(a.Sum(updates)),
+		}})
 	}
 	return t, nil
 }
@@ -320,18 +259,12 @@ func (s *Suite) Breakdown() (*Table, error) {
 		stats.Compute, stats.LocalStall, stats.DataWait, stats.LockWait,
 		stats.BarrierWait, stats.HandlerSteal, stats.SendOverhead, stats.DiffTime,
 	}
-	var cells []Cell
-	for _, w := range apps() {
-		cells = append(cells, Cell{Cfg: s.Base(), W: w})
-	}
-	if err := s.RunCells(cells); err != nil {
+	runs, errs := s.RunCells(grid(apps(), []svmsim.Config{s.Base()}))
+	if err := FirstErr(errs); err != nil {
 		return nil, err
 	}
-	for _, w := range apps() {
-		run, err := s.run(s.Base(), w)
-		if err != nil {
-			return nil, err
-		}
+	for i, w := range apps() {
+		run := runs[i]
 		var tot float64
 		for _, k := range kinds {
 			tot += float64(run.Sum(func(p *stats.Proc) uint64 { return p.Time[k] }))

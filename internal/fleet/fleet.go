@@ -237,10 +237,6 @@ func newMetrics(r *server.Registry, reg *registry) metrics {
 // everything a plain daemon serves.
 func (c *Coordinator) Handler() http.Handler { return c.mux }
 
-// Server exposes the underlying front-door server (tests and callers that
-// need Drain semantics on the server directly).
-func (c *Coordinator) Server() *server.Server { return c.srv }
-
 // Drain stops admission, runs every accepted job to completion (or until
 // ctx expires), then stops the heartbeat monitor. The monitor keeps running
 // through the drain on purpose: a worker dying mid-drain must still be

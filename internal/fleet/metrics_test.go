@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -186,6 +187,17 @@ func checkGolden(t *testing.T, name string, got []byte) {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
 	if string(got) != string(want) {
-		t.Fatalf("%s differs from the golden file:\n--- got ---\n%s--- want ---\n%s", name, got, want)
+		g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		i := 0
+		for i < len(g) && i < len(w) && g[i] == w[i] {
+			i++
+		}
+		line := func(ls []string) string {
+			if i < len(ls) {
+				return ls[i]
+			}
+			return "<none>"
+		}
+		t.Fatalf("%s differs from the golden file at line %d:\ngot   %s\nwant  %s", name, i+1, line(g), line(w))
 	}
 }

@@ -39,12 +39,8 @@ type Controller struct {
 	rr     int
 
 	// Mode selects interrupt, polling or dedicated-processor handling of
-	// requests; Poll configures the latter two.
+	// requests.
 	Mode Handling
-	Poll PollParams
-
-	// Raised counts interrupts raised on this node.
-	Raised uint64
 
 	// names caches handler thread names by {prefix, request kind}.
 	names map[[2]string]string
@@ -54,7 +50,7 @@ type Controller struct {
 
 // New creates a controller for n with the given per-half cost.
 func New(n *node.Node, issue, deliver engine.Time, policy Policy) *Controller {
-	return &Controller{n: n, IssueCycles: issue, DeliverCycles: deliver, policy: policy, Poll: DefaultPollParams()}
+	return &Controller{n: n, IssueCycles: issue, DeliverCycles: deliver, policy: policy}
 }
 
 // threadName returns the name of a handler thread for a request of kind,
@@ -90,7 +86,6 @@ func (c *Controller) pick() *node.Processor {
 // running on that CPU. Raise returns immediately; the handler runs
 // asynchronously in its own thread.
 func (c *Controller) Raise(name string, handler func(t *engine.Thread, victim *node.Processor)) {
-	c.Raised++
 	switch c.Mode {
 	case Polling:
 		c.raisePolling(name, handler)

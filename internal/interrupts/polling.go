@@ -15,8 +15,8 @@ const (
 	// Interrupts delivers requests via interrupts (the paper's baseline).
 	Interrupts Handling = iota
 	// Polling defers requests to the next poll boundary: no interrupt
-	// issue/delivery cost, but requests wait up to PollInterval and every
-	// processor pays a continuous instrumentation tax (see
+	// issue/delivery cost, but requests wait up to a poll interval and
+	// every processor pays a continuous instrumentation tax (see
 	// node.Params.PollTaxPerMille).
 	Polling
 	// Dedicated reserves one processor per node for protocol processing:
@@ -25,36 +25,24 @@ const (
 	Dedicated
 )
 
-// PollParams configure the Polling and Dedicated modes.
-type PollParams struct {
-	// IntervalCycles is the polling period in cycles (Polling mode).
-	IntervalCycles engine.Time
-	// DispatchCycles is the cost to pick a request up at a poll boundary
+// The polling and dedicated-processor costs, matching an
+// instrumented-application polling scheme. A poll check costs 20 cycles
+// once per interval, which machine.Run applies as a 20 per mille
+// node.Params.PollTaxPerMille.
+const (
+	// pollIntervalCycles is the polling period (Polling mode).
+	pollIntervalCycles engine.Time = 1000
+	// dispatchCycles is the cost to pick a request up at a poll boundary
 	// (Polling) or to hand it to the dedicated processor (Dedicated).
-	DispatchCycles engine.Time
-	// CheckCycles is the cost of one (usually empty) poll check; every
-	// processor pays it once per Interval of execution, applied as the
-	// node.Params.PollTaxPerMille inflation.
-	CheckCycles engine.Time
-}
-
-// DefaultPollParams returns the baseline polling configuration: a 1000-cycle
-// interval with a 100-cycle dispatch and a 20-cycle check, matching an
-// instrumented-application polling scheme.
-func DefaultPollParams() PollParams {
-	return PollParams{IntervalCycles: 1000, DispatchCycles: 100, CheckCycles: 20}
-}
+	dispatchCycles engine.Time = 100
+)
 
 // raisePolling schedules handler at the node's next poll boundary on the
 // static victim (the polling processor).
 func (c *Controller) raisePolling(name string, handler func(t *engine.Thread, victim *node.Processor)) {
 	now := c.n.Sim.Now()
-	interval := c.Poll.IntervalCycles
-	if interval == 0 {
-		interval = 1
-	}
-	boundary := (now/interval + 1) * interval
-	c.spawnHandler("poll", name, c.n.Procs[0], boundary-now, c.Poll.DispatchCycles, handler)
+	boundary := (now/pollIntervalCycles + 1) * pollIntervalCycles
+	c.spawnHandler("poll", name, c.n.Procs[0], boundary-now, dispatchCycles, handler)
 }
 
 // raiseDedicated dispatches handler to the node's reserved protocol
@@ -62,5 +50,5 @@ func (c *Controller) raisePolling(name string, handler func(t *engine.Thread, vi
 // reserved processor runs no application work, so nothing is stolen from the
 // computation.
 func (c *Controller) raiseDedicated(name string, handler func(t *engine.Thread, victim *node.Processor)) {
-	c.spawnHandler("proto", name, c.n.Procs[len(c.n.Procs)-1], c.Poll.DispatchCycles, 0, handler)
+	c.spawnHandler("proto", name, c.n.Procs[len(c.n.Procs)-1], dispatchCycles, 0, handler)
 }

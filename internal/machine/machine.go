@@ -38,18 +38,13 @@ type Config struct {
 
 	// Requests selects how incoming requests are handled: interrupts (the
 	// paper's baseline), polling, or a dedicated protocol processor per
-	// node (the paper's proposed interrupt-avoidance schemes). Poll
-	// configures the latter two.
+	// node (the paper's proposed interrupt-avoidance schemes).
 	Requests interrupts.Handling
-	Poll     interrupts.PollParams
 
 	// NIServePages serves page requests on the programmable NI itself.
 	NIServePages bool
 	// NIsPerNode replicates the network interface and its I/O bus.
 	NIsPerNode int
-
-	// MaxEvents bounds the run (livelock guard); zero uses the default.
-	MaxEvents uint64
 
 	// MaxCycles bounds simulated time (progress watchdog): a run whose
 	// event queue never drains — e.g. a retransmit storm on a faulty
@@ -163,18 +158,14 @@ func Run(cfg Config, app App) (*Result, error) {
 		return nil, err
 	}
 	sim := engine.New()
-	sim.MaxEvents = cfg.MaxEvents
 	sim.MaxCycles = cfg.MaxCycles
 	sim.StallCheckCycles = cfg.StallCheckCycles
 	nodes := cfg.Procs / cfg.ProcsPerNode
 	nodePrm := cfg.Node
-	poll := cfg.Poll
-	if poll.IntervalCycles == 0 {
-		poll = interrupts.DefaultPollParams()
-	}
 	if cfg.Requests == interrupts.Polling {
-		// Every processor pays the poll-check instrumentation tax.
-		nodePrm.PollTaxPerMille = uint64(poll.CheckCycles * 1000 / poll.IntervalCycles)
+		// Every processor pays the poll-check instrumentation tax: a
+		// 20-cycle check once per 1000-cycle poll interval.
+		nodePrm.PollTaxPerMille = 20
 	}
 	sys := proto.NewSystem(sim, proto.SystemConfig{
 		Nodes:             nodes,
@@ -187,7 +178,6 @@ func Run(cfg Config, app App) (*Result, error) {
 		IntrDeliverCycles: cfg.IntrHalfCostCycles,
 		IntrPolicy:        cfg.IntrPolicy,
 		Requests:          cfg.Requests,
-		Poll:              poll,
 		NIServePages:      cfg.NIServePages,
 		NIsPerNode:        cfg.NIsPerNode,
 		Trace:             cfg.Trace,

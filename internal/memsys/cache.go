@@ -183,12 +183,3 @@ func (c *Cache) clearWays(from, to int, first, lines uint64) {
 		}
 	}
 }
-
-// Flush invalidates the entire cache (used between independent runs).
-func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.dirty[i] = false
-		c.lruTick[i] = 0
-	}
-}

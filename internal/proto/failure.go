@@ -7,6 +7,7 @@ import (
 	"svmsim/internal/network"
 	"svmsim/internal/node"
 	"svmsim/internal/stats"
+	"svmsim/internal/trace"
 )
 
 // Failure detection and recovery for crash-stop node deaths (see
@@ -140,6 +141,7 @@ func (fd *failureDetector) tick(n int) {
 	if fd.dead[n] || sy.NIs[n][0].Crashed() {
 		return
 	}
+	sy.Trace.Emit(sy.Sim.Now(), -1, trace.Interrupt, int64(n), int64(network.Heartbeat))
 	sy.Intc[n].Raise("hb", func(ht *engine.Thread, victim *node.Processor) {
 		fd.beat(ht, victim, n)
 	})

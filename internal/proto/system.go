@@ -29,17 +29,13 @@ type SystemConfig struct {
 
 	// Requests selects interrupt, polling or dedicated-processor handling
 	// of incoming page and lock requests (the paper's proposed interrupt
-	// avoidance schemes); Poll configures the latter two.
+	// avoidance schemes).
 	Requests interrupts.Handling
-	Poll     interrupts.PollParams
 
 	// NIServePages serves page requests on the network interface's own
 	// processor instead of interrupting the host (the paper's "move
 	// protocol processing to the network processor" direction).
 	NIServePages bool
-	// NIPageServeCycles is the NI-processor cost to serve one page request
-	// (programmable NI assists are several times slower than the host).
-	NIPageServeCycles engine.Time
 
 	// NIsPerNode replicates the network interface (and its I/O bus) to
 	// increase node-to-network bandwidth; messages are routed to NI
@@ -49,6 +45,11 @@ type SystemConfig struct {
 	// Trace, when non-nil, records time-stamped protocol events.
 	Trace *trace.Recorder
 }
+
+// niPageServeCycles is the NI-processor cost to serve one page request under
+// NIServePages: about 8x the host page handler, since programmable NI
+// assists run on slow cores.
+const niPageServeCycles engine.Time = 1600
 
 // System is one simulated SVM cluster: nodes, network interfaces, interrupt
 // controllers and all protocol state.
@@ -133,12 +134,6 @@ func NewSystem(s *engine.Sim, cfg SystemConfig) *System {
 	if cfg.NIsPerNode <= 0 {
 		cfg.NIsPerNode = 1
 	}
-	if cfg.Poll.IntervalCycles == 0 {
-		cfg.Poll = interrupts.DefaultPollParams()
-	}
-	if cfg.NIPageServeCycles == 0 {
-		cfg.NIPageServeCycles = 1600 // ~8x the host page handler on a slow NI core
-	}
 	sy := &System{Sim: s, Cfg: cfg, Prm: cfg.ProtoPrm, Trace: cfg.Trace}
 	sy.pages = int(cfg.HeapBytes) / cfg.ProtoPrm.PageBytes
 	sy.pageHome = make([]int32, sy.pages)
@@ -156,7 +151,6 @@ func NewSystem(s *engine.Sim, cfg SystemConfig) *System {
 		sy.Procs = append(sy.Procs, nd.Procs...)
 		intc := interrupts.New(nd, cfg.IntrIssueCycles, cfg.IntrDeliverCycles, cfg.IntrPolicy)
 		intc.Mode = cfg.Requests
-		intc.Poll = cfg.Poll
 		sy.Intc = append(sy.Intc, intc)
 		ns := &nodeState{
 			sys:           sy,
@@ -315,7 +309,7 @@ func (sy *System) deliver(t *engine.Thread, m *network.Message) bool {
 			// The programmable NI serves the fetch itself: no interrupt,
 			// no host processor involvement, but the (slow) NI core is
 			// occupied and later arrivals on this interface wait.
-			t.Delay(sy.Cfg.NIPageServeCycles)
+			t.Delay(niPageServeCycles)
 			sy.servePageRequest(t, nil, m)
 			return true
 		}

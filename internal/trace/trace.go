@@ -43,9 +43,11 @@ const (
 	// Update marks an AURC update flush (Arg1 = destination node, Arg2 =
 	// words).
 	Update
-	// Interrupt marks a page or lock request interrupting its node's host
-	// (Arg1 = node, Arg2 = the network message kind). A page request the NI
-	// serves itself (NIServePages) interrupts nothing and is not recorded.
+	// Interrupt marks a page or lock request, or the failure detector's
+	// heartbeat round, interrupting its node's host (Arg1 = node, Arg2 =
+	// the network message kind; network.Heartbeat for a round). A page
+	// request the NI serves itself (NIServePages) interrupts nothing and is
+	// not recorded.
 	Interrupt
 	// The lock protocol's steps. In each, Arg1 is the lock and Arg2 the
 	// peer node.

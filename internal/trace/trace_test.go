@@ -98,7 +98,8 @@ func TestPercentileProperty(t *testing.T) {
 // counters: fetches and lock acquires pair up, barrier enters equal exits,
 // and there is one interrupt event per counted interrupt. Besides the
 // baseline it runs the AllLocal ablation, whose faults are served without a
-// fetch, and NI-served page requests, which interrupt no host.
+// fetch, NI-served page requests, which interrupt no host, and the failure
+// detector, whose heartbeat rounds interrupt every node.
 func TestEndToEndTraceBalance(t *testing.T) {
 	type st struct {
 		addr shm.Addr
@@ -127,6 +128,7 @@ func TestEndToEndTraceBalance(t *testing.T) {
 		{"baseline", func(*machine.Config) {}},
 		{"all-local", func(c *machine.Config) { c.Proto.AllLocal = true }},
 		{"ni-serve", func(c *machine.Config) { c.NIServePages = true }},
+		{"detector", func(c *machine.Config) { c.Proto.HeartbeatIntervalCycles = 50_000 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := trace.NewRecorder(1 << 20)
@@ -156,6 +158,9 @@ func TestEndToEndTraceBalance(t *testing.T) {
 			interrupts := res.Run.Sum(func(p *stats.Proc) uint64 { return p.Interrupts })
 			if uint64(counts[trace.Interrupt]) != interrupts {
 				t.Errorf("interrupt events = %d, counted interrupts = %d", counts[trace.Interrupt], interrupts)
+			}
+			if cfg.Proto.HeartbeatIntervalCycles != 0 && res.Run.Recovery.HeartbeatsSent == 0 {
+				t.Error("the detector sent no heartbeats")
 			}
 			if counts[trace.AcquireStart] != 8*30 {
 				t.Errorf("acquires=%d want 240", counts[trace.AcquireStart])

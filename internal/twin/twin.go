@@ -27,10 +27,11 @@
 // calibrated baseline and the uniprocessor cell — predict exactly (the
 // model returns the measured simulation time, CI 0).
 //
-// Calibration pulls anchors through exp.Suite.RunCell, so it shares the
-// suite's memo, singleflight and persistent disk cache: calibrating against
-// a warm cache simulates nothing, and calibrating twice from the same cache
-// yields byte-identical coefficients (test-enforced). On top of the model
+// Calibration runs its anchors as one exp.Suite.RunCells batch, so it
+// shares the suite's memo, singleflight and persistent disk cache:
+// calibrating against a warm cache simulates nothing, and calibrating twice
+// from the same cache yields byte-identical coefficients (test-enforced).
+// On top of the model
 // sit Optimize ("cheapest parameter configuration achieving speedup ≥ S"
 // plus sensitivity rankings, optimize.go), twin-guided sweep pruning
 // (cmd/sweep -twin-prune via exp.Suite.Predict), the svmsimd
@@ -167,9 +168,6 @@ type Model struct {
 	axes     [exp.NumAxes]*axisModel
 }
 
-// Workload returns the model's workload name.
-func (m *Model) Workload() string { return m.workload }
-
 // Mode returns the protocol's wire spelling (see exp.Modes).
 func (m *Model) Mode() string { return exp.Modes.Name(m.mode) }
 
@@ -285,41 +283,32 @@ func (t *Twin) calibrate(s *exp.Suite, w svmsim.Workload, mode svmsim.Mode, axes
 		missing = axes
 	}
 
-	// Gather every anchor cell and warm them in one parallel batch.
+	// Every anchor cell runs in one parallel batch: the base and
+	// uniprocessor anchors, then each missing axis's anchors in value order.
 	cells := []exp.Cell{{Cfg: base, W: w}, {Cfg: uni, W: w}}
-	for _, a := range missing {
-		for _, v := range m.anchorValues(a) {
+	values := make([][]float64, len(missing))
+	for k, a := range missing {
+		values[k] = m.anchorValues(a)
+		for _, v := range values[k] {
 			cfg := base
 			a.Set(&cfg, v)
 			cells = append(cells, exp.Cell{Cfg: cfg, W: w})
 		}
 	}
-	if err := s.RunCells(cells); err != nil {
+	runs, errs := s.RunCells(cells)
+	if err := exp.FirstErr(errs); err != nil {
 		return nil, fmt.Errorf("twin: calibrating %s/%s: %w", w.Name, m.Mode(), err)
 	}
+	m.baseRun, m.baseTime = runs[0], runs[0].Cycles
+	m.uniRun, m.uniTime = runs[1], runs[1].Cycles
+	m.profile = runs[0].Profile()
 
-	baseRun, err := s.RunCell(exp.Cell{Cfg: base, W: w})
-	if err != nil {
-		return nil, fmt.Errorf("twin: calibrating %s/%s: %w", w.Name, m.Mode(), err)
-	}
-	uniRun, err := s.RunCell(exp.Cell{Cfg: uni, W: w})
-	if err != nil {
-		return nil, fmt.Errorf("twin: calibrating %s/%s: %w", w.Name, m.Mode(), err)
-	}
-	m.baseRun, m.baseTime = baseRun, baseRun.Cycles
-	m.uniRun, m.uniTime = uniRun, uniRun.Cycles
-	m.profile = baseRun.Profile()
-
-	for _, a := range missing {
+	runs = runs[2:]
+	for k, a := range missing {
 		ax := &axisModel{events: m.axisEvents(a)}
-		for _, v := range m.anchorValues(a) {
-			cfg := base
-			a.Set(&cfg, v)
-			run, err := s.RunCell(exp.Cell{Cfg: cfg, W: w})
-			if err != nil {
-				return nil, fmt.Errorf("twin: calibrating %s/%s %s=%g: %w", w.Name, m.Mode(), a, v, err)
-			}
-			ax.points = append(ax.points, anchorPoint{value: v, pos: axisPos(a, v), time: run.Cycles, run: run})
+		for _, v := range values[k] {
+			ax.points = append(ax.points, anchorPoint{value: v, pos: axisPos(a, v), time: runs[0].Cycles, run: runs[0]})
+			runs = runs[1:]
 		}
 		ax.residual = looResidual(ax.points)
 		ax.costPerEvent = chordCostPerEvent(ax.points, ax.events)

@@ -105,9 +105,6 @@ const (
 	RequestDedicated  = interrupts.Dedicated
 )
 
-// PollParams configures the polling / dedicated-processor schemes.
-type PollParams = interrupts.PollParams
-
 // Fault-injection and reliable-delivery configuration (Config.Net.Fault and
 // Config.Net.Reliable; see internal/network). A FaultPlan injects
 // deterministic packet drops, duplicates and reorder delays; ReliableParams
@@ -127,8 +124,8 @@ type (
 	StallError = engine.StallError
 	// DeadlockError reports the event queue draining with threads parked.
 	DeadlockError = engine.DeadlockError
-	// LivelockError reports the event budget running out (see
-	// Config.MaxEvents).
+	// LivelockError reports the engine's livelock guard firing: the run
+	// dispatched 50 billion events without finishing.
 	LivelockError = engine.LivelockError
 	// ThreadPanicError reports a panic inside a simulated thread.
 	ThreadPanicError = engine.ThreadPanicError
