@@ -1,6 +1,6 @@
 # Development checks for svmsim. `make check` is the CI gate: vet of both
 # modules, the domain-specific svmlint analyzers (determinism / wall-clock /
-# lock-discipline / stats-wiring invariants, see internal/lint), build, the full test suite of both
+# no-lock / stats-wiring invariants, see internal/lint), build, the full test suite of both
 # modules (which drives the real svmsimd binary through its crash, drain and
 # fleet drills, and the real sweep command through a twin-pruned sweep), the
 # race detector over the packages with real concurrency (the parallel

@@ -33,7 +33,6 @@ func main() {
 		procs    = flag.Int("procs", 16, "total processors")
 		ppn      = flag.Int("ppn", 4, "processors per node (baseline)")
 		parallel = flag.Int("parallel", 0, "concurrent simulation runs (0 = GOMAXPROCS, 1 = serial)")
-		retries  = flag.Int("retries", 0, "extra attempts for a failing cell before it becomes an error row")
 		cacheDir = flag.String("cache-dir", "", "persist finished cells to this directory and reuse them across runs")
 		verbose  = flag.Bool("v", false, "progress output")
 	)
@@ -43,7 +42,6 @@ func main() {
 	s.Procs = *procs
 	s.PPN = *ppn
 	s.Parallelism = *parallel
-	s.Retries = *retries
 	s.CacheDir = *cacheDir
 	if *verbose {
 		s.Verbose = os.Stderr

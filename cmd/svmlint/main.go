@@ -1,7 +1,7 @@
 // Command svmlint runs the simulator's domain-specific static analyzers
-// (determinism, wall-clock, float-comparison, lock-discipline and
-// stats-wiring invariants) over the repository, type-checking the requested
-// packages as one whole program. See internal/lint for the analyzer
+// (determinism, wall-clock, float-comparison, no-lock and stats-wiring
+// invariants) over the repository, type-checking the requested packages as
+// one whole program. See internal/lint for the analyzer
 // catalogue and DESIGN.md for the invariants each one encodes.
 //
 // Usage:

@@ -21,8 +21,8 @@
 // to a write-ahead journal before the 202 reaches the client, and a restart
 // replays the journal — incomplete jobs are re-enqueued (warm from the
 // -cache-dir disk cache) and resubmissions of in-flight work coalesce onto
-// the surviving job id. -job-deadline arms a per-attempt watchdog that
-// retries stuck jobs with backoff and quarantines them after -max-attempts.
+// the surviving job id. -job-deadline arms a watchdog that quarantines a job
+// still running at the deadline; the job is not re-run.
 // A journal directory is exclusive: a second daemon pointed at the same
 // -journal-dir fails fast instead of interleaving records.
 //
@@ -33,7 +33,8 @@
 //	                                and GET /v1/workers; cells dispatch to
 //	                                joined workers by content-key affinity
 //	svmsimd -join http://coord:7117 serve as a worker: register with the
-//	                                coordinator, heartbeat, re-join after
+//	                                coordinator, heartbeat at the interval
+//	                                it advertises, re-join after
 //	                                coordinator restarts
 package main
 
@@ -70,8 +71,6 @@ type options struct {
 	workers    int
 	retry      int
 	deadline   time.Duration
-	maxAtt     int
-	backoff    time.Duration
 	reqTO      time.Duration
 	drainTO    time.Duration
 	pprofAddr  string
@@ -101,9 +100,7 @@ func main() {
 	flag.IntVar(&o.queue, "queue-depth", 64, "admission queue bound; overflow is 429")
 	flag.IntVar(&o.workers, "workers", 2, "job worker pool size")
 	flag.IntVar(&o.retry, "retry-after", 2, "Retry-After seconds advertised on 429")
-	flag.DurationVar(&o.deadline, "job-deadline", 0, "wall-clock bound per job execution attempt; 0 disables the watchdog")
-	flag.IntVar(&o.maxAtt, "max-attempts", 3, "attempts before a timed-out job is quarantined")
-	flag.DurationVar(&o.backoff, "retry-backoff", 500*time.Millisecond, "base delay before retrying a timed-out job (doubles per attempt, up to 1m)")
+	flag.DurationVar(&o.deadline, "job-deadline", 0, "wall-clock bound per job; a job still running at it is quarantined (0 disables the watchdog)")
 	flag.DurationVar(&o.reqTO, "request-timeout", 10*time.Minute, "per-request handler timeout (bounds ?wait=1 long polls)")
 	flag.DurationVar(&o.drainTO, "drain-timeout", 10*time.Minute, "how long shutdown waits for accepted jobs before giving up")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); off when empty")
@@ -111,7 +108,7 @@ func main() {
 	flag.BoolVar(&o.coordinator, "coordinator", false, "front a worker fleet: dispatch cells to joined svmsimd workers instead of simulating locally")
 	flag.StringVar(&o.join, "join", "", "join the fleet fronted by the coordinator at this base URL and serve as its worker")
 	flag.StringVar(&o.advertise, "advertise", "", "base URL this worker advertises to the coordinator (default: the resolved listen address)")
-	flag.DurationVar(&o.hbInterval, "hb-interval", time.Second, "coordinator: heartbeat interval expected from workers")
+	flag.DurationVar(&o.hbInterval, "hb-interval", time.Second, "coordinator: heartbeat interval it advertises to joining workers")
 	flag.DurationVar(&o.suspectTO, "suspect-timeout", 0, "coordinator: silence before a worker is declared dead (0 = 4 x hb-interval)")
 	flag.IntVar(&o.maxDisp, "max-dispatches", 4, "coordinator: placement attempts per cell before giving up")
 	flag.DurationVar(&o.workerWait, "worker-wait", 30*time.Second, "coordinator: how long a dispatch waits for the first alive worker")
@@ -185,8 +182,6 @@ func run(o options) error {
 		RetryAfterSeconds: o.retry,
 		JournalDir:        o.journalDir,
 		JobDeadline:       o.deadline,
-		MaxAttempts:       o.maxAtt,
-		RetryBackoff:      o.backoff,
 	}
 
 	var handler http.Handler
@@ -245,7 +240,7 @@ func run(o options) error {
 			cacheDir := o.cacheDir
 			info.WarmKeys = func() []string { return exp.WarmKeys(cacheDir, 4096) }
 		}
-		membership = fleet.Join(&fleet.Client{}, strings.TrimRight(o.join, "/"), info, o.hbInterval, func(format string, args ...any) {
+		membership = fleet.Join(&fleet.Client{}, strings.TrimRight(o.join, "/"), info, func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "svmsimd: "+format+"\n", args...)
 		})
 	}

@@ -195,7 +195,7 @@ func runRemote(base, cellSpec string, spec exp.SweepSpec, jsonOut bool) (int, er
 	ctx := context.Background()
 
 	if cellSpec != "" {
-		status, data, err := submitAndWait(ctx, client, base+"/v1/cells", []byte(cellSpec))
+		status, data, err := client.SubmitAndWait(ctx, base, "/v1/cells", []byte(cellSpec))
 		if err != nil {
 			return 1, err
 		}
@@ -210,7 +210,7 @@ func runRemote(base, cellSpec string, spec exp.SweepSpec, jsonOut bool) (int, er
 	if err != nil {
 		return 1, err
 	}
-	status, data, err := submitAndWait(ctx, client, base+"/v1/sweeps", body)
+	status, data, err := client.SubmitAndWait(ctx, base, "/v1/sweeps", body)
 	if err != nil {
 		return 1, err
 	}
@@ -228,47 +228,6 @@ func runRemote(base, cellSpec string, spec exp.SweepSpec, jsonOut bool) (int, er
 	}
 	fmt.Print(renderTable(res))
 	return 0, nil
-}
-
-// submitAndWait posts a spec, then long-polls the job result until it is
-// terminal. The retrying client absorbs 429s (honoring Retry-After), and
-// 409/503 poll responses mean "still running" — poll again.
-func submitAndWait(ctx context.Context, client *fleet.Client, url string, body []byte) (int, []byte, error) {
-	status, data, err := client.Do(ctx, http.MethodPost, url, body)
-	if err != nil {
-		return 0, nil, err
-	}
-	switch status {
-	case http.StatusOK, http.StatusAccepted:
-	default:
-		return 0, nil, fmt.Errorf("daemon refused the submission: %d %s", status, strings.TrimSpace(string(data)))
-	}
-	var view struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(data, &view); err != nil || view.ID == "" {
-		return 0, nil, fmt.Errorf("unparseable submit response %q", strings.TrimSpace(string(data)))
-	}
-	resultURL := urlJoinJobs(url, view.ID)
-	for {
-		status, data, err = client.Do(ctx, http.MethodGet, resultURL, nil)
-		if err != nil {
-			return 0, nil, err
-		}
-		switch status {
-		case http.StatusConflict, http.StatusServiceUnavailable:
-			continue // long-poll window expired while the job still runs
-		default:
-			return status, data, nil
-		}
-	}
-}
-
-// urlJoinJobs rewrites a submission URL (.../v1/cells or .../v1/sweeps) into
-// the result URL for a job ID on the same daemon.
-func urlJoinJobs(submitURL, id string) string {
-	base := submitURL[:strings.LastIndex(submitURL, "/v1/")]
-	return base + "/v1/jobs/" + id + "/result?wait=1"
 }
 
 // runCell executes one cell spec and prints the canonical result document.

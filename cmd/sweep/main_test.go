@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
+	"net/http/httptest"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -11,7 +13,18 @@ import (
 	"testing"
 
 	"svmsim/internal/exp"
+	"svmsim/internal/server"
 )
+
+// buildSweep compiles the command into the test's temp dir.
+func buildSweep(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "sweep")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building sweep: %v\n%s", err, out)
+	}
+	return bin
+}
 
 // runSweep runs the built command with args and returns its stdout and
 // stderr; a non-zero exit fails the test.
@@ -38,10 +51,7 @@ func TestTwinPruneMatchesSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the command and runs two sweeps")
 	}
-	bin := filepath.Join(t.TempDir(), "sweep")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building sweep: %v\n%s", err, out)
-	}
+	bin := buildSweep(t)
 	args := []string{"-param", "interrupt", "-apps", "FFT,LU", "-json"}
 	plainDoc, _ := runSweep(t, bin, args...)
 	prunedDoc, prunedLog := runSweep(t, bin, append(args, "-twin-prune")...)
@@ -91,6 +101,38 @@ func TestTwinPruneMatchesSimulation(t *testing.T) {
 			if !(math.Abs(a-b)/ref <= 0.15) {
 				t.Errorf("%s, %s: simulated %g, pruned %g (more than 15%% apart)", want.Name, plain.Table.Cols[j], a, b)
 			}
+		}
+	}
+}
+
+// TestRemoteMatchesLocal: a sweep and a cell submitted with -remote print the
+// same bytes as the same commands run locally, as the package comment
+// promises. The daemon is an in-process svmsimd with a small suite and the
+// default topology, the suite the command builds without flags.
+func TestRemoteMatchesLocal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the command and runs a sweep locally and on a daemon")
+	}
+	bin := buildSweep(t)
+	srv, err := server.New(server.Config{Suite: exp.NewSuite(exp.Small)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Error(err)
+		}
+		ts.Close()
+	})
+	for _, args := range [][]string{
+		{"-param", "interrupt", "-apps", "FFT", "-json"},
+		{"-cell", `{"workload":"FFT"}`},
+	} {
+		local, _ := runSweep(t, bin, args...)
+		remote, _ := runSweep(t, bin, append([]string{"-remote", ts.URL}, args...)...)
+		if len(local) == 0 || !bytes.Equal(local, remote) {
+			t.Errorf("sweep %v: -remote prints\n%s\nlocally\n%s", args, remote, local)
 		}
 	}
 }

@@ -331,10 +331,10 @@ func NewCellResult(key string, run *svmsim.RunStats, err error) CellResult {
 }
 
 // taxonomy declares every typed failure once: how to recognise it, its
-// wire kind, and whether a retry can change its outcome. ErrKind,
-// RetryableKind and deterministicErr all read it, so a new error type is
-// one row, and a row that leaves out its retry disposition does not
-// compile. Nothing checks that a type has a row: an error type missing
+// wire kind, and whether running the cell on another host can change its
+// outcome. ErrKind and RetryableKind read it, and the fleet coordinator
+// re-dispatches a worker's answer whose kind is retryable. A new error type
+// is one row, and a row that leaves out its disposition does not compile. Nothing checks that a type has a row: an error type missing
 // from the table classifies as "failed" and retryable, like any untyped
 // error. Rows are tried in order, so for an error chain holding several
 // types the first row that matches names it.
@@ -345,19 +345,20 @@ var taxonomy = []struct {
 }{
 	// Modeled simulation outcomes. The simulator is deterministic, so a
 	// stall, a lost page, an exhausted link retry budget, a drained-queue
-	// deadlock or a livelock fails identically on every attempt and on
-	// every worker; a retry only re-pays the full simulation cost.
+	// deadlock or a livelock fails identically on every run and on every
+	// worker; re-running it only re-pays the full simulation cost.
 	{isErr[*svmsim.StallError], "stall", false},
 	{isErr[*svmsim.LostPageError], "lost_page", false},
 	{isErr[*svmsim.LinkFailureError], "link_failure", false},
 	{isErr[*svmsim.DeadlockError], "deadlock", false},
 	{isErr[*svmsim.LivelockError], "livelock", false},
 	// A panic inside a simulated thread usually reproduces, but panic
-	// causes include environmental limits (stack, memory); spend the retry
-	// budget rather than cache a possibly transient failure.
+	// causes include the host's limits (stack, memory); another worker may
+	// finish the cell, so the fleet re-dispatches it rather than cache a
+	// possibly host-specific failure.
 	{isErr[*svmsim.ThreadPanicError], "panic", true},
 	// A wall-clock deadline is pure host weather (load, scheduling, disk):
-	// the same cell may finish comfortably on the next attempt.
+	// the same cell may finish comfortably on another worker.
 	{isErr[*JobTimeoutError], "job_timeout", true},
 	// The worker died, not the simulation: the identical cell succeeds on
 	// any other worker.

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"svmsim"
 	"svmsim/internal/stats"
@@ -365,12 +366,11 @@ func TestCellVocabulary(t *testing.T) {
 	}
 }
 
-// TestErrKindTaxonomy pins the wire kind and the retry disposition of every
-// typed failure, seen both ways: the local retry loop judges the typed error
-// (deterministicErr), the fleet coordinator judges only the wire kind
-// (RetryableKind), and the two must agree. Deterministic modeled failures
-// skip the retry budget; a thread panic may be environmental and is allowed
-// to retry. A failed document without a kind reads back as "failed".
+// TestErrKindTaxonomy pins the wire kind and the disposition of every typed
+// failure, bare and wrapped: the fleet coordinator re-dispatches a worker's
+// answer whose kind is retryable (RetryableKind). Deterministic modeled
+// failures are results; a thread panic may be host-specific and is
+// retryable. A failed document without a kind reads back as "failed".
 func TestErrKindTaxonomy(t *testing.T) {
 	cases := []struct {
 		err           error
@@ -385,7 +385,7 @@ func TestErrKindTaxonomy(t *testing.T) {
 		{&svmsim.ThreadPanicError{Thread: "p0", Value: "boom"}, "panic", false},
 		{&UncalibratedError{Workload: "FFT", Mode: "hlrc", Reason: "no calibration has run"}, "uncalibrated", true},
 		{&InfeasibleError{Workload: "FFT", Mode: "hlrc", MinSpeedup: 12, Best: 9.1}, "infeasible", true},
-		{&JobTimeoutError{Key: "k", Attempt: 2}, "job_timeout", false},
+		{&JobTimeoutError{Key: "k", Deadline: time.Second}, "job_timeout", false},
 		{&WorkerLostError{Worker: "w1-e1", Key: "k"}, "worker_lost", false},
 		{&RedispatchExhaustedError{Key: "k", Attempts: 3, Last: "refused"}, "redispatch_exhausted", false},
 		{errors.New("setup exploded"), "failed", false},
@@ -397,8 +397,8 @@ func TestErrKindTaxonomy(t *testing.T) {
 			if k := ErrKind(err); k != c.kind {
 				t.Errorf("ErrKind(%v) = %q, want %q", err, k, c.kind)
 			}
-			if d := deterministicErr(err); d != c.deterministic {
-				t.Errorf("deterministicErr(%v) = %v, want %v", err, d, c.deterministic)
+			if d := !RetryableKind(ErrKind(err)); d != c.deterministic {
+				t.Errorf("!RetryableKind(ErrKind(%v)) = %v, want %v", err, d, c.deterministic)
 			}
 		}
 		if r := RetryableKind(c.kind); r != !c.deterministic {

@@ -92,11 +92,10 @@ func TestCleanConfigKeyUnchangedByCrashSupport(t *testing.T) {
 }
 
 // TestDeterministicErrorNotRetried: modeled failures (here a watchdog
-// StallError) are reproducible, so the retry budget must not re-simulate
-// them; host-level panics keep their retries (TestRetriesRecoverFlakyCell).
+// StallError) are reproducible, so a failing cell simulates once and its
+// error is the cell's result.
 func TestDeterministicErrorNotRetried(t *testing.T) {
 	s := smallSuite(1)
-	s.Retries = 3
 	var log bytes.Buffer
 	s.Verbose = &log
 	cfg := s.Base()
@@ -108,7 +107,7 @@ func TestDeterministicErrorNotRetried(t *testing.T) {
 	if !errors.As(err, new(*svmsim.StallError)) {
 		t.Fatalf("not a structured stall: %v", err)
 	}
-	if n := strings.Count(log.String(), "retry "); n != 0 {
-		t.Fatalf("deterministic error re-simulated %d times:\n%s", n, log.String())
+	if n := strings.Count(log.String(), "run "); n != 1 {
+		t.Fatalf("stalled cell simulated %d times, want 1:\n%s", n, log.String())
 	}
 }

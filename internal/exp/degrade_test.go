@@ -3,7 +3,6 @@ package exp
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 
 	"svmsim"
@@ -66,42 +65,6 @@ func TestPanicCellDegradesToErrorRow(t *testing.T) {
 	}
 	if after := strings.Count(log.String(), "run "); after != before {
 		t.Fatalf("error cell re-simulated (%d -> %d run lines)", before, after)
-	}
-}
-
-// TestRetriesRecoverFlakyCell: a cell that fails transiently succeeds within
-// its retry budget and caches the successful result.
-func TestRetriesRecoverFlakyCell(t *testing.T) {
-	var mu sync.Mutex
-	attempts := 0
-	mk := func() svmsim.App {
-		return svmsim.App{
-			Name: "flaky",
-			Setup: func(w *svmsim.World) any {
-				mu.Lock()
-				attempts++
-				n := attempts
-				mu.Unlock()
-				if n <= 2 {
-					panic("transient")
-				}
-				return nil
-			},
-			Body: func(c *svmsim.Proc, state any) { c.Compute(1000); c.Barrier() },
-		}
-	}
-	flaky := svmsim.Workload{Name: "flaky", Small: mk, Default: mk}
-	s := smallSuite(1)
-	s.Retries = 2
-	run, err := s.run(s.Base(), flaky)
-	if err != nil {
-		t.Fatalf("flaky cell not recovered by retries: %v", err)
-	}
-	if run == nil || run.Cycles == 0 {
-		t.Fatal("recovered cell has no result")
-	}
-	if attempts != 3 {
-		t.Fatalf("attempts=%d, want 3 (2 failures + 1 success)", attempts)
 	}
 }
 

@@ -67,9 +67,6 @@ type Suite struct {
 	// Parallelism bounds RunCells' worker pool. Zero or negative means
 	// GOMAXPROCS; 1 forces serial execution.
 	Parallelism int
-	// Retries is the number of extra attempts a failing cell gets before its
-	// error becomes the cell's cached result. Zero retries once-and-done.
-	Retries int
 	// CacheDir, when non-empty, persists every finished cell (result or
 	// error) to this directory so later sweeps — including other processes —
 	// start from the accumulated results instead of re-simulating. Entries
@@ -234,9 +231,10 @@ func cfgKey(c svmsim.Config) string {
 // run executes (and caches) one workload on one configuration. It is safe
 // for concurrent use: the first caller for a key simulates while later
 // callers for the same key block on the shared flight and reuse its result.
-// A failing cell (error or panic) is retried up to Suite.Retries times; the
-// final error is cached too, so an error row renders once per sweep instead
-// of re-simulating for every table that shares the cell.
+// A cell simulates once: the simulator is deterministic, so a failing cell
+// (error or panic) fails the same way on every run. Its error is cached
+// too, so an error row renders once per sweep instead of re-simulating for
+// every table that shares the cell.
 func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, error) {
 	key := w.Name + "|" + cfgKey(cfg)
 	s.mu.Lock()
@@ -267,7 +265,6 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 	f := &flight{done: make(chan struct{})}
 	s.flight[key] = f
 	verbose := s.Verbose
-	retries := s.Retries
 	s.mu.Unlock()
 
 	// run is the cell's statistics. Only they are memoized: the full
@@ -319,22 +316,13 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 		}
 	}
 	var simSeconds float64
-	for attempt := 0; !hit; attempt++ {
+	if !hit {
 		if verbose != nil {
-			if attempt == 0 {
-				s.logf(verbose, "run %-12s %s\n", w.Name, cfgKey(cfg))
-			} else {
-				s.logf(verbose, "retry %-10s %s (attempt %d: %v)\n", w.Name, cfgKey(cfg), attempt+1, err)
-			}
+			s.logf(verbose, "run %-12s %s\n", w.Name, cfgKey(cfg))
 		}
 		sw := walltime.Start()
 		run, err = s.simulate(cfg, w)
-		simSeconds += sw.Seconds()
-		if err == nil || attempt >= retries || deterministicErr(err) {
-			break
-		}
-	}
-	if !hit {
+		simSeconds = sw.Seconds()
 		if err != nil {
 			err = fmt.Errorf("%s on %s: %w", w.Name, cfgKey(cfg), err)
 		}
@@ -364,15 +352,6 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 // point behind cmd/sweep's -cell mode and the daemon's cell jobs.
 func (s *Suite) RunCell(c Cell) (*svmsim.RunStats, error) {
 	return s.run(c.Cfg, c.W)
-}
-
-// deterministicErr reports whether a freshly simulated error is a
-// reproducible outcome (see taxonomy): the simulator is deterministic, so
-// such a failure repeats on every attempt and a retry only re-pays the full
-// simulation cost before caching the same error. Retries exist for
-// host-level flakiness, not for modeled failures.
-func deterministicErr(err error) bool {
-	return !RetryableKind(ErrKind(err))
 }
 
 // simulate executes one cell, converting a panic (in the simulator, protocol,

@@ -5,24 +5,22 @@ import (
 	"time"
 )
 
-// JobTimeoutError reports a serving-layer job whose attempt exceeded the
-// daemon's wall-clock deadline (svmsimd's worker watchdog). It is a harness
-// failure, not a simulation outcome: the simulated run itself has no notion
-// of wall time, so the error carries the job's content key and the attempt
-// count rather than any simulated state. It lives in exp because its row in
-// the error taxonomy (codec.go) must name it, and internal/server (which
-// raises it) sits above exp in the import graph.
+// JobTimeoutError reports a serving-layer job that ran past the daemon's
+// wall-clock deadline (svmsimd's worker watchdog). It is a harness failure,
+// not a simulation outcome: the simulated run itself has no notion of wall
+// time, so the error carries the job's content key and the deadline rather
+// than any simulated state. It lives in exp because its row in the error
+// taxonomy (codec.go) must name it, and internal/server (which raises it)
+// sits above exp in the import graph.
 type JobTimeoutError struct {
 	// Key is the content address of the timed-out work.
 	Key string
-	// Attempt is the 1-based attempt that tripped the deadline.
-	Attempt int
-	// Deadline is the per-attempt wall-clock budget that was exceeded.
+	// Deadline is the wall-clock budget that was exceeded.
 	Deadline time.Duration
 }
 
 func (e *JobTimeoutError) Error() string {
-	return fmt.Sprintf("job attempt %d exceeded the %v deadline (key %s)", e.Attempt, e.Deadline, e.Key)
+	return fmt.Sprintf("job exceeded the %v deadline (key %s)", e.Deadline, e.Key)
 }
 
 // WorkerLostError reports a fleet dispatch aborted because the worker

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -212,11 +213,14 @@ func TestRemoteErrorPreservedAndCached(t *testing.T) {
 	}
 }
 
-// TestRetryableKindMirrorsDeterministicErr holds the two disposition views
-// in agreement: the coordinator sees only wire kinds, the local retry loop
-// sees typed errors, and a cell must never be "retry elsewhere" on one side
-// but "deterministic, cache it" on the other. Both views read the taxonomy
-// table, so this also checks that every typed failure has a row of its own.
+// TestRetryableKindMirrorsDeterministicErr holds each typed failure's
+// disposition across the wire. The fleet coordinator sees a worker's answer
+// only after the typed error has been flattened into a CellResult, so the
+// kind read back from the document (NewCellResult, encode, decode,
+// resultErr, ErrKind) must be the typed error's kind, with the same
+// disposition, and a cell must never be "retry elsewhere" on one side but
+// "deterministic, cache it" on the other. It also checks that every typed
+// failure has a row of its own in the taxonomy table.
 func TestRetryableKindMirrorsDeterministicErr(t *testing.T) {
 	taxonomy := []error{
 		&svmsim.StallError{},
@@ -231,13 +235,28 @@ func TestRetryableKindMirrorsDeterministicErr(t *testing.T) {
 		&WorkerLostError{},
 		&RedispatchExhaustedError{},
 	}
-	for _, err := range taxonomy {
-		kind := ErrKind(err)
+	for _, typed := range taxonomy {
+		kind := ErrKind(typed)
 		if kind == "" || kind == "failed" {
-			t.Fatalf("%T has no structured kind (got %q)", err, kind)
+			t.Fatalf("%T has no structured kind (got %q)", typed, kind)
 		}
-		if got, want := RetryableKind(kind), !deterministicErr(err); got != want {
-			t.Errorf("%T (kind %q): RetryableKind=%v but deterministicErr=%v", err, kind, got, !want)
+		// Suite.run wraps a cell's error with workload and key context.
+		for _, err := range []error{typed, fmt.Errorf("LU on p16: %w", typed)} {
+			data, encErr := EncodeCellResult(NewCellResult("k", nil, err))
+			if encErr != nil {
+				t.Fatal(encErr)
+			}
+			res, decErr := DecodeCellResult(data)
+			if decErr != nil {
+				t.Fatal(decErr)
+			}
+			back := ErrKind(resultErr(res))
+			if back != kind || res.ErrKind != kind {
+				t.Errorf("%T: kind %q reads back as %q (document %q)", typed, kind, back, res.ErrKind)
+			}
+			if RetryableKind(back) != RetryableKind(kind) {
+				t.Errorf("%T (kind %q): disposition changed on the wire", typed, kind)
+			}
 		}
 	}
 	if RetryableKind("") {

@@ -211,7 +211,7 @@ func TestChaosWorkerKill9(t *testing.T) {
 	workers := make([]*chaosDaemon, 3)
 	for i := range workers {
 		workerArgs := append([]string{
-			"-join", coord.url, "-hb-interval", "100ms",
+			"-join", coord.url,
 			"-parallel", "1", "-workers", "1",
 			"-cache-dir", filepath.Join(t.TempDir(), "cache"),
 		}, chaosSuiteArgs...)
@@ -349,7 +349,7 @@ func TestChaosCoordinatorKill9(t *testing.T) {
 	workers := make([]*chaosDaemon, 2)
 	for i := range workers {
 		workerArgs := append([]string{
-			"-join", coord.url, "-hb-interval", "100ms",
+			"-join", coord.url,
 			"-parallel", "1", "-workers", "1",
 			"-cache-dir", filepath.Join(t.TempDir(), "cache"),
 		}, chaosSuiteArgs...)

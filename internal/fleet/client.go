@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -25,12 +26,12 @@ import (
 // and adds jitter so a fleet of clients released by the same 429 does not
 // stampede back in lockstep. Transport-level errors (connection refused,
 // reset) retry on the same schedule. Every retried verb here is safe to
-// repeat: submissions are idempotent by content key.
+// repeat: submissions are idempotent by content key. SubmitAndWait, the
+// job protocol on top of Do, is the one client of a daemon's jobs: the
+// coordinator's dispatch and cmd/sweep -remote both run through it.
 //
 // The zero value is usable; all fields are optional.
 type Client struct {
-	// HTTP is the underlying client (default http.DefaultClient).
-	HTTP *http.Client
 	// MaxAttempts bounds total tries per request (default 4). Transport
 	// errors and 429s retry up to the budget; any other response returns
 	// to the caller as-is, first try.
@@ -55,10 +56,6 @@ func (c *Client) Do(ctx context.Context, method, url string, body []byte) (int, 
 	if attempts <= 0 {
 		attempts = 4
 	}
-	hc := c.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
@@ -68,7 +65,7 @@ func (c *Client) Do(ctx context.Context, method, url string, body []byte) (int, 
 		if len(body) > 0 {
 			req.Header.Set("Content-Type", "application/json")
 		}
-		resp, err := hc.Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			if ctx.Err() != nil {
 				return 0, nil, ctx.Err()
@@ -97,6 +94,54 @@ func (c *Client) Do(ctx context.Context, method, url string, body []byte) (int, 
 		return resp.StatusCode, data, nil
 	}
 	return 0, nil, fmt.Errorf("fleet: %s %s failed after %d attempts: %w", method, url, attempts, lastErr)
+}
+
+// SubmitAndWait runs one job through the job protocol of the svmsimd daemon
+// (or fleet coordinator) at base: it POSTs spec to base+path ("/v1/cells"
+// or "/v1/sweeps"), reads the job ID from the descriptor, then long-polls
+// the job's result until it is terminal. It returns that answer's status
+// and body: 200 with the result document, or an error envelope. A 409 or
+// 503 poll answer means the job is still running, and it polls again.
+//
+// A non-nil error is either a transport error from Do or a *refusedError:
+// the daemon answered the submission with something other than a job
+// descriptor.
+func (c *Client) SubmitAndWait(ctx context.Context, base, path string, spec []byte) (int, []byte, error) {
+	status, data, err := c.Do(ctx, http.MethodPost, base+path, spec)
+	if err != nil {
+		return 0, nil, err
+	}
+	var view struct {
+		ID string `json:"id"`
+	}
+	if (status != http.StatusOK && status != http.StatusAccepted) || json.Unmarshal(data, &view) != nil || view.ID == "" {
+		return 0, nil, &refusedError{status: status, body: firstLine(data)}
+	}
+	for {
+		status, data, err = c.Do(ctx, http.MethodGet, base+"/v1/jobs/"+view.ID+"/result?wait=1", nil)
+		if err != nil {
+			return 0, nil, err
+		}
+		if status != http.StatusConflict && status != http.StatusServiceUnavailable {
+			return status, data, nil
+		}
+	}
+}
+
+// refusedError reports a submission the daemon answered without accepting
+// a job: a status other than 200 or 202 (a 400 for version skew, a 503
+// while draining), or a body that is not a job descriptor. It is an answer
+// from a reachable daemon, not a transport failure.
+type refusedError struct {
+	status int
+	body   string // first line of the answer
+}
+
+func (e *refusedError) Error() string {
+	if e.status == http.StatusOK || e.status == http.StatusAccepted {
+		return fmt.Sprintf("unparseable submit response %q", e.body)
+	}
+	return fmt.Sprintf("daemon refused the submission: %d %s", e.status, e.body)
 }
 
 // delay picks the wait before the next attempt: the server's Retry-After

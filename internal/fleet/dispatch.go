@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -33,9 +34,9 @@ func (c *Coordinator) remote(cell exp.Cell) (exp.CellResult, bool) {
 	if !ok {
 		return exp.CellResult{}, false
 	}
-	// After a crash restart, hold replayed dispatches until the fleet has
-	// had a beat to re-register (see Config.SettleDelay); closed
-	// immediately when nothing was replayed.
+	// After a crash restart, hold replayed dispatches for one suspect
+	// timeout so the fleet can re-register (see New); closed immediately
+	// when nothing was replayed.
 	<-c.settled
 	key := cell.Key()
 	var lastErr error
@@ -217,13 +218,15 @@ func (c *Coordinator) try(w *worker, key string, spec exp.CellSpec, agg chan<- t
 	agg <- tryOutcome{res: res}
 }
 
-// callWorker runs the worker-side protocol for one cell: submit the spec,
-// then long-poll the job result. The call aborts the moment the worker's
-// down channel closes (failure detector, broken connection elsewhere, or a
+// callWorker runs one cell through the worker's job protocol
+// (Client.SubmitAndWait). The call aborts the moment the worker's down
+// channel closes (failure detector, broken connection elsewhere, or a
 // re-registration), surfacing a typed *exp.WorkerLostError so the
 // orchestrator re-dispatches instead of waiting out an HTTP timeout against
 // a dead peer. A connection-level failure additionally condemns the worker:
-// refusing connections is stronger evidence than a missed heartbeat.
+// refusing connections is stronger evidence than a missed heartbeat. A
+// refused submission does not: a 400 means version skew between coordinator
+// and worker, a 503 a draining worker, and either way placement moves on.
 func (c *Coordinator) callWorker(w *worker, key string, spec exp.CellSpec) (exp.CellResult, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -234,72 +237,44 @@ func (c *Coordinator) callWorker(w *worker, key string, spec exp.CellSpec) (exp.
 		case <-ctx.Done():
 		}
 	}()
-	lost := func() (exp.CellResult, error) {
-		return exp.CellResult{}, &exp.WorkerLostError{Worker: w.id, Key: key}
-	}
 
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return exp.CellResult{}, err
 	}
-	status, data, err := c.client.Do(ctx, http.MethodPost, w.url+"/v1/cells", body)
-	if err != nil {
+	status, data, err := c.client.SubmitAndWait(ctx, w.url, "/v1/cells", body)
+	var refused *refusedError
+	switch {
+	case errors.As(err, &refused):
+		return exp.CellResult{}, fmt.Errorf("worker %s: %w", w.id, err)
+	case err != nil:
 		if isDown(w) {
-			return lost()
+			return exp.CellResult{}, &exp.WorkerLostError{Worker: w.id, Key: key}
 		}
 		c.reg.condemn(w)
-		return exp.CellResult{}, fmt.Errorf("submitting to %s: %w", w.id, err)
+		return exp.CellResult{}, fmt.Errorf("calling %s: %w", w.id, err)
 	}
 	switch status {
-	case http.StatusOK, http.StatusAccepted:
-	default:
-		// 400s here mean version skew between coordinator and worker; 503
-		// means the worker is draining. Either way this worker cannot take
-		// the cell — report a dispatch failure so placement moves on.
-		return exp.CellResult{}, fmt.Errorf("worker %s refused cell: %d %s", w.id, status, firstLine(data))
-	}
-	var view struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(data, &view); err != nil || view.ID == "" {
-		return exp.CellResult{}, fmt.Errorf("worker %s: unparseable submit response %q", w.id, firstLine(data))
-	}
-
-	for {
-		status, data, err = c.client.Do(ctx, http.MethodGet, w.url+"/v1/jobs/"+view.ID+"/result?wait=1", nil)
+	case http.StatusOK:
+		res, err := exp.DecodeCellResult(data)
 		if err != nil {
-			if isDown(w) {
-				return lost()
-			}
-			c.reg.condemn(w)
-			return exp.CellResult{}, fmt.Errorf("polling %s: %w", w.id, err)
+			return exp.CellResult{}, fmt.Errorf("worker %s: %w", w.id, err)
 		}
-		switch status {
-		case http.StatusOK:
-			res, err := exp.DecodeCellResult(data)
-			if err != nil {
-				return exp.CellResult{}, fmt.Errorf("worker %s: %w", w.id, err)
-			}
-			if res.Key != key {
-				return exp.CellResult{}, fmt.Errorf("worker %s answered key %s for %s (suite skew)", w.id, res.Key, key)
-			}
-			return res, nil
-		case http.StatusConflict, http.StatusServiceUnavailable:
-			// Still running: the long poll's server-side window expired
-			// (503 "timeout") or wait was ignored (409). Poll again.
-			continue
-		case http.StatusInternalServerError:
-			// A finished-but-failed cell: the worker's structured error
-			// envelope becomes the cell's wire result, preserving the kind
-			// so RetryableKind can disposition it upstream.
-			kind, msg, ok := server.ParseError(data)
-			if !ok {
-				return exp.CellResult{}, fmt.Errorf("worker %s: unparseable error envelope %q", w.id, firstLine(data))
-			}
-			return exp.CellResult{Schema: exp.SchemaVersion, Key: key, ErrKind: kind, Err: msg}, nil
-		default:
-			return exp.CellResult{}, fmt.Errorf("worker %s: unexpected result status %d %s", w.id, status, firstLine(data))
+		if res.Key != key {
+			return exp.CellResult{}, fmt.Errorf("worker %s answered key %s for %s (suite skew)", w.id, res.Key, key)
 		}
+		return res, nil
+	case http.StatusInternalServerError:
+		// A finished-but-failed cell: the worker's structured error
+		// envelope becomes the cell's wire result, preserving the kind so
+		// RetryableKind can disposition it upstream.
+		kind, msg, ok := server.ParseError(data)
+		if !ok {
+			return exp.CellResult{}, fmt.Errorf("worker %s: unparseable error envelope %q", w.id, firstLine(data))
+		}
+		return exp.CellResult{Schema: exp.SchemaVersion, Key: key, ErrKind: kind, Err: msg}, nil
+	default:
+		return exp.CellResult{}, fmt.Errorf("worker %s: unexpected result status %d %s", w.id, status, firstLine(data))
 	}
 }
 

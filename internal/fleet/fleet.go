@@ -71,15 +71,6 @@ type Config struct {
 	// HedgeMin floors the hedge delay (default 250ms) so a fleet of
 	// very fast cells does not hedge on scheduling noise.
 	HedgeMin time.Duration
-	// SettleDelay is how long dispatch holds off after a restart that
-	// replayed journaled jobs, giving the worker fleet time to re-register
-	// before replayed cells are routed. Without it the first worker to
-	// re-register would receive every replayed cell — including ones warm
-	// on a slower-returning peer — and re-simulate them. Default is the
-	// SuspectTimeout: a worker needs a full heartbeat cycle plus its
-	// client's retry backoff to discover the restart (its beat answers
-	// 404) and re-register. Ignored when nothing was replayed.
-	SettleDelay time.Duration
 	// Log, when non-nil, receives coordinator event lines (worker joins,
 	// deaths, redispatches, hedges).
 	Log io.Writer
@@ -160,9 +151,12 @@ func New(cfg Config) (*Coordinator, error) {
 	// hook, monitor state) is wired above. Replayed cells block on the
 	// settle gate below until the worker fleet has had a beat to
 	// re-register, so affinity routing sees full membership and warm cells
-	// land back on the workers whose disk caches already hold them. The
-	// gate also orders the fleet's series, declared next, before any
-	// dispatch touches them.
+	// land back on the workers whose disk caches already hold them: without
+	// it the first worker to re-register would receive every replayed cell
+	// and re-simulate the ones warm on a slower-returning peer. The gate
+	// holds for one suspect timeout, the time a worker needs to discover
+	// the restart (its beat answers 404) and re-register. It also orders
+	// the fleet's series, declared next, before any dispatch touches them.
 	srv, err := server.New(scfg)
 	if err != nil {
 		return nil, err
@@ -171,13 +165,9 @@ func New(cfg Config) (*Coordinator, error) {
 	c.metrics = newMetrics(srv.Metrics(), c.reg)
 
 	if n := srv.Replayed(); n > 0 {
-		settle := cfg.SettleDelay
-		if settle <= 0 {
-			settle = cfg.SuspectTimeout
-		}
-		c.logf("fleet: %d replayed jobs; holding dispatch %v for workers to re-register", n, settle)
+		c.logf("fleet: %d replayed jobs; holding dispatch %v for workers to re-register", n, cfg.SuspectTimeout)
 		go func() {
-			t := walltime.NewTimer(settle)
+			t := walltime.NewTimer(cfg.SuspectTimeout)
 			defer t.Stop()
 			select {
 			case <-t.C():

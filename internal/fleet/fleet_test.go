@@ -296,30 +296,11 @@ func registerHTTP(t *testing.T, coordURL, workerURL, cacheID string) string {
 // submitAndWait drives the coordinator's public API like a client would.
 func submitAndWait(t *testing.T, base, path string, body []byte) (int, []byte) {
 	t.Helper()
-	c := &Client{}
-	status, data, err := c.Do(context.Background(), http.MethodPost, base+path, body)
+	status, data, err := (&Client{}).SubmitAndWait(context.Background(), base, path, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status != http.StatusOK && status != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", status, data)
-	}
-	var view struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(data, &view); err != nil || view.ID == "" {
-		t.Fatalf("submit response %q", data)
-	}
-	for {
-		status, data, err = c.Do(context.Background(), http.MethodGet, base+"/v1/jobs/"+view.ID+"/result?wait=1", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if status == http.StatusConflict || status == http.StatusServiceUnavailable {
-			continue
-		}
-		return status, data
-	}
+	return status, data
 }
 
 // parseScrape reads a Prometheus text scrape into its samples, keyed by the
@@ -454,7 +435,7 @@ func TestFleetRedispatchOnWorkerDeath(t *testing.T) {
 	// Now a real worker joins and heartbeats; the black hole stays silent
 	// and must be retired by the monitor, re-routing the in-flight cell.
 	live := startWorker(t, "")
-	m := Join(&Client{}, coordURL.URL, WorkerInfo{URL: live.ts.URL, Capacity: 1}, 50*time.Millisecond, t.Logf)
+	m := Join(&Client{}, coordURL.URL, WorkerInfo{URL: live.ts.URL, Capacity: 1}, t.Logf)
 	defer m.Leave()
 
 	var data []byte
@@ -579,7 +560,7 @@ func TestMembershipRejoinsAfterCoordinatorRestart(t *testing.T) {
 	defer front.Close()
 
 	mk := func() *Coordinator {
-		c, err := New(Config{Suite: exp.NewSuite(exp.Small), SuspectTimeout: time.Minute})
+		c, err := New(Config{Suite: exp.NewSuite(exp.Small), HeartbeatInterval: 20 * time.Millisecond, SuspectTimeout: time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -593,7 +574,7 @@ func TestMembershipRejoinsAfterCoordinatorRestart(t *testing.T) {
 	c1 := mk()
 	current.Store(c1)
 
-	m := Join(&Client{BaseBackoff: 5 * time.Millisecond}, front.URL, WorkerInfo{URL: "http://worker:1"}, 20*time.Millisecond, t.Logf)
+	m := Join(&Client{BaseBackoff: 5 * time.Millisecond}, front.URL, WorkerInfo{URL: "http://worker:1"}, t.Logf)
 	defer m.Leave()
 	waitUntil(t, 5*time.Second, "initial registration", func() bool {
 		alive, _, _ := c1.reg.counts()
@@ -608,6 +589,24 @@ func TestMembershipRejoinsAfterCoordinatorRestart(t *testing.T) {
 		alive, _, _ := c2.reg.counts()
 		return alive == 1
 	})
+}
+
+// TestWorkerBeatsAtAdvertisedInterval: a worker joined without settings of
+// its own beats at the interval its coordinator advertises at registration,
+// so a coordinator at 100ms (suspect timeout 400ms) never declares it dead
+// between beats.
+func TestWorkerBeatsAtAdvertisedInterval(t *testing.T) {
+	coord, ts := newTestCoordinator(t, Config{HeartbeatInterval: 100 * time.Millisecond})
+	m := Join(&Client{}, ts.URL, WorkerInfo{URL: "http://worker:1"}, t.Logf)
+	defer m.Leave()
+	waitUntil(t, 5*time.Second, "registration", func() bool {
+		alive, _, _ := coord.reg.counts()
+		return alive == 1
+	})
+	walltime.Sleep(1500 * time.Millisecond)
+	if alive, deaths, leaves := coord.reg.counts(); alive != 1 || deaths != 0 || leaves != 0 {
+		t.Fatalf("alive/deaths/leaves = %d/%d/%d after 1.5s, want 1/0/0", alive, deaths, leaves)
+	}
 }
 
 // TestRegistrationSeedsWarmth: warm keys reported in the registration body
@@ -655,6 +654,45 @@ func TestCoordinatorDrainRefusesWorkers(t *testing.T) {
 	coord.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("registration during drain = %d, want 503", rec.Code)
+	}
+}
+
+// TestRefusedSubmissionKeepsWorker: callWorker condemns a worker only for a
+// transport error. A worker that refuses the submission (503 while
+// draining) or answers it with something other than a job descriptor is
+// reachable, so the call fails and the worker stays alive; a worker whose
+// listener is gone is condemned.
+func TestRefusedSubmissionKeepsWorker(t *testing.T) {
+	coord, ts := newTestCoordinator(t, Config{SuspectTimeout: time.Minute, HedgeFactor: -1})
+	call := func(url, cacheID string) (*worker, error) {
+		t.Helper()
+		id := registerHTTP(t, ts.URL, url, cacheID)
+		coord.reg.mu.Lock()
+		w := coord.reg.workers[id]
+		coord.reg.mu.Unlock()
+		_, err := coord.callWorker(w, "k", exp.CellSpec{Workload: "FFT"})
+		return w, err
+	}
+	for i, answer := range []http.HandlerFunc{
+		func(w http.ResponseWriter, r *http.Request) {
+			server.WriteError(w, http.StatusServiceUnavailable, "draining", "server is draining")
+		},
+		func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprint(w, "not a job descriptor")
+		},
+	} {
+		refusing := httptest.NewServer(answer)
+		w, err := call(refusing.URL, fmt.Sprintf("refusing%d:/cache", i))
+		refusing.Close()
+		if err == nil || isDown(w) {
+			t.Errorf("answer %d: err %v, worker down %v; want an error and the worker alive", i, err, isDown(w))
+		}
+	}
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	if w, err := call(gone.URL, "gone:/cache"); err == nil || !isDown(w) {
+		t.Errorf("closed listener: err %v, worker down %v; want an error and the worker condemned", err, isDown(w))
 	}
 }
 

@@ -34,7 +34,6 @@ type Membership struct {
 	client      *Client
 	coordinator string
 	info        WorkerInfo
-	interval    time.Duration
 	logf        func(format string, args ...any)
 
 	stop chan struct{}
@@ -44,10 +43,10 @@ type Membership struct {
 // Join starts maintaining a registration with the coordinator at base URL
 // coordinator. It returns immediately; registration happens (and re-happens)
 // in the background with the shared retrying client, so a worker can start
-// before its coordinator and still join once it appears. interval zero
-// adopts whatever cadence the coordinator advertises in its registration
-// response. logf may be nil.
-func Join(client *Client, coordinator string, info WorkerInfo, interval time.Duration, logf func(format string, args ...any)) *Membership {
+// before its coordinator and still join once it appears. The worker beats
+// at the interval the coordinator advertises in its registration response,
+// so it is never declared dead between beats. logf may be nil.
+func Join(client *Client, coordinator string, info WorkerInfo, logf func(format string, args ...any)) *Membership {
 	if client == nil {
 		client = &Client{}
 	}
@@ -61,7 +60,6 @@ func Join(client *Client, coordinator string, info WorkerInfo, interval time.Dur
 		client:      client,
 		coordinator: coordinator,
 		info:        info,
-		interval:    interval,
 		logf:        logf,
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
@@ -121,7 +119,7 @@ func (m *Membership) loop() {
 }
 
 // register attempts one registration round; returns the assigned ID and the
-// heartbeat interval to use.
+// heartbeat interval the coordinator advertised (1s when it sent none).
 func (m *Membership) register(ctx context.Context) (string, time.Duration, bool) {
 	req := regRequest{URL: m.info.URL, Capacity: m.info.Capacity, CacheID: m.info.CacheID}
 	if m.info.WarmKeys != nil {
@@ -146,10 +144,7 @@ func (m *Membership) register(ctx context.Context) (string, time.Duration, bool)
 		m.logf("fleet: unparseable registration response %q", firstLine(data))
 		return "", 0, false
 	}
-	interval := m.interval
-	if interval <= 0 {
-		interval = time.Duration(resp.HeartbeatIntervalMs) * time.Millisecond
-	}
+	interval := time.Duration(resp.HeartbeatIntervalMs) * time.Millisecond
 	if interval <= 0 {
 		interval = time.Second
 	}

@@ -182,7 +182,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: svmlint [flags] [packages]\n\n"+
-			"svmlint checks the simulator's determinism, wall-clock, float, lock and stats-wiring invariants.\n"+
+			"svmlint checks the simulator's determinism, wall-clock, float, no-lock and stats-wiring invariants.\n"+
 			"Packages are directories, optionally ending in /... (default ./...).\n\n")
 		fs.PrintDefaults()
 	}

@@ -9,10 +9,8 @@
 // allocation-free schedule path is carried by its API: AtTarget, the one way
 // to schedule a callback, takes a typed target rather than a closure.
 //
-// The driver is a whole-program analyzer: every package of a run is fully
-// type-checked (stdlib go/types + go/importer only) in dependency order, so
-// cross-package facts — the call graph, struct-field write sites — resolve
-// to one consistent types.Object per entity. Per-package analyzers:
+// The driver type-checks every package of a run with the standard library's
+// go/types and go/importer only. Per-package analyzers:
 //
 //   - detmap: no order-dependent iteration over Go maps in simulation packages
 //   - wallclock: no host wall-clock or global-rand use in internal/ simulation
@@ -20,13 +18,13 @@
 //     package the root svmsim package depends on imports walltime
 //   - floatcmp: no floating-point ==/!= and no naive float accumulation in
 //     the statistics pipeline
+//   - parkdiscipline: no package outside the harness imports sync; a
+//     simulation runs on one goroutine and takes no lock
 //
-// Whole-program analyzers (these are the reason the driver type-checks the
-// full load set):
+// The one whole-program analyzer needs the load set checked in dependency
+// order, so that a struct field referenced from two packages resolves to one
+// types.Object:
 //
-//   - parkdiscipline: no engine blocking call (Park, Delay, Thread.Do,
-//     Cond.Wait, Resource.Acquire, Sim.Run) is reachable through the
-//     call graph while a sync.Mutex/RWMutex is held
 //   - statwire: every exported numeric field of internal/stats carries a
 //     snake_case JSON tag (the pinned v1 wire schema) and has at least one
 //     write site somewhere in the program
@@ -90,6 +88,20 @@ type Package struct {
 // reportFunc records one finding at pos.
 type reportFunc func(pos token.Pos, format string, args ...any)
 
+// Program is the whole load set: every package of one svmlint run, checked
+// in dependency order by the loader so that a struct field referenced from
+// two different packages resolves to the same types.Object. That is what
+// lets statwire match a field declared in internal/stats against write
+// sites in internal/node.
+type Program struct {
+	Fset *token.FileSet
+	// Module is the module path, which is also the import path of the root
+	// package.
+	Module string
+	// Pkgs is every loaded package in deterministic (directory) order.
+	Pkgs []*Package
+}
+
 // Pass is one analyzer invocation. Per-package analyzers get one Pass per
 // loaded package (Pkg set); whole-program analyzers get a single Pass with
 // Pkg nil and walk Prog.Pkgs themselves.
@@ -128,10 +140,9 @@ func Analyzers() []*Analyzer {
 			Run:  floatcmpRun,
 		},
 		{
-			Name:         "parkdiscipline",
-			Doc:          "forbids engine blocking calls reachable while a sync mutex is held (call-graph reachability)",
-			WholeProgram: true,
-			Run:          parkdisciplineRun,
+			Name: "parkdiscipline",
+			Doc:  "forbids sync imports outside the harness: a simulation runs on one goroutine and takes no lock",
+			Run:  parkdisciplineRun,
 		},
 		{
 			Name:         "statwire",

@@ -155,9 +155,8 @@ func (l *Loader) Load(patterns []string) ([]*Package, error) {
 	// fully checked result is registered with the importer before any
 	// dependent is checked. Dependents therefore resolve against the complete
 	// package rather than the signatures-only fallback, which gives the whole
-	// program one consistent types.Object identity per function and field —
-	// the property the cross-package analyzers (parkdiscipline, statwire)
-	// rely on. An import cycle (only constructible through test files)
+	// program one consistent types.Object identity per field — the property
+	// the cross-package analyzer (statwire) relies on. An import cycle (only constructible through test files)
 	// degrades to signatures-only for the back edge.
 	var ordered []*unit
 	state := map[*unit]int{} // 0 unvisited, 1 visiting, 2 done

@@ -1,32 +1,24 @@
-// Package model exercises parkdiscipline's allowed shapes: unlocking before
-// entering the engine, and goroutines that block on their own stack rather
-// than under the spawner's lock.
-package model
+// Package harness exercises parkdiscipline's allowed shape: a package that
+// depends on the root svmsim package is harness code and may take a lock
+// around the simulations it runs.
+package harness
 
 import (
 	"sync"
 
-	"svmsim/internal/lint/testdata/src/engine"
+	"svmsim"
 )
 
-// Suite mirrors the harness shape.
-type Suite struct {
-	mu  sync.Mutex
-	sim *engine.Sim
+// Memo mirrors the harness shape: a lock around finished runs, taken
+// outside any simulation.
+type Memo struct {
+	mu   sync.Mutex
+	runs map[string]*svmsim.RunStats
 }
 
-// runUnlocked releases the lock before entering the engine.
-func (s *Suite) runUnlocked() error {
-	s.mu.Lock()
-	s.mu.Unlock()
-	return s.sim.Run()
-}
-
-// spawnWorker's goroutine parks on its own stack; it does not inherit mu.
-func (s *Suite) spawnWorker(t *engine.Thread) {
-	s.mu.Lock()
-	go func() {
-		t.Park()
-	}()
-	s.mu.Unlock()
+// get reads one memoized run.
+func (m *Memo) get(key string) *svmsim.RunStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.runs[key]
 }

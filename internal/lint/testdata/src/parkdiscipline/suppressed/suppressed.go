@@ -3,20 +3,17 @@
 package model
 
 import (
+	//svmlint:ignore parkdiscipline fixture; the once guards a table built before any simulation starts
 	"sync"
-
-	"svmsim/internal/lint/testdata/src/engine"
 )
 
-// Suite mirrors the harness shape.
-type Suite struct {
-	mu  sync.Mutex
-	sim *engine.Sim
-}
+var (
+	once  sync.Once
+	table []int
+)
 
-func (s *Suite) drain() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//svmlint:ignore parkdiscipline single-goroutine fixture; nothing else ever takes mu
-	return s.sim.Run()
+// lookup builds the table on first use.
+func lookup(i int) int {
+	once.Do(func() { table = []int{1, 2, 3} })
+	return table[i]
 }

@@ -57,24 +57,37 @@ func TestNewAnalyzerSuppressions(t *testing.T) {
 	}
 }
 
-// TestParkDisciplineRepoShapes pins the real harness packages clean: the
-// experiment suite, the daemon and the machine layer hold their mutexes
-// strictly outside the engine. A regression here is the lock-held-across-park
-// deadlock shape that the engine's coroutine carriers make cheap to hit.
+// TestParkDisciplineRepoShapes pins the simulator clean: the root package
+// and the packages it depends on import no sync. It also checks that the
+// rule applies to each of them, that is, that none depends on the root, so
+// a package moving to the harness side shows up here.
 func TestParkDisciplineRepoShapes(t *testing.T) {
-	res, err := Run(Options{
-		Dir: ".",
-		Patterns: []string{
-			filepath.Join("..", "exp"),
-			filepath.Join("..", "server"),
-			filepath.Join("..", "machine"),
-		},
-		Enable: []string{"parkdiscipline"},
-	})
+	patterns := []string{filepath.Join("..", ".."), filepath.Join("..", "apps") + "/..."}
+	for _, dir := range []string{"engine", "interrupts", "machine", "memsys", "network", "node", "proto", "shm", "stats", "trace"} {
+		patterns = append(patterns, filepath.Join("..", dir))
+	}
+	res, err := Run(Options{Dir: ".", Patterns: patterns, Enable: []string{"parkdiscipline"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range res.Findings {
 		t.Errorf("%s", f.String())
+	}
+
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load(patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) < 20 {
+		t.Errorf("loaded %d packages, want the root and the 19 it depends on", len(pkgs))
+	}
+	for _, pkg := range pkgs {
+		if dependsOn(pkg.Types, loader.ModulePath) {
+			t.Errorf("%s depends on %s, so parkdiscipline does not apply to it", pkg.Path, loader.ModulePath)
+		}
 	}
 }

@@ -54,7 +54,7 @@ func TestJournalLockSurvivesCompaction(t *testing.T) {
 	// A journal full of finished jobs forces the open-time compaction rewrite.
 	data := encodeJournal(t, []journalRecord{
 		{Op: opAccept, ID: "j1", Kind: "cell", Key: "a"},
-		{Op: opFinish, ID: "j1", Attempt: 1},
+		{Op: opFinish, ID: "j1"},
 	})
 	if err := os.WriteFile(filepath.Join(dir, journalFile), data, 0o644); err != nil {
 		t.Fatal(err)

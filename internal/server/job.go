@@ -20,10 +20,10 @@ const (
 
 // job is one accepted unit of work: a cell or a sweep. Once accepted a job
 // is never dropped — its accept record is fsynced to the journal before the
-// client sees 202, it either runs to completion on the worker pool (with
-// watchdog-bounded attempts) or is drained to completion at shutdown, and a
-// daemon crash re-enqueues it from the journal on restart. Admission
-// control (429) happens before a job exists.
+// client sees 202, it either runs to completion on the worker pool (or to
+// the watchdog's deadline, when one is set) or is drained to completion at
+// shutdown, and a daemon crash re-enqueues it from the journal on restart.
+// Admission control (429) happens before a job exists.
 type job struct {
 	id   string
 	kind string // "cell" or "sweep"
@@ -36,12 +36,11 @@ type job struct {
 	replayed bool // revived from the journal: exempt from Config.QueueDepth
 
 	// Guarded by the server mutex.
-	status   string
-	attempts int    // watchdog attempts consumed (journal-restored on replay)
-	cached   bool   // served from the result store, zero simulations
-	errKind  string // structured error classification when failed
-	errMsg   string
-	result   []byte // canonical result document (also set for failed cells)
+	status  string
+	cached  bool   // served from the result store, zero simulations
+	errKind string // structured error classification when failed
+	errMsg  string
+	result  []byte // canonical result document (also set for failed cells)
 
 	// done closes when the job reaches a terminal state.
 	done chan struct{}
@@ -55,7 +54,7 @@ type stored struct {
 	errMsg  string
 }
 
-// outcome is one finished execution attempt.
+// outcome is one finished execution.
 type outcome struct {
 	data    []byte
 	errKind string
@@ -75,81 +74,40 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob supervises one job: each attempt executes on its own goroutine
-// while the worker waits on either the outcome or the wall-clock deadline
-// (via the walltime boundary — the simulation itself never sees host time).
-// A deadline trip marks the attempt failed with a typed *exp.JobTimeoutError
-// and retries with exponential backoff, bounded by maxAttempts; a job that
-// exhausts its budget is quarantined instead of crash-looping. The abandoned
-// attempt's goroutine is not cancellable (the simulator has no preemption
-// points) — it keeps running, its eventual result lands harmlessly in the
-// suite cache, and a later attempt for the same key joins it through the
-// suite's singleflight rather than simulating twice.
+// runJob supervises one job: the job executes on its own goroutine while
+// the worker waits on the outcome or, with JobDeadline set, on the
+// wall-clock deadline (via the walltime boundary — the simulation itself
+// never sees host time). A job that runs past the deadline is quarantined
+// with a typed *exp.JobTimeoutError and never re-run: a cell simulates the
+// same way every time, so a second run could only wait longer. The
+// abandoned goroutine is not cancellable (the simulator has no preemption
+// points); it keeps running, and its result lands in the suite's memo and
+// disk cache, where a resubmission of the same key finds it.
 func (s *Server) runJob(j *job) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	for {
-		attempt := s.startAttempt(j)
-
-		resc := make(chan outcome, 1)
-		go func() { resc <- s.execute(j) }()
-
-		var deadline *walltime.Timer
-		if s.jobDeadline > 0 {
-			deadline = walltime.NewTimer(s.jobDeadline)
-		}
-		if deadline == nil {
-			s.finishJob(j, <-resc)
-			return
-		}
-		select {
-		case out := <-resc:
-			deadline.Stop()
-			s.finishJob(j, out)
-			return
-		case <-deadline.C():
-			s.metrics.timeouts.Inc()
-			terr := &exp.JobTimeoutError{Key: j.key, Attempt: attempt, Deadline: s.jobDeadline}
-			if attempt >= s.maxAttempts {
-				s.quarantineJob(j, terr)
-				return
-			}
-			s.metrics.retries.Inc()
-			s.appendJournal(journalRecord{Op: opRetry, ID: j.id, Attempt: attempt})
-			walltime.Sleep(retryDelay(s.retryBack, attempt))
-		}
-	}
-}
-
-// maxRetryBackoff caps the watchdog's backoff. Nothing bounds the attempt
-// budget: uncapped, the 500ms default would sleep 72 h after attempt 20,
-// and from attempt 36 on the doubling wraps negative (no wait at all).
-const maxRetryBackoff = time.Minute
-
-// retryDelay is the backoff after a timed-out attempt: base, 2x, 4x, ...,
-// saturating at maxRetryBackoff.
-func retryDelay(base time.Duration, attempt int) time.Duration {
-	d := base
-	for i := 1; i < attempt && d < maxRetryBackoff; i++ {
-		d *= 2
-	}
-	return min(d, maxRetryBackoff)
-}
-
-// startAttempt transitions a job to running, burns one attempt, and
-// journals the start (so a crash mid-attempt cannot reset the budget).
-func (s *Server) startAttempt(j *job) int {
 	s.mu.Lock()
 	j.status = statusRunning
-	j.attempts++
-	attempt := j.attempts
-	s.journal.append(journalRecord{Op: opStart, ID: j.id, Attempt: attempt})
 	s.mu.Unlock()
-	return attempt
+	resc := make(chan outcome, 1)
+	go func() { resc <- s.execute(j) }()
+	var expired <-chan time.Time // nil without a deadline: never ready
+	if s.jobDeadline > 0 {
+		deadline := walltime.NewTimer(s.jobDeadline)
+		defer deadline.Stop()
+		expired = deadline.C()
+	}
+	select {
+	case out := <-resc:
+		s.finishJob(j, out)
+	case <-expired:
+		s.metrics.timeouts.Inc()
+		s.quarantineJob(j, &exp.JobTimeoutError{Key: j.key, Deadline: s.jobDeadline})
+	}
 }
 
-// execute runs one attempt to its outcome. It mutates no job state — the
-// supervisor in runJob owns all transitions — so an attempt abandoned by the
+// execute runs a job to its outcome. It mutates no job state — the
+// supervisor in runJob owns all transitions — so a run abandoned by the
 // watchdog can finish late without clobbering anything. A failed cell still
 // produces a result document (the structured CellResult carrying
 // err_kind/err), exactly as the disk cache stores it.
@@ -199,7 +157,7 @@ func (s *Server) finishJob(j *job, out outcome) {
 	// A finish record that fails to persist only costs a warm re-run after
 	// a crash (at-least-once semantics); the durability contract is on
 	// accepts, so the error is deliberately not propagated.
-	s.appendJournalLocked(journalRecord{Op: opFinish, ID: j.id, Attempt: j.attempts, ErrKind: out.errKind, Err: out.errMsg})
+	s.appendJournalLocked(journalRecord{Op: opFinish, ID: j.id, ErrKind: out.errKind, Err: out.errMsg})
 	s.mu.Unlock()
 	if out.errMsg != "" {
 		s.metrics.failed.Inc()
@@ -217,7 +175,7 @@ func (s *Server) quarantineJob(j *job, err error) {
 	j.status = statusQuarantined
 	j.errKind, j.errMsg = exp.ErrKind(err), err.Error()
 	s.releaseKeyLocked(j)
-	s.appendJournalLocked(journalRecord{Op: opQuarantine, ID: j.id, Attempt: j.attempts, ErrKind: j.errKind, Err: j.errMsg})
+	s.appendJournalLocked(journalRecord{Op: opQuarantine, ID: j.id, ErrKind: j.errKind, Err: j.errMsg})
 	s.mu.Unlock()
 	s.metrics.quarantined.Inc()
 	close(j.done)
@@ -240,13 +198,6 @@ func (s *Server) appendJournalLocked(rec journalRecord) {
 	if s.journal.shouldCompact(s.liveJournalLocked()) {
 		s.journal.rewrite(s.journalSnapshotLocked())
 	}
-}
-
-// appendJournal is appendJournalLocked for callers not holding s.mu.
-func (s *Server) appendJournal(rec journalRecord) {
-	s.mu.Lock()
-	s.appendJournalLocked(rec)
-	s.mu.Unlock()
 }
 
 // liveJournalLocked counts the jobs a compaction must keep.
@@ -277,11 +228,11 @@ func (s *Server) journalSnapshotLocked() []journalRecord {
 		}
 		switch j.status {
 		case statusQueued, statusRunning:
-			recs = append(recs, journalRecord{Op: opAccept, ID: j.id, Kind: j.kind, Key: j.key, Spec: j.spec, Attempt: j.attempts})
+			recs = append(recs, journalRecord{Op: opAccept, ID: j.id, Kind: j.kind, Key: j.key, Spec: j.spec})
 		case statusQuarantined:
 			recs = append(recs,
-				journalRecord{Op: opAccept, ID: j.id, Kind: j.kind, Key: j.key, Spec: j.spec, Attempt: j.attempts},
-				journalRecord{Op: opQuarantine, ID: j.id, Attempt: j.attempts, ErrKind: j.errKind, Err: j.errMsg})
+				journalRecord{Op: opAccept, ID: j.id, Kind: j.kind, Key: j.key, Spec: j.spec},
+				journalRecord{Op: opQuarantine, ID: j.id, ErrKind: j.errKind, Err: j.errMsg})
 		}
 	}
 	return recs

@@ -14,15 +14,15 @@ import (
 )
 
 // The durable job journal is the daemon's write-ahead log: every job
-// lifecycle transition — accepted, attempt started, attempt retried,
-// finished, quarantined — is appended as one JSON line and fsynced before
-// the daemon acts on it. The contract is fsync-before-ack: a client that
-// received 202 Accepted holds a promise backed by a durable accept record,
-// so a SIGKILL (or power cut) between the ack and the result loses no
-// accepted job — the restarted daemon replays the journal and re-enqueues
-// everything that never reached a terminal record. Per-cell results live in
-// the suite's disk cache (internal/exp/diskcache.go), so replayed work is
-// warm: only the cells that were mid-flight at the crash are re-simulated.
+// lifecycle transition — accepted, finished, quarantined — is appended as
+// one JSON line and fsynced before the daemon acts on it. The contract is
+// fsync-before-ack: a client that received 202 Accepted holds a promise
+// backed by a durable accept record, so a SIGKILL (or power cut) between
+// the ack and the result loses no accepted job — the restarted daemon
+// replays the journal and re-enqueues everything that never reached a
+// terminal record. Per-cell results live in the suite's disk cache
+// (internal/exp/diskcache.go), so replayed work is warm: only the cells
+// that were mid-flight at the crash are re-simulated.
 //
 // Records follow the codec.go v1 conventions: a schema stamp on every line,
 // strict decoding (a record from a different schema version is treated as
@@ -40,8 +40,6 @@ import (
 // Journal record operations.
 const (
 	opAccept     = "accept"
-	opStart      = "start"
-	opRetry      = "retry"
 	opFinish     = "finish"
 	opQuarantine = "quarantine"
 )
@@ -60,7 +58,6 @@ type journalRecord struct {
 	Kind    string          `json:"kind,omitempty"`
 	Key     string          `json:"key,omitempty"`
 	Spec    json.RawMessage `json:"spec,omitempty"`
-	Attempt int             `json:"attempt,omitempty"`
 	ErrKind string          `json:"err_kind,omitempty"`
 	Err     string          `json:"err,omitempty"`
 }
@@ -73,7 +70,6 @@ type replayedJob struct {
 	Kind        string
 	Key         string
 	Spec        json.RawMessage
-	Attempts    int
 	Quarantined bool
 	ErrKind     string
 	ErrMsg      string
@@ -129,7 +125,6 @@ func openJournal(dir string) (*journal, []replayedJob, error) {
 // replayState accumulates one job's journal records during replay.
 type replayState struct {
 	rec      journalRecord
-	attempts int
 	terminal bool // finish or quarantine seen
 	quar     journalRecord
 }
@@ -152,12 +147,11 @@ func replayJournal(data []byte) (jobs []replayedJob, valid int) {
 		switch rec.Op {
 		case opAccept:
 			if _, ok := states[rec.ID]; !ok {
-				states[rec.ID] = &replayState{rec: rec, attempts: rec.Attempt}
+				states[rec.ID] = &replayState{rec: rec}
 			}
-		case opStart, opRetry:
-			if st, ok := states[rec.ID]; ok && rec.Attempt > st.attempts {
-				st.attempts = rec.Attempt
-			}
+		case "start", "retry":
+			// Daemons whose watchdog re-ran timed-out jobs journaled each
+			// attempt; those records carry nothing replay needs.
 		case opFinish:
 			if st, ok := states[rec.ID]; ok {
 				st.terminal = true
@@ -188,11 +182,10 @@ func finishReplay(states map[string]*replayState) []replayedJob {
 			continue
 		}
 		j := replayedJob{
-			ID:       st.rec.ID,
-			Kind:     st.rec.Kind,
-			Key:      st.rec.Key,
-			Spec:     st.rec.Spec,
-			Attempts: st.attempts,
+			ID:   st.rec.ID,
+			Kind: st.rec.Kind,
+			Key:  st.rec.Key,
+			Spec: st.rec.Spec,
 		}
 		if st.quar.ID != "" {
 			j.Quarantined = true
@@ -212,19 +205,18 @@ func jobNum(id string) uint64 {
 }
 
 // compactionRecords is the minimal record set that reproduces the replayed
-// state: one accept per live job (carrying its attempt count so a
-// crash-looping job cannot reset its budget) plus the quarantine verdicts.
+// state: one accept per live job plus the quarantine verdicts.
 func compactionRecords(jobs []replayedJob) []journalRecord {
 	var recs []journalRecord
 	for _, j := range jobs {
 		recs = append(recs, journalRecord{
 			Schema: exp.SchemaVersion, Op: opAccept, ID: j.ID,
-			Kind: j.Kind, Key: j.Key, Spec: j.Spec, Attempt: j.Attempts,
+			Kind: j.Kind, Key: j.Key, Spec: j.Spec,
 		})
 		if j.Quarantined {
 			recs = append(recs, journalRecord{
 				Schema: exp.SchemaVersion, Op: opQuarantine, ID: j.ID,
-				Attempt: j.Attempts, ErrKind: j.ErrKind, Err: j.ErrMsg,
+				ErrKind: j.ErrKind, Err: j.ErrMsg,
 			})
 		}
 	}

@@ -53,20 +53,20 @@ func encodeJournal(t *testing.T, recs []journalRecord) []byte {
 }
 
 // TestReplayJournalStates: the replay state machine keeps incomplete and
-// quarantined jobs (with their attempt high-water mark), drops finished ones,
-// and orders the survivors by numeric job ID.
+// quarantined jobs, drops finished ones, and orders the survivors by numeric
+// job ID. The start and retry records of older journals change nothing.
 func TestReplayJournalStates(t *testing.T) {
 	data := encodeJournal(t, []journalRecord{
 		{Op: opAccept, ID: "j10", Kind: "cell", Key: "late", Spec: json.RawMessage(`{"workload":"FFT"}`)},
 		{Op: opAccept, ID: "j1", Kind: "sweep", Key: "done"},
-		{Op: opStart, ID: "j1", Attempt: 1},
-		{Op: opFinish, ID: "j1", Attempt: 1},
+		{Op: "start", ID: "j1"},
+		{Op: opFinish, ID: "j1"},
 		{Op: opAccept, ID: "j2", Kind: "cell", Key: "stuck"},
-		{Op: opStart, ID: "j2", Attempt: 1},
-		{Op: opRetry, ID: "j2", Attempt: 1},
-		{Op: opStart, ID: "j2", Attempt: 2},
+		{Op: "start", ID: "j2"},
+		{Op: "retry", ID: "j2"},
+		{Op: "start", ID: "j2"},
 		{Op: opAccept, ID: "j3", Kind: "cell", Key: "poison"},
-		{Op: opQuarantine, ID: "j3", Attempt: 3, ErrKind: "job_timeout", Err: "gave up"},
+		{Op: opQuarantine, ID: "j3", ErrKind: "job_timeout", Err: "gave up"},
 	})
 	jobs, valid := replayJournal(data)
 	if valid != len(data) {
@@ -77,9 +77,6 @@ func TestReplayJournalStates(t *testing.T) {
 	}
 	if jobs[0].ID != "j2" || jobs[1].ID != "j3" || jobs[2].ID != "j10" {
 		t.Fatalf("replay order: %s, %s, %s", jobs[0].ID, jobs[1].ID, jobs[2].ID)
-	}
-	if jobs[0].Attempts != 2 {
-		t.Fatalf("j2 attempts = %d, want high-water 2", jobs[0].Attempts)
 	}
 	if !jobs[1].Quarantined || jobs[1].ErrKind != "job_timeout" || jobs[1].ErrMsg != "gave up" {
 		t.Fatalf("j3 quarantine verdict lost: %+v", jobs[1])
@@ -113,6 +110,109 @@ func TestReplayJournalTornTail(t *testing.T) {
 	}
 }
 
+// attemptJournal is a journal as written by a daemon whose watchdog re-ran
+// timed-out jobs and journaled each attempt's start and retry: j1 finished,
+// j2 was quarantined after two attempts, and j3 was on its second attempt
+// when the process died (the file ends at a record boundary, as a crash
+// leaves it).
+const attemptJournal = `{"schema":1,"op":"accept","id":"j1","kind":"cell","key":"FFT|p4/n2/ho500/occ200/io0.5/intr500/pg4096/mode0/pol0/allfalse/req0/nis0/nisrvfalse","spec":{"workload":"FFT"}}
+{"schema":1,"op":"start","id":"j1","attempt":1}
+{"schema":1,"op":"finish","id":"j1","attempt":1}
+{"schema":1,"op":"accept","id":"j2","kind":"cell","key":"LU|p4/n2/ho500/occ200/io0.5/intr500/pg4096/mode0/pol0/allfalse/req0/nis0/nisrvfalse","spec":{"workload":"LU"}}
+{"schema":1,"op":"start","id":"j2","attempt":1}
+{"schema":1,"op":"retry","id":"j2","attempt":1}
+{"schema":1,"op":"start","id":"j2","attempt":2}
+{"schema":1,"op":"quarantine","id":"j2","attempt":2,"err_kind":"job_timeout","err":"job attempt 2 exceeded the 20ms deadline (key LU|p4/n2/ho500/occ200/io0.5/intr500/pg4096/mode0/pol0/allfalse/req0/nis0/nisrvfalse)"}
+{"schema":1,"op":"accept","id":"j3","kind":"cell","key":"Radix|p4/n2/ho500/occ200/io0.5/intr500/pg4096/mode0/pol0/allfalse/req0/nis0/nisrvfalse","spec":{"workload":"Radix"}}
+{"schema":1,"op":"start","id":"j3","attempt":1}
+{"schema":1,"op":"retry","id":"j3","attempt":1}
+{"schema":1,"op":"start","id":"j3","attempt":2}
+`
+
+// TestReplayJournalWithAttemptRecords: a journal with start and retry
+// records replays to the same pending and quarantined jobs, and the
+// compaction at open keeps both.
+func TestReplayJournalWithAttemptRecords(t *testing.T) {
+	const cfg = "|p4/n2/ho500/occ200/io0.5/intr500/pg4096/mode0/pol0/allfalse/req0/nis0/nisrvfalse"
+	want := []replayedJob{
+		{ID: "j2", Kind: "cell", Key: "LU" + cfg, Spec: json.RawMessage(`{"workload":"LU"}`), Quarantined: true,
+			ErrKind: "job_timeout", ErrMsg: "job attempt 2 exceeded the 20ms deadline (key LU" + cfg + ")"},
+		{ID: "j3", Kind: "cell", Key: "Radix" + cfg, Spec: json.RawMessage(`{"workload":"Radix"}`)},
+	}
+	check := func(what string, got []replayedJob) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d jobs, want %d: %+v", what, len(got), len(want), got)
+		}
+		for i, w := range want {
+			g := got[i]
+			if g.ID != w.ID || g.Kind != w.Kind || g.Key != w.Key || string(g.Spec) != string(w.Spec) ||
+				g.Quarantined != w.Quarantined || g.ErrKind != w.ErrKind || g.ErrMsg != w.ErrMsg {
+				t.Errorf("%s: job %d = %+v, want %+v", what, i, g, w)
+			}
+		}
+	}
+
+	jobs, valid := replayJournal([]byte(attemptJournal))
+	if valid != len(attemptJournal) {
+		t.Fatalf("valid=%d, want the whole journal (%d)", valid, len(attemptJournal))
+	}
+	check("replay", jobs)
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, journalFile), []byte(attemptJournal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jn, replayed, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jn.close()
+	check("open", replayed)
+	jn, replayed, err = openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.close()
+	check("reopen after compaction", replayed)
+	if recs := journalLines(t, dir); len(recs) != 3 {
+		t.Fatalf("compacted journal: %+v, want accept and quarantine of j2, accept of j3", recs)
+	}
+}
+
+// TestReplayReadsPastRetryRecords: start and retry records are not unknown
+// ops, so replay reads on past them, and the compaction at open keeps every
+// job the later records name.
+func TestReplayReadsPastRetryRecords(t *testing.T) {
+	data := encodeJournal(t, []journalRecord{
+		{Op: opAccept, ID: "j1", Kind: "cell", Key: "a"},
+		{Op: "retry", ID: "j1"},
+		{Op: opAccept, ID: "j2", Kind: "cell", Key: "b"},
+		{Op: opFinish, ID: "j1"},
+		{Op: "start", ID: "j2"},
+		{Op: opAccept, ID: "j3", Kind: "cell", Key: "c"},
+	})
+	jobs, valid := replayJournal(data)
+	if valid != len(data) || len(jobs) != 2 || jobs[0].ID != "j2" || jobs[1].ID != "j3" {
+		t.Fatalf("replay: valid=%d of %d, jobs %+v; want j2 and j3", valid, len(data), jobs)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, journalFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jn, replayed, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.close()
+	if len(replayed) != 2 {
+		t.Fatalf("open: %+v, want j2 and j3", replayed)
+	}
+	if recs := journalLines(t, dir); len(recs) != 2 || recs[0].ID != "j2" || recs[1].ID != "j3" {
+		t.Fatalf("compaction dropped records after the retry line: %+v", recs)
+	}
+}
+
 // TestOpenJournalCompactsAndRepairs: opening a journal with dead records and
 // a torn tail rewrites it to just the live set — and the rewrite is the real
 // atomic temp+rename path, so the repaired file replays identically.
@@ -121,8 +221,8 @@ func TestOpenJournalCompactsAndRepairs(t *testing.T) {
 	data := encodeJournal(t, []journalRecord{
 		{Op: opAccept, ID: "j1", Kind: "cell", Key: "done"},
 		{Op: opFinish, ID: "j1"},
-		{Op: opAccept, ID: "j2", Kind: "cell", Key: "live", Spec: json.RawMessage(`{"workload":"FFT"}`), Attempt: 0},
-		{Op: opStart, ID: "j2", Attempt: 1},
+		{Op: opAccept, ID: "j2", Kind: "cell", Key: "live", Spec: json.RawMessage(`{"workload":"FFT"}`)},
+		{Op: "start", ID: "j2"},
 	})
 	data = append(data, []byte(`{"schema":1,"op":"fin`)...) // torn tail
 	if err := os.WriteFile(filepath.Join(dir, journalFile), data, 0o644); err != nil {
@@ -134,11 +234,11 @@ func TestOpenJournalCompactsAndRepairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jn.close()
-	if len(replayed) != 1 || replayed[0].ID != "j2" || replayed[0].Attempts != 1 {
+	if len(replayed) != 1 || replayed[0].ID != "j2" {
 		t.Fatalf("replay: %+v", replayed)
 	}
 	recs := journalLines(t, dir)
-	if len(recs) != 1 || recs[0].Op != opAccept || recs[0].ID != "j2" || recs[0].Attempt != 1 {
+	if len(recs) != 1 || recs[0].Op != opAccept || recs[0].ID != "j2" {
 		t.Fatalf("compacted journal: %+v", recs)
 	}
 	if string(recs[0].Spec) != `{"workload":"FFT"}` {
@@ -214,7 +314,7 @@ func TestJournalReplayRunsToCompletion(t *testing.T) {
 	if err := jn.append(journalRecord{Op: opAccept, ID: "j1", Kind: "sweep", Key: "stale", Spec: raw}); err != nil {
 		t.Fatal(err)
 	}
-	if err := jn.append(journalRecord{Op: opStart, ID: "j1", Attempt: 1}); err != nil {
+	if err := jn.append(journalRecord{Op: "start", ID: "j1"}); err != nil {
 		t.Fatal(err)
 	}
 	jn.close()
@@ -255,10 +355,7 @@ func TestJournalReplayRunsToCompletion(t *testing.T) {
 // timeout error, without trying to resolve (or re-run) the poison spec.
 func TestJournalQuarantineSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := New(Config{
-		Suite: testSuite(), Workers: 1, JournalDir: dir,
-		JobDeadline: 20 * time.Millisecond, MaxAttempts: 1, RetryBackoff: time.Millisecond,
-	})
+	s1, err := New(Config{Suite: testSuite(), Workers: 1, JournalDir: dir, JobDeadline: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +398,7 @@ func TestJournalOnlineCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each unique finished job contributes accept+start+finish dead records;
+	// Each unique finished job contributes accept+finish dead records;
 	// enough of them must trip the compaction threshold.
 	for i := 0; i < 40; i++ {
 		rec := submitCell(s, tinyWorkload("tiny-"+string(rune('A'+i%26))+string(rune('a'+i/26))))
@@ -343,11 +440,11 @@ func FuzzJournalReplay(f *testing.F) {
 		var buf bytes.Buffer
 		recs := []journalRecord{
 			{Op: opAccept, ID: "j1", Kind: "sweep", Key: "k1", Spec: json.RawMessage(`{"param":"interrupt"}`)},
-			{Op: opStart, ID: "j1", Attempt: 1},
+			{Op: "start", ID: "j1"},
 			{Op: opAccept, ID: "j2", Kind: "cell", Key: "k2"},
-			{Op: opFinish, ID: "j1", Attempt: 1},
-			{Op: opRetry, ID: "j2", Attempt: 1},
-			{Op: opQuarantine, ID: "j2", Attempt: 3, ErrKind: "job_timeout", Err: "gave up"},
+			{Op: opFinish, ID: "j1"},
+			{Op: "retry", ID: "j2"},
+			{Op: opQuarantine, ID: "j2", ErrKind: "job_timeout", Err: "gave up"},
 		}
 		for _, rec := range recs {
 			rec.Schema = exp.SchemaVersion

@@ -101,7 +101,7 @@ func TestDaemonScrapeGolden(t *testing.T) {
 	suite.Remote = stubRemote(map[string]chan struct{}{"Water-nsq": hold, "Water-sp": hold2})
 	s, err := New(Config{
 		Suite: suite, Twin: twin.New(), Workers: 1, QueueDepth: 1, JournalDir: dir,
-		JobDeadline: time.Second, MaxAttempts: 2, RetryBackoff: time.Millisecond,
+		JobDeadline: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestDaemonScrapeGolden(t *testing.T) {
 	waitTerminal(t, s, jobID(t, mustCode(serve(s, "POST", "/v1/sweeps", `{"param":"interrupt","apps":["FFT"]}`), 202)))
 	waitTerminal(t, s, jobID(t, mustCode(serve(s, "POST", "/v1/cells", `{"workload":"Ocean"}`), 202)))
 
-	// A held cell times out twice and is quarantined. Meanwhile one cell
+	// A held cell times out and is quarantined. Meanwhile one cell
 	// fills the queue (the replayed jobs have left it, so they widen it no
 	// more), a resubmission coalesces, and a second cell is 429.
 	held := jobID(t, mustCode(serve(s, "POST", "/v1/cells", `{"workload":"Water-nsq"}`), 202))

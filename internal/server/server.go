@@ -12,13 +12,14 @@
 // client sees 202, a restart replays the journal and re-enqueues incomplete
 // work (warm from the suite's disk cache), and submissions are idempotent by
 // content key — a client retrying after a crash coalesces onto the replayed
-// job instead of simulating twice. A worker watchdog bounds each attempt's
-// wall time, retries with exponential backoff, and quarantines poison jobs.
+// job instead of simulating twice. A worker watchdog bounds each job's wall
+// time and quarantines a job that runs past it; it never re-runs one, since
+// a cell simulates the same way every time.
 //
 // Simulated behavior still sees no clocks: simulation latency is measured
 // inside internal/exp (via internal/walltime) and arrives through the
-// Suite.Observe hook; the watchdog's deadline and backoff likewise go
-// through walltime and only ever bound how long the harness waits.
+// Suite.Observe hook; the watchdog's deadline likewise goes through
+// walltime and only ever bounds how long the harness waits.
 package server
 
 import (
@@ -62,17 +63,10 @@ type Config struct {
 	// are fsynced before the ack and incomplete jobs are replayed on the
 	// next start. Empty keeps the pre-journal in-memory behavior.
 	JournalDir string
-	// JobDeadline bounds one execution attempt's wall-clock time; zero
-	// disables the watchdog. Expired attempts fail with a typed
-	// *exp.JobTimeoutError and are retried with exponential backoff.
+	// JobDeadline bounds one job's wall-clock run time; zero disables the
+	// watchdog. A job that runs past it is quarantined with a typed
+	// *exp.JobTimeoutError and is not re-run.
 	JobDeadline time.Duration
-	// MaxAttempts bounds the watchdog's attempts per job (default 3);
-	// a job that times out that many times is quarantined, not re-run.
-	MaxAttempts int
-	// RetryBackoff is the base delay before a timed-out job's second
-	// attempt (default 500ms), doubling per further attempt up to a
-	// minute.
-	RetryBackoff time.Duration
 	// Twin, when non-nil, enables the analytical-twin endpoints
 	// (POST /v1/twin/predict, POST /v1/twin/optimize): synchronous
 	// model-based answers served on the request goroutine, bypassing the
@@ -107,9 +101,7 @@ type Server struct {
 	replayedN   int // jobs revived from the journal at startup
 	queueDepth  int
 	maxJobs     int
-	maxAttempts int
 	jobDeadline time.Duration
-	retryBack   time.Duration
 	retry       string // Retry-After value for 429s
 }
 
@@ -130,7 +122,7 @@ type metrics struct {
 	done, failed        Counter
 	rejected, refused   Counter
 	deduped, replayed   Counter
-	timeouts, retries   Counter
+	timeouts            Counter
 	quarantined         Counter
 	misses, simulated   Counter
 	twinPredictions     Counter // declared only with the twin endpoints
@@ -152,9 +144,8 @@ func newMetrics(s *Server) metrics {
 		refused:     r.Counter("svmsimd_jobs_refused_total", "Submissions refused with 503 during drain."),
 		deduped:     r.Counter("svmsimd_jobs_deduped_total", "Resubmissions coalesced onto an already-active job with the same content key."),
 		replayed:    r.Counter("svmsimd_jobs_replayed_total", "Incomplete jobs re-enqueued from the journal at startup."),
-		timeouts:    r.Counter("svmsimd_job_timeouts_total", "Execution attempts cut short by the watchdog deadline."),
-		retries:     r.Counter("svmsimd_job_retries_total", "Timed-out attempts retried with backoff."),
-		quarantined: r.Counter("svmsimd_jobs_quarantined_total", "Jobs quarantined after exhausting their attempt budget."),
+		timeouts:    r.Counter("svmsimd_job_timeouts_total", "Jobs that ran past the watchdog deadline."),
+		quarantined: r.Counter("svmsimd_jobs_quarantined_total", "Jobs quarantined at the watchdog deadline; a quarantined job is never re-run."),
 		cacheHits:   r.LabeledCounter("svmsimd_cache_hits_total", "Cells served without a fresh simulation, by cache layer.", "layer"),
 		misses:      r.Counter("svmsimd_cache_misses_total", "Cells that required a fresh simulation."),
 		simulated:   r.Counter("svmsimd_cells_simulated_total", "Fresh simulations executed."),
@@ -187,12 +178,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 1024
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 500 * time.Millisecond
-	}
 	s := &Server{
 		suite:       cfg.Suite,
 		jobs:        make(map[string]*job),
@@ -200,9 +185,7 @@ func New(cfg Config) (*Server, error) {
 		store:       make(map[string]stored),
 		queueDepth:  cfg.QueueDepth,
 		maxJobs:     cfg.MaxJobs,
-		maxAttempts: cfg.MaxAttempts,
 		jobDeadline: cfg.JobDeadline,
-		retryBack:   cfg.RetryBackoff,
 		retry:       strconv.Itoa(cfg.RetryAfterSeconds),
 		twin:        cfg.Twin,
 	}
@@ -282,13 +265,12 @@ func (s *Server) registerReplayed(replayed []replayedJob) []*job {
 			s.seq = n
 		}
 		j := &job{
-			id:       r.ID,
-			kind:     r.Kind,
-			key:      r.Key,
-			spec:     r.Spec,
-			attempts: r.Attempts,
-			status:   statusQueued,
-			done:     make(chan struct{}),
+			id:     r.ID,
+			kind:   r.Kind,
+			key:    r.Key,
+			spec:   r.Spec,
+			status: statusQueued,
+			done:   make(chan struct{}),
 		}
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
@@ -387,19 +369,18 @@ func (s *Server) Drain(ctx context.Context) error {
 // jobView is the wire form of a job descriptor: compact single-line JSON so
 // shell clients can capture `.id` without a JSON tool chain.
 type jobView struct {
-	ID       string `json:"id"`
-	Kind     string `json:"kind"`
-	Key      string `json:"key"`
-	Status   string `json:"status"`
-	Attempts int    `json:"attempts,omitempty"`
-	Cached   bool   `json:"cached,omitempty"`
-	ErrKind  string `json:"err_kind,omitempty"`
-	Err      string `json:"err,omitempty"`
+	ID      string `json:"id"`
+	Kind    string `json:"kind"`
+	Key     string `json:"key"`
+	Status  string `json:"status"`
+	Cached  bool   `json:"cached,omitempty"`
+	ErrKind string `json:"err_kind,omitempty"`
+	Err     string `json:"err,omitempty"`
 }
 
 func viewLocked(j *job) jobView {
 	return jobView{ID: j.id, Kind: j.kind, Key: j.key, Status: j.status,
-		Attempts: j.attempts, Cached: j.cached, ErrKind: j.errKind, Err: j.errMsg}
+		Cached: j.cached, ErrKind: j.errKind, Err: j.errMsg}
 }
 
 // handleSubmitCell admits one cell: POST /v1/cells with a CellSpec body.

@@ -6,90 +6,26 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"svmsim"
+	"svmsim/internal/exp"
 )
 
 // counters snapshots the supervision counters for assertions.
-func counters(s *Server) (timeouts, retries, quarantined, deduped uint64) {
+func counters(s *Server) (timeouts, quarantined, deduped uint64) {
 	m := &s.metrics
-	return m.timeouts.Value(), m.retries.Value(), m.quarantined.Value(), m.deduped.Value()
+	return m.timeouts.Value(), m.quarantined.Value(), m.deduped.Value()
 }
 
-// TestRetryDelaySaturates: the watchdog's backoff doubles from its base and
-// saturates at maxRetryBackoff, so no attempt count overflows it into a
-// multi-hour or a negative (no-wait) sleep.
-func TestRetryDelaySaturates(t *testing.T) {
-	base := 500 * time.Millisecond
-	for attempt, want := range map[int]time.Duration{1: base, 2: 2 * base, 3: 4 * base} {
-		if got := retryDelay(base, attempt); got != want {
-			t.Errorf("attempt %d: delay %v, want %v", attempt, got, want)
-		}
-	}
-	var prev time.Duration
-	for attempt := 1; attempt <= 64; attempt++ {
-		d := retryDelay(base, attempt)
-		if d <= 0 || d < prev || d > maxRetryBackoff {
-			t.Fatalf("attempt %d: delay %v after %v; want positive, non-decreasing, at most %v", attempt, d, prev, maxRetryBackoff)
-		}
-		prev = d
-	}
-}
-
-// TestWatchdogRetriesThenSucceeds: a job whose first attempt exceeds the
-// deadline is retried with backoff; once the underlying work unblocks, the
-// job finishes done — and its view records the attempts consumed.
-func TestWatchdogRetriesThenSucceeds(t *testing.T) {
-	s, err := New(Config{
-		Suite: testSuite(), Workers: 1,
-		JobDeadline: 50 * time.Millisecond, MaxAttempts: 100, RetryBackoff: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate := make(chan struct{})
-	rec := submitCell(s, gateWorkload("slow", gate))
-	if rec.Code != 202 {
-		t.Fatalf("submit: %d %s", rec.Code, rec.Body)
-	}
-
-	// Wait until the watchdog has fired at least once, then unblock.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, retries, _, _ := counters(s); retries >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("watchdog never retried the gated job")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-
-	v := waitTerminal(t, s, jobID(t, rec))
-	if v.Status != statusDone {
-		t.Fatalf("retried job ended as %+v", v)
-	}
-	if v.Attempts < 2 {
-		t.Fatalf("attempts = %d, want >= 2 after a watchdog retry", v.Attempts)
-	}
-	timeouts, retries, quarantined, _ := counters(s)
-	if timeouts < 1 || retries < 1 || quarantined != 0 {
-		t.Fatalf("counters: timeouts=%d retries=%d quarantined=%d", timeouts, retries, quarantined)
-	}
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWatchdogQuarantine: a job that times out on every attempt is
-// quarantined after MaxAttempts — terminal, addressable, serving a structured
-// job_timeout error — instead of crash-looping on the worker pool forever.
+// TestWatchdogQuarantine: a job that runs past its deadline is quarantined
+// — terminal, addressable, serving a structured job_timeout error — and the
+// worker is free for the next job.
 func TestWatchdogQuarantine(t *testing.T) {
-	s, err := New(Config{
-		Suite: testSuite(), Workers: 1,
-		JobDeadline: 20 * time.Millisecond, MaxAttempts: 2, RetryBackoff: time.Millisecond,
-	})
+	s, err := New(Config{Suite: testSuite(), Workers: 1, JobDeadline: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +33,7 @@ func TestWatchdogQuarantine(t *testing.T) {
 	defer close(gate) // release the abandoned attempt's goroutine at cleanup
 	rec := submitCell(s, gateWorkload("poison", gate))
 	v := waitTerminal(t, s, jobID(t, rec))
-	if v.Status != statusQuarantined || v.ErrKind != "job_timeout" || v.Attempts != 2 {
+	if v.Status != statusQuarantined || v.ErrKind != "job_timeout" {
 		t.Fatalf("poison job: %+v", v)
 	}
 
@@ -110,18 +46,88 @@ func TestWatchdogQuarantine(t *testing.T) {
 	if err := json.Unmarshal(res.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Error.Kind != "job_timeout" || !strings.Contains(body.Error.Message, "deadline") {
+	if body.Error.Kind != "job_timeout" || !strings.HasPrefix(body.Error.Message, "job exceeded the 20ms deadline (key poison|") {
 		t.Fatalf("error envelope: %+v", body)
 	}
 
-	timeouts, _, quarantined, _ := counters(s)
-	if timeouts != 2 || quarantined != 1 {
+	timeouts, quarantined, _ := counters(s)
+	if timeouts != 1 || quarantined != 1 {
 		t.Fatalf("counters: timeouts=%d quarantined=%d", timeouts, quarantined)
 	}
 	// The worker is free again: a fresh job runs to completion immediately.
 	rec2 := submitCell(s, tinyWorkload("after"))
 	if v2 := waitTerminal(t, s, jobID(t, rec2)); v2.Status != statusDone {
 		t.Fatalf("worker not released after quarantine: %+v", v2)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWatchdogTimeoutRerunsNothing: a job that runs past its deadline is
+// quarantined without simulating its cell again. The abandoned simulation
+// keeps running, lands in the suite's memo, and a resubmission of the same
+// key is served from it: the app's Setup ran once and the suite saw one
+// simulation of the key.
+func TestWatchdogTimeoutRerunsNothing(t *testing.T) {
+	suite := testSuite()
+	var (
+		mu     sync.Mutex
+		events []exp.CellEvent
+	)
+	landed := make(chan struct{})
+	var once sync.Once
+	suite.Observe = func(ev exp.CellEvent) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+		if ev.Source == exp.SourceSim {
+			once.Do(func() { close(landed) })
+		}
+	}
+	var setups atomic.Int32
+	gate := make(chan struct{})
+	mk := func() svmsim.App {
+		return svmsim.App{
+			Name:  "held",
+			Setup: func(w *svmsim.World) any { setups.Add(1); <-gate; return nil },
+			Body:  func(c *svmsim.Proc, state any) { c.Compute(100); c.Barrier() },
+		}
+	}
+	w := svmsim.Workload{Name: "held", Small: mk, Default: mk}
+	s, err := New(Config{Suite: suite, Workers: 1, JobDeadline: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := submitCell(s, w)
+	if v := waitTerminal(t, s, jobID(t, rec)); v.Status != statusQuarantined || v.ErrKind != "job_timeout" {
+		t.Fatalf("held job: %+v", v)
+	}
+	close(gate)
+	select {
+	case <-landed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the abandoned simulation never landed")
+	}
+
+	again := submitCell(s, w)
+	if v := waitTerminal(t, s, jobID(t, again)); v.Status != statusDone {
+		t.Fatalf("resubmission: %+v", v)
+	}
+	if n := setups.Load(); n != 1 {
+		t.Errorf("Setup ran %d times, want 1", n)
+	}
+	key := exp.Cell{Cfg: suite.Base(), W: w}.Key()
+	mu.Lock()
+	sims := 0
+	for _, ev := range events {
+		if ev.Key == key && ev.Source == exp.SourceSim {
+			sims++
+		}
+	}
+	mu.Unlock()
+	if sims != 1 {
+		t.Errorf("suite saw %d simulations of %s, want 1 (events %v)", sims, key, events)
 	}
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
@@ -152,7 +158,7 @@ func TestIdempotentResubmission(t *testing.T) {
 			t.Fatalf("resubmission %d forked a new job: %s vs %s", i, got, id)
 		}
 	}
-	if _, _, _, deduped := counters(s); deduped != 3 {
+	if _, _, deduped := counters(s); deduped != 3 {
 		t.Fatalf("deduped = %d, want 3", deduped)
 	}
 	s.mu.Lock()
