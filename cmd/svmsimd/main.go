@@ -84,8 +84,6 @@ type options struct {
 	maxDisp     int
 	workerWait  time.Duration
 	noFallback  bool
-	hedgeFactor float64
-	hedgeMin    time.Duration
 }
 
 func main() {
@@ -113,8 +111,6 @@ func main() {
 	flag.IntVar(&o.maxDisp, "max-dispatches", 4, "coordinator: placement attempts per cell before giving up")
 	flag.DurationVar(&o.workerWait, "worker-wait", 30*time.Second, "coordinator: how long a dispatch waits for the first alive worker")
 	flag.BoolVar(&o.noFallback, "no-local-fallback", false, "coordinator: fail unplaceable cells instead of simulating them locally")
-	flag.Float64Var(&o.hedgeFactor, "hedge-factor", 3, "coordinator: hedge stragglers after this multiple of observed p99 dispatch latency (negative disables)")
-	flag.DurationVar(&o.hedgeMin, "hedge-min", 250*time.Millisecond, "coordinator: floor on the hedge delay")
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -195,8 +191,6 @@ func run(o options) error {
 			MaxDispatches:        o.maxDisp,
 			WorkerWait:           o.workerWait,
 			DisableLocalFallback: o.noFallback,
-			HedgeFactor:          o.hedgeFactor,
-			HedgeMin:             o.hedgeMin,
 			Log:                  os.Stderr,
 		})
 		if err != nil {

@@ -360,9 +360,6 @@ var taxonomy = []struct {
 	// A wall-clock deadline is pure host weather (load, scheduling, disk):
 	// the same cell may finish comfortably on another worker.
 	{isErr[*JobTimeoutError], "job_timeout", true},
-	// The worker died, not the simulation: the identical cell succeeds on
-	// any other worker.
-	{isErr[*WorkerLostError], "worker_lost", true},
 	// Every placement attempt hit a host-level failure; the cell itself
 	// was never judged.
 	{isErr[*RedispatchExhaustedError], "redispatch_exhausted", true},
@@ -402,8 +399,8 @@ func ErrKind(err error) string {
 }
 
 // RetryableKind reports whether a wire error kind names a host-level
-// failure worth re-running elsewhere ("job_timeout", "worker_lost", a
-// panic, an unclassified harness error or an unknown kind) as opposed to a
+// failure worth re-running elsewhere ("job_timeout", a panic, an
+// unclassified harness error or an unknown kind) as opposed to a
 // deterministic outcome that fails identically on every worker ("stall",
 // "lost_page", ...). The coordinator sees worker failures only as wire
 // kinds, after the typed error has been flattened. The empty kind

@@ -386,7 +386,6 @@ func TestErrKindTaxonomy(t *testing.T) {
 		{&UncalibratedError{Workload: "FFT", Mode: "hlrc", Reason: "no calibration has run"}, "uncalibrated", true},
 		{&InfeasibleError{Workload: "FFT", Mode: "hlrc", MinSpeedup: 12, Best: 9.1}, "infeasible", true},
 		{&JobTimeoutError{Key: "k", Deadline: time.Second}, "job_timeout", false},
-		{&WorkerLostError{Worker: "w1-e1", Key: "k"}, "worker_lost", false},
 		{&RedispatchExhaustedError{Key: "k", Attempts: 3, Last: "refused"}, "redispatch_exhausted", false},
 		{errors.New("setup exploded"), "failed", false},
 	}

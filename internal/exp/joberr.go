@@ -23,24 +23,6 @@ func (e *JobTimeoutError) Error() string {
 	return fmt.Sprintf("job exceeded the %v deadline (key %s)", e.Deadline, e.Key)
 }
 
-// WorkerLostError reports a fleet dispatch aborted because the worker
-// executing it was declared dead — it missed its suspect timeout, refused
-// connections, or left the fleet — while the cell was in flight. Like
-// JobTimeoutError it is a harness failure, not a simulation outcome: the
-// identical cell runs fine on any other worker, so the coordinator
-// re-dispatches rather than surfacing it. It lives in exp for the same
-// reason: the taxonomy names it, and internal/fleet sits above exp.
-type WorkerLostError struct {
-	// Worker is the coordinator-assigned ID of the lost worker.
-	Worker string
-	// Key is the content address of the in-flight work.
-	Key string
-}
-
-func (e *WorkerLostError) Error() string {
-	return fmt.Sprintf("worker %s lost with cell in flight (key %s)", e.Worker, e.Key)
-}
-
 // RedispatchExhaustedError reports a cell the fleet failed to place: every
 // dispatch attempt ended in a host-level failure (dead workers, timeouts,
 // unreachable endpoints) and the redispatch budget ran out with local

@@ -232,7 +232,6 @@ func TestRetryableKindMirrorsDeterministicErr(t *testing.T) {
 		&UncalibratedError{},
 		&InfeasibleError{},
 		&JobTimeoutError{},
-		&WorkerLostError{},
 		&RedispatchExhaustedError{},
 	}
 	for _, typed := range taxonomy {

@@ -204,7 +204,7 @@ func TestChaosWorkerKill9(t *testing.T) {
 
 	coordArgs := append([]string{
 		"-coordinator", "-parallel", "3",
-		"-hb-interval", "100ms", "-hedge-factor", "-1",
+		"-hb-interval", "100ms",
 	}, chaosSuiteArgs...)
 	coord := startChaos(t, bin, "127.0.0.1:0", coordArgs...)
 
@@ -337,7 +337,7 @@ func TestChaosCoordinatorKill9(t *testing.T) {
 	journalDir := filepath.Join(t.TempDir(), "journal")
 	coordArgs := append([]string{
 		"-coordinator", "-parallel", "1", "-journal-dir", journalDir,
-		"-hb-interval", "100ms", "-hedge-factor", "-1",
+		"-hb-interval", "100ms",
 	}, chaosSuiteArgs...)
 	coord := startChaos(t, bin, coordAddr, coordArgs...)
 

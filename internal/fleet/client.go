@@ -49,15 +49,20 @@ type Client struct {
 }
 
 // Do issues one HTTP request with the retry policy above, returning the
-// final status and response body. A non-nil error means the request never
-// produced a response within the attempt budget (or ctx ended).
+// final status and response body. It waits only between attempts, so the
+// last failed attempt returns at once. A non-nil error means the request
+// never produced a response within the attempt budget (or ctx ended).
 func (c *Client) Do(ctx context.Context, method, url string, body []byte) (int, []byte, error) {
 	attempts := c.MaxAttempts
 	if attempts <= 0 {
 		attempts = 4
 	}
 	var lastErr error
+	var wait time.Duration // the delay a failed attempt set for the next one
 	for attempt := 0; attempt < attempts; attempt++ {
+		if attempt > 0 && !c.sleep(ctx, wait) {
+			return 0, nil, ctx.Err()
+		}
 		req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 		if err != nil {
 			return 0, nil, err
@@ -70,25 +75,17 @@ func (c *Client) Do(ctx context.Context, method, url string, body []byte) (int, 
 			if ctx.Err() != nil {
 				return 0, nil, ctx.Err()
 			}
-			lastErr = err
-			if !c.sleep(ctx, c.delay(attempt, "")) {
-				return 0, nil, ctx.Err()
-			}
+			lastErr, wait = err, c.delay(attempt, "")
 			continue
 		}
 		data, rerr := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if rerr != nil {
-			lastErr = rerr
-			if !c.sleep(ctx, c.delay(attempt, "")) {
-				return 0, nil, ctx.Err()
-			}
+			lastErr, wait = rerr, c.delay(attempt, "")
 			continue
 		}
 		if resp.StatusCode == http.StatusTooManyRequests && attempt < attempts-1 {
-			if !c.sleep(ctx, c.delay(attempt, resp.Header.Get("Retry-After"))) {
-				return 0, nil, ctx.Err()
-			}
+			wait = c.delay(attempt, resp.Header.Get("Retry-After"))
 			continue
 		}
 		return resp.StatusCode, data, nil

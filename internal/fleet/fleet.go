@@ -11,15 +11,14 @@
 // internal/proto/failure.go. Cells route by content-key affinity — warm
 // cells to the node that already holds them, cold cells by rendezvous
 // hashing on the worker's cache identity (stable across restarts on both
-// sides), saturated nodes spilling to least-loaded. A worker that misses
-// its suspect timeout, breaks a connection, or answers with a retryable
-// error kind gets its in-flight cells re-dispatched; stragglers are hedged
-// onto a second worker after a p99-derived delay; and everything is
-// idempotent by content key, so late results from slow-not-dead workers
-// dedupe instead of double-counting. Losing workers shrinks capacity (the
-// front door's 429s take over) but never loses an accepted job: acceptance
-// is journaled at the coordinator before the ack, exactly as in PR 8's
-// single-daemon contract.
+// sides), saturated nodes spilling to least-loaded. A cell runs on one
+// worker at a time. A worker that misses its suspect timeout, breaks a
+// connection, or answers with a retryable error kind fails its attempt, and
+// the cell is placed again; a worker that is only slow finishes its cell.
+// Submissions are idempotent by content key, so placing a cell again never
+// double-counts it. Losing workers shrinks capacity (the front door's 429s
+// take over) but never loses an accepted job: acceptance is journaled at
+// the coordinator before the ack, exactly as in the single-daemon contract.
 //
 // The invariant catalog lives in DESIGN.md §8c.
 package fleet
@@ -65,14 +64,8 @@ type Config struct {
 	// default (fallback enabled) keeps a worker-less coordinator behaving
 	// exactly like a plain daemon.
 	DisableLocalFallback bool
-	// HedgeFactor scales the observed p99 dispatch latency into the
-	// straggler threshold (default 3; negative disables hedging).
-	HedgeFactor float64
-	// HedgeMin floors the hedge delay (default 250ms) so a fleet of
-	// very fast cells does not hedge on scheduling noise.
-	HedgeMin time.Duration
 	// Log, when non-nil, receives coordinator event lines (worker joins,
-	// deaths, redispatches, hedges).
+	// deaths, redispatches, local fallbacks).
 	Log io.Writer
 }
 
@@ -82,7 +75,6 @@ type Coordinator struct {
 	srv     *server.Server
 	reg     *registry
 	metrics metrics
-	ring    latencyRing
 	client  *Client
 	mux     *http.ServeMux
 
@@ -90,8 +82,6 @@ type Coordinator struct {
 	maxDispatches   int
 	workerWait      time.Duration
 	disableFallback bool
-	hedgeFactor     float64
-	hedgeMin        time.Duration
 
 	log      io.Writer
 	logMu    sync.Mutex
@@ -121,12 +111,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.WorkerWait <= 0 {
 		cfg.WorkerWait = 30 * time.Second
 	}
-	if cfg.HedgeFactor == 0 {
-		cfg.HedgeFactor = 3
-	}
-	if cfg.HedgeMin <= 0 {
-		cfg.HedgeMin = 250 * time.Millisecond
-	}
 
 	c := &Coordinator{
 		reg:             newRegistry(cfg.SuspectTimeout),
@@ -135,8 +119,6 @@ func New(cfg Config) (*Coordinator, error) {
 		maxDispatches:   cfg.MaxDispatches,
 		workerWait:      cfg.WorkerWait,
 		disableFallback: cfg.DisableLocalFallback,
-		hedgeFactor:     cfg.HedgeFactor,
-		hedgeMin:        cfg.HedgeMin,
 		log:             cfg.Log,
 		stopc:           make(chan struct{}),
 		monDone:         make(chan struct{}),
@@ -194,9 +176,9 @@ func New(cfg Config) (*Coordinator, error) {
 // metrics are the fleet's series. Per-worker series are labelled with the
 // coordinator-assigned worker ID.
 type metrics struct {
-	redispatched, hedges, late, fallbacks server.Counter
-	dispatched, completed, dispatchErrs   server.LabeledCounter
-	latency                               server.Histogram
+	redispatched, fallbacks             server.Counter
+	dispatched, completed, dispatchErrs server.LabeledCounter
+	latency                             server.Histogram
 }
 
 // newMetrics declares the fleet's series on the front door's registry,
@@ -208,8 +190,6 @@ func newMetrics(r *server.Registry, reg *registry) metrics {
 	r.Func("counter", "fleet_worker_leaves_total", "Workers that deregistered gracefully (or re-registered).", func() int64 { _, _, leaves := reg.counts(); return int64(leaves) })
 	m := metrics{
 		redispatched: r.Counter("fleet_jobs_redispatched_total", "Cells re-placed on another worker after a failed dispatch."),
-		hedges:       r.Counter("fleet_hedges_total", "Straggler cells speculatively duplicated on a second worker."),
-		late:         r.Counter("fleet_late_results_total", "Worker results that arrived after the cell was already resolved (deduped, warmth recorded)."),
 		fallbacks:    r.Counter("fleet_local_fallbacks_total", "Cells simulated locally because the fleet could not place them."),
 		dispatched:   r.LabeledCounter("fleet_cells_dispatched_total", "Cells sent to each worker.", "worker"),
 		completed:    r.LabeledCounter("fleet_cells_completed_total", "Cells each worker answered successfully.", "worker"),

@@ -150,6 +150,34 @@ func TestPickRouting(t *testing.T) {
 		t.Fatalf("saturated worker still wins rendezvous")
 	}
 	_ = second
+
+	// Spill: with every worker saturated, the least relative load wins,
+	// whatever rendezvous says. A worker of capacity 4 running 6 (150%)
+	// beats one of capacity 1 running 2 (200%), and loses to it at 9
+	// (225%).
+	s := newRegistry(time.Minute)
+	small := s.register("http://small:1", 1, "small:/cache")
+	big := s.register("http://big:1", 4, "big:/cache")
+	for i := 0; i < 2; i++ {
+		s.acquire(small)
+	}
+	for i := 0; i < 6; i++ {
+		s.acquire(big)
+	}
+	keys := []string{"spill-a", "spill-b", "spill-c"}
+	for _, key := range keys {
+		if got := s.pick(key, nil); got != big {
+			t.Fatalf("spill pick(%s) = %s, want the capacity-4 worker at 150%%", key, got.id)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		s.acquire(big)
+	}
+	for _, key := range keys {
+		if got := s.pick(key, nil); got != small {
+			t.Fatalf("spill pick(%s) = %s, want the capacity-1 worker at 200%%, not 225%%", key, got.id)
+		}
+	}
 }
 
 func TestWaitForWorker(t *testing.T) {
@@ -225,10 +253,18 @@ func TestClientBackoffCapAndExhaustion(t *testing.T) {
 		t.Fatalf("exhausted Do = %d, %v; want the final 429", status, err)
 	}
 
-	// Transport errors exhaust into an error.
-	dead := &Client{MaxAttempts: 2, BaseBackoff: time.Millisecond}
-	if _, _, err := dead.Do(context.Background(), http.MethodGet, "http://127.0.0.1:1/nope", nil); err == nil {
+	// Transport errors exhaust into an error, and the backoff falls only
+	// between attempts: two attempts at a 300ms base sleep once (at most
+	// 375ms with jitter), not after the last failure too (900ms and more).
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	dead := &Client{MaxAttempts: 2, BaseBackoff: 300 * time.Millisecond}
+	sw := walltime.Start()
+	if _, _, err := dead.Do(context.Background(), http.MethodGet, gone.URL, nil); err == nil {
 		t.Fatal("transport failure did not error after exhaustion")
+	}
+	if d := sw.Elapsed(); d >= 700*time.Millisecond {
+		t.Fatalf("exhausted Do returned after %v; it slept after its last attempt", d)
 	}
 }
 
@@ -362,7 +398,7 @@ func TestFleetSweepByteIdentical(t *testing.T) {
 			localSims.Add(1)
 		}
 	}
-	_, coordURL := newTestCoordinator(t, Config{Suite: suite, SuspectTimeout: time.Minute, HedgeFactor: -1})
+	_, coordURL := newTestCoordinator(t, Config{Suite: suite, SuspectTimeout: time.Minute})
 	w1 := startWorker(t, "")
 	w2 := startWorker(t, "")
 	registerHTTP(t, coordURL.URL, w1.ts.URL, "w1:/cache")
@@ -416,7 +452,6 @@ func TestFleetRedispatchOnWorkerDeath(t *testing.T) {
 		HeartbeatInterval: 50 * time.Millisecond,
 		SuspectTimeout:    300 * time.Millisecond,
 		WorkerWait:        10 * time.Second,
-		HedgeFactor:       -1,
 	})
 	registerHTTP(t, coordURL.URL, blackHole.URL, "dead:/cache")
 
@@ -462,7 +497,7 @@ func TestFleetRedispatchOnWorkerDeath(t *testing.T) {
 // plain daemon — the cell simulates locally after WorkerWait and the
 // degradation is visible in metrics.
 func TestFleetFallsBackWithNoWorkers(t *testing.T) {
-	_, coordURL := newTestCoordinator(t, Config{WorkerWait: 50 * time.Millisecond, HedgeFactor: -1})
+	_, coordURL := newTestCoordinator(t, Config{WorkerWait: 50 * time.Millisecond})
 	status, data := submitAndWait(t, coordURL.URL, "/v1/cells", []byte(`{"workload":"LU"}`))
 	if status != http.StatusOK {
 		t.Fatalf("fallback cell failed: %d %s", status, data)
@@ -480,7 +515,6 @@ func TestFleetNoFallbackFailsTyped(t *testing.T) {
 		WorkerWait:           50 * time.Millisecond,
 		DisableLocalFallback: true,
 		MaxDispatches:        2,
-		HedgeFactor:          -1,
 	})
 	status, data := submitAndWait(t, coordURL.URL, "/v1/cells", []byte(`{"workload":"LU"}`))
 	if status != http.StatusInternalServerError {
@@ -488,64 +522,6 @@ func TestFleetNoFallbackFailsTyped(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "redispatch_exhausted") {
 		t.Fatalf("error body lacks the typed kind: %s", data)
-	}
-}
-
-// TestLateResultDedup exercises the hedge path deterministically by driving
-// dispatch directly: the primary worker is slowed, the hedge lands on the
-// fast one, and the primary's eventual answer must dedupe (counted, warmth
-// recorded, result dropped).
-func TestLateResultDedup(t *testing.T) {
-	slowGate := make(chan struct{})
-	slow := startWorker(t, "")
-	slowProxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet {
-			<-slowGate // hold every result poll until released
-		}
-		slow.ts.Config.Handler.ServeHTTP(w, r)
-	}))
-	defer slowProxy.Close()
-	fast := startWorker(t, "")
-
-	coord, _ := newTestCoordinator(t, Config{HedgeFactor: 1, HedgeMin: 20 * time.Millisecond})
-	primary := coord.reg.register(slowProxy.URL, 1, "slow:/cache")
-	coord.reg.register(fast.ts.URL, 1, "fast:/cache")
-
-	// Seed the latency ring so hedgeDelay has a p99 to work from.
-	for i := 0; i < 10; i++ {
-		coord.ring.add(0.005)
-	}
-
-	suite := exp.NewSuite(exp.Small)
-	cell, err := suite.ResolveCell(exp.CellSpec{Workload: "LU"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, ok := exp.SpecFromCell(cell)
-	if !ok {
-		t.Fatal("baseline cell not wire-expressible")
-	}
-
-	res, err := coord.dispatch(primary, cell.Key(), spec)
-	if err != nil {
-		t.Fatalf("hedged dispatch failed: %v", err)
-	}
-	if res.Run == nil || res.Key != cell.Key() {
-		t.Fatalf("hedged result malformed: %+v", res)
-	}
-	close(slowGate) // let the straggler finish; its result is late
-
-	waitUntil(t, 30*time.Second, "late-result dedup", func() bool {
-		return coord.metrics.late.Value() == 1 && coord.metrics.hedges.Value() == 1
-	})
-	// Both cache identities are now warm for the cell: the straggler's disk
-	// has the bytes too, and routing should know.
-	coord.reg.mu.Lock()
-	warmSlow := coord.reg.warm["slow:/cache"][cell.Key()]
-	warmFast := coord.reg.warm["fast:/cache"][cell.Key()]
-	coord.reg.mu.Unlock()
-	if !warmSlow || !warmFast {
-		t.Fatalf("warmth after late result: slow=%v fast=%v, want both true", warmSlow, warmFast)
 	}
 }
 
@@ -663,7 +639,7 @@ func TestCoordinatorDrainRefusesWorkers(t *testing.T) {
 // reachable, so the call fails and the worker stays alive; a worker whose
 // listener is gone is condemned.
 func TestRefusedSubmissionKeepsWorker(t *testing.T) {
-	coord, ts := newTestCoordinator(t, Config{SuspectTimeout: time.Minute, HedgeFactor: -1})
+	coord, ts := newTestCoordinator(t, Config{SuspectTimeout: time.Minute})
 	call := func(url, cacheID string) (*worker, error) {
 		t.Helper()
 		id := registerHTTP(t, ts.URL, url, cacheID)
@@ -703,7 +679,7 @@ func TestRefusedSubmissionKeepsWorker(t *testing.T) {
 // coordinator places the cell on a healthy worker instead.
 func TestRetryableAnswerIsAFailedAttempt(t *testing.T) {
 	suite := exp.NewSuite(exp.Small)
-	coord, ts := newTestCoordinator(t, Config{Suite: suite, SuspectTimeout: time.Minute, HedgeFactor: -1, MaxDispatches: 2})
+	coord, ts := newTestCoordinator(t, Config{Suite: suite, SuspectTimeout: time.Minute, MaxDispatches: 2})
 	badID := registerHTTP(t, ts.URL, failingWorker(t).URL, "bad:/cache")
 	cell, err := suite.ResolveCell(exp.CellSpec{Workload: "FFT"})
 	if err != nil {
@@ -713,7 +689,7 @@ func TestRetryableAnswerIsAFailedAttempt(t *testing.T) {
 	coord.reg.mu.Lock()
 	bad := coord.reg.workers[badID]
 	coord.reg.mu.Unlock()
-	if res, err := coord.dispatch(bad, cell.Key(), spec); err == nil {
+	if res, err := coord.try(bad, cell.Key(), spec); err == nil {
 		t.Fatalf("a job_timeout answer completed the dispatch: %+v", res)
 	}
 
@@ -742,5 +718,42 @@ func TestRetryableAnswerIsAFailedAttempt(t *testing.T) {
 	}
 	if n := samples[`fleet_cells_completed_total{worker="`+goodID+`"}`]; n != 1 {
 		t.Errorf("fleet_cells_completed_total{good} = %v, want 1", n)
+	}
+}
+
+// TestOnlyWorkerIsForgiven: when every alive worker has failed a cell once,
+// remote forgives them and places the cell again rather than fall back
+// while workers live. The only worker answers its first attempt with a
+// retryable job_timeout and then serves the cell.
+func TestOnlyWorkerIsForgiven(t *testing.T) {
+	suite := exp.NewSuite(exp.Small)
+	coord, ts := newTestCoordinator(t, Config{Suite: suite, SuspectTimeout: time.Minute, MaxDispatches: 2})
+	backend := stubWorker(t)
+	var polls atomic.Int64
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && polls.Add(1) == 1 {
+			server.WriteError(w, http.StatusInternalServerError, "job_timeout", "attempt exceeded its deadline")
+			return
+		}
+		backend.Config.Handler.ServeHTTP(w, r)
+	}))
+	defer flaky.Close()
+	id := registerHTTP(t, ts.URL, flaky.URL, "flaky:/cache")
+	cell, err := suite.ResolveCell(exp.CellSpec{Workload: "FFT"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := coord.remote(cell); !ok || res.Run == nil {
+		t.Fatalf("remote(FFT) = %+v, %v; want the worker's run on its second attempt", res, ok)
+	}
+	for series, want := range map[string]float64{
+		"fleet_jobs_redispatched_total":                     1,
+		"fleet_local_fallbacks_total":                       0,
+		`fleet_cells_dispatched_total{worker="` + id + `"}`: 2,
+		`fleet_cells_completed_total{worker="` + id + `"}`:  1,
+	} {
+		if got := metricValue(t, ts.URL, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
 	}
 }

@@ -78,17 +78,7 @@ var (
 // each placement is known: no cell simulates.
 func TestCoordinatorScrapeGolden(t *testing.T) {
 	suite := exp.NewSuite(exp.Small)
-	coord, ts := newTestCoordinator(t, Config{Suite: suite, SuspectTimeout: time.Minute, HedgeFactor: -1, MaxDispatches: 2})
-
-	gate := make(chan struct{})
-	slowBackend := stubWorker(t)
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet {
-			<-gate
-		}
-		slowBackend.Config.Handler.ServeHTTP(w, r)
-	}))
-	defer slow.Close()
+	coord, ts := newTestCoordinator(t, Config{Suite: suite, SuspectTimeout: time.Minute, MaxDispatches: 2})
 
 	workers := map[string]*worker{}
 	for _, w := range []struct{ name, url string }{
@@ -96,7 +86,6 @@ func TestCoordinatorScrapeGolden(t *testing.T) {
 		{"r2", failingWorker(t).URL},
 		{"a", stubWorker(t).URL},
 		{"b", stubWorker(t).URL},
-		{"slow", slow.URL},
 		{"dead", "http://127.0.0.1:1"},
 		{"gone", "http://gone:1"},
 	} {
@@ -133,24 +122,6 @@ func TestCoordinatorScrapeGolden(t *testing.T) {
 	if _, ok := coord.remote(cell("Radix", "r1", "r2")); ok {
 		t.Fatal("Radix placed; want a local fallback")
 	}
-
-	// Ocean's dispatch to slow stalls until it is hedged onto b; releasing
-	// slow then delivers a late result.
-	coord.hedgeFactor, coord.hedgeMin = 1, 20*time.Millisecond
-	ocean := cell("Ocean", "b")
-	spec, _ := exp.SpecFromCell(ocean)
-	if _, err := coord.dispatch(workers["slow"], ocean.Key(), spec); err != nil {
-		t.Fatal(err)
-	}
-	close(gate)
-	waitUntil(t, 10*time.Second, "the late result", func() bool {
-		for _, v := range coord.reg.views() {
-			if v.Inflight != 0 {
-				return false
-			}
-		}
-		return metricValue(t, ts.URL, "fleet_late_results_total") == 1
-	})
 
 	coord.reg.acquire(workers["a"])
 	coord.reg.acquire(workers["a"])

@@ -101,7 +101,6 @@ func (s *Server) runJob(j *job) {
 	case out := <-resc:
 		s.finishJob(j, out)
 	case <-expired:
-		s.metrics.timeouts.Inc()
 		s.quarantineJob(j, &exp.JobTimeoutError{Key: j.key, Deadline: s.jobDeadline})
 	}
 }

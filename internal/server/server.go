@@ -122,9 +122,8 @@ type metrics struct {
 	done, failed        Counter
 	rejected, refused   Counter
 	deduped, replayed   Counter
-	timeouts            Counter
 	quarantined         Counter
-	misses, simulated   Counter
+	simulated           Counter
 	twinPredictions     Counter // declared only with the twin endpoints
 	latency             Histogram
 }
@@ -144,10 +143,8 @@ func newMetrics(s *Server) metrics {
 		refused:     r.Counter("svmsimd_jobs_refused_total", "Submissions refused with 503 during drain."),
 		deduped:     r.Counter("svmsimd_jobs_deduped_total", "Resubmissions coalesced onto an already-active job with the same content key."),
 		replayed:    r.Counter("svmsimd_jobs_replayed_total", "Incomplete jobs re-enqueued from the journal at startup."),
-		timeouts:    r.Counter("svmsimd_job_timeouts_total", "Jobs that ran past the watchdog deadline."),
 		quarantined: r.Counter("svmsimd_jobs_quarantined_total", "Jobs quarantined at the watchdog deadline; a quarantined job is never re-run."),
 		cacheHits:   r.LabeledCounter("svmsimd_cache_hits_total", "Cells served without a fresh simulation, by cache layer.", "layer"),
-		misses:      r.Counter("svmsimd_cache_misses_total", "Cells that required a fresh simulation."),
 		simulated:   r.Counter("svmsimd_cells_simulated_total", "Fresh simulations executed."),
 	}
 	if s.twin != nil {
@@ -220,7 +217,6 @@ func New(cfg Config) (*Server, error) {
 			s.metrics.cacheHits.Inc(ev.Source.String())
 			return
 		}
-		s.metrics.misses.Inc()
 		s.metrics.simulated.Inc()
 		s.metrics.latency.Observe(ev.Seconds)
 	}

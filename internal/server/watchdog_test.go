@@ -16,9 +16,9 @@ import (
 )
 
 // counters snapshots the supervision counters for assertions.
-func counters(s *Server) (timeouts, quarantined, deduped uint64) {
+func counters(s *Server) (quarantined, deduped uint64) {
 	m := &s.metrics
-	return m.timeouts.Value(), m.quarantined.Value(), m.deduped.Value()
+	return m.quarantined.Value(), m.deduped.Value()
 }
 
 // TestWatchdogQuarantine: a job that runs past its deadline is quarantined
@@ -50,9 +50,8 @@ func TestWatchdogQuarantine(t *testing.T) {
 		t.Fatalf("error envelope: %+v", body)
 	}
 
-	timeouts, quarantined, _ := counters(s)
-	if timeouts != 1 || quarantined != 1 {
-		t.Fatalf("counters: timeouts=%d quarantined=%d", timeouts, quarantined)
+	if quarantined, _ := counters(s); quarantined != 1 {
+		t.Fatalf("counters: quarantined=%d", quarantined)
 	}
 	// The worker is free again: a fresh job runs to completion immediately.
 	rec2 := submitCell(s, tinyWorkload("after"))
@@ -158,7 +157,7 @@ func TestIdempotentResubmission(t *testing.T) {
 			t.Fatalf("resubmission %d forked a new job: %s vs %s", i, got, id)
 		}
 	}
-	if _, _, deduped := counters(s); deduped != 3 {
+	if _, deduped := counters(s); deduped != 3 {
 		t.Fatalf("deduped = %d, want 3", deduped)
 	}
 	s.mu.Lock()
