@@ -42,16 +42,16 @@ func TestBenchAppCounts(t *testing.T) {
 		cycles    uint64
 		want      engine.Counts
 	}{
-		{"Barnes-reb", "hlrc", 14916672, engine.Counts{Events: 234034, Switches: 62489, Threads: 4081, Carriers: 28}},
-		{"Water-sp", "hlrc", 7199494, engine.Counts{Events: 91878, Switches: 21062, Threads: 1669, Carriers: 29}},
-		{"Water-nsq", "hlrc", 2042927, engine.Counts{Events: 38325, Switches: 10644, Threads: 536, Carriers: 31}},
-		{"Raytrace", "hlrc", 818738, engine.Counts{Events: 15521, Switches: 3370, Threads: 222, Carriers: 28}},
-		{"Volrend", "hlrc", 1134986, engine.Counts{Events: 27543, Switches: 7524, Threads: 222, Carriers: 28}},
-		{"FFT", "aurc", 3641567, engine.Counts{Events: 148089, Switches: 44596, Threads: 328, Carriers: 20}},
-		{"LU", "aurc", 3477530, engine.Counts{Events: 88681, Switches: 26136, Threads: 135, Carriers: 22}},
-		{"Ocean", "aurc", 5546824, engine.Counts{Events: 232754, Switches: 60128, Threads: 313, Carriers: 20}},
-		{"Radix", "aurc", 5080853, engine.Counts{Events: 598418, Switches: 210342, Threads: 636, Carriers: 22}},
-		{"Barnes-sp", "aurc", 3408079, engine.Counts{Events: 177314, Switches: 61206, Threads: 216, Carriers: 21}},
+		{"Barnes-reb", "hlrc", 14916672, engine.Counts{Events: 234034, Switches: 49476, Threads: 4081, Carriers: 28}},
+		{"Water-sp", "hlrc", 7199494, engine.Counts{Events: 91878, Switches: 18282, Threads: 1669, Carriers: 29}},
+		{"Water-nsq", "hlrc", 2042927, engine.Counts{Events: 38325, Switches: 8465, Threads: 536, Carriers: 31}},
+		{"Raytrace", "hlrc", 818738, engine.Counts{Events: 15521, Switches: 2869, Threads: 222, Carriers: 28}},
+		{"Volrend", "hlrc", 1134986, engine.Counts{Events: 27543, Switches: 5598, Threads: 222, Carriers: 28}},
+		{"FFT", "aurc", 3641567, engine.Counts{Events: 148089, Switches: 26798, Threads: 328, Carriers: 20}},
+		{"LU", "aurc", 3477530, engine.Counts{Events: 88681, Switches: 18457, Threads: 135, Carriers: 22}},
+		{"Ocean", "aurc", 5546824, engine.Counts{Events: 232754, Switches: 35171, Threads: 313, Carriers: 20}},
+		{"Radix", "aurc", 5080853, engine.Counts{Events: 598418, Switches: 127233, Threads: 636, Carriers: 22}},
+		{"Barnes-sp", "aurc", 3408079, engine.Counts{Events: 177314, Switches: 37806, Threads: 216, Carriers: 21}},
 	} {
 		c, err := suite.ResolveCell(exp.CellSpec{Workload: tc.app, Mode: tc.mode})
 		if err != nil {
@@ -63,6 +63,36 @@ func TestBenchAppCounts(t *testing.T) {
 		}
 		if got := res.World.Sys.Sim.Counts(); res.Run.Cycles != tc.cycles || got != tc.want {
 			t.Errorf("%s (%s): %d cycles, %+v; want %d cycles, %+v", tc.app, tc.mode, res.Run.Cycles, got, tc.cycles, tc.want)
+		}
+	}
+}
+
+// TestWideNodesPinned pins runs with more than 8 processors per node, whose
+// holder record takes two bytes per line: 16 processors in one node of FFT
+// under HLRC and of Radix under AURC, and Ocean under AURC on two nodes of
+// 16. Cycles and events read the same as when every write probed every
+// other processor of its node.
+func TestWideNodesPinned(t *testing.T) {
+	suite := exp.NewSuite(exp.Small)
+	for _, tc := range []struct {
+		spec           exp.CellSpec
+		cycles, events uint64
+	}{
+		{exp.CellSpec{Workload: "FFT", Mode: "hlrc", Procs: 16, PPN: 16}, 931817, 137354},
+		{exp.CellSpec{Workload: "Radix", Mode: "aurc", Procs: 16, PPN: 16}, 1947032, 591072},
+		{exp.CellSpec{Workload: "Ocean", Mode: "aurc", Procs: 32, PPN: 16}, 2878416, 270808},
+	} {
+		c, err := suite.ResolveCell(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := svmsim.Run(c.Cfg, c.W.Small())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec.Workload, err)
+		}
+		if ev := res.World.Sys.Sim.Counts().Events; res.Run.Cycles != tc.cycles || ev != tc.events {
+			t.Errorf("%s (%s, %d/%d): %d cycles, %d events; want %d, %d", tc.spec.Workload, tc.spec.Mode,
+				tc.spec.Procs, tc.spec.PPN, res.Run.Cycles, ev, tc.cycles, tc.events)
 		}
 	}
 }

@@ -118,6 +118,52 @@ func BenchmarkEngineDo(b *testing.B) {
 	}
 }
 
+// spaceTicker frees write-buffer space every period cycles while writers
+// are left: it broadcasts space, waking every writer that waits on it.
+type spaceTicker struct {
+	s      *Sim
+	space  *Cond
+	period Time
+	left   *int
+}
+
+func (k *spaceTicker) HandleEvent(any) {
+	k.space.Broadcast()
+	if *k.left > 0 {
+		k.s.AtTarget(k.period, k, nil)
+	}
+}
+
+// BenchmarkEngineDoWait measures a stall shaped like a processor's write to
+// a full write buffer, run by Thread.Do: wait out the processor's lag, then
+// wait on a condition for space. Two writers stall on one condition, which
+// a ticker broadcasts, so the lag phase runs in scheduler context and the
+// wait ends at an evUnpark; one op is one Do, which must park its thread at
+// most once. 0 allocs/op, as above: the condition's waiter list keeps its
+// capacity.
+func BenchmarkEngineDoWait(b *testing.B) {
+	b.ReportAllocs()
+	s := New()
+	space := NewCond(s)
+	left := 2
+	for _, n := range []int{(b.N + 1) / 2, b.N / 2} {
+		s.Spawn("writer", func(th *Thread) {
+			for i := 0; i < n; i++ {
+				th.Do(Op{Cycles: 3}, Op{Wait: space})
+			}
+			left--
+		})
+	}
+	s.AtTarget(10, &spaceTicker{s: s, space: space, period: 10, left: &left}, nil)
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if c := s.Counts(); c.Switches > uint64(b.N)+2 {
+		b.Fatalf("%d switches for %d Dos, want at most one per Do", c.Switches, b.N)
+	}
+}
+
 // drainService is a write-buffer-drain-shaped service for
 // BenchmarkEngineService: each burst retires lines lines, each a bus write
 // and an L2 hit, then schedules the service's next burst one cycle later,

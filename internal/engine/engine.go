@@ -21,14 +21,15 @@
 // resume time overflows. Counts.Switches counts the coroutine switches that
 // remain.
 //
-// A hardware transaction (a bus read, an NI pipeline, a write-buffer drain)
-// is a program of phases that Thread.Do runs: acquire a resource, hold it and
-// release it, acquire it and keep it, or just wait. Do parks the thread at
-// most once. Phases run on the thread while each resume may happen in place;
-// from the first phase that must wait, the rest run as the thread's own
-// events in scheduler context, taking the seqs and dispatches the equivalent
-// Acquire, Delay and Release calls would, and the last one switches back into
-// the thread.
+// A hardware transaction (a bus read, an NI pipeline, a write-buffer drain, a
+// processor's stall) is a program of phases that Thread.Do runs: acquire a
+// resource, hold it and release it, acquire it and keep it, wait on a
+// condition, or just wait. Do parks the thread at most once. Phases run on
+// the thread while each resume may happen in place; from the first phase
+// that must wait, the rest run as the thread's own events in scheduler
+// context, taking the seqs and dispatches the equivalent Acquire, Delay,
+// Release and Cond.Wait calls would, and the last one switches back into the
+// thread.
 //
 // A thread can also start with a program (Thread.Start): its first dispatch
 // runs the program in scheduler context, and it enters a coroutine only for a
@@ -76,8 +77,8 @@ const (
 	// program in scheduler context first.
 	evResume evKind = iota
 	// evUnpark transfers control to th, asserting it is actually parked. When
-	// th is queued for a resource inside a Do program, it is the grant: the
-	// program goes on in scheduler context.
+	// th is queued for a resource or a condition inside a Do program, it is
+	// the grant or the wakeup: the program goes on in scheduler context.
 	evUnpark
 	// evPhase ends the current phase of th's Do program; the program goes on
 	// in scheduler context.
@@ -273,7 +274,7 @@ func (s *Sim) dispatch(ev event) {
 		if p.at == atEnd {
 			panic(fmt.Sprintf("engine: Unpark of thread %q inside a Do phase", t.name))
 		}
-		if p.at == atGrant && !s.step(t, p) {
+		if p.at == atQueued && !s.step(t, p) {
 			return
 		}
 	case evPhase:

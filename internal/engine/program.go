@@ -7,15 +7,19 @@ import "fmt"
 // releases it, as Acquire, Delay and Release do; with Res nil it waits
 // Cycles, as Delay does. Keep, with Res set, ends the phase at the grant, as Acquire does:
 // the thread keeps Res and releases it itself, and Cycles and Times must be
-// zero. Times repeats the phase, with 0 meaning once, so a DMA's equal-sized
-// bus tenures are one Op. Then, when set, ends the program after this phase:
-// Do runs the phases Then.Continue appends instead.
+// zero. Wait, when set, queues the thread on the condition and ends the
+// phase at the Signal or Broadcast that wakes it, as Cond.Wait does; Res,
+// Cycles, Times and Keep must then be zero, and Do panics at the phase
+// otherwise. Times repeats the phase, with 0 meaning once, so a DMA's
+// equal-sized bus tenures are one Op. Then, when set, ends the program after
+// this phase: Do runs the phases Then.Continue appends instead.
 type Op struct {
 	Res    *Resource
 	Prio   int
 	Cycles Time
 	Times  int
 	Keep   bool
+	Wait   *Cond
 	Then   Continuation
 }
 
@@ -34,11 +38,11 @@ const maxOps = 8
 
 // Where a thread's program stands.
 const (
-	atNone  uint8 = iota // no program runs
-	atStart              // the phase at pc is about to start
-	atGrant              // queued for the phase's resource; Release's evUnpark grants it
-	atEnd                // the phase's cycles run; an evPhase, or an in-place resume, ends them
-	atFirst              // Start's program: the first dispatch ends ops[0] and loads its Then
+	atNone   uint8 = iota // no program runs
+	atStart               // the phase at pc is about to start
+	atQueued              // queued for the phase's resource or condition; an evUnpark ends the wait
+	atEnd                 // the phase's cycles run; an evPhase, or an in-place resume, ends them
+	atFirst               // Start's program: the first dispatch ends ops[0] and loads its Then
 )
 
 // program is the transaction a thread runs with Do or starts with. It lives
@@ -52,11 +56,11 @@ type program struct {
 }
 
 // Do runs the phases ops in order on t, with the same events, seqs and
-// dispatches as the Acquire, Delay and Release calls they stand for, and
-// parks t at most once. Phases run on the thread for as long as each resume
-// may happen in place (see Delay). From the first phase that must wait, the
-// rest run as t's events in scheduler context, and the last one resumes t in
-// its own dispatch; t stays parked in between.
+// dispatches as the Acquire, Delay, Release and Cond.Wait calls they stand
+// for, and parks t at most once. Phases run on the thread for as long as
+// each resume may happen in place (see Delay). From the first phase that
+// must wait, the rest run as t's events in scheduler context, and the last
+// one resumes t in its own dispatch; t stays parked in between.
 func (t *Thread) Do(ops ...Op) {
 	p := t.prog
 	p.load(t, ops)
@@ -78,7 +82,8 @@ func (p *program) load(t *Thread, ops []Op) {
 // and reports whether the program ended. A free resource is taken with no
 // event and a busy one queues t; each hold or wait is one resume, in place
 // when resumesNext allows and an evPhase event otherwise. A Keep phase ends
-// at the grant.
+// at the grant, and a Wait phase queues t on its condition and ends at the
+// evUnpark of the Signal or Broadcast that wakes it.
 func (s *Sim) step(t *Thread, p *program) bool {
 	for {
 		switch p.at {
@@ -88,16 +93,24 @@ func (s *Sim) step(t *Thread, p *program) bool {
 				return true
 			}
 			op := &p.ops[p.pc]
+			if c := op.Wait; c != nil {
+				if op.Res != nil || op.Cycles != 0 || op.Times != 0 || op.Keep {
+					panic(fmt.Sprintf("engine: Wait phase of thread %q also sets Res, Cycles, Times or Keep", t.name))
+				}
+				c.waiters = append(c.waiters, t)
+				p.at = atQueued
+				return false
+			}
 			if op.Res != nil && !op.Res.take(t, op.Prio) {
-				p.at = atGrant
+				p.at = atQueued
 				return false
 			}
 			if op.Keep {
 				p.next(t, op)
 				continue
 			}
-		case atGrant:
-			if op := &p.ops[p.pc]; op.Keep {
+		case atQueued:
+			if op := &p.ops[p.pc]; op.Keep || op.Wait != nil {
 				p.at = atStart
 				p.next(t, op)
 				continue
@@ -111,7 +124,7 @@ func (s *Sim) step(t *Thread, p *program) bool {
 			p.next(t, op)
 			continue
 		}
-		// atStart with the resource held, or atGrant: the releaser already
+		// atStart with the resource held, or atQueued: the releaser already
 		// made t the holder. p.at moves on only once nothing can panic, so a
 		// thread that recovers a panic from Do never looks parked in a phase.
 		at := s.now + p.ops[p.pc].Cycles

@@ -9,11 +9,13 @@ import (
 )
 
 // phasePlan is one pre-drawn phase: a resource index (-1 for a plain wait),
-// a priority, a cycle count and a repeat count.
+// a priority, a cycle count and a repeat count, or, with wait set, a wait on
+// the program's condition.
 type phasePlan struct {
 	res, prio int
 	cycles    Time
 	times     int
+	wait      bool
 }
 
 // txPlan is one pre-drawn transaction: the phases Do starts with, then the
@@ -25,11 +27,13 @@ type txPlan struct {
 	then []int
 }
 
-// txCont builds a txPlan's phases on one Sim's resources and continues it.
+// txCont builds a txPlan's phases on one Sim's resources and condition and
+// continues it.
 type txCont struct {
 	tx   *txPlan
 	next int // the next segment to append
 	res  []*Resource
+	cond *Cond
 	step func(what string)
 }
 
@@ -49,6 +53,9 @@ func (c *txCont) appendSeg(dst []Op) []Op {
 		if ph.res >= 0 {
 			op.Res = c.res[ph.res]
 		}
+		if ph.wait {
+			op = Op{Wait: c.cond}
+		}
 		if j == c.tx.then[i] {
 			op.Then = c
 		}
@@ -59,13 +66,17 @@ func (c *txCont) appendSeg(dst []Op) []Op {
 
 // runExpanded is Do's reference: it runs ops on the thread with one
 // Acquire, Delay and Release per repetition of a resource phase, one
-// Acquire for a Keep phase, one Delay per repetition of a wait, and calls a
-// continuation inline.
+// Acquire for a Keep phase, one Cond.Wait for a Wait phase, one Delay per
+// repetition of a wait, and calls a continuation inline.
 func runExpanded(th *Thread, ops []Op) {
 	for len(ops) > 0 {
 		op := ops[0]
 		ops = ops[1:]
 		for r := 0; r < max(op.Times, 1); r++ {
+			if op.Wait != nil {
+				op.Wait.Wait(th)
+				continue
+			}
 			if op.Res == nil {
 				th.Delay(op.Cycles)
 				continue
@@ -147,6 +158,10 @@ func drawTx(rng *rand.Rand) *txPlan {
 	for i := 0; i < nseg; i++ {
 		seg := make([]phasePlan, 1+rng.Intn(4))
 		for j := range seg {
+			if rng.Intn(6) == 0 {
+				seg[j] = phasePlan{res: -1, wait: true}
+				continue
+			}
 			seg[j] = phasePlan{res: rng.Intn(4) - 1, prio: rng.Intn(3), cycles: drawCycles(rng), times: rng.Intn(4)}
 		}
 		then := -1
@@ -315,12 +330,12 @@ func runTxProgram(prog *txProgram, do doFunc, own ownFunc) ([]string, Counts) {
 				case kTx:
 					if own != nil {
 						child := fmt.Sprintf("%s.%d", name, i)
-						c := &txCont{tx: st.tx, res: res, step: func(what string) { step(child, what) }}
+						c := &txCont{tx: st.tx, res: res, cond: cond, step: func(what string) { step(child, what) }}
 						own(s, &pool, child, c, i%2 == 0, c.step)
 						step(name, "start")
 						continue
 					}
-					c := &txCont{tx: st.tx, res: res, step: func(what string) { step(name, what) }}
+					c := &txCont{tx: st.tx, res: res, cond: cond, step: func(what string) { step(name, what) }}
 					do(th, c.appendSeg(nil)...)
 					step(name, "tx")
 				}
@@ -367,9 +382,10 @@ func runTxProgram(prog *txProgram, do doFunc, own ownFunc) ([]string, Counts) {
 // with every transaction through Thread.Do and once through the reference
 // expansion on the thread, and requires the same step log, final clock,
 // event count and error text, with no more coroutine switches. Transactions
-// mix three shared resources and plain waits, priorities 0-2, cycles of 0,
-// 1-20 or long (longCycles), repeat counts 0-3 and continuations; the
-// noise around them is randomProgram's. A quarter of the programs each run
+// mix three shared resources, plain waits and waits on the condition that
+// the noise's Signal and Broadcast steps and the sweeper wake, priorities
+// 0-2, cycles of 0, 1-20 or long (longCycles), repeat counts 0-3 and
+// continuations; the noise around them is randomProgram's. A quarter of the programs each run
 // under a MaxCycles budget, a MaxEvents budget and the quiescence watchdog.
 //
 // The same programs then run every transaction on a thread of its own:
@@ -578,6 +594,31 @@ func TestDoProgramCapacity(t *testing.T) {
 		var tp *ThreadPanicError
 		if !errors.As(err, &tp) || !strings.Contains(err.Error(), "phases on thread \"t\", capacity 8") {
 			t.Fatalf("want a capacity panic, got %v", err)
+		}
+	}
+}
+
+// TestWaitPhaseAlone: a Wait phase that also sets Res, Cycles, Times or
+// Keep fails the thread when Do reaches it.
+func TestWaitPhaseAlone(t *testing.T) {
+	for i := 0; i < 4; i++ {
+		s := New()
+		op := Op{Wait: NewCond(s)}
+		switch i {
+		case 0:
+			op.Res = NewResource(s, "bus")
+		case 1:
+			op.Cycles = 1
+		case 2:
+			op.Times = 2
+		case 3:
+			op.Keep = true
+		}
+		s.Spawn("t", func(th *Thread) { th.Do(Op{Cycles: 5}, op) })
+		err := s.Run()
+		var tp *ThreadPanicError
+		if !errors.As(err, &tp) || !strings.Contains(err.Error(), `Wait phase of thread "t" also sets`) || s.Now() != 5 {
+			t.Fatalf("%+v: want a Wait-phase panic at cycle 5, got %v at %d", op, err, s.Now())
 		}
 	}
 }

@@ -83,3 +83,44 @@ func TestStallDiagnosticsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteBufferStallBreadcrumb: a StallError taken while a processor waits
+// for space in its full write buffer names wb-full-stall for it, and one
+// taken after the stall, while it computes, finds the breadcrumb cleared.
+// Processor 0 writes 64 lines back to back, so its 8-entry buffer fills
+// while the drain retires, and then computes; the others wait at the
+// barrier.
+func TestWriteBufferStallBreadcrumb(t *testing.T) {
+	app := App{
+		Name:  "wb-burst",
+		Setup: func(w *shm.World) any { return w.AllocPages(4 * 4096) },
+		Body: func(c *shm.Proc, state any) {
+			a := state.(shm.Addr)
+			if c.ID == 0 {
+				for i := 0; i < 64; i++ {
+					c.WriteU64(a+shm.Addr(32*i), uint64(i))
+				}
+				c.Compute(100_000)
+			}
+			c.Barrier()
+		},
+	}
+	for _, tc := range []struct {
+		maxCycles engine.Time
+		want      string
+	}{
+		{1_000, "proc0: wb-full-stall"},
+		{50_000, "proc0: running"},
+	} {
+		cfg := base()
+		cfg.MaxCycles = tc.maxCycles
+		_, err := Run(cfg, app)
+		var se *engine.StallError
+		if !errors.As(err, &se) {
+			t.Fatalf("MaxCycles %d: want a *StallError, got %v", tc.maxCycles, err)
+		}
+		if got := se.Diagnostics[0]; got != tc.want {
+			t.Errorf("MaxCycles %d: %q, want %q", tc.maxCycles, got, tc.want)
+		}
+	}
+}

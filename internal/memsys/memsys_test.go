@@ -297,6 +297,24 @@ func (r waitRetirer) Retired(line uint64) {
 	}
 }
 
+// putRetry is a writer's put into a write buffer, as the continuation of its
+// waits for space.
+type putRetry struct {
+	wb   *WriteBuffer
+	line uint64
+}
+
+func (r *putRetry) Continue(dst []engine.Op) []engine.Op { return r.wb.PutOps(dst, r.line, r) }
+
+// wbPut writes line into wb from th, waiting while the buffer is full, and
+// reports whether the write merged into an existing entry.
+func wbPut(th *engine.Thread, wb *WriteBuffer, line uint64) (merged bool) {
+	merged = wb.Contains(line)
+	r := &putRetry{wb: wb, line: line}
+	th.Do(r.Continue(nil)...)
+	return merged
+}
+
 func TestWriteBufferMergeAndDrain(t *testing.T) {
 	s := engine.New()
 	var retired []uint64
@@ -305,18 +323,18 @@ func TestWriteBufferMergeAndDrain(t *testing.T) {
 		retired: func(line uint64) { retired = append(retired, line) },
 	})
 	s.Spawn("writer", func(th *engine.Thread) {
-		if merged := wb.Put(th, 0); merged {
+		if merged := wbPut(th, wb, 0); merged {
 			t.Error("first put cannot merge")
 		}
-		if merged := wb.Put(th, 0); !merged {
+		if merged := wbPut(th, wb, 0); !merged {
 			t.Error("same-line put must merge")
 		}
-		wb.Put(th, 32)
-		wb.Put(th, 64)
+		wbPut(th, wb, 32)
+		wbPut(th, wb, 64)
 		if wb.Len() != 3 {
 			t.Errorf("len=%d want 3 (below retire-at)", wb.Len())
 		}
-		wb.Put(th, 96) // reaches retire-at=4, drain starts
+		wbPut(th, wb, 96) // reaches retire-at=4, drain starts
 		wb.Flush(th)
 		if wb.Len() != 0 {
 			t.Errorf("len=%d after flush", wb.Len())
@@ -343,9 +361,9 @@ func TestWriteBufferFullStalls(t *testing.T) {
 	wb := NewWriteBuffer(s, "wb", 2, 2, waitRetirer{wait: func(uint64) engine.Time { return 100 }})
 	var t3 engine.Time
 	s.Spawn("writer", func(th *engine.Thread) {
-		wb.Put(th, 0)
-		wb.Put(th, 32) // full; drain starts
-		wb.Put(th, 64) // must stall until one retires at t=100
+		wbPut(th, wb, 0)
+		wbPut(th, wb, 32) // full; drain starts
+		wbPut(th, wb, 64) // must stall until one retires at t=100
 		t3 = s.Now()
 		wb.Flush(th)
 	})
@@ -365,8 +383,8 @@ func TestWriteBufferDrop(t *testing.T) {
 	var retired []uint64
 	wb := NewWriteBuffer(s, "wb", 8, 8, waitRetirer{retired: func(line uint64) { retired = append(retired, line) }})
 	s.Spawn("writer", func(th *engine.Thread) {
-		wb.Put(th, 0)
-		wb.Put(th, 32)
+		wbPut(th, wb, 0)
+		wbPut(th, wb, 32)
 		if !wb.Drop(32) {
 			t.Error("Drop of buffered line must succeed")
 		}
@@ -406,7 +424,7 @@ func TestWriteBufferPropertyAllRetiredOrDropped(t *testing.T) {
 					}
 					continue
 				}
-				if !wb.Put(th, line) {
+				if !wbPut(th, wb, line) {
 					put[line]++
 				}
 				th.Delay(engine.Time(rng.Intn(10)))
@@ -535,17 +553,17 @@ func dropScenario(drop func(w *WriteBuffer)) []string {
 	})
 	s.Spawn("filler", func(th *engine.Thread) {
 		for _, l := range []uint64{0, 32, 64, 96} {
-			wb.Put(th, l)
+			wbPut(th, wb, l)
 		}
 		th.Delay(5) // the drain takes line 0 off; refill its entry
-		wb.Put(th, 128)
+		wbPut(th, wb, 128)
 		logf("filler done")
 	})
 	for i := 1; i <= 4; i++ {
 		name, line := fmt.Sprintf("writer%d", i), uint64(1024+32*i)
 		s.Spawn(name, func(th *engine.Thread) {
 			th.Delay(engine.Time(10 * i))
-			wb.Put(th, line)
+			wbPut(th, wb, line)
 			logf("%s put", name)
 		})
 	}

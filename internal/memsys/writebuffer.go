@@ -73,23 +73,37 @@ func (w *WriteBuffer) Contains(line uint64) bool {
 	return false
 }
 
-// Put enqueues a line write. It merges into an existing entry when possible,
-// otherwise allocates one, stalling the caller while the buffer is full.
-// It reports whether the write merged into an existing entry.
-func (w *WriteBuffer) Put(t *engine.Thread, line uint64) (merged bool) {
+// Put enqueues a line write, merging it into an existing entry when
+// possible and otherwise allocating one, and reports whether it merged. A
+// write that needs an entry of a full buffer must wait for space with
+// PutOps; Put panics on it.
+func (w *WriteBuffer) Put(line uint64) (merged bool) {
 	if w.Contains(line) {
 		return true
 	}
-	for len(w.lines) >= w.capacity {
-		w.Stalls++
-		w.startDrain()
-		w.space.Wait(t)
+	if len(w.lines) >= w.capacity {
+		panic("memsys: Put into a full write buffer")
 	}
 	w.lines = append(w.lines, line)
 	if len(w.lines) >= w.retireAt {
 		w.startDrain()
 	}
 	return false
+}
+
+// PutOps appends the phases of a line write that waits while the buffer is
+// full. When the write fits, it puts line at once and appends nothing.
+// Otherwise it counts a stall, starts the drain and appends a wait for
+// space that continues with retry, whose Continue must call PutOps for line
+// again.
+func (w *WriteBuffer) PutOps(dst []engine.Op, line uint64, retry engine.Continuation) []engine.Op {
+	if len(w.lines) < w.capacity || w.Contains(line) {
+		w.Put(line)
+		return dst
+	}
+	w.Stalls++
+	w.startDrain()
+	return append(dst, engine.Op{Wait: w.space, Then: retry})
 }
 
 // Flush blocks until the buffer is empty, forcing a drain. Used at release

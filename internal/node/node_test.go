@@ -1,6 +1,8 @@
 package node
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"svmsim/internal/engine"
@@ -13,15 +15,19 @@ type call func()
 
 func (c call) HandleEvent(any) { c() }
 
+// testNode builds a node whose image covers the first MB, which every
+// address the tests access lies in, as Access requires.
 func testNode(s *engine.Sim, nprocs int) *Node {
 	prm := DefaultParams()
 	prm.SyncQuantumCycles = 100 // tight quantum so tests see engine time move
-	return New(s, 0, nprocs, prm, 0)
+	n := New(s, 0, nprocs, prm, 0)
+	n.Grow(1 << 20)
+	return n
 }
 
 func TestMemoryImageWords(t *testing.T) {
 	s := engine.New()
-	n := testNode(s, 1)
+	n := New(s, 0, 1, DefaultParams(), 0)
 	if len(n.Mem) != 0 {
 		t.Fatalf("new node image holds %d bytes, want 0", len(n.Mem))
 	}
@@ -314,6 +320,80 @@ func TestWhereString(t *testing.T) {
 	} {
 		if got := tc.w.String(); got != tc.want {
 			t.Errorf("%+v.String() = %q, want %q", tc.w, got, tc.want)
+		}
+	}
+}
+
+// TestHolderRecordCoversHeldLines drives random reads, writes, write-buffer
+// flushes and range invalidations from every processor of nodes of 4 and 12
+// processors (one and two bytes of record per line) and checks the holder
+// invariant after every step: a processor that holds a line in its L1 or L2
+// (Present) or its write buffer (Contains) has the line's bit set. The lines
+// share L1 and L2 sets, so fills evict, and a tight lag quantum makes reads
+// and writes stall and interleave with other processors' snoops.
+func TestHolderRecordCoversHeldLines(t *testing.T) {
+	var lines []uint64
+	for _, base := range []uint64{0, 8 << 10, 64 << 10, 128 << 10, 192 << 10, 320 << 10} {
+		for off := uint64(0); off < 4*32; off += 32 {
+			lines = append(lines, base+off)
+		}
+	}
+	for _, nprocs := range []int{4, 12} {
+		for seed := int64(1); seed <= 20; seed++ {
+			s := engine.New()
+			n := testNode(s, nprocs)
+			steps := 0
+			check := func(p *Processor, step string) {
+				steps++
+				for _, line := range lines {
+					row := n.holders[n.holderRow(line):]
+					for _, q := range n.Procs {
+						held := q.L1.Present(line) || q.L2.Present(line) || q.WB.Contains(line)
+						if held && row[q.hbyte]&q.hbit == 0 {
+							s.Fail(fmt.Errorf("%d procs, seed %d: after proc %d's %s at cycle %d, proc %d holds line %#x with its holder bit clear",
+								nprocs, seed, p.LocalID, step, s.Now(), q.LocalID, line))
+						}
+					}
+				}
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for _, p := range n.Procs {
+				prng := rand.New(rand.NewSource(rng.Int63()))
+				s.Spawn(fmt.Sprintf("cpu%d", p.LocalID), func(th *engine.Thread) {
+					p.Bind(th, nil)
+					for i := 0; i < 300; i++ {
+						line := lines[prng.Intn(len(lines))]
+						var step string
+						switch k := prng.Intn(20); {
+						case k < 8:
+							p.Access(th, line+uint64(prng.Intn(4))*8, false)
+							step = "read"
+						case k < 16:
+							p.Access(th, line+uint64(prng.Intn(4))*8, true)
+							step = "write"
+						case k < 17:
+							p.FlushWB(th)
+							step = "flush"
+						case k < 19:
+							size := []int{8, 32, 100, 4096}[prng.Intn(4)]
+							n.InvalidateRange(line+uint64(prng.Intn(4))*8, size)
+							step = "invalidate"
+						default:
+							p.ComputeCycles(th, engine.Time(prng.Intn(150)))
+							step = "compute"
+						}
+						check(p, step)
+					}
+					p.FlushWB(th)
+					p.Sync(th)
+				})
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if steps != 300*nprocs {
+				t.Fatalf("%d procs, seed %d: checked %d steps, want %d", nprocs, seed, steps, 300*nprocs)
+			}
 		}
 	}
 }

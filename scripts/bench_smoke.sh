@@ -4,8 +4,9 @@
 # Two passes over the engine scheduling benchmarks (a Delay that round-trips
 # through the scheduler loop, a Delay that resumes in place, a contended
 # bus-read-shaped Do program that must park at most once per Do, a
-# contended drain-shaped burst on a reusable service thread that must never
-# switch, and a Park/Unpark ping-pong):
+# write-buffer-stall-shaped Do program that waits on a condition and must
+# park at most once per Do, a contended drain-shaped burst on a reusable
+# service thread that must never switch, and a Park/Unpark ping-pong):
 #
 #   1. -benchtime=1x     smoke: one iteration of each must complete.
 #   2. -benchtime=1000x  guardrail: 0 allocs/op on the schedule path.
@@ -18,14 +19,15 @@
 # BenchmarkSingleRun rides along at 1x as an end-to-end smoke (one full FFT
 # cell) with an allocation budget: it fails once B/op reaches 16 MiB, one
 # node memory image backing the whole default heap. Images cover only the
-# allocated pages (a run allocates about 6 MB), so backing any node with
-# the full heap again trips it. The model layer allocates by design, so
+# allocated pages (a run allocates about 3.7 MB: 3,653,320 B/op on a 2-core
+# Intel Xeon VM with go1.24.0), so backing any node with the full heap
+# again trips it. The model layer allocates by design, so
 # this bounds the total per run rather than asserting a per-event contract.
 #
 # Run via `make bench-smoke` (part of CI). POSIX sh + awk only.
 set -eu
 
-engine='BenchmarkEngineDelay$|BenchmarkEngineDelayInPlace$|BenchmarkEngineDo$|BenchmarkEngineService$|BenchmarkEngineUnpark$'
+engine='BenchmarkEngineDelay$|BenchmarkEngineDelayInPlace$|BenchmarkEngineDo$|BenchmarkEngineDoWait$|BenchmarkEngineService$|BenchmarkEngineUnpark$'
 
 echo "bench-smoke: engine single-iteration smoke"
 go test -run '^$' -bench "$engine" -benchtime 1x ./internal/engine/
@@ -39,7 +41,7 @@ printf '%s\n' "$out" | awk '
     if ($(NF - 1) + 0 != 0) { print "bench-smoke: FAIL: " $1 " allocates " $(NF - 1) " allocs/op, want 0"; bad = 1 }
 }
 END {
-    if (n != 5) { print "bench-smoke: FAIL: expected 5 benchmark lines, saw " n; exit 1 }
+    if (n != 6) { print "bench-smoke: FAIL: expected 6 benchmark lines, saw " n; exit 1 }
     exit bad
 }'
 
