@@ -63,7 +63,8 @@ bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchmem ./internal/engine/
 
 # CI benchmark smoke: one -benchtime=1x pass asserting the engine's
-# 0 allocs/op contract plus one end-to-end single-run. Seconds.
+# 0 allocs/op contract plus one end-to-end single-run and one sync-run,
+# each under an allocation budget. Seconds.
 bench-smoke:
 	sh scripts/bench_smoke.sh
 

@@ -32,6 +32,7 @@ func Default() Params {
 
 type state struct {
 	p      Params
+	dens   []uint8    // density of every voxel, x fastest (host only)
 	vol    appkit.Vec // packed: 8 voxels (bytes) per word
 	img    appkit.Vec
 	queues *appkit.TaskQueues
@@ -68,15 +69,34 @@ func setup(w *shm.World, p Params) *state {
 	appkit.BlockHome(w, s.vol, words)
 	s.img = appkit.AllocVecPages(w, p.Width*p.Height)
 	s.queues = appkit.NewTaskQueues(w, w.Procs(), p.Height+4)
-	// Reference render.
-	s.want = make([]float64, p.Width*p.Height)
-	sample := func(x, y, z int) uint8 { return density(p, x, y, z) }
-	for y := 0; y < p.Height; y++ {
-		for x := 0; x < p.Width; x++ {
-			s.want[y*p.Width+x] = castRay(p, x, y, func(vx, vy, vz int) uint8 { return sample(vx, vy, vz) })
+	s.dens = densities(p)
+	s.want = reference(p, func(x, y, z int) uint8 { return s.dens[(z*p.Vol+y)*p.Vol+x] })
+	return s
+}
+
+// densities evaluates density at every voxel, x fastest: the order of the
+// packed volume's bytes.
+func densities(p Params) []uint8 {
+	d := make([]uint8, 0, p.Vol*p.Vol*p.Vol)
+	for z := 0; z < p.Vol; z++ {
+		for y := 0; y < p.Vol; y++ {
+			for x := 0; x < p.Vol; x++ {
+				d = append(d, density(p, x, y, z))
+			}
 		}
 	}
-	return s
+	return d
+}
+
+// reference renders the image on the host, sampling the volume with sample.
+func reference(p Params, sample func(x, y, z int) uint8) []float64 {
+	img := make([]float64, p.Width*p.Height)
+	for y := 0; y < p.Height; y++ {
+		for x := 0; x < p.Width; x++ {
+			img[y*p.Width+x] = castRay(p, x, y, sample)
+		}
+	}
+	return img
 }
 
 // voxelWordIndex maps voxel coordinates to (word, byte) in the packed
@@ -116,11 +136,7 @@ func body(c *shm.Proc, st any) {
 	for wIdx := lo; wIdx < hi; wIdx++ {
 		var packed uint64
 		for b := 0; b < 8; b++ {
-			lin := wIdx*8 + b
-			x := lin % p.Vol
-			y := (lin / p.Vol) % p.Vol
-			z := lin / (p.Vol * p.Vol)
-			packed |= uint64(density(p, x, y, z)) << (8 * b)
+			packed |= uint64(s.dens[wIdx*8+b]) << (8 * b)
 		}
 		s.vol.SetU(c, wIdx, packed)
 	}

@@ -301,12 +301,16 @@ func (s *Sim) dispatch(ev event) {
 var errUnwind = errors.New("engine: simulation torn down")
 
 // Thread is a cooperative simulated thread of control (a simulated processor
-// context, a protocol handler context, or the service thread of an NI side or
-// a write buffer). Every Spawn makes a fresh Thread; only its carrier is
+// context, an interrupt handler context, or the service thread of an NI side
+// or a write buffer). Every Spawn makes a fresh Thread; only its carrier is
 // reused, so a stale event for a finished or killed thread still finds done
 // set and can never wake the carrier's next thread. A thread made with
-// NewThread may be started again once a burst ends: every event of a burst
-// is dispatched before the burst ends, so none is left to reach the next.
+// NewThread (a service thread, or a handler thread that serves one request
+// after another) may be started again once a burst ends: the thread waits
+// for one event at a time, so every event of a burst is dispatched before
+// the burst ends, and none is left to reach the next. A burst that never
+// ends, parked for good or killed, leaves the thread to its owner, which
+// must not start it again.
 type Thread struct {
 	sim     *Sim
 	name    string

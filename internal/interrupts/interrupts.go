@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"svmsim/internal/engine"
+	"svmsim/internal/network"
 	"svmsim/internal/node"
 )
 
@@ -25,6 +26,14 @@ const (
 	// RoundRobin rotates delivery across the node's processors.
 	RoundRobin
 )
+
+// Handler serves raised requests on handler threads: t is the handler
+// thread, victim the processor whose CPU it runs on, and m the request (nil
+// for a request with no message, such as a heartbeat round). It is a
+// long-lived model object, so raising a request allocates no closure.
+type Handler interface {
+	HandleRequest(t *engine.Thread, victim *node.Processor, m *network.Message)
+}
 
 // Controller is the per-node interrupt controller.
 type Controller struct {
@@ -42,9 +51,15 @@ type Controller struct {
 	// requests.
 	Mode Handling
 
-	// names caches handler thread names by {prefix, request kind}.
-	names map[[2]string]string
-	// free holds handlerRuns whose handlers have finished, for reuse.
+	// pools holds the handler threads by {prefix, request kind}.
+	pools map[[2]string]*handlerPool
+}
+
+// handlerPool is the handler threads of one name, such as "intr-page@n1":
+// deadlock and stall errors list that name. free holds the ones whose
+// handlers have returned, ready for the next request of the kind.
+type handlerPool struct {
+	name string
 	free []*handlerRun
 }
 
@@ -53,20 +68,19 @@ func New(n *node.Node, issue, deliver engine.Time, policy Policy) *Controller {
 	return &Controller{n: n, IssueCycles: issue, DeliverCycles: deliver, policy: policy}
 }
 
-// threadName returns the name of a handler thread for a request of kind,
-// such as "intr-page@n1", building it once per controller, prefix and kind.
-// Deadlock and stall errors list these names.
-func (c *Controller) threadName(prefix, kind string) string {
+// pool returns the handler pool for requests of kind under prefix, making it
+// on first use.
+func (c *Controller) pool(prefix, kind string) *handlerPool {
 	k := [2]string{prefix, kind}
-	if name, ok := c.names[k]; ok {
-		return name
+	if hp, ok := c.pools[k]; ok {
+		return hp
 	}
-	if c.names == nil {
-		c.names = make(map[[2]string]string)
+	if c.pools == nil {
+		c.pools = make(map[[2]string]*handlerPool)
 	}
-	name := fmt.Sprintf("%s-%s@n%d", prefix, kind, c.n.ID)
-	c.names[k] = name
-	return name
+	hp := &handlerPool{name: fmt.Sprintf("%s-%s@n%d", prefix, kind, c.n.ID)}
+	c.pools[k] = hp
+	return hp
 }
 
 func (c *Controller) pick() *node.Processor {
@@ -80,49 +94,59 @@ func (c *Controller) pick() *node.Processor {
 	}
 }
 
-// Raise delivers an interrupt and runs handler on the victim processor. The
-// handler's execution time (delivery cost plus protocol work, including any
-// bus or NI waits it performs) is charged as stolen from the application
-// running on that CPU. Raise returns immediately; the handler runs
-// asynchronously in its own thread.
-func (c *Controller) Raise(name string, handler func(t *engine.Thread, victim *node.Processor)) {
+// Raise delivers an interrupt for a request of kind and runs h on the victim
+// processor with m. The handler's execution time (delivery cost plus
+// protocol work, including any bus or NI waits it performs) is charged as
+// stolen from the application running on that CPU. Raise returns
+// immediately; the handler runs asynchronously on a handler thread named for
+// the handling mode and kind (such as "intr-page@n1"), which a later request
+// of the same kind reuses once the handler has returned.
+func (c *Controller) Raise(kind string, h Handler, m *network.Message) {
 	switch c.Mode {
 	case Polling:
-		c.raisePolling(name, handler)
+		c.raisePolling(kind, h, m)
 	case Dedicated:
-		c.raiseDedicated(name, handler)
+		c.raiseDedicated(kind, h, m)
 	default:
 		// The issue half is signal propagation and does not occupy the
 		// victim CPU; the delivery half does.
-		c.spawnHandler("intr", name, c.pick(), c.IssueCycles, c.DeliverCycles, handler)
+		c.spawnHandler("intr", kind, c.pick(), c.IssueCycles, c.DeliverCycles, h, m)
 	}
 }
 
-// spawnHandler runs handler on victim in its own thread, the one body every
+// spawnHandler runs h on victim on a handler thread, the one body every
 // handling mode shares: wait out before, then serialize with the victim's
 // other handlers, and charge after plus the handler's own time as stolen
-// from the application on that CPU. The thread is named for prefix and
-// the request kind. It starts with that preamble as one program and enters
-// its coroutine only for the handler.
-func (c *Controller) spawnHandler(prefix, name string, victim *node.Processor, before, after engine.Time, handler func(t *engine.Thread, victim *node.Processor)) {
-	var h *handlerRun
-	if n := len(c.free); n > 0 {
-		h, c.free = c.free[n-1], c.free[:n-1]
+// from the application on that CPU. The thread, named for prefix and the
+// request kind, comes from the kind's pool or is made anew. It starts with
+// that preamble as one program and enters its coroutine only for the
+// handler.
+func (c *Controller) spawnHandler(prefix, kind string, victim *node.Processor, before, after engine.Time, h Handler, m *network.Message) {
+	hp := c.pool(prefix, kind)
+	var r *handlerRun
+	if n := len(hp.free); n > 0 {
+		r, hp.free = hp.free[n-1], hp.free[:n-1]
 	} else {
-		h = &handlerRun{c: c}
-		h.body = h.run
+		r = &handlerRun{c: c, pool: hp, th: c.n.Sim.NewThread(hp.name)}
+		r.body = r.run
 	}
-	h.victim, h.before, h.after, h.handler, h.queued = victim, before, after, handler, false
-	c.n.Sim.NewThread(c.threadName(prefix, name)).Start(h, h.body)
+	r.victim, r.before, r.after, r.h, r.m, r.queued = victim, before, after, h, m, false
+	r.th.Start(r, r.body)
 }
 
-// handlerRun is one raised request on its way through a handler thread.
-// The controller reuses it once the handler has finished.
+// handlerRun is one handler thread and the request it serves. It goes back
+// to its pool only once its handler has returned, in the dispatch that ends
+// the thread's burst: the thread waits for one event at a time, so none of
+// its events is left queued to reach the next request. A handler that never
+// returns (parked at teardown, or on a crashed node) keeps its thread.
 type handlerRun struct {
 	c             *Controller
+	pool          *handlerPool
+	th            *engine.Thread
 	victim        *node.Processor
 	before, after engine.Time
-	handler       func(t *engine.Thread, victim *node.Processor)
+	h             Handler
+	m             *network.Message
 	start         engine.Time // when the handler took the victim's CPU
 	queued        bool        // the preamble has reached HandlerRes
 	body          func(t *engine.Thread)
@@ -131,28 +155,28 @@ type handlerRun struct {
 // Continue implements engine.Continuation for the preamble: wait out before
 // and take the victim's HandlerRes, keeping it; at the grant, enter the
 // handler bracket and wait out after.
-func (h *handlerRun) Continue(dst []engine.Op) []engine.Op {
-	if !h.queued {
-		h.queued = true
-		if h.before > 0 {
-			dst = append(dst, engine.Op{Cycles: h.before})
+func (r *handlerRun) Continue(dst []engine.Op) []engine.Op {
+	if !r.queued {
+		r.queued = true
+		if r.before > 0 {
+			dst = append(dst, engine.Op{Cycles: r.before})
 		}
-		return append(dst, engine.Op{Res: h.victim.HandlerRes, Keep: true, Then: h})
+		return append(dst, engine.Op{Res: r.victim.HandlerRes, Keep: true, Then: r})
 	}
-	h.victim.HandlerEnter()
-	h.start = h.c.n.Sim.Now()
-	if h.after > 0 {
-		dst = append(dst, engine.Op{Cycles: h.after})
+	r.victim.HandlerEnter()
+	r.start = r.c.n.Sim.Now()
+	if r.after > 0 {
+		dst = append(dst, engine.Op{Cycles: r.after})
 	}
 	return dst
 }
 
 // run is the handler thread's body, after the preamble.
-func (h *handlerRun) run(t *engine.Thread) {
-	h.handler(t, h.victim)
-	h.victim.Stats.Interrupts++ // under polling and dedicated: serviced requests
-	h.victim.HandlerExit(h.c.n.Sim.Now() - h.start)
-	h.victim.HandlerRes.Release()
-	h.handler = nil
-	h.c.free = append(h.c.free, h)
+func (r *handlerRun) run(t *engine.Thread) {
+	r.h.HandleRequest(t, r.victim, r.m)
+	r.victim.Stats.Interrupts++ // under polling and dedicated: serviced requests
+	r.victim.HandlerExit(r.c.n.Sim.Now() - r.start)
+	r.victim.HandlerRes.Release()
+	r.h, r.m = nil, nil
+	r.pool.free = append(r.pool.free, r)
 }

@@ -2,7 +2,7 @@ package interrupts
 
 import (
 	"svmsim/internal/engine"
-	"svmsim/internal/node"
+	"svmsim/internal/network"
 )
 
 // Handling selects how incoming protocol requests reach a processor. The
@@ -37,18 +37,17 @@ const (
 	dispatchCycles engine.Time = 100
 )
 
-// raisePolling schedules handler at the node's next poll boundary on the
-// static victim (the polling processor).
-func (c *Controller) raisePolling(name string, handler func(t *engine.Thread, victim *node.Processor)) {
+// raisePolling schedules h at the node's next poll boundary on the static
+// victim (the polling processor).
+func (c *Controller) raisePolling(kind string, h Handler, m *network.Message) {
 	now := c.n.Sim.Now()
 	boundary := (now/pollIntervalCycles + 1) * pollIntervalCycles
-	c.spawnHandler("poll", name, c.n.Procs[0], boundary-now, dispatchCycles, handler)
+	c.spawnHandler("poll", kind, c.n.Procs[0], boundary-now, dispatchCycles, h, m)
 }
 
-// raiseDedicated dispatches handler to the node's reserved protocol
-// processor (the last local processor) with only the dispatch cost. The
-// reserved processor runs no application work, so nothing is stolen from the
-// computation.
-func (c *Controller) raiseDedicated(name string, handler func(t *engine.Thread, victim *node.Processor)) {
-	c.spawnHandler("proto", name, c.n.Procs[len(c.n.Procs)-1], dispatchCycles, 0, handler)
+// raiseDedicated dispatches h to the node's reserved protocol processor (the
+// last local processor) with only the dispatch cost. The reserved processor
+// runs no application work, so nothing is stolen from the computation.
+func (c *Controller) raiseDedicated(kind string, h Handler, m *network.Message) {
+	c.spawnHandler("proto", kind, c.n.Procs[len(c.n.Procs)-1], dispatchCycles, 0, h, m)
 }

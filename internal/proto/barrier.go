@@ -146,15 +146,14 @@ func (sy *System) barrierLeaf(t *engine.Thread, p *node.Processor, ns *nodeState
 		if sentTo != b.master {
 			sentTo = b.master
 			recs := ns.noticesSince(ns.lastBarrierVC)
-			vc := append([]uint32(nil), ns.vc...)
-			sy.send(t, &network.Message{
+			vc := sy.slabs.clocks.copyOf(ns.vc)
+			sy.send(t, newMsg(&sy.slabs.arrivals, network.Message{
 				Kind:    network.BarrierArrive,
 				Src:     ns.id,
 				Dst:     sentTo,
 				SrcProc: p.GlobalID,
 				Size:    sy.Prm.CtlBytes + 4*len(vc) + sy.noticesWireBytes(recs),
-				Payload: barrierArriveMsg{node: int32(ns.id), gen: myGen, vc: vc, recs: recs},
-			}, p, true, true)
+			}, barrierArriveMsg{node: int32(ns.id), gen: myGen, vc: vc, recs: recs}), p, true, true)
 			continue // the release (or a master change) may have landed during the send
 		}
 		// Discard releases of generations this node already completed
@@ -269,15 +268,14 @@ func (sy *System) masterRelease(t *engine.Thread, p *node.Processor, ns *nodeSta
 	if conservative {
 		recs = nil
 	}
-	vc := append([]uint32(nil), ns.vc...)
-	sy.send(t, &network.Message{
+	vc := sy.slabs.clocks.copyOf(ns.vc)
+	sy.send(t, newMsg(&sy.slabs.releases, network.Message{
 		Kind:    network.BarrierRelease,
 		Src:     ns.id,
 		Dst:     int(arr.node),
 		SrcProc: p.GlobalID,
 		Size:    sy.Prm.CtlBytes + 4*len(vc) + sy.noticesWireBytes(recs),
-		Payload: barrierReleaseMsg{gen: arr.gen, notices: recs, vc: vc, conservative: conservative},
-	}, p, true, true)
+	}, barrierReleaseMsg{gen: arr.gen, notices: recs, vc: vc, conservative: conservative}), p, true, true)
 }
 
 // masterCatchUp handles a new master discovering that the old master already
@@ -309,19 +307,19 @@ func (sy *System) masterCatchUp(t *engine.Thread, p *node.Processor, ns *nodeSta
 // arrival already queued for the same generation is a duplicate (the leaf
 // re-sent it after a master change landed at the old address too).
 func (b *barrierState) handleArrive(m *network.Message) {
-	a := m.Payload.(barrierArriveMsg)
+	a := m.Payload.(*barrierArriveMsg)
 	for _, q := range b.inbox[a.node] {
 		if q.gen == a.gen {
 			return
 		}
 	}
-	b.inbox[a.node] = append(b.inbox[a.node], a)
+	b.inbox[a.node] = append(b.inbox[a.node], *a)
 	b.masterCond.Broadcast()
 }
 
 // handleRelease queues a release at a leaf node (NI deposit).
 func (b *barrierState) handleRelease(m *network.Message) {
-	r := m.Payload.(barrierReleaseMsg)
-	b.releases[m.Dst] = append(b.releases[m.Dst], r)
+	r := m.Payload.(*barrierReleaseMsg)
+	b.releases[m.Dst] = append(b.releases[m.Dst], *r)
 	b.relCond[m.Dst].Broadcast()
 }

@@ -92,6 +92,12 @@ type hbTick struct {
 // HandleEvent implements engine.EventTarget: the heartbeat timer firing.
 func (h *hbTick) HandleEvent(any) { h.fd.tick(h.node) }
 
+// HandleRequest implements interrupts.Handler: the node's heartbeat round,
+// raised with no message.
+func (h *hbTick) HandleRequest(ht *engine.Thread, victim *node.Processor, _ *network.Message) {
+	h.fd.beat(ht, victim, h.node)
+}
+
 func newFailureDetector(sy *System) *failureDetector {
 	n := len(sy.Nodes)
 	fd := &failureDetector{
@@ -142,9 +148,7 @@ func (fd *failureDetector) tick(n int) {
 		return
 	}
 	sy.Trace.Emit(sy.Sim.Now(), -1, trace.Interrupt, int64(n), int64(network.Heartbeat))
-	sy.Intc[n].Raise("hb", func(ht *engine.Thread, victim *node.Processor) {
-		fd.beat(ht, victim, n)
-	})
+	sy.Intc[n].Raise("hb", fd.ticks[n], nil)
 	sy.Sim.AtTarget(fd.interval, fd.ticks[n], nil)
 }
 
@@ -160,13 +164,13 @@ func (fd *failureDetector) beat(ht *engine.Thread, victim *node.Processor, n int
 			continue
 		}
 		fd.rec.HeartbeatsSent++
-		sy.send(ht, &network.Message{
+		sy.send(ht, sy.slabs.msgs.new(network.Message{
 			Kind:    network.Heartbeat,
 			Src:     n,
 			Dst:     peer,
 			SrcProc: sy.statsProcID(n, victim),
 			Size:    sy.Prm.CtlBytes,
-		}, victim, true, false)
+		}), victim, true, false)
 	}
 	for peer := range sy.Nodes {
 		if peer == n || fd.dead[peer] {
@@ -217,14 +221,13 @@ func (fd *failureDetector) reconfigure(ht *engine.Thread, victim *node.Processor
 		if peer == observer || fd.dead[peer] {
 			continue
 		}
-		sy.send(ht, &network.Message{
+		sy.send(ht, newMsg(&sy.slabs.int32s, network.Message{
 			Kind:    network.Reconfig,
 			Src:     observer,
 			Dst:     peer,
 			SrcProc: sy.statsProcID(observer, victim),
 			Size:    sy.Prm.CtlBytes,
-			Payload: int32(deadNode),
-		}, victim, true, false)
+		}, int32(deadNode)), victim, true, false)
 	}
 	fd.recoverPages(deadNode)
 	fd.recoverLocks(ht, deadNode)
@@ -275,7 +278,7 @@ func (fd *failureDetector) recoverPages(deadNode int) {
 		sy.pageHome[pg] = int32(newHome)
 		// The new home's copy is now authoritative: homes never twin or
 		// diff, they receive diffs.
-		delete(sy.ns[newHome].twins, pg)
+		sy.ns[newHome].dropTwin(pg)
 		fd.rec.PagesRehomed++
 	}
 	for n, ns := range sy.ns {

@@ -1,7 +1,7 @@
 package proto
 
 import (
-	"sort"
+	"slices"
 
 	"svmsim/internal/engine"
 	"svmsim/internal/network"
@@ -75,11 +75,14 @@ func (ns *nodeState) closeInterval(t *engine.Thread, p *node.Processor, handler 
 		p.FlushWB(t)
 	}
 	if len(ns.dirty) > 0 {
-		pages := make([]int32, 0, len(ns.dirty))
+		// The log keeps the page list, so it is carved from a slab.
+		pages := ns.pageBuf[:0]
 		for pg := range ns.dirty {
 			pages = append(pages, pg)
 		}
-		sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+		ns.pageBuf = pages
+		slices.Sort(pages)
+		pages = sy.slabs.pages.copyOf(pages)
 		for _, pg := range pages {
 			home := int(sy.pageHome[pg])
 			switch {
@@ -128,8 +131,7 @@ func (ns *nodeState) diffPage(t *engine.Thread, p *node.Processor, handler bool,
 	nd := sy.Nodes[ns.id]
 	base := sy.PageAddr(pg)
 	words := sy.Prm.PageBytes / 8
-	var offs []uint16
-	var vals []uint64
+	offs, vals := ns.offBuf[:0], ns.wordBuf[:0]
 	for w := 0; w < words; w++ {
 		addr := base + uint64(w*8)
 		cur := readWordRaw(nd, addr)
@@ -139,12 +141,14 @@ func (ns *nodeState) diffPage(t *engine.Thread, p *node.Processor, handler bool,
 			vals = append(vals, cur)
 		}
 	}
+	ns.offBuf, ns.wordBuf = offs, vals
+	offs, vals = sy.slabs.diffOffs.copyOf(offs), sy.slabs.diffWords.copyOf(vals)
 	// The diff snapshot, the write-protection transition and the in-flight
 	// bookkeeping must be atomic (no yield): a write landing between them
 	// would be captured into the next twin as pre-existing data and
 	// silently never diffed, and a fetch starting before the flight count
 	// rises could overtake the diff to the home. Costs are charged after.
-	delete(ns.twins, pg)
+	ns.dropTwin(pg)
 	ns.state[pg] = pgReadOnly
 	if len(offs) > 0 {
 		ns.diffFlight[pg]++
@@ -162,14 +166,13 @@ func (ns *nodeState) diffPage(t *engine.Thread, p *node.Processor, handler bool,
 	if len(offs) == 0 {
 		return
 	}
-	sy.send(t, &network.Message{
+	sy.send(t, newMsg(&sy.slabs.diffs, network.Message{
 		Kind:    network.Diff,
 		Src:     ns.id,
 		Dst:     int(sy.pageHome[pg]),
 		SrcProc: sy.statsProcID(ns.id, p),
 		Size:    sy.Prm.CtlBytes + sy.Prm.DiffWordBytes*len(offs),
-		Payload: diffMsg{page: pg, offs: offs, vals: vals},
-	}, p, true, !handler)
+	}, diffMsg{page: pg, offs: offs, vals: vals}), p, true, !handler)
 }
 
 // wordAt reads word w of a raw page buffer.
@@ -210,7 +213,7 @@ const ackBytes = 8
 // charged by the receive path. An NI-generated ack flows back; t is nil
 // unless the ack's post may wait for queue space (mayBlock).
 func (sy *System) handleDiff(t *engine.Thread, m *network.Message) {
-	d := m.Payload.(diffMsg)
+	d := m.Payload.(*diffMsg)
 	nd := sy.Nodes[m.Dst]
 	base := sy.PageAddr(d.page)
 	for i, off := range d.offs {
@@ -218,14 +221,13 @@ func (sy *System) handleDiff(t *engine.Thread, m *network.Message) {
 		nd.WriteWord(addr, d.vals[i])
 		nd.InvalidateRange(addr, 8)
 	}
-	sy.send(t, &network.Message{
+	sy.send(t, newMsg(&sy.slabs.int32s, network.Message{
 		Kind:    network.DiffAck,
 		Src:     m.Dst,
 		Dst:     m.Src,
 		SrcProc: sy.Nodes[m.Dst].Procs[0].GlobalID,
 		Size:    ackBytes,
-		Payload: d.page,
-	}, nil, false, false)
+	}, d.page), nil, false, false)
 }
 
 // handleAck completes one outstanding diff/update at the releasing node.
@@ -235,7 +237,8 @@ func (sy *System) handleAck(m *network.Message) {
 		panic("proto: spurious ack")
 	}
 	ns.pendingAcks--
-	if pg, ok := m.Payload.(int32); ok {
+	if page, ok := m.Payload.(*int32); ok {
+		pg := *page
 		if ns.diffFlight[pg] <= 1 {
 			delete(ns.diffFlight, pg)
 		} else {
@@ -282,32 +285,31 @@ func (ns *nodeState) aurcFlushDst(t *engine.Thread, p *node.Processor, dst int) 
 	ns.aurcVals[dst] = nil
 	ns.pendingAcks++
 	sy.Trace.Emit(sy.Sim.Now(), int32(sy.statsProcID(ns.id, p)), trace.Update, int64(dst), int64(len(addrs)))
-	sy.send(t, &network.Message{
+	sy.send(t, ownMsg(network.Message{
 		Kind:    network.Update,
 		Src:     ns.id,
 		Dst:     dst,
 		SrcProc: sy.statsProcID(ns.id, p),
 		Size:    8 + sy.Prm.UpdateWordBytes*len(addrs),
-		Payload: updateMsg{addrs: addrs, vals: vals},
-	}, p, false, false)
+	}, updateMsg{addrs: addrs, vals: vals}), p, false, false)
 }
 
 // handleUpdate applies automatic updates at the home (NI deposit; no
 // interrupt) and acks them, as handleDiff does.
 func (sy *System) handleUpdate(t *engine.Thread, m *network.Message) {
-	u := m.Payload.(updateMsg)
+	u := m.Payload.(*updateMsg)
 	nd := sy.Nodes[m.Dst]
 	for i, addr := range u.addrs {
 		nd.WriteWord(addr, u.vals[i])
 		nd.InvalidateRange(addr, 8)
 	}
-	sy.send(t, &network.Message{
+	sy.send(t, sy.slabs.msgs.new(network.Message{
 		Kind:    network.UpdateAck,
 		Src:     m.Dst,
 		Dst:     m.Src,
 		SrcProc: sy.Nodes[m.Dst].Procs[0].GlobalID,
 		Size:    ackBytes,
-	}, nil, false, false)
+	}), nil, false, false)
 }
 
 // statsProcID returns the processor to attribute traffic to.

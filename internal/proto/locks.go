@@ -114,7 +114,7 @@ func (sy *System) Acquire(t *engine.Thread, p *node.Processor, id int) {
 	}
 	if ln.haveToken || ln.requested {
 		// Token is here (busy/queued) or already on its way: queue locally.
-		w := lockWaiter{cond: engine.NewCond(sy.Sim), remote: -1}
+		w := lockWaiter{cond: ns.lockWait[p.LocalID], remote: -1}
 		ln.queue = append(ln.queue, w)
 		p.Where = node.Where{Op: "lock-local-wait", Arg: "lock", N: int64(id)}
 		w.cond.Wait(t)
@@ -164,15 +164,14 @@ func (sy *System) sendLockRequest(t *engine.Thread, p *node.Processor, app bool,
 		panic(fmt.Sprintf("proto: lock %d request self-routes at n%d: mgr=n%d ownerView=n%d ownerSeq=%d token=%v busy=%v req=%v wait=%v tokenSeq=%d queue=%d",
 			id, ns.id, lg.manager, lg.ownerView, lg.ownerSeq, ln.haveToken, ln.busy, ln.requested, ln.waiting, ln.tokenSeq, len(ln.queue)))
 	}
-	vc := append([]uint32(nil), ns.vc...)
-	sy.send(t, &network.Message{
+	vc := sy.slabs.clocks.copyOf(ns.vc)
+	sy.send(t, newMsg(&sy.slabs.lockReqs, network.Message{
 		Kind:    network.LockRequest,
 		Src:     ns.id,
 		Dst:     dst,
 		SrcProc: sy.statsProcID(ns.id, p),
 		Size:    sy.Prm.CtlBytes + 4*len(vc),
-		Payload: lockReqMsg{lock: int32(id), reqNode: int32(ns.id), vc: vc},
-	}, p, p != nil, app)
+	}, lockReqMsg{lock: int32(id), reqNode: int32(ns.id), vc: vc}), p, p != nil, app)
 }
 
 // Release releases lock id held by p. If a remote waiter is next, this is a
@@ -199,8 +198,11 @@ func (sy *System) handoff(t *engine.Thread, p *node.Processor, handler bool, ns 
 		ln.busy = false
 		return
 	}
+	// Pop by moving the rest down, so the queue keeps its capacity.
 	next := ln.queue[0]
-	ln.queue = ln.queue[1:]
+	n := copy(ln.queue, ln.queue[1:])
+	ln.queue[n] = lockWaiter{}
+	ln.queue = ln.queue[:n]
 	if next.cond != nil {
 		// Local handoff: no protocol action, hardware sharing inside the
 		// SMP. busy remains true on behalf of the new holder.
@@ -242,29 +244,27 @@ func (sy *System) grantTo(t *engine.Thread, p *node.Processor, handler bool, ns 
 		lg.ownerView, lg.ownerSeq = remote, newSeq
 	}
 	notices := ns.noticesSince(reqVC)
-	vc := append([]uint32(nil), ns.vc...)
+	vc := sy.slabs.clocks.copyOf(ns.vc)
 	proc := int32(-1)
 	if p != nil {
 		proc = int32(p.GlobalID)
 	}
 	sy.Trace.Emit(sy.Sim.Now(), proc, trace.LockGrant, int64(id), int64(remote))
-	sy.send(t, &network.Message{
+	sy.send(t, newMsg(&sy.slabs.grants, network.Message{
 		Kind:    network.LockGrant,
 		Src:     ns.id,
 		Dst:     int(remote),
 		SrcProc: sy.statsProcID(ns.id, p),
 		Size:    sy.Prm.CtlBytes + 4*len(vc) + sy.noticesWireBytes(notices),
-		Payload: lockGrantMsg{lock: lg.id, seq: newSeq, notices: notices, vc: vc},
-	}, p, p != nil, !handler && p != nil)
+	}, lockGrantMsg{lock: lg.id, seq: newSeq, notices: notices, vc: vc}), p, p != nil, !handler && p != nil)
 	if int32(ns.id) != lg.manager {
-		sy.send(t, &network.Message{
+		sy.send(t, newMsg(&sy.slabs.owners, network.Message{
 			Kind:    network.LockOwner,
 			Src:     ns.id,
 			Dst:     int(lg.manager),
 			SrcProc: sy.statsProcID(ns.id, p),
 			Size:    sy.Prm.CtlBytes,
-			Payload: lockOwnerMsg{lock: lg.id, owner: remote, seq: newSeq},
-		}, p, p != nil, !handler && p != nil)
+		}, lockOwnerMsg{lock: lg.id, owner: remote, seq: newSeq}), p, p != nil, !handler && p != nil)
 	}
 }
 
@@ -272,7 +272,7 @@ func (sy *System) grantTo(t *engine.Thread, p *node.Processor, handler bool, ns 
 // know about) the token: grant it, queue the requester, or forward the
 // request along the ownership chain.
 func (sy *System) handleLockRequest(ht *engine.Thread, victim *node.Processor, m *network.Message) {
-	req := m.Payload.(lockReqMsg)
+	req := m.Payload.(*lockReqMsg)
 	ns := sy.ns[m.Dst]
 	ln := ns.locks[req.lock]
 	lg := sy.locks[req.lock]
@@ -316,14 +316,13 @@ func (sy *System) handleLockRequest(ht *engine.Thread, victim *node.Processor, m
 			ln.queue = append(ln.queue, lockWaiter{cond: nil, remote: req.reqNode, vc: req.vc})
 			return
 		}
-		sy.send(ht, &network.Message{
+		sy.send(ht, newMsg(&sy.slabs.lockReqs, network.Message{
 			Kind:    network.LockRequest,
 			Src:     ns.id,
 			Dst:     int(dst),
 			SrcProc: victim.GlobalID,
 			Size:    m.Size,
-			Payload: req,
-		}, victim, true, false)
+		}, *req), victim, true, false)
 	}
 }
 
@@ -332,7 +331,7 @@ func (sy *System) handleLockRequest(ht *engine.Thread, victim *node.Processor, m
 // with the grant queue correctly, then either wakes the waiting Acquire or —
 // for node-initiated re-requests — dispatches the queue itself.
 func (sy *System) handleLockGrant(m *network.Message) {
-	g := m.Payload.(lockGrantMsg)
+	g := m.Payload.(*lockGrantMsg)
 	ns := sy.ns[m.Dst]
 	ln := ns.locks[g.lock]
 	ln.haveToken = true
@@ -340,8 +339,9 @@ func (sy *System) handleLockGrant(m *network.Message) {
 	ln.tokenSeq = g.seq
 	sy.Trace.Emit(sy.Sim.Now(), -1, trace.GrantDeposit, int64(g.lock), int64(ns.id))
 	if ln.waiting {
-		gg := g
-		ln.granted = &gg
+		// A grant is never written once built, so a duplicate delivery may
+		// hand over the same one.
+		ln.granted = g
 		ln.grantCond.Broadcast()
 		return
 	}
@@ -357,7 +357,7 @@ func (sy *System) handleLockGrant(m *network.Message) {
 
 // handleLockOwner updates the manager's ownership view (pure mailbox write).
 func (sy *System) handleLockOwner(m *network.Message) {
-	o := m.Payload.(lockOwnerMsg)
+	o := m.Payload.(*lockOwnerMsg)
 	lg := sy.locks[o.lock]
 	sy.Trace.Emit(sy.Sim.Now(), -1, trace.OwnerNotice, int64(o.lock), int64(o.owner))
 	if o.seq > lg.ownerSeq {

@@ -125,7 +125,7 @@ func (ns *nodeState) makeWritable(t *engine.Thread, p *node.Processor, pg int32,
 	if sy.Prm.Mode == HLRC && int(home) != ns.id {
 		if _, ok := ns.twins[pg]; !ok {
 			base := sy.PageAddr(pg)
-			twin := make([]byte, sy.Prm.PageBytes)
+			twin := ns.newTwin()
 			copy(twin, p.Node.Mem[base:base+uint64(sy.Prm.PageBytes)])
 			ns.twins[pg] = twin
 			twinCost = engine.Time(sy.Prm.PageBytes/8) * sy.Prm.TwinWordCycles
@@ -139,6 +139,26 @@ func (ns *nodeState) makeWritable(t *engine.Thread, p *node.Processor, pg int32,
 		p.Charge(t, twinCost, stats.DiffTime)
 	}
 	return true
+}
+
+// newTwin returns a page-sized twin buffer, a spare one of this node when
+// there is one; the caller fills every byte.
+func (ns *nodeState) newTwin() []byte {
+	if n := len(ns.spareTwins); n > 0 {
+		twin := ns.spareTwins[n-1]
+		ns.spareTwins = ns.spareTwins[:n-1]
+		return twin
+	}
+	return make([]byte, ns.sys.Prm.PageBytes)
+}
+
+// dropTwin deletes pg's twin, if any, and keeps its buffer for this node's
+// next twin.
+func (ns *nodeState) dropTwin(pg int32) {
+	if twin, ok := ns.twins[pg]; ok {
+		delete(ns.twins, pg)
+		ns.spareTwins = append(ns.spareTwins, twin)
+	}
 }
 
 // fetch brings pg from its home, blocking p until the page is valid.
@@ -198,14 +218,13 @@ func (ns *nodeState) fetch(t *engine.Thread, p *node.Processor, pg int32) {
 			ns.fetching[pg] = true
 			p.Stats.PageFetches++
 			epoch := ns.fetchEpoch[pg]
-			sy.send(t, &network.Message{
+			sy.send(t, newMsg(&sy.slabs.pageReqs, network.Message{
 				Kind:    network.PageRequest,
 				Src:     ns.id,
 				Dst:     int(sy.pageHome[pg]),
 				SrcProc: p.GlobalID,
 				Size:    sy.Prm.CtlBytes,
-				Payload: pageReq{page: pg, epoch: epoch},
-			}, p, true, true)
+			}, pageReq{page: pg, epoch: epoch}), p, true, true)
 			if ns.state[pg] != pgInvalid {
 				break
 			}
@@ -230,37 +249,35 @@ func (sy *System) handlePageRequest(ht *engine.Thread, victim *node.Processor, m
 // in a host interrupt handler (victim set) or directly on the NI receive
 // thread when NIServePages is enabled (victim nil: no host overhead).
 func (sy *System) servePageRequest(t *engine.Thread, victim *node.Processor, m *network.Message) {
-	req := m.Payload.(pageReq)
+	req := m.Payload.(*pageReq)
 	base := sy.PageAddr(req.page)
 	data := make([]byte, sy.Prm.PageBytes)
 	copy(data, sy.Nodes[m.Dst].Mem[base:base+uint64(sy.Prm.PageBytes)])
-	sy.send(t, &network.Message{
+	sy.send(t, ownMsg(network.Message{
 		Kind:    network.PageReply,
 		Src:     m.Dst,
 		Dst:     m.Src,
 		SrcProc: sy.statsProcID(m.Dst, victim),
 		Size:    sy.Prm.PageBytes + sy.Prm.CtlBytes,
-		Payload: pageReply{page: req.page, epoch: req.epoch, data: data},
-	}, victim, victim != nil, false)
+	}, pageReply{page: req.page, epoch: req.epoch, data: data}), victim, victim != nil, false)
 }
 
 // handlePageReply installs a fetched page; it runs on the receiving NI
 // side (direct deposit, no interrupt).
 func (sy *System) handlePageReply(m *network.Message) {
-	rep := m.Payload.(pageReply)
+	rep := m.Payload.(*pageReply)
 	ns := sy.ns[m.Dst]
 	pg := rep.page
 	if rep.epoch != ns.fetchEpoch[pg] {
 		// The page was invalidated while the fetch was in flight; the copy
 		// is stale. Re-request with the current epoch (NI-generated).
-		ns.sys.send(nil, &network.Message{
+		sy.send(nil, newMsg(&sy.slabs.pageReqs, network.Message{
 			Kind:    network.PageRequest,
 			Src:     ns.id,
 			Dst:     int(sy.pageHome[pg]),
 			SrcProc: sy.Nodes[ns.id].Procs[0].GlobalID,
 			Size:    sy.Prm.CtlBytes,
-			Payload: pageReq{page: pg, epoch: ns.fetchEpoch[pg]},
-		}, nil, false, false)
+		}, pageReq{page: pg, epoch: ns.fetchEpoch[pg]}), nil, false, false)
 		return
 	}
 	if ns.state[pg] != pgInvalid || !ns.fetching[pg] {
@@ -392,13 +409,14 @@ func (ns *nodeState) truncateLog() {
 // noticesSince collects all notices with interval greater than vc, per
 // origin, for transmission to an acquirer.
 func (ns *nodeState) noticesSince(vc []uint32) []Notice {
-	var out []Notice
+	out := ns.noticeBuf[:0]
 	for o := range ns.log {
 		l := ns.log[o]
 		i := sort.Search(len(l), func(i int) bool { return l[i].Interval > vc[o] })
 		out = append(out, l[i:]...)
 	}
-	return out
+	ns.noticeBuf = out
+	return ns.sys.slabs.notices.copyOf(out)
 }
 
 // noticesWireBytes sizes a notice set on the wire.

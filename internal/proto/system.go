@@ -78,6 +78,8 @@ type System struct {
 	Trace *trace.Recorder
 
 	nextAlloc uint64
+
+	slabs slabs
 }
 
 // nodeState is the per-node protocol state.
@@ -90,6 +92,9 @@ type nodeState struct {
 	fetching   map[int32]bool
 	fetchEpoch map[int32]uint32
 	fetchCond  *engine.Cond
+	// spareTwins holds twin buffers of this node that no page uses now; a
+	// twin never leaves its node.
+	spareTwins [][]byte
 
 	vc       []uint32
 	interval uint32
@@ -121,6 +126,17 @@ type nodeState struct {
 	aurcVals  [][]uint64
 
 	locks []*lockNode
+	// lockWait[i] is where local processor i waits for a lock held on this
+	// node; a processor waits for at most one lock at a time.
+	lockWait []*engine.Cond
+
+	// Scratch for building a notice list, an interval's page list and a
+	// diff's words. What a message or the log keeps is an exact copy
+	// carved from a slab, taken before anything yields.
+	noticeBuf []Notice
+	pageBuf   []int32
+	offBuf    []uint16
+	wordBuf   []uint64
 }
 
 // NewSystem builds the cluster.
@@ -170,6 +186,10 @@ func NewSystem(s *engine.Sim, cfg SystemConfig) *System {
 			diffFlight:    make(map[int32]int),
 			aurcAddrs:     make([][]uint64, cfg.Nodes),
 			aurcVals:      make([][]uint64, cfg.Nodes),
+			lockWait:      make([]*engine.Cond, cfg.ProcsPerNode),
+		}
+		for i := range ns.lockWait {
+			ns.lockWait[i] = engine.NewCond(s)
 		}
 		sy.ns = append(sy.ns, ns)
 	}
@@ -314,14 +334,10 @@ func (sy *System) deliver(t *engine.Thread, m *network.Message) bool {
 			return true
 		}
 		sy.Trace.Emit(sy.Sim.Now(), -1, trace.Interrupt, int64(m.Dst), int64(m.Kind))
-		sy.Intc[m.Dst].Raise("page", func(ht *engine.Thread, victim *node.Processor) {
-			sy.handlePageRequest(ht, victim, m)
-		})
+		sy.Intc[m.Dst].Raise("page", sy, m)
 	case network.LockRequest:
 		sy.Trace.Emit(sy.Sim.Now(), -1, trace.Interrupt, int64(m.Dst), int64(m.Kind))
-		sy.Intc[m.Dst].Raise("lock", func(ht *engine.Thread, victim *node.Processor) {
-			sy.handleLockRequest(ht, victim, m)
-		})
+		sy.Intc[m.Dst].Raise("lock", sy, m)
 	case network.PageReply:
 		sy.handlePageReply(m)
 	case network.LockGrant:
@@ -347,6 +363,16 @@ func (sy *System) deliver(t *engine.Thread, m *network.Message) bool {
 		panic("proto: unknown message kind " + m.Kind.String())
 	}
 	return true
+}
+
+// HandleRequest implements interrupts.Handler: it serves a page or lock
+// request on the handler thread t of the victim processor.
+func (sy *System) HandleRequest(t *engine.Thread, victim *node.Processor, m *network.Message) {
+	if m.Kind == network.PageRequest {
+		sy.handlePageRequest(t, victim, m)
+	} else {
+		sy.handleLockRequest(t, victim, m)
+	}
 }
 
 // mayBlock reports whether delivering m may block its thread: an NI page

@@ -23,6 +23,11 @@
 # Intel Xeon VM with go1.24.0), so backing any node with the full heap
 # again trips it. The model layer allocates by design, so
 # this bounds the total per run rather than asserting a per-event contract.
+# BenchmarkSyncRun (one Barnes-rebuild HLRC cell, the most lock- and
+# interrupt-dense sim-sync app) rides along at 1x with an allocation-count
+# budget of 10,711 allocs/op: the measured 8,569 allocs/op (2-core Intel
+# Xeon VM, go1.24.0) plus 25%. A request path that allocated per interrupt
+# or per lock message again would read about 46,900 and trip it.
 #
 # Run via `make bench-smoke` (part of CI). POSIX sh + awk only.
 set -eu
@@ -55,6 +60,22 @@ printf '%s\n' "$out" | awk -v budget=16777216 '
     for (i = 2; i < NF; i++) if ($(i + 1) == "B/op") bytes = $i + 0
     if (bytes < 0) { print "bench-smoke: FAIL: " $1 " reports no B/op"; bad = 1 }
     else if (bytes >= budget) { print "bench-smoke: FAIL: " $1 " allocates " bytes " B/op, budget " budget; bad = 1 }
+}
+END {
+    if (n != 1) { print "bench-smoke: FAIL: expected 1 benchmark line, saw " n; exit 1 }
+    exit bad
+}'
+
+echo "bench-smoke: sync-run end-to-end smoke and allocation-count budget"
+out=$(go test -run '^$' -bench 'BenchmarkSyncRun$' -benchtime 1x -benchmem .)
+printf '%s\n' "$out"
+printf '%s\n' "$out" | awk -v budget=10711 '
+/^BenchmarkSyncRun/ {
+    n++
+    allocs = -1
+    for (i = 2; i < NF; i++) if ($(i + 1) == "allocs/op") allocs = $i + 0
+    if (allocs < 0) { print "bench-smoke: FAIL: " $1 " reports no allocs/op"; bad = 1 }
+    else if (allocs > budget) { print "bench-smoke: FAIL: " $1 " makes " allocs " allocs/op, budget " budget; bad = 1 }
 }
 END {
     if (n != 1) { print "bench-smoke: FAIL: expected 1 benchmark line, saw " n; exit 1 }
