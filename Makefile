@@ -42,7 +42,7 @@ test:
 
 # The race set covers the packages with real concurrency (the parallel
 # experiment pool, the engine, the serving daemon's worker pool and
-# watchdog, the fleet coordinator's dispatch/heartbeat machinery) plus the
+# journal, the fleet coordinator's dispatch/heartbeat machinery) plus the
 # fault-recovery machinery whose livelock regressions must fail fast instead
 # of hanging.
 race:

@@ -21,10 +21,10 @@
 // to a write-ahead journal before the 202 reaches the client, and a restart
 // replays the journal — incomplete jobs are re-enqueued (warm from the
 // -cache-dir disk cache) and resubmissions of in-flight work coalesce onto
-// the surviving job id. -job-deadline arms a watchdog that quarantines a job
-// still running at the deadline; the job is not re-run.
-// A journal directory is exclusive: a second daemon pointed at the same
-// -journal-dir fails fast instead of interleaving records.
+// the surviving job id. A job runs to completion on its worker; its answer,
+// a run or a typed error, is final. A journal directory is exclusive: a
+// second daemon pointed at the same -journal-dir fails fast instead of
+// interleaving records.
 //
 // Fleet modes (see internal/fleet and README "Fleet serving"):
 //
@@ -70,7 +70,6 @@ type options struct {
 	queue      int
 	workers    int
 	retry      int
-	deadline   time.Duration
 	reqTO      time.Duration
 	drainTO    time.Duration
 	pprofAddr  string
@@ -83,7 +82,6 @@ type options struct {
 	suspectTO   time.Duration
 	maxDisp     int
 	workerWait  time.Duration
-	noFallback  bool
 }
 
 func main() {
@@ -98,7 +96,6 @@ func main() {
 	flag.IntVar(&o.queue, "queue-depth", 64, "admission queue bound; overflow is 429")
 	flag.IntVar(&o.workers, "workers", 2, "job worker pool size")
 	flag.IntVar(&o.retry, "retry-after", 2, "Retry-After seconds advertised on 429")
-	flag.DurationVar(&o.deadline, "job-deadline", 0, "wall-clock bound per job; a job still running at it is quarantined (0 disables the watchdog)")
 	flag.DurationVar(&o.reqTO, "request-timeout", 10*time.Minute, "per-request handler timeout (bounds ?wait=1 long polls)")
 	flag.DurationVar(&o.drainTO, "drain-timeout", 10*time.Minute, "how long shutdown waits for accepted jobs before giving up")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); off when empty")
@@ -108,9 +105,8 @@ func main() {
 	flag.StringVar(&o.advertise, "advertise", "", "base URL this worker advertises to the coordinator (default: the resolved listen address)")
 	flag.DurationVar(&o.hbInterval, "hb-interval", time.Second, "coordinator: heartbeat interval it advertises to joining workers")
 	flag.DurationVar(&o.suspectTO, "suspect-timeout", 0, "coordinator: silence before a worker is declared dead (0 = 4 x hb-interval)")
-	flag.IntVar(&o.maxDisp, "max-dispatches", 4, "coordinator: placement attempts per cell before giving up")
+	flag.IntVar(&o.maxDisp, "max-dispatches", 4, "coordinator: placement attempts per cell before it simulates the cell locally")
 	flag.DurationVar(&o.workerWait, "worker-wait", 30*time.Second, "coordinator: how long a dispatch waits for the first alive worker")
-	flag.BoolVar(&o.noFallback, "no-local-fallback", false, "coordinator: fail unplaceable cells instead of simulating them locally")
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -177,21 +173,19 @@ func run(o options) error {
 		Workers:           o.workers,
 		RetryAfterSeconds: o.retry,
 		JournalDir:        o.journalDir,
-		JobDeadline:       o.deadline,
 	}
 
 	var handler http.Handler
 	var drainer drainable
 	if o.coordinator {
 		coord, err := fleet.New(fleet.Config{
-			Suite:                suite,
-			Server:               scfg,
-			HeartbeatInterval:    o.hbInterval,
-			SuspectTimeout:       o.suspectTO,
-			MaxDispatches:        o.maxDisp,
-			WorkerWait:           o.workerWait,
-			DisableLocalFallback: o.noFallback,
-			Log:                  os.Stderr,
+			Suite:             suite,
+			Server:            scfg,
+			HeartbeatInterval: o.hbInterval,
+			SuspectTimeout:    o.suspectTO,
+			MaxDispatches:     o.maxDisp,
+			WorkerWait:        o.workerWait,
+			Log:               os.Stderr,
 		})
 		if err != nil {
 			return err

@@ -288,16 +288,14 @@ func (s *state) insert(c *shm.Proc, i int, x, y, z, rootHalf float64) {
 	cur := 0
 	ox, oy, oz := s.p.Box/2, s.p.Box/2, s.p.Box/2
 	half := rootHalf
-	var path []int
 	for depth := 0; depth < maxDepth; depth++ {
 		o := octant(x, y, z, ox, oy, oz)
 		lk := s.lockFor(cur)
 		c.Lock(lk)
 		ch := s.cells.GetI(c, s.cAddr(cur, cChild+o))
-		path = append(path, cur, o, int(ch))
 		if depth == maxDepth-1 {
-			panic(fmt.Sprintf("barnes: insert depth blowup: proc=%d i=%d cur=%d ch=%d half=%g path(cell,slot,ch)=%v",
-				c.ID, i, cur, ch, half, path))
+			panic(fmt.Sprintf("barnes: insert depth blowup: proc=%d i=%d cur=%d ch=%d half=%g",
+				c.ID, i, cur, ch, half))
 		}
 		switch {
 		case ch == 0:

@@ -330,44 +330,32 @@ func NewCellResult(key string, run *svmsim.RunStats, err error) CellResult {
 	return r
 }
 
-// taxonomy declares every typed failure once: how to recognise it, its
-// wire kind, and whether running the cell on another host can change its
-// outcome. ErrKind and RetryableKind read it, and the fleet coordinator
-// re-dispatches a worker's answer whose kind is retryable. A new error type
-// is one row, and a row that leaves out its disposition does not compile. Nothing checks that a type has a row: an error type missing
-// from the table classifies as "failed" and retryable, like any untyped
-// error. Rows are tried in order, so for an error chain holding several
-// types the first row that matches names it.
+// taxonomy declares every typed failure once: how to recognise it and its
+// wire kind. A cell's error is a verdict: the simulator is deterministic, so
+// a cell fails the same way on every run and on every worker, and the memo,
+// the disk cache and the fleet keep its error like any result. A host that
+// dies mid-run gives no answer at all, which the fleet handles as a failed
+// attempt. A new error type is one row; an error type missing from the
+// table classifies as "failed", like any untyped error. Rows are tried in
+// order, so for an error chain holding several types the first row that
+// matches names it.
 var taxonomy = []struct {
-	is        func(error) bool
-	kind      string
-	retryable bool
+	is   func(error) bool
+	kind string
 }{
-	// Modeled simulation outcomes. The simulator is deterministic, so a
-	// stall, a lost page, an exhausted link retry budget, a drained-queue
-	// deadlock or a livelock fails identically on every run and on every
-	// worker; re-running it only re-pays the full simulation cost.
-	{isErr[*svmsim.StallError], "stall", false},
-	{isErr[*svmsim.LostPageError], "lost_page", false},
-	{isErr[*svmsim.LinkFailureError], "link_failure", false},
-	{isErr[*svmsim.DeadlockError], "deadlock", false},
-	{isErr[*svmsim.LivelockError], "livelock", false},
-	// A panic inside a simulated thread usually reproduces, but panic
-	// causes include the host's limits (stack, memory); another worker may
-	// finish the cell, so the fleet re-dispatches it rather than cache a
-	// possibly host-specific failure.
-	{isErr[*svmsim.ThreadPanicError], "panic", true},
-	// A wall-clock deadline is pure host weather (load, scheduling, disk):
-	// the same cell may finish comfortably on another worker.
-	{isErr[*JobTimeoutError], "job_timeout", true},
-	// Every placement attempt hit a host-level failure; the cell itself
-	// was never judged.
-	{isErr[*RedispatchExhaustedError], "redispatch_exhausted", true},
-	// The twin's model set is fixed for the life of the request and the
-	// studied parameter space is finite: no retry and no other worker
-	// answers differently.
-	{isErr[*UncalibratedError], "uncalibrated", false},
-	{isErr[*InfeasibleError], "infeasible", false},
+	// Modeled simulation outcomes: a stall, a lost page, an exhausted link
+	// retry budget, a drained-queue deadlock, a livelock, and a recovered
+	// panic inside a simulated thread.
+	{isErr[*svmsim.StallError], "stall"},
+	{isErr[*svmsim.LostPageError], "lost_page"},
+	{isErr[*svmsim.LinkFailureError], "link_failure"},
+	{isErr[*svmsim.DeadlockError], "deadlock"},
+	{isErr[*svmsim.LivelockError], "livelock"},
+	{isErr[*svmsim.ThreadPanicError], "panic"},
+	// The twin's answers: its model set is fixed for the life of the
+	// request and the studied parameter space is finite.
+	{isErr[*UncalibratedError], "uncalibrated"},
+	{isErr[*InfeasibleError], "infeasible"},
 }
 
 // isErr reports whether err's chain holds a T. Each call declares its own
@@ -378,10 +366,10 @@ func isErr[T error](err error) bool {
 }
 
 // ErrKind classifies an error into the wire schema's structured kinds: a
-// typed failure gets its taxonomy kind ("stall", "lost_page",
-// "job_timeout", ...); everything else (harness-side panics, validation at
-// run time) is "failed", and nil is "". Kinds survive the disk cache and
-// the fleet's wire via cachedError.
+// typed failure gets its taxonomy kind ("stall", "lost_page", "panic",
+// ...); everything else (harness-side panics, validation at run time) is
+// "failed", and nil is "". Kinds survive the disk cache and the fleet's
+// wire via cachedError.
 func ErrKind(err error) string {
 	if err == nil {
 		return ""
@@ -396,25 +384,6 @@ func ErrKind(err error) string {
 		}
 	}
 	return "failed"
-}
-
-// RetryableKind reports whether a wire error kind names a host-level
-// failure worth re-running elsewhere ("job_timeout", a panic, an
-// unclassified harness error or an unknown kind) as opposed to a
-// deterministic outcome that fails identically on every worker ("stall",
-// "lost_page", ...). The coordinator sees worker failures only as wire
-// kinds, after the typed error has been flattened. The empty kind
-// (success) is not retryable.
-func RetryableKind(kind string) bool {
-	if kind == "" {
-		return false
-	}
-	for _, t := range taxonomy {
-		if t.kind == kind {
-			return t.retryable
-		}
-	}
-	return true
 }
 
 // cachedError carries a structured error kind across the disk cache and the

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"svmsim"
 	"svmsim/internal/stats"
@@ -366,28 +365,22 @@ func TestCellVocabulary(t *testing.T) {
 	}
 }
 
-// TestErrKindTaxonomy pins the wire kind and the disposition of every typed
-// failure, bare and wrapped: the fleet coordinator re-dispatches a worker's
-// answer whose kind is retryable (RetryableKind). Deterministic modeled
-// failures are results; a thread panic may be host-specific and is
-// retryable. A failed document without a kind reads back as "failed".
+// TestErrKindTaxonomy pins the wire kind of every typed failure, bare and
+// wrapped. A failed document without a kind reads back as "failed".
 func TestErrKindTaxonomy(t *testing.T) {
 	cases := []struct {
-		err           error
-		kind          string
-		deterministic bool
+		err  error
+		kind string
 	}{
-		{&svmsim.StallError{NowCycles: 7}, "stall", true},
-		{&svmsim.LostPageError{}, "lost_page", true},
-		{&svmsim.LinkFailureError{}, "link_failure", true},
-		{&svmsim.DeadlockError{NowCycles: 9}, "deadlock", true},
-		{&svmsim.LivelockError{NowCycles: 9, Events: 10}, "livelock", true},
-		{&svmsim.ThreadPanicError{Thread: "p0", Value: "boom"}, "panic", false},
-		{&UncalibratedError{Workload: "FFT", Mode: "hlrc", Reason: "no calibration has run"}, "uncalibrated", true},
-		{&InfeasibleError{Workload: "FFT", Mode: "hlrc", MinSpeedup: 12, Best: 9.1}, "infeasible", true},
-		{&JobTimeoutError{Key: "k", Deadline: time.Second}, "job_timeout", false},
-		{&RedispatchExhaustedError{Key: "k", Attempts: 3, Last: "refused"}, "redispatch_exhausted", false},
-		{errors.New("setup exploded"), "failed", false},
+		{&svmsim.StallError{NowCycles: 7}, "stall"},
+		{&svmsim.LostPageError{}, "lost_page"},
+		{&svmsim.LinkFailureError{}, "link_failure"},
+		{&svmsim.DeadlockError{NowCycles: 9}, "deadlock"},
+		{&svmsim.LivelockError{NowCycles: 9, Events: 10}, "livelock"},
+		{&svmsim.ThreadPanicError{Thread: "p0", Value: "boom"}, "panic"},
+		{&UncalibratedError{Workload: "FFT", Mode: "hlrc", Reason: "no calibration has run"}, "uncalibrated"},
+		{&InfeasibleError{Workload: "FFT", Mode: "hlrc", MinSpeedup: 12, Best: 9.1}, "infeasible"},
+		{errors.New("setup exploded"), "failed"},
 	}
 	for _, c := range cases {
 		// Wrapping (as Suite.run does with workload and key context) must
@@ -396,22 +389,10 @@ func TestErrKindTaxonomy(t *testing.T) {
 			if k := ErrKind(err); k != c.kind {
 				t.Errorf("ErrKind(%v) = %q, want %q", err, k, c.kind)
 			}
-			if d := !RetryableKind(ErrKind(err)); d != c.deterministic {
-				t.Errorf("!RetryableKind(ErrKind(%v)) = %v, want %v", err, d, c.deterministic)
-			}
-		}
-		if r := RetryableKind(c.kind); r != !c.deterministic {
-			t.Errorf("RetryableKind(%q) = %v, want %v", c.kind, r, !c.deterministic)
 		}
 	}
 	if ErrKind(nil) != "" {
 		t.Errorf("ErrKind(nil) = %q, want empty", ErrKind(nil))
-	}
-	if RetryableKind("") {
-		t.Error("empty kind (success) must not be retryable")
-	}
-	if !RetryableKind("some_future_kind") {
-		t.Error("unknown kinds must be retryable")
 	}
 
 	// A failed document with no err_kind, from the disk cache or from a

@@ -19,14 +19,16 @@ import (
 // coordinator's memo/disk layers like any locally simulated cell — which is
 // what makes sweep assembly byte-identical to a single daemon's.
 //
-// Returning ok=false degrades the cell to local simulation (no workers, a
-// non-wire-expressible cell, or an exhausted redispatch budget with
-// fallback enabled). Deterministic simulation failures from a worker
-// (stall, lost_page, ...) are results, not dispatch failures: they return
-// ok=true and cache like any error row. A retryable answer is a failed
-// attempt (see try). Attempts run one after another, so a cell is on one
-// worker at a time: a failed or lost attempt has ended before the cell is
-// placed again.
+// It returns ok=true only with a worker's answer, which is the cell's
+// verdict whatever its err_kind: the simulation is deterministic, so a
+// stall or a panic on one worker is a stall or a panic on every worker, and
+// it caches like any error row. An attempt fails only when it gives no
+// answer: a transport error, a lost worker, a refused submission or a
+// malformed reply. Returning ok=false degrades the cell to local simulation
+// (no workers, a non-wire-expressible cell, or MaxDispatches failed
+// attempts). Attempts run one after another, so a cell is on one worker at
+// a time: a failed or lost attempt has ended before the cell is placed
+// again.
 func (c *Coordinator) remote(cell exp.Cell) (exp.CellResult, bool) {
 	spec, ok := exp.SpecFromCell(cell)
 	if !ok {
@@ -68,30 +70,20 @@ func (c *Coordinator) remote(cell exp.Cell) (exp.CellResult, bool) {
 		}
 		return res, true
 	}
-	if !c.disableFallback {
-		c.metrics.fallbacks.Inc()
-		c.logf("fleet: falling back to local simulation for %s: %v", key, lastErr)
-		return exp.CellResult{}, false
-	}
-	err := &exp.RedispatchExhaustedError{Key: key, Attempts: dispatched, Last: fmt.Sprint(lastErr)}
-	return exp.NewCellResult(key, nil, err), true
+	c.metrics.fallbacks.Inc()
+	c.logf("fleet: falling back to local simulation for %s: %v", key, lastErr)
+	return exp.CellResult{}, false
 }
 
-// try runs one placement attempt on w. An answer carrying a retryable kind
-// (the worker's own watchdog timeout, a panic, an unclassified harness
-// error) is a failed attempt: the cell may still succeed elsewhere, and
-// caching a non-deterministic verdict would poison the memo. A success
-// marks w's cache identity warm for the cell: the bytes are on its disk,
-// and future routing should know.
+// try runs one placement attempt on w. An answer marks w's cache identity
+// warm for the cell: the bytes are on its disk, and future routing should
+// know.
 func (c *Coordinator) try(w *worker, key string, spec exp.CellSpec) (exp.CellResult, error) {
 	c.reg.acquire(w)
 	defer c.reg.release(w)
 	c.metrics.dispatched.Inc(w.id)
 	sw := walltime.Start()
 	res, err := c.callWorker(w, key, spec)
-	if err == nil && exp.RetryableKind(res.ErrKind) {
-		err = fmt.Errorf("worker %s returned retryable %s: %s", w.id, res.ErrKind, res.Err)
-	}
 	if err != nil {
 		c.metrics.dispatchErrs.Inc(w.id)
 		return exp.CellResult{}, err
@@ -150,8 +142,7 @@ func (c *Coordinator) callWorker(w *worker, key string, spec exp.CellSpec) (exp.
 		return res, nil
 	case http.StatusInternalServerError:
 		// A finished-but-failed cell: the worker's structured error
-		// envelope becomes the cell's wire result, preserving the kind so
-		// RetryableKind can disposition it upstream.
+		// envelope is the cell's verdict, kept with its kind and text.
 		kind, msg, ok := server.ParseError(data)
 		if !ok {
 			return exp.CellResult{}, fmt.Errorf("worker %s: unparseable error envelope %q", w.id, firstLine(data))

@@ -12,13 +12,17 @@
 // cells to the node that already holds them, cold cells by rendezvous
 // hashing on the worker's cache identity (stable across restarts on both
 // sides), saturated nodes spilling to least-loaded. A cell runs on one
-// worker at a time. A worker that misses its suspect timeout, breaks a
-// connection, or answers with a retryable error kind fails its attempt, and
-// the cell is placed again; a worker that is only slow finishes its cell.
-// Submissions are idempotent by content key, so placing a cell again never
-// double-counts it. Losing workers shrinks capacity (the front door's 429s
-// take over) but never loses an accepted job: acceptance is journaled at
-// the coordinator before the ack, exactly as in the single-daemon contract.
+// worker at a time. A worker's answer, a run or a typed error, is the
+// cell's verdict: the simulation is deterministic, so no other worker would
+// answer differently. An attempt fails only when it gives no answer (the
+// worker misses its suspect timeout, breaks a connection, refuses the
+// submission or replies with something that is not an answer); then the
+// cell is placed again, and after MaxDispatches attempts it is simulated
+// locally. A worker that is only slow finishes its cell. Submissions are
+// idempotent by content key, so placing a cell again never double-counts
+// it. Losing workers shrinks capacity (the front door's 429s take over) but
+// never loses an accepted job: acceptance is journaled at the coordinator
+// before the ack, exactly as in the single-daemon contract.
 //
 // The invariant catalog lives in DESIGN.md §8c.
 package fleet
@@ -57,13 +61,8 @@ type Config struct {
 	// (default 4).
 	MaxDispatches int
 	// WorkerWait is how long a dispatch waits for the first alive worker
-	// before the cell degrades (default 30s).
+	// before the cell is simulated locally (default 30s).
 	WorkerWait time.Duration
-	// DisableLocalFallback makes an unplaceable cell fail with a typed
-	// *exp.RedispatchExhaustedError instead of simulating locally. The
-	// default (fallback enabled) keeps a worker-less coordinator behaving
-	// exactly like a plain daemon.
-	DisableLocalFallback bool
 	// Log, when non-nil, receives coordinator event lines (worker joins,
 	// deaths, redispatches, local fallbacks).
 	Log io.Writer
@@ -78,10 +77,9 @@ type Coordinator struct {
 	client  *Client
 	mux     *http.ServeMux
 
-	heartbeat       time.Duration
-	maxDispatches   int
-	workerWait      time.Duration
-	disableFallback bool
+	heartbeat     time.Duration
+	maxDispatches int
+	workerWait    time.Duration
 
 	log      io.Writer
 	logMu    sync.Mutex
@@ -113,16 +111,15 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 
 	c := &Coordinator{
-		reg:             newRegistry(cfg.SuspectTimeout),
-		client:          &Client{},
-		heartbeat:       cfg.HeartbeatInterval,
-		maxDispatches:   cfg.MaxDispatches,
-		workerWait:      cfg.WorkerWait,
-		disableFallback: cfg.DisableLocalFallback,
-		log:             cfg.Log,
-		stopc:           make(chan struct{}),
-		monDone:         make(chan struct{}),
-		settled:         make(chan struct{}),
+		reg:           newRegistry(cfg.SuspectTimeout),
+		client:        &Client{},
+		heartbeat:     cfg.HeartbeatInterval,
+		maxDispatches: cfg.MaxDispatches,
+		workerWait:    cfg.WorkerWait,
+		log:           cfg.Log,
+		stopc:         make(chan struct{}),
+		monDone:       make(chan struct{}),
+		settled:       make(chan struct{}),
 	}
 	cfg.Suite.Remote = c.remote
 
@@ -193,7 +190,7 @@ func newMetrics(r *server.Registry, reg *registry) metrics {
 		fallbacks:    r.Counter("fleet_local_fallbacks_total", "Cells simulated locally because the fleet could not place them."),
 		dispatched:   r.LabeledCounter("fleet_cells_dispatched_total", "Cells sent to each worker.", "worker"),
 		completed:    r.LabeledCounter("fleet_cells_completed_total", "Cells each worker answered successfully.", "worker"),
-		dispatchErrs: r.LabeledCounter("fleet_dispatch_errors_total", "Dispatch attempts that failed per worker (transport errors, retryable kinds, lost workers).", "worker"),
+		dispatchErrs: r.LabeledCounter("fleet_dispatch_errors_total", "Dispatch attempts that failed per worker (transport errors, lost workers, refused submissions, malformed replies).", "worker"),
 	}
 	r.LabeledFunc("gauge", "fleet_worker_inflight", "Outstanding dispatches per worker.", "worker", reg.inflight)
 	// Coarser than the daemon's cell-latency buckets: a dispatch adds

@@ -507,24 +507,6 @@ func TestFleetFallsBackWithNoWorkers(t *testing.T) {
 	}
 }
 
-// TestFleetNoFallbackFailsTyped: with DisableLocalFallback an unplaceable
-// cell must fail with the structured redispatch_exhausted kind instead of
-// burning coordinator CPU.
-func TestFleetNoFallbackFailsTyped(t *testing.T) {
-	_, coordURL := newTestCoordinator(t, Config{
-		WorkerWait:           50 * time.Millisecond,
-		DisableLocalFallback: true,
-		MaxDispatches:        2,
-	})
-	status, data := submitAndWait(t, coordURL.URL, "/v1/cells", []byte(`{"workload":"LU"}`))
-	if status != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500 (failed cell)", status)
-	}
-	if !strings.Contains(string(data), "redispatch_exhausted") {
-		t.Fatalf("error body lacks the typed kind: %s", data)
-	}
-}
-
 // TestMembershipRejoinsAfterCoordinatorRestart: a coordinator restart wipes
 // its registry; the worker's next heartbeat gets 404 and the membership
 // loop must re-register without operator help.
@@ -672,11 +654,11 @@ func TestRefusedSubmissionKeepsWorker(t *testing.T) {
 	}
 }
 
-// TestRetryableAnswerIsAFailedAttempt: a worker that answers a cell with a
-// retryable error envelope (its own watchdog's job_timeout) has not
-// completed the cell. The attempt fails, so the worker is not marked warm
-// for the cell and fleet_cells_completed_total does not count it, and the
-// coordinator places the cell on a healthy worker instead.
+// TestRetryableAnswerIsAFailedAttempt: a worker whose result poll replies
+// with something that is not an answer (a 502) has not completed the cell.
+// The attempt fails, so the worker is not marked warm for the cell and
+// fleet_cells_completed_total does not count it, and the coordinator
+// places the cell on a healthy worker instead.
 func TestRetryableAnswerIsAFailedAttempt(t *testing.T) {
 	suite := exp.NewSuite(exp.Small)
 	coord, ts := newTestCoordinator(t, Config{Suite: suite, SuspectTimeout: time.Minute, MaxDispatches: 2})
@@ -690,7 +672,7 @@ func TestRetryableAnswerIsAFailedAttempt(t *testing.T) {
 	bad := coord.reg.workers[badID]
 	coord.reg.mu.Unlock()
 	if res, err := coord.try(bad, cell.Key(), spec); err == nil {
-		t.Fatalf("a job_timeout answer completed the dispatch: %+v", res)
+		t.Fatalf("a 502 reply completed the dispatch: %+v", res)
 	}
 
 	goodID := registerHTTP(t, ts.URL, stubWorker(t).URL, "good:/cache")
@@ -714,7 +696,7 @@ func TestRetryableAnswerIsAFailedAttempt(t *testing.T) {
 	}
 	samples := parseScrape(t, body)
 	if n := samples[`fleet_cells_completed_total{worker="`+badID+`"}`]; n != 0 {
-		t.Errorf("fleet_cells_completed_total counts %v job_timeout answers from the failing worker", n)
+		t.Errorf("fleet_cells_completed_total counts %v 502 replies from the failing worker", n)
 	}
 	if n := samples[`fleet_cells_completed_total{worker="`+goodID+`"}`]; n != 1 {
 		t.Errorf("fleet_cells_completed_total{good} = %v, want 1", n)
@@ -723,8 +705,8 @@ func TestRetryableAnswerIsAFailedAttempt(t *testing.T) {
 
 // TestOnlyWorkerIsForgiven: when every alive worker has failed a cell once,
 // remote forgives them and places the cell again rather than fall back
-// while workers live. The only worker answers its first attempt with a
-// retryable job_timeout and then serves the cell.
+// while workers live. The only worker replies 502 to its first result poll
+// and then serves the cell.
 func TestOnlyWorkerIsForgiven(t *testing.T) {
 	suite := exp.NewSuite(exp.Small)
 	coord, ts := newTestCoordinator(t, Config{Suite: suite, SuspectTimeout: time.Minute, MaxDispatches: 2})
@@ -732,7 +714,7 @@ func TestOnlyWorkerIsForgiven(t *testing.T) {
 	var polls atomic.Int64
 	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet && polls.Add(1) == 1 {
-			server.WriteError(w, http.StatusInternalServerError, "job_timeout", "attempt exceeded its deadline")
+			http.Error(w, "bad gateway", http.StatusBadGateway)
 			return
 		}
 		backend.Config.Handler.ServeHTTP(w, r)
@@ -754,6 +736,43 @@ func TestOnlyWorkerIsForgiven(t *testing.T) {
 	} {
 		if got := metricValue(t, ts.URL, series); got != want {
 			t.Errorf("%s = %v, want %v", series, got, want)
+		}
+	}
+}
+
+// TestWorkerVerdictIsFinal: a worker's answer is the cell's verdict, even a
+// failed one. A worker that answers a cell with a panic envelope gets the
+// cell once, and remote returns that answer: no other worker is tried, and
+// the coordinator does not simulate the cell itself.
+func TestWorkerVerdictIsFinal(t *testing.T) {
+	suite := exp.NewSuite(exp.Small)
+	coord, ts := newTestCoordinator(t, Config{Suite: suite, SuspectTimeout: time.Minute})
+	var submissions atomic.Int64
+	panicking := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			submissions.Add(1)
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprintln(w, `{"id":"j1","kind":"cell","key":"k","status":"queued"}`)
+			return
+		}
+		server.WriteError(w, http.StatusInternalServerError, "panic", "FFT on p16: thread p0 panicked: boom")
+	}))
+	defer panicking.Close()
+	registerHTTP(t, ts.URL, panicking.URL, "panicking:/cache")
+	cell, err := suite.ResolveCell(exp.CellSpec{Workload: "FFT"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, ok := coord.remote(cell)
+	if !ok || res.ErrKind != "panic" || res.Run != nil {
+		t.Fatalf("remote(FFT) = %+v, %v; want the worker's panic verdict", res, ok)
+	}
+	if n := submissions.Load(); n != 1 {
+		t.Errorf("the worker got %d submissions, want 1", n)
+	}
+	for _, series := range []string{"fleet_jobs_redispatched_total", "fleet_local_fallbacks_total"} {
+		if got := metricValue(t, ts.URL, series); got != 0 {
+			t.Errorf("%s = %v, want 0", series, got)
 		}
 	}
 }

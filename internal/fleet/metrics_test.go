@@ -44,9 +44,9 @@ func stubWorker(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// failingWorker accepts every cell and answers its result poll with a
-// retryable job_timeout error envelope, as a worker whose own watchdog gave
-// up would.
+// failingWorker accepts every cell and replies to its result poll with a
+// 502, which is not an answer, as a broken proxy in front of a worker
+// would.
 func failingWorker(t *testing.T) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -55,8 +55,7 @@ func failingWorker(t *testing.T) *httptest.Server {
 			fmt.Fprintln(w, `{"id":"j1","kind":"cell","key":"k","status":"queued"}`)
 			return
 		}
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintln(w, `{"error":{"kind":"job_timeout","message":"attempt exceeded its deadline"}}`)
+		http.Error(w, "bad gateway", http.StatusBadGateway)
 	}))
 	t.Cleanup(ts.Close)
 	return ts

@@ -159,7 +159,7 @@ func (sy *System) barrierLeaf(t *engine.Thread, p *node.Processor, ns *nodeState
 		// Discard releases of generations this node already completed
 		// (duplicates from a master change).
 		for len(b.releases[ns.id]) > 0 && b.releases[ns.id][0].gen < myGen {
-			b.releases[ns.id] = b.releases[ns.id][1:]
+			popFront(&b.releases[ns.id])
 		}
 		if len(b.releases[ns.id]) > 0 {
 			break
@@ -169,8 +169,7 @@ func (sy *System) barrierLeaf(t *engine.Thread, p *node.Processor, ns *nodeState
 		p.BlockedWake(t)
 	}
 	p.Where = node.Where{}
-	rel := b.releases[ns.id][0]
-	b.releases[ns.id] = b.releases[ns.id][1:]
+	rel := popFront(&b.releases[ns.id])
 	if rel.conservative {
 		ns.invalidateAllRemote(t, p)
 	}
@@ -199,9 +198,7 @@ func (sy *System) barrierMaster(t *engine.Thread, p *node.Processor, ns *nodeSta
 				continue
 			}
 			for len(b.inbox[i]) > 0 && b.inbox[i][0].gen < g {
-				arr := b.inbox[i][0]
-				b.inbox[i] = b.inbox[i][1:]
-				sy.masterRelease(t, p, ns, arr, true)
+				sy.masterRelease(t, p, ns, popFront(&b.inbox[i]), true)
 			}
 			if len(b.inbox[i]) == 0 {
 				ready = false
@@ -227,8 +224,7 @@ func (sy *System) barrierMaster(t *engine.Thread, p *node.Processor, ns *nodeSta
 		if i == ns.id || !sy.alive(i) {
 			continue
 		}
-		arr[i] = b.inbox[i][0]
-		b.inbox[i] = b.inbox[i][1:]
+		arr[i] = popFront(&b.inbox[i])
 	}
 	// Merge every node's notices into the master's state (in node order for
 	// determinism), invalidating the master's stale pages.
@@ -296,9 +292,7 @@ func (sy *System) masterCatchUp(t *engine.Thread, p *node.Processor, ns *nodeSta
 			continue
 		}
 		for len(b.inbox[i]) > 0 && b.inbox[i][0].gen <= g {
-			arr := b.inbox[i][0]
-			b.inbox[i] = b.inbox[i][1:]
-			sy.masterRelease(t, p, ns, arr, true)
+			sy.masterRelease(t, p, ns, popFront(&b.inbox[i]), true)
 		}
 	}
 }
@@ -322,4 +316,18 @@ func (b *barrierState) handleRelease(m *network.Message) {
 	r := m.Payload.(*barrierReleaseMsg)
 	b.releases[m.Dst] = append(b.releases[m.Dst], *r)
 	b.relCond[m.Dst].Broadcast()
+}
+
+// popFront removes and returns the first element of a protocol queue (a
+// barrier inbox or release queue, a lock's waiters). It moves the rest down
+// instead of reslicing, so the queue keeps its capacity and a later append
+// does not reallocate.
+func popFront[T any](q *[]T) T {
+	s := *q
+	v := s[0]
+	n := copy(s, s[1:])
+	var zero T
+	s[n] = zero
+	*q = s[:n]
+	return v
 }

@@ -351,13 +351,13 @@ func (fd *failureDetector) recoverLocks(ht *engine.Thread, deadNode int) {
 			lg.ownerView, lg.ownerSeq = int32(holder), newSeq
 			fd.rec.LocksReclaimed++
 			switch {
-			case hn.waiting:
+			case hn.waiter != nil:
 				// An Acquire is blocked here: hand it the rebuilt token as a
 				// fabricated grant (no notices: the dead grantor's interval
 				// died unflushed with it).
 				hn.busy = true
 				hn.granted = &lockGrantMsg{lock: lg.id, seq: newSeq}
-				hn.grantCond.Broadcast()
+				hn.waiter.Broadcast()
 			case len(hn.queue) > 0:
 				hn.busy = true
 				hn.requested = false

@@ -44,10 +44,11 @@ type lockNode struct {
 	busy      bool
 	// requested: a LockRequest from this node is outstanding.
 	requested bool
-	// waiting: an Acquire thread is blocked on grantCond to consume the
-	// grant; when false, an arriving grant is consumed by the protocol
-	// itself (node-initiated re-request).
-	waiting bool
+	// waiter is where the Acquire that sent the request waits to consume
+	// the grant: its processor's lockWait Cond. Nil when no Acquire waits,
+	// and then an arriving grant is consumed by the protocol itself
+	// (node-initiated re-request).
+	waiter *engine.Cond
 	// tokenSeq is the token's grant count, valid while haveToken; it
 	// totally orders ownership changes because the token is unique.
 	tokenSeq      uint64
@@ -57,7 +58,6 @@ type lockNode struct {
 	// locate where the token was last headed when its holder may have died.
 	lastGrantSeq uint64
 	queue        []lockWaiter
-	grantCond    *engine.Cond
 	granted      *lockGrantMsg
 }
 
@@ -87,7 +87,7 @@ func (sy *System) NewLock() int {
 	mgr := id % int32(len(sy.Nodes))
 	sy.locks = append(sy.locks, &lockGlobal{id: id, manager: mgr, ownerView: mgr})
 	for n, ns := range sy.ns {
-		ln := &lockNode{grantCond: engine.NewCond(sy.Sim), lastGrantedTo: mgr}
+		ln := &lockNode{lastGrantedTo: mgr}
 		ln.haveToken = int32(n) == mgr
 		ns.locks = append(ns.locks, ln)
 	}
@@ -129,12 +129,12 @@ func (sy *System) Acquire(t *engine.Thread, p *node.Processor, id int) {
 	}
 	// Token elsewhere: send a request and wait for the grant.
 	ln.requested = true
-	ln.waiting = true
+	ln.waiter = ns.lockWait[p.LocalID]
 	p.Stats.RemoteLocks++
 	sy.sendLockRequest(t, p, true, ns, id)
 	for ln.granted == nil {
 		p.Where = node.Where{Op: "lock-grant-wait", Arg: "lock", N: int64(id)}
-		ln.grantCond.Wait(t)
+		ln.waiter.Wait(t)
 		p.Where = node.Where{Op: "lock-grant-wake", Arg: "lock", N: int64(id)}
 		p.BlockedWake(t)
 	}
@@ -142,7 +142,7 @@ func (sy *System) Acquire(t *engine.Thread, p *node.Processor, id int) {
 	g := ln.granted
 	ln.granted = nil
 	ln.requested = false
-	ln.waiting = false
+	ln.waiter = nil
 	// haveToken and busy were set by the deposit upcall; apply the notices
 	// on the acquiring processor.
 	ns.applyNotices(t, p, false, g.notices, g.vc)
@@ -162,7 +162,7 @@ func (sy *System) sendLockRequest(t *engine.Thread, p *node.Processor, app bool,
 	if dst == ns.id {
 		ln := ns.locks[id]
 		panic(fmt.Sprintf("proto: lock %d request self-routes at n%d: mgr=n%d ownerView=n%d ownerSeq=%d token=%v busy=%v req=%v wait=%v tokenSeq=%d queue=%d",
-			id, ns.id, lg.manager, lg.ownerView, lg.ownerSeq, ln.haveToken, ln.busy, ln.requested, ln.waiting, ln.tokenSeq, len(ln.queue)))
+			id, ns.id, lg.manager, lg.ownerView, lg.ownerSeq, ln.haveToken, ln.busy, ln.requested, ln.waiter != nil, ln.tokenSeq, len(ln.queue)))
 	}
 	vc := sy.slabs.clocks.copyOf(ns.vc)
 	sy.send(t, newMsg(&sy.slabs.lockReqs, network.Message{
@@ -198,11 +198,7 @@ func (sy *System) handoff(t *engine.Thread, p *node.Processor, handler bool, ns 
 		ln.busy = false
 		return
 	}
-	// Pop by moving the rest down, so the queue keeps its capacity.
-	next := ln.queue[0]
-	n := copy(ln.queue, ln.queue[1:])
-	ln.queue[n] = lockWaiter{}
-	ln.queue = ln.queue[:n]
+	next := popFront(&ln.queue)
 	if next.cond != nil {
 		// Local handoff: no protocol action, hardware sharing inside the
 		// SMP. busy remains true on behalf of the new holder.
@@ -338,11 +334,11 @@ func (sy *System) handleLockGrant(m *network.Message) {
 	ln.busy = true
 	ln.tokenSeq = g.seq
 	sy.Trace.Emit(sy.Sim.Now(), -1, trace.GrantDeposit, int64(g.lock), int64(ns.id))
-	if ln.waiting {
+	if ln.waiter != nil {
 		// A grant is never written once built, so a duplicate delivery may
 		// hand over the same one.
 		ln.granted = g
-		ln.grantCond.Broadcast()
+		ln.waiter.Broadcast()
 		return
 	}
 	// Re-requested by the protocol: consume the grant on a fresh thread

@@ -126,8 +126,9 @@ type nodeState struct {
 	aurcVals  [][]uint64
 
 	locks []*lockNode
-	// lockWait[i] is where local processor i waits for a lock held on this
-	// node; a processor waits for at most one lock at a time.
+	// lockWait[i] is where local processor i waits for a lock, queued
+	// behind a local holder or for a remote grant; a processor waits for
+	// at most one lock at a time.
 	lockWait []*engine.Cond
 
 	// Scratch for building a notice list, an interval's page list and a
@@ -277,9 +278,6 @@ func (sy *System) SetHome(addr, size uint64, nodeID int) {
 		sy.ns[nodeID].state[pg] = pgReadOnly
 	}
 }
-
-// NodeOf returns the node state for node id (internal and tests).
-func (sy *System) nodeOf(p *node.Processor) *nodeState { return sy.ns[p.Node.ID] }
 
 // statsFor returns the stats sink for a processor, or the node's proc 0 for
 // NI-generated traffic.

@@ -2,136 +2,11 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
-
-	"svmsim"
-	"svmsim/internal/exp"
 )
-
-// counters snapshots the supervision counters for assertions.
-func counters(s *Server) (quarantined, deduped uint64) {
-	m := &s.metrics
-	return m.quarantined.Value(), m.deduped.Value()
-}
-
-// TestWatchdogQuarantine: a job that runs past its deadline is quarantined
-// — terminal, addressable, serving a structured job_timeout error — and the
-// worker is free for the next job.
-func TestWatchdogQuarantine(t *testing.T) {
-	s, err := New(Config{Suite: testSuite(), Workers: 1, JobDeadline: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate := make(chan struct{})
-	defer close(gate) // release the abandoned attempt's goroutine at cleanup
-	rec := submitCell(s, gateWorkload("poison", gate))
-	v := waitTerminal(t, s, jobID(t, rec))
-	if v.Status != statusQuarantined || v.ErrKind != "job_timeout" {
-		t.Fatalf("poison job: %+v", v)
-	}
-
-	res := httptest.NewRecorder()
-	s.Handler().ServeHTTP(res, httptest.NewRequest("GET", "/v1/jobs/"+v.ID+"/result", nil))
-	if res.Code != 500 {
-		t.Fatalf("quarantined result: %d %s", res.Code, res.Body)
-	}
-	var body errorBody
-	if err := json.Unmarshal(res.Body.Bytes(), &body); err != nil {
-		t.Fatal(err)
-	}
-	if body.Error.Kind != "job_timeout" || !strings.HasPrefix(body.Error.Message, "job exceeded the 20ms deadline (key poison|") {
-		t.Fatalf("error envelope: %+v", body)
-	}
-
-	if quarantined, _ := counters(s); quarantined != 1 {
-		t.Fatalf("counters: quarantined=%d", quarantined)
-	}
-	// The worker is free again: a fresh job runs to completion immediately.
-	rec2 := submitCell(s, tinyWorkload("after"))
-	if v2 := waitTerminal(t, s, jobID(t, rec2)); v2.Status != statusDone {
-		t.Fatalf("worker not released after quarantine: %+v", v2)
-	}
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWatchdogTimeoutRerunsNothing: a job that runs past its deadline is
-// quarantined without simulating its cell again. The abandoned simulation
-// keeps running, lands in the suite's memo, and a resubmission of the same
-// key is served from it: the app's Setup ran once and the suite saw one
-// simulation of the key.
-func TestWatchdogTimeoutRerunsNothing(t *testing.T) {
-	suite := testSuite()
-	var (
-		mu     sync.Mutex
-		events []exp.CellEvent
-	)
-	landed := make(chan struct{})
-	var once sync.Once
-	suite.Observe = func(ev exp.CellEvent) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-		if ev.Source == exp.SourceSim {
-			once.Do(func() { close(landed) })
-		}
-	}
-	var setups atomic.Int32
-	gate := make(chan struct{})
-	mk := func() svmsim.App {
-		return svmsim.App{
-			Name:  "held",
-			Setup: func(w *svmsim.World) any { setups.Add(1); <-gate; return nil },
-			Body:  func(c *svmsim.Proc, state any) { c.Compute(100); c.Barrier() },
-		}
-	}
-	w := svmsim.Workload{Name: "held", Small: mk, Default: mk}
-	s, err := New(Config{Suite: suite, Workers: 1, JobDeadline: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := submitCell(s, w)
-	if v := waitTerminal(t, s, jobID(t, rec)); v.Status != statusQuarantined || v.ErrKind != "job_timeout" {
-		t.Fatalf("held job: %+v", v)
-	}
-	close(gate)
-	select {
-	case <-landed:
-	case <-time.After(30 * time.Second):
-		t.Fatal("the abandoned simulation never landed")
-	}
-
-	again := submitCell(s, w)
-	if v := waitTerminal(t, s, jobID(t, again)); v.Status != statusDone {
-		t.Fatalf("resubmission: %+v", v)
-	}
-	if n := setups.Load(); n != 1 {
-		t.Errorf("Setup ran %d times, want 1", n)
-	}
-	key := exp.Cell{Cfg: suite.Base(), W: w}.Key()
-	mu.Lock()
-	sims := 0
-	for _, ev := range events {
-		if ev.Key == key && ev.Source == exp.SourceSim {
-			sims++
-		}
-	}
-	mu.Unlock()
-	if sims != 1 {
-		t.Errorf("suite saw %d simulations of %s, want 1 (events %v)", sims, key, events)
-	}
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestIdempotentResubmission: while a job is queued or running, submitting
 // the same content key again returns the *same* job descriptor (200) and
@@ -157,7 +32,7 @@ func TestIdempotentResubmission(t *testing.T) {
 			t.Fatalf("resubmission %d forked a new job: %s vs %s", i, got, id)
 		}
 	}
-	if _, deduped := counters(s); deduped != 3 {
+	if deduped := s.metrics.deduped.Value(); deduped != 3 {
 		t.Fatalf("deduped = %d, want 3", deduped)
 	}
 	s.mu.Lock()

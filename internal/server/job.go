@@ -3,27 +3,23 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"svmsim/internal/exp"
-	"svmsim/internal/walltime"
 )
 
 // Job lifecycle states.
 const (
-	statusQueued      = "queued"
-	statusRunning     = "running"
-	statusDone        = "done"
-	statusFailed      = "failed"
-	statusQuarantined = "quarantined"
+	statusQueued  = "queued"
+	statusRunning = "running"
+	statusDone    = "done"
+	statusFailed  = "failed"
 )
 
 // job is one accepted unit of work: a cell or a sweep. Once accepted a job
 // is never dropped — its accept record is fsynced to the journal before the
-// client sees 202, it either runs to completion on the worker pool (or to
-// the watchdog's deadline, when one is set) or is drained to completion at
-// shutdown, and a daemon crash re-enqueues it from the journal on restart.
-// Admission control (429) happens before a job exists.
+// client sees 202, it runs to completion on the worker pool (also during a
+// drain at shutdown), and a daemon crash re-enqueues it from the journal on
+// restart. Admission control (429) happens before a job exists.
 type job struct {
 	id   string
 	kind string // "cell" or "sweep"
@@ -74,41 +70,19 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob supervises one job: the job executes on its own goroutine while
-// the worker waits on the outcome or, with JobDeadline set, on the
-// wall-clock deadline (via the walltime boundary — the simulation itself
-// never sees host time). A job that runs past the deadline is quarantined
-// with a typed *exp.JobTimeoutError and never re-run: a cell simulates the
-// same way every time, so a second run could only wait longer. The
-// abandoned goroutine is not cancellable (the simulator has no preemption
-// points); it keeps running, and its result lands in the suite's memo and
-// disk cache, where a resubmission of the same key finds it.
+// runJob runs one job to completion on the calling worker, so the pool
+// bounds how many jobs execute at once.
 func (s *Server) runJob(j *job) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	s.mu.Lock()
 	j.status = statusRunning
 	s.mu.Unlock()
-	resc := make(chan outcome, 1)
-	go func() { resc <- s.execute(j) }()
-	var expired <-chan time.Time // nil without a deadline: never ready
-	if s.jobDeadline > 0 {
-		deadline := walltime.NewTimer(s.jobDeadline)
-		defer deadline.Stop()
-		expired = deadline.C()
-	}
-	select {
-	case out := <-resc:
-		s.finishJob(j, out)
-	case <-expired:
-		s.quarantineJob(j, &exp.JobTimeoutError{Key: j.key, Deadline: s.jobDeadline})
-	}
+	s.finishJob(j, s.execute(j))
 }
 
-// execute runs a job to its outcome. It mutates no job state — the
-// supervisor in runJob owns all transitions — so a run abandoned by the
-// watchdog can finish late without clobbering anything. A failed cell still
-// produces a result document (the structured CellResult carrying
+// execute runs a job to its outcome; finishJob publishes it. A failed cell
+// still produces a result document (the structured CellResult carrying
 // err_kind/err), exactly as the disk cache stores it.
 func (s *Server) execute(j *job) outcome {
 	var data []byte
@@ -166,20 +140,6 @@ func (s *Server) finishJob(j *job, out outcome) {
 	close(j.done)
 }
 
-// quarantineJob parks a poison job in the terminal quarantined state: it
-// stays addressable (clients get its structured timeout error), survives
-// restarts through the journal, and is never re-enqueued.
-func (s *Server) quarantineJob(j *job, err error) {
-	s.mu.Lock()
-	j.status = statusQuarantined
-	j.errKind, j.errMsg = exp.ErrKind(err), err.Error()
-	s.releaseKeyLocked(j)
-	s.appendJournalLocked(journalRecord{Op: opQuarantine, ID: j.id, ErrKind: j.errKind, Err: j.errMsg})
-	s.mu.Unlock()
-	s.metrics.quarantined.Inc()
-	close(j.done)
-}
-
 // releaseKeyLocked retires a job's claim on the active-key index (the
 // idempotent-resubmission map). The caller holds s.mu.
 func (s *Server) releaseKeyLocked(j *job) {
@@ -188,8 +148,8 @@ func (s *Server) releaseKeyLocked(j *job) {
 	}
 }
 
-// appendJournalLocked journals a non-accept transition and compacts the
-// file once dead records dominate. The caller holds s.mu, which serializes
+// appendJournalLocked journals a job's finish record and compacts the file
+// once dead records dominate. The caller holds s.mu, which serializes
 // every journal mutation — so the compaction snapshot cannot miss a
 // concurrent append.
 func (s *Server) appendJournalLocked(rec journalRecord) {
@@ -203,35 +163,22 @@ func (s *Server) appendJournalLocked(rec journalRecord) {
 func (s *Server) liveJournalLocked() int {
 	n := 0
 	for _, id := range s.order {
-		if j, ok := s.jobs[id]; ok {
-			switch j.status {
-			case statusQueued, statusRunning, statusQuarantined:
-				n++
-			}
+		if j, ok := s.jobs[id]; ok && (j.status == statusQueued || j.status == statusRunning) {
+			n++
 		}
 	}
 	return n
 }
 
 // journalSnapshotLocked rebuilds the minimal journal for the current job
-// index: accepts for queued/running jobs, accept+quarantine for quarantined
-// ones. Finished jobs are dropped — their per-cell results persist in the
-// suite's disk cache. The caller holds s.mu; s.order keeps the output
-// deterministic.
+// index: one accept per queued or running job. Finished jobs are dropped —
+// their per-cell results persist in the suite's disk cache. The caller
+// holds s.mu; s.order keeps the output deterministic.
 func (s *Server) journalSnapshotLocked() []journalRecord {
 	var recs []journalRecord
 	for _, id := range s.order {
-		j, ok := s.jobs[id]
-		if !ok {
-			continue
-		}
-		switch j.status {
-		case statusQueued, statusRunning:
+		if j, ok := s.jobs[id]; ok && (j.status == statusQueued || j.status == statusRunning) {
 			recs = append(recs, journalRecord{Op: opAccept, ID: j.id, Kind: j.kind, Key: j.key, Spec: j.spec})
-		case statusQuarantined:
-			recs = append(recs,
-				journalRecord{Op: opAccept, ID: j.id, Kind: j.kind, Key: j.key, Spec: j.spec},
-				journalRecord{Op: opQuarantine, ID: j.id, ErrKind: j.errKind, Err: j.errMsg})
 		}
 	}
 	return recs
@@ -266,7 +213,7 @@ func (s *Server) evictLocked() {
 			if !ok {
 				continue
 			}
-			if j.status == statusDone || j.status == statusFailed || j.status == statusQuarantined {
+			if j.status == statusDone || j.status == statusFailed {
 				delete(s.jobs, id)
 				s.order = append(s.order[:i], s.order[i+1:]...)
 				evicted = true

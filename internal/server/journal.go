@@ -14,8 +14,8 @@ import (
 )
 
 // The durable job journal is the daemon's write-ahead log: every job
-// lifecycle transition — accepted, finished, quarantined — is appended as
-// one JSON line and fsynced before the daemon acts on it. The contract is
+// lifecycle transition — accepted, finished — is appended as one JSON line
+// and fsynced before the daemon acts on it. The contract is
 // fsync-before-ack: a client that received 202 Accepted holds a promise
 // backed by a durable accept record, so a SIGKILL (or power cut) between
 // the ack and the result loses no accepted job — the restarted daemon
@@ -39,9 +39,8 @@ import (
 
 // Journal record operations.
 const (
-	opAccept     = "accept"
-	opFinish     = "finish"
-	opQuarantine = "quarantine"
+	opAccept = "accept"
+	opFinish = "finish"
 )
 
 // journalFile is the journal's filename inside the journal directory.
@@ -49,7 +48,7 @@ const journalFile = "journal.jsonl"
 
 // journalRecord is one journal line. Accept records carry the job's wire
 // spec (the exact bytes the client submitted, canonically re-marshalled) so
-// replay can re-resolve the work against the restarted suite; terminal
+// replay can re-resolve the work against the restarted suite; finish
 // records carry the structured error classification.
 type journalRecord struct {
 	Schema  int             `json:"schema"`
@@ -62,17 +61,13 @@ type journalRecord struct {
 	Err     string          `json:"err,omitempty"`
 }
 
-// replayedJob is one journal entry that needs post-restart attention: an
-// accepted job with no terminal record (re-enqueue it), or a quarantined
-// job (re-register it so clients still get its structured answer).
+// replayedJob is an accepted job with no terminal record: the restarted
+// daemon re-enqueues it.
 type replayedJob struct {
-	ID          string
-	Kind        string
-	Key         string
-	Spec        json.RawMessage
-	Quarantined bool
-	ErrKind     string
-	ErrMsg      string
+	ID   string
+	Kind string
+	Key  string
+	Spec json.RawMessage
 }
 
 // journal is the write-ahead log handle. A nil *journal is a valid no-op
@@ -125,8 +120,7 @@ func openJournal(dir string) (*journal, []replayedJob, error) {
 // replayState accumulates one job's journal records during replay.
 type replayState struct {
 	rec      journalRecord
-	terminal bool // finish or quarantine seen
-	quar     journalRecord
+	terminal bool // a finish (or an older journal's quarantine) seen
 }
 
 // replayJournal folds the journal bytes into per-job end states. It never
@@ -152,14 +146,11 @@ func replayJournal(data []byte) (jobs []replayedJob, valid int) {
 		case "start", "retry":
 			// Daemons whose watchdog re-ran timed-out jobs journaled each
 			// attempt; those records carry nothing replay needs.
-		case opFinish:
+		case opFinish, "quarantine":
+			// Daemons with a job watchdog ended a timed-out job with a
+			// quarantine record; it ends the job as a finish does.
 			if st, ok := states[rec.ID]; ok {
 				st.terminal = true
-			}
-		case opQuarantine:
-			if st, ok := states[rec.ID]; ok {
-				st.terminal = true
-				st.quar = rec
 			}
 		default:
 			// An op this version does not know is corruption or a future
@@ -173,25 +164,20 @@ func replayJournal(data []byte) (jobs []replayedJob, valid int) {
 }
 
 // finishReplay flattens the replay state machine: finished jobs vanish
-// (their results persist in the disk cache), incomplete and quarantined
-// jobs come back, ordered by numeric job ID.
+// (their results persist in the disk cache), and incomplete jobs come back,
+// ordered by numeric job ID.
 func finishReplay(states map[string]*replayState) []replayedJob {
 	var jobs []replayedJob
 	for _, st := range states {
-		if st.terminal && st.quar.ID == "" {
+		if st.terminal {
 			continue
 		}
-		j := replayedJob{
+		jobs = append(jobs, replayedJob{
 			ID:   st.rec.ID,
 			Kind: st.rec.Kind,
 			Key:  st.rec.Key,
 			Spec: st.rec.Spec,
-		}
-		if st.quar.ID != "" {
-			j.Quarantined = true
-			j.ErrKind, j.ErrMsg = st.quar.ErrKind, st.quar.Err
-		}
-		jobs = append(jobs, j)
+		})
 	}
 	sort.Slice(jobs, func(a, b int) bool { return jobNum(jobs[a].ID) < jobNum(jobs[b].ID) })
 	return jobs
@@ -205,7 +191,7 @@ func jobNum(id string) uint64 {
 }
 
 // compactionRecords is the minimal record set that reproduces the replayed
-// state: one accept per live job plus the quarantine verdicts.
+// state: one accept per live job.
 func compactionRecords(jobs []replayedJob) []journalRecord {
 	var recs []journalRecord
 	for _, j := range jobs {
@@ -213,12 +199,6 @@ func compactionRecords(jobs []replayedJob) []journalRecord {
 			Schema: exp.SchemaVersion, Op: opAccept, ID: j.ID,
 			Kind: j.Kind, Key: j.Key, Spec: j.Spec,
 		})
-		if j.Quarantined {
-			recs = append(recs, journalRecord{
-				Schema: exp.SchemaVersion, Op: opQuarantine, ID: j.ID,
-				ErrKind: j.ErrKind, Err: j.ErrMsg,
-			})
-		}
 	}
 	return recs
 }

@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"svmsim/internal/exp"
 )
@@ -52,9 +51,10 @@ func encodeJournal(t *testing.T, recs []journalRecord) []byte {
 	return buf.Bytes()
 }
 
-// TestReplayJournalStates: the replay state machine keeps incomplete and
-// quarantined jobs, drops finished ones, and orders the survivors by numeric
-// job ID. The start and retry records of older journals change nothing.
+// TestReplayJournalStates: the replay state machine keeps incomplete jobs,
+// drops finished ones, and orders the survivors by numeric job ID. The
+// start and retry records of older journals change nothing, and their
+// quarantine record ends its job as a finish does.
 func TestReplayJournalStates(t *testing.T) {
 	data := encodeJournal(t, []journalRecord{
 		{Op: opAccept, ID: "j10", Kind: "cell", Key: "late", Spec: json.RawMessage(`{"workload":"FFT"}`)},
@@ -66,23 +66,20 @@ func TestReplayJournalStates(t *testing.T) {
 		{Op: "retry", ID: "j2"},
 		{Op: "start", ID: "j2"},
 		{Op: opAccept, ID: "j3", Kind: "cell", Key: "poison"},
-		{Op: opQuarantine, ID: "j3", ErrKind: "job_timeout", Err: "gave up"},
+		{Op: "quarantine", ID: "j3", ErrKind: "job_timeout", Err: "gave up"},
 	})
 	jobs, valid := replayJournal(data)
 	if valid != len(data) {
 		t.Fatalf("well-formed journal: valid=%d, want %d", valid, len(data))
 	}
-	if len(jobs) != 3 {
-		t.Fatalf("replayed %d jobs, want 3 (j2, j3, j10): %+v", len(jobs), jobs)
+	if len(jobs) != 2 {
+		t.Fatalf("replayed %d jobs, want 2 (j2, j10): %+v", len(jobs), jobs)
 	}
-	if jobs[0].ID != "j2" || jobs[1].ID != "j3" || jobs[2].ID != "j10" {
-		t.Fatalf("replay order: %s, %s, %s", jobs[0].ID, jobs[1].ID, jobs[2].ID)
+	if jobs[0].ID != "j2" || jobs[1].ID != "j10" {
+		t.Fatalf("replay order: %s, %s", jobs[0].ID, jobs[1].ID)
 	}
-	if !jobs[1].Quarantined || jobs[1].ErrKind != "job_timeout" || jobs[1].ErrMsg != "gave up" {
-		t.Fatalf("j3 quarantine verdict lost: %+v", jobs[1])
-	}
-	if jobs[2].Kind != "cell" || string(jobs[2].Spec) != `{"workload":"FFT"}` {
-		t.Fatalf("j10 spec lost: %+v", jobs[2])
+	if jobs[1].Kind != "cell" || string(jobs[1].Spec) != `{"workload":"FFT"}` {
+		t.Fatalf("j10 spec lost: %+v", jobs[1])
 	}
 }
 
@@ -129,14 +126,12 @@ const attemptJournal = `{"schema":1,"op":"accept","id":"j1","kind":"cell","key":
 {"schema":1,"op":"start","id":"j3","attempt":2}
 `
 
-// TestReplayJournalWithAttemptRecords: a journal with start and retry
-// records replays to the same pending and quarantined jobs, and the
-// compaction at open keeps both.
+// TestReplayJournalWithAttemptRecords: a journal with start, retry and
+// quarantine records replays to its one pending job, and the compaction at
+// open keeps only that job's accept.
 func TestReplayJournalWithAttemptRecords(t *testing.T) {
 	const cfg = "|p4/n2/ho500/occ200/io0.5/intr500/pg4096/mode0/pol0/allfalse/req0/nis0/nisrvfalse"
 	want := []replayedJob{
-		{ID: "j2", Kind: "cell", Key: "LU" + cfg, Spec: json.RawMessage(`{"workload":"LU"}`), Quarantined: true,
-			ErrKind: "job_timeout", ErrMsg: "job attempt 2 exceeded the 20ms deadline (key LU" + cfg + ")"},
 		{ID: "j3", Kind: "cell", Key: "Radix" + cfg, Spec: json.RawMessage(`{"workload":"Radix"}`)},
 	}
 	check := func(what string, got []replayedJob) {
@@ -146,8 +141,7 @@ func TestReplayJournalWithAttemptRecords(t *testing.T) {
 		}
 		for i, w := range want {
 			g := got[i]
-			if g.ID != w.ID || g.Kind != w.Kind || g.Key != w.Key || string(g.Spec) != string(w.Spec) ||
-				g.Quarantined != w.Quarantined || g.ErrKind != w.ErrKind || g.ErrMsg != w.ErrMsg {
+			if g.ID != w.ID || g.Kind != w.Kind || g.Key != w.Key || string(g.Spec) != string(w.Spec) {
 				t.Errorf("%s: job %d = %+v, want %+v", what, i, g, w)
 			}
 		}
@@ -175,8 +169,8 @@ func TestReplayJournalWithAttemptRecords(t *testing.T) {
 	}
 	defer jn.close()
 	check("reopen after compaction", replayed)
-	if recs := journalLines(t, dir); len(recs) != 3 {
-		t.Fatalf("compacted journal: %+v, want accept and quarantine of j2, accept of j3", recs)
+	if recs := journalLines(t, dir); len(recs) != 1 || recs[0].Op != opAccept || recs[0].ID != "j3" {
+		t.Fatalf("compacted journal: %+v, want the accept of j3", recs)
 	}
 }
 
@@ -350,50 +344,19 @@ func TestJournalReplayRunsToCompletion(t *testing.T) {
 	}
 }
 
-// TestJournalQuarantineSurvivesRestart: a quarantined job's verdict is
-// durable — the restarted daemon re-registers it terminal with its structured
-// timeout error, without trying to resolve (or re-run) the poison spec.
-func TestJournalQuarantineSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := New(Config{Suite: testSuite(), Workers: 1, JournalDir: dir, JobDeadline: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate := make(chan struct{})
-	defer close(gate)
-	rec := submitCell(s1, gateWorkload("poison", gate))
-	v := waitTerminal(t, s1, jobID(t, rec))
-	if v.Status != statusQuarantined || v.ErrKind != "job_timeout" {
-		t.Fatalf("poison job: %+v", v)
-	}
-	if err := s1.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := New(Config{Suite: testSuite(), Workers: 1, JournalDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.mu.Lock()
-	j, ok := s2.jobs[v.ID]
-	var got jobView
-	if ok {
-		got = viewLocked(j)
-	}
-	s2.mu.Unlock()
-	if !ok || got.Status != statusQuarantined || got.ErrKind != "job_timeout" {
-		t.Fatalf("quarantine verdict lost across restart: ok=%v %+v", ok, got)
-	}
-	if err := s2.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestJournalOnlineCompaction: a long-lived daemon's journal does not grow
 // without bound — once dead records dominate, it is compacted in place down
-// to the live set.
+// to the live set. An older daemon's quarantine record ended its job, so
+// that job is never live again.
 func TestJournalOnlineCompaction(t *testing.T) {
 	dir := t.TempDir()
+	old := encodeJournal(t, []journalRecord{
+		{Op: opAccept, ID: "j1", Kind: "cell", Key: "poison", Spec: json.RawMessage(`{"workload":"LU"}`)},
+		{Op: "quarantine", ID: "j1", ErrKind: "job_timeout", Err: "gave up"},
+	})
+	if err := os.WriteFile(filepath.Join(dir, journalFile), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	s, err := New(Config{Suite: testSuite(), Workers: 1, JournalDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -415,6 +378,9 @@ func TestJournalOnlineCompaction(t *testing.T) {
 	recs := journalLines(t, dir)
 	if len(recs) > 70 {
 		t.Fatalf("journal never compacted: %d records on disk for 40 finished jobs", len(recs))
+	}
+	if replayed := s.metrics.replayed.Value(); replayed != 0 {
+		t.Fatalf("the quarantined job was replayed: jobsReplayed = %d", replayed)
 	}
 	// Everything finished, so a reopen replays nothing and compacts to zero.
 	jn, replayed, err := openJournal(dir)
@@ -444,7 +410,7 @@ func FuzzJournalReplay(f *testing.F) {
 			{Op: opAccept, ID: "j2", Kind: "cell", Key: "k2"},
 			{Op: opFinish, ID: "j1"},
 			{Op: "retry", ID: "j2"},
-			{Op: opQuarantine, ID: "j2", ErrKind: "job_timeout", Err: "gave up"},
+			{Op: "quarantine", ID: "j2", ErrKind: "job_timeout", Err: "gave up"},
 		}
 		for _, rec := range recs {
 			rec.Schema = exp.SchemaVersion

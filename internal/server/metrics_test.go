@@ -96,13 +96,9 @@ func TestDaemonScrapeGolden(t *testing.T) {
 	jn.close()
 
 	hold, hold2 := make(chan struct{}), make(chan struct{})
-	defer close(hold)
 	suite := testSuite()
 	suite.Remote = stubRemote(map[string]chan struct{}{"Water-nsq": hold, "Water-sp": hold2})
-	s, err := New(Config{
-		Suite: suite, Twin: twin.New(), Workers: 1, QueueDepth: 1, JournalDir: dir,
-		JobDeadline: time.Second,
-	})
+	s, err := New(Config{Suite: suite, Twin: twin.New(), Workers: 1, QueueDepth: 1, JournalDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,17 +119,16 @@ func TestDaemonScrapeGolden(t *testing.T) {
 	waitTerminal(t, s, jobID(t, mustCode(serve(s, "POST", "/v1/sweeps", `{"param":"interrupt","apps":["FFT"]}`), 202)))
 	waitTerminal(t, s, jobID(t, mustCode(serve(s, "POST", "/v1/cells", `{"workload":"Ocean"}`), 202)))
 
-	// A held cell times out and is quarantined. Meanwhile one cell
-	// fills the queue (the replayed jobs have left it, so they widen it no
-	// more), a resubmission coalesces, and a second cell is 429.
+	// While a held cell runs, one cell fills the queue (the replayed jobs
+	// have left it, so they widen it no more), a resubmission coalesces,
+	// and a second cell is 429. Then the held cell is released.
 	held := jobID(t, mustCode(serve(s, "POST", "/v1/cells", `{"workload":"Water-nsq"}`), 202))
 	waitInflight(t, s, 1)
 	queued := jobID(t, mustCode(serve(s, "POST", "/v1/cells", `{"workload":"Barnes-reb"}`), 202))
 	mustCode(serve(s, "POST", "/v1/cells", `{"workload":"Barnes-reb"}`), 200)
 	mustCode(serve(s, "POST", "/v1/cells", `{"workload":"Volrend"}`), 429)
-	if v := waitTerminal(t, s, held); v.Status != statusQuarantined {
-		t.Fatalf("held job: %+v, want quarantined", v)
-	}
+	close(hold)
+	waitTerminal(t, s, held)
 	waitTerminal(t, s, queued)
 
 	// One twin prediction (calibrating the FFT base model from two stub

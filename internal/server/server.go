@@ -12,14 +12,13 @@
 // client sees 202, a restart replays the journal and re-enqueues incomplete
 // work (warm from the suite's disk cache), and submissions are idempotent by
 // content key — a client retrying after a crash coalesces onto the replayed
-// job instead of simulating twice. A worker watchdog bounds each job's wall
-// time and quarantines a job that runs past it; it never re-runs one, since
-// a cell simulates the same way every time.
+// job instead of simulating twice. A job runs to completion on its worker,
+// and its answer, a run or a typed error, is final: a cell simulates the
+// same way every time.
 //
 // Simulated behavior still sees no clocks: simulation latency is measured
 // inside internal/exp (via internal/walltime) and arrives through the
-// Suite.Observe hook; the watchdog's deadline likewise goes through
-// walltime and only ever bounds how long the harness waits.
+// Suite.Observe hook.
 package server
 
 import (
@@ -32,7 +31,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"svmsim"
 	"svmsim/internal/exp"
@@ -63,10 +61,6 @@ type Config struct {
 	// are fsynced before the ack and incomplete jobs are replayed on the
 	// next start. Empty keeps the pre-journal in-memory behavior.
 	JournalDir string
-	// JobDeadline bounds one job's wall-clock run time; zero disables the
-	// watchdog. A job that runs past it is quarantined with a typed
-	// *exp.JobTimeoutError and is not re-run.
-	JobDeadline time.Duration
 	// Twin, when non-nil, enables the analytical-twin endpoints
 	// (POST /v1/twin/predict, POST /v1/twin/optimize): synchronous
 	// model-based answers served on the request goroutine, bypassing the
@@ -96,13 +90,12 @@ type Server struct {
 	ready    bool // false during journal replay, true once serving
 	draining bool
 
-	workers     sync.WaitGroup
-	inflight    atomic.Int64
-	replayedN   int // jobs revived from the journal at startup
-	queueDepth  int
-	maxJobs     int
-	jobDeadline time.Duration
-	retry       string // Retry-After value for 429s
+	workers    sync.WaitGroup
+	inflight   atomic.Int64
+	replayedN  int // jobs revived from the journal at startup
+	queueDepth int
+	maxJobs    int
+	retry      string // Retry-After value for 429s
 }
 
 // Replayed reports how many incomplete jobs the journal revived at startup.
@@ -122,7 +115,6 @@ type metrics struct {
 	done, failed        Counter
 	rejected, refused   Counter
 	deduped, replayed   Counter
-	quarantined         Counter
 	simulated           Counter
 	twinPredictions     Counter // declared only with the twin endpoints
 	latency             Histogram
@@ -135,17 +127,16 @@ func newMetrics(s *Server) metrics {
 	r.Func("gauge", "svmsimd_queue_depth", "Jobs waiting in the admission queue.", func() int64 { return int64(len(s.queue)) })
 	r.Func("gauge", "svmsimd_jobs_inflight", "Jobs currently executing on the worker pool.", s.inflight.Load)
 	m := metrics{
-		reg:         r,
-		accepted:    r.LabeledCounter("svmsimd_jobs_accepted_total", "Jobs admitted to the queue or served from the result store, by kind.", "kind"),
-		done:        r.Counter("svmsimd_jobs_done_total", "Jobs finished successfully."),
-		failed:      r.Counter("svmsimd_jobs_failed_total", "Jobs finished with a simulation error."),
-		rejected:    r.Counter("svmsimd_jobs_rejected_total", "Submissions rejected with 429 because the queue was full."),
-		refused:     r.Counter("svmsimd_jobs_refused_total", "Submissions refused with 503 during drain."),
-		deduped:     r.Counter("svmsimd_jobs_deduped_total", "Resubmissions coalesced onto an already-active job with the same content key."),
-		replayed:    r.Counter("svmsimd_jobs_replayed_total", "Incomplete jobs re-enqueued from the journal at startup."),
-		quarantined: r.Counter("svmsimd_jobs_quarantined_total", "Jobs quarantined at the watchdog deadline; a quarantined job is never re-run."),
-		cacheHits:   r.LabeledCounter("svmsimd_cache_hits_total", "Cells served without a fresh simulation, by cache layer.", "layer"),
-		simulated:   r.Counter("svmsimd_cells_simulated_total", "Fresh simulations executed."),
+		reg:       r,
+		accepted:  r.LabeledCounter("svmsimd_jobs_accepted_total", "Jobs admitted to the queue or served from the result store, by kind.", "kind"),
+		done:      r.Counter("svmsimd_jobs_done_total", "Jobs finished successfully."),
+		failed:    r.Counter("svmsimd_jobs_failed_total", "Jobs finished with a simulation error."),
+		rejected:  r.Counter("svmsimd_jobs_rejected_total", "Submissions rejected with 429 because the queue was full."),
+		refused:   r.Counter("svmsimd_jobs_refused_total", "Submissions refused with 503 during drain."),
+		deduped:   r.Counter("svmsimd_jobs_deduped_total", "Resubmissions coalesced onto an already-active job with the same content key."),
+		replayed:  r.Counter("svmsimd_jobs_replayed_total", "Incomplete jobs re-enqueued from the journal at startup."),
+		cacheHits: r.LabeledCounter("svmsimd_cache_hits_total", "Cells served without a fresh simulation, by cache layer.", "layer"),
+		simulated: r.Counter("svmsimd_cells_simulated_total", "Fresh simulations executed."),
 	}
 	if s.twin != nil {
 		m.twinPredictions = r.Counter("svmsimd_twin_predictions_total", "Twin predict/optimize responses answered from the analytical model, bypassing the job queue.")
@@ -176,15 +167,14 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxJobs = 1024
 	}
 	s := &Server{
-		suite:       cfg.Suite,
-		jobs:        make(map[string]*job),
-		byKey:       make(map[string]*job),
-		store:       make(map[string]stored),
-		queueDepth:  cfg.QueueDepth,
-		maxJobs:     cfg.MaxJobs,
-		jobDeadline: cfg.JobDeadline,
-		retry:       strconv.Itoa(cfg.RetryAfterSeconds),
-		twin:        cfg.Twin,
+		suite:      cfg.Suite,
+		jobs:       make(map[string]*job),
+		byKey:      make(map[string]*job),
+		store:      make(map[string]stored),
+		queueDepth: cfg.QueueDepth,
+		maxJobs:    cfg.MaxJobs,
+		retry:      strconv.Itoa(cfg.RetryAfterSeconds),
+		twin:       cfg.Twin,
 	}
 	s.metrics = newMetrics(s)
 
@@ -246,7 +236,6 @@ func New(cfg Config) (*Server, error) {
 }
 
 // registerReplayed rebuilds the job index from the journal's replay set:
-// quarantined jobs come back terminal with their structured verdict, and
 // incomplete jobs are re-resolved against the current suite and returned
 // for re-enqueueing (in journal order, ahead of any new admission). A spec
 // that no longer resolves — the daemon restarted with a different suite, or
@@ -270,12 +259,6 @@ func (s *Server) registerReplayed(replayed []replayedJob) []*job {
 		}
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
-		if r.Quarantined {
-			j.status = statusQuarantined
-			j.errKind, j.errMsg = r.ErrKind, r.ErrMsg
-			close(j.done)
-			continue
-		}
 		if err := s.resolveReplayed(j); err != nil {
 			j.status = statusFailed
 			j.errKind, j.errMsg = "failed", "replaying journaled job: "+err.Error()
@@ -518,8 +501,8 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 // handleJobResult serves a finished job's canonical result document:
 // GET /v1/jobs/{id}/result. ?wait=1 blocks until the job finishes or the
 // request context expires. A failed job yields a structured error body
-// carrying the typed failure kind (stall, lost_page, link_failure,
-// job_timeout, failed).
+// carrying the typed failure kind (stall, lost_page, link_failure, panic,
+// failed).
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j, ok := s.jobs[r.PathValue("id")]
@@ -542,7 +525,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	switch status {
 	case statusQueued, statusRunning:
 		WriteError(w, http.StatusConflict, "pending", "job has not finished; poll again or use ?wait=1")
-	case statusFailed, statusQuarantined:
+	case statusFailed:
 		WriteError(w, http.StatusInternalServerError, kind, msg)
 	default:
 		w.Header().Set("Content-Type", "application/json")

@@ -108,7 +108,9 @@ func waitTerminal(t *testing.T, s *Server, id string) jobView {
 
 // TestAdmissionControl: with one worker held busy and a one-slot queue, a
 // third submission is rejected with 429 + Retry-After — and both accepted
-// jobs still run to completion (no accepted job is ever lost).
+// jobs still run to completion (no accepted job is ever lost). A job runs
+// to completion on its worker, so the queued job does not start while the
+// held one runs.
 func TestAdmissionControl(t *testing.T) {
 	s, err := New(Config{Suite: testSuite(), Workers: 1, QueueDepth: 1, RetryAfterSeconds: 7})
 	if err != nil {
@@ -124,6 +126,14 @@ func TestAdmissionControl(t *testing.T) {
 	rec2 := submitCell(s, tinyWorkload("tiny"))
 	if rec2.Code != 202 {
 		t.Fatalf("queued submit: %d %s", rec2.Code, rec2.Body)
+	}
+	queued := jobID(t, rec2)
+	time.Sleep(50 * time.Millisecond)
+	s.mu.Lock()
+	status := s.jobs[queued].status
+	s.mu.Unlock()
+	if status != statusQueued {
+		t.Fatalf("second job is %s while the held one runs, want queued", status)
 	}
 	rec3 := submitCell(s, tinyWorkload("tiny-overflow"))
 	if rec3.Code != 429 {

@@ -128,9 +128,6 @@ func TestPredictRejectsOutsideModel(t *testing.T) {
 		if kind := exp.ErrKind(err); kind != "uncalibrated" {
 			t.Fatalf("%s: kind %q, want uncalibrated", name, kind)
 		}
-		if exp.RetryableKind(exp.ErrKind(err)) {
-			t.Fatalf("%s: uncalibrated must not be retryable", name)
-		}
 	}
 
 	// Unknown workload.
@@ -279,8 +276,8 @@ func TestOptimize(t *testing.T) {
 	if inf.Best <= 0 {
 		t.Fatalf("infeasible error lost the best achievable speedup: %+v", inf)
 	}
-	if kind := exp.ErrKind(err); kind != "infeasible" || exp.RetryableKind(kind) {
-		t.Fatalf("infeasible classified %q (retryable %v)", kind, exp.RetryableKind(kind))
+	if kind := exp.ErrKind(err); kind != "infeasible" {
+		t.Fatalf("infeasible classified %q", kind)
 	}
 
 	tight, err := tw.Optimize(OptimizeSpec{Workload: "FFT", MinSpeedup: inf.Best * 0.999})

@@ -6,7 +6,7 @@
 // wallclock analyzer enforces this boundary twice: it forbids time.Now,
 // time.Since and friends in every internal/ package except this one, so any
 // legitimate harness-side measurement (progress reporting, elapsed-time
-// footers, job watchdogs) must go through walltime; and it forbids importing
+// footers, the fleet's heartbeat monitor) must go through walltime; and it forbids importing
 // walltime from any package the root svmsim package depends on, so the
 // simulator cannot reach the host clock even through this package.
 package walltime
@@ -34,8 +34,9 @@ func (s Stopwatch) Seconds() float64 {
 	return s.Elapsed().Seconds()
 }
 
-// Timer is a host-clock deadline for harness supervision (the svmsimd job
-// watchdog): it fires once after the configured wall-time duration. Like
+// Timer is a host-clock deadline for harness supervision (the fleet's
+// heartbeat monitor, a client's retry backoff): it fires once after the
+// configured wall-time duration. Like
 // Stopwatch it must never feed simulated behavior — a Timer bounds how long
 // the harness waits for a simulation, not what the simulation computes.
 type Timer struct {
