@@ -31,7 +31,7 @@
 //	svmsimd -coordinator            front a fleet: same API, plus
 //	                                POST/DELETE /v1/workers{,/{id}/heartbeat}
 //	                                and GET /v1/workers; cells dispatch to
-//	                                joined workers by content-key affinity
+//	                                joined workers by rendezvous hashing
 //	svmsimd -join http://coord:7117 serve as a worker: register with the
 //	                                coordinator, heartbeat at the interval
 //	                                it advertises, re-join after
@@ -221,12 +221,6 @@ func run(o options) error {
 			URL:      selfURL,
 			Capacity: o.workers,
 			CacheID:  fleet.CacheIdentity(hostname, o.cacheDir),
-		}
-		if o.cacheDir != "" {
-			// Snapshot the cache on every (re-)registration so a restarted
-			// coordinator learns which cells this disk already holds.
-			cacheDir := o.cacheDir
-			info.WarmKeys = func() []string { return exp.WarmKeys(cacheDir, 4096) }
 		}
 		membership = fleet.Join(&fleet.Client{}, strings.TrimRight(o.join, "/"), info, func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "svmsimd: "+format+"\n", args...)

@@ -18,42 +18,6 @@ import (
 // entries never go stale for a given key; changing any configuration field
 // changes the key.
 
-// WarmKeys enumerates the cell keys committed to a cache directory, up to
-// max entries (filenames are digests, so each document is opened to recover
-// its key). A fleet worker reports these at registration so a coordinator
-// that lost its in-memory warm map — a crash restart — routes warm cells
-// back to the disk that already holds them. Warmth is a routing hint, never
-// a correctness input, so every defect (unreadable dir, torn entry, schema
-// mismatch) is silently skipped and a truncated listing is fine.
-func WarmKeys(dir string, max int) []string {
-	if dir == "" || max <= 0 {
-		return nil
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var keys []string
-	for _, e := range entries {
-		if len(keys) >= max {
-			break
-		}
-		if e.IsDir() || filepath.Ext(e.Name()) != ".json" {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			continue
-		}
-		doc, err := DecodeCellResult(data)
-		if err != nil || doc.Key == "" {
-			continue
-		}
-		keys = append(keys, doc.Key)
-	}
-	return keys
-}
-
 // cellPath maps a cell key to its spill file. Keys embed workload names and
 // free-form plan strings, so the filename is a digest rather than the key.
 func cellPath(dir, key string) string {

@@ -315,9 +315,9 @@ func TestChaosWorkerKill9(t *testing.T) {
 // TestChaosCoordinatorKill9: the coordinator itself is SIGKILLed mid-sweep
 // and restarted on the same journal directory and address. The accepted
 // sweep must replay, the workers re-register on their next heartbeat, every
-// cell a worker finished before the kill is served warm from its disk cache
-// (total worker simulations stay exactly chaosTotalCells), and the final
-// document is byte-identical.
+// cell a worker finished before the kill goes back to that worker by
+// rendezvous and is served from its disk cache (total worker simulations
+// stay exactly chaosTotalCells), and the final document is byte-identical.
 func TestChaosCoordinatorKill9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real daemons")
@@ -341,9 +341,10 @@ func TestChaosCoordinatorKill9(t *testing.T) {
 	}, chaosSuiteArgs...)
 	coord := startChaos(t, bin, coordAddr, coordArgs...)
 
-	// Two workers, one cell in flight at a time: completed cells route home
-	// after the restart via the warm keys the workers report when they
-	// re-register, and the single in-flight cell coalesces with its
+	// Two workers, one cell in flight at a time: rendezvous on the workers'
+	// cache identities, which a restart changes on neither side, sends each
+	// cell to the same home before and after the kill. So completed cells
+	// are disk hits, and the single in-flight cell coalesces with its
 	// still-running worker job (idempotent submission by content key) —
 	// total simulations stay exactly chaosTotalCells.
 	workers := make([]*chaosDaemon, 2)

@@ -75,9 +75,7 @@ func (c *Coordinator) remote(cell exp.Cell) (exp.CellResult, bool) {
 	return exp.CellResult{}, false
 }
 
-// try runs one placement attempt on w. An answer marks w's cache identity
-// warm for the cell: the bytes are on its disk, and future routing should
-// know.
+// try runs one placement attempt on w.
 func (c *Coordinator) try(w *worker, key string, spec exp.CellSpec) (exp.CellResult, error) {
 	c.reg.acquire(w)
 	defer c.reg.release(w)
@@ -88,7 +86,6 @@ func (c *Coordinator) try(w *worker, key string, spec exp.CellSpec) (exp.CellRes
 		c.metrics.dispatchErrs.Inc(w.id)
 		return exp.CellResult{}, err
 	}
-	c.reg.markWarm(w.cacheID, key)
 	c.metrics.completed.Inc(w.id)
 	c.metrics.latency.Observe(sw.Seconds())
 	return res, nil

@@ -8,21 +8,22 @@
 // Workers self-register (POST /v1/workers) with their capacity and cache
 // identity and are tracked by a heartbeat failure detector using the same
 // interval/suspect-timeout vocabulary as the simulated detector in
-// internal/proto/failure.go. Cells route by content-key affinity — warm
-// cells to the node that already holds them, cold cells by rendezvous
-// hashing on the worker's cache identity (stable across restarts on both
-// sides), saturated nodes spilling to least-loaded. A cell runs on one
-// worker at a time. A worker's answer, a run or a typed error, is the
-// cell's verdict: the simulation is deterministic, so no other worker would
-// answer differently. An attempt fails only when it gives no answer (the
-// worker misses its suspect timeout, breaks a connection, refuses the
-// submission or replies with something that is not an answer); then the
-// cell is placed again, and after MaxDispatches attempts it is simulated
-// locally. A worker that is only slow finishes its cell. Submissions are
-// idempotent by content key, so placing a cell again never double-counts
-// it. Losing workers shrinks capacity (the front door's 429s take over) but
-// never loses an accepted job: acceptance is journaled at the coordinator
-// before the ack, exactly as in the single-daemon contract.
+// internal/proto/failure.go. A cell routes to its home worker, chosen by
+// rendezvous hashing on the worker's cache identity, which is stable across
+// restarts on both sides; saturated nodes spill to the least loaded. After
+// a crash restart, replayed cells wait one suspect timeout so that
+// rendezvous sees the full membership. A cell runs on one worker at a time.
+// A worker's answer, a run or a typed error, is the cell's verdict: the
+// simulation is deterministic, so no other worker would answer differently.
+// An attempt fails only when it gives no answer (the worker misses its
+// suspect timeout, breaks a connection, refuses the submission or replies
+// with something that is not an answer); then the cell is placed again,
+// and after MaxDispatches attempts it is simulated locally. A worker that
+// is only slow finishes its cell. Submissions are idempotent by content
+// key, so placing a cell again never double-counts it. Losing workers
+// shrinks capacity (the front door's 429s take over) but never loses an
+// accepted job: acceptance is journaled at the coordinator before the ack,
+// exactly as in the single-daemon contract.
 //
 // The invariant catalog lives in DESIGN.md §8c.
 package fleet
@@ -129,13 +130,13 @@ func New(cfg Config) (*Coordinator, error) {
 	// jobs start executing immediately — everything they need (registry,
 	// hook, monitor state) is wired above. Replayed cells block on the
 	// settle gate below until the worker fleet has had a beat to
-	// re-register, so affinity routing sees full membership and warm cells
-	// land back on the workers whose disk caches already hold them: without
-	// it the first worker to re-register would receive every replayed cell
-	// and re-simulate the ones warm on a slower-returning peer. The gate
-	// holds for one suspect timeout, the time a worker needs to discover
-	// the restart (its beat answers 404) and re-register. It also orders
-	// the fleet's series, declared next, before any dispatch touches them.
+	// re-register, so rendezvous sees the full membership and each cell
+	// goes back to its home worker, whose disk may already hold it: without
+	// the gate the first worker to re-register would receive every replayed
+	// cell and re-simulate the ones a slower peer finished. The gate holds
+	// for one suspect timeout, the time a worker needs to discover the
+	// restart (its beat answers 404) and re-register. It also orders the
+	// fleet's series, declared next, before any dispatch touches them.
 	srv, err := server.New(scfg)
 	if err != nil {
 		return nil, err
@@ -246,12 +247,12 @@ type regRequest struct {
 	// (its own worker-pool size); minimum 1.
 	Capacity int `json:"capacity,omitempty"`
 	// CacheID identifies the worker's persistent cell cache (host + cache
-	// dir). Two incarnations with the same CacheID share warmth.
+	// dir). Routing hashes it, so incarnations that share it share homes.
 	CacheID string `json:"cache_id,omitempty"`
-	// WarmKeys lists cell keys already committed to the worker's cache,
-	// seeding the coordinator's warm map at registration. Essential after
-	// a coordinator restart: the replayed jobs' warm cells route back to
-	// the disks that hold them instead of wherever rendezvous points.
+	// WarmKeys is accepted and ignored. Workers built before routing
+	// became rendezvous alone send the keys already in their cache, and
+	// DecodeJSON refuses unknown fields: without it such a worker could
+	// never join.
 	WarmKeys []string `json:"warm_keys,omitempty"`
 }
 
@@ -279,11 +280,8 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wk := c.reg.register(req.URL, req.Capacity, req.CacheID)
-	for _, key := range req.WarmKeys {
-		c.reg.markWarm(wk.cacheID, key)
-	}
-	c.logf("fleet: worker %s joined from %s (capacity %d, cache %q, %d warm cells)",
-		wk.id, wk.url, wk.capacity, wk.cacheID, len(req.WarmKeys))
+	c.logf("fleet: worker %s joined from %s (capacity %d, cache %q)",
+		wk.id, wk.url, wk.capacity, wk.cacheID)
 	server.WriteJSON(w, http.StatusCreated, regResponse{
 		ID:                  wk.id,
 		HeartbeatIntervalMs: c.heartbeat.Milliseconds(),

@@ -16,14 +16,9 @@ type WorkerInfo struct {
 	URL string
 	// Capacity is the worker's concurrent job capacity (its -workers).
 	Capacity int
-	// CacheID identifies the worker's persistent cell cache so warmth
-	// survives restarts (conventionally host + cache directory).
+	// CacheID identifies the worker's persistent cell cache, which the
+	// coordinator routes by (conventionally host + cache directory).
 	CacheID string
-	// WarmKeys, when non-nil, snapshots the cell keys already in the
-	// worker's cache. It is called fresh on every registration round, so a
-	// re-registration after a coordinator restart reports everything the
-	// worker finished in the meantime.
-	WarmKeys func() []string
 }
 
 // Membership is a worker's live registration with a coordinator: a
@@ -121,11 +116,7 @@ func (m *Membership) loop() {
 // register attempts one registration round; returns the assigned ID and the
 // heartbeat interval the coordinator advertised (1s when it sent none).
 func (m *Membership) register(ctx context.Context) (string, time.Duration, bool) {
-	req := regRequest{URL: m.info.URL, Capacity: m.info.Capacity, CacheID: m.info.CacheID}
-	if m.info.WarmKeys != nil {
-		req.WarmKeys = m.info.WarmKeys()
-	}
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(regRequest{URL: m.info.URL, Capacity: m.info.Capacity, CacheID: m.info.CacheID})
 	if err != nil {
 		m.logf("fleet: encoding registration: %v", err)
 		return "", 0, false
@@ -195,7 +186,7 @@ func (m *Membership) wait(d time.Duration) bool {
 
 // CacheIdentity builds the conventional cache identity string for a worker:
 // hostname plus the absolute cache path, or empty when the worker has no
-// persistent cache (no warmth to track).
+// persistent cache (the coordinator then routes by its URL).
 func CacheIdentity(hostname, cacheDir string) string {
 	if cacheDir == "" {
 		return ""

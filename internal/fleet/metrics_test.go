@@ -73,8 +73,8 @@ var (
 // TestCoordinatorScrapeGolden pins the coordinator's /metrics bytes: the
 // daemon's series followed by the fleet's, every family's name, HELP and
 // TYPE lines, label name and sample order. The fixed sequence below moves
-// every fleet series through the real dispatch path, steered by warmth so
-// each placement is known: no cell simulates.
+// every fleet series through the real dispatch path, steered by rendezvous
+// so each placement is known: no cell simulates.
 func TestCoordinatorScrapeGolden(t *testing.T) {
 	suite := exp.NewSuite(exp.Small)
 	coord, ts := newTestCoordinator(t, Config{Suite: suite, SuspectTimeout: time.Minute, MaxDispatches: 2})
@@ -100,26 +100,25 @@ func TestCoordinatorScrapeGolden(t *testing.T) {
 	}
 	coord.reg.condemn(workers["dead"])
 
-	cell := func(wl string, warmOn ...string) exp.Cell {
+	cell := func(wl string) exp.Cell {
 		c, err := suite.ResolveCell(exp.CellSpec{Workload: wl})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range warmOn {
-			coord.reg.markWarm(name+":/cache", c.Key())
-		}
 		return c
 	}
-	// FFT lands on a. LU fails on r1 and is re-dispatched to b. Radix fails
+	// Rendezvous over the alive workers r1, r2, a and b ranks b first for
+	// Ocean, r1 then a for Water-nsq, and r1 then r2 for LU. So Ocean lands
+	// on b, Water-nsq fails on r1 and is re-dispatched to a, and LU fails
 	// on r1 and r2 and falls back.
-	if _, ok := coord.remote(cell("FFT", "a")); !ok {
-		t.Fatal("FFT not placed")
+	if _, ok := coord.remote(cell("Ocean")); !ok {
+		t.Fatal("Ocean not placed")
 	}
-	if _, ok := coord.remote(cell("LU", "r1", "b")); !ok {
-		t.Fatal("LU not placed")
+	if _, ok := coord.remote(cell("Water-nsq")); !ok {
+		t.Fatal("Water-nsq not placed")
 	}
-	if _, ok := coord.remote(cell("Radix", "r1", "r2")); ok {
-		t.Fatal("Radix placed; want a local fallback")
+	if _, ok := coord.remote(cell("LU")); ok {
+		t.Fatal("LU placed; want a local fallback")
 	}
 
 	coord.reg.acquire(workers["a"])

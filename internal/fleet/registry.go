@@ -53,13 +53,8 @@ type registry struct {
 	mu      sync.Mutex
 	seq     int
 	workers map[string]*worker
-	order   []string // worker IDs in registration order, for deterministic scans
-	// warm records which cells each *cache identity* has completed. Keyed
-	// by cacheID rather than worker ID so warmth survives a worker restart:
-	// the new incarnation registers under a fresh ID but the same cache
-	// directory, and its disk still holds the results.
-	warm   map[string]map[string]bool
-	joined chan struct{} // closed and replaced on every registration (join broadcast)
+	order   []string      // worker IDs in registration order, for deterministic scans
+	joined  chan struct{} // closed and replaced on every registration (join broadcast)
 
 	deaths uint64
 	leaves uint64
@@ -81,7 +76,6 @@ func newRegistry(suspectTimeout time.Duration) *registry {
 		// match, so it always answers 404 (hbUnknown) instead.
 		epoch:   fmt.Sprintf("%d.%d", os.Getpid(), regEpoch.Add(1)),
 		workers: make(map[string]*worker),
-		warm:    make(map[string]map[string]bool),
 		joined:  make(chan struct{}),
 	}
 }
@@ -96,8 +90,8 @@ func (r *registry) register(url string, capacity int, cacheID string) *worker {
 		capacity = 1
 	}
 	if cacheID == "" {
-		// No cache identity means no cross-restart warmth to track; the
-		// URL at least keeps affinity stable within one incarnation.
+		// No cache identity: the URL keeps a cell's home stable while the
+		// worker keeps its address.
 		cacheID = url
 	}
 	r.mu.Lock()
@@ -194,18 +188,6 @@ func (r *registry) scan() []string {
 	return died
 }
 
-// markWarm records that cacheID's disk now holds key.
-func (r *registry) markWarm(cacheID, key string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cells := r.warm[cacheID]
-	if cells == nil {
-		cells = make(map[string]bool)
-		r.warm[cacheID] = cells
-	}
-	cells[key] = true
-}
-
 // acquire and release bracket one dispatch's claim on a worker slot.
 func (r *registry) acquire(w *worker) {
 	r.mu.Lock()
@@ -221,17 +203,15 @@ func (r *registry) release(w *worker) {
 
 // pick chooses a worker for key, never one in exclude. Order of preference:
 //
-//  1. Warmth: a node whose cache identity already completed this cell — the
-//     result is on its disk, the dispatch costs a read, not a simulation.
-//  2. Rendezvous: highest hash(cacheID, key) among non-saturated workers.
-//     Hashing the *cache identity* makes the choice stable across worker
-//     re-registrations and coordinator restarts, which is what keeps a
-//     replayed sweep's re-dispatches landing on the disks that are already
-//     warm even after the coordinator lost its in-memory warm map.
-//  3. Overload spill: everyone is saturated; least relative load wins.
+//  1. Rendezvous: highest hash(cacheID, key) among non-saturated workers.
+//     Hashing the *cache identity*, not the worker ID or URL, gives each
+//     cell a home that survives worker re-registrations and coordinator
+//     restarts, so a cell a worker finished before either lands back on
+//     the disk that holds it.
+//  2. Overload spill: everyone is saturated; least relative load wins.
 //
 // A worker still counts as non-saturated with one dispatch queued beyond
-// its capacity: affinity is a hint, not a correctness property, but a
+// its capacity: the home is a hint, not a correctness property, but a
 // stable hint is worth a short queue. Returns nil when no alive candidate
 // remains.
 func (r *registry) pick(key string, exclude map[string]bool) *worker {
@@ -248,14 +228,6 @@ func (r *registry) pick(key string, exclude map[string]bool) *worker {
 		return nil
 	}
 	var best *worker
-	for _, w := range alive {
-		if r.warm[w.cacheID][key] && (best == nil || w.inflight < best.inflight) {
-			best = w
-		}
-	}
-	if best != nil {
-		return best
-	}
 	var top uint64
 	for _, w := range alive {
 		if w.inflight > w.capacity {
@@ -346,13 +318,12 @@ func (r *registry) inflight() []server.Sample {
 
 // workerView is the wire form of one registry entry (GET /v1/workers).
 type workerView struct {
-	ID        string `json:"id"`
-	URL       string `json:"url"`
-	CacheID   string `json:"cache_id,omitempty"`
-	Capacity  int    `json:"capacity"`
-	Inflight  int    `json:"inflight"`
-	Alive     bool   `json:"alive"`
-	WarmCells int    `json:"warm_cells"`
+	ID       string `json:"id"`
+	URL      string `json:"url"`
+	CacheID  string `json:"cache_id,omitempty"`
+	Capacity int    `json:"capacity"`
+	Inflight int    `json:"inflight"`
+	Alive    bool   `json:"alive"`
 }
 
 // views snapshots every worker in registration order.
@@ -367,7 +338,7 @@ func (r *registry) views() []workerView {
 		}
 		out = append(out, workerView{
 			ID: w.id, URL: w.url, CacheID: w.cacheID, Capacity: w.capacity,
-			Inflight: w.inflight, Alive: !w.gone, WarmCells: len(r.warm[w.cacheID]),
+			Inflight: w.inflight, Alive: !w.gone,
 		})
 	}
 	return out

@@ -85,11 +85,9 @@ type lockOwnerMsg struct {
 func (sy *System) NewLock() int {
 	id := int32(len(sy.locks))
 	mgr := id % int32(len(sy.Nodes))
-	sy.locks = append(sy.locks, &lockGlobal{id: id, manager: mgr, ownerView: mgr})
+	sy.locks = append(sy.locks, sy.slabs.locks.new(lockGlobal{id: id, manager: mgr, ownerView: mgr}))
 	for n, ns := range sy.ns {
-		ln := &lockNode{lastGrantedTo: mgr}
-		ln.haveToken = int32(n) == mgr
-		ns.locks = append(ns.locks, ln)
+		ns.locks = append(ns.locks, sy.slabs.lockNodes.new(lockNode{lastGrantedTo: mgr, haveToken: int32(n) == mgr}))
 	}
 	return int(id)
 }

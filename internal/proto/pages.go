@@ -401,7 +401,11 @@ func (ns *nodeState) truncateLog() {
 		}
 		l := ns.log[o]
 		i := sort.Search(len(l), func(i int) bool { return l[i].Interval > cut })
-		ns.log[o] = append([]Notice(nil), l[i:]...)
+		// Move the tail down in place, keeping the capacity; nothing holds
+		// a sub-slice of a log. clear drops the stale notices' pages.
+		n := copy(l, l[i:])
+		clear(l[n:])
+		ns.log[o] = l[:n]
 		ns.logBase[o] = cut
 	}
 }

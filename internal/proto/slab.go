@@ -15,6 +15,10 @@ import "svmsim/internal/network"
 // whose payload holds a page-sized buffer (a page reply, an AURC update) is
 // allocated on its own (ownMsg): in a chunk, it would keep the buffers of
 // the chunk's other messages alive.
+//
+// Each lock's cluster-wide record and per-node state come from slabs too.
+// Lock state lives as long as its System, so a slab chunk keeps nothing
+// alive longer than it would live anyway.
 
 // slabChunk is the number of values in one chunk of a slab, kept small
 // because one live value keeps its whole chunk; a sliceSlab's chunks hold at
@@ -77,8 +81,8 @@ func (s *sliceSlab[T]) copyOf(src []T) []T {
 }
 
 // slabs holds a System's slabs: one per payload type of the messages they
-// make, one for messages without a payload, and one per kind of slice a
-// message carries.
+// make, one for messages without a payload, one per kind of slice a message
+// carries, and two for lock state.
 type slabs struct {
 	msgs      slab[network.Message]
 	pageReqs  slab[envelope[pageReq]]
@@ -94,4 +98,6 @@ type slabs struct {
 	pages     sliceSlab[int32]
 	diffOffs  sliceSlab[uint16]
 	diffWords sliceSlab[uint64]
+	locks     slab[lockGlobal]
+	lockNodes slab[lockNode]
 }

@@ -25,7 +25,7 @@
 # this bounds the total per run rather than asserting a per-event contract.
 # BenchmarkSyncRun (one Barnes-rebuild HLRC cell, the most lock- and
 # interrupt-dense sim-sync app) rides along at 1x with an allocation-count
-# budget of 7,200 allocs/op: the measured 5,760 allocs/op (2-core Intel
+# budget of 6,130 allocs/op: the measured 4,905 allocs/op (2-core Intel
 # Xeon VM, go1.24.0) plus 25%. A request path that allocated per interrupt
 # or per lock message again would read about 46,900 and trip it.
 #
@@ -69,7 +69,7 @@ END {
 echo "bench-smoke: sync-run end-to-end smoke and allocation-count budget"
 out=$(go test -run '^$' -bench 'BenchmarkSyncRun$' -benchtime 1x -benchmem .)
 printf '%s\n' "$out"
-printf '%s\n' "$out" | awk -v budget=7200 '
+printf '%s\n' "$out" | awk -v budget=6130 '
 /^BenchmarkSyncRun/ {
     n++
     allocs = -1
