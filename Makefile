@@ -4,7 +4,8 @@
 # modules (which drives the real svmsimd binary through its crash, drain and
 # fleet drills, and the real sweep command through a twin-pruned sweep), the
 # race detector over the packages with real concurrency (the parallel
-# experiment pool and the engine), and the node-crash smoke.
+# experiment pool, the engine and the twin's lazy calibration), and the
+# node-crash smoke.
 
 GO ?= go
 
@@ -44,9 +45,12 @@ test:
 # experiment pool, the engine, the serving daemon's worker pool and
 # journal, the fleet coordinator's dispatch/heartbeat machinery) plus the
 # fault-recovery machinery whose livelock regressions must fail fast instead
-# of hanging.
+# of hanging. The twin's only concurrent code is lazy calibration, so its
+# line runs just the calibration tests: the package's table-replaying
+# validation gate would take minutes under -race.
 race:
 	$(GO) test -race -timeout 10m ./internal/exp/... ./internal/engine/... ./internal/network/... ./internal/proto/... ./internal/server/... ./internal/fleet/...
+	$(GO) test -race -timeout 10m -run Calibrat ./internal/twin/
 
 # Crash-stop smoke: the node-crash sweep on a small topology under the race
 # detector — heartbeat detection, recovery and degraded-mode completion end

@@ -44,7 +44,7 @@ func main() {
 	s.Parallelism = *parallel
 	s.CacheDir = *cacheDir
 	if *verbose {
-		s.Verbose = os.Stderr
+		s.Observe = exp.Progress(os.Stderr)
 	}
 
 	exps := s.Experiments()

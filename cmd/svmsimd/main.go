@@ -163,7 +163,7 @@ func run(o options) error {
 	suite.Parallelism = o.parallel
 	suite.CacheDir = o.cacheDir
 	if o.verbose {
-		suite.Verbose = os.Stderr
+		suite.Observe = exp.Progress(os.Stderr)
 	}
 
 	scfg := server.Config{

@@ -132,7 +132,7 @@ func run() int {
 	s.Parallelism = *parallel
 	s.CacheDir = *cacheDir
 	if *verbose {
-		s.Verbose = os.Stderr
+		s.Observe = exp.Progress(os.Stderr)
 	}
 
 	if *cellSpec != "" {

@@ -46,7 +46,9 @@ func runSweep(t *testing.T, bin string, args ...string) (stdout, stderr []byte) 
 // within 15% of the simulated one (the model's confidence gate is 5%; 15%
 // leaves room for the interval being an estimate, not a bound). The
 // unpruned document must carry no twin summary, so it stays byte-identical
-// to the encoding from before the twin.
+// to the encoding from before the twin. The pruned run is verbose: -v
+// prints one sim line per simulated cell and one predicted line per
+// predicted cell, as the document counts them.
 func TestTwinPruneMatchesSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the command and runs two sweeps")
@@ -54,7 +56,7 @@ func TestTwinPruneMatchesSimulation(t *testing.T) {
 	bin := buildSweep(t)
 	args := []string{"-param", "interrupt", "-apps", "FFT,LU", "-json"}
 	plainDoc, _ := runSweep(t, bin, args...)
-	prunedDoc, prunedLog := runSweep(t, bin, append(args, "-twin-prune")...)
+	prunedDoc, prunedLog := runSweep(t, bin, append(args, "-twin-prune", "-v")...)
 
 	var keys map[string]json.RawMessage
 	if err := json.Unmarshal(plainDoc, &keys); err != nil {
@@ -85,6 +87,11 @@ func TestTwinPruneMatchesSimulation(t *testing.T) {
 	if simulated >= total || simulated != tw.Simulated || total != tw.Simulated+tw.Predicted {
 		t.Errorf("log says %d of %d cells simulated, document says %d simulated and %d predicted; want strictly fewer simulated",
 			simulated, total, tw.Simulated, tw.Predicted)
+	}
+	for source, want := range map[string]int{"sim": tw.Simulated, "predicted": tw.Predicted} {
+		if got := len(regexp.MustCompile(`(?m)^`+source+` `).FindAll(prunedLog, -1)); got != want {
+			t.Errorf("-v printed %d %s lines, want %d:\n%s", got, source, want, prunedLog)
+		}
 	}
 
 	if len(pruned.Table.Rows) != len(plain.Table.Rows) || len(plain.Table.Rows) == 0 {

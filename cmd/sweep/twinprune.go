@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"svmsim"
 	"svmsim/internal/exp"
 	"svmsim/internal/twin"
 )
@@ -29,11 +28,18 @@ func runTwinPruned(s *exp.Suite, spec exp.SweepSpec, eps, target float64) (exp.S
 	axis, _ := exp.AxisByName(spec.Param) // ResolveSweep has validated the name
 
 	// Count real simulations from here on, calibration anchors included —
-	// the honest denominator for the reduction claim.
+	// the honest denominator for the reduction claim. The observer the
+	// suite already has (-v's Progress) keeps receiving every event, and
+	// is the suite's again once the sweep returns.
 	var sims atomic.Int64
+	observe := s.Observe
+	defer func() { s.Answer, s.Observe = nil, observe }()
 	s.Observe = func(ev exp.CellEvent) {
 		if ev.Source == exp.SourceSim {
 			sims.Add(1)
+		}
+		if observe != nil {
+			observe(ev)
 		}
 	}
 
@@ -49,25 +55,24 @@ func runTwinPruned(s *exp.Suite, spec exp.SweepSpec, eps, target float64) (exp.S
 	// or trust the model?" decision for an interior cell.
 	var mu sync.Mutex
 	var keys, labels []string
-	s.Predict = func(c exp.Cell) (*svmsim.RunStats, bool) {
+	s.Answer = func(c exp.Cell) (exp.CellResult, bool) {
 		p, err := tw.Predict(c)
 		if err != nil || p.ShouldSimulate(target, eps) {
-			return nil, false
+			return exp.CellResult{}, false
 		}
 		run, err := tw.PredictRun(c)
 		if err != nil {
-			return nil, false
+			return exp.CellResult{}, false
 		}
 		mu.Lock()
 		keys = append(keys, c.Key())
 		labels = append(labels, fmt.Sprintf("%s@%s=%g(±%.1f%%)",
 			c.W.Name, spec.Param, axis.Value(&c.Cfg), p.RelCI*100))
 		mu.Unlock()
-		return run, true
+		return exp.CellResult{Schema: exp.SchemaVersion, Key: c.Key(), Source: exp.SourcePredictedCell, Run: run}, true
 	}
 
 	res, err := s.RunSweep(spec)
-	s.Predict, s.Observe = nil, nil
 	if err != nil {
 		return exp.SweepResult{}, err
 	}

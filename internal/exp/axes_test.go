@@ -19,9 +19,11 @@ func TestSweepParamIOBwColumnsMatchFigure8(t *testing.T) {
 		t.Errorf("sweep -param iobw columns %q, want %q", tbl.Cols, want)
 	}
 	// Figure 8's shape without simulating: every cell answers from the
-	// Predict seam.
+	// Answer hook.
 	s := NewSuite(Small)
-	s.Predict = func(Cell) (*svmsim.RunStats, bool) { return &svmsim.RunStats{Cycles: 1000}, true }
+	s.Answer = func(c Cell) (CellResult, bool) {
+		return CellResult{Schema: SchemaVersion, Key: c.Key(), Source: SourcePredictedCell, Run: &svmsim.RunStats{Cycles: 1000}}, true
+	}
 	fig8, err := s.Figure8()
 	if err != nil {
 		t.Fatal(err)

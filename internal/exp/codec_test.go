@@ -408,14 +408,14 @@ func TestErrKindTaxonomy(t *testing.T) {
 	if err := os.WriteFile(cellPath(s.CacheDir, key), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.run(s.Base(), w); ErrKind(err) != "failed" || err.Error() != "boom" {
+	if _, err := s.RunCell(Cell{Cfg: s.Base(), W: w}); ErrKind(err) != "failed" || err.Error() != "boom" {
 		t.Errorf("disk cell without a kind: kind %q, err %v", ErrKind(err), err)
 	}
 	s = NewSuite(Small)
-	s.Remote = func(c Cell) (CellResult, bool) {
+	s.Answer = func(c Cell) (CellResult, bool) {
 		return CellResult{Schema: SchemaVersion, Key: c.Key(), Err: "boom"}, true
 	}
-	if _, err := s.run(s.Base(), w); ErrKind(err) != "failed" || err.Error() != "boom" {
+	if _, err := s.RunCell(Cell{Cfg: s.Base(), W: w}); ErrKind(err) != "failed" || err.Error() != "boom" {
 		t.Errorf("remote cell without a kind: kind %q, err %v", ErrKind(err), err)
 	}
 }

@@ -97,17 +97,17 @@ func TestCleanConfigKeyUnchangedByCrashSupport(t *testing.T) {
 func TestDeterministicErrorNotRetried(t *testing.T) {
 	s := smallSuite(1)
 	var log bytes.Buffer
-	s.Verbose = &log
+	s.Observe = Progress(&log)
 	cfg := s.Base()
 	cfg.MaxCycles = 10 // everything trips the watchdog immediately
-	_, err := s.run(cfg, tinyWorkload("stalled"))
+	_, err := s.RunCell(Cell{Cfg: cfg, W: tinyWorkload("stalled")})
 	if err == nil {
 		t.Fatal("watchdog did not fire")
 	}
 	if !errors.As(err, new(*svmsim.StallError)) {
 		t.Fatalf("not a structured stall: %v", err)
 	}
-	if n := strings.Count(log.String(), "run "); n != 1 {
+	if n := progressLines(&log, SourceSim); n != 1 {
 		t.Fatalf("stalled cell simulated %d times, want 1:\n%s", n, log.String())
 	}
 }

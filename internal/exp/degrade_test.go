@@ -32,6 +32,17 @@ func panicWorkload(name string) svmsim.Workload {
 	return svmsim.Workload{Name: name, Small: mk, Default: mk}
 }
 
+// progressLines counts the lines of a Progress log that name source.
+func progressLines(log *bytes.Buffer, source CellSource) int {
+	n := 0
+	for _, line := range strings.Split(log.String(), "\n") {
+		if strings.HasPrefix(line, source.String()+" ") {
+			n++
+		}
+	}
+	return n
+}
+
 func smallSuite(parallelism int) *Suite {
 	s := NewSuite(Small)
 	s.Procs = 4
@@ -46,7 +57,7 @@ func smallSuite(parallelism int) *Suite {
 func TestPanicCellDegradesToErrorRow(t *testing.T) {
 	s := smallSuite(4)
 	var log bytes.Buffer
-	s.Verbose = &log
+	s.Observe = Progress(&log)
 	good := tinyWorkload("tiny")
 	bad := panicWorkload("bomb")
 	cells := []Cell{{Cfg: s.Base(), W: good}, {Cfg: s.Base(), W: bad}}
@@ -59,12 +70,12 @@ func TestPanicCellDegradesToErrorRow(t *testing.T) {
 		t.Fatalf("healthy cell poisoned by panicking neighbor: %v", errs[0])
 	}
 	// The error is cached: asking again returns it without re-simulating.
-	before := strings.Count(log.String(), "run ")
-	if _, err := s.run(s.Base(), bad); err == nil {
+	before := progressLines(&log, SourceSim)
+	if _, err := s.RunCell(Cell{Cfg: s.Base(), W: bad}); err == nil {
 		t.Fatal("cached error lost")
 	}
-	if after := strings.Count(log.String(), "run "); after != before {
-		t.Fatalf("error cell re-simulated (%d -> %d run lines)", before, after)
+	if after := progressLines(&log, SourceSim); after != before {
+		t.Fatalf("error cell re-simulated (%d -> %d sim lines)", before, after)
 	}
 }
 
@@ -96,11 +107,11 @@ func TestSerialMatchesParallelWithErrorCells(t *testing.T) {
 		t.Fatalf("error %v is not the earliest failing cell", errS)
 	}
 	for _, w := range []svmsim.Workload{good1, good2} {
-		rs, err := serial.run(serial.Base(), w)
+		rs, err := serial.RunCell(Cell{Cfg: serial.Base(), W: w})
 		if err != nil {
 			t.Fatalf("serial lost healthy cell %s: %v", w.Name, err)
 		}
-		rp, err := parallel.run(parallel.Base(), w)
+		rp, err := parallel.RunCell(Cell{Cfg: parallel.Base(), W: w})
 		if err != nil {
 			t.Fatalf("parallel lost healthy cell %s: %v", w.Name, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,7 +22,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 
 	warm := smallSuite(1)
 	warm.CacheDir = dir
-	first, err := warm.run(warm.Base(), w)
+	first, err := warm.RunCell(Cell{Cfg: warm.Base(), W: w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,18 +34,18 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	cold := smallSuite(1)
 	cold.CacheDir = dir
 	var log bytes.Buffer
-	cold.Verbose = &log
-	second, err := cold.run(cold.Base(), w)
+	cold.Observe = Progress(&log)
+	second, err := cold.RunCell(Cell{Cfg: cold.Base(), W: w})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if second.Cycles != first.Cycles {
 		t.Fatalf("disk result diverges: %d vs %d cycles", second.Cycles, first.Cycles)
 	}
-	if strings.Count(log.String(), "run ") != 0 {
+	if progressLines(&log, SourceSim) != 0 {
 		t.Fatalf("warm cache still simulated:\n%s", log.String())
 	}
-	if strings.Count(log.String(), "disk ") != 1 {
+	if progressLines(&log, SourceDisk) != 1 {
 		t.Fatalf("disk hit not taken:\n%s", log.String())
 	}
 }
@@ -57,7 +58,7 @@ func TestDiskCachePersistsErrors(t *testing.T) {
 
 	warm := smallSuite(1)
 	warm.CacheDir = dir
-	_, err1 := warm.run(warm.Base(), w)
+	_, err1 := warm.RunCell(Cell{Cfg: warm.Base(), W: w})
 	if err1 == nil {
 		t.Fatal("panic cell succeeded")
 	}
@@ -65,15 +66,15 @@ func TestDiskCachePersistsErrors(t *testing.T) {
 	cold := smallSuite(1)
 	cold.CacheDir = dir
 	var log bytes.Buffer
-	cold.Verbose = &log
-	_, err2 := cold.run(cold.Base(), w)
+	cold.Observe = Progress(&log)
+	_, err2 := cold.RunCell(Cell{Cfg: cold.Base(), W: w})
 	if err2 == nil {
 		t.Fatal("cached error lost")
 	}
 	if err1.Error() != err2.Error() {
 		t.Fatalf("cached error text diverges:\n%v\nvs\n%v", err1, err2)
 	}
-	if strings.Count(log.String(), "run ") != 0 {
+	if progressLines(&log, SourceSim) != 0 {
 		t.Fatalf("error cell re-simulated:\n%s", log.String())
 	}
 }
@@ -86,7 +87,7 @@ func TestDiskCacheToleratesCorruption(t *testing.T) {
 
 	warm := smallSuite(1)
 	warm.CacheDir = dir
-	first, err := warm.run(warm.Base(), w)
+	first, err := warm.RunCell(Cell{Cfg: warm.Base(), W: w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestDiskCacheToleratesCorruption(t *testing.T) {
 
 	cold := smallSuite(1)
 	cold.CacheDir = dir
-	second, err := cold.run(cold.Base(), w)
+	second, err := cold.RunCell(Cell{Cfg: cold.Base(), W: w})
 	if err != nil {
 		t.Fatalf("corrupt entry broke the cell: %v", err)
 	}
@@ -205,7 +206,7 @@ func TestConcurrentSuitesShareCacheDir(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runs[i], errs[i] = s.run(s.Base(), w)
+			runs[i], errs[i] = s.RunCell(Cell{Cfg: s.Base(), W: w})
 		}()
 	}
 	wg.Wait()
@@ -230,7 +231,7 @@ func TestConcurrentSuitesShareCacheDir(t *testing.T) {
 			t.Error("warm directory still simulated")
 		}
 	}
-	if _, err := c.run(c.Base(), w); err != nil {
+	if _, err := c.RunCell(Cell{Cfg: c.Base(), W: w}); err != nil {
 		t.Fatal(err)
 	}
 	if hit.Load() != 1 {
@@ -253,10 +254,10 @@ func TestObserveSources(t *testing.T) {
 		got = append(got, ev)
 		mu.Unlock()
 	}
-	if _, err := s.run(s.Base(), w); err != nil {
+	if _, err := s.RunCell(Cell{Cfg: s.Base(), W: w}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.run(s.Base(), w); err != nil {
+	if _, err := s.RunCell(Cell{Cfg: s.Base(), W: w}); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0].Source != SourceSim || got[1].Source != SourceMemo {
@@ -278,10 +279,49 @@ func TestObserveSources(t *testing.T) {
 	cold.CacheDir = dir
 	var disk []CellSource
 	cold.Observe = func(ev CellEvent) { disk = append(disk, ev.Source) }
-	if _, err := cold.run(cold.Base(), w); err != nil {
+	if _, err := cold.RunCell(Cell{Cfg: cold.Base(), W: w}); err != nil {
 		t.Fatal(err)
 	}
 	if len(disk) != 1 || disk[0] != SourceDisk {
 		t.Fatalf("disk events %v", disk)
+	}
+}
+
+// TestPredictedAnswerNeverSpills: an Answer marked SourcePredictedCell is
+// served and observed as a prediction but never written to CacheDir, while
+// a plain Answer (a fleet worker's result) is observed as remote and
+// spilled like a simulation.
+func TestPredictedAnswerNeverSpills(t *testing.T) {
+	dir := t.TempDir()
+	s := smallSuite(1)
+	s.CacheDir = dir
+	s.Answer = func(c Cell) (CellResult, bool) {
+		r := CellResult{Schema: SchemaVersion, Key: c.Key(), Run: &svmsim.RunStats{Cycles: 1000}}
+		if c.W.Name == "predicted" {
+			r.Source = SourcePredictedCell
+		}
+		return r, true
+	}
+	var sources []CellSource
+	s.Observe = func(ev CellEvent) { sources = append(sources, ev.Source) }
+
+	if _, err := s.RunCell(Cell{Cfg: s.Base(), W: tinyWorkload("predicted")}); err != nil {
+		t.Fatal(err)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 0 {
+		t.Fatalf("a predicted answer was spilled: %v", files)
+	}
+	if !slices.Equal(sources, []CellSource{SourcePredicted}) {
+		t.Fatalf("observed sources %v, want [%v]", sources, SourcePredicted)
+	}
+
+	if _, err := s.RunCell(Cell{Cfg: s.Base(), W: tinyWorkload("remote")}); err != nil {
+		t.Fatal(err)
+	}
+	if files := validCacheDir(t, dir); len(files) != 1 {
+		t.Fatalf("want the remote answer spilled as 1 file, got %v", files)
+	}
+	if !slices.Equal(sources, []CellSource{SourcePredicted, SourceRemote}) {
+		t.Fatalf("observed sources %v, want [%v %v]", sources, SourcePredicted, SourceRemote)
 	}
 }

@@ -52,11 +52,13 @@ func (s *Size) Set(v string) (err error) {
 	return err
 }
 
-// Suite runs and memoizes experiments. The memo caches are mutex-guarded and
-// deduplicate in-flight runs (singleflight), so a Suite is safe for
-// concurrent use: experiments running their cells through RunCells share
-// every cell they have in common — two figures built on the achievable
-// baseline pay for it once.
+// Suite runs and memoizes experiments. It answers every cell through one
+// path (RunCell): the in-memory memo or a join of the cell's in-flight
+// answer, then the persistent disk cache, then the Answer hook, then a
+// simulation. The memo deduplicates in-flight cells (singleflight), so a
+// Suite is safe for concurrent use: experiments running their cells
+// through RunCells share every cell they have in common — two figures
+// built on the achievable baseline pay for it once.
 type Suite struct {
 	// Procs and PPN set the baseline topology (the paper: 16 processors,
 	// 4 per node).
@@ -73,45 +75,37 @@ type Suite struct {
 	// are keyed by the same content key as the in-memory memo and written
 	// atomically (temp file + rename); see diskcache.go.
 	CacheDir string
-	// Verbose, when non-nil, receives progress lines.
-	Verbose io.Writer
 	// Observe, when non-nil, receives one CellEvent per cell request served
-	// (memo hit, in-flight join, disk hit, or fresh simulation); a RunCells
-	// batch requests each of its unique cells once. It is the suite's
-	// observability seam — the svmsimd daemon's cache-hit/miss and
-	// latency metrics hang off it. Set it before the suite serves traffic;
-	// the callback must be safe for concurrent use and cheap (it runs on
-	// the worker's path).
+	// (memo hit, in-flight join, disk hit, Answer or fresh simulation); a
+	// RunCells batch requests each of its unique cells once. It is the
+	// suite's observability seam — the svmsimd daemon's cache-hit and
+	// latency metrics and the commands' -v lines (Progress) hang off it.
+	// Set it before the suite serves traffic; the callback must be safe for
+	// concurrent use and cheap (it runs on the worker's path).
 	Observe func(CellEvent)
-	// Remote, when non-nil, is consulted for each cell after the memo,
-	// singleflight and disk layers miss but before local simulation. It is
-	// the fleet seam: the coordinator installs a hook that dispatches the
-	// cell to a remote worker and returns its wire result. Returning
-	// ok=false (or an empty result) falls back to local simulation, so a
-	// coordinator with no live workers degrades to a plain daemon instead
-	// of failing. The hook runs inside the cell's singleflight — at most
-	// one dispatch per cell is in flight at a time — and must be safe for
-	// concurrent use across distinct cells. Set it before the suite serves
-	// traffic.
-	Remote func(Cell) (CellResult, bool)
-	// Predict, when non-nil, is consulted for each cell after the memo,
-	// singleflight and disk layers miss but before Remote and local
-	// simulation. It is the analytical-twin seam: twin-guided sweep pruning
-	// (cmd/sweep -twin-prune) installs a hook that answers high-confidence
-	// cells from the calibrated model in microseconds. Returning ok=false
-	// falls through to Remote/simulation. A predicted result is memoized
-	// in-memory (and observable as SourcePredicted) but never spilled to
-	// CacheDir: the persistent cache holds only simulated truth, so a later
-	// run with a different (or no) twin never mistakes a prediction for a
-	// measurement. Install it only for runs whose outputs mark predicted
-	// cells as such.
-	Predict func(Cell) (*svmsim.RunStats, bool)
+	// Answer, when non-nil, is consulted for each cell after the memo and
+	// disk layers miss but before local simulation. The fleet coordinator
+	// installs a hook that dispatches the cell to a remote worker;
+	// twin-guided sweep pruning (cmd/sweep -twin-prune) installs one that
+	// answers high-confidence cells from the calibrated model. Returning
+	// ok=false, or a result with neither a run nor an error, falls back to
+	// local simulation, so a coordinator with no live workers degrades to a
+	// plain daemon instead of failing. The hook runs inside the cell's
+	// singleflight — at most one answer per cell is in progress at a time —
+	// and must be safe for concurrent use across distinct cells. Set it
+	// before the suite serves traffic.
+	//
+	// A result whose Source is SourcePredictedCell is a model prediction:
+	// it is memoized in-memory (and observed as SourcePredicted) but never
+	// spilled to CacheDir. The persistent cache holds only simulated truth,
+	// so a later run with a different (or no) twin never mistakes a
+	// prediction for a measurement. Return predictions only for runs whose
+	// outputs mark predicted cells as such. Any other result is observed
+	// as SourceRemote and spilled like a simulation.
+	Answer func(Cell) (CellResult, bool)
 
-	mu     sync.Mutex
-	logMu  sync.Mutex
-	cache  map[string]*svmsim.RunStats
-	errs   map[string]error
-	flight map[string]*flight
+	mu    sync.Mutex
+	cells map[string]*entry
 }
 
 // CellSource says where a served cell result came from.
@@ -126,10 +120,10 @@ const (
 	SourceDisk
 	// SourceSim is a fresh simulation.
 	SourceSim
-	// SourceRemote was served by a fleet worker via Suite.Remote.
+	// SourceRemote was served by Suite.Answer, as a fleet worker's result.
 	SourceRemote
-	// SourcePredicted was answered by the analytical twin via Suite.Predict
-	// (no simulation ran; the result is a model prediction).
+	// SourcePredicted was served by Suite.Answer as a model prediction
+	// (no simulation ran; see SourcePredictedCell).
 	SourcePredicted
 )
 
@@ -165,9 +159,10 @@ type CellEvent struct {
 	Seconds float64
 }
 
-// flight is one in-progress (or just-finished) simulation shared by every
-// caller that asked for the same cell while it was running.
-type flight struct {
+// entry is one cell's answer. Its done channel is open while the first
+// caller answers the cell (later callers join that flight) and closed once
+// run and err are written; a closed entry is the memo.
+type entry struct {
 	done chan struct{}
 	run  *svmsim.RunStats
 	err  error
@@ -176,20 +171,6 @@ type flight struct {
 // NewSuite creates a suite with the paper's baseline topology.
 func NewSuite(sizes Size) *Suite {
 	return &Suite{Procs: 16, PPN: 4, Sizes: sizes}
-}
-
-// ensure lazily initializes the memo maps so a zero-value Suite works too.
-// Callers must hold s.mu.
-func (s *Suite) ensure() {
-	if s.cache == nil {
-		s.cache = make(map[string]*svmsim.RunStats)
-	}
-	if s.errs == nil {
-		s.errs = make(map[string]error)
-	}
-	if s.flight == nil {
-		s.flight = make(map[string]*flight)
-	}
 }
 
 // Base returns the achievable baseline configuration.
@@ -228,130 +209,86 @@ func cfgKey(c svmsim.Config) string {
 	return key
 }
 
-// run executes (and caches) one workload on one configuration. It is safe
-// for concurrent use: the first caller for a key simulates while later
-// callers for the same key block on the shared flight and reuse its result.
-// A cell simulates once: the simulator is deterministic, so a failing cell
-// (error or panic) fails the same way on every run. Its error is cached
-// too, so an error row renders once per sweep instead of re-simulating for
-// every table that shares the cell.
-func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, error) {
-	key := w.Name + "|" + cfgKey(cfg)
+// RunCell answers one cell: the programmatic entry point behind every
+// table, sweep, cmd/sweep's -cell mode and the daemon's cell jobs. It is
+// safe for concurrent use: the first caller for a key answers it while
+// later callers for the same key block on the shared entry and reuse its
+// answer. A cell is answered once: the simulator is deterministic, so a
+// failing cell (error or panic) fails the same way on every run. Its error
+// is memoized too, so an error row renders once per sweep instead of
+// re-simulating for every table that shares the cell.
+func (s *Suite) RunCell(c Cell) (*svmsim.RunStats, error) {
+	key := c.Key()
 	s.mu.Lock()
-	s.ensure()
 	observe := s.Observe
-	if run, ok := s.cache[key]; ok {
-		s.mu.Unlock()
-		if observe != nil {
-			observe(CellEvent{Key: key, Source: SourceMemo})
+	if e, ok := s.cells[key]; ok {
+		source := SourceMemo
+		select {
+		case <-e.done:
+		default:
+			source = SourceFlight
 		}
-		return run, nil
-	}
-	if err, ok := s.errs[key]; ok {
 		s.mu.Unlock()
+		<-e.done
 		if observe != nil {
-			observe(CellEvent{Key: key, Source: SourceMemo, Err: err})
+			observe(CellEvent{Key: key, Source: source, Err: e.err})
 		}
-		return nil, err
+		return e.run, e.err
 	}
-	if f, ok := s.flight[key]; ok {
-		s.mu.Unlock()
-		<-f.done
-		if observe != nil {
-			observe(CellEvent{Key: key, Source: SourceFlight, Err: f.err})
-		}
-		return f.run, f.err
+	if s.cells == nil {
+		s.cells = make(map[string]*entry)
 	}
-	f := &flight{done: make(chan struct{})}
-	s.flight[key] = f
-	verbose := s.Verbose
+	e := &entry{done: make(chan struct{})}
+	s.cells[key] = e
 	s.mu.Unlock()
 
-	// run is the cell's statistics. Only they are memoized: the full
-	// Result would keep the cell's whole simulated World alive.
-	var run *svmsim.RunStats
-	var err error
-	source := SourceSim
-	hit := false
-	if s.CacheDir != "" {
-		if drun, derr, ok := s.loadCell(key); ok {
-			hit, run, err, source = true, drun, derr, SourceDisk
-			if verbose != nil {
-				s.logf(verbose, "disk %-12s %s\n", w.Name, cfgKey(cfg))
-			}
-		}
-	}
-	if !hit {
-		// The twin answers before the fleet: a confident prediction costs
-		// microseconds, a remote dispatch costs a network round trip plus a
-		// worker's simulation. Predictions deliberately skip the CacheDir
-		// spill below — see the Predict field's cache-purity contract.
-		if predict := s.Predict; predict != nil {
-			if prun, ok := predict(Cell{Cfg: cfg, W: w}); ok && prun != nil {
-				hit, run, source = true, prun, SourcePredicted
-				if verbose != nil {
-					s.logf(verbose, "twin %-12s %s\n", w.Name, cfgKey(cfg))
-				}
-			}
-		}
-	}
-	if !hit {
-		if remote := s.Remote; remote != nil {
-			if rr, ok := remote(Cell{Cfg: cfg, W: w}); ok && (rr.Run != nil || rr.Err != "") {
-				hit, source = true, SourceRemote
-				// The worker already wrapped any error with workload and key
-				// context; preserve its structured kind and text verbatim so
-				// a remotely-failed cell renders (and caches) the same bytes
-				// a local failure would.
-				if err = resultErr(rr); err == nil {
-					run = rr.Run
-				}
-				if verbose != nil {
-					s.logf(verbose, "remote %-10s %s\n", w.Name, cfgKey(cfg))
-				}
-				if s.CacheDir != "" {
-					s.spillCell(key, rr.Run, err)
-				}
-			}
-		}
-	}
-	var simSeconds float64
-	if !hit {
-		if verbose != nil {
-			s.logf(verbose, "run %-12s %s\n", w.Name, cfgKey(cfg))
-		}
-		sw := walltime.Start()
-		run, err = s.simulate(cfg, w)
-		simSeconds = sw.Seconds()
-		if err != nil {
-			err = fmt.Errorf("%s on %s: %w", w.Name, cfgKey(cfg), err)
-		}
-		if s.CacheDir != "" {
-			s.spillCell(key, run, err)
-		}
-	}
-
-	s.mu.Lock()
-	if err == nil {
-		s.cache[key] = run
-		f.run = run
-	} else {
-		s.errs[key] = err
-	}
-	f.err = err
-	delete(s.flight, key)
-	s.mu.Unlock()
-	close(f.done)
+	source, seconds := s.answer(c, key, e)
+	close(e.done)
 	if observe != nil {
-		observe(CellEvent{Key: key, Source: source, Err: err, Seconds: simSeconds})
+		observe(CellEvent{Key: key, Source: source, Err: e.err, Seconds: seconds})
 	}
-	return f.run, f.err
+	return e.run, e.err
 }
 
-// RunCell executes (or serves from cache) one cell: the programmatic entry
-// point behind cmd/sweep's -cell mode and the daemon's cell jobs.
-func (s *Suite) RunCell(c Cell) (*svmsim.RunStats, error) {
-	return s.run(c.Cfg, c.W)
+// answer fills e from the layers after the memo: the disk cache, then
+// Answer, then a simulation. It reports where the answer came from and, for
+// a simulation, its wall-clock seconds. Only the cell's statistics are
+// kept: the full Result would keep the cell's whole simulated World alive.
+func (s *Suite) answer(c Cell, key string, e *entry) (CellSource, float64) {
+	if s.CacheDir != "" {
+		if run, err, ok := s.loadCell(key); ok {
+			e.run, e.err = run, err
+			return SourceDisk, 0
+		}
+	}
+	if s.Answer != nil {
+		if r, ok := s.Answer(c); ok && (r.Run != nil || r.Err != "") {
+			// A worker already wrapped any error with workload and key
+			// context; resultErr keeps its structured kind and text
+			// verbatim, so a remotely failed cell renders (and caches) the
+			// same bytes a local failure would.
+			if e.err = resultErr(r); e.err == nil {
+				e.run = r.Run
+			}
+			if r.Source == SourcePredictedCell {
+				return SourcePredicted, 0
+			}
+			if s.CacheDir != "" {
+				s.spillCell(key, e.run, e.err)
+			}
+			return SourceRemote, 0
+		}
+	}
+	sw := walltime.Start()
+	e.run, e.err = s.simulate(c.Cfg, c.W)
+	seconds := sw.Seconds()
+	if e.err != nil {
+		e.err = fmt.Errorf("%s on %s: %w", c.W.Name, cfgKey(c.Cfg), e.err)
+	}
+	if s.CacheDir != "" {
+		s.spillCell(key, e.run, e.err)
+	}
+	return SourceSim, seconds
 }
 
 // simulate executes one cell, converting a panic (in the simulator, protocol,
@@ -370,11 +307,24 @@ func (s *Suite) simulate(cfg svmsim.Config, w svmsim.Workload) (run *svmsim.RunS
 	return res.Run, nil
 }
 
-// logf serializes verbose progress lines from concurrent workers.
-func (s *Suite) logf(w io.Writer, format string, args ...any) {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	fmt.Fprintf(w, format, args...)
+// Progress returns an Observe callback that prints one line to w for each
+// cell the suite answers from disk, Answer or a simulation: the source and
+// the cell key, plus a simulation's wall-clock seconds. Memo hits and
+// flight joins print nothing. Lines from concurrent workers are serialized.
+func Progress(w io.Writer) func(CellEvent) {
+	var mu sync.Mutex
+	return func(ev CellEvent) {
+		if ev.Source == SourceMemo || ev.Source == SourceFlight {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if ev.Source == SourceSim {
+			fmt.Fprintf(w, "%s %s %.3fs\n", ev.Source, ev.Key, ev.Seconds)
+			return
+		}
+		fmt.Fprintf(w, "%s %s\n", ev.Source, ev.Key)
+	}
 }
 
 // Table is one rendered experiment.

@@ -1,9 +1,8 @@
 package exp
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
+	"slices"
 	"testing"
 
 	"svmsim"
@@ -110,7 +109,7 @@ func TestSpecFromCellRejectsNonWire(t *testing.T) {
 	}
 }
 
-// TestRemoteHookServesCell wires a fake fleet into the Remote seam: the
+// TestRemoteHookServesCell wires a fake fleet into the Answer hook: the
 // "worker" is just a second suite. The serving suite must take the remote
 // result without simulating locally, report SourceRemote to Observe, and
 // memoize it like any local result.
@@ -119,10 +118,8 @@ func TestRemoteHookServesCell(t *testing.T) {
 	w := pick("LU")[0]
 
 	s := NewSuite(Small)
-	var log bytes.Buffer
-	s.Verbose = &log
 	calls := 0
-	s.Remote = func(c Cell) (CellResult, bool) {
+	s.Answer = func(c Cell) (CellResult, bool) {
 		calls++
 		run, err := workerSuite.RunCell(c)
 		return NewCellResult(c.Key(), run, err), true
@@ -145,8 +142,8 @@ func TestRemoteHookServesCell(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("remote hook called %d times, want 1", calls)
 	}
-	if strings.Contains(log.String(), "run ") {
-		t.Fatalf("suite simulated locally despite remote hit:\n%s", log.String())
+	if slices.Contains(sources, SourceSim) {
+		t.Fatalf("suite simulated locally despite remote hit: sources %v", sources)
 	}
 	if len(sources) != 1 || sources[0] != SourceRemote {
 		t.Fatalf("observed sources = %v, want [%v]", sources, SourceRemote)
@@ -170,16 +167,16 @@ func TestRemoteHookServesCell(t *testing.T) {
 // daemon.
 func TestRemoteHookFallsBack(t *testing.T) {
 	s := NewSuite(Small)
-	var log bytes.Buffer
-	s.Verbose = &log
-	s.Remote = func(Cell) (CellResult, bool) { return CellResult{}, false }
+	var sources []CellSource
+	s.Observe = func(ev CellEvent) { sources = append(sources, ev.Source) }
+	s.Answer = func(Cell) (CellResult, bool) { return CellResult{}, false }
 
 	w := pick("LU")[0]
-	if _, err := s.run(s.Base(), w); err != nil {
+	if _, err := s.RunCell(Cell{Cfg: s.Base(), W: w}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(log.String(), "run ") {
-		t.Fatalf("fallback did not simulate locally:\n%s", log.String())
+	if !slices.Contains(sources, SourceSim) {
+		t.Fatalf("fallback did not simulate locally: sources %v", sources)
 	}
 }
 
@@ -190,12 +187,12 @@ func TestRemoteHookFallsBack(t *testing.T) {
 func TestRemoteErrorPreservedAndCached(t *testing.T) {
 	s := NewSuite(Small)
 	calls := 0
-	s.Remote = func(c Cell) (CellResult, bool) {
+	s.Answer = func(c Cell) (CellResult, bool) {
 		calls++
 		return CellResult{Schema: SchemaVersion, Key: c.Key(), ErrKind: "stall", Err: "LU on p16: stall"}, true
 	}
 	w := pick("LU")[0]
-	_, err := s.run(s.Base(), w)
+	_, err := s.RunCell(Cell{Cfg: s.Base(), W: w})
 	if err == nil {
 		t.Fatal("want the worker's error")
 	}
@@ -205,7 +202,7 @@ func TestRemoteErrorPreservedAndCached(t *testing.T) {
 	if err.Error() != "LU on p16: stall" {
 		t.Fatalf("error text rewrapped: %q", err.Error())
 	}
-	if _, err2 := s.run(s.Base(), w); err2 == nil || err2.Error() != err.Error() {
+	if _, err2 := s.RunCell(Cell{Cfg: s.Base(), W: w}); err2 == nil || err2.Error() != err.Error() {
 		t.Fatalf("cached error differs: %v", err2)
 	}
 	if calls != 1 {

@@ -63,7 +63,7 @@ func TestReproducedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := sharedSuite.run(sharedSuite.Base(), fft)
+	run, err := sharedSuite.RunCell(Cell{Cfg: sharedSuite.Base(), W: fft})
 	if err != nil {
 		t.Fatal(err)
 	}

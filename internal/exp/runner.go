@@ -58,7 +58,7 @@ func (s *Suite) RunCells(cells []Cell) ([]*svmsim.RunStats, []error) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				runs[i], errs[i] = s.run(cells[i].Cfg, cells[i].W)
+				runs[i], errs[i] = s.RunCell(cells[i])
 			}
 		}()
 	}

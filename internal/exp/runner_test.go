@@ -35,11 +35,11 @@ func TestParallelMatchesSerialDeterminism(t *testing.T) {
 
 	// Byte-for-byte per-processor stats on a shared cell.
 	for _, w := range wls {
-		rs, err := serial.run(serial.Base(), w)
+		rs, err := serial.RunCell(Cell{Cfg: serial.Base(), W: w})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, err := parallel.run(parallel.Base(), w)
+		rp, err := parallel.RunCell(Cell{Cfg: parallel.Base(), W: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestRunnerDedupesCells(t *testing.T) {
 	s := NewSuite(Small)
 	s.Parallelism = 4
 	var log bytes.Buffer
-	s.Verbose = &log
+	s.Observe = Progress(&log)
 
 	w := pick("LU")[0]
 	base := Cell{Cfg: s.Base(), W: w}
@@ -72,7 +72,7 @@ func TestRunnerDedupesCells(t *testing.T) {
 	if err := FirstErr(errs); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(log.String(), "run "); got != 2 {
+	if got := progressLines(&log, SourceSim); got != 2 {
 		t.Fatalf("ran %d cells, want 2 unique:\n%s", got, log.String())
 	}
 	if len(runs) != len(cells) || len(errs) != len(cells) {
@@ -89,7 +89,7 @@ func TestRunnerDedupesCells(t *testing.T) {
 	if err := FirstErr(errs); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(log.String(), "run "); got != 2 {
+	if got := progressLines(&log, SourceSim); got != 2 {
 		t.Fatalf("re-running cached cells simulated again (%d lines):\n%s", got, log.String())
 	}
 	for i := range cells {
@@ -160,16 +160,16 @@ func TestRunnerErrorIsEarliestCell(t *testing.T) {
 	}
 }
 
-// TestZeroValueSuite checks the lazily initialized memo maps: a Suite
+// TestZeroValueSuite checks the lazily initialized memo map: a Suite
 // constructed directly (not via NewSuite) must still run and memoize.
 func TestZeroValueSuite(t *testing.T) {
 	s := &Suite{Procs: 4, PPN: 2, Sizes: Small}
 	w := pick("LU")[0]
-	r1, err := s.run(s.Base(), w)
+	r1, err := s.RunCell(Cell{Cfg: s.Base(), W: w})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.run(s.Base(), w)
+	r2, err := s.RunCell(Cell{Cfg: s.Base(), W: w})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 	"svmsim/internal/walltime"
 )
 
-// remote is the exp.Suite.Remote hook: the coordinator's whole dispatch
+// remote is the coordinator's exp.Suite.Answer hook: its whole dispatch
 // policy for one cell. The suite calls it inside the cell's singleflight,
 // after every cache layer missed, so by construction at most one placement
 // of a given cell is in progress at a time and the result lands in the

@@ -3,7 +3,7 @@
 // same admission queue, write-ahead journal, content-addressed store and
 // idempotent resubmission as internal/server, because it *is* an
 // internal/server.Server — whose suite delegates cell execution to remote
-// workers through the exp.Suite.Remote seam instead of simulating locally.
+// workers through the exp.Suite.Answer hook instead of simulating locally.
 //
 // Workers self-register (POST /v1/workers) with their capacity and cache
 // identity and are tracked by a heartbeat failure detector using the same
@@ -47,7 +47,7 @@ import (
 // default.
 type Config struct {
 	// Suite resolves, assembles and (on fallback) simulates cells;
-	// required. The coordinator installs its Remote hook on it.
+	// required. The coordinator installs its Answer hook on it.
 	Suite *exp.Suite
 	// Server configures the front door (admission, journal, store). Its
 	// Suite field is overwritten by the coordinator.
@@ -122,7 +122,7 @@ func New(cfg Config) (*Coordinator, error) {
 		monDone:       make(chan struct{}),
 		settled:       make(chan struct{}),
 	}
-	cfg.Suite.Remote = c.remote
+	cfg.Suite.Answer = c.remote
 
 	scfg := cfg.Server
 	scfg.Suite = cfg.Suite

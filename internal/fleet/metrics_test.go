@@ -26,7 +26,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func stubWorker(t *testing.T) *httptest.Server {
 	t.Helper()
 	suite := exp.NewSuite(exp.Small)
-	suite.Remote = func(c exp.Cell) (exp.CellResult, bool) {
+	suite.Answer = func(c exp.Cell) (exp.CellResult, bool) {
 		run := svmsim.RunStats{Procs: make([]svmsim.ProcStats, c.Cfg.Procs), Cycles: 1_000_000}
 		return exp.CellResult{Schema: exp.SchemaVersion, Key: c.Key(), Run: &run}, true
 	}

@@ -52,7 +52,7 @@ func TestIdempotentResubmission(t *testing.T) {
 
 // TestHealthzReadyzSplit: /healthz is pure liveness (200 even while
 // draining); /readyz tracks whether the daemon accepts work — 200 when
-// serving, 503 during replay and from the moment drain starts.
+// serving, 503 from the moment drain starts.
 func TestHealthzReadyzSplit(t *testing.T) {
 	s, err := New(Config{Suite: testSuite(), Workers: 1})
 	if err != nil {
@@ -69,20 +69,6 @@ func TestHealthzReadyzSplit(t *testing.T) {
 	if code, body := get("/readyz"); code != 200 || !strings.Contains(body, `"ready"`) {
 		t.Fatalf("readyz: %d %s", code, body)
 	}
-
-	// Startup replay window: not ready, but alive.
-	s.mu.Lock()
-	s.ready = false
-	s.mu.Unlock()
-	if code, body := get("/readyz"); code != 503 || !strings.Contains(body, `"replaying"`) {
-		t.Fatalf("readyz during replay: %d %s", code, body)
-	}
-	if code, _ := get("/healthz"); code != 200 {
-		t.Fatalf("healthz during replay: %d", code)
-	}
-	s.mu.Lock()
-	s.ready = true
-	s.mu.Unlock()
 
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)

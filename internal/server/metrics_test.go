@@ -97,7 +97,7 @@ func TestDaemonScrapeGolden(t *testing.T) {
 
 	hold, hold2 := make(chan struct{}), make(chan struct{})
 	suite := testSuite()
-	suite.Remote = stubRemote(map[string]chan struct{}{"Water-nsq": hold, "Water-sp": hold2})
+	suite.Answer = stubRemote(map[string]chan struct{}{"Water-nsq": hold, "Water-sp": hold2})
 	s, err := New(Config{Suite: suite, Twin: twin.New(), Workers: 1, QueueDepth: 1, JournalDir: dir})
 	if err != nil {
 		t.Fatal(err)

@@ -86,8 +86,7 @@ type Server struct {
 	byKey    map[string]*job // active (queued/running) jobs by content key
 	store    map[string]stored
 	seq      uint64
-	queued   int  // submitted jobs waiting in the queue; queueDepth bounds it
-	ready    bool // false during journal replay, true once serving
+	queued   int // submitted jobs waiting in the queue; queueDepth bounds it
 	draining bool
 
 	workers    sync.WaitGroup
@@ -229,9 +228,6 @@ func New(cfg Config) (*Server, error) {
 		s.workers.Add(1)
 		go s.worker()
 	}
-	s.mu.Lock()
-	s.ready = true
-	s.mu.Unlock()
 	return s, nil
 }
 
@@ -535,28 +531,26 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz is pure liveness: the process is up and serving HTTP. It
-// stays 200 through replay and drain — restarting a draining daemon would
-// only lose work. Readiness (should traffic be routed here?) is /readyz.
+// stays 200 through drain — restarting a draining daemon would only lose
+// work. Readiness (should traffic be routed here?) is /readyz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz is readiness: 200 only when the daemon is accepting work.
-// It is false (503) while the journal replays at startup and from the
-// moment Drain is called — load balancers stop routing before the 503s on
-// the submission endpoints would surface to clients.
+// The journal has replayed inside New, before any listener serves this
+// handler, so it is false (503) only from the moment Drain is called — load
+// balancers stop routing before the 503s on the submission endpoints would
+// surface to clients.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	ready, draining := s.ready, s.draining
+	draining := s.draining
 	s.mu.Unlock()
-	switch {
-	case draining:
+	if draining {
 		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-	case !ready:
-		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "replaying"})
-	default:
-		WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		return
 	}
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // decodeSpec parses a request body with DecodeJSON, answering 400 when it

@@ -214,7 +214,7 @@ func (ax *axisModel) nearest(pos float64) *svmsim.RunStats {
 // sweep tables and the wire schema consume: the nearest anchor's counters
 // (exact for anchor hits; the closest measured profile otherwise) with the
 // predicted execution time and the request's topology written over them. It
-// never simulates; the exp.Suite.Predict seam and the report harness are
+// never simulates; the -twin-prune and report harness Answer hooks are
 // its callers.
 func (t *Twin) PredictRun(c exp.Cell) (*svmsim.RunStats, error) {
 	t.mu.RLock()

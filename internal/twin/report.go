@@ -5,12 +5,11 @@ import (
 	"math"
 	"sort"
 
-	"svmsim"
 	"svmsim/internal/exp"
 )
 
 // Report is the twin's validation scorecard: every paper table rendered
-// twice — once by the simulator, once through a suite whose Predict seam is
+// twice — once by the simulator, once through a suite whose Answer hook is
 // this twin — and compared value by value. Fault-injection tables
 // (droprate, nodecrash) are excluded: their configurations are outside the
 // modeled space by design. Cells the model cannot answer (interrupt-policy
@@ -58,20 +57,15 @@ var reportExcluded = map[string]bool{"droprate": true, "nodecrash": true}
 // honest, mostly-exact report rather than an error.
 func BuildReport(sim *exp.Suite, t *Twin) (*Report, error) {
 	// The twin-side suite mirrors the simulation suite's shape but answers
-	// modeled cells from the twin (Predict seam) and bridges everything
-	// else to the already-warm simulation suite (Remote seam) — so the
-	// report never re-simulates and never lets a prediction masquerade as
-	// a measurement in sim's caches.
+	// modeled cells from the twin and bridges everything else to the
+	// already-warm simulation suite — so the report never re-simulates and
+	// never lets a prediction masquerade as a measurement in sim's caches.
 	tw := exp.NewSuite(sim.Sizes)
 	tw.Procs, tw.PPN, tw.Parallelism = sim.Procs, sim.PPN, sim.Parallelism
-	tw.Predict = func(c exp.Cell) (*svmsim.RunStats, bool) {
-		run, err := t.PredictRun(c)
-		if err != nil {
-			return nil, false
+	tw.Answer = func(c exp.Cell) (exp.CellResult, bool) {
+		if run, err := t.PredictRun(c); err == nil {
+			return exp.CellResult{Schema: exp.SchemaVersion, Key: c.Key(), Source: exp.SourcePredictedCell, Run: run}, true
 		}
-		return run, true
-	}
-	tw.Remote = func(c exp.Cell) (exp.CellResult, bool) {
 		run, err := sim.RunCell(c)
 		return exp.NewCellResult(c.Key(), run, err), true
 	}

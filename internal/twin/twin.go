@@ -34,7 +34,7 @@
 // On top of the model
 // sit Optimize ("cheapest parameter configuration achieving speedup ≥ S"
 // plus sensitivity rankings, optimize.go), twin-guided sweep pruning
-// (cmd/sweep -twin-prune via exp.Suite.Predict), the svmsimd
+// (cmd/sweep -twin-prune via exp.Suite.Answer), the svmsimd
 // /v1/twin/predict and /v1/twin/optimize endpoints (internal/server), and
 // the Report validation harness replaying the paper's tables (report.go).
 package twin
@@ -316,6 +316,15 @@ func (t *Twin) calibrate(s *exp.Suite, w svmsim.Workload, mode svmsim.Mode, axes
 	}
 
 	t.mu.Lock()
+	// Another calibration of this workload may have published since prev
+	// was read; keep its axes, or this publish would drop them.
+	if cur := t.models[modelKey{w.Name, mode}]; cur != nil && cur.base == base {
+		for a, ax := range cur.axes {
+			if m.axes[a] == nil {
+				m.axes[a] = ax
+			}
+		}
+	}
 	t.models[modelKey{w.Name, mode}] = m
 	t.calibrations++
 	t.mu.Unlock()

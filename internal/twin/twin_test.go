@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"svmsim"
@@ -191,6 +193,65 @@ func TestPredictCalibratingIsLazy(t *testing.T) {
 	}
 	if got := tw.Calibrations(); got != 2 {
 		t.Fatalf("repeat request re-calibrated (count %d)", got)
+	}
+}
+
+// TestConcurrentCalibrationsKeepEveryAxis: two lazy calibrations of one
+// workload on different axes that overlap in time both land in the
+// published model, and each request is answered; the later publish does
+// not drop the earlier one's axis.
+func TestConcurrentCalibrationsKeepEveryAxis(t *testing.T) {
+	s := smallSuite(t)
+	w := workload(t, "FFT")
+	tw := New()
+	base := exp.Cell{Cfg: s.Base(), W: w}
+	if _, err := tw.PredictCalibrating(s, base); err != nil {
+		t.Fatal(err)
+	}
+
+	// Hold every anchor until both calibrations have asked for one, so both
+	// build on the base-only model before either publishes; ok=false lets
+	// the anchors simulate.
+	axes := []exp.Axis{exp.AxisHostOverhead, exp.AxisInterrupt}
+	var mu sync.Mutex
+	var once sync.Once
+	asked := map[exp.Axis]bool{}
+	both := make(chan struct{})
+	s.Answer = func(c exp.Cell) (exp.CellResult, bool) {
+		mu.Lock()
+		for _, a := range axes {
+			if a.Value(&c.Cfg) != a.Value(&base.Cfg) {
+				asked[a] = true
+			}
+		}
+		if len(asked) == len(axes) {
+			once.Do(func() { close(both) })
+		}
+		mu.Unlock()
+		<-both
+		return exp.CellResult{}, false
+	}
+
+	errs := make([]error, len(axes))
+	var wg sync.WaitGroup
+	for i, a := range axes {
+		cfg := s.Base()
+		a.Set(&cfg, 2000)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = tw.PredictCalibrating(s, exp.Cell{Cfg: cfg, W: w})
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("%s request: %v", axes[i], err)
+		}
+	}
+	m, _ := tw.Model(w.Name, svmsim.HLRC)
+	if got := m.CalibratedAxes(); !slices.Equal(got, axes) {
+		t.Fatalf("calibrated axes %v, want %v", got, axes)
 	}
 }
 
